@@ -5,7 +5,11 @@
 //! writes a JSON report with, per scenario:
 //!
 //! * simulated events dispatched and wall-clock time,
-//! * events/second of simulated pipeline (the headline number),
+//! * events/second of simulated pipeline (the headline number) — events
+//!   are *logical*: the engine ships deliveries through the scheduler in
+//!   bursts (one entry per send burst, see `Ev::Deliver`), but
+//!   `q.processed()` counts every delivered element, so `events` and
+//!   events/sec stay comparable with the whole `BENCH_PR*.json` history,
 //! * the deterministic metrics digest (same seed ⇒ same digest — any
 //!   divergence between two builds signals a semantics change, not just a
 //!   perf change),

@@ -1,5 +1,7 @@
 //! The simulation event vocabulary.
 
+use simcore::SimTime;
+
 use crate::ids::{ChannelId, InstId, KeyGroup, SubscaleId};
 use crate::record::{Record, RecordRef, ScaleSignal};
 use crate::scaling::ScalePlan;
@@ -164,6 +166,138 @@ impl ControlStore {
     }
 }
 
+/// One element on the wire.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct WireElem {
+    /// Target channel.
+    pub ch: ChannelId,
+    /// Handle of the element in the record arena: the payload stays parked
+    /// there, so a burst holds handles, not ~56-byte stream elements.
+    pub elem: RecordRef,
+    /// Did this element consume a credit when it was put on the wire?
+    /// Credited deliveries must decrement `in_flight`; uncredited ones
+    /// (priority barriers, cut-channel deliveries) bypass credit
+    /// accounting entirely. The two may share a burst.
+    pub credited: bool,
+}
+
+/// The burst the next send may still extend (conditions 1–3 of the
+/// contract on [`Ev::Deliver`]; condition 4 is this value being dropped
+/// when its slot is taken).
+#[derive(Clone, Copy, Debug)]
+struct OpenBurst {
+    slot: u32,
+    region: usize,
+    at: SimTime,
+    seq: u64,
+}
+
+/// Slot-recycled buffers for the elements of pending [`Ev::Deliver`]
+/// bursts — the [`ControlStore`] pattern with `Vec` payloads: a slot is
+/// filled by the send side, taken whole by the dispatcher and handed back
+/// empty, so after warm-up neither the slot table nor the buffers
+/// allocate. The table plateaus at the high-water mark of *pending*
+/// bursts.
+#[derive(Debug, Default)]
+pub struct BurstStore {
+    bufs: Vec<Vec<WireElem>>,
+    free: Vec<u32>,
+    open_burst: Option<OpenBurst>,
+}
+
+impl BurstStore {
+    /// An empty store.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Append `e` to the open burst if it may still be extended by a send
+    /// arriving at `at` in `region` while the queue's next `seq` is
+    /// `next_seq`. Returns whether it was.
+    // checker:hot-path
+    #[inline]
+    pub fn extend_open(&mut self, at: SimTime, region: usize, next_seq: u64, e: WireElem) -> bool {
+        match self.open_burst {
+            Some(o) if o.at == at && o.region == region && o.seq + 1 == next_seq => {
+                self.bufs[o.slot as usize].push(e);
+                true
+            }
+            _ => false,
+        }
+    }
+
+    /// Start a burst with `e` and leave it open for extension; `seq` is the
+    /// sequence number its `Ev::Deliver` is about to be minted. Returns the
+    /// slot for that event.
+    // checker:hot-path
+    #[inline]
+    pub fn open(&mut self, at: SimTime, region: usize, seq: u64, e: WireElem) -> u32 {
+        let slot = self.single(e);
+        self.open_burst = Some(OpenBurst {
+            slot,
+            region,
+            at,
+            seq,
+        });
+        slot
+    }
+
+    /// Park a one-element burst no later send can extend (explicit-key
+    /// cross deliveries). Returns the slot for its `Ev::Deliver`.
+    // checker:hot-path
+    #[inline]
+    pub fn single(&mut self, e: WireElem) -> u32 {
+        let slot = match self.free.pop() {
+            Some(slot) => slot,
+            None => self.grow(),
+        };
+        self.bufs[slot as usize].push(e);
+        slot
+    }
+
+    /// Pool growth, out of line: runs only while the high-water mark of
+    /// pending bursts is still rising.
+    #[cold]
+    fn grow(&mut self) -> u32 {
+        self.bufs.push(Vec::new());
+        (self.bufs.len() - 1) as u32
+    }
+
+    /// Take a burst for dispatch, closing it to further sends. The slot
+    /// stays reserved until [`give_back`](Self::give_back) returns the
+    /// drained buffer.
+    // checker:hot-path
+    #[inline]
+    pub fn take(&mut self, slot: u32) -> Vec<WireElem> {
+        if self.open_burst.is_some_and(|o| o.slot == slot) {
+            self.open_burst = None;
+        }
+        let buf = std::mem::take(&mut self.bufs[slot as usize]);
+        assert!(!buf.is_empty(), "burst slot taken twice or never filled");
+        buf
+    }
+
+    /// Return a taken burst's buffer (drained; its capacity is kept) and
+    /// recycle the slot.
+    // checker:hot-path
+    #[inline]
+    pub fn give_back(&mut self, slot: u32, mut buf: Vec<WireElem>) {
+        buf.clear();
+        self.bufs[slot as usize] = buf;
+        self.free.push(slot);
+    }
+
+    /// Slot-table high-water mark (total slots ever grown).
+    pub fn high_water(&self) -> usize {
+        self.bufs.len()
+    }
+
+    /// Bursts parked or being dispatched right now.
+    pub fn pending(&self) -> usize {
+        self.bufs.len() - self.free.len()
+    }
+}
+
 /// Every event the simulator can dispatch.
 ///
 /// # Size discipline
@@ -171,10 +305,11 @@ impl ControlStore {
 /// `Ev` is what every scheduler-backend bucket move, heap sift and batch
 /// buffer copies, millions of times per run — its size is a hot-path
 /// constant. The dominant traffic (`Deliver`, `ProcDone`, `SourceTick`,
-/// `Wake`) carries at most 16 bytes inline; the rare, large control-plane
-/// payloads park in the world's [`ControlStore`] side-channel and the
-/// events carry only `u32` slot handles, so they can't inflate the enum
-/// (and cost no per-event allocation). `events::ev_fits_in_16_bytes` pins
+/// `Wake`) carries at most 16 bytes inline; delivery bursts park in the
+/// world's [`BurstStore`] and the rare, large control-plane payloads in
+/// its [`ControlStore`] side-channel, and the events carry only `u32`
+/// slot handles, so they can't inflate the enum (and cost no per-event
+/// allocation). `events::ev_fits_in_16_bytes` pins
 /// `size_of::<Ev>() <= 16`.
 #[derive(Debug)]
 pub enum Ev {
@@ -183,21 +318,37 @@ pub enum Ev {
         /// The source instance.
         inst: InstId,
     },
-    /// An element coming off the wire into the receiver queue. Carries an
-    /// arena handle, not the element: the payload stays parked in the
-    /// world's `RecordArena`, so the event heap sifts 8-byte handles
-    /// instead of ~56-byte stream elements.
+    /// A **burst** of elements coming off the wire into their receiver
+    /// queues: every element parked in one [`BurstStore`] slot, delivered
+    /// in the order they were sent. The scheduler carries one entry per
+    /// burst, not one per element.
+    ///
+    /// # The burst contract
+    ///
+    /// A send appends to the open burst instead of scheduling an event of
+    /// its own iff all four hold:
+    ///
+    /// 1. same arrival instant (`now + latency`),
+    /// 2. same receiver region tag,
+    /// 3. the queue's next `seq` is still the one right after the burst's
+    ///    own — no event was minted since the burst was scheduled,
+    /// 4. the burst has not been taken for dispatch.
+    ///
+    /// Otherwise it opens a new burst. Exactness: scheduled one event per
+    /// element, the elements of a burst would have carried consecutive
+    /// `seq`s at one instant in one region, so nothing could ever sort
+    /// between two of them; the dispatcher walks the burst element by
+    /// element, so every side effect happens in the order the per-element
+    /// events had. An explicit-key `push_keyed` between two sends mints
+    /// nothing and is harmless: cross keys carry `CROSS_BIT` and sort after
+    /// every minted `seq` of their instant, with or without bursts.
+    /// Condition 4 is what keeps a zero-latency send made while a burst is
+    /// being walked out of that walk — its event would have popped after
+    /// the rest of the current run. The future-event list still counts
+    /// *elements* as processed (`FutureEventList::note_coalesced`).
     Deliver {
-        /// Target channel.
-        ch: ChannelId,
-        /// Handle of the element in the record arena.
-        elem: RecordRef,
-        /// Did this element consume a credit when it was put on the wire?
-        /// Credited deliveries must decrement `in_flight`; uncredited ones
-        /// (priority barriers) bypass credit accounting entirely. The seed
-        /// conflated the two with a silent `if in_flight > 0` clamp, which
-        /// let uncredited barriers steal credits from in-flight data.
-        credited: bool,
+        /// Slot of the burst's elements in the [`BurstStore`].
+        burst: u32,
     },
     /// An out-of-band message arriving at an instance. The payload parks
     /// in the world's [`ControlStore`] (priority messages are
@@ -258,7 +409,7 @@ mod tests {
         // The scheduler moves `Ev` through every bucket append, heap sift
         // and batch-drain copy; the rare large control payloads park in
         // the `ControlStore` side-channel precisely so the enum stays at
-        // the size of its hot `Deliver` variant. A regression here is a
+        // the size of its hot `ProcDone` variant. A regression here is a
         // silent tax on the whole simulator — treat it like a perf bug,
         // not a style nit.
         assert!(
@@ -288,6 +439,64 @@ mod tests {
             "free list not recycling: {} slots grown for 2 live max",
             s.high_water()
         );
+    }
+
+    fn elem(n: u32) -> WireElem {
+        WireElem {
+            ch: ChannelId(n),
+            elem: crate::record::RecordArena::with_capacity(1)
+                .insert(crate::record::StreamElement::Watermark(n as SimTime)),
+            credited: true,
+        }
+    }
+
+    #[test]
+    fn burst_store_recycles_slots_and_buffers() {
+        let mut s = BurstStore::new();
+        // Two bursts pending at a time, a thousand times over: the table
+        // must plateau at two slots.
+        for round in 0..1000u64 {
+            let a = s.open(round, 0, 2 * round, elem(1));
+            assert!(s.extend_open(round, 0, 2 * round + 1, elem(2)));
+            let b = s.single(elem(3));
+            assert_eq!(s.pending(), 2);
+            let buf = s.take(a);
+            assert_eq!(buf.iter().map(|e| e.ch.0).collect::<Vec<_>>(), vec![1, 2]);
+            s.give_back(a, buf);
+            let buf = s.take(b);
+            assert_eq!(buf.len(), 1);
+            s.give_back(b, buf);
+        }
+        assert_eq!(s.pending(), 0);
+        assert_eq!(s.high_water(), 2, "free list not recycling");
+    }
+
+    #[test]
+    fn burst_extension_needs_all_four_conditions() {
+        let mut s = BurstStore::new();
+        let slot = s.open(100, 1, 40, elem(0));
+        assert!(!s.extend_open(101, 1, 41, elem(1)), "other instant");
+        assert!(!s.extend_open(100, 0, 41, elem(1)), "other region");
+        assert!(
+            !s.extend_open(100, 1, 42, elem(1)),
+            "a seq was minted since"
+        );
+        assert!(s.extend_open(100, 1, 41, elem(1)));
+        assert!(
+            s.extend_open(100, 1, 41, elem(2)),
+            "extending mints nothing"
+        );
+        let buf = s.take(slot);
+        assert_eq!(buf.len(), 3);
+        assert!(!s.extend_open(100, 1, 41, elem(3)), "taken for dispatch");
+        s.give_back(slot, buf);
+        assert!(
+            !s.extend_open(100, 1, 41, elem(3)),
+            "still closed once returned"
+        );
+        // A one-element burst is never open.
+        s.single(elem(4));
+        assert!(!s.extend_open(100, 1, 41, elem(5)));
     }
 
     #[test]

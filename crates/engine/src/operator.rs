@@ -234,6 +234,9 @@ pub struct WindowAgg {
     pub fire_cost: SimTime,
     /// Last fired window end (per subtask).
     pub last_fired: SimTime,
+    /// Scratch for `on_watermark`: `(key, records evicted)` per firing,
+    /// always drained back to empty (its capacity is what is kept).
+    freed: Vec<(Key, u64)>,
 }
 
 impl WindowAgg {
@@ -253,6 +256,7 @@ impl WindowAgg {
             bytes_per_record,
             fire_cost: service * 4,
             last_fired: 0,
+            freed: Vec::new(),
         }
     }
 }
@@ -274,25 +278,27 @@ impl OperatorLogic for WindowAgg {
     }
 
     fn on_watermark(&mut self, ctx: &mut WmCtx<'_>) {
-        // Fire every window whose end has passed the watermark.
-        let mut ends = Vec::new();
-        let mut end = ((self.last_fired / self.slide) + 1) * self.slide;
-        while end <= ctx.watermark {
-            ends.push(end);
-            self.last_fired = end;
-            end += self.slide;
+        // Fire every window whose end has passed the watermark: the ends
+        // `first_end, first_end + slide, ..= last_end`.
+        let slide = self.slide;
+        let first_end = ((self.last_fired / slide) + 1) * slide;
+        if first_end > ctx.watermark {
+            return;
         }
-        let Some(&last_end) = ends.last() else { return };
+        let last_end = first_end + (ctx.watermark - first_end) / slide * slide;
+        self.last_fired = last_end;
         let (size, agg, bpr) = (self.size, self.agg, self.bytes_per_record);
         let horizon = last_end.saturating_sub(size);
-        let mut emits: Vec<(Key, i64, SimTime)> = Vec::new();
-        let mut freed: Vec<(Key, u64)> = Vec::new();
-        ctx.state.for_each_entry_mut(|key, v| {
+        let freed = &mut self.freed;
+        let WmCtx { state, out, .. } = ctx;
+        state.for_each_entry_mut(|key, v| {
             if let StateValue::Panes(p) = v {
-                for &e in &ends {
+                let mut e = first_end;
+                while e <= last_end {
                     if let Some((val, _n)) = p.window_agg(e, size, agg) {
-                        emits.push((key, val, e));
+                        out.push(Record::data(key, val, e));
                     }
+                    e += slide;
                 }
                 let evicted = p.evict_before(horizon);
                 if evicted > 0 {
@@ -300,11 +306,8 @@ impl OperatorLogic for WindowAgg {
                 }
             }
         });
-        for (key, evicted) in freed {
-            ctx.state.add_bytes_for(key, -((evicted * bpr) as i64));
-        }
-        for (key, val, e) in emits {
-            ctx.out.push(Record::data(key, val, e));
+        for (key, evicted) in freed.drain(..) {
+            state.add_bytes_for(key, -((evicted * bpr) as i64));
         }
     }
 

@@ -95,6 +95,9 @@ pub struct StateBackend {
     /// Per-group "arrived but awaiting alignment" flag (DRRS). Meaningful
     /// only while the group is present.
     inactive: Vec<bool>,
+    /// Scratch for `for_each_entry_mut`'s sorted key list (kept for its
+    /// capacity; empty between calls).
+    key_scratch: Vec<Key>,
 }
 
 impl StateBackend {
@@ -109,6 +112,7 @@ impl StateBackend {
             fanout,
             slots,
             inactive: vec![false; k],
+            key_scratch: Vec::new(),
         }
     }
 
@@ -286,7 +290,7 @@ impl StateBackend {
     /// firing). Iteration order is deterministic (sorted by key-group then
     /// key) so runs stay reproducible.
     pub fn for_each_entry_mut(&mut self, mut f: impl FnMut(Key, &mut StateValue)) {
-        let mut keys: Vec<Key> = Vec::new();
+        let mut keys = std::mem::take(&mut self.key_scratch);
         for s in self.slots.iter_mut().flatten() {
             keys.clear();
             keys.extend(s.entries.keys().copied());
@@ -296,6 +300,8 @@ impl StateBackend {
                 f(k, v);
             }
         }
+        keys.clear();
+        self.key_scratch = keys;
     }
 }
 

@@ -13,6 +13,9 @@
 //!   the in-flight leg of `Ev::Deliver`, the receiver queue — moves 8-byte
 //!   [`RecordRef`](crate::record::RecordRef) handles until `chan_pop`
 //!   takes the element out,
+//! * the wire carries *bursts*: consecutive sends that nothing could sort
+//!   between share one scheduler entry, their handles parked in a
+//!   slot-recycled [`BurstStore`] (contract on [`Ev::Deliver`]),
 //! * edge routing is dense: per-edge compacted (from, to) slots index a
 //!   flat channel matrix and per-sender routing tables ([`EdgeRt`]),
 //!   rebuilt only on scale events — no per-record map lookup remains,
@@ -37,7 +40,7 @@ use simcore::{DetRng, EventQueue};
 use crate::bus::{Bus, BusEventKind};
 use crate::channel::Channel;
 use crate::config::EngineConfig;
-use crate::events::{ControlMsg, ControlStore, Ev, PriorityMsg};
+use crate::events::{BurstStore, ControlMsg, ControlStore, Ev, PriorityMsg, WireElem};
 use crate::graph::{EdgeKind, EdgeRt, OperatorRt};
 use crate::ids::{key_group_of, ChannelId, EdgeId, InstId, KeyGroup, OpId, SubscaleId};
 use crate::instance::{CkptAlign, Instance, SourceState};
@@ -122,7 +125,7 @@ pub struct World {
     /// Channels.
     pub chans: Vec<Channel>,
     /// Every stream element currently queued, backlogged or on the wire
-    /// lives here exactly once; channels and `Ev::Deliver` carry handles.
+    /// lives here exactly once; channels and delivery bursts carry handles.
     pub arena: RecordArena,
     /// Edges.
     pub edges: Vec<EdgeRt>,
@@ -177,6 +180,8 @@ pub struct World {
     /// `Ev::Control` events carry only `u32` handles — no per-control-
     /// event allocation, and `Ev` stays at hot-variant size.
     pub ctrl: ControlStore,
+    /// Elements on the wire, one slot per pending `Ev::Deliver` burst.
+    bursts: BurstStore,
     /// The event/metrics bus (see [`crate::bus`]). Default `Null` sink =
     /// disabled: publishing is a single branch and nothing is allocated.
     pub bus: Bus,
@@ -408,6 +413,7 @@ impl World {
             rngs,
             outbox: Vec::new(),
             ctrl,
+            bursts: BurstStore::new(),
             bus,
         }
     }
@@ -455,16 +461,7 @@ impl World {
         match m.payload {
             CrossPayload::Deliver { ch, elem } => {
                 let r = self.arena.insert(elem);
-                self.q.push_keyed(
-                    m.dst,
-                    m.at,
-                    m.key,
-                    Ev::Deliver {
-                        ch,
-                        elem: r,
-                        credited: false,
-                    },
-                );
+                self.deliver_keyed(m.dst, m.at, m.key, ch, r);
             }
             CrossPayload::Credit { ch, n } => {
                 self.q
@@ -583,20 +580,7 @@ impl World {
         let c = &mut self.chans[ch.0 as usize];
         if c.backlog.is_empty() && c.has_credit() {
             c.in_flight += 1;
-            let lat = c.latency;
-            // Deliveries dispatch in the *receiver's* region — on a cut
-            // channel this is the cross-region hop whose wire latency is
-            // the forward lookahead.
-            let reg = self.region_map.inst(c.to);
-            self.q.schedule_tagged(
-                reg,
-                lat,
-                Ev::Deliver {
-                    ch,
-                    elem: r,
-                    credited: true,
-                },
-            );
+            self.put_on_wire(ch, r, true);
         } else {
             c.backlog.push_back(r);
             if c.backlog.len() >= self.cfg.backlog_block {
@@ -625,17 +609,26 @@ impl World {
             self.cross_deliver_ref(ch, r);
             return;
         }
-        let lat = self.chans[ch.0 as usize].latency;
-        let reg = self.region_map.inst(self.chans[ch.0 as usize].to);
-        self.q.schedule_tagged(
-            reg,
-            lat,
-            Ev::Deliver {
-                ch,
-                elem: r,
-                credited: false,
-            },
-        );
+        self.put_on_wire(ch, r, false);
+    }
+
+    /// Put one arena-parked element on the wire of a channel the engine
+    /// delivers itself (every channel but a cut one in PDES mode): extend
+    /// the open burst when the four conditions on [`Ev::Deliver`] hold,
+    /// else open a new one and schedule its event. Deliveries dispatch in
+    /// the *receiver's* region.
+    // checker:hot-path
+    #[inline]
+    fn put_on_wire(&mut self, ch: ChannelId, elem: RecordRef, credited: bool) {
+        let c = &self.chans[ch.0 as usize];
+        let at = self.q.now().saturating_add(c.latency);
+        let reg = self.region_map.inst(c.to);
+        let seq = self.q.next_seq();
+        let e = WireElem { ch, elem, credited };
+        if !self.bursts.extend_open(at, reg, seq, e) {
+            let burst = self.bursts.open(at, reg, seq, e);
+            self.q.schedule_at_tagged(reg, at, Ev::Deliver { burst });
+        }
     }
 
     /// `send` for a cut channel in PDES mode: the sender-owned credit pool
@@ -682,18 +675,7 @@ impl World {
         let at = self.now() + lat;
         let key = self.mint_cross_key(src, dst);
         match self.cross_mode {
-            CrossMode::Inline => {
-                self.q.push_keyed(
-                    dst,
-                    at,
-                    key,
-                    Ev::Deliver {
-                        ch,
-                        elem: r,
-                        credited: false,
-                    },
-                );
-            }
+            CrossMode::Inline => self.deliver_keyed(dst, at, key, ch, r),
             CrossMode::Outbox => {
                 let elem = self.arena.remove(r);
                 self.outbox.push(CrossMsg {
@@ -704,6 +686,18 @@ impl World {
                 });
             }
         }
+    }
+
+    /// Schedule a cut-channel delivery in region `dst` under its explicit
+    /// cross key: an uncredited burst of one that no send can extend (the
+    /// key is per element).
+    fn deliver_keyed(&mut self, dst: usize, at: SimTime, key: u64, ch: ChannelId, elem: RecordRef) {
+        let burst = self.bursts.single(WireElem {
+            ch,
+            elem,
+            credited: false,
+        });
+        self.q.push_keyed(dst, at, key, Ev::Deliver { burst });
     }
 
     /// Receiver side of the cut-credit protocol: after popping an element
@@ -762,17 +756,7 @@ impl World {
             }
             let r = c.backlog.pop_front().expect("non-empty");
             c.in_flight += 1;
-            let lat = c.latency;
-            let reg = self.region_map.inst(c.to);
-            self.q.schedule_tagged(
-                reg,
-                lat,
-                Ev::Deliver {
-                    ch,
-                    elem: r,
-                    credited: true,
-                },
-            );
+            self.put_on_wire(ch, r, true);
         }
         // Hysteresis: unblock the sender when every outgoing backlog is low.
         let from = self.chans[ch.0 as usize].from;
@@ -1221,23 +1205,28 @@ impl World {
     /// Handle one event. The driver ([`Sim`]) owns the plugin.
     pub fn dispatch(&mut self, plugin: &mut dyn ScalePlugin, ev: Ev) {
         match ev {
-            Ev::SourceTick { inst } => self.on_source_tick(plugin, inst),
-            Ev::Deliver { ch, elem, credited } => {
-                let c = &mut self.chans[ch.0 as usize];
-                if credited {
-                    // A credited delivery without a matching in-flight
-                    // element is a credit-accounting bug — surface it loudly
-                    // in debug builds instead of silently clamping.
-                    debug_assert!(
-                        c.in_flight > 0,
-                        "credited Deliver on {:?} with in_flight == 0",
-                        c.id
-                    );
-                    c.in_flight = c.in_flight.saturating_sub(1);
+            Ev::SourceTick { inst } => self.on_source_tick(inst),
+            Ev::Deliver { burst } => {
+                let mut elems = self.take_burst(burst);
+                for WireElem { ch, elem, credited } in elems.drain(..) {
+                    let c = &mut self.chans[ch.0 as usize];
+                    if credited {
+                        // A credited delivery without a matching in-flight
+                        // element is a credit-accounting bug — surface it
+                        // loudly in debug builds instead of silently
+                        // clamping.
+                        debug_assert!(
+                            c.in_flight > 0,
+                            "credited Deliver on {:?} with in_flight == 0",
+                            c.id
+                        );
+                        c.in_flight = c.in_flight.saturating_sub(1);
+                    }
+                    c.queue.push_back(elem);
+                    let to = c.to;
+                    self.try_start(plugin, to);
                 }
-                c.queue.push_back(elem);
-                let to = c.to;
-                self.try_start(plugin, to);
+                self.bursts.give_back(burst, elems);
             }
             Ev::Priority { to, slot } => {
                 let msg = self.ctrl.take_priority(slot);
@@ -1253,6 +1242,20 @@ impl World {
             Ev::Sample => self.on_sample(),
             Ev::Wake { inst } => self.try_start(plugin, inst),
         }
+    }
+
+    /// Take a burst's elements for dispatch (closing it to further sends)
+    /// and count all but the first as processed in the burst's region: the
+    /// pop counted the event, the logical count is per element.
+    // checker:hot-path
+    #[inline]
+    fn take_burst(&mut self, burst: u32) -> Vec<WireElem> {
+        let elems = self.bursts.take(burst);
+        if elems.len() > 1 {
+            let reg = self.region_map.inst(self.chans[elems[0].ch.0 as usize].to);
+            self.q.note_coalesced(reg, elems.len() as u64 - 1);
+        }
+        elems
     }
 
     /// Credits returned to a cut channel's sender (PDES mode): grow the
@@ -1289,13 +1292,30 @@ impl World {
         }
     }
 
-    /// Dispatch a whole same-instant run (drained by `pop_run_at_most`),
-    /// fusing massed `Deliver` bursts: when consecutive deliveries target
-    /// the same channel and the receiver provably cannot start work, the
-    /// per-event `try_start` is skipped and the credit decrement is
-    /// batched into one channel borrow per (channel, streak).
+    /// Dispatch a whole same-instant run (drained by `pop_run_at_most`).
     ///
-    /// **Exactness.** Single-pop semantics per delivery are
+    /// **Bursts.** A `Deliver` event stands for a whole send burst (the
+    /// contract, with its four extension conditions, is on
+    /// [`Ev::Deliver`]). Its elements are taken out of the [`BurstStore`]
+    /// when the event's turn comes — not when the run was drained — so a
+    /// send made by an earlier event of this very run may still have
+    /// extended it; once taken, a burst is closed and any further send
+    /// opens a new one, which pops as a later run. The elements are then
+    /// walked one at a time, exactly as if each had been an event of its
+    /// own: scheduled that way they would have carried consecutive `seq`s
+    /// at this instant in this region, nothing could have sorted between
+    /// two of them (an explicit-key `push_keyed` mints no `seq`, and
+    /// `CROSS_BIT` keys sort after every minted one), so the order of
+    /// every side effect is unchanged. `dispatch` walks the same elements
+    /// with the plain per-element body; both count them as processed.
+    ///
+    /// **Fusing.** Across the elements of a burst and across consecutive
+    /// `Deliver` events: while deliveries target the same channel and the
+    /// receiver provably cannot start work, the per-element `try_start` is
+    /// skipped and the credit decrement is batched into one channel borrow
+    /// per (channel, streak).
+    ///
+    /// **Exactness of the fusing.** Single-pop semantics per delivery are
     /// `in_flight -= 1; queue.push_back; try_start(to)`. `try_start`
     /// returns without any side effect when the receiver is halted, busy,
     /// not yet operational, or output-blocked (for a source,
@@ -1328,24 +1348,28 @@ impl World {
             };
         }
         for ev in buf.drain(..) {
-            if let Ev::Deliver { ch, elem, credited } = ev {
-                match &mut cur {
-                    Some((c, credits)) if *c == ch => *credits += credited as usize,
-                    _ => {
+            if let Ev::Deliver { burst } = ev {
+                let mut elems = self.take_burst(burst);
+                for WireElem { ch, elem, credited } in elems.drain(..) {
+                    match &mut cur {
+                        Some((c, credits)) if *c == ch => *credits += credited as usize,
+                        _ => {
+                            flush!();
+                            cur = Some((ch, credited as usize));
+                        }
+                    }
+                    let to = self.chans[ch.0 as usize].to;
+                    let noop = {
+                        let i = &self.insts[to.0 as usize];
+                        i.halted || i.busy || self.q.now() < i.operational_at || i.blocked_out
+                    };
+                    self.chans[ch.0 as usize].queue.push_back(elem);
+                    if !noop {
                         flush!();
-                        cur = Some((ch, credited as usize));
+                        self.try_start(plugin, to);
                     }
                 }
-                let to = self.chans[ch.0 as usize].to;
-                let noop = {
-                    let i = &self.insts[to.0 as usize];
-                    i.halted || i.busy || self.q.now() < i.operational_at || i.blocked_out
-                };
-                self.chans[ch.0 as usize].queue.push_back(elem);
-                if !noop {
-                    flush!();
-                    self.try_start(plugin, to);
-                }
+                self.bursts.give_back(burst, elems);
             } else {
                 // Any other event may observe channel credit (wakes,
                 // control, proc-done all can reach `pump`): settle first.
@@ -1713,7 +1737,7 @@ impl World {
     // Sources
     // -----------------------------------------------------------------
 
-    fn on_source_tick(&mut self, plugin: &mut dyn ScalePlugin, inst: InstId) {
+    fn on_source_tick(&mut self, inst: InstId) {
         const TICK: SimTime = 10_000; // 10 ms generation granularity
         let now = self.now();
         let reg = self.reg(inst);
@@ -1768,7 +1792,6 @@ impl World {
         }
         self.drain_source(inst);
         self.q.schedule_tagged(reg, TICK, Ev::SourceTick { inst });
-        let _ = plugin;
     }
 
     fn drain_source(&mut self, inst: InstId) {
@@ -1826,9 +1849,6 @@ impl World {
                 if i.blocked_out {
                     return;
                 }
-            }
-            if self.insts[inst.0 as usize].source.is_some() {
-                break;
             }
             let sel = if plugin.selects(self, inst) {
                 plugin.select(self, inst)
@@ -2964,6 +2984,238 @@ mod tests {
             (sim.world.metrics_digest(), sim.world.q.processed())
         };
         assert_eq!(digest(1), digest(2));
+    }
+
+    // -----------------------------------------------------------------
+    // Delivery bursts (the contract on `Ev::Deliver`)
+    // -----------------------------------------------------------------
+
+    fn wm(t: SimTime) -> StreamElement {
+        StreamElement::Watermark(t)
+    }
+
+    /// The watermarks sitting in `ch`'s receiver queue, front first.
+    fn queued_wms(w: &World, ch: ChannelId) -> Vec<SimTime> {
+        (0..w.chans[ch.0 as usize].queue.len())
+            .map(|i| match w.chan_peek(ch, i) {
+                Some(StreamElement::Watermark(t)) => *t,
+                other => panic!("not a watermark: {other:?}"),
+            })
+            .collect()
+    }
+
+    /// A silent tiny job plus its source's first out channel, with that
+    /// channel's receiver optionally halted so delivered elements stay
+    /// queued where a test can read them.
+    fn burst_fixture(net_latency: SimTime, halt_receiver: bool) -> (World, ChannelId) {
+        let mut cfg = EngineConfig::test();
+        cfg.net_latency = net_latency;
+        let (mut w, _) = tiny_job(cfg, 0.0, 16, 2);
+        let ch = w.insts[0].out_channels[0];
+        let to = w.chans[ch.0 as usize].to;
+        w.insts[to.0 as usize].halted = halt_receiver;
+        (w, ch)
+    }
+
+    /// Pop everything due by `t`, dispatching only the `Deliver` events
+    /// (one at a time or as one-event runs) and dropping the rest. Returns
+    /// `(deliver events, other events)` popped.
+    fn deliver_until(
+        w: &mut World,
+        plugin: &mut dyn ScalePlugin,
+        t: SimTime,
+        mode: DispatchMode,
+    ) -> (u64, u64) {
+        let (mut delivers, mut others) = (0, 0);
+        while let Some((_, ev)) = w.q.pop_at_most(t) {
+            if !matches!(ev, Ev::Deliver { .. }) {
+                others += 1;
+                continue;
+            }
+            delivers += 1;
+            match mode {
+                DispatchMode::SinglePop => w.dispatch(plugin, ev),
+                DispatchMode::Batch => w.dispatch_run(plugin, &mut vec![ev]),
+            }
+        }
+        (delivers, others)
+    }
+
+    const MODES: [DispatchMode; 2] = [DispatchMode::SinglePop, DispatchMode::Batch];
+
+    #[test]
+    fn burst_extends_only_while_no_seq_was_minted_in_between() {
+        for mode in MODES {
+            let (mut w, ch) = burst_fixture(200, true);
+            let pending = w.q.len();
+            w.send(ch, wm(1));
+            w.send(ch, wm(2));
+            assert_eq!(w.q.len(), pending + 1, "back-to-back sends share a burst");
+            w.wake(InstId(0));
+            w.send(ch, wm(3));
+            assert_eq!(w.q.len(), pending + 3, "a wake in between closes the burst");
+            w.schedule_plugin(10, 7);
+            w.send(ch, wm(4));
+            w.send(ch, wm(5));
+            assert_eq!(w.q.len(), pending + 5, "so does a plugin timer");
+            assert_eq!(w.bursts.pending(), 3);
+
+            let before = w.q.processed();
+            let (delivers, others) = deliver_until(&mut w, &mut NoScale, 200, mode);
+            assert_eq!(delivers, 3, "{mode:?}");
+            assert_eq!(queued_wms(&w, ch), vec![1, 2, 3, 4, 5], "{mode:?}");
+            assert_eq!(
+                w.q.processed() - before,
+                others + 5,
+                "{mode:?}: processed counts elements, not bursts"
+            );
+            assert_eq!(w.bursts.pending(), 0);
+        }
+    }
+
+    #[test]
+    fn credited_and_uncredited_elements_share_a_burst() {
+        for mode in MODES {
+            let (mut w, ch) = burst_fixture(200, true);
+            let pending = w.q.len();
+            w.send(ch, wm(1));
+            w.send_uncredited(ch, wm(2));
+            w.send(ch, wm(3));
+            assert_eq!(w.q.len(), pending + 1);
+            assert_eq!(w.chans[ch.0 as usize].in_flight, 2);
+            deliver_until(&mut w, &mut NoScale, 200, mode);
+            assert_eq!(w.chans[ch.0 as usize].in_flight, 0, "{mode:?}");
+            assert_eq!(queued_wms(&w, ch), vec![1, 2, 3], "{mode:?}");
+        }
+    }
+
+    /// Sends from inside event handlers: one uncredited watermark on `ch`
+    /// the first time the engine asks it to select input — i.e. from
+    /// inside the walk of whichever burst woke the receiver — and one
+    /// credited watermark (carrying the tag) per plugin timer.
+    struct SendingPlugin {
+        ch: ChannelId,
+        sent_on_select: bool,
+    }
+
+    impl ScalePlugin for SendingPlugin {
+        fn name(&self) -> &'static str {
+            "sending"
+        }
+        fn on_scale_start(&mut self, _w: &mut World, _plan: &ScalePlan) {}
+        fn on_signal(
+            &mut self,
+            _w: &mut World,
+            _i: InstId,
+            _c: ChannelId,
+            _s: crate::record::ScaleSignal,
+        ) {
+        }
+        fn on_chunk(
+            &mut self,
+            _w: &mut World,
+            _i: InstId,
+            _u: StateUnit,
+            _s: SubscaleId,
+            _f: InstId,
+        ) {
+        }
+        fn on_control(&mut self, w: &mut World, tag: u64) {
+            w.send(self.ch, wm(tag));
+        }
+        fn selects(&self, _w: &World, _inst: InstId) -> bool {
+            true
+        }
+        fn select(&mut self, w: &mut World, _inst: InstId) -> Selection {
+            if !self.sent_on_select {
+                self.sent_on_select = true;
+                w.send_uncredited(self.ch, wm(99));
+            }
+            Selection::Idle
+        }
+    }
+
+    #[test]
+    fn a_burst_taken_for_dispatch_is_never_appended_to() {
+        // Zero latency: the send made while the burst is being walked has
+        // the burst's own arrival instant and region, and nothing was
+        // minted since — only "taken" keeps it out. Appended to the taken
+        // burst it would be lost (or walked in the current run); it must
+        // pop as a later event instead.
+        for mode in MODES {
+            let (mut w, ch) = burst_fixture(0, false);
+            let mut plugin = SendingPlugin {
+                ch,
+                sent_on_select: false,
+            };
+            w.send(ch, wm(1));
+            w.send(ch, wm(2));
+            let pending = w.q.len();
+            let (_, ev) = w.q.pop().expect("the burst is due first");
+            assert!(matches!(ev, Ev::Deliver { .. }));
+            match mode {
+                DispatchMode::SinglePop => w.dispatch(&mut plugin, ev),
+                DispatchMode::Batch => w.dispatch_run(&mut plugin, &mut vec![ev]),
+            }
+            assert!(plugin.sent_on_select);
+            assert_eq!(queued_wms(&w, ch), vec![1, 2], "{mode:?}");
+            assert_eq!(
+                w.q.len(),
+                pending,
+                "{mode:?}: the late send is its own event"
+            );
+            assert_eq!(w.bursts.pending(), 1);
+            assert_eq!(deliver_until(&mut w, &mut plugin, 0, mode).0, 1);
+            assert_eq!(queued_wms(&w, ch), vec![1, 2, 99], "{mode:?}");
+            assert_eq!(w.arena.len(), 3, "{mode:?}: delivered exactly once");
+        }
+    }
+
+    #[test]
+    fn a_send_landing_in_a_still_pending_burst_of_its_own_run_is_delivered_once() {
+        // Zero latency again. The timer sorts before the burst at the same
+        // instant, so batch dispatch drains both into one run; the timer's
+        // send extends the burst while its event already sits in the
+        // drained buffer. It must come out once, after the burst's own
+        // element — where its own event would have popped.
+        for mode in MODES {
+            let (mut w, ch) = burst_fixture(0, true);
+            w.schedule_plugin(0, 2);
+            w.send(ch, wm(1));
+            let plugin = SendingPlugin {
+                ch,
+                sent_on_select: false,
+            };
+            let mut sim = Sim::new(w, Box::new(plugin)).with_dispatch_mode(mode);
+            sim.dispatch_until(0);
+            let w = &sim.world;
+            assert_eq!(queued_wms(w, ch), vec![1, 2], "{mode:?}");
+            assert_eq!(w.arena.len(), 2, "{mode:?}");
+            assert_eq!(w.chans[ch.0 as usize].in_flight, 0, "{mode:?}");
+            assert_eq!(w.bursts.pending(), 0, "{mode:?}");
+            assert_eq!(w.bursts.high_water(), 1, "{mode:?}: one burst carried both");
+        }
+    }
+
+    #[test]
+    fn burst_pool_plateaus_at_the_pending_high_water_mark() {
+        let (w, _) = tiny_job(EngineConfig::test(), 8_000.0, 256, 2);
+        let mut sim = Sim::new(w, Box::new(NoScale));
+        sim.run_until(secs(1));
+        let warm = sim.world.bursts.high_water();
+        sim.run_until(secs(10));
+        let w = &sim.world;
+        assert_eq!(
+            w.bursts.high_water(),
+            warm,
+            "burst slots kept growing past warm-up"
+        );
+        assert!(w.bursts.pending() <= warm);
+        assert!(
+            (warm as u64) * 1_000 < w.q.processed(),
+            "{warm} slots for {} events: not recycling",
+            w.q.processed()
+        );
     }
 
     #[test]

@@ -331,10 +331,35 @@ impl<E> FutureEventList<E> {
         self.now
     }
 
-    /// Number of events popped so far.
+    /// Number of events popped so far, plus everything reported through
+    /// [`note_coalesced`](Self::note_coalesced) — the *logical* event
+    /// count.
     #[inline]
     pub fn processed(&self) -> u64 {
         self.processed
+    }
+
+    /// The sequence number the next `schedule*` call will mint. A caller
+    /// that remembers the `seq` of an entry it scheduled can tell from this
+    /// whether anything else was minted since ([`push_keyed`](Self::push_keyed)
+    /// mints nothing).
+    #[inline]
+    pub fn next_seq(&self) -> u64 {
+        self.seq
+    }
+
+    /// Count `extra` more logical events as processed out of `region`: the
+    /// caller coalesced `extra + 1` logical events into one scheduled entry
+    /// and has just popped it. Keeps [`processed`](Self::processed) and
+    /// [`region_processed`](Self::region_processed) in logical events, so
+    /// they do not depend on how a caller packs its entries.
+    // checker:hot-path
+    #[inline]
+    pub fn note_coalesced(&mut self, region: usize, extra: u64) {
+        self.processed += extra;
+        if let Lists::Regions(r) = &mut self.lists {
+            r.note_coalesced(region, extra);
+        }
     }
 
     /// Number of pending events.
@@ -661,6 +686,31 @@ mod tests {
             q.pop();
             assert_eq!(q.processed(), 2);
             assert!(q.is_empty());
+        }
+    }
+
+    #[test]
+    fn coalesced_entries_count_as_logical_events_in_their_region() {
+        for b in BACKENDS {
+            for regions in [1usize, 2] {
+                let mut q = FutureEventList::with_backend_regions(b, 0, regions);
+                assert_eq!(q.next_seq(), 0);
+                q.schedule_tagged(regions - 1, 5, "burst of three");
+                assert_eq!(q.next_seq(), 1);
+                // An explicit key mints nothing.
+                q.push_keyed(0, 5, 1 << 63, "keyed");
+                assert_eq!(q.next_seq(), 1);
+                assert_eq!(q.pop(), Some((5, "burst of three")));
+                q.note_coalesced(regions - 1, 2);
+                assert_eq!(q.pop(), Some((5, "keyed")));
+                assert_eq!(q.processed(), 4);
+                let per_region: u64 = (0..regions).map(|r| q.region_processed(r)).sum();
+                assert_eq!(per_region, 4, "backend {b:?}, {regions} regions");
+                assert_eq!(
+                    q.region_processed(regions - 1),
+                    if regions == 1 { 4 } else { 3 }
+                );
+            }
         }
     }
 

@@ -211,6 +211,14 @@ impl<E> RegionScheduler<E> {
         self.pops[region]
     }
 
+    /// Count `extra` more events as popped out of `region` (clamped like
+    /// [`push`](Self::push)); see `FutureEventList::note_coalesced`.
+    #[inline]
+    pub(crate) fn note_coalesced(&mut self, region: usize, extra: u64) {
+        let r = region.min(self.regions() - 1);
+        self.pops[r] += extra;
+    }
+
     /// Switch same-instant ordering to *region-major*: ties at one instant
     /// across regions break by ascending region index instead of by the
     /// globally-minted `seq`, and multi-region runs drain region by region

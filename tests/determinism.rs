@@ -237,10 +237,11 @@ fn scheduler_backends_produce_identical_digests() {
 fn massed_same_instant_runs_digest_identically_across_backends_and_dispatch_modes() {
     // The batch-drain stress shape: at 50K records/s the 10 ms source-tick
     // granularity emits ~500 records per tick, all `send`s share the same
-    // channel latency, so hundreds of `Deliver` events mass at single
-    // instants — exactly the runs `pop_run_at_most` drains in one cursor
-    // walk. Draining a run as a batch instead of popping its events one by
-    // one must not change the interleaving: all four {backend} × {dispatch
+    // channel latency, so hundreds of deliveries mass at single instants —
+    // one `Deliver` burst per run of back-to-back sends, in exactly the
+    // runs `pop_run_at_most` drains in one cursor walk. Draining a run as
+    // a batch instead of popping its events one by one must not change
+    // the interleaving: all four {backend} × {dispatch
     // mode} combinations are required to produce byte-identical digests
     // (and event counts), on a run that also crosses a mid-flight rescale
     // so boxed control/priority events ride inside the massed traffic.

@@ -492,6 +492,108 @@ proptest! {
     }
 
     #[test]
+    fn delivery_bursts_are_invisible_to_every_execution_mode(
+        // Bursts form differently under every engine — the heap and the
+        // calendar pop the same order but single-pop and batch dispatch
+        // take bursts at different moments, regions split them by receiver
+        // tag, and each threaded replica mints its own `seq`s — yet the
+        // logical timeline may not move: within one semantic point (the
+        // merged-exact `resume_latency = 0` timeline, or PDES at one
+        // `resume_latency > 0`) every {backend × dispatch × regions ×
+        // engine} cell must agree on the digest and on the *logical*
+        // processed count. Rates reach into backpressure (pump refills).
+        seed in 0u64..1000,
+        stages in 1usize..4,
+        pars in proptest::collection::vec(1usize..4, 3),
+        services in proptest::collection::vec(10u64..120, 3),
+        rate in 2_000u64..30_000,
+        zero_latency in any::<bool>(),
+        resume_latency in 50u64..400,
+    ) {
+        use drrs_repro::engine::graph::{EdgeKind, JobBuilder};
+        use drrs_repro::engine::operator::KeyedAgg;
+        use drrs_repro::engine::world::tests_support::FixedGen;
+        use drrs_repro::engine::world::DispatchMode;
+
+        let pars = &pars;
+        let services = &services;
+        let build = move |backend: SchedulerBackend, mode: DispatchMode, regions: usize, rl: u64, net_latency: u64| {
+            let mut cfg = EngineConfig::test();
+            cfg.seed = seed;
+            cfg.scheduler = backend;
+            cfg.regions = regions;
+            cfg.resume_latency = rl;
+            cfg.net_latency = net_latency;
+            let mut b = JobBuilder::new(cfg);
+            let src = b.source(
+                "src",
+                1,
+                Box::new(move |_| Box::new(FixedGen::new(rate as f64, 256))),
+            );
+            let mut prev = src;
+            for s in 0..stages {
+                let service = services[s];
+                let op = b.operator(
+                    &format!("op{s}"),
+                    pars[s],
+                    Box::new(move || Box::new(KeyedAgg {
+                        service,
+                        bytes_per_key: 500,
+                        bytes_per_record: 0,
+                        emit_every: 1,
+                    })),
+                );
+                b.connect(prev, op, EdgeKind::Keyed);
+                prev = op;
+            }
+            let sink = b.sink("sink", 1);
+            b.connect(prev, sink, EdgeKind::Rebalance);
+            Sim::new(b.build(), Box::new(drrs_repro::engine::NoScale)).with_dispatch_mode(mode)
+        };
+        let backends = [SchedulerBackend::BinaryHeap, SchedulerBackend::Calendar];
+        let modes = [DispatchMode::SinglePop, DispatchMode::Batch];
+
+        // The merged-exact timeline, with and without wire latency (zero
+        // latency is where a send can meet a burst of its own instant).
+        let net_latency = if zero_latency { 0 } else { 200 };
+        let mut exact = Vec::new();
+        for backend in backends {
+            for mode in modes {
+                for regions in [1usize, 2] {
+                    let mut sim = build(backend, mode, regions, 0, net_latency);
+                    sim.run_until(secs(1));
+                    let per_region: u64 =
+                        (0..regions).map(|r| sim.world.q.region_processed(r)).sum();
+                    prop_assert_eq!(per_region, sim.world.q.processed());
+                    exact.push((sim.world.metrics_digest(), sim.world.q.processed()));
+                }
+            }
+        }
+        prop_assert!(exact.iter().all(|c| *c == exact[0]), "merged-exact cells diverged: {:?}", exact);
+
+        // PDES at one resume latency: the inline reference and the
+        // thread-per-region executor.
+        let mut pdes = Vec::new();
+        for backend in backends {
+            for mode in modes {
+                let mut sim = build(backend, mode, 2, resume_latency, 200);
+                sim.run_until(secs(1));
+                pdes.push((sim.world.metrics_digest(), sim.world.q.processed()));
+                let report = drrs_repro::engine::run_parallel(
+                    move || build(backend, mode, 2, resume_latency, 200),
+                    secs(1),
+                );
+                prop_assert_eq!(
+                    report.per_region_events.iter().sum::<u64>(),
+                    report.obs.processed
+                );
+                pdes.push((report.digest(), report.obs.processed));
+            }
+        }
+        prop_assert!(pdes.iter().all(|c| *c == pdes[0]), "PDES cells diverged: {:?}", pdes);
+    }
+
+    #[test]
     fn parallel_executor_never_deadlocks_under_backpressure(
         // Backpressured tiny job on the threaded executor: blocked senders
         // wake via reverse pump edges, which under PDES carry only the
