@@ -6,7 +6,7 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 
 use simcore::time::secs;
-use simcore::{DetRng, EventQueue, FutureEventList, SchedulerBackend, Zipf};
+use simcore::{DetRng, EventQueue, FutureEventList, Zipf};
 use streamflow::ids::{key_group_of, InstId, KeyGroup};
 use streamflow::keygroup::{uniform_repartition, RoutingTable};
 use streamflow::state::{StateBackend, StateValue};
@@ -18,14 +18,11 @@ use streamflow::{EngineConfig, NoScale};
 fn bench_event_queue(c: &mut Criterion) {
     let mut g = c.benchmark_group("event_queue");
     g.throughput(Throughput::Elements(10_000));
-    // Pinned to the heap backend: this series predates the pluggable
-    // future-event list and stays on the backend it has always measured,
-    // so recorded numbers remain an apples-to-apples trend. The
-    // scheduler_backends group below measures both backends explicitly.
+    // Fill-then-drain from empty. (Output recorded before the binary-heap
+    // backend was deleted measured the heap under this name.)
     g.bench_function("schedule_pop_10k", |b| {
         b.iter(|| {
-            let mut q: EventQueue<u64> =
-                FutureEventList::with_backend(SchedulerBackend::BinaryHeap, 0);
+            let mut q: EventQueue<u64> = FutureEventList::new();
             for i in 0..10_000u64 {
                 q.schedule(i % 97, i);
             }
@@ -55,37 +52,35 @@ fn sim_like_delay(rng: &mut DetRng) -> u64 {
 fn bench_scheduler_backends(c: &mut Criterion) {
     // Steady-state churn at a fixed pending population: pop one, schedule
     // one. This is the future-event list's life inside the dispatch loop —
-    // the population stays put while time advances, which is where the
-    // heap pays O(log n) per event and the calendar queue aims at O(1).
+    // the population stays put while time advances, where the calendar
+    // queue aims at O(1) per event. Group and bench names are unchanged
+    // from when a heap ran next to it, so unit costs stay comparable.
     const CHURN: u64 = 10_000;
     let mut g = c.benchmark_group("scheduler_backends");
     g.throughput(Throughput::Elements(CHURN));
-    for backend in [SchedulerBackend::BinaryHeap, SchedulerBackend::Calendar] {
-        for pending in [1_000usize, 100_000] {
-            let name = format!("churn_{}_{}_pending", backend.name(), pending);
-            g.bench_function(&name, |b| {
-                b.iter_with_setup(
-                    || {
-                        let mut q: FutureEventList<u64> =
-                            FutureEventList::with_backend(backend, pending);
-                        let mut rng = DetRng::seed(7);
-                        for i in 0..pending as u64 {
-                            q.schedule(sim_like_delay(&mut rng), i);
-                        }
-                        (q, rng)
-                    },
-                    |(mut q, mut rng)| {
-                        let mut acc = 0u64;
-                        for i in 0..CHURN {
-                            let (_, e) = q.pop().expect("pending events");
-                            acc = acc.wrapping_add(e);
-                            q.schedule(sim_like_delay(&mut rng), i);
-                        }
-                        black_box((acc, q.len()))
-                    },
-                )
-            });
-        }
+    for pending in [1_000usize, 100_000] {
+        let name = format!("churn_calendar_{pending}_pending");
+        g.bench_function(&name, |b| {
+            b.iter_with_setup(
+                || {
+                    let mut q: FutureEventList<u64> = FutureEventList::with_capacity(pending);
+                    let mut rng = DetRng::seed(7);
+                    for i in 0..pending as u64 {
+                        q.schedule(sim_like_delay(&mut rng), i);
+                    }
+                    (q, rng)
+                },
+                |(mut q, mut rng)| {
+                    let mut acc = 0u64;
+                    for i in 0..CHURN {
+                        let (_, e) = q.pop().expect("pending events");
+                        acc = acc.wrapping_add(e);
+                        q.schedule(sim_like_delay(&mut rng), i);
+                    }
+                    black_box((acc, q.len()))
+                },
+            )
+        });
     }
     g.finish();
 }
@@ -96,103 +91,101 @@ fn bench_batch_drain(c: &mut Criterion) {
     // drain's claim is amortizing the cursor walk and per-pop bookkeeping
     // over a whole same-instant run. Compare popping such runs one event
     // at a time against `pop_run_at_most`, at steady pending populations
-    // of 1k and 100k, on both backends.
+    // of 1k and 100k.
     const CHURN: u64 = 10_000;
     /// Events per massed instant (≈ one 10 ms source tick's deliveries in
     /// the 50K rec/s scenarios).
     const RUN: u64 = 100;
     let mut g = c.benchmark_group("batch_drain");
     g.throughput(Throughput::Elements(CHURN));
-    for backend in [SchedulerBackend::BinaryHeap, SchedulerBackend::Calendar] {
-        for pending in [1_000usize, 100_000] {
-            let setup = move || {
-                let mut q: FutureEventList<u64> = FutureEventList::with_backend(backend, pending);
-                let mut rng = DetRng::seed(11);
-                // Massed mix: bursts of RUN events at shared instants,
-                // instants a few hundred µs apart, plus a sprinkle of
-                // stragglers and far-future timers.
-                let mut at = 0u64;
-                let mut i = 0u64;
-                while (i as usize) < pending {
-                    at += 100 + rng.below(400);
-                    let n = match rng.below(10) {
-                        0 => 1,       // straggler
-                        1 => RUN / 4, // partial burst
-                        _ => RUN,     // full massed instant
-                    };
-                    for _ in 0..n {
-                        q.schedule_at(at, i);
-                        i += 1;
+    for pending in [1_000usize, 100_000] {
+        let setup = move || {
+            let mut q: FutureEventList<u64> = FutureEventList::with_capacity(pending);
+            let mut rng = DetRng::seed(11);
+            // Massed mix: bursts of RUN events at shared instants,
+            // instants a few hundred µs apart, plus a sprinkle of
+            // stragglers and far-future timers.
+            let mut at = 0u64;
+            let mut i = 0u64;
+            while (i as usize) < pending {
+                at += 100 + rng.below(400);
+                let n = match rng.below(10) {
+                    0 => 1,       // straggler
+                    1 => RUN / 4, // partial burst
+                    _ => RUN,     // full massed instant
+                };
+                for _ in 0..n {
+                    q.schedule_at(at, i);
+                    i += 1;
+                }
+            }
+            // The drain buffer is setup state, like the driver's
+            // persistent scratch buffer — its warm-up allocation must
+            // not be charged to the timed batch loop.
+            (q, Vec::with_capacity(RUN as usize))
+        };
+        let name = |mode: &str| format!("{mode}_calendar_{pending}_pending");
+        // Reschedule offset derived from the instant, not an RNG: both
+        // loops must evolve the *same* schedule (a per-pop RNG draw
+        // would fragment massed runs on the single-pop side only, and
+        // the A/B would measure workload divergence, not dispatch
+        // cost). Same offset for every event of an instant keeps each
+        // run massed at its new instant.
+        let re_offset = |at: u64| 50_000 + (at % 3) * 400;
+        g.bench_function(&name("single_pop"), |b| {
+            b.iter_with_setup(setup, |(mut q, _buf)| {
+                let mut acc = 0u64;
+                let mut popped = 0u64;
+                while popped < CHURN {
+                    let (at, e) = q.pop().expect("pending events");
+                    acc = acc.wrapping_add(e);
+                    popped += 1;
+                    // Keep the population and the massing steady:
+                    // reschedule into a future massed instant.
+                    q.schedule_at(at + re_offset(at), e);
+                }
+                black_box((acc, q.len()))
+            })
+        });
+        g.bench_function(&name("batch"), |b| {
+            b.iter_with_setup(setup, |(mut q, mut buf)| {
+                let mut acc = 0u64;
+                let mut popped = 0u64;
+                // The final run may overshoot CHURN by up to RUN-1
+                // pops (a run drains whole); both arms are credited
+                // CHURN elements, so the ≤1% overshoot biases
+                // *against* batch — the reported gain is conservative.
+                while popped < CHURN {
+                    let at = q
+                        .pop_run_at_most(u64::MAX, &mut buf)
+                        .expect("pending events");
+                    popped += buf.len() as u64;
+                    let re_at = at + re_offset(at);
+                    for &e in &buf {
+                        acc = acc.wrapping_add(e);
+                        q.schedule_at(re_at, e);
                     }
                 }
-                // The drain buffer is setup state, like the driver's
-                // persistent scratch buffer — its warm-up allocation must
-                // not be charged to the timed batch loop.
-                (q, Vec::with_capacity(RUN as usize))
-            };
-            let name = |mode: &str| format!("{mode}_{}_{}_pending", backend.name(), pending);
-            // Reschedule offset derived from the instant, not an RNG: both
-            // loops must evolve the *same* schedule (a per-pop RNG draw
-            // would fragment massed runs on the single-pop side only, and
-            // the A/B would measure workload divergence, not dispatch
-            // cost). Same offset for every event of an instant keeps each
-            // run massed at its new instant.
-            let re_offset = |at: u64| 50_000 + (at % 3) * 400;
-            g.bench_function(&name("single_pop"), |b| {
-                b.iter_with_setup(setup, |(mut q, _buf)| {
-                    let mut acc = 0u64;
-                    let mut popped = 0u64;
-                    while popped < CHURN {
-                        let (at, e) = q.pop().expect("pending events");
-                        acc = acc.wrapping_add(e);
-                        popped += 1;
-                        // Keep the population and the massing steady:
-                        // reschedule into a future massed instant.
-                        q.schedule_at(at + re_offset(at), e);
-                    }
-                    black_box((acc, q.len()))
-                })
-            });
-            g.bench_function(&name("batch"), |b| {
-                b.iter_with_setup(setup, |(mut q, mut buf)| {
-                    let mut acc = 0u64;
-                    let mut popped = 0u64;
-                    // The final run may overshoot CHURN by up to RUN-1
-                    // pops (a run drains whole); both arms are credited
-                    // CHURN elements, so the ≤1% overshoot biases
-                    // *against* batch — the reported gain is conservative.
-                    while popped < CHURN {
-                        let at = q
-                            .pop_run_at_most(u64::MAX, &mut buf)
-                            .expect("pending events");
-                        popped += buf.len() as u64;
-                        let re_at = at + re_offset(at);
-                        for &e in &buf {
-                            acc = acc.wrapping_add(e);
-                            q.schedule_at(re_at, e);
-                        }
-                    }
-                    black_box((acc, q.len()))
-                })
-            });
-        }
+                black_box((acc, q.len()))
+            })
+        });
     }
     g.finish();
 }
 
 fn bench_region_sync(c: &mut Criterion) {
-    // The region-partitioned scheduler's overheads in isolation, next to
+    // The PDES region scheduler's overheads in isolation, next to
     // `batch_drain` (its single-queue counterpart):
     //
     // * `spsc_ring_*` — the cross-region transport: cost of moving 8-byte
     //   record handles through the bounded SPSC ring in burst-sized chunks
     //   (the shape a region drain produces).
-    // * `churn_rK_*` — steady-state pop/schedule churn on the region
-    //   scheduler at 1 and 2 regions, at 1k and 100k pending events. The
-    //   r2 cells pay the full conservative-sync accounting per pop (region
-    //   clocks, safe-until bounds from the lookahead matrix, min-rule
-    //   grants, null-message counting), so r2-minus-r1 at equal pending is
-    //   the null-message/synchronization overhead per event.
+    // * `churn_rK_*` — steady-state pop/schedule churn at 1 region (the
+    //   plain list) and 2 regions (the region-major scheduler), at 1k and
+    //   100k pending events. The r2 cells pay the per-region head cache
+    //   plus the conservative-sync accounting per pop (region clocks,
+    //   lookahead bounds, min-rule grants, null-message counting), so
+    //   r2-minus-r1 at equal pending is the region bookkeeping per event.
     const CHURN: u64 = 10_000;
     let mut g = c.benchmark_group("region_sync");
     g.throughput(Throughput::Elements(CHURN));
@@ -223,18 +216,16 @@ fn bench_region_sync(c: &mut Criterion) {
             g.bench_function(&name, |b| {
                 b.iter_with_setup(
                     || {
-                        let mut q: FutureEventList<u64> = FutureEventList::with_backend_regions(
-                            SchedulerBackend::Calendar,
-                            pending,
-                            regions,
-                        );
+                        let mut q: FutureEventList<u64> =
+                            FutureEventList::with_regions(pending, regions);
                         if regions == 2 {
-                            // A cut with one 500 µs data channel each way
-                            // of the partition (finite lookahead: the
-                            // accounting must actually bound progress and
-                            // mint null-message grants, not short-circuit
-                            // on SimTime::MAX).
-                            q.set_region_lookahead(&[0, 500, 500, 0]);
+                            // The matrix a cut pipeline gets in PDES mode:
+                            // forward = control latency, reverse = a
+                            // 100 µs resume latency (finite, so the
+                            // accounting actually mints null-message
+                            // grants instead of short-circuiting on
+                            // SimTime::MAX).
+                            q.set_region_lookahead(&[0, 50, 100, 0]);
                         }
                         let mut rng = DetRng::seed(7);
                         for i in 0..pending as u64 {

@@ -15,34 +15,26 @@
 //!   perf change),
 //! * a peak-RSS proxy (`VmHWM` from `/proc/self/status`, 0 where absent).
 //!
-//! Usage: `perf_report [--out FILE] [--baseline FILE] [--quick]
-//!                     [--backend heap|calendar|both]
-//!                     [--dispatch single|batch|both]
-//!                     [--regions 1|2|K|both] [--reps N]
+//! Usage: `perf_report [--out FILE] [--baseline FILE] [--quick] [--reps N]
 //!                     [--sink null|mem|jsonl]
 //!                     [--require-digest-match] [--no-parallel]`
 //!
+//! Anything else on the command line — an unknown flag, a flag missing its
+//! value, a value that does not parse — prints the usage and exits 2: a
+//! stale invocation must fail, not quietly time something else.
+//!
 //! The scenario matrix is not private to this binary: it is the `perf/`
 //! group of `bench::scenario::registry`, the same named specs the digest
-//! tests consume — this binary only owns the timing/A-B logic on top.
+//! tests consume — this binary only owns the timing logic on top.
 //! `--require-digest-match` turns the baseline digest comparison into a
 //! hard failure (exit 1), which CI uses to pin the current build's
 //! scenario digests to the recorded `BENCH_PRn.json` trajectory.
 //!
-//! By default every scenario runs on the full {scheduler backend} ×
-//! {dispatch mode} × {region count} grid — binary heap and calendar queue,
-//! single-pop and batch drain, sequential (regions=1) and region-partitioned
-//! (regions=2) scheduling — interleaved (so machine-load drift hits every
-//! cell equally), and the process **hard-fails** if any scenario's digest
-//! differs between any two cells: the calendar queue, batch dispatch and
-//! region partitioning are all required to be behavior-preserving rewrites,
-//! proven by digests, not assumed. `--reps N` repeats each cell N times and
-//! reports the median events/sec (used for the recorded `BENCH_PRn.json`
-//! A/Bs). `--backend` / `--dispatch` / `--regions` restrict the grid to one
-//! axis value (used by CI's per-cell digest-stability job); `--regions both`
-//! is the default `{1, 2}` pair, any integer `K` pins that region count.
-//! The headline cell stays the sequential engine (regions=1) — the region
-//! A/B is reported alongside, never silently substituted.
+//! Every scenario runs on the sequential engine (one event queue,
+//! `resume_latency = 0`) — the engine has one scheduler and one dispatch
+//! loop, so there is no grid to sweep. `--reps N` repeats each scenario N
+//! times and reports the median events/sec; the process **hard-fails** if
+//! a scenario's digest differs between two repetitions.
 //!
 //! With `--baseline`, the report embeds the baseline's events/sec and the
 //! relative improvement, so `BENCH_PRn.json` carries the before/after pair
@@ -51,7 +43,8 @@
 //! report therefore also emits `comparable_improvement`, computed only
 //! over the intersection of scenario names present in both the current
 //! run and the baseline (summed events/sec on each side), which is the
-//! honest PR-over-PR number.
+//! honest PR-over-PR number. Baselines written by earlier revisions carry
+//! extra keys (per-cell A/B figures); the reader ignores them.
 //!
 //! The report additionally carries the thread-per-region **parallel A/B
 //! axis** (disable with `--no-parallel`): the fixed-parallelism 100k
@@ -78,29 +71,9 @@ use std::time::Instant;
 
 use bench::scenario::{registry, ScenarioSpec};
 use simcore::time::secs;
-use simcore::SchedulerBackend;
-use streamflow::{BusSinkKind, DispatchMode};
+use streamflow::BusSinkKind;
 
-/// One cell of the measurement grid.
-#[derive(Clone, Copy, PartialEq, Eq)]
-struct Cell {
-    backend: SchedulerBackend,
-    dispatch: DispatchMode,
-    regions: usize,
-}
-
-impl Cell {
-    fn label(self) -> String {
-        format!(
-            "{}/{}/r{}",
-            self.backend.name(),
-            self.dispatch.name(),
-            self.regions
-        )
-    }
-}
-
-/// One timed run of one scenario on one cell.
+/// One timed run of one scenario.
 struct RunSample {
     events: u64,
     wall_secs: f64,
@@ -108,13 +81,12 @@ struct RunSample {
     digest: u64,
 }
 
-/// Aggregated per-scenario result: medians per cell, shared digest.
+/// Aggregated per-scenario result: medians over the repetitions.
 struct ScenarioResult {
     name: String,
     events: u64,
-    /// Median wall seconds per cell, keyed like the `cells` slice.
-    wall_secs: Vec<f64>,
-    events_per_sec: Vec<f64>,
+    wall_secs: f64,
+    events_per_sec: f64,
     sink_records: u64,
     digest: u64,
 }
@@ -145,12 +117,8 @@ fn median(xs: &[f64]) -> f64 {
     }
 }
 
-fn time_run(spec: &ScenarioSpec, cell: Cell) -> RunSample {
-    let (mut sim, _) = spec
-        .clone()
-        .with_cell(cell.backend, cell.dispatch)
-        .with_regions(cell.regions)
-        .build_sim();
+fn time_run(spec: &ScenarioSpec) -> RunSample {
+    let (mut sim, _) = spec.build_sim();
     // A JSONL-sink run pays the real streaming cost: attach the
     // sink-worker thread on a throwaway temp file for the timed window.
     let jsonl_path = (spec.bus_sink == BusSinkKind::Jsonl).then(|| {
@@ -182,79 +150,43 @@ fn time_run(spec: &ScenarioSpec, cell: Cell) -> RunSample {
     }
 }
 
-/// Run one scenario `reps` times per grid cell, interleaved across cells.
-/// Hard-fails the process on any digest divergence (across cells or across
-/// repetitions — either breaks the determinism contract).
-fn run_scenario(spec: &ScenarioSpec, cells: &[Cell], reps: usize) -> ScenarioResult {
+/// Run one scenario `reps` times. Hard-fails the process on any digest
+/// divergence across repetitions — that breaks the determinism contract.
+fn run_scenario(spec: &ScenarioSpec, reps: usize) -> ScenarioResult {
     let name = spec.short_name();
-    // One warmup run per cell (page in code, warm the allocator).
-    for &c in cells {
-        let (mut sim, _) = spec
-            .clone()
-            .with_cell(c.backend, c.dispatch)
-            .with_regions(c.regions)
-            .build_sim();
-        sim.run_until(secs(1));
-    }
-    let mut samples: Vec<Vec<RunSample>> = cells.iter().map(|_| Vec::new()).collect();
-    for _rep in 0..reps {
-        for (i, &c) in cells.iter().enumerate() {
-            samples[i].push(time_run(spec, c));
+    // One warmup run (page in code, warm the allocator).
+    spec.build_sim().0.run_until(secs(1));
+    let samples: Vec<RunSample> = (0..reps).map(|_| time_run(spec)).collect();
+    let reference = &samples[0];
+    for s in &samples {
+        if s.digest != reference.digest || s.events != reference.events {
+            eprintln!(
+                "perf_report: FATAL: scenario {name} digest drifted across repetitions: \
+                 0x{:016x} ({} events) vs 0x{:016x} ({} events) — determinism bug, not noise",
+                s.digest, s.events, reference.digest, reference.events
+            );
+            std::process::exit(1);
         }
     }
-    let reference = &samples[0][0];
-    for (i, &c) in cells.iter().enumerate() {
-        for s in &samples[i] {
-            if s.digest != reference.digest || s.events != reference.events {
-                eprintln!(
-                    "perf_report: FATAL: scenario {name} digest mismatch: \
-                     {} run gave 0x{:016x} ({} events) vs reference 0x{:016x} ({} events)",
-                    c.label(),
-                    s.digest,
-                    s.events,
-                    reference.digest,
-                    reference.events
-                );
-                eprintln!(
-                    "perf_report: scheduler backends and dispatch modes are required \
-                     to be behavior-identical — this is a correctness bug, not noise"
-                );
-                std::process::exit(1);
-            }
-        }
-    }
+    let walls: Vec<f64> = samples.iter().map(|s| s.wall_secs).collect();
+    let rates: Vec<f64> = samples
+        .iter()
+        .map(|s| s.events as f64 / s.wall_secs.max(1e-9))
+        .collect();
     ScenarioResult {
         name: name.to_string(),
         events: reference.events,
-        wall_secs: samples
-            .iter()
-            .map(|runs| median(&runs.iter().map(|s| s.wall_secs).collect::<Vec<_>>()))
-            .collect(),
-        events_per_sec: samples
-            .iter()
-            .map(|runs| {
-                median(
-                    &runs
-                        .iter()
-                        .map(|s| s.events as f64 / s.wall_secs.max(1e-9))
-                        .collect::<Vec<_>>(),
-                )
-            })
-            .collect(),
+        wall_secs: median(&walls),
+        events_per_sec: median(&rates),
         sink_records: reference.sink_records,
         digest: reference.digest,
     }
 }
 
-fn scenario_matrix(
-    quick: bool,
-    cells: &[Cell],
-    reps: usize,
-    sink: BusSinkKind,
-) -> Vec<ScenarioResult> {
+fn scenario_matrix(quick: bool, reps: usize, sink: BusSinkKind) -> Vec<ScenarioResult> {
     registry::perf_scenarios(quick)
         .into_iter()
-        .map(|spec| run_scenario(&spec.with_bus_sink(sink), cells, reps))
+        .map(|spec| run_scenario(&spec.with_bus_sink(sink), reps))
         .collect()
 }
 
@@ -269,10 +201,11 @@ struct Baseline {
 
 /// Minimal field extraction from our own JSON (no serde in the offline
 /// container): finds `"name": ..., "events_per_sec": ..., "digest": ...`
-/// triples in document order plus the top-level aggregate. The parallel
-/// A/B entries deliberately key their scenario as `"scenario"` (not
-/// `"name"`) so their PDES-mode digests and seq/par rates never shadow
-/// the sequential trajectory parsed here.
+/// triples in document order plus the top-level aggregate; every other
+/// key (including the per-cell A/B figures older reports carry) is
+/// skipped. The parallel A/B entries deliberately key their scenario as
+/// `"scenario"` (not `"name"`) so their PDES-mode digests and seq/par
+/// rates never shadow the sequential trajectory parsed here.
 fn parse_baseline(text: &str) -> Baseline {
     let mut b = Baseline::default();
     let grab_num = |line: &str| -> Option<f64> {
@@ -419,140 +352,80 @@ fn parallel_axis(quick: bool, reps: usize, sink: BusSinkKind) -> Vec<ParallelRes
     out
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let flag = |name: &str| args.iter().position(|a| a == name);
-    let out_path = flag("--out")
-        .and_then(|i| args.get(i + 1).cloned())
+const USAGE: &str = "usage: perf_report [--out FILE] [--baseline FILE] [--quick] [--reps N]\n\
+    \x20                  [--sink null|mem|jsonl] [--require-digest-match] [--no-parallel]\n\
+    (QUICK=1 in the environment implies --quick)";
+
+struct Opts {
+    out_path: String,
+    baseline_path: Option<String>,
+    quick: bool,
+    reps: usize,
+    bus_sink: BusSinkKind,
+    require_digest_match: bool,
+    no_parallel: bool,
+}
+
+fn parse_args(args: &[String]) -> Result<Opts, String> {
+    let mut o = Opts {
         // Deliberately NOT a BENCH_PRn.json name: a bare run must never
         // overwrite the committed perf-trajectory artifacts.
-        .unwrap_or_else(|| "perf_report.json".to_string());
-    let baseline_path = flag("--baseline").and_then(|i| args.get(i + 1).cloned());
-    let quick = flag("--quick").is_some() || bench::quick();
-    let reps = flag("--reps")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1usize)
-        .max(1);
-    let require_digest_match = flag("--require-digest-match").is_some();
-    let no_parallel = flag("--no-parallel").is_some();
-    let backend_arg = flag("--backend").and_then(|i| args.get(i + 1).cloned());
-    let backends: Vec<SchedulerBackend> = match backend_arg.as_deref() {
-        None | Some("both") => vec![SchedulerBackend::BinaryHeap, SchedulerBackend::Calendar],
-        Some(s) => match SchedulerBackend::parse(s) {
-            Some(b) => vec![b],
-            None => {
-                eprintln!("perf_report: unknown --backend {s} (want heap|calendar|both)");
-                std::process::exit(2);
-            }
-        },
+        out_path: "perf_report.json".to_string(),
+        baseline_path: None,
+        quick: bench::quick(),
+        reps: 1,
+        bus_sink: BusSinkKind::Null,
+        require_digest_match: false,
+        no_parallel: false,
     };
-    let dispatch_arg = flag("--dispatch").and_then(|i| args.get(i + 1).cloned());
-    let dispatches: Vec<DispatchMode> = match dispatch_arg.as_deref() {
-        None | Some("both") => vec![DispatchMode::SinglePop, DispatchMode::Batch],
-        Some(s) => match DispatchMode::parse(s) {
-            Some(m) => vec![m],
-            None => {
-                eprintln!("perf_report: unknown --dispatch {s} (want single|batch|both)");
-                std::process::exit(2);
+    let mut i = 0;
+    while i < args.len() {
+        let flag = args[i].as_str();
+        match flag {
+            "--quick" => o.quick = true,
+            "--require-digest-match" => o.require_digest_match = true,
+            "--no-parallel" => o.no_parallel = true,
+            "--out" | "--baseline" | "--reps" | "--sink" => {
+                let v = bench::flag_value(args, i)?;
+                match flag {
+                    "--out" => o.out_path = v.to_string(),
+                    "--baseline" => o.baseline_path = Some(v.to_string()),
+                    "--reps" => {
+                        o.reps = v
+                            .parse()
+                            .ok()
+                            .filter(|&n| n >= 1)
+                            .ok_or(format!("--reps {v:?}: want a count >= 1"))?
+                    }
+                    _ => {
+                        o.bus_sink = BusSinkKind::parse(v)
+                            .ok_or(format!("--sink {v:?}: want null|mem|jsonl"))?
+                    }
+                }
+                i += 1;
             }
-        },
-    };
-    let sink_arg = flag("--sink").and_then(|i| args.get(i + 1).cloned());
-    let bus_sink = match sink_arg.as_deref() {
-        None => BusSinkKind::Null,
-        Some(s) => match BusSinkKind::parse(s) {
-            Some(k) => k,
-            None => {
-                eprintln!("perf_report: unknown --sink {s} (want null|mem|jsonl)");
-                std::process::exit(2);
-            }
-        },
-    };
-    let regions_arg = flag("--regions").and_then(|i| args.get(i + 1).cloned());
-    let region_counts: Vec<usize> = match regions_arg.as_deref() {
-        None | Some("both") => vec![1, 2],
-        Some(s) => match s.parse::<usize>() {
-            Ok(k) if k >= 1 => vec![k],
-            _ => {
-                eprintln!("perf_report: unknown --regions {s} (want 1|2|K|both)");
-                std::process::exit(2);
-            }
-        },
-    };
-    // The grid, backend-major so repetitions interleave across backends
-    // first (the historically noisier axis).
-    let mut cells: Vec<Cell> = Vec::new();
-    for &backend in &backends {
-        for &dispatch in &dispatches {
-            for &regions in &region_counts {
-                cells.push(Cell {
-                    backend,
-                    dispatch,
-                    regions,
-                });
-            }
+            other => return Err(format!("unknown flag {other}")),
         }
+        i += 1;
     }
-    let cells = cells;
-    // The report's headline numbers come from the engine's defaults
-    // (calendar queue, batch dispatch, sequential regions=1) when they're
-    // in the grid; on a restricted grid, from the cell closest to the
-    // defaults — a `--backend heap` run must still headline batch dispatch
-    // (and emit the batch-vs-single A/B), not silently fall back to the
-    // first cell. The region-partitioned cells never headline: regions=1
-    // stays the reference engine.
-    let find = |b: SchedulerBackend, d: DispatchMode, r: usize| {
-        cells
-            .iter()
-            .position(|c| c.backend == b && c.dispatch == d && c.regions == r)
-    };
-    let headline = find(SchedulerBackend::default(), DispatchMode::default(), 1)
-        .or_else(|| {
-            cells
-                .iter()
-                .position(|c| c.dispatch == DispatchMode::default() && c.regions == 1)
-        })
-        .or_else(|| {
-            cells
-                .iter()
-                .position(|c| c.backend == SchedulerBackend::default() && c.regions == 1)
-        })
-        .or_else(|| cells.iter().position(|c| c.regions == 1))
-        .unwrap_or(0);
-    // Reference cells for the three A/B axes, when present.
-    let heap_ref = find(
-        SchedulerBackend::BinaryHeap,
-        cells[headline].dispatch,
-        cells[headline].regions,
-    );
-    let single_ref = find(
-        cells[headline].backend,
-        DispatchMode::SinglePop,
-        cells[headline].regions,
-    )
-    .filter(|_| cells[headline].dispatch == DispatchMode::Batch);
-    // The region A/B compares the headline (sequential) cell against the
-    // largest partitioned region count sharing its backend/dispatch.
-    let regions_ref = region_counts
-        .iter()
-        .copied()
-        .filter(|&r| r > cells[headline].regions)
-        .max()
-        .and_then(|r| find(cells[headline].backend, cells[headline].dispatch, r));
+    Ok(o)
+}
+
+fn main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let o = parse_args(&args).unwrap_or_else(|e| {
+        eprintln!("perf_report: {e}\n{USAGE}");
+        std::process::exit(2);
+    });
+    let (quick, reps, bus_sink, out_path) = (o.quick, o.reps, o.bus_sink, o.out_path);
 
     eprintln!(
-        "perf_report: running scenario matrix (quick={quick}, reps={reps}, sink={}, cells={})...",
-        bus_sink.name(),
-        cells
-            .iter()
-            .map(|c| c.label())
-            .collect::<Vec<_>>()
-            .join(",")
+        "perf_report: running scenario matrix (quick={quick}, reps={reps}, sink={})...",
+        bus_sink.name()
     );
-    let results = scenario_matrix(quick, &cells, reps, bus_sink);
+    let results = scenario_matrix(quick, reps, bus_sink);
 
-    let parallel = if no_parallel {
+    let parallel = if o.no_parallel {
         Vec::new()
     } else {
         eprintln!(
@@ -566,13 +439,10 @@ fn main() {
         .unwrap_or(1);
 
     let total_events: u64 = results.iter().map(|r| r.events).sum();
-    let aggregate_for = |cell_idx: usize| {
-        let wall: f64 = results.iter().map(|r| r.wall_secs[cell_idx]).sum();
-        total_events as f64 / wall.max(1e-9)
-    };
-    let aggregate = aggregate_for(headline);
+    let total_wall: f64 = results.iter().map(|r| r.wall_secs).sum();
+    let aggregate = total_events as f64 / total_wall.max(1e-9);
 
-    let baseline = baseline_path.as_deref().and_then(|p| {
+    let baseline = o.baseline_path.as_deref().and_then(|p| {
         let Ok(text) = std::fs::read_to_string(p) else {
             eprintln!("perf_report: warning: baseline {p} unreadable — skipping comparison");
             return None;
@@ -590,75 +460,10 @@ fn main() {
     let _ = writeln!(json, "  \"report\": \"drrs-repro perf trajectory\",");
     let _ = writeln!(json, "  \"quick\": {quick},");
     let _ = writeln!(json, "  \"reps\": {reps},");
-    let _ = writeln!(
-        json,
-        "  \"scheduler\": \"{}\",",
-        cells[headline].backend.name()
-    );
-    let _ = writeln!(
-        json,
-        "  \"dispatch\": \"{}\",",
-        cells[headline].dispatch.name()
-    );
-    let _ = writeln!(json, "  \"regions\": {},", cells[headline].regions);
     let _ = writeln!(json, "  \"bus_sink\": \"{}\",", bus_sink.name());
     let _ = writeln!(json, "  \"aggregate_events_per_sec\": {aggregate:.0},");
-    if let Some(h) = heap_ref.filter(|&h| h != headline) {
-        let agg_heap = aggregate_for(h);
-        let gain = aggregate / agg_heap.max(1e-9) - 1.0;
-        let _ = writeln!(json, "  \"aggregate_events_per_sec_heap\": {agg_heap:.0},");
-        let _ = writeln!(json, "  \"calendar_vs_heap_improvement\": {gain:.4},");
-        eprintln!(
-            "perf_report: scheduler A/B ({} dispatch): calendar {:.0} ev/s vs heap {:.0} ev/s ({:+.1}%), digests identical",
-            cells[headline].dispatch.name(),
-            aggregate,
-            agg_heap,
-            gain * 100.0
-        );
-    }
-    if let Some(s) = single_ref {
-        let agg_single = aggregate_for(s);
-        let gain = aggregate / agg_single.max(1e-9) - 1.0;
-        let _ = writeln!(
-            json,
-            "  \"aggregate_events_per_sec_single_pop\": {agg_single:.0},"
-        );
-        let _ = writeln!(json, "  \"batch_dispatch_improvement\": {gain:.4},");
-        eprintln!(
-            "perf_report: dispatch A/B ({} backend): batch {:.0} ev/s vs single-pop {:.0} ev/s ({:+.1}%), digests identical",
-            cells[headline].backend.name(),
-            aggregate,
-            agg_single,
-            gain * 100.0
-        );
-    }
-    if let Some(rr) = regions_ref {
-        let agg_regions = aggregate_for(rr);
-        let gain = agg_regions / aggregate.max(1e-9) - 1.0;
-        let k = cells[rr].regions;
-        let _ = writeln!(
-            json,
-            "  \"aggregate_events_per_sec_regions{k}\": {agg_regions:.0},"
-        );
-        let _ = writeln!(json, "  \"region_partitioning_improvement\": {gain:.4},");
-        eprintln!(
-            "perf_report: regions A/B ({}/{}): {k} regions {:.0} ev/s vs sequential {:.0} ev/s ({:+.1}%), digests identical",
-            cells[headline].backend.name(),
-            cells[headline].dispatch.name(),
-            agg_regions,
-            aggregate,
-            gain * 100.0
-        );
-    }
-    if cells.len() > 1 {
-        let _ = writeln!(json, "  \"cross_cell_digests_match\": true,");
-    }
     let _ = writeln!(json, "  \"total_simulated_events\": {total_events},");
-    let _ = writeln!(
-        json,
-        "  \"total_wall_secs\": {:.3},",
-        results.iter().map(|r| r.wall_secs[headline]).sum::<f64>()
-    );
+    let _ = writeln!(json, "  \"total_wall_secs\": {total_wall:.3},");
     let _ = writeln!(json, "  \"peak_rss_kb\": {},", peak_rss_kb());
     let _ = writeln!(json, "  \"host_cpus\": {host_cpus},");
     if let Some(b) = &baseline {
@@ -688,7 +493,7 @@ fn main() {
                 b.events_per_sec
                     .iter()
                     .find(|(n, _)| *n == r.name)
-                    .map(|(_, base_eps)| (r.events_per_sec[headline], *base_eps))
+                    .map(|(_, base_eps)| (r.events_per_sec, *base_eps))
             })
             .collect();
         if !shared.is_empty() {
@@ -751,46 +556,19 @@ fn main() {
     let _ = writeln!(json, "  \"scenarios\": [");
     for (i, r) in results.iter().enumerate() {
         let comma = if i + 1 < results.len() { "," } else { "" };
-        let eps = r.events_per_sec[headline];
+        let eps = r.events_per_sec;
         let _ = writeln!(json, "    {{");
         let _ = writeln!(json, "      \"name\": \"{}\",", r.name);
         let _ = writeln!(json, "      \"events\": {},", r.events);
-        let _ = writeln!(json, "      \"wall_secs\": {:.4},", r.wall_secs[headline]);
+        let _ = writeln!(json, "      \"wall_secs\": {:.4},", r.wall_secs);
         let _ = writeln!(json, "      \"events_per_sec\": {eps:.0},");
-        if let Some(h) = heap_ref.filter(|&h| h != headline) {
-            let heap_eps = r.events_per_sec[h];
-            let gain = eps / heap_eps.max(1e-9) - 1.0;
-            let _ = writeln!(json, "      \"events_per_sec_heap\": {heap_eps:.0},");
-            let _ = writeln!(json, "      \"calendar_vs_heap\": {gain:.4},");
-        }
-        if let Some(s) = single_ref {
-            let single_eps = r.events_per_sec[s];
-            let gain = eps / single_eps.max(1e-9) - 1.0;
-            let _ = writeln!(
-                json,
-                "      \"events_per_sec_single_pop\": {single_eps:.0},"
-            );
-            let _ = writeln!(json, "      \"batch_vs_single\": {gain:.4},");
-        }
-        if let Some(rr) = regions_ref {
-            let region_eps = r.events_per_sec[rr];
-            let gain = region_eps / eps.max(1e-9) - 1.0;
-            let k = cells[rr].regions;
-            let _ = writeln!(
-                json,
-                "      \"events_per_sec_regions{k}\": {region_eps:.0},"
-            );
-            let _ = writeln!(json, "      \"regions_vs_sequential\": {gain:.4},");
-        }
         let _ = writeln!(json, "      \"sink_records\": {},", r.sink_records);
         let _ = writeln!(json, "      \"digest\": \"0x{:016x}\"", r.digest);
         let _ = writeln!(json, "    }}{comma}");
-        let mut line = format!("  {:<26} {:>12} events ", r.name, r.events);
-        for (ci, c) in cells.iter().enumerate() {
-            let _ = write!(line, " {} {:>11.0} ev/s ", c.label(), r.events_per_sec[ci]);
-        }
-        let _ = write!(line, " digest 0x{:016x}", r.digest);
-        eprintln!("{line}");
+        eprintln!(
+            "  {:<26} {:>12} events  {eps:>11.0} ev/s  digest 0x{:016x}",
+            r.name, r.events, r.digest
+        );
     }
     let _ = writeln!(json, "  ]");
     let _ = writeln!(json, "}}");
@@ -798,7 +576,7 @@ fn main() {
     std::fs::write(&out_path, &json).unwrap_or_else(|e| panic!("writing {out_path}: {e}"));
     eprintln!("perf_report: wrote {out_path}");
 
-    if require_digest_match {
+    if o.require_digest_match {
         // Strict mode for CI: every scenario must be present in the
         // baseline AND digest-equal — the port/refactor under test is
         // required to be behavior-preserving against the recorded

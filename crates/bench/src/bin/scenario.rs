@@ -6,7 +6,6 @@
 //! scenario --run perf/steady_50k       # one run; prints a digest line
 //! scenario --run NAME --emit report.json   # also write the RunReport JSON
 //! scenario --group perf                # run a whole group, one line each
-//! scenario --group perf --regions 2    # same grid on 2 scheduler regions
 //! scenario --group perf --threads 4    # pin the worker pool to 4 threads
 //! scenario --run NAME --regions 2 --resume-latency 100 --threads 2
 //!                                      # thread-per-region parallel PDES run
@@ -16,8 +15,11 @@
 //! The digest lines on stdout are fully deterministic (`name digest events
 //! sink_records`), so `scenario --group perf` run twice and diffed is a
 //! process-level determinism smoke — CI's `digest-stability` job uses
-//! exactly that, and diffs `--regions 1` against `--regions 2` to enforce
-//! the region-count digest contract. With `--run`, `--threads N` (N > 1)
+//! exactly that. `--regions K` (K > 1) partitions the graph for PDES and
+//! therefore needs a positive `--resume-latency`; without one the request
+//! is rejected (exit 2) instead of quietly running the sequential engine.
+//! Unknown flags, missing values and unparsable values are rejected the
+//! same way. With `--run`, `--threads N` (N > 1)
 //! executes on the thread-per-region parallel engine instead — the digest
 //! line keeps the same format (events = merged processed count), so CI
 //! diffs a threaded run directly against the sequential run at the same
@@ -41,40 +43,78 @@ use bench::quick;
 use bench::scenario::registry;
 use bench::scenario::Runner;
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: scenario --list | --run NAME [--emit FILE] [--events FILE] | --group PREFIX\n\
-         \x20       [--regions K] [--threads N] [--resume-latency MICROS] [--sync-stats]\n\
-         (QUICK=1 in the environment compresses timelines)"
-    );
-    std::process::exit(2);
+const USAGE: &str =
+    "usage: scenario --list | --run NAME [--emit FILE] [--events FILE] | --group PREFIX\n\
+     \x20       [--regions K --resume-latency MICROS] [--threads N] [--sync-stats]\n\
+     (QUICK=1 in the environment compresses timelines)";
+
+#[derive(Default)]
+struct Opts {
+    list: bool,
+    run: Option<String>,
+    group: Option<String>,
+    emit: Option<String>,
+    events: Option<String>,
+    regions: Option<usize>,
+    threads: Option<usize>,
+    resume_latency: Option<u64>,
+    sync_stats: bool,
+}
+
+fn parse_args(args: &[String]) -> Result<Opts, String> {
+    let mut o = Opts::default();
+    let mut i = 0;
+    while i < args.len() {
+        let flag = args[i].as_str();
+        match flag {
+            "--list" => o.list = true,
+            "--sync-stats" => o.sync_stats = true,
+            "--run" | "--group" | "--emit" | "--events" | "--regions" | "--threads"
+            | "--resume-latency" => {
+                let v = bench::flag_value(args, i)?;
+                let num = || v.parse::<u64>().map_err(|e| format!("{flag} {v:?}: {e}"));
+                match flag {
+                    "--run" => o.run = Some(v.to_string()),
+                    "--group" => o.group = Some(v.to_string()),
+                    "--emit" => o.emit = Some(v.to_string()),
+                    "--events" => o.events = Some(v.to_string()),
+                    "--regions" => o.regions = Some(num()? as usize),
+                    "--threads" => o.threads = Some(num()? as usize),
+                    _ => o.resume_latency = Some(num()?),
+                }
+                i += 1;
+            }
+            other => return Err(format!("unknown flag {other}")),
+        }
+        i += 1;
+    }
+    if o.regions.is_some_and(|k| k > 1) && o.resume_latency.unwrap_or(0) == 0 {
+        return Err(
+            "--regions K (K > 1) partitions for PDES and needs a positive \
+             --resume-latency; without one the engine has a single region"
+                .into(),
+        );
+    }
+    Ok(o)
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let flag = |name: &str| args.iter().position(|a| a == name);
-    let value = |name: &str| flag(name).and_then(|i| args.get(i + 1).cloned());
-    let parsed = |name: &str| {
-        value(name).map(|v| {
-            v.parse::<usize>().unwrap_or_else(|e| {
-                eprintln!("scenario: {name} {v:?}: {e}");
-                std::process::exit(2);
-            })
-        })
-    };
-    let regions = parsed("--regions");
-    let threads = parsed("--threads");
-    let resume_latency = parsed("--resume-latency").map(|v| v as u64);
-    let sync_stats = flag("--sync-stats").is_some();
+    let o = parse_args(&args).unwrap_or_else(|e| {
+        eprintln!("scenario: {e}\n{USAGE}");
+        std::process::exit(2);
+    });
+    let (regions, threads, resume_latency) = (o.regions, o.threads, o.resume_latency);
+    let (sync_stats, events_path) = (o.sync_stats, o.events);
 
-    if flag("--list").is_some() {
+    if o.list {
         for s in registry::all(quick()) {
             println!("{}", s.name);
         }
         return;
     }
 
-    if let Some(name) = value("--run") {
+    if let Some(name) = o.run {
         let Some(mut spec) = registry::find(&name, quick()) else {
             eprintln!("scenario: unknown scenario {name:?} (see --list)");
             std::process::exit(2);
@@ -85,7 +125,6 @@ fn main() {
         if let Some(rl) = resume_latency {
             spec = spec.with_resume_latency(rl);
         }
-        let events_path = value("--events");
         if let Some(p) = &events_path {
             spec = spec.with_events_path(p.clone());
         }
@@ -94,7 +133,7 @@ fn main() {
             // World to harvest a full RunReport from, so --emit has
             // nothing faithful to write — reject it instead of emitting
             // a partial report.
-            if value("--emit").is_some() {
+            if o.emit.is_some() {
                 eprintln!(
                     "scenario: --emit is not supported with --threads > 1 \
                      (no merged RunReport exists; drop --threads or --emit)"
@@ -148,7 +187,7 @@ fn main() {
             return;
         }
         let report = spec.run();
-        if let Some(path) = value("--emit") {
+        if let Some(path) = o.emit {
             std::fs::write(&path, report.to_json(""))
                 .unwrap_or_else(|e| panic!("writing {path}: {e}"));
             eprintln!("scenario: wrote {path}");
@@ -176,8 +215,8 @@ fn main() {
         return;
     }
 
-    if let Some(prefix) = value("--group") {
-        if value("--events").is_some() {
+    if let Some(prefix) = o.group {
+        if events_path.is_some() {
             eprintln!(
                 "scenario: --events needs a single run (the group's streams \
                  would clobber one file); use --run NAME --events FILE"
@@ -228,5 +267,6 @@ fn main() {
         return;
     }
 
-    usage()
+    eprintln!("{USAGE}");
+    std::process::exit(2);
 }

@@ -33,6 +33,15 @@ pub fn quick() -> bool {
     *QUICK.get_or_init(|| std::env::var("QUICK").map(|v| v == "1").unwrap_or(false))
 }
 
+/// The value following the flag at `args[i]`, for the binaries' strict
+/// argument loops: a flag that needs a value and is the last argument is
+/// an error, never a silent fall-back to a default.
+pub fn flag_value(args: &[String], i: usize) -> Result<&str, String> {
+    args.get(i + 1)
+        .map(String::as_str)
+        .ok_or_else(|| format!("{} needs a value", args[i]))
+}
+
 /// Run `f` over `items` on a pool of OS threads (one simulation per
 /// thread; each simulation stays single-threaded and deterministic) and
 /// return the results **in input order** — figure output must not depend
@@ -181,8 +190,6 @@ mod tests {
             mechanism: MechanismSpec::Drrs,
             scale: Some(ScaleSpec { at: secs(1), to: 3 }),
             horizon: secs(6),
-            backend: simcore::SchedulerBackend::default(),
-            dispatch: streamflow::DispatchMode::default(),
             regions: 1,
             resume_latency: 0,
             bus_sink: Default::default(),

@@ -6,7 +6,7 @@
 //!
 //! * [`ScenarioSpec`] — a declarative, nameable description of **one run**:
 //!   workload parameters, mechanism, scale plan, horizon, seed, and the
-//!   engine's scheduler/dispatch cell. Specs are plain data (`Clone` +
+//!   PDES partition (`regions`, `resume_latency`). Specs are plain data (`Clone` +
 //!   `PartialEq`), so a run is identified by its name and reconstructible
 //!   anywhere — which is exactly what makes process-level sharding possible.
 //! * [`registry`] — the central catalog naming every run used in the repo:
@@ -27,9 +27,8 @@
 //! # Determinism contract
 //!
 //! Building a spec twice yields byte-identical simulations: every field of
-//! [`ScenarioSpec`] is plain data, the engine seed is part of the spec, and
-//! the scheduler backend / dispatch mode are digest-neutral by the engine's
-//! own contract (enforced by `perf_report`). Consequently:
+//! [`ScenarioSpec`] is plain data and the engine seed is part of the spec.
+//! Consequently:
 //!
 //! * the same spec run twice produces the same [`RunReport`] except for
 //!   `wall_secs` (the only non-deterministic field);
@@ -51,10 +50,9 @@ use std::time::Instant;
 use baselines::{megaphone, otfs_fluid, MecesPlugin, UnboundPlugin};
 use drrs_core::{FlexScaler, MechanismConfig};
 use simcore::time::SimTime;
-use simcore::SchedulerBackend;
 use streamflow::world::tests_support::{tiny_job, twin_jobs};
 use streamflow::world::Sim;
-use streamflow::{BusSinkKind, DispatchMode, EngineConfig, NoScale, OpId, ScalePlugin, World};
+use streamflow::{BusSinkKind, EngineConfig, NoScale, OpId, ScalePlugin, World};
 use workloads::custom::{cluster_engine_config, custom, CustomParams};
 use workloads::nexmark::{nexmark_engine_config, q7, q8, Q7Params, Q8Params};
 use workloads::twitch::{twitch, twitch_engine_config, TwitchParams};
@@ -196,19 +194,14 @@ pub struct ScenarioSpec {
     pub scale: Option<ScaleSpec>,
     /// How long to run.
     pub horizon: SimTime,
-    /// Future-event-list backend (digest-neutral by contract).
-    pub backend: SchedulerBackend,
-    /// Event dispatch mode (digest-neutral by contract).
-    pub dispatch: DispatchMode,
-    /// Scheduler region count (digest-neutral by contract: any region
-    /// count pops the identical event order; see `EngineConfig::regions`).
+    /// PDES region count (`EngineConfig::regions`; consulted only when
+    /// `resume_latency > 0`).
     pub regions: usize,
     /// Cut-channel resume-notice latency, µs (`EngineConfig::resume_latency`).
-    /// 0 (the default) keeps the merged-exact sequential engine and every
-    /// historical digest; a positive value with `regions > 1` engages PDES
-    /// mode, where the digest contract becomes *parallel == sequential at
-    /// the same `resume_latency`* rather than equality with the 0-latency
-    /// run.
+    /// 0 (the default) is the sequential engine and every historical
+    /// digest; a positive value with `regions > 1` engages PDES mode, where
+    /// the digest contract becomes *parallel == sequential at the same
+    /// `resume_latency`* rather than equality with the 0-latency run.
     pub resume_latency: SimTime,
     /// Which sink the engine's event/metrics bus feeds
     /// (`streamflow::bus`). `Null` (the default) disables the bus;
@@ -225,23 +218,6 @@ impl ScenarioSpec {
     /// the `BENCH_PRn.json` baselines key digests by).
     pub fn short_name(&self) -> &str {
         self.name.rsplit('/').next().unwrap_or(&self.name)
-    }
-
-    /// Derive a spec with a different scheduler backend.
-    pub fn with_backend(mut self, backend: SchedulerBackend) -> Self {
-        self.backend = backend;
-        self
-    }
-
-    /// Derive a spec with a different dispatch mode.
-    pub fn with_dispatch(mut self, dispatch: DispatchMode) -> Self {
-        self.dispatch = dispatch;
-        self
-    }
-
-    /// Derive a spec pinned to one (backend, dispatch) measurement cell.
-    pub fn with_cell(self, backend: SchedulerBackend, dispatch: DispatchMode) -> Self {
-        self.with_backend(backend).with_dispatch(dispatch)
     }
 
     /// Derive a spec with a different scheduler region count.
@@ -307,7 +283,6 @@ impl ScenarioSpec {
             EngineProfile::Cluster => cluster_engine_config(self.seed),
         };
         cfg.seed = self.seed;
-        cfg.scheduler = self.backend;
         cfg.regions = self.regions;
         cfg.resume_latency = self.resume_latency;
         cfg.bus_sink = self.bus_sink;
@@ -342,7 +317,7 @@ impl ScenarioSpec {
     }
 
     /// Build the ready-to-run simulation: world built, scale scheduled,
-    /// plugin attached, dispatch mode applied. Identical construction order
+    /// plugin attached. Identical construction order
     /// to the pre-registry binaries (schedule before `Sim::new`), so event
     /// sequence numbers — and therefore digests — are preserved.
     pub fn build_sim(&self) -> (Sim, OpId) {
@@ -350,8 +325,7 @@ impl ScenarioSpec {
         if let Some(s) = self.scale {
             w.schedule_scale(s.at, op, s.to);
         }
-        let sim = Sim::new(w, self.mechanism.plugin()).with_dispatch_mode(self.dispatch);
-        (sim, op)
+        (Sim::new(w, self.mechanism.plugin()), op)
     }
 
     /// Execute the spec to completion and harvest a [`RunReport`].
@@ -404,14 +378,6 @@ mod tests {
         assert_eq!(cfg.max_key_groups, 128);
         assert!(!cfg.check_semantics);
         assert_eq!(cfg.seed, 0xD225);
-        assert_eq!(cfg.scheduler, SchedulerBackend::default());
-    }
-
-    #[test]
-    fn cell_override_reaches_the_engine_config() {
-        let spec = steady().with_cell(SchedulerBackend::BinaryHeap, DispatchMode::SinglePop);
-        assert_eq!(spec.engine_config().scheduler, SchedulerBackend::BinaryHeap);
-        assert_eq!(spec.dispatch, DispatchMode::SinglePop);
     }
 
     #[test]
@@ -430,7 +396,7 @@ mod tests {
         assert_eq!(
             steady().engine_config().resume_latency,
             0,
-            "merged-exact default"
+            "sequential default"
         );
     }
 

@@ -19,8 +19,6 @@ use workloads::twitch::TwitchParams;
 
 use super::{EngineProfile, MechanismSpec, ScaleSpec, ScenarioSpec, WorkloadSpec};
 use drrs_core::MechanismConfig;
-use simcore::SchedulerBackend;
-use streamflow::DispatchMode;
 
 fn spec(
     name: String,
@@ -39,8 +37,6 @@ fn spec(
         mechanism,
         scale,
         horizon,
-        backend: SchedulerBackend::default(),
-        dispatch: DispatchMode::default(),
         regions: 1,
         resume_latency: 0,
         bus_sink: Default::default(),

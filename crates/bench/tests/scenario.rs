@@ -168,3 +168,83 @@ fn run_report_round_trips_through_shard_files() {
         "shard round-trip perturbed the report"
     );
 }
+
+/// Run one of this package's binaries and return `(exit code, stderr)`.
+fn run_bin(exe: &str, args: &[&str]) -> (Option<i32>, String) {
+    let out = std::process::Command::new(exe)
+        .args(args)
+        .env_remove("QUICK")
+        .output()
+        .unwrap_or_else(|e| panic!("spawning {exe}: {e}"));
+    (
+        out.status.code(),
+        String::from_utf8_lossy(&out.stderr).into_owned(),
+    )
+}
+
+#[test]
+fn binaries_reject_stale_or_malformed_command_lines() {
+    // A stale or malformed invocation must fail loudly (usage, exit 2),
+    // never quietly measure something else: `--backend`/`--dispatch` no
+    // longer exist, `--reps abc` used to mean 1, a trailing `--out` used
+    // to fall back to the default path.
+    let perf_report = env!("CARGO_BIN_EXE_perf_report");
+    let scenario = env!("CARGO_BIN_EXE_scenario");
+    let cases: [(&str, &[&str], &str); 11] = [
+        (
+            perf_report,
+            &["--backend", "heap"],
+            "unknown flag --backend",
+        ),
+        (
+            perf_report,
+            &["--dispatch", "single"],
+            "unknown flag --dispatch",
+        ),
+        (perf_report, &["--regions", "2"], "unknown flag --regions"),
+        (perf_report, &["--quick", "--reps", "abc"], "--reps"),
+        (perf_report, &["--quick", "--reps", "0"], "--reps"),
+        (perf_report, &["--quick", "--sink", "tape"], "--sink"),
+        (perf_report, &["--quick", "--out"], "--out needs a value"),
+        (
+            scenario,
+            &["--list", "--backend", "heap"],
+            "unknown flag --backend",
+        ),
+        (scenario, &["--run"], "--run needs a value"),
+        (
+            scenario,
+            &["--group", "perf", "--threads", "two"],
+            "--threads",
+        ),
+        (
+            scenario,
+            &["--group", "perf", "--regions", "2"],
+            "--resume-latency",
+        ),
+    ];
+    for (exe, args, reason) in cases {
+        let (code, stderr) = run_bin(exe, args);
+        assert_eq!(
+            code,
+            Some(2),
+            "{exe} {args:?} must exit 2; stderr: {stderr}"
+        );
+        assert!(
+            stderr.contains(reason),
+            "{exe} {args:?}: no {reason:?} in: {stderr}"
+        );
+        assert!(
+            stderr.contains("usage:"),
+            "{exe} {args:?}: no usage in: {stderr}"
+        );
+    }
+    // The well-formed neighbours still work.
+    let (code, stderr) = run_bin(scenario, &["--list"]);
+    assert_eq!(code, Some(0), "{stderr}");
+    let (code, stderr) = run_bin(
+        scenario,
+        &["--list", "--regions", "2", "--resume-latency", "100"],
+    );
+    assert_eq!(code, Some(0), "{stderr}");
+}

@@ -826,7 +826,7 @@ mod tests {
     }
 
     #[test]
-    fn merge_folds_region_logs_in_region_major_order() {
+    fn merge_folds_region_logs_in_at_region_order() {
         let e = |at, region| BusEvent {
             at,
             region,

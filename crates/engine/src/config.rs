@@ -3,7 +3,6 @@
 
 use crate::bus::BusSinkKind;
 use simcore::time::{ms, SimTime};
-use simcore::SchedulerBackend;
 
 /// Engine configuration. Defaults model the paper's single-machine Docker
 /// deployment: sub-millisecond network, 1 Gbps migration bandwidth, Flink's
@@ -52,34 +51,29 @@ pub struct EngineConfig {
     /// Track per-key execution-order semantics (costs memory; on for tests,
     /// off for the big sensitivity grid).
     pub check_semantics: bool,
-    /// Future-event-list backend. Behavior-neutral by contract (both
-    /// backends pop identical sequences — `perf_report` digest-verifies
-    /// this); the calendar queue is the fast default, the binary heap the
-    /// A/B reference.
-    pub scheduler: SchedulerBackend,
-    /// Number of scheduler regions for conservative region-partitioned
-    /// PDES (see `simcore::region`). 1 (the default) is the plain
-    /// single-queue sequential engine — the reference every region count
-    /// is digest-verified against. Behavior-neutral by contract: any
-    /// region count pops the identical `(at, seq)` event order, so this
-    /// knob is purely a performance axis like `scheduler`.
+    /// Number of scheduler regions the operator graph is partitioned into
+    /// for PDES (see [`crate::region`], `simcore::region`). Consulted only
+    /// when `resume_latency > 0`: at `resume_latency = 0` a cut has a
+    /// zero-lookahead reverse edge that no region could run ahead on, so
+    /// the world is built as the single-queue sequential engine whatever
+    /// this says (the same rule [`crate::run_parallel`]'s fallback
+    /// follows). 1 (the default) is that sequential engine.
     pub regions: usize,
     /// Latency of a sender-resume notice crossing a region cut, µs. This
     /// is the PDES mode switch:
     ///
-    /// * `0` (the default) — the engine keeps the merged-exact sequential
-    ///   loop: receiver-side `pump()` wakes blocked senders synchronously
-    ///   (a zero-lookahead reverse edge), every existing digest is
-    ///   byte-identical to the `regions = 1` reference, and the
-    ///   thread-per-region executor falls back to that sequential loop.
-    /// * `> 0` with `regions > 1` — cut channels switch to a latency-
-    ///   bearing credit protocol (credits return to the sender's region as
-    ///   `CutCredit` events after this delay, as resume notices do in a
-    ///   real deployment), reverse cut edges gain this much lookahead, and
-    ///   regions may genuinely execute concurrently. Exactness is then
-    ///   *parallel digest == sequential digest at the same
-    ///   `resume_latency`* — a new semantic point, not the
-    ///   `resume_latency = 0` timeline.
+    /// * `0` (the default) — the sequential engine: one event queue,
+    ///   receiver-side `pump()` wakes blocked senders synchronously, every
+    ///   recorded digest (`BENCH_PR*.json`) is this timeline, and the
+    ///   thread-per-region executor runs it on the calling thread.
+    /// * `> 0` with `regions > 1` — the graph is partitioned, cut channels
+    ///   switch to a latency-bearing credit protocol (credits return to
+    ///   the sender's region as `CutCredit` events after this delay, as
+    ///   resume notices do in a real deployment), reverse cut edges gain
+    ///   this much lookahead, and regions may genuinely execute
+    ///   concurrently. Exactness is then *parallel digest == sequential
+    ///   digest at the same `resume_latency`* — a new semantic point, not
+    ///   the `resume_latency = 0` timeline.
     pub resume_latency: SimTime,
     /// RNG seed for the run.
     pub seed: u64,
@@ -117,7 +111,6 @@ impl Default for EngineConfig {
             snapshot_us_per_mb: 200,
             sample_interval: ms(500),
             check_semantics: false,
-            scheduler: SchedulerBackend::default(),
             regions: 1,
             resume_latency: 0,
             seed: 0xD225,
@@ -157,7 +150,7 @@ mod tests {
         assert_eq!(c.regions, 1, "the sequential engine is the default");
         assert_eq!(
             c.resume_latency, 0,
-            "PDES mode is opt-in; 0 preserves the merged-exact timeline"
+            "PDES mode is opt-in; 0 is the recorded sequential timeline"
         );
         assert_eq!(
             c.bus_sink,
@@ -170,13 +163,5 @@ mod tests {
     #[test]
     fn test_profile_checks_semantics() {
         assert!(EngineConfig::test().check_semantics);
-    }
-
-    #[test]
-    fn default_scheduler_is_the_calendar_queue() {
-        assert_eq!(
-            EngineConfig::default().scheduler,
-            SchedulerBackend::Calendar
-        );
     }
 }

@@ -302,7 +302,7 @@ impl BurstStore {
 ///
 /// # Size discipline
 ///
-/// `Ev` is what every scheduler-backend bucket move, heap sift and batch
+/// `Ev` is what every calendar bucket move, overflow-heap sift and run
 /// buffer copies, millions of times per run — its size is a hot-path
 /// constant. The dominant traffic (`Deliver`, `ProcDone`, `SourceTick`,
 /// `Wake`) carries at most 16 bytes inline; delivery bursts park in the

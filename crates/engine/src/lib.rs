@@ -72,5 +72,4 @@ pub use parallel::{run_parallel, ParallelReport};
 pub use record::{Record, ScaleSignal, SignalKind, StreamElement};
 pub use region::RegionMap;
 pub use scaling::{NoScale, ScalePlan, ScalePlugin, Selection};
-pub use simcore::SchedulerBackend;
-pub use world::{DispatchMode, Observables, Sim, World};
+pub use world::{Observables, Sim, World};

@@ -46,7 +46,7 @@
 //! PDES engine ([`CrossMode::Inline`]) pops them, so the merged
 //! [`Observables`] digest equals the sequential digest at the same
 //! `resume_latency`. Proptests in the workspace root enforce this across
-//! random graphs, region counts and dispatch modes.
+//! random graphs and region counts.
 //!
 //! When the factory's world is not in PDES mode (`resume_latency == 0` or
 //! a single region), the executor falls back to the plain sequential
@@ -319,11 +319,9 @@ where
 {
     let mut probe = factory();
     let k = probe.world.region_map.k();
-    if !probe.world.pdes() || k < 2 {
+    if !probe.world.pdes() {
         probe.run_until(horizon);
-        let per_region_events = (0..k.max(1))
-            .map(|r| probe.world.q.region_processed(r))
-            .collect();
+        let per_region_events = vec![probe.world.q.processed()];
         probe.world.bus.drain();
         return ParallelReport {
             obs: probe.world.observables(),
@@ -529,23 +527,5 @@ mod tests {
         for w in on1.bus_events.windows(2) {
             assert!((w[0].at, w[0].region) <= (w[1].at, w[1].region));
         }
-    }
-
-    #[test]
-    fn zero_resume_latency_falls_back_to_the_sequential_engine() {
-        let factory = || {
-            let (w, _) = tiny_job(cfg(2, 0), 20_000.0, 256, 4);
-            Sim::new(w, Box::new(NoScale))
-        };
-        let mut seq = factory();
-        assert!(!seq.world.pdes());
-        seq.run_until(secs(1));
-        let par = run_parallel(factory, secs(1));
-        assert_eq!(par.threads, 1, "fallback must stay sequential");
-        assert_eq!(par.digest(), seq.world.metrics_digest());
-        assert_eq!(
-            par.per_region_events.iter().sum::<u64>(),
-            seq.world.q.processed()
-        );
     }
 }

@@ -1,10 +1,12 @@
-//! Operator-graph partitioning for region-parallel scheduling.
+//! Operator-graph partitioning for PDES.
 //!
 //! [`RegionMap`] assigns every operator (and therefore every instance —
-//! instances inherit their operator's region, including instances created
-//! later by scale-out) to one of `k` scheduler regions, and derives the
-//! conservative lookahead matrix the region scheduler's
-//! Chandy–Misra–Bryant accounting runs on (see `simcore::region`).
+//! instances inherit their operator's region) to one of `k` scheduler
+//! regions, and derives the lookahead matrix that paces the
+//! thread-per-region executor's epochs (`crate::parallel`) and feeds the
+//! region scheduler's accounting (see `simcore::region`). The world
+//! partitions only in PDES mode (`regions > 1` and `resume_latency > 0`);
+//! every other world carries the trivial [`RegionMap::single`].
 //!
 //! # Partitioning
 //!
@@ -42,13 +44,12 @@
 //!   region; rerouted-record and confirm traffic follows predecessor
 //!   edges), so any edge `a → b` also caps the entry at `ctrl_latency`,
 //! * a cut channel `a → b` bounds the **reverse** entry `b → a` by the
-//!   engine's `resume_latency`: at 0 (the default) the receiver's `pump`
-//!   wakes a backpressure-blocked sender with a zero-delay `Ev::Wake` —
-//!   the zero-lookahead feedback loop that forces the merged-exact
-//!   scheduler design (see `simcore::region`). At `resume_latency > 0`
-//!   credit returns cross the cut as latency-bearing `CutCredit` events,
-//!   the reverse edge gains that much lookahead, and thread-per-region
-//!   execution (`engine::parallel`) becomes possible.
+//!   engine's `resume_latency`: credit returns cross the cut as
+//!   latency-bearing `CutCredit` events, so the reverse edge has exactly
+//!   that much lookahead. (At `resume_latency = 0` the receiver's `pump`
+//!   would wake a blocked sender at delay 0 — a zero-lookahead feedback
+//!   loop no epoch can be cut on — which is why such a world is not
+//!   partitioned at all.)
 //!
 //! Pairs with no connecting edge keep `SimTime::MAX` — fully independent
 //! pipelines never constrain each other.
@@ -58,16 +59,18 @@ use simcore::SimTime;
 use crate::channel::Channel;
 use crate::graph::{EdgeRt, OperatorRt};
 use crate::ids::{InstId, OpId};
-use crate::instance::Instance;
 
 /// The operator → region assignment plus the derived lookahead matrix.
 #[derive(Clone, Debug)]
 pub struct RegionMap {
     k: usize,
-    /// Region of each operator, indexed by `OpId`.
+    /// Region of each operator, indexed by `OpId` (empty on the single
+    /// map: everything is region 0).
     op_region: Vec<u8>,
     /// Region of each instance, indexed by `InstId` (instances inherit
-    /// their operator's region; extended on scale-out).
+    /// their operator's region). Empty on the single map, so instances a
+    /// scale-out adds later — possible only there, `start_scale` refuses
+    /// under PDES — are region 0 without any bookkeeping.
     inst_region: Vec<u8>,
     /// Row-major `k × k` lookahead matrix (see module docs).
     lookahead: Vec<SimTime>,
@@ -77,11 +80,11 @@ pub struct RegionMap {
 
 impl RegionMap {
     /// The trivial single-region map (the sequential engine).
-    pub fn single(n_ops: usize, n_insts: usize) -> Self {
+    pub fn single() -> Self {
         Self {
             k: 1,
-            op_region: vec![0; n_ops],
-            inst_region: vec![0; n_insts],
+            op_region: Vec::new(),
+            inst_region: Vec::new(),
             lookahead: vec![0],
             cut_channels: 0,
         }
@@ -101,7 +104,7 @@ impl RegionMap {
     ) -> Self {
         let k = k.min(ops.len()).max(1);
         if k == 1 {
-            return Self::single(ops.len(), n_insts);
+            return Self::single();
         }
 
         let topo = topo_order(ops, edges);
@@ -130,62 +133,38 @@ impl RegionMap {
             }
         }
 
-        let mut map = Self {
-            k,
-            op_region,
-            inst_region,
-            lookahead: Vec::new(),
-            cut_channels: 0,
-        };
-        map.rebuild_lookahead(edges, chans, ctrl_latency, resume_latency);
-        map
-    }
-
-    /// Recompute the lookahead matrix and cut-channel count from the
-    /// current channel set (build time, and again after scale-out wires
-    /// new channels — new channels between already-connected region pairs
-    /// cannot loosen the matrix, but this keeps the cut count honest).
-    pub fn rebuild_lookahead(
-        &mut self,
-        edges: &[EdgeRt],
-        chans: &[Channel],
-        ctrl_latency: SimTime,
-        resume_latency: SimTime,
-    ) {
-        let k = self.k;
+        let region_of = |i: InstId| inst_region[i.0 as usize] as usize;
         let mut la = vec![SimTime::MAX; k * k];
         for r in 0..k {
             la[r * k + r] = 0;
         }
         // Priority traffic follows edge directions (module docs).
         for e in edges {
-            let (a, b) = (self.op(e.from), self.op(e.to));
+            let (a, b) = (
+                op_region[e.from.0 as usize] as usize,
+                op_region[e.to.0 as usize] as usize,
+            );
             if a != b {
                 la[a * k + b] = la[a * k + b].min(ctrl_latency);
             }
         }
-        let mut cut = 0usize;
+        let mut cut_channels = 0usize;
         for c in chans {
-            let (a, b) = (self.inst(c.from), self.inst(c.to));
+            let (a, b) = (region_of(c.from), region_of(c.to));
             if a != b {
-                cut += 1;
+                cut_channels += 1;
                 la[a * k + b] = la[a * k + b].min(c.latency);
-                // Reverse edge: at resume_latency 0, pump() wakes a
-                // blocked sender at delay 0; at > 0 the credit-return
-                // CutCredit is the earliest reverse event.
+                // Reverse edge: the credit-return CutCredit is the
+                // earliest reverse event.
                 la[b * k + a] = la[b * k + a].min(resume_latency);
             }
         }
-        self.lookahead = la;
-        self.cut_channels = cut;
-    }
-
-    /// Extend the instance assignment after scale-out: every instance
-    /// beyond the already-mapped prefix inherits its operator's region.
-    pub fn extend_for_new_instances(&mut self, insts: &[Instance]) {
-        for inst in &insts[self.inst_region.len()..] {
-            let r = self.op_region[inst.op.0 as usize];
-            self.inst_region.push(r);
+        Self {
+            k,
+            op_region,
+            inst_region,
+            lookahead: la,
+            cut_channels,
         }
     }
 
@@ -198,13 +177,15 @@ impl RegionMap {
     /// Region of an operator.
     #[inline]
     pub fn op(&self, op: OpId) -> usize {
-        self.op_region[op.0 as usize] as usize
+        self.op_region.get(op.0 as usize).map_or(0, |&r| r as usize)
     }
 
     /// Region of an instance.
     #[inline]
     pub fn inst(&self, inst: InstId) -> usize {
-        self.inst_region[inst.0 as usize] as usize
+        self.inst_region
+            .get(inst.0 as usize)
+            .map_or(0, |&r| r as usize)
     }
 
     /// The row-major `k × k` lookahead matrix.
@@ -374,7 +355,7 @@ mod tests {
     #[test]
     fn single_map_is_all_region_zero() {
         let w = pipeline_world(2);
-        let m = RegionMap::compute(1, &w.ops, &w.edges, &w.chans, w.insts.len(), 50, 0);
+        let m = RegionMap::compute(1, &w.ops, &w.edges, &w.chans, w.insts.len(), 50, 30);
         assert_eq!(m.k(), 1);
         assert!(w.insts.iter().all(|i| m.inst(i.id) == 0));
         assert_eq!(m.cut_channels(), 0);
@@ -388,7 +369,7 @@ mod tests {
         // (1 vs 5) than src+map|sink (5 vs 1)? Equal — the earlier split
         // index wins the tie deterministically.
         let w = pipeline_world(4);
-        let m = RegionMap::compute(2, &w.ops, &w.edges, &w.chans, w.insts.len(), 50, 0);
+        let m = RegionMap::compute(2, &w.ops, &w.edges, &w.chans, w.insts.len(), 50, 30);
         assert_eq!(m.k(), 2);
         // All instances of one operator share a region.
         for op in &w.ops {
@@ -403,29 +384,13 @@ mod tests {
     }
 
     #[test]
-    fn lookahead_matrix_has_forward_latency_and_zero_reverse() {
+    fn lookahead_matrix_has_forward_latency_and_resume_latency_reverse() {
         let w = pipeline_world(2);
-        let m = RegionMap::compute(2, &w.ops, &w.edges, &w.chans, w.insts.len(), 50, 0);
-        let k = m.k();
-        let la = m.lookahead();
-        // Find the cut pair (a upstream of b).
-        let mut seen_cut = false;
-        for a in 0..k {
-            for b in 0..k {
-                if a == b {
-                    assert_eq!(la[a * k + b], 0);
-                    continue;
-                }
-                if la[a * k + b] != SimTime::MAX && la[a * k + b] > 0 {
-                    // Forward: capped by ctrl_latency (50 < net 200).
-                    assert_eq!(la[a * k + b], 50);
-                    // Reverse: the zero-delay wake path.
-                    assert_eq!(la[b * k + a], 0);
-                    seen_cut = true;
-                }
-            }
-        }
-        assert!(seen_cut, "a 2-region pipeline must have a cut pair");
+        let m = RegionMap::compute(2, &w.ops, &w.edges, &w.chans, w.insts.len(), 50, 30);
+        assert_eq!(m.k(), 2);
+        // Region 0 is upstream. Forward: capped by ctrl_latency (50 < net
+        // 200). Reverse: the credit-return path.
+        assert_eq!(m.lookahead(), &[0, 50, 30, 0]);
     }
 
     #[test]
@@ -447,7 +412,7 @@ mod tests {
             b.connect(map, sink, EdgeKind::Rebalance);
         }
         let w = b.build();
-        let m = RegionMap::compute(2, &w.ops, &w.edges, &w.chans, w.insts.len(), 50, 0);
+        let m = RegionMap::compute(2, &w.ops, &w.edges, &w.chans, w.insts.len(), 50, 30);
         assert_eq!(m.k(), 2);
         assert_eq!(m.cut_channels(), 0, "components must never be split");
         let la = m.lookahead();
@@ -465,7 +430,7 @@ mod tests {
     #[test]
     fn k_clamps_to_operator_count() {
         let w = pipeline_world(2);
-        let m = RegionMap::compute(64, &w.ops, &w.edges, &w.chans, w.insts.len(), 50, 0);
+        let m = RegionMap::compute(64, &w.ops, &w.edges, &w.chans, w.insts.len(), 50, 30);
         assert!(m.k() <= 3, "three ops cannot make more than three regions");
         assert!(m.k() >= 2);
     }

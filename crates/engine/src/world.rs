@@ -134,10 +134,8 @@ pub struct World {
     /// Run metrics.
     pub metrics: Metrics,
     /// Operator/instance → scheduler-region assignment plus the lookahead
-    /// matrix (trivial when `cfg.regions <= 1`). Region tags steer which
-    /// per-region queue stores an event — never its pop order, which is
-    /// the global `(at, seq)` total order for any region count (see
-    /// `simcore::region`).
+    /// matrix. A real partition only in PDES mode; every other world
+    /// carries the trivial single-region map (see [`Self::pdes`]).
     pub region_map: crate::region::RegionMap,
     /// Per-key order checker (enabled via config).
     pub semantics: SemanticsChecker,
@@ -155,10 +153,10 @@ pub struct World {
     /// Suspension series tracks instances of this op (set at scale time;
     /// defaults to all Transform ops).
     suspension_op: Option<OpId>,
-    /// Is PDES mode active (`resume_latency > 0` and more than one
-    /// region)? Frozen at build time. When false, nothing in the
-    /// cut-channel credit machinery runs and every digest is byte-for-byte
-    /// the merged-exact sequential timeline.
+    /// Is PDES mode active, i.e. is the world partitioned
+    /// (`region_map.k() > 1`)? Frozen at build time. When false, nothing
+    /// in the cut-channel credit machinery runs: this is the single-queue
+    /// sequential engine.
     pdes: bool,
     /// Where region-crossing events go in PDES mode (see [`CrossMode`]).
     cross_mode: CrossMode,
@@ -312,10 +310,11 @@ impl World {
             inst.rr_cursor = vec![0; edges.len()];
         }
 
-        // Partition the operator graph into scheduler regions (trivial for
-        // the default regions=1) before the event list exists — source
-        // ticks below are already tagged.
-        let region_map = if cfg.regions > 1 {
+        // Partition the operator graph into scheduler regions before the
+        // event list exists — source ticks below are already tagged. Only
+        // a nonzero resume latency makes a partition worth having (see
+        // `EngineConfig::regions`); everything else is one region.
+        let region_map = if cfg.regions > 1 && cfg.resume_latency > 0 {
             crate::region::RegionMap::compute(
                 cfg.regions,
                 &ops,
@@ -326,15 +325,15 @@ impl World {
                 cfg.resume_latency,
             )
         } else {
-            crate::region::RegionMap::single(ops.len(), insts.len())
+            crate::region::RegionMap::single()
         };
 
-        // PDES mode: nonzero resume latency with a real partition. Cut
-        // channels switch to the sender-owned credit protocol, same-instant
-        // pop order becomes region-major, and randomness is striped per
-        // region — all chosen so the sequential PDES engine and the
-        // thread-per-region replicas produce identical digests.
-        let pdes = cfg.resume_latency > 0 && region_map.k() > 1;
+        // PDES mode: a real partition. Cut channels switch to the
+        // sender-owned credit protocol, same-instant pop order is
+        // region-major, and randomness is striped per region — all chosen
+        // so the sequential PDES engine and the thread-per-region replicas
+        // produce identical digests.
+        let pdes = region_map.k() > 1;
         if pdes {
             assert!(
                 cfg.checkpoint_interval.is_none(),
@@ -351,19 +350,10 @@ impl World {
 
         // Pre-size the future-event list: in steady state it holds at most
         // a few events per instance (ticks, quanta) plus in-flight elements
-        // bounded by per-channel credits. The backend comes from config;
-        // both pop identical sequences, so this is a pure perf knob — and
-        // so is the region count (any partitioning pops the identical
-        // global `(at, seq)` order).
-        let mut q = EventQueue::with_backend_regions(
-            cfg.scheduler,
-            insts.len() * 8 + chans.len() * 4 + 64,
-            region_map.k(),
-        );
+        // bounded by per-channel credits.
+        let mut q =
+            EventQueue::with_regions(insts.len() * 8 + chans.len() * 4 + 64, region_map.k());
         q.set_region_lookahead(region_map.lookahead());
-        if pdes {
-            q.set_region_major(true);
-        }
         // Arm source ticks (jittered so they do not all fire in lockstep).
         for inst in insts.iter() {
             if inst.source.is_some() {
@@ -418,8 +408,8 @@ impl World {
         }
     }
 
-    /// Is PDES mode active (`resume_latency > 0` and more than one
-    /// region)?
+    /// Is PDES mode active (`resume_latency > 0` and a partition of more
+    /// than one region)?
     #[inline]
     pub fn pdes(&self) -> bool {
         self.pdes
@@ -1327,8 +1317,9 @@ impl World {
     /// chan_pop → pump` reads `has_credit()`, which must see the exact
     /// sequential `in_flight`. Deliveries are still pushed strictly one
     /// at a time before their own `try_start` (batching the pushes would
-    /// let the first quantum see later records). The cross-dispatch
-    /// digest check in `perf_report` enforces all of this.
+    /// let the first quantum see later records). The tests that drive the
+    /// one-event-at-a-time loop by hand against `Sim::dispatch_until`
+    /// enforce all of this.
     pub fn dispatch_run(&mut self, plugin: &mut dyn ScalePlugin, buf: &mut Vec<Ev>) {
         // Deferred credit decrements for the current Deliver streak.
         let mut cur: Option<(ChannelId, usize)> = None;
@@ -1583,21 +1574,6 @@ impl World {
         // cached predecessor lists must see the new instances.
         self.refresh_pred_caches_after(op);
 
-        // Scale-out instances inherit their operator's scheduler region,
-        // and the freshly wired channels fold into the lookahead matrix
-        // (they connect already-linked region pairs, so the matrix can
-        // only stay equal — but the cut-channel count must stay honest).
-        self.region_map.extend_for_new_instances(&self.insts);
-        if self.region_map.k() > 1 {
-            self.region_map.rebuild_lookahead(
-                &self.edges,
-                &self.chans,
-                self.cfg.ctrl_latency,
-                self.cfg.resume_latency,
-            );
-            self.q.set_region_lookahead(self.region_map.lookahead());
-        }
-
         // Compute the moves with the uniform re-partitioning strategy.
         let base = self
             .keyed_in_edges(op)
@@ -1680,10 +1656,10 @@ impl World {
                 };
                 self.bus.publish(now, reg, tick);
             }
-            // Sequential multi-region runs surface the region scheduler's
+            // Sequential PDES runs surface the region scheduler's
             // cumulative sync accounting here; the parallel executor
             // publishes its own per-epoch `SyncEpoch` events instead.
-            if self.region_map.k() > 1 && !outbox {
+            if self.pdes && !outbox {
                 let s = self.q.region_sync_stats();
                 let ev = BusEventKind::SyncEpoch {
                     epochs: s.runs,
@@ -2365,52 +2341,13 @@ impl Observables {
     }
 }
 
-/// How the driver pulls events off the future-event list.
-///
-/// The two modes are required to be **behavior-identical** — same event
-/// order, same clock at every dispatch, same digests ([`perf_report`
-/// A/Bs them and hard-fails on divergence]). Batch is a pure perf knob:
-/// same-instant runs are drained with one cursor walk and one clock
-/// update instead of one per event.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum DispatchMode {
-    /// One `pop_at_most` per dispatched event — the reference loop every
-    /// batching change is digest-verified against.
-    SinglePop,
-    /// Drain each same-instant run in one `pop_run_at_most` call and
-    /// dispatch it from the driver's reused scratch buffer. The default.
-    #[default]
-    Batch,
-}
-
-impl DispatchMode {
-    /// Parse a mode name as used by CLI flags (`single` / `batch`).
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "single" | "single-pop" | "singlepop" => Some(Self::SinglePop),
-            "batch" => Some(Self::Batch),
-            _ => None,
-        }
-    }
-
-    /// The flag-style name (`single` / `batch`).
-    pub fn name(self) -> &'static str {
-        match self {
-            Self::SinglePop => "single",
-            Self::Batch => "batch",
-        }
-    }
-}
-
 /// The simulation driver: a world plus the rescaling mechanism under test.
 pub struct Sim {
     /// The world.
     pub world: World,
     /// The mechanism.
     pub plugin: Box<dyn ScalePlugin>,
-    /// Single-pop vs batch dispatch (see [`DispatchMode`]).
-    mode: DispatchMode,
-    /// Scratch buffer for batch dispatch. Owned by the driver — the
+    /// Scratch buffer for the dispatch loop. Owned by the driver — the
     /// future-event list only ever borrows it per `pop_run_at_most` call —
     /// and reused across runs, so the dispatch loop allocates nothing in
     /// steady state (the buffer grows to the largest same-instant run and
@@ -2424,25 +2361,8 @@ impl Sim {
         Self {
             world,
             plugin,
-            mode: DispatchMode::default(),
             batch: Vec::new(),
         }
-    }
-
-    /// Select the dispatch mode (builder-style; default [`DispatchMode::Batch`]).
-    pub fn with_dispatch_mode(mut self, mode: DispatchMode) -> Self {
-        self.set_dispatch_mode(mode);
-        self
-    }
-
-    /// Select the dispatch mode.
-    pub fn set_dispatch_mode(&mut self, mode: DispatchMode) {
-        self.mode = mode;
-    }
-
-    /// The current dispatch mode.
-    pub fn dispatch_mode(&self) -> DispatchMode {
-        self.mode
     }
 
     /// Run until simulated time `t`. On return the clock is *at* `t`: the
@@ -2462,28 +2382,25 @@ impl Sim {
     /// clock must stay on the last dispatched event so the next slice's
     /// cross arrivals are still in the future); [`Self::run_until`] is
     /// this plus the final clock advance.
+    ///
+    /// This is the engine's one dispatch loop: drain each same-instant run
+    /// with a single `pop_run_at_most` (one clock update and one scheduler
+    /// cursor walk per run) and hand it to [`World::dispatch_run`]. Its
+    /// reference semantics are the one-event-at-a-time loop
+    /// `while let Some((_, ev)) = q.pop_at_most(t) { world.dispatch(plugin,
+    /// ev) }` — both halves are public, and the tests drive exactly that
+    /// loop by hand and require identical digests.
     pub fn dispatch_until(&mut self, t: SimTime) {
-        // Hoisted out of the dispatch loop: one plugin re-borrow per run
-        // (not per event), and — in batch mode — one clock update and one
-        // scheduler cursor walk per same-instant run.
+        // Hoisted out of the loop: one plugin re-borrow per call.
         let plugin = &mut *self.plugin;
-        match self.mode {
-            DispatchMode::SinglePop => {
-                while let Some((_, ev)) = self.world.q.pop_at_most(t) {
-                    self.world.dispatch(plugin, ev);
-                }
-            }
-            DispatchMode::Batch => {
-                let buf = &mut self.batch;
-                // Events scheduled while a run is being dispatched (at the
-                // run's own instant or later) are never part of the drained
-                // buffer: they pop as a later run, exactly where single-pop
-                // dispatch would put them, because their sequence numbers
-                // are larger than everything already drained.
-                while self.world.q.pop_run_at_most(t, buf).is_some() {
-                    self.world.dispatch_run(plugin, buf);
-                }
-            }
+        let buf = &mut self.batch;
+        // Events scheduled while a run is being dispatched (at the run's
+        // own instant or later) are never part of the drained buffer: they
+        // pop as a later run, exactly where one-at-a-time popping would
+        // put them, because their sequence numbers are larger than
+        // everything already drained.
+        while self.world.q.pop_run_at_most(t, buf).is_some() {
+            self.world.dispatch_run(plugin, buf);
         }
     }
 }
@@ -2523,6 +2440,16 @@ pub mod tests_support {
         }
     }
 
+    /// The reference semantics of [`Sim::run_until`]: pop one event at a
+    /// time and hand it to the plain per-element [`World::dispatch`]. Tests
+    /// drive this against the production loop and require equal digests.
+    pub fn run_until_one_at_a_time(sim: &mut Sim, t: SimTime) {
+        while let Some((_, ev)) = sim.world.q.pop_at_most(t) {
+            sim.world.dispatch(&mut *sim.plugin, ev);
+        }
+        sim.world.q.advance_clock_to(t);
+    }
+
     /// Build a tiny source → keyed-agg → sink job for tests.
     pub fn tiny_job(cfg: EngineConfig, rate: f64, universe: u64, par: usize) -> (World, OpId) {
         use crate::graph::{EdgeKind, JobBuilder};
@@ -2556,8 +2483,7 @@ pub mod tests_support {
     /// one job. The region partitioner keeps connected components whole,
     /// so with `cfg.regions >= pipes` every pipeline gets its own region
     /// and zero channels cross a region boundary (infinite lookahead) —
-    /// the best case for region-partitioned scheduling, and still required
-    /// to be digest-identical to the single-region run.
+    /// the best case for region-partitioned execution.
     pub fn twin_jobs(
         cfg: EngineConfig,
         rate: f64,
@@ -2916,74 +2842,89 @@ mod tests {
     }
 
     #[test]
-    fn batch_and_single_dispatch_produce_identical_digests() {
-        // The dispatch mode is a pure perf knob: draining a same-instant
-        // run in one scheduler call must not change the event
-        // interleaving. A mid-run scale keeps the control plane (boxed
-        // priority/control events) in the mix.
-        let digest = |mode: DispatchMode| {
+    fn dispatch_loop_matches_one_at_a_time_popping() {
+        // Draining a same-instant run in one scheduler call (and fusing its
+        // deliveries) must not change the event interleaving — on the
+        // sequential engine with a mid-run scale (boxed priority/control
+        // events in the mix), and on the sequential PDES engine.
+        let digest = |regions: usize, resume_latency: SimTime, one_at_a_time: bool| {
             let mut cfg = EngineConfig::test();
             cfg.seed = 0xBA7C;
-            let (mut w, agg) = tiny_job(cfg, 8_000.0, 256, 2);
-            w.schedule_scale(secs(1), agg, 4);
-            let mut sim = Sim::new(w, Box::new(NoScale)).with_dispatch_mode(mode);
-            sim.run_until(secs(4));
-            (sim.world.metrics_digest(), sim.world.q.processed())
-        };
-        assert_eq!(
-            digest(DispatchMode::SinglePop),
-            digest(DispatchMode::Batch),
-            "batch dispatch changed the event interleaving"
-        );
-    }
-
-    #[test]
-    fn region_counts_produce_identical_digests() {
-        // The region count is a pure perf knob like the backend and the
-        // dispatch mode: any partitioning must pop the identical global
-        // (at, seq) order. A mid-run rescale exercises scale-out region
-        // inheritance and the lookahead refresh.
-        let digest = |regions: usize, mode: DispatchMode| {
-            let mut cfg = EngineConfig::test();
-            cfg.seed = 0x7E91;
             cfg.regions = regions;
+            cfg.resume_latency = resume_latency;
             let (mut w, agg) = tiny_job(cfg, 8_000.0, 256, 2);
-            w.schedule_scale(secs(1), agg, 4);
-            let mut sim = Sim::new(w, Box::new(NoScale)).with_dispatch_mode(mode);
-            sim.run_until(secs(4));
+            if !w.pdes() {
+                w.schedule_scale(secs(1), agg, 4);
+            }
+            let mut sim = Sim::new(w, Box::new(NoScale));
+            if one_at_a_time {
+                run_until_one_at_a_time(&mut sim, secs(4));
+            } else {
+                sim.run_until(secs(4));
+            }
             (sim.world.metrics_digest(), sim.world.q.processed())
         };
-        let reference = digest(1, DispatchMode::SinglePop);
-        for regions in [1usize, 2, 3] {
-            for mode in [DispatchMode::SinglePop, DispatchMode::Batch] {
-                assert_eq!(
-                    digest(regions, mode),
-                    reference,
-                    "regions={regions} mode={mode:?} diverged from the sequential engine"
-                );
-            }
+        for (regions, rl) in [(1, 0), (2, 100), (3, 100)] {
+            assert_eq!(
+                digest(regions, rl, true),
+                digest(regions, rl, false),
+                "regions={regions} resume_latency={rl}: the dispatch loop changed \
+                 the event interleaving"
+            );
         }
     }
 
     #[test]
-    fn disjoint_pipelines_have_no_cut_and_identical_digests() {
-        let digest = |regions: usize| {
+    fn regions_without_resume_latency_build_the_sequential_engine() {
+        // `regions` means PDES partition only: with no resume latency there
+        // is no lookahead to run a partition on, so the world is the
+        // single-queue engine — same digest, same logical event count, a
+        // mid-run rescale included (refused under PDES, fine here) — and
+        // the thread-per-region executor runs it on the calling thread.
+        let build = |regions: usize| {
             let mut cfg = EngineConfig::test();
-            cfg.seed = 0x2F2F;
+            cfg.seed = 0x7E91;
             cfg.regions = regions;
-            let w = twin_jobs(cfg, 4_000.0, 128, 2, 2);
-            if regions == 2 {
-                assert_eq!(
-                    w.region_map.cut_channels(),
-                    0,
-                    "disjoint pipelines must not be split across a cut"
-                );
-            }
-            let mut sim = Sim::new(w, Box::new(NoScale));
-            sim.run_until(secs(3));
-            (sim.world.metrics_digest(), sim.world.q.processed())
+            let (mut w, agg) = tiny_job(cfg, 8_000.0, 256, 2);
+            assert!(!w.pdes());
+            assert_eq!(w.q.regions(), 1);
+            assert_eq!(w.region_map.k(), 1);
+            assert!(w.chans.iter().all(|c| !c.cut));
+            w.schedule_scale(secs(1), agg, 4);
+            Sim::new(w, Box::new(NoScale))
         };
-        assert_eq!(digest(1), digest(2));
+        let run = |regions: usize| {
+            let mut sim = build(regions);
+            sim.run_until(secs(4));
+            let w = &sim.world;
+            assert!(w.insts.iter().all(|i| w.region_map.inst(i.id) == 0));
+            assert_eq!(
+                (0..regions).map(|r| w.q.region_processed(r)).sum::<u64>(),
+                w.q.processed()
+            );
+            (w.metrics_digest(), w.q.processed())
+        };
+        let reference = run(1);
+        assert_eq!(run(2), reference);
+        assert_eq!(run(3), reference);
+        let par = crate::parallel::run_parallel(|| build(2), secs(4));
+        assert_eq!(par.threads, 1, "fallback must stay sequential");
+        assert_eq!((par.digest(), par.obs.processed), reference);
+        assert_eq!(par.per_region_events, vec![reference.1]);
+    }
+
+    #[test]
+    fn disjoint_pipelines_have_no_cut() {
+        let mut cfg = EngineConfig::test();
+        cfg.regions = 2;
+        cfg.resume_latency = 100;
+        let w = twin_jobs(cfg, 4_000.0, 128, 2, 2);
+        assert!(w.pdes());
+        assert_eq!(
+            w.region_map.cut_channels(),
+            0,
+            "disjoint pipelines must not be split across a cut"
+        );
     }
 
     // -----------------------------------------------------------------
@@ -3017,6 +2958,24 @@ mod tests {
         (w, ch)
     }
 
+    /// Which of the two public dispatch entry points a burst test drives:
+    /// the plain per-element `dispatch` (the reference) or the fused
+    /// `dispatch_run` the engine's loop uses.
+    #[derive(Clone, Copy, Debug)]
+    enum Via {
+        Dispatch,
+        DispatchRun,
+    }
+
+    const MODES: [Via; 2] = [Via::Dispatch, Via::DispatchRun];
+
+    fn dispatch_via(w: &mut World, plugin: &mut dyn ScalePlugin, ev: Ev, mode: Via) {
+        match mode {
+            Via::Dispatch => w.dispatch(plugin, ev),
+            Via::DispatchRun => w.dispatch_run(plugin, &mut vec![ev]),
+        }
+    }
+
     /// Pop everything due by `t`, dispatching only the `Deliver` events
     /// (one at a time or as one-event runs) and dropping the rest. Returns
     /// `(deliver events, other events)` popped.
@@ -3024,7 +2983,7 @@ mod tests {
         w: &mut World,
         plugin: &mut dyn ScalePlugin,
         t: SimTime,
-        mode: DispatchMode,
+        mode: Via,
     ) -> (u64, u64) {
         let (mut delivers, mut others) = (0, 0);
         while let Some((_, ev)) = w.q.pop_at_most(t) {
@@ -3033,15 +2992,10 @@ mod tests {
                 continue;
             }
             delivers += 1;
-            match mode {
-                DispatchMode::SinglePop => w.dispatch(plugin, ev),
-                DispatchMode::Batch => w.dispatch_run(plugin, &mut vec![ev]),
-            }
+            dispatch_via(w, plugin, ev, mode);
         }
         (delivers, others)
     }
-
-    const MODES: [DispatchMode; 2] = [DispatchMode::SinglePop, DispatchMode::Batch];
 
     #[test]
     fn burst_extends_only_while_no_seq_was_minted_in_between() {
@@ -3153,10 +3107,7 @@ mod tests {
             let pending = w.q.len();
             let (_, ev) = w.q.pop().expect("the burst is due first");
             assert!(matches!(ev, Ev::Deliver { .. }));
-            match mode {
-                DispatchMode::SinglePop => w.dispatch(&mut plugin, ev),
-                DispatchMode::Batch => w.dispatch_run(&mut plugin, &mut vec![ev]),
-            }
+            dispatch_via(&mut w, &mut plugin, ev, mode);
             assert!(plugin.sent_on_select);
             assert_eq!(queued_wms(&w, ch), vec![1, 2], "{mode:?}");
             assert_eq!(
@@ -3174,9 +3125,9 @@ mod tests {
     #[test]
     fn a_send_landing_in_a_still_pending_burst_of_its_own_run_is_delivered_once() {
         // Zero latency again. The timer sorts before the burst at the same
-        // instant, so batch dispatch drains both into one run; the timer's
-        // send extends the burst while its event already sits in the
-        // drained buffer. It must come out once, after the burst's own
+        // instant, so the dispatch loop drains both into one run; the
+        // timer's send extends the burst while its event already sits in
+        // the drained buffer. It must come out once, after the burst's own
         // element — where its own event would have popped.
         for mode in MODES {
             let (mut w, ch) = burst_fixture(0, true);
@@ -3186,8 +3137,11 @@ mod tests {
                 ch,
                 sent_on_select: false,
             };
-            let mut sim = Sim::new(w, Box::new(plugin)).with_dispatch_mode(mode);
-            sim.dispatch_until(0);
+            let mut sim = Sim::new(w, Box::new(plugin));
+            match mode {
+                Via::Dispatch => run_until_one_at_a_time(&mut sim, 0),
+                Via::DispatchRun => sim.run_until(0),
+            }
             let w = &sim.world;
             assert_eq!(queued_wms(w, ch), vec![1, 2], "{mode:?}");
             assert_eq!(w.arena.len(), 2, "{mode:?}");
@@ -3222,14 +3176,15 @@ mod tests {
     fn region_sync_stats_account_conservative_progress() {
         let mut cfg = EngineConfig::test();
         cfg.regions = 2;
+        cfg.resume_latency = 100;
         let (w, _) = tiny_job(cfg, 4_000.0, 128, 2);
         let mut sim = Sim::new(w, Box::new(NoScale));
         sim.run_until(secs(2));
         let stats = sim.world.q.region_sync_stats();
         assert!(stats.runs > 0, "no runs were accounted");
-        // A cut pipeline has zero-lookahead reverse edges, so some pops
-        // must have needed the global-minimum rule (the lockstep the
-        // merged scheduler collapses — see simcore::region docs).
+        // The cut's lookahead (ctrl/resume latency) is far below the 10 ms
+        // source-tick gap, so some pops must have exceeded a region's
+        // pure-lookahead bound.
         assert!(
             stats.min_rule_grants > 0,
             "a cut pipeline cannot advance on lookahead alone"

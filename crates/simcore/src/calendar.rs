@@ -1,4 +1,4 @@
-//! A hierarchical calendar queue — the O(1) backend of the
+//! A hierarchical calendar queue — the O(1) priority queue under the
 //! [`FutureEventList`](crate::queue::FutureEventList).
 //!
 //! # Structure
@@ -57,7 +57,8 @@
 //! schedule sequence pop byte-identical `(time, event)` sequences. The
 //! engine's event interleaving (and therefore every metrics digest) is
 //! downstream of this property; treat any change here like a semantics
-//! change and re-verify with `perf_report`'s cross-backend digest check.
+//! change and re-verify with `perf_report --baseline BENCH_PR8.json
+//! --require-digest-match`.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
@@ -124,10 +125,8 @@ const SMALL_SORTED_LEN: usize = 16;
 
 /// A hierarchical calendar queue ordered by `(at, seq)`.
 ///
-/// This is the backend behind
-/// [`SchedulerBackend::Calendar`](crate::queue::SchedulerBackend); use it
-/// through [`FutureEventList`](crate::queue::FutureEventList), which owns
-/// the clock, the sequence numbers and the past-clamp. The queue itself
+/// Use it through [`FutureEventList`](crate::queue::FutureEventList), which
+/// owns the clock, the sequence numbers and the past-clamp. The queue itself
 /// only requires that pushes carry unique `seq` values and that no push is
 /// earlier than the last popped `at` (the clamp upholds both).
 pub struct CalendarQueue<E> {
@@ -346,46 +345,6 @@ impl<E> CalendarQueue<E> {
     /// the queue is unchanged.
     pub fn peek_time(&mut self) -> Option<SimTime> {
         self.position_cursor()
-    }
-
-    /// `(at, seq)` key of the earliest pending event — the region
-    /// scheduler's merge key. Same cursor-advancing caveat as
-    /// [`peek_time`](Self::peek_time); after
-    /// [`position_cursor`](Self::position_cursor) returns, the current
-    /// day's bucket is sorted and its front is the proven global minimum,
-    /// so the key is one front read.
-    pub fn peek_key(&mut self) -> Option<(SimTime, u64)> {
-        self.position_cursor()?;
-        let b = (self.cur_day & self.mask) as usize;
-        self.buckets[b].q.front().map(|e| (e.at, e.seq))
-    }
-
-    /// Like [`pop_run_at_most`](Self::pop_run_at_most) but appends whole
-    /// `(at, seq, event)` entries instead of bare payloads. The region
-    /// scheduler drains same-instant runs from several per-region queues
-    /// and needs the `seq` keys to merge them back into the global FIFO
-    /// order.
-    pub fn pop_run_keyed_at_most(
-        &mut self,
-        t: SimTime,
-        out: &mut Vec<Scheduled<E>>,
-    ) -> Option<(SimTime, usize)> {
-        let at = self.position_cursor()?;
-        if at > t {
-            return None;
-        }
-        let b = (self.cur_day & self.mask) as usize;
-        let bucket = &mut self.buckets[b];
-        let mut n = 0usize;
-        while bucket.q.front().is_some_and(|e| e.at == at) {
-            out.push(bucket.q.pop_front().expect("checked front"));
-            n += 1;
-        }
-        debug_assert!(n > 0, "positioned cursor must yield at least one event");
-        self.in_buckets -= n;
-        self.ops_since_resize += n as u64;
-        self.maybe_decay_peak();
-        Some((at, n))
     }
 
     /// Advance the cursor until the current day's bucket front is the

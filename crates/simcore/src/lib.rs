@@ -4,9 +4,9 @@
 //!
 //! * [`SimTime`] / [`time`] — simulated time in microseconds with helpers,
 //! * [`FutureEventList`] (alias [`EventQueue`]) — a monotonic future-event
-//!   list with stable FIFO ordering among same-timestamp events and a
-//!   pluggable backend ([`SchedulerBackend`]): the reference binary heap or
-//!   the O(1) hierarchical [`calendar`] queue (the default),
+//!   list with stable FIFO ordering among same-timestamp events, stored in
+//!   the O(1) hierarchical [`calendar`] queue (one per [`region`] under
+//!   PDES),
 //! * [`rng`] — a seedable deterministic random source plus a Zipf sampler
 //!   (used by workload generators; `rand_distr` is not vendored offline, so
 //!   the Zipf sampler is implemented here),
@@ -30,7 +30,7 @@ pub mod time;
 
 pub use calendar::CalendarQueue;
 pub use hash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
-pub use queue::{EventQueue, FutureEventList, SchedulerBackend};
+pub use queue::{EventQueue, FutureEventList};
 pub use region::{RegionScheduler, SyncStats};
 pub use rng::{DetRng, Zipf};
 pub use slab::{Slab, SlabRef};

@@ -2,17 +2,12 @@
 //!
 //! [`FutureEventList`] is the simulator's scheduler subsystem: it owns the
 //! monotonic clock, the schedule-order sequence numbers and the past-clamp
-//! semantics, and delegates the priority-queue mechanics to one of two
-//! pluggable backends selected by [`SchedulerBackend`]:
+//! semantics, and stores pending events in a hierarchical calendar queue
+//! ([`CalendarQueue`]) — O(1) amortized schedule/pop for the short-horizon
+//! events that dominate this simulator — or, for a PDES-partitioned world,
+//! in one calendar queue per region ([`crate::region`]).
 //!
-//! * **`BinaryHeap`** — the classic O(log n) heap, kept as the reference
-//!   implementation and the A/B baseline,
-//! * **`Calendar`** — a hierarchical calendar queue
-//!   ([`CalendarQueue`](crate::calendar::CalendarQueue)) with O(1) amortized
-//!   schedule/pop for the short-horizon events that dominate this simulator.
-//!
-//! Both backends honour the same contract and two lists fed the same
-//! `schedule`/`schedule_at` sequence pop the same `(time, event)` sequence:
+//! The contract:
 //!
 //! 1. events pop in non-decreasing timestamp order,
 //! 2. events scheduled for the same instant pop in the order they were
@@ -20,18 +15,21 @@
 //!    determinism: two runs with the same seed must interleave identically,
 //! 3. scheduling in the past clamps to "now" — the clock never goes
 //!    backwards.
-
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+//!
+//! There is one backend. A binary heap ordered by `(at, seq)` satisfies the
+//! same contract trivially and used to be selectable here; it never paid
+//! for itself in a recorded number (−0.2 % end to end after PR 12), so it
+//! now lives only as the reference model the workspace proptests
+//! (`tests/proptests.rs`) compare this list against, next to the calendar
+//! queue's own min-scan differential fuzz in [`crate::calendar`].
 
 use crate::calendar::CalendarQueue;
 use crate::region::RegionScheduler;
 use crate::time::SimTime;
 
 /// A timestamped event with its schedule-order sequence number. Ordered by
-/// `(at, seq)` so same-instant events keep FIFO order. Shared by both
-/// scheduler backends; [`FutureEventList`] mints these (the `seq` values
-/// must be unique per list).
+/// `(at, seq)` so same-instant events keep FIFO order. [`FutureEventList`]
+/// mints these (the `seq` values must be unique per list).
 ///
 /// Equality and ordering deliberately compare the `(at, seq)` key only and
 /// **ignore the payload**: `seq` is unique per list, so the key identifies
@@ -63,174 +61,12 @@ impl<E> Ord for Scheduled<E> {
     }
 }
 
-/// Which priority-queue implementation backs a [`FutureEventList`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
-pub enum SchedulerBackend {
-    /// `std::collections::BinaryHeap` — O(log n) schedule/pop. The
-    /// reference backend every rewrite is digest-verified against.
-    BinaryHeap,
-    /// Hierarchical calendar queue — O(1) amortized schedule/pop for
-    /// short-horizon events, with an overflow tier for far-future timers.
-    /// The default.
-    #[default]
-    Calendar,
-}
-
-impl SchedulerBackend {
-    /// Parse a backend name as used by CLI flags (`heap` / `calendar`).
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "heap" | "binary-heap" | "binaryheap" => Some(Self::BinaryHeap),
-            "calendar" | "calendar-queue" | "cq" => Some(Self::Calendar),
-            _ => None,
-        }
-    }
-
-    /// The flag-style name (`heap` / `calendar`).
-    pub fn name(self) -> &'static str {
-        match self {
-            Self::BinaryHeap => "heap",
-            Self::Calendar => "calendar",
-        }
-    }
-}
-
-/// One priority-queue instance behind a [`FutureEventList`] — the raw
-/// mechanics with none of the list's shell state (clock, sequence minting,
-/// past-clamp, processed counter). Extracted so the region scheduler
-/// ([`RegionScheduler`](crate::region::RegionScheduler)) can own one queue
-/// *per region* while a single shell keeps minting globally-unique
-/// `(at, seq)` keys across all of them.
-pub(crate) enum BackendQueue<E> {
-    Heap(BinaryHeap<Reverse<Scheduled<E>>>),
-    Calendar(CalendarQueue<E>),
-}
-
-impl<E> BackendQueue<E> {
-    pub(crate) fn new(kind: SchedulerBackend, cap: usize) -> Self {
-        match kind {
-            SchedulerBackend::BinaryHeap => Self::Heap(BinaryHeap::with_capacity(cap)),
-            SchedulerBackend::Calendar => Self::Calendar(CalendarQueue::with_capacity(cap)),
-        }
-    }
-
-    pub(crate) fn kind(&self) -> SchedulerBackend {
-        match self {
-            Self::Heap(_) => SchedulerBackend::BinaryHeap,
-            Self::Calendar(_) => SchedulerBackend::Calendar,
-        }
-    }
-
-    #[inline]
-    pub(crate) fn len(&self) -> usize {
-        match self {
-            Self::Heap(h) => h.len(),
-            Self::Calendar(c) => c.len(),
-        }
-    }
-
-    #[inline]
-    pub(crate) fn push(&mut self, s: Scheduled<E>) {
-        match self {
-            Self::Heap(h) => h.push(Reverse(s)),
-            Self::Calendar(c) => c.push(s),
-        }
-    }
-
-    /// Pop the earliest entry if due at or before `t`.
-    pub(crate) fn pop_at_most(&mut self, t: SimTime) -> Option<Scheduled<E>> {
-        match self {
-            Self::Heap(h) => {
-                if h.peek().is_none_or(|Reverse(s)| s.at > t) {
-                    return None;
-                }
-                Some(h.pop().map(|Reverse(s)| s).expect("peeked"))
-            }
-            Self::Calendar(c) => c.pop_at_most(t),
-        }
-    }
-
-    /// Drain the earliest same-instant run (if due by `t`), appending
-    /// payloads to `buf` in seq order. Does not clear `buf` — the caller
-    /// owns that decision.
-    pub(crate) fn pop_run_at_most(
-        &mut self,
-        t: SimTime,
-        buf: &mut Vec<E>,
-    ) -> Option<(SimTime, usize)> {
-        match self {
-            Self::Heap(h) => {
-                if h.peek().is_none_or(|Reverse(s)| s.at > t) {
-                    return None;
-                }
-                let Reverse(first) = h.pop().expect("peeked");
-                let at = first.at;
-                let start = buf.len();
-                buf.push(first.event);
-                // FIFO within the run comes from the heap's (at, seq)
-                // ordering: equal-`at` entries surface in seq order.
-                while h.peek().is_some_and(|Reverse(s)| s.at == at) {
-                    let Reverse(s) = h.pop().expect("peeked");
-                    buf.push(s.event);
-                }
-                Some((at, buf.len() - start))
-            }
-            Self::Calendar(c) => c.pop_run_at_most(t, buf),
-        }
-    }
-
-    /// Like [`pop_run_at_most`](Self::pop_run_at_most) but keeps each
-    /// entry's `(at, seq)` key — the region scheduler needs the keys to
-    /// merge same-instant runs drained from different regions back into
-    /// the global FIFO order.
-    pub(crate) fn pop_run_keyed_at_most(
-        &mut self,
-        t: SimTime,
-        out: &mut Vec<Scheduled<E>>,
-    ) -> Option<(SimTime, usize)> {
-        match self {
-            Self::Heap(h) => {
-                if h.peek().is_none_or(|Reverse(s)| s.at > t) {
-                    return None;
-                }
-                let Reverse(first) = h.pop().expect("peeked");
-                let at = first.at;
-                let start = out.len();
-                out.push(first);
-                while h.peek().is_some_and(|Reverse(s)| s.at == at) {
-                    let Reverse(s) = h.pop().expect("peeked");
-                    out.push(s);
-                }
-                Some((at, out.len() - start))
-            }
-            Self::Calendar(c) => c.pop_run_keyed_at_most(t, out),
-        }
-    }
-
-    /// The `(at, seq)` key of the earliest pending entry. `&mut self` for
-    /// the same reason as [`FutureEventList::peek_time`]: the calendar
-    /// backend positions its scan cursor while peeking.
-    pub(crate) fn peek_key(&mut self) -> Option<(SimTime, u64)> {
-        match self {
-            Self::Heap(h) => h.peek().map(|Reverse(s)| (s.at, s.seq)),
-            Self::Calendar(c) => c.peek_key(),
-        }
-    }
-
-    pub(crate) fn peek_time(&mut self) -> Option<SimTime> {
-        match self {
-            Self::Heap(h) => h.peek().map(|Reverse(s)| s.at),
-            Self::Calendar(c) => c.peek_time(),
-        }
-    }
-}
-
-/// A deterministic future-event list with a pluggable backend.
+/// A deterministic future-event list.
 ///
 /// `E` is the simulation's event type; the list never inspects it. The
-/// clock (`now`), the FIFO tie-break sequence and the past-clamp live here,
-/// shared by every backend — a backend only ever sees fully-formed
-/// `(at, seq, event)` triples and must return them in `(at, seq)` order.
+/// clock (`now`), the FIFO tie-break sequence and the past-clamp live here;
+/// the queue(s) underneath only ever see fully-formed `(at, seq, event)`
+/// triples and return them in `(at, seq)` order.
 pub struct FutureEventList<E> {
     lists: Lists<E>,
     now: SimTime,
@@ -238,10 +74,10 @@ pub struct FutureEventList<E> {
     processed: u64,
 }
 
-/// The list's storage: one backend queue, or one per region merged under
-/// the shared `(at, seq)` total order (see [`crate::region`]).
+/// The list's storage: one calendar queue, or one per PDES region (see
+/// [`crate::region`]).
 enum Lists<E> {
-    Single(BackendQueue<E>),
+    Single(CalendarQueue<E>),
     Regions(RegionScheduler<E>),
 }
 
@@ -256,62 +92,37 @@ impl<E> Default for FutureEventList<E> {
 }
 
 impl<E> FutureEventList<E> {
-    /// Create an empty list with the clock at zero, on the default backend.
+    /// Create an empty list with the clock at zero.
     pub fn new() -> Self {
         Self::with_capacity(0)
     }
 
-    /// Create an empty list with pre-allocated storage, on the default
-    /// backend. Sized from the world's entity counts at build time, this
-    /// keeps the future-event list from re-allocating during the
+    /// Create an empty list with pre-allocated storage for about `cap`
+    /// pending events. Sized from the world's entity counts at build time,
+    /// this keeps the future-event list from re-allocating during the
     /// simulation's warm-up ramp.
     pub fn with_capacity(cap: usize) -> Self {
-        Self::with_backend(SchedulerBackend::default(), cap)
-    }
-
-    /// Create an empty list on an explicit backend with pre-allocated
-    /// storage for about `cap` pending events.
-    pub fn with_backend(kind: SchedulerBackend, cap: usize) -> Self {
-        Self {
-            lists: Lists::Single(BackendQueue::new(kind, cap)),
-            now: 0,
-            seq: 0,
-            processed: 0,
-        }
+        Self::with_regions(cap, 1)
     }
 
     /// Create an empty list whose pending set is partitioned into
-    /// `regions` per-region queues merged under the list's global
-    /// `(at, seq)` order (conservative region-partitioned PDES; see
-    /// [`crate::region`]). `regions <= 1` degrades to the plain
-    /// single-queue list — same type, zero overhead. Events are assigned
-    /// to regions via [`schedule_tagged`](Self::schedule_tagged) /
+    /// `regions` per-region queues popped in region-major order (PDES; see
+    /// [`crate::region`]). `regions <= 1` is the plain single-queue list —
+    /// same type, zero overhead. Events are assigned to regions via
+    /// [`schedule_tagged`](Self::schedule_tagged) /
     /// [`schedule_at_tagged`](Self::schedule_at_tagged); the untagged
     /// `schedule` / `schedule_at` land in region 0.
-    ///
-    /// The popped `(time, event)` sequence is byte-identical to a
-    /// single-queue list fed the same schedule calls **for every region
-    /// assignment**: the merge compares globally-unique `(at, seq)` keys,
-    /// so region tagging is purely a performance decision (smaller
-    /// per-region populations, per-region calendar geometry), never a
-    /// semantic one.
-    pub fn with_backend_regions(kind: SchedulerBackend, cap: usize, regions: usize) -> Self {
-        if regions <= 1 {
-            return Self::with_backend(kind, cap);
-        }
+    pub fn with_regions(cap: usize, regions: usize) -> Self {
+        let lists = if regions <= 1 {
+            Lists::Single(CalendarQueue::with_capacity(cap))
+        } else {
+            Lists::Regions(RegionScheduler::new(cap, regions))
+        };
         Self {
-            lists: Lists::Regions(RegionScheduler::new(kind, cap, regions)),
+            lists,
             now: 0,
             seq: 0,
             processed: 0,
-        }
-    }
-
-    /// Which backend this list runs on.
-    pub fn backend(&self) -> SchedulerBackend {
-        match &self.lists {
-            Lists::Single(b) => b.kind(),
-            Lists::Regions(r) => r.kind(),
         }
     }
 
@@ -392,8 +203,7 @@ impl<E> FutureEventList<E> {
 
     /// Schedule `event` `delay` after the current time, assigning it to
     /// `region` (ignored on a single-queue list; clamped to the last
-    /// region otherwise). Region assignment never affects pop order —
-    /// only which per-region queue stores the event.
+    /// region otherwise).
     #[inline]
     pub fn schedule_tagged(&mut self, region: usize, delay: SimTime, event: E) {
         self.schedule_at_tagged(region, self.now.saturating_add(delay), event);
@@ -437,9 +247,11 @@ impl<E> FutureEventList<E> {
 
     /// Pop the next event only if it is due at or before `t`, advancing
     /// the clock to its timestamp. Events beyond `t` stay queued. This is
-    /// the dispatch loop's horizon check fused with the pop, so the
-    /// calendar backend positions its scan cursor once per event instead
-    /// of once for the peek and again for the pop.
+    /// a horizon check fused with the pop, so the calendar queue positions
+    /// its scan cursor once per event instead of once for the peek and
+    /// again for the pop. The engine's dispatch loop drains whole runs
+    /// ([`pop_run_at_most`](Self::pop_run_at_most)); popping one event at
+    /// a time is the reference order that loop is tested against.
     // checker:hot-path
     pub fn pop_at_most(&mut self, t: SimTime) -> Option<(SimTime, E)> {
         let s = match &mut self.lists {
@@ -460,11 +272,9 @@ impl<E> FutureEventList<E> {
     ///
     /// This is the batch form of [`pop_at_most`](Self::pop_at_most) for the
     /// engine's bursty pending sets (hundreds of deliveries massed at a
-    /// handful of instants): both backends locate the minimum once and then
-    /// drain its whole same-instant run — the calendar queue positions its
-    /// scan cursor a single time and takes the sorted bucket prefix, the
-    /// heap pops while the root's timestamp is unchanged — so the driver
-    /// pays one horizon check, one clock update and one cursor walk per
+    /// handful of instants): the calendar queue positions its scan cursor a
+    /// single time and takes the sorted bucket prefix, so the driver pays
+    /// one horizon check, one clock update and one cursor walk per
     /// *instant* instead of per *event*.
     ///
     /// Contract notes (see also the batch-drain section of `CHANGES.md`):
@@ -513,7 +323,7 @@ impl<E> FutureEventList<E> {
 
     /// Timestamp of the next pending event without popping it.
     ///
-    /// Takes `&mut self` because the calendar backend advances its bucket
+    /// Takes `&mut self` because the calendar queue advances its bucket
     /// scan cursor while peeking (the work is then reused by the next
     /// `pop`); the logical state is unchanged.
     pub fn peek_time(&mut self) -> Option<SimTime> {
@@ -524,8 +334,8 @@ impl<E> FutureEventList<E> {
     }
 
     // -----------------------------------------------------------------
-    // Region introspection (conservative-PDES accounting; see
-    // `crate::region`). All of these are trivial on a single-queue list.
+    // Region introspection (PDES accounting; see `crate::region`). All of
+    // these are trivial on a single-queue list.
     // -----------------------------------------------------------------
 
     /// Install the region lookahead matrix (row-major `k × k`;
@@ -544,28 +354,6 @@ impl<E> FutureEventList<E> {
         match &self.lists {
             Lists::Single(_) => self.now,
             Lists::Regions(r) => r.clock(region),
-        }
-    }
-
-    /// The conservative bound `region` may advance to on neighbor clocks +
-    /// lookahead alone (Chandy–Misra–Bryant). `SimTime::MAX` on a
-    /// single-queue list.
-    pub fn region_safe_until(&self, region: usize) -> SimTime {
-        match &self.lists {
-            Lists::Single(_) => SimTime::MAX,
-            Lists::Regions(r) => r.safe_until(region),
-        }
-    }
-
-    /// Which regions may dispatch their head event right now (lookahead
-    /// grant, or the global-minimum rule — see
-    /// [`RegionScheduler::grants`]). A single-queue list grants region 0
-    /// whenever non-empty.
-    pub fn region_grants(&mut self, out: &mut Vec<bool>) {
-        out.clear();
-        match &mut self.lists {
-            Lists::Single(b) => out.push(b.len() > 0),
-            Lists::Regions(r) => r.grants(out),
         }
     }
 
@@ -593,15 +381,6 @@ impl<E> FutureEventList<E> {
         }
     }
 
-    /// Enable region-major same-instant ordering (see
-    /// [`RegionScheduler::set_region_major`]). No-op on a single-queue
-    /// list.
-    pub fn set_region_major(&mut self, on: bool) {
-        if let Lists::Regions(r) = &mut self.lists {
-            r.set_region_major(on);
-        }
-    }
-
     /// Drop every region's pending events except `keep`'s (no-op on a
     /// single-queue list). Used by the thread-per-region executor: each
     /// replica builds the full world identically, then prunes its queue to
@@ -618,166 +397,141 @@ impl<E> FutureEventList<E> {
 mod tests {
     use super::*;
 
-    const BACKENDS: [SchedulerBackend; 2] =
-        [SchedulerBackend::BinaryHeap, SchedulerBackend::Calendar];
-
-    fn with_each(f: impl Fn(FutureEventList<&'static str>)) {
-        for b in BACKENDS {
-            f(FutureEventList::with_backend(b, 0));
-        }
-    }
-
     #[test]
     fn pops_in_time_order() {
-        with_each(|mut q| {
-            q.schedule(30, "c");
-            q.schedule(10, "a");
-            q.schedule(20, "b");
-            assert_eq!(q.pop(), Some((10, "a")));
-            assert_eq!(q.pop(), Some((20, "b")));
-            assert_eq!(q.pop(), Some((30, "c")));
-            assert_eq!(q.pop(), None);
-        });
+        let mut q = FutureEventList::new();
+        q.schedule(30, "c");
+        q.schedule(10, "a");
+        q.schedule(20, "b");
+        assert_eq!(q.pop(), Some((10, "a")));
+        assert_eq!(q.pop(), Some((20, "b")));
+        assert_eq!(q.pop(), Some((30, "c")));
+        assert_eq!(q.pop(), None);
     }
 
     #[test]
     fn ties_break_in_schedule_order() {
-        for b in BACKENDS {
-            let mut q = FutureEventList::with_backend(b, 0);
-            for i in 0..100 {
-                q.schedule(5, i);
-            }
-            for i in 0..100 {
-                assert_eq!(q.pop(), Some((5, i)), "backend {b:?}");
-            }
+        let mut q = FutureEventList::new();
+        for i in 0..100 {
+            q.schedule(5, i);
+        }
+        for i in 0..100 {
+            assert_eq!(q.pop(), Some((5, i)));
         }
     }
 
     #[test]
     fn clock_is_monotonic_and_past_is_clamped() {
-        with_each(|mut q| {
-            q.schedule(100, "later");
-            assert_eq!(q.pop(), Some((100, "later")));
-            // Scheduling "in the past" clamps to now.
-            q.schedule_at(50, "past");
-            assert_eq!(q.pop(), Some((100, "past")));
-            assert_eq!(q.now(), 100);
-        });
+        let mut q = FutureEventList::new();
+        q.schedule(100, "later");
+        assert_eq!(q.pop(), Some((100, "later")));
+        // Scheduling "in the past" clamps to now.
+        q.schedule_at(50, "past");
+        assert_eq!(q.pop(), Some((100, "past")));
+        assert_eq!(q.now(), 100);
     }
 
     #[test]
     fn relative_schedule_uses_current_clock() {
-        for b in BACKENDS {
-            let mut q = FutureEventList::with_backend(b, 0);
-            q.schedule(10, 1);
-            q.pop();
-            q.schedule(5, 2);
-            assert_eq!(q.pop(), Some((15, 2)));
-        }
+        let mut q = FutureEventList::new();
+        q.schedule(10, 1);
+        q.pop();
+        q.schedule(5, 2);
+        assert_eq!(q.pop(), Some((15, 2)));
     }
 
     #[test]
     fn counts_processed() {
-        for b in BACKENDS {
-            let mut q = FutureEventList::with_backend(b, 0);
-            q.schedule(1, ());
-            q.schedule(2, ());
-            q.pop();
-            q.pop();
-            assert_eq!(q.processed(), 2);
-            assert!(q.is_empty());
-        }
+        let mut q = FutureEventList::new();
+        q.schedule(1, ());
+        q.schedule(2, ());
+        q.pop();
+        q.pop();
+        assert_eq!(q.processed(), 2);
+        assert!(q.is_empty());
     }
 
     #[test]
     fn coalesced_entries_count_as_logical_events_in_their_region() {
-        for b in BACKENDS {
-            for regions in [1usize, 2] {
-                let mut q = FutureEventList::with_backend_regions(b, 0, regions);
-                assert_eq!(q.next_seq(), 0);
-                q.schedule_tagged(regions - 1, 5, "burst of three");
-                assert_eq!(q.next_seq(), 1);
-                // An explicit key mints nothing.
-                q.push_keyed(0, 5, 1 << 63, "keyed");
-                assert_eq!(q.next_seq(), 1);
-                assert_eq!(q.pop(), Some((5, "burst of three")));
-                q.note_coalesced(regions - 1, 2);
-                assert_eq!(q.pop(), Some((5, "keyed")));
-                assert_eq!(q.processed(), 4);
-                let per_region: u64 = (0..regions).map(|r| q.region_processed(r)).sum();
-                assert_eq!(per_region, 4, "backend {b:?}, {regions} regions");
-                assert_eq!(
-                    q.region_processed(regions - 1),
-                    if regions == 1 { 4 } else { 3 }
-                );
-            }
+        for regions in [1usize, 2] {
+            let mut q = FutureEventList::with_regions(0, regions);
+            assert_eq!(q.next_seq(), 0);
+            q.schedule_tagged(regions - 1, 5, "burst of three");
+            assert_eq!(q.next_seq(), 1);
+            // An explicit key mints nothing.
+            q.push_keyed(0, 6, 1 << 63, "keyed");
+            assert_eq!(q.next_seq(), 1);
+            assert_eq!(q.pop(), Some((5, "burst of three")));
+            q.note_coalesced(regions - 1, 2);
+            assert_eq!(q.pop(), Some((6, "keyed")));
+            assert_eq!(q.processed(), 4);
+            let per_region: u64 = (0..regions).map(|r| q.region_processed(r)).sum();
+            assert_eq!(per_region, 4, "{regions} regions");
+            assert_eq!(
+                q.region_processed(regions - 1),
+                if regions == 1 { 4 } else { 3 }
+            );
         }
     }
 
     #[test]
     fn pop_at_most_respects_horizon() {
-        for b in BACKENDS {
-            let mut q = FutureEventList::with_backend(b, 0);
-            q.schedule(10, "a");
-            q.schedule(30, "b");
-            assert_eq!(q.pop_at_most(5), None);
-            assert_eq!(q.pop_at_most(10), Some((10, "a")));
-            assert_eq!(q.pop_at_most(29), None);
-            assert_eq!(q.len(), 1, "unpopped event must stay queued");
-            assert_eq!(q.pop_at_most(SimTime::MAX), Some((30, "b")));
-        }
+        let mut q = FutureEventList::new();
+        q.schedule(10, "a");
+        q.schedule(30, "b");
+        assert_eq!(q.pop_at_most(5), None);
+        assert_eq!(q.pop_at_most(10), Some((10, "a")));
+        assert_eq!(q.pop_at_most(29), None);
+        assert_eq!(q.len(), 1, "unpopped event must stay queued");
+        assert_eq!(q.pop_at_most(SimTime::MAX), Some((30, "b")));
     }
 
     #[test]
     fn pop_run_drains_exactly_the_earliest_instant_run_in_fifo_order() {
-        for b in BACKENDS {
-            let mut q = FutureEventList::with_backend(b, 0);
-            // Two massed runs plus a straggler between them.
-            for i in 0..300u64 {
-                q.schedule_at(50, i);
-            }
-            q.schedule_at(75, 1_000);
-            for i in 0..10u64 {
-                q.schedule_at(90, 2_000 + i);
-            }
-            let mut buf = Vec::new();
-            assert_eq!(q.pop_run_at_most(SimTime::MAX, &mut buf), Some(50));
-            assert_eq!(buf, (0..300).collect::<Vec<_>>(), "backend {b:?}");
-            assert_eq!(q.now(), 50);
-            assert_eq!(q.processed(), 300);
-            assert_eq!(q.len(), 11, "later instants must stay queued");
-            assert_eq!(q.pop_run_at_most(SimTime::MAX, &mut buf), Some(75));
-            assert_eq!(buf, vec![1_000]);
-            assert_eq!(q.pop_run_at_most(SimTime::MAX, &mut buf), Some(90));
-            assert_eq!(buf, (2_000..2_010).collect::<Vec<_>>());
-            assert_eq!(q.pop_run_at_most(SimTime::MAX, &mut buf), None);
-            assert!(buf.is_empty(), "a dry drain must leave the buffer empty");
+        let mut q = FutureEventList::new();
+        // Two massed runs plus a straggler between them.
+        for i in 0..300u64 {
+            q.schedule_at(50, i);
         }
+        q.schedule_at(75, 1_000);
+        for i in 0..10u64 {
+            q.schedule_at(90, 2_000 + i);
+        }
+        let mut buf = Vec::new();
+        assert_eq!(q.pop_run_at_most(SimTime::MAX, &mut buf), Some(50));
+        assert_eq!(buf, (0..300).collect::<Vec<_>>());
+        assert_eq!(q.now(), 50);
+        assert_eq!(q.processed(), 300);
+        assert_eq!(q.len(), 11, "later instants must stay queued");
+        assert_eq!(q.pop_run_at_most(SimTime::MAX, &mut buf), Some(75));
+        assert_eq!(buf, vec![1_000]);
+        assert_eq!(q.pop_run_at_most(SimTime::MAX, &mut buf), Some(90));
+        assert_eq!(buf, (2_000..2_010).collect::<Vec<_>>());
+        assert_eq!(q.pop_run_at_most(SimTime::MAX, &mut buf), None);
+        assert!(buf.is_empty(), "a dry drain must leave the buffer empty");
     }
 
     #[test]
     fn pop_run_respects_horizon_and_clears_stale_buffer() {
-        for b in BACKENDS {
-            let mut q = FutureEventList::with_backend(b, 0);
-            q.schedule_at(40, "early");
-            q.schedule_at(80, "late");
-            let mut buf = vec!["stale"];
-            assert_eq!(q.pop_run_at_most(30, &mut buf), None);
-            assert!(buf.is_empty(), "dry horizon probe must clear the buffer");
-            assert_eq!(q.pop_run_at_most(40, &mut buf), Some(40));
-            assert_eq!(buf, vec!["early"]);
-            assert_eq!(q.pop_run_at_most(79, &mut buf), None);
-            assert_eq!(q.len(), 1, "beyond-horizon event must stay queued");
-            assert_eq!(q.pop_run_at_most(80, &mut buf), Some(80));
-            assert_eq!(buf, vec!["late"]);
-        }
+        let mut q = FutureEventList::new();
+        q.schedule_at(40, "early");
+        q.schedule_at(80, "late");
+        let mut buf = vec!["stale"];
+        assert_eq!(q.pop_run_at_most(30, &mut buf), None);
+        assert!(buf.is_empty(), "dry horizon probe must clear the buffer");
+        assert_eq!(q.pop_run_at_most(40, &mut buf), Some(40));
+        assert_eq!(buf, vec!["early"]);
+        assert_eq!(q.pop_run_at_most(79, &mut buf), None);
+        assert_eq!(q.len(), 1, "beyond-horizon event must stay queued");
+        assert_eq!(q.pop_run_at_most(80, &mut buf), Some(80));
+        assert_eq!(buf, vec!["late"]);
     }
 
     #[test]
     fn pop_run_matches_single_pop_sequence() {
         // Batch drains must yield exactly the single-pop event sequence,
-        // run boundaries included — the contract the engine's batch
-        // dispatch rides on.
+        // run boundaries included — the contract the engine's dispatch
+        // loop rides on.
         let mut x = 0x0005_DEEC_E66D_1531_u64;
         let mut step = || {
             x ^= x << 13;
@@ -785,33 +539,28 @@ mod tests {
             x ^= x << 17;
             x
         };
-        let mut schedules: Vec<(SimTime, u64)> = Vec::new();
+        let mut single = FutureEventList::new();
+        let mut batch = FutureEventList::new();
         for i in 0..2_000u64 {
             // Heavy massing: few distinct instants.
-            schedules.push((step() % 97, i));
+            let at = step() % 97;
+            single.schedule_at(at, i);
+            batch.schedule_at(at, i);
         }
-        for b in BACKENDS {
-            let mut single = FutureEventList::with_backend(b, 0);
-            let mut batch = FutureEventList::with_backend(b, 0);
-            for &(at, id) in &schedules {
-                single.schedule_at(at, id);
-                batch.schedule_at(at, id);
-            }
-            let mut got_single = Vec::new();
-            while let Some((at, id)) = single.pop() {
-                got_single.push((at, id));
-            }
-            let mut got_batch = Vec::new();
-            let mut buf = Vec::new();
-            while let Some(at) = batch.pop_run_at_most(SimTime::MAX, &mut buf) {
-                for &id in &buf {
-                    got_batch.push((at, id));
-                }
-            }
-            assert_eq!(got_single, got_batch, "backend {b:?}");
-            assert_eq!(single.processed(), batch.processed());
-            assert_eq!(single.now(), batch.now());
+        let mut got_single = Vec::new();
+        while let Some((at, id)) = single.pop() {
+            got_single.push((at, id));
         }
+        let mut got_batch = Vec::new();
+        let mut buf = Vec::new();
+        while let Some(at) = batch.pop_run_at_most(SimTime::MAX, &mut buf) {
+            for &id in &buf {
+                got_batch.push((at, id));
+            }
+        }
+        assert_eq!(got_single, got_batch);
+        assert_eq!(single.processed(), batch.processed());
+        assert_eq!(single.now(), batch.now());
     }
 
     #[test]
@@ -821,22 +570,20 @@ mod tests {
         // scheduled relative to `now()` afterwards landed in the past and
         // got past-clamped. The driver now advances the clock to the
         // exhausted horizon via `advance_clock_to`.
-        for b in BACKENDS {
-            let mut q = FutureEventList::with_backend(b, 0);
-            q.schedule_at(10, "only");
-            while q.pop_at_most(100).is_some() {}
-            // Pre-fix behavior, preserved at the pop level: the clock sits
-            // at the last event.
-            assert_eq!(q.now(), 10);
-            q.advance_clock_to(100);
-            assert_eq!(q.now(), 100);
-            // Relative scheduling is now relative to the horizon...
-            q.schedule(5, "after");
-            assert_eq!(q.pop(), Some((105, "after")), "backend {b:?}");
-            // ...and the clock never moves backwards.
-            q.advance_clock_to(50);
-            assert_eq!(q.now(), 105);
-        }
+        let mut q = FutureEventList::new();
+        q.schedule_at(10, "only");
+        while q.pop_at_most(100).is_some() {}
+        // Pre-fix behavior, preserved at the pop level: the clock sits
+        // at the last event.
+        assert_eq!(q.now(), 10);
+        q.advance_clock_to(100);
+        assert_eq!(q.now(), 100);
+        // Relative scheduling is now relative to the horizon...
+        q.schedule(5, "after");
+        assert_eq!(q.pop(), Some((105, "after")));
+        // ...and the clock never moves backwards.
+        q.advance_clock_to(50);
+        assert_eq!(q.now(), 105);
     }
 
     #[test]
@@ -844,103 +591,37 @@ mod tests {
         // Misuse guard: advancing past a still-pending event would make
         // the next pop move simulated time backwards (silently, in release
         // builds). The advance clamps to the earliest pending instant.
-        for b in BACKENDS {
-            let mut q = FutureEventList::with_backend(b, 0);
-            q.schedule_at(50, "pending");
-            q.advance_clock_to(100);
-            assert_eq!(q.now(), 50, "backend {b:?}: clock jumped a pending event");
-            assert_eq!(q.pop(), Some((50, "pending")));
-            assert_eq!(q.now(), 50);
-            q.advance_clock_to(100);
-            assert_eq!(q.now(), 100, "empty queue: advance reaches the horizon");
-        }
-    }
-
-    #[test]
-    fn default_backend_is_calendar() {
-        let q: FutureEventList<()> = FutureEventList::new();
-        assert_eq!(q.backend(), SchedulerBackend::Calendar);
-    }
-
-    #[test]
-    fn backend_names_round_trip() {
-        for b in BACKENDS {
-            assert_eq!(SchedulerBackend::parse(b.name()), Some(b));
-        }
-        assert_eq!(SchedulerBackend::parse("nope"), None);
+        let mut q = FutureEventList::new();
+        q.schedule_at(50, "pending");
+        q.advance_clock_to(100);
+        assert_eq!(q.now(), 50, "clock jumped a pending event");
+        assert_eq!(q.pop(), Some((50, "pending")));
+        assert_eq!(q.now(), 50);
+        q.advance_clock_to(100);
+        assert_eq!(q.now(), 100, "empty queue: advance reaches the horizon");
     }
 
     #[test]
     fn peek_matches_pop_interleaved() {
-        for b in BACKENDS {
-            let mut q = FutureEventList::with_backend(b, 0);
-            for i in 0..200u64 {
-                q.schedule((i * 37) % 101, i);
-            }
-            while let Some(t) = q.peek_time() {
-                // Scheduling after a peek, behind the peeked time but at or
-                // after now, must not be lost or reordered — the next peek
-                // must see it.
-                if q.processed() == 50 {
-                    q.schedule_at(q.now(), 10_000);
-                    let t2 = q.peek_time().expect("just scheduled");
-                    assert!(t2 <= t, "backend {b:?}");
-                    let (at, _) = q.pop().expect("peeked");
-                    assert_eq!(at, t2, "backend {b:?}");
-                    continue;
-                }
+        let mut q = FutureEventList::new();
+        for i in 0..200u64 {
+            q.schedule((i * 37) % 101, i);
+        }
+        while let Some(t) = q.peek_time() {
+            // Scheduling after a peek, behind the peeked time but at or
+            // after now, must not be lost or reordered — the next peek
+            // must see it.
+            if q.processed() == 50 {
+                q.schedule_at(q.now(), 10_000);
+                let t2 = q.peek_time().expect("just scheduled");
+                assert!(t2 <= t);
                 let (at, _) = q.pop().expect("peeked");
-                assert_eq!(at, t, "backend {b:?}");
+                assert_eq!(at, t2);
+                continue;
             }
-            assert!(q.is_empty());
+            let (at, _) = q.pop().expect("peeked");
+            assert_eq!(at, t);
         }
-    }
-
-    #[test]
-    fn backends_pop_identical_sequences() {
-        let mut heap = FutureEventList::with_backend(SchedulerBackend::BinaryHeap, 0);
-        let mut cal = FutureEventList::with_backend(SchedulerBackend::Calendar, 0);
-        // A mixed schedule: short-horizon bursts, massed ties, far-future
-        // timers, and interleaved pops (which clamp later schedules).
-        let mut x = 0x243F_6A88_85A3_08D3u64;
-        let mut step = || {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            x
-        };
-        for i in 0..5_000u64 {
-            match step() % 5 {
-                0 => {
-                    let d = step() % 50;
-                    heap.schedule(d, i);
-                    cal.schedule(d, i);
-                }
-                1 => {
-                    heap.schedule(7, i);
-                    cal.schedule(7, i);
-                }
-                2 => {
-                    let at = step() % 1_000_000;
-                    heap.schedule_at(at, i);
-                    cal.schedule_at(at, i);
-                }
-                3 => {
-                    let d = 500_000 + step() % 3_000_000;
-                    heap.schedule(d, i);
-                    cal.schedule(d, i);
-                }
-                _ => {
-                    assert_eq!(heap.pop(), cal.pop(), "diverged at op {i}");
-                }
-            }
-        }
-        loop {
-            let (h, c) = (heap.pop(), cal.pop());
-            assert_eq!(h, c);
-            if h.is_none() {
-                break;
-            }
-        }
+        assert!(q.is_empty());
     }
 }

@@ -116,8 +116,6 @@ fn main() {
             to: 4,
         }),
         horizon: secs(25),
-        backend: SchedulerBackend::default(),
-        dispatch: DispatchMode::default(),
         regions: 1,
         resume_latency: 0,
         bus_sink: Default::default(),

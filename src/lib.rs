@@ -32,10 +32,10 @@ pub use workloads;
 /// instead of five nested paths.
 ///
 /// Covers: job construction (`JobBuilder`, `EdgeKind`, operators, sources),
-/// engine configuration and driving (`EngineConfig`, `Sim`, `World`,
-/// scheduler/dispatch knobs), the mechanisms (`FlexScaler`,
-/// `MechanismConfig`, the baselines), the workloads, timing helpers, and
-/// the experiment API (`ScenarioSpec`, `registry`, `Runner`, `RunReport`).
+/// engine configuration and driving (`EngineConfig`, `Sim`, `World`), the
+/// mechanisms (`FlexScaler`, `MechanismConfig`, the baselines), the
+/// workloads, timing helpers, and the experiment API (`ScenarioSpec`,
+/// `registry`, `Runner`, `RunReport`).
 pub mod prelude {
     pub use baselines::{
         megaphone, otfs_all_at_once, otfs_fluid, MecesPlugin, StopRestartPlugin, UnboundPlugin,
@@ -46,7 +46,7 @@ pub mod prelude {
     };
     pub use drrs_core::{FlexScaler, MechanismConfig};
     pub use simcore::time::{as_ms, as_secs, ms, secs, SimTime};
-    pub use simcore::{DetRng, SchedulerBackend, Zipf};
+    pub use simcore::{DetRng, Zipf};
     pub use streamflow::graph::{EdgeKind, JobBuilder};
     pub use streamflow::instance::SourceGen;
     pub use streamflow::operator::{
@@ -54,7 +54,7 @@ pub mod prelude {
     };
     pub use streamflow::window::Agg;
     pub use streamflow::world::Sim;
-    pub use streamflow::{DispatchMode, EngineConfig, NoScale, OpId, ScalePlugin, World};
+    pub use streamflow::{EngineConfig, NoScale, OpId, ScalePlugin, World};
     pub use workloads::custom::{cluster_engine_config, custom, CustomParams};
     pub use workloads::nexmark::{nexmark_engine_config, q7, q8, Q7Params, Q8Params};
     pub use workloads::twitch::{twitch, twitch_engine_config, TwitchParams};

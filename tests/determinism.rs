@@ -14,7 +14,7 @@
 //! scale plans) is the registry's word.
 
 use drrs_repro::bench::scenario::{registry, MechanismSpec, ScenarioSpec};
-use drrs_repro::engine::world::tests_support::tiny_job;
+use drrs_repro::engine::world::tests_support::{run_until_one_at_a_time, tiny_job};
 use drrs_repro::engine::world::Sim;
 use drrs_repro::engine::{EngineConfig, NoScale};
 use drrs_repro::sim::time::secs;
@@ -214,40 +214,18 @@ fn run_report_surfaces_deterministic_bus_counters() {
 }
 
 #[test]
-fn scheduler_backends_produce_identical_digests() {
-    // The future-event list's backend is a pure perf knob: the calendar
-    // queue and the binary heap must pop identical (time, event) sequences
-    // (FIFO seq tie-break included), so a full simulation — including a
-    // mid-run scale, which schedules far-future deploy timers through the
-    // calendar's overflow tier — must digest identically under both.
-    use drrs_repro::sim::SchedulerBackend;
-    let spec = perf_spec("perf/drrs_rescale_4_to_6").with_horizon(secs(6));
-    assert_eq!(
-        spec.clone()
-            .with_backend(SchedulerBackend::BinaryHeap)
-            .run()
-            .digest,
-        spec.with_backend(SchedulerBackend::Calendar).run().digest,
-        "scheduler backends diverged — the calendar queue broke the FIFO \
-         tie-break or dropped/reordered an event"
-    );
-}
-
-#[test]
-fn massed_same_instant_runs_digest_identically_across_backends_and_dispatch_modes() {
-    // The batch-drain stress shape: at 50K records/s the 10 ms source-tick
+fn massed_same_instant_runs_digest_identically_popped_one_at_a_time() {
+    // The run-drain stress shape: at 50K records/s the 10 ms source-tick
     // granularity emits ~500 records per tick, all `send`s share the same
     // channel latency, so hundreds of deliveries mass at single instants —
     // one `Deliver` burst per run of back-to-back sends, in exactly the
-    // runs `pop_run_at_most` drains in one cursor walk. Draining a run as
-    // a batch instead of popping its events one by one must not change
-    // the interleaving: all four {backend} × {dispatch
-    // mode} combinations are required to produce byte-identical digests
-    // (and event counts), on a run that also crosses a mid-flight rescale
-    // so boxed control/priority events ride inside the massed traffic.
+    // runs `pop_run_at_most` drains in one cursor walk. Draining a run and
+    // fusing its deliveries (`Sim::run_until`) instead of popping its
+    // events one by one into the plain `World::dispatch` must not change
+    // the interleaving: byte-identical digest and logical event count, on
+    // a run that also crosses a mid-flight DRRS rescale so boxed
+    // control/priority events ride inside the massed traffic.
     use drrs_repro::bench::scenario::WorkloadSpec;
-    use drrs_repro::engine::DispatchMode;
-    use drrs_repro::sim::SchedulerBackend;
     let mut spec = perf_spec("perf/drrs_rescale_4_to_6")
         .with_seed(0x5EED)
         .with_horizon(secs(4));
@@ -257,26 +235,33 @@ fn massed_same_instant_runs_digest_identically_across_backends_and_dispatch_mode
         universe: 1_024,
         par: 4,
     };
-    let run = |backend, mode| {
-        let r = spec.clone().with_cell(backend, mode).run();
-        (r.digest, r.events)
-    };
-    let reference = run(SchedulerBackend::BinaryHeap, DispatchMode::SinglePop);
+    let (mut sim, _) = spec.build_sim();
+    run_until_one_at_a_time(&mut sim, spec.horizon);
+    let reference = (sim.world.metrics_digest(), sim.world.q.processed());
     assert!(
         reference.1 > 100_000,
         "scenario too small to mass deliveries"
     );
-    for backend in [SchedulerBackend::BinaryHeap, SchedulerBackend::Calendar] {
-        for mode in [DispatchMode::SinglePop, DispatchMode::Batch] {
-            assert_eq!(
-                run(backend, mode),
-                reference,
-                "{} × {} diverged from heap × single",
-                backend.name(),
-                mode.name()
-            );
-        }
-    }
+    let r = spec.run();
+    assert_eq!(
+        (r.digest, r.events),
+        reference,
+        "the dispatch loop diverged from one-at-a-time popping"
+    );
+}
+
+#[test]
+fn regions_without_resume_latency_report_as_the_sequential_run() {
+    // The `scenario` binary rejects `--regions K` without a resume latency;
+    // the library stays lenient and builds the sequential engine, so a
+    // spec that asks for regions alone reports the sequential run: same
+    // digest and events, one region's worth of accounting.
+    let spec = perf_spec("perf/drrs_rescale_4_to_6").with_horizon(secs(4));
+    let seq = spec.run();
+    let r2 = spec.with_regions(2).run();
+    assert_eq!((r2.digest, r2.events), (seq.digest, seq.events));
+    assert_eq!(r2.region_events, vec![seq.events]);
+    assert_eq!((r2.sync_runs, r2.merged_runs, r2.null_msgs), (0, 0, 0));
 }
 
 #[test]

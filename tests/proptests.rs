@@ -1,19 +1,110 @@
 //! Property-based tests over the core data structures and the scaling
 //! invariants, per the repo's testing strategy (DESIGN.md §7).
 
-use std::collections::HashSet;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashSet};
 
 use drrs_repro::drrs::{divide_subscales, FlexScaler, MechanismConfig};
 use drrs_repro::engine::ids::{key_group_of, sub_group_of, InstId, KeyGroup};
 use drrs_repro::engine::keygroup::{uniform_repartition, KgMove, RoutingTable};
 use drrs_repro::engine::state::{StateBackend, StateValue};
 use drrs_repro::engine::window::{Agg, PaneSet};
-use drrs_repro::engine::world::tests_support::tiny_job;
+use drrs_repro::engine::world::tests_support::{run_until_one_at_a_time, tiny_job};
 use drrs_repro::engine::world::Sim;
 use drrs_repro::engine::EngineConfig;
 use drrs_repro::sim::time::secs;
-use drrs_repro::sim::{DetRng, FutureEventList, SchedulerBackend, Zipf};
+use drrs_repro::sim::{DetRng, FutureEventList, Zipf};
 use proptest::prelude::*;
+
+/// The reference model `FutureEventList` is checked against: a binary heap
+/// ordered by `(at, seq)` under the same shell rules (clock, FIFO `seq`
+/// mint, past-clamp). Obviously correct, which is all it is for — it used
+/// to be a selectable scheduler backend and never paid for itself.
+#[derive(Default)]
+struct HeapModel {
+    heap: BinaryHeap<Reverse<(u64, u64, u64)>>, // (at, seq, event)
+    now: u64,
+    seq: u64,
+    processed: u64,
+}
+
+impl HeapModel {
+    fn schedule(&mut self, delay: u64, event: u64) {
+        self.schedule_at(self.now.saturating_add(delay), event);
+    }
+    fn schedule_at(&mut self, at: u64, event: u64) {
+        self.heap.push(Reverse((at.max(self.now), self.seq, event)));
+        self.seq += 1;
+    }
+    fn peek_time(&self) -> Option<u64> {
+        self.heap.peek().map(|Reverse(k)| k.0)
+    }
+    fn pop(&mut self) -> Option<(u64, u64)> {
+        self.pop_at_most(u64::MAX)
+    }
+    fn pop_at_most(&mut self, t: u64) -> Option<(u64, u64)> {
+        if self.peek_time()? > t {
+            return None;
+        }
+        let Reverse((at, _, event)) = self.heap.pop()?;
+        self.now = at;
+        self.processed += 1;
+        Some((at, event))
+    }
+    fn pop_run_at_most(&mut self, t: u64, buf: &mut Vec<u64>) -> Option<u64> {
+        buf.clear();
+        let (at, first) = self.pop_at_most(t)?;
+        buf.push(first);
+        while self.peek_time() == Some(at) {
+            buf.push(self.pop().expect("peeked").1);
+        }
+        Some(at)
+    }
+}
+
+/// A linear keyed pipeline: source → `stages` keyed aggregations (stage `s`
+/// at parallelism `pars[s]`, service time `services[s]`) → sink.
+fn linear_job(
+    cfg: EngineConfig,
+    rate: u64,
+    stages: usize,
+    pars: &[usize],
+    services: &[u64],
+) -> Sim {
+    use drrs_repro::engine::graph::{EdgeKind, JobBuilder};
+    use drrs_repro::engine::operator::KeyedAgg;
+    use drrs_repro::engine::world::tests_support::FixedGen;
+
+    let mut b = JobBuilder::new(cfg);
+    let src = b.source(
+        "src",
+        1,
+        Box::new(move |_| Box::new(FixedGen::new(rate as f64, 256))),
+    );
+    let mut prev = src;
+    for s in 0..stages {
+        let service = services[s];
+        let op = b.operator(
+            &format!("op{s}"),
+            pars[s],
+            Box::new(move || {
+                Box::new(KeyedAgg {
+                    service,
+                    bytes_per_key: 500,
+                    bytes_per_record: 0,
+                    emit_every: 1,
+                })
+            }),
+        );
+        // Keyed state demands keyed routing on every operator inbound
+        // edge; only the sink edge may rebalance.
+        b.connect(prev, op, EdgeKind::Keyed);
+        prev = op;
+    }
+    let sink = b.sink("sink", 1);
+    b.connect(prev, sink, EdgeKind::Rebalance);
+    Sim::new(b.build(), Box::new(drrs_repro::engine::NoScale))
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -157,13 +248,10 @@ proptest! {
         // scan cursor ahead without popping, the precondition for its
         // pull-back and overflow-migration edge cases).
         ops in proptest::collection::vec((0u8..7, 0u64..5_000), 1..400),
-        heap_cap in 0usize..300,
         cal_cap in 0usize..300,
     ) {
-        let mut heap: FutureEventList<u64> =
-            FutureEventList::with_backend(SchedulerBackend::BinaryHeap, heap_cap);
-        let mut cal: FutureEventList<u64> =
-            FutureEventList::with_backend(SchedulerBackend::Calendar, cal_cap);
+        let mut heap = HeapModel::default();
+        let mut cal: FutureEventList<u64> = FutureEventList::with_capacity(cal_cap);
         let mut heap_buf: Vec<u64> = Vec::new();
         let mut cal_buf: Vec<u64> = Vec::new();
         for (i, &(kind, v)) in ops.iter().enumerate() {
@@ -183,13 +271,13 @@ proptest! {
                 }
                 2 => {
                     // Absolute times, frequently in the past (clamped to
-                    // "now" — both lists must clamp identically).
+                    // "now" — list and model must clamp identically).
                     heap.schedule_at(v, id);
                     cal.schedule_at(v, id);
                 }
                 3 => {
                     prop_assert_eq!(heap.pop(), cal.pop(), "pop diverged at op {}", i);
-                    prop_assert_eq!(heap.now(), cal.now());
+                    prop_assert_eq!(heap.now, cal.now());
                 }
                 4 => {
                     prop_assert_eq!(
@@ -200,29 +288,29 @@ proptest! {
                     );
                 }
                 5 => {
-                    let horizon = heap.now().saturating_add(v);
+                    let horizon = heap.now.saturating_add(v);
                     prop_assert_eq!(
                         heap.pop_at_most(horizon),
                         cal.pop_at_most(horizon),
                         "pop_at_most diverged at op {}",
                         i
                     );
-                    prop_assert_eq!(heap.now(), cal.now());
+                    prop_assert_eq!(heap.now, cal.now());
                 }
                 _ => {
-                    // Batch drain of the earliest same-instant run — both
-                    // backends must return the same instant and the same
+                    // Batch drain of the earliest same-instant run — list
+                    // and model must return the same instant and the same
                     // FIFO-ordered payload run (dry probes included).
-                    let horizon = heap.now().saturating_add(v % 2_500);
+                    let horizon = heap.now.saturating_add(v % 2_500);
                     let h = heap.pop_run_at_most(horizon, &mut heap_buf);
                     let c = cal.pop_run_at_most(horizon, &mut cal_buf);
                     prop_assert_eq!(h, c, "pop_run_at_most diverged at op {}", i);
                     prop_assert_eq!(&heap_buf, &cal_buf, "batch run diverged at op {}", i);
-                    prop_assert_eq!(heap.now(), cal.now());
-                    prop_assert_eq!(heap.processed(), cal.processed());
+                    prop_assert_eq!(heap.now, cal.now());
+                    prop_assert_eq!(heap.processed, cal.processed());
                 }
             }
-            prop_assert_eq!(heap.len(), cal.len(), "len diverged at op {}", i);
+            prop_assert_eq!(heap.heap.len(), cal.len(), "len diverged at op {}", i);
         }
         // Drain: the full remaining sequences must match, element by element.
         loop {
@@ -243,24 +331,22 @@ proptest! {
         // after such a dry jump lands behind the mutated cursor state —
         // the exact precondition of the PR 3 pull-back bugs. Property:
         // after any prefix of (pending set, dry jump, earlier schedule),
-        // both backends drain the identical sequence, globally sorted by
+        // the list drains the heap model's sequence, globally sorted by
         // time with FIFO order among ties.
         pending in proptest::collection::vec((1u64..100_000, 0u64..4), 1..60),
         probes in proptest::collection::vec((0u64..120_000, 1u64..50_000, any::<bool>()), 1..12),
     ) {
-        let mut heap: FutureEventList<u64> =
-            FutureEventList::with_backend(SchedulerBackend::BinaryHeap, 0);
-        let mut cal: FutureEventList<u64> =
-            FutureEventList::with_backend(SchedulerBackend::Calendar, 0);
+        let mut heap = HeapModel::default();
+        let mut cal: FutureEventList<u64> = FutureEventList::new();
         // `expected` mirrors the FEL contract: (clamped at, schedule order).
         let mut expected: Vec<(u64, u64)> = Vec::new();
         let mut id = 0u64;
-        let sched = |heap: &mut FutureEventList<u64>,
+        let sched = |heap: &mut HeapModel,
                          cal: &mut FutureEventList<u64>,
                          expected: &mut Vec<(u64, u64)>,
                          id: &mut u64,
                          at: u64| {
-            let clamped = at.max(heap.now());
+            let clamped = at.max(heap.now);
             heap.schedule_at(at, *id);
             cal.schedule_at(at, *id);
             expected.push((clamped, *id));
@@ -276,7 +362,7 @@ proptest! {
             // A horizon probe that may or may not be dry; dry probes walk
             // the calendar cursor ahead (and can jump it to the overflow
             // head's day) without popping.
-            let horizon = heap.now().saturating_add(probe_offset % 3_000);
+            let horizon = heap.now.saturating_add(probe_offset % 3_000);
             if batch {
                 let mut hb = Vec::new();
                 let mut cb = Vec::new();
@@ -298,24 +384,24 @@ proptest! {
                     prop_assert_eq!(expected.remove(min), (t, e), "pop out of order");
                 }
             }
-            prop_assert_eq!(heap.now(), cal.now());
+            prop_assert_eq!(heap.now, cal.now());
             // Now schedule an *earlier but still future* instant than the
             // current pending minimum: strictly behind wherever the dry
             // jump left the cursor, but at or after "now".
             let min_pending = expected.iter().map(|&(t, _)| t).min();
             let target = match min_pending {
-                Some(m) if m > heap.now() => heap.now() + (m - heap.now()).min(earlier_gap),
-                _ => heap.now() + earlier_gap,
+                Some(m) if m > heap.now => heap.now + (m - heap.now).min(earlier_gap),
+                _ => heap.now + earlier_gap,
             };
             sched(&mut heap, &mut cal, &mut expected, &mut id, target);
         }
         // Full drain must come out globally (at, seq)-sorted and identical
-        // across backends.
+        // to the model's.
         expected.sort_unstable();
         let mut got = Vec::new();
         loop {
             let (h, c) = (heap.pop(), cal.pop());
-            prop_assert_eq!(h, c, "backends diverged during drain");
+            prop_assert_eq!(h, c, "list diverged from the heap model during drain");
             match h {
                 Some(p) => got.push(p),
                 None => break,
@@ -353,73 +439,6 @@ proptest! {
     }
 
     #[test]
-    fn region_partitioning_preserves_digests_on_random_graphs(
-        // Random linear operator graphs (random stage count, per-stage
-        // parallelism, edge kinds, rate) run under a random region count:
-        // the K-region schedule must produce a byte-identical metrics
-        // digest, event count and final clock to the sequential engine,
-        // in both dispatch modes. This is the region contract the engine
-        // unit tests pin on fixed jobs, generalized over graph shape.
-        seed in 0u64..1000,
-        stages in 1usize..4,
-        pars in proptest::collection::vec(1usize..4, 3),
-        services in proptest::collection::vec(10u64..120, 3),
-        regions in 2usize..6,
-        batch in any::<bool>(),
-        rate in 1_000u64..8_000,
-    ) {
-        use drrs_repro::engine::graph::{EdgeKind, JobBuilder};
-        use drrs_repro::engine::operator::KeyedAgg;
-        use drrs_repro::engine::world::tests_support::FixedGen;
-        use drrs_repro::engine::world::DispatchMode;
-
-        let run = |k: usize| {
-            let mut cfg = EngineConfig::test();
-            cfg.seed = seed;
-            cfg.regions = k;
-            let mut b = JobBuilder::new(cfg);
-            let src = b.source(
-                "src",
-                1,
-                Box::new(move |_| Box::new(FixedGen::new(rate as f64, 256))),
-            );
-            let mut prev = src;
-            for s in 0..stages {
-                let service = services[s];
-                let op = b.operator(
-                    &format!("op{s}"),
-                    pars[s],
-                    Box::new(move || Box::new(KeyedAgg {
-                        service,
-                        bytes_per_key: 500,
-                        bytes_per_record: 0,
-                        emit_every: 1,
-                    })),
-                );
-                // Keyed state demands keyed routing on every operator
-                // inbound edge; only the sink edge may rebalance.
-                b.connect(prev, op, EdgeKind::Keyed);
-                prev = op;
-            }
-            let sink = b.sink("sink", 1);
-            b.connect(prev, sink, EdgeKind::Rebalance);
-            let mode = if batch { DispatchMode::Batch } else { DispatchMode::SinglePop };
-            let mut sim = Sim::new(b.build(), Box::new(drrs_repro::engine::NoScale))
-                .with_dispatch_mode(mode);
-            sim.run_until(secs(2));
-            (
-                sim.world.metrics_digest(),
-                sim.world.q.processed(),
-                sim.world.q.now(),
-                sim.world.metrics.sink_records,
-            )
-        };
-        let reference = run(1);
-        let partitioned = run(regions);
-        prop_assert_eq!(reference, partitioned, "{} regions diverged from sequential", regions);
-    }
-
-    #[test]
     fn parallel_execution_matches_sequential_on_random_graphs(
         // The thread-per-region executor's exactness contract, generalized
         // over graph shape: random keyed pipelines × random region count ×
@@ -439,42 +458,13 @@ proptest! {
         // Resume latency axis: 0 (sequential-fallback contract) and two
         // small real lookaheads (PDES epochs).
         let resume_latency = [0u64, 100, 400][rl_pick];
-        use drrs_repro::engine::graph::{EdgeKind, JobBuilder};
-        use drrs_repro::engine::operator::KeyedAgg;
-        use drrs_repro::engine::world::tests_support::FixedGen;
-
-        let pars = &pars;
-        let services = &services;
+        let (pars, services) = (&pars, &services);
         let build = move || {
             let mut cfg = EngineConfig::test();
             cfg.seed = seed;
             cfg.regions = regions;
             cfg.resume_latency = resume_latency;
-            let mut b = JobBuilder::new(cfg);
-            let src = b.source(
-                "src",
-                1,
-                Box::new(move |_| Box::new(FixedGen::new(rate as f64, 256))),
-            );
-            let mut prev = src;
-            for s in 0..stages {
-                let service = services[s];
-                let op = b.operator(
-                    &format!("op{s}"),
-                    pars[s],
-                    Box::new(move || Box::new(KeyedAgg {
-                        service,
-                        bytes_per_key: 500,
-                        bytes_per_record: 0,
-                        emit_every: 1,
-                    })),
-                );
-                b.connect(prev, op, EdgeKind::Keyed);
-                prev = op;
-            }
-            let sink = b.sink("sink", 1);
-            b.connect(prev, sink, EdgeKind::Rebalance);
-            Sim::new(b.build(), Box::new(drrs_repro::engine::NoScale))
+            linear_job(cfg, rate, stages, pars, services)
         };
         let mut seq = build();
         seq.run_until(secs(1));
@@ -493,104 +483,126 @@ proptest! {
 
     #[test]
     fn delivery_bursts_are_invisible_to_every_execution_mode(
-        // Bursts form differently under every engine — the heap and the
-        // calendar pop the same order but single-pop and batch dispatch
-        // take bursts at different moments, regions split them by receiver
-        // tag, and each threaded replica mints its own `seq`s — yet the
-        // logical timeline may not move: within one semantic point (the
-        // merged-exact `resume_latency = 0` timeline, or PDES at one
-        // `resume_latency > 0`) every {backend × dispatch × regions ×
-        // engine} cell must agree on the digest and on the *logical*
-        // processed count. Rates reach into backpressure (pump refills).
+        // Bursts form differently under every way of running a job — the
+        // one-at-a-time reference loop and the run-draining dispatch loop
+        // take bursts at different moments, PDES regions split them by
+        // receiver tag, and each threaded replica mints its own `seq`s —
+        // yet the logical timeline may not move: within one semantic point
+        // (the sequential `resume_latency = 0` timeline, or PDES at one
+        // `resume_latency > 0`) every way must agree on the digest and on
+        // the *logical* processed count. Rates reach into backpressure
+        // (pump refills).
         seed in 0u64..1000,
         stages in 1usize..4,
         pars in proptest::collection::vec(1usize..4, 3),
         services in proptest::collection::vec(10u64..120, 3),
         rate in 2_000u64..30_000,
+        regions in 2usize..6,
         zero_latency in any::<bool>(),
         resume_latency in 50u64..400,
     ) {
-        use drrs_repro::engine::graph::{EdgeKind, JobBuilder};
-        use drrs_repro::engine::operator::KeyedAgg;
-        use drrs_repro::engine::world::tests_support::FixedGen;
-        use drrs_repro::engine::world::DispatchMode;
-
-        let pars = &pars;
-        let services = &services;
-        let build = move |backend: SchedulerBackend, mode: DispatchMode, regions: usize, rl: u64, net_latency: u64| {
+        let (pars, services) = (&pars, &services);
+        let build = move |regions: usize, rl: u64, net_latency: u64| {
             let mut cfg = EngineConfig::test();
             cfg.seed = seed;
-            cfg.scheduler = backend;
             cfg.regions = regions;
             cfg.resume_latency = rl;
             cfg.net_latency = net_latency;
-            let mut b = JobBuilder::new(cfg);
-            let src = b.source(
-                "src",
-                1,
-                Box::new(move |_| Box::new(FixedGen::new(rate as f64, 256))),
-            );
-            let mut prev = src;
-            for s in 0..stages {
-                let service = services[s];
-                let op = b.operator(
-                    &format!("op{s}"),
-                    pars[s],
-                    Box::new(move || Box::new(KeyedAgg {
-                        service,
-                        bytes_per_key: 500,
-                        bytes_per_record: 0,
-                        emit_every: 1,
-                    })),
-                );
-                b.connect(prev, op, EdgeKind::Keyed);
-                prev = op;
-            }
-            let sink = b.sink("sink", 1);
-            b.connect(prev, sink, EdgeKind::Rebalance);
-            Sim::new(b.build(), Box::new(drrs_repro::engine::NoScale)).with_dispatch_mode(mode)
+            linear_job(cfg, rate, stages, pars, services)
         };
-        let backends = [SchedulerBackend::BinaryHeap, SchedulerBackend::Calendar];
-        let modes = [DispatchMode::SinglePop, DispatchMode::Batch];
+        let observe = |sim: &Sim| {
+            let k = sim.world.q.regions();
+            let per_region: u64 = (0..k).map(|r| sim.world.q.region_processed(r)).sum();
+            assert_eq!(per_region, sim.world.q.processed());
+            (sim.world.metrics_digest(), sim.world.q.processed(), sim.world.q.now())
+        };
 
-        // The merged-exact timeline, with and without wire latency (zero
+        // The sequential timeline, with and without wire latency (zero
         // latency is where a send can meet a burst of its own instant).
         let net_latency = if zero_latency { 0 } else { 200 };
-        let mut exact = Vec::new();
-        for backend in backends {
-            for mode in modes {
-                for regions in [1usize, 2] {
-                    let mut sim = build(backend, mode, regions, 0, net_latency);
-                    sim.run_until(secs(1));
-                    let per_region: u64 =
-                        (0..regions).map(|r| sim.world.q.region_processed(r)).sum();
-                    prop_assert_eq!(per_region, sim.world.q.processed());
-                    exact.push((sim.world.metrics_digest(), sim.world.q.processed()));
-                }
-            }
-        }
-        prop_assert!(exact.iter().all(|c| *c == exact[0]), "merged-exact cells diverged: {:?}", exact);
+        let mut reference = build(1, 0, net_latency);
+        run_until_one_at_a_time(&mut reference, secs(1));
+        let reference = observe(&reference);
+        let mut sim = build(1, 0, net_latency);
+        sim.run_until(secs(1));
+        prop_assert_eq!(observe(&sim), reference, "dispatch loop diverged");
 
-        // PDES at one resume latency: the inline reference and the
-        // thread-per-region executor.
-        let mut pdes = Vec::new();
-        for backend in backends {
-            for mode in modes {
-                let mut sim = build(backend, mode, 2, resume_latency, 200);
-                sim.run_until(secs(1));
-                pdes.push((sim.world.metrics_digest(), sim.world.q.processed()));
-                let report = drrs_repro::engine::run_parallel(
-                    move || build(backend, mode, 2, resume_latency, 200),
-                    secs(1),
-                );
-                prop_assert_eq!(
-                    report.per_region_events.iter().sum::<u64>(),
-                    report.obs.processed
-                );
-                pdes.push((report.digest(), report.obs.processed));
-            }
-        }
-        prop_assert!(pdes.iter().all(|c| *c == pdes[0]), "PDES cells diverged: {:?}", pdes);
+        // PDES at one resume latency: the sequential engine driven both
+        // ways, and the thread-per-region executor.
+        let mut reference = build(regions, resume_latency, 200);
+        run_until_one_at_a_time(&mut reference, secs(1));
+        let reference = observe(&reference);
+        let mut sim = build(regions, resume_latency, 200);
+        sim.run_until(secs(1));
+        prop_assert_eq!(observe(&sim), reference, "seq PDES dispatch loop diverged");
+        let report = drrs_repro::engine::run_parallel(
+            move || build(regions, resume_latency, 200),
+            secs(1),
+        );
+        prop_assert_eq!(
+            report.per_region_events.iter().sum::<u64>(),
+            report.obs.processed
+        );
+        prop_assert_eq!(
+            (report.digest(), report.obs.processed, report.obs.now),
+            reference,
+            "threaded PDES diverged"
+        );
+    }
+
+    #[test]
+    fn regions_without_resume_latency_are_the_sequential_engine_on_random_graphs(
+        // `regions` means PDES partition only. With no resume latency a cut
+        // would have a zero-lookahead reverse edge, so any region count
+        // builds the single-queue engine: byte-identical digest, logical
+        // event count, final clock and sink records to `regions = 1`.
+        seed in 0u64..1000,
+        stages in 1usize..4,
+        pars in proptest::collection::vec(1usize..4, 3),
+        services in proptest::collection::vec(10u64..120, 3),
+        regions in 2usize..6,
+        rate in 1_000u64..8_000,
+    ) {
+        let run = |k: usize| {
+            let mut cfg = EngineConfig::test();
+            cfg.seed = seed;
+            cfg.regions = k;
+            let mut sim = linear_job(cfg, rate, stages, &pars, &services);
+            assert!(!sim.world.pdes());
+            assert_eq!(sim.world.q.regions(), 1);
+            sim.run_until(secs(2));
+            (
+                sim.world.metrics_digest(),
+                sim.world.q.processed(),
+                sim.world.q.now(),
+                sim.world.metrics.sink_records,
+            )
+        };
+        prop_assert_eq!(run(1), run(regions), "{} regions diverged from sequential", regions);
+    }
+
+    #[test]
+    fn sequential_pdes_engine_never_stalls_under_backpressure(
+        // Backpressured tiny job on the sequential PDES engine: blocked
+        // senders are woken by cut credits that carry only the resume
+        // latency of lookahead. Any region count must still drain every
+        // event up to the horizon and land the clock exactly there.
+        seed in 0u64..200,
+        regions in 2usize..6,
+        par in 1usize..4,
+        resume_latency in 50u64..500,
+    ) {
+        let mut cfg = EngineConfig::test();
+        cfg.seed = seed;
+        cfg.regions = regions;
+        cfg.resume_latency = resume_latency;
+        let (w, _) = tiny_job(cfg, 30_000.0, 64, par);
+        let mut sim = Sim::new(w, Box::new(drrs_repro::engine::NoScale));
+        sim.run_until(secs(2));
+        prop_assert!(sim.world.q.processed() > 0, "no events dispatched");
+        prop_assert_eq!(sim.world.q.now(), secs(2), "clock stalled before the horizon");
+        let stats = sim.world.q.region_sync_stats();
+        prop_assert!(stats.runs > 0, "no region runs accounted");
     }
 
     #[test]
@@ -634,30 +646,6 @@ proptest! {
             report.threads == 1 || report.stats.epochs > 0,
             "threaded run recorded no epochs"
         );
-    }
-
-    #[test]
-    fn region_scheduler_never_deadlocks(
-        // Backpressured tiny job: blocked senders are woken by receiver-side
-        // pumps, which are zero-lookahead reverse edges between regions —
-        // the classic conservative-PDES deadlock shape. Any region count
-        // must still drain every event up to the horizon and land the
-        // clock exactly there, with every region's own clock caught up on
-        // its pending work.
-        seed in 0u64..200,
-        regions in 2usize..6,
-        par in 1usize..4,
-    ) {
-        let mut cfg = EngineConfig::test();
-        cfg.seed = seed;
-        cfg.regions = regions;
-        let (w, _) = tiny_job(cfg, 30_000.0, 64, par);
-        let mut sim = Sim::new(w, Box::new(drrs_repro::engine::NoScale));
-        sim.run_until(secs(2));
-        prop_assert!(sim.world.q.processed() > 0, "no events dispatched");
-        prop_assert_eq!(sim.world.q.now(), secs(2), "clock stalled before the horizon");
-        let stats = sim.world.q.region_sync_stats();
-        prop_assert!(stats.runs > 0, "no region runs accounted");
     }
 
     #[test]
