@@ -12,7 +12,7 @@
 //! |----|------|
 //! | `U1` | `unsafe` only in allowlisted files |
 //! | `U2` | every `unsafe` is annotated with a `// SAFETY:` comment |
-//! | `D1` | no `Instant::now` / `SystemTime` in scheduling paths (`crates/simcore/src`, `crates/engine/src`) — wall-clock reads break replay determinism |
+//! | `D1` | no `Instant::now` / `SystemTime` in scheduling paths (`crates/simcore/src`, `crates/engine/src`, `crates/core/src`) — wall-clock reads break replay determinism |
 //! | `D2` | no std `HashMap`/`HashSet` in scheduling paths outside the allowlist — their iteration order is seeded per-process |
 //! | `A1` | no direct `std::sync::atomic` outside the facade allowlist — concurrency primitives must go through `simcore::sync` so the interleave checker can see them |
 //! | `A2` | non-`SeqCst` memory orderings only in allowlisted (reviewed, model-checked) files |
@@ -72,8 +72,8 @@ const ORDERING_ALLOW: &[&str] = &[
 ];
 
 /// Scheduling-path files allowed to hold a std HashMap/HashSet: keyed
-/// *state* (never iterated on an ordering-sensitive path) and the
-/// deterministic-hasher wrappers themselves.
+/// *state* (never iterated on an ordering-sensitive path), the
+/// deterministic-hasher wrappers themselves, and one pinned signature.
 const HASH_ALLOW: &[&str] = &[
     "crates/simcore/src/hash.rs",
     "crates/engine/src/scaling.rs",
@@ -81,10 +81,19 @@ const HASH_ALLOW: &[&str] = &[
     "crates/engine/src/semantics.rs",
     "crates/engine/src/keygroup.rs",
     "crates/engine/src/ids.rs",
+    // public `greedy_pick` signature pinned by
+    // `benchmarks/drrs_bench/src/kernels.rs`
+    "crates/core/src/planner.rs",
 ];
 
-/// Deterministic-scheduling scope for the D-rules.
-const SCHED_SCOPE: &[&str] = &["crates/simcore/src/", "crates/engine/src/"];
+/// Deterministic-scheduling scope for the D-rules: the simulator kernel,
+/// the engine, and the mechanism that runs on every record while a plan is
+/// active.
+const SCHED_SCOPE: &[&str] = &[
+    "crates/simcore/src/",
+    "crates/engine/src/",
+    "crates/core/src/",
+];
 
 /// Allocation tokens banned inside `checker:hot-path` functions.
 const HOT_BANNED: &[&str] = &[
@@ -541,6 +550,17 @@ mod tests {
         let fx = "use simcore::hash::FxHashMap;\n";
         assert_eq!(
             rules("crates/engine/src/world.rs", fx, false),
+            Vec::<&str>::new()
+        );
+    }
+
+    #[test]
+    fn mechanism_crate_is_in_scheduling_scope() {
+        let src = "use std::collections::HashSet;\n";
+        assert_eq!(rules("crates/core/src/plugin.rs", src, false), vec!["D2"]);
+        // The planner keeps the std map its pinned public signature takes.
+        assert_eq!(
+            rules("crates/core/src/planner.rs", src, false),
             Vec::<&str>::new()
         );
     }

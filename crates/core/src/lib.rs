@@ -41,7 +41,7 @@ pub mod plugin;
 
 pub use config::{Injection, MechanismConfig};
 pub use planner::{divide_subscales, greedy_pick, SubscaleSpec};
-pub use plugin::FlexScaler;
+pub use plugin::{FlexScaler, SchedStats};
 
 #[cfg(test)]
 mod tests {
@@ -152,7 +152,7 @@ mod tests {
         assert!(!scaled.world.scale.in_progress);
 
         let collect = |sim: &Sim, op: streamflow::OpId| {
-            let mut all = std::collections::HashMap::new();
+            let mut all = simcore::FxHashMap::default();
             for &i in &sim.world.ops[op.0 as usize].instances {
                 for (k, c) in sim.world.insts[i.0 as usize].state.snapshot_counts() {
                     *all.entry(k).or_insert(0u64) += c;

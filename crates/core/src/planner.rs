@@ -24,6 +24,12 @@ pub struct SubscaleSpec {
     pub kgs: Vec<KeyGroup>,
 }
 
+/// Running subscales per instance, as [`greedy_pick`] takes them. A std map
+/// because that signature is pinned from outside the workspace
+/// (`benchmarks/drrs_bench` calls it); it is probed once per launch and
+/// never iterated.
+pub type ActiveCounts = HashMap<InstId, usize>;
+
 /// Divide the moves into at most ~`target` subscales, lexicographically,
 /// as equally sized as possible, never mixing (from, to) pairs.
 pub fn divide_subscales(moves: &[KgMove], target: usize) -> Vec<SubscaleSpec> {
@@ -58,7 +64,7 @@ pub fn greedy_pick(
     pending: &[usize],
     subs: &[SubscaleSpec],
     held_keys: &dyn Fn(InstId) -> usize,
-    active: &HashMap<InstId, usize>,
+    active: &ActiveCounts,
     limit: usize,
 ) -> Option<usize> {
     pending

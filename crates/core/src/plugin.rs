@@ -18,45 +18,97 @@
 //!   barriers or scale signals.
 //! * **Subscale Division** — independent subscales scheduled greedily with a
 //!   per-instance concurrency threshold.
+//!
+//! # Cost model
+//!
+//! Record Scheduling runs on every record while a plan is active, so it is
+//! O(1) amortised per record and hashes nothing.
+//!
+//! **What `classify` reads.** The record's kind and key; the per-plan
+//! tables `kg2sub`, the subscale's phase and endpoints, `pred_mask`; the
+//! instance's `StateBackend::holds_group` (changed only by extraction and
+//! installation, both driven from here); the inbox count `inbox_kg` of
+//! `(instance, key-group)`; the subscale's confirm bookkeeping; and, for
+//! non-fluid configurations only, `World::scale.in_progress`. All of them
+//! are arrays indexed by `InstId.0`, by key-group or by
+//! `inst * max_key_groups + kg`, sized when the plan starts and grown on
+//! demand. `admit` answers for instances of other operators before touching
+//! any of them.
+//!
+//! **The epoch.** One plugin-wide counter is bumped at every transition
+//! that can change any of those inputs: a plan starting, a subscale
+//! launching, a key-group extracted (`pump_migration`), a unit installed
+//! (`on_chunk`), a subscale finishing, re-routed records entering an inbox,
+//! records leaving an inbox, a re-routed confirm arriving, a coupled
+//! barrier completing its alignment, the scale completing, and — checked
+//! at the top of `select`, because the world flips it — a change of
+//! `scale.in_progress` under a non-fluid configuration. Between two bumps
+//! `classify` is a pure function of `(instance, sending instance, record)`.
+//!
+//! **What a hold hint certifies.** The intra-channel scan remembers, per
+//! input channel, the length `len` of the queue prefix it has proven to be
+//! data records all classified `Hold` (hence free of fences), the epoch it
+//! proved that under, and the arena handles at positions `0` and
+//! `len - 1`. The next scan of that channel resumes at `len` instead of 1
+//! when the epoch is unchanged and both handles are still where they were.
+//! Identity at the two ends suffices because a receiver queue is only ever
+//! appended to at the back and popped/removed from inside: arena handles
+//! are generational, so a live handle names one element and occurs once;
+//! any removal at a position below `len` shifts the element at `len - 1`
+//! down (or off the queue), so finding it in place proves nothing below it
+//! left, and appends beyond `len` are exactly what the resumed scan goes on
+//! to classify. A fence stops the scan and is never covered by a hint. In
+//! debug builds every scan that skipped work re-classifies the whole prefix
+//! from position 1 and asserts it — the scan this replaced, kept as the
+//! always-on test oracle.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::VecDeque;
 
-use simcore::SimTime;
+use simcore::{FxHashMap, SimTime};
 use streamflow::events::PriorityMsg;
 use streamflow::ids::{ChannelId, InstId, KeyGroup, OpId, SubscaleId};
-use streamflow::record::{Record, RecordKind, ScaleSignal, SignalKind, StreamElement};
+use streamflow::record::{Record, RecordKind, RecordRef, ScaleSignal, SignalKind, StreamElement};
 use streamflow::scaling::{ScalePlan, ScalePlugin, Selection};
 use streamflow::state::StateUnit;
 use streamflow::world::World;
 
 use crate::config::{Injection, MechanismConfig};
-use crate::planner::{divide_subscales, greedy_pick, SubscaleSpec};
+use crate::planner::{divide_subscales, greedy_pick, ActiveCounts, SubscaleSpec};
 
 const TAG_FLUSH: u64 = 1;
 
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+/// `kg2sub` entry of a key-group the current plan leaves where it is.
+const NO_SUB: u32 = u32::MAX;
+
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 enum Phase {
+    #[default]
     Pending,
     Launched,
     Done,
 }
 
+/// Run-time state of one subscale; its [`SubscaleSpec`] sits at the same
+/// index of `FlexScaler::specs`.
+#[derive(Default)]
 struct Sub {
-    spec: SubscaleSpec,
     phase: Phase,
     /// Decoupled: first trigger barrier already acted on.
     triggered: bool,
     /// Key-groups awaiting extraction (fluid migration pumps them serially).
     mig_queue: VecDeque<KeyGroup>,
-    /// Key-groups installed at the destination.
-    installed: HashSet<u16>,
-    /// Decoupled: per predecessor, confirms still to be re-routed.
-    confirms_pending: HashMap<InstId, u32>,
-    /// Predecessors whose confirms have fully arrived at the destination
-    /// (per-channel epoch switching = "fluid confirmation").
-    confirmed: HashSet<InstId>,
+    /// Key-groups fully installed at the destination.
+    installed: usize,
+    /// Decoupled: per predecessor (`InstId.0`), confirms still to be
+    /// re-routed. Empty for coupled mechanisms.
+    confirms_pending: Vec<u32>,
+    /// Sum of `confirms_pending`.
+    confirms_left: u32,
+    /// Per predecessor (`InstId.0`): its confirms have fully arrived at the
+    /// destination (per-channel epoch switching = "fluid confirmation").
+    confirmed: Vec<bool>,
     /// Coupled: channels whose barrier arrived at the old instance.
-    align_arrived: HashSet<ChannelId>,
+    align_arrived: Vec<ChannelId>,
     aligned: bool,
 }
 
@@ -71,6 +123,45 @@ enum Class {
     Hold,
 }
 
+/// What the last intra-channel scan of one input channel proved (see the
+/// module docs, "Cost model").
+#[derive(Clone, Copy)]
+struct HoldHint {
+    /// `FlexScaler::epoch` the prefix was classified under.
+    epoch: u64,
+    /// Queue positions `0..len` are data records classified `Hold`.
+    len: usize,
+    /// Arena handle at position 0.
+    first: RecordRef,
+    /// Arena handle at position `len - 1`.
+    last: RecordRef,
+}
+
+/// Deterministic cost counters of Record Scheduling, cumulative over the
+/// plugin's lifetime.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct SchedStats {
+    /// Input selections made for instances of the scaling operator.
+    pub selects: u64,
+    /// Records classified, wherever from (queue heads, admission, scans).
+    pub classified: u64,
+    /// Intra-channel scans started.
+    pub scans: u64,
+    /// Queue positions scans examined: the records they classified plus
+    /// the fences that stopped them.
+    pub scan_positions: u64,
+    /// Scans that resumed behind a still-valid hold hint.
+    pub hint_resumes: u64,
+}
+
+/// `table[i]`, first growing the table with `fill` if `i` is past its end.
+fn slot<T: Clone>(table: &mut Vec<T>, i: usize, fill: T) -> &mut T {
+    if i >= table.len() {
+        table.resize(i + 1, fill);
+    }
+    &mut table[i]
+}
+
 /// The configurable scaling mechanism. See module docs.
 pub struct FlexScaler {
     /// Active configuration.
@@ -78,23 +169,35 @@ pub struct FlexScaler {
     op: Option<OpId>,
     started: bool,
     done: bool,
+    /// The plan's subscales as the planner divided them.
+    specs: Vec<SubscaleSpec>,
+    /// Their run-time state, index for index.
     subs: Vec<Sub>,
-    kg2sub: HashMap<u16, usize>,
+    /// Key-group → index of the subscale moving it, or [`NO_SUB`].
+    kg2sub: Vec<u32>,
     pending: Vec<usize>,
-    active_cnt: HashMap<InstId, usize>,
-    preds: HashSet<InstId>,
-    /// Per predecessor: number of keyed edges it feeds the scaling operator
-    /// on (= confirms it emits per subscale).
-    pred_edge_count: HashMap<InstId, u32>,
-    /// Re-route Manager buffers: (old, new) → pending records.
-    rbuf: HashMap<(InstId, InstId), Vec<Record>>,
-    /// New-instance inboxes of re-routed `Ep` records.
-    inbox: HashMap<InstId, VecDeque<Record>>,
-    /// Outstanding inbox records per (instance, key-group) — gates `Ef`.
-    inbox_kg: HashMap<(InstId, u16), usize>,
-    /// Source-injection forwarding alignment at intermediate operators.
-    fwd_align: HashMap<(InstId, u32), HashSet<ChannelId>>,
+    active_cnt: ActiveCounts,
+    /// By `InstId.0`: feeds a keyed input of the scaling operator.
+    pred_mask: Vec<bool>,
+    /// Re-route Manager buffers, one per `(old, new)` pair ever used, kept
+    /// in key order (the canonical flush order).
+    rbuf: Vec<((InstId, InstId), Vec<Record>)>,
+    /// By `InstId.0`: new-instance inbox of re-routed `Ep` records.
+    inbox: Vec<VecDeque<Record>>,
+    /// By `inst * max_key_groups + kg`: outstanding inbox records — gates
+    /// `Ef`.
+    inbox_kg: Vec<u32>,
+    /// Source-injection forwarding alignment at intermediate operators:
+    /// `(instance, subscale)` → channels whose barrier arrived.
+    fwd_align: FxHashMap<(InstId, u32), Vec<ChannelId>>,
     timer_armed: bool,
+    /// Bumped whenever an input of `classify` may have changed.
+    epoch: u64,
+    /// Non-fluid only: the `scale.in_progress` the epoch last saw.
+    seen_in_progress: bool,
+    /// By `ChannelId.0`: what the last scan of the channel proved.
+    hints: Vec<Option<HoldHint>>,
+    stats: SchedStats,
 }
 
 impl FlexScaler {
@@ -105,17 +208,21 @@ impl FlexScaler {
             op: None,
             started: false,
             done: false,
+            specs: Vec::new(),
             subs: Vec::new(),
-            kg2sub: HashMap::new(),
+            kg2sub: Vec::new(),
             pending: Vec::new(),
-            active_cnt: HashMap::new(),
-            preds: HashSet::new(),
-            pred_edge_count: HashMap::new(),
-            rbuf: HashMap::new(),
-            inbox: HashMap::new(),
-            inbox_kg: HashMap::new(),
-            fwd_align: HashMap::new(),
+            active_cnt: ActiveCounts::new(),
+            pred_mask: Vec::new(),
+            rbuf: Vec::new(),
+            inbox: Vec::new(),
+            inbox_kg: Vec::new(),
+            fwd_align: FxHashMap::default(),
             timer_armed: false,
+            epoch: 0,
+            seen_in_progress: false,
+            hints: Vec::new(),
+            stats: SchedStats::default(),
         }
     }
 
@@ -130,8 +237,25 @@ impl FlexScaler {
         self.done
     }
 
+    /// The Record Scheduling cost counters so far.
+    pub fn sched_stats(&self) -> SchedStats {
+        self.stats
+    }
+
     fn sub_of_kg(&self, kg: KeyGroup) -> Option<usize> {
-        self.kg2sub.get(&kg.0).copied()
+        match self.kg2sub.get(kg.0 as usize) {
+            Some(&si) if si != NO_SUB => Some(si as usize),
+            _ => None,
+        }
+    }
+
+    fn is_pred(&self, inst: InstId) -> bool {
+        self.pred_mask.get(inst.0 as usize) == Some(&true)
+    }
+
+    /// An input of `classify` may have changed: every hold hint is stale.
+    fn bump_epoch(&mut self) {
+        self.epoch += 1;
     }
 
     // ------------------------------------------------------------------
@@ -139,32 +263,27 @@ impl FlexScaler {
     // ------------------------------------------------------------------
 
     fn launch_ready(&mut self, w: &mut World) {
-        loop {
-            if self.pending.is_empty() {
-                break;
-            }
-            if self.cfg.sequential {
+        while !self.pending.is_empty() {
+            let si = if self.cfg.sequential {
                 // One subscale at a time, in plan order.
-                let any_running = self.subs.iter().any(|s| s.phase == Phase::Launched);
-                if any_running {
+                if self.subs.iter().any(|s| s.phase == Phase::Launched) {
                     break;
                 }
-                let si = self.pending.remove(0);
-                self.launch(w, si);
-                continue;
-            }
-            let specs: Vec<SubscaleSpec> = self.subs.iter().map(|s| s.spec.clone()).collect();
-            let held = |i: InstId| w.insts[i.0 as usize].state.total_keys();
-            let Some(si) = greedy_pick(
-                &self.pending,
-                &specs,
-                &held,
-                &self.active_cnt,
-                self.cfg.concurrency_limit,
-            ) else {
-                break;
+                self.pending.remove(0)
+            } else {
+                let held = |i: InstId| w.insts[i.0 as usize].state.total_keys();
+                let Some(si) = greedy_pick(
+                    &self.pending,
+                    &self.specs,
+                    &held,
+                    &self.active_cnt,
+                    self.cfg.concurrency_limit,
+                ) else {
+                    break;
+                };
+                self.pending.retain(|&x| x != si);
+                si
             };
-            self.pending.retain(|&x| x != si);
             self.launch(w, si);
         }
     }
@@ -172,16 +291,15 @@ impl FlexScaler {
     fn launch(&mut self, w: &mut World, si: usize) {
         let now = w.now();
         let op = self.op.expect("launch after start");
-        {
-            let s = &mut self.subs[si];
-            s.phase = Phase::Launched;
-            *self.active_cnt.entry(s.spec.from).or_insert(0) += 1;
-            *self.active_cnt.entry(s.spec.to).or_insert(0) += 1;
-        }
+        self.subs[si].phase = Phase::Launched;
+        self.bump_epoch();
+        let spec = &self.specs[si];
+        *self.active_cnt.entry(spec.from).or_insert(0) += 1;
+        *self.active_cnt.entry(spec.to).or_insert(0) += 1;
         w.scale.metrics.injected.insert(SubscaleId(si as u32), now);
         if !self.cfg.sequential {
             let fanout = w.cfg.sub_group_fanout.max(1);
-            for kg in self.subs[si].spec.kgs.clone() {
+            for kg in &spec.kgs {
                 for sb in 0..fanout {
                     w.scale.metrics.unit_injected.insert((kg.0, sb), now);
                 }
@@ -205,22 +323,20 @@ impl FlexScaler {
 
     fn inject_at_preds(&mut self, w: &mut World, op: OpId, si: usize) {
         let now = w.now();
-        let spec = self.subs[si].spec.clone();
-        let kg_set: HashSet<u16> = spec.kgs.iter().map(|k| k.0).collect();
+        let (from, to) = (self.specs[si].from, self.specs[si].to);
         // Copy the cached edge list: the loop below mutates routing state.
         let edges = w.keyed_in_edges(op).to_vec();
-        let mut confirms: HashMap<InstId, u32> = HashMap::new();
         for e in edges {
             let from_op = w.edges[e.0 as usize].from;
             let pred_insts = w.ops[from_op.0 as usize].instances.clone();
             for pred in pred_insts {
                 // Routing confirmation point: future emissions go to `to`.
-                w.reroute_groups(op, pred, &spec.kgs, spec.to);
-                let Some(ch_old) = w.channel_between(e, pred, spec.from) else {
+                w.reroute_groups(op, pred, &self.specs[si].kgs, to);
+                let Some(ch_old) = w.channel_between(e, pred, from) else {
                     continue;
                 };
                 let ch_new = w
-                    .channel_between(e, pred, spec.to)
+                    .channel_between(e, pred, to)
                     .expect("channel to new instance wired at deploy");
                 if self.cfg.decouple {
                     // Confirm barrier is priority *in the output cache*: the
@@ -233,12 +349,10 @@ impl FlexScaler {
                     w.chans[ch_old.0 as usize].drain_backlog_matching_until(
                         &w.arena,
                         |el| {
-                            el.as_record()
-                                .map(|r| {
-                                    r.kind == RecordKind::Data
-                                        && kg_set.contains(&w_kg(r.key, &w.cfg))
-                                })
-                                .unwrap_or(false)
+                            el.as_record().is_some_and(|r| {
+                                r.kind == RecordKind::Data
+                                    && self.sub_of_kg(w_kg(r.key, &w.cfg)) == Some(si)
+                            })
                         },
                         |el| matches!(el, StreamElement::CheckpointBarrier(_)),
                         &mut moved,
@@ -250,12 +364,14 @@ impl FlexScaler {
                     w.pump(ch_old);
                     // Trigger barrier: priority end-to-end.
                     let trig = self.signal(si, SignalKind::Trigger, pred, now);
-                    w.send_priority(spec.from, PriorityMsg::Signal(trig));
+                    w.send_priority(from, PriorityMsg::Signal(trig));
                     // Confirm barrier: skips the backlog, in-order on the
                     // wire and at the receiver.
                     let conf = self.signal(si, SignalKind::Confirm, pred, now);
                     w.send_uncredited(ch_old, StreamElement::Scale(conf));
-                    *confirms.entry(pred).or_insert(0) += 1;
+                    let s = &mut self.subs[si];
+                    *slot(&mut s.confirms_pending, pred.0 as usize, 0) += 1;
+                    s.confirms_left += 1;
                 } else {
                     // Coupled barrier: strictly in-band (through the backlog).
                     let sig = self.signal(si, SignalKind::Coupled, pred, now);
@@ -263,14 +379,13 @@ impl FlexScaler {
                 }
             }
         }
-        self.subs[si].confirms_pending = confirms;
     }
 
     fn inject_at_sources(&mut self, w: &mut World, op: OpId, si: usize) {
         // Conventional source injection: barriers ride the dataflow from the
         // sources, aligned and forwarded at every intermediate operator.
         let now = w.now();
-        let spec = self.subs[si].spec.clone();
+        let to = self.specs[si].to;
         let source_insts: Vec<InstId> = w
             .insts
             .iter()
@@ -280,8 +395,8 @@ impl FlexScaler {
         for srci in source_insts {
             // A source that directly feeds the scaling operator acts as the
             // predecessor: flip routing when the barrier is emitted.
-            if self.preds.contains(&srci) {
-                w.reroute_groups(op, srci, &spec.kgs, spec.to);
+            if self.is_pred(srci) {
+                w.reroute_groups(op, srci, &self.specs[si].kgs, to);
             }
             let sig = self.signal(si, SignalKind::Coupled, srci, now);
             for ch in w.insts[srci.0 as usize].out_channels.clone() {
@@ -295,13 +410,10 @@ impl FlexScaler {
     // ------------------------------------------------------------------
 
     fn pump_migration(&mut self, w: &mut World, si: usize) {
-        let (from, to, next) = {
-            let s = &mut self.subs[si];
-            let Some(kg) = s.mig_queue.pop_front() else {
-                return;
-            };
-            (s.spec.from, s.spec.to, kg)
+        let Some(next) = self.subs[si].mig_queue.pop_front() else {
+            return;
         };
+        let (from, to) = (self.specs[si].from, self.specs[si].to);
         if self.cfg.sequential {
             // Megaphone's timestamp-driven plan announces every unit at the
             // start; record the governing injection lazily at first touch.
@@ -316,11 +428,11 @@ impl FlexScaler {
             }
         }
         w.migrate_group(from, to, next, SubscaleId(si as u32));
+        self.bump_epoch();
     }
 
     fn start_migration(&mut self, w: &mut World, si: usize) {
-        let kgs = self.subs[si].spec.kgs.clone();
-        self.subs[si].mig_queue = kgs.into();
+        self.subs[si].mig_queue = self.specs[si].kgs.iter().copied().collect();
         if self.cfg.fluid {
             self.pump_migration(w, si);
         } else {
@@ -335,32 +447,55 @@ impl FlexScaler {
     // Re-route Manager (paper component B4)
     // ------------------------------------------------------------------
 
+    // checker:hot-path
     fn buffer_reroute(&mut self, w: &mut World, old: InstId, to: InstId, rec: Record) {
-        let buf = self.rbuf.entry((old, to)).or_default();
+        let i = self.rbuf_slot(old, to);
+        let buf = &mut self.rbuf[i].1;
         buf.push(rec);
         if buf.len() >= self.cfg.reroute_batch {
-            self.flush_rbuf(w, old, to);
+            self.flush_rbuf_at(w, i);
         }
+    }
+
+    /// Index of the `(old, to)` buffer in `rbuf`, opened (empty, in key
+    /// order) by the first record ever re-routed between the pair.
+    fn rbuf_slot(&mut self, old: InstId, to: InstId) -> usize {
+        match self.rbuf.binary_search_by_key(&(old, to), |e| e.0) {
+            Ok(i) => i,
+            Err(i) => {
+                self.rbuf.insert(i, ((old, to), Vec::new()));
+                i
+            }
+        }
+    }
+
+    fn flush_rbuf_at(&mut self, w: &mut World, i: usize) {
+        let ((old, to), buf) = &mut self.rbuf[i];
+        if buf.is_empty() {
+            return;
+        }
+        let records = std::mem::take(buf);
+        w.send_priority(
+            *to,
+            PriorityMsg::ReroutedRecords {
+                from: *old,
+                records,
+            },
+        );
     }
 
     fn flush_rbuf(&mut self, w: &mut World, old: InstId, to: InstId) {
-        if let Some(buf) = self.rbuf.get_mut(&(old, to)) {
-            if buf.is_empty() {
-                return;
-            }
-            let records = std::mem::take(buf);
-            w.send_priority(to, PriorityMsg::ReroutedRecords { from: old, records });
+        if let Ok(i) = self.rbuf.binary_search_by_key(&(old, to), |e| e.0) {
+            self.flush_rbuf_at(w, i);
         }
     }
 
+    /// Flush every buffer, in `(old, new)` order: the priority sends
+    /// scheduled here tie-break FIFO in the event queue, so the order is
+    /// part of the interleaving (same-seed reproducibility).
     fn flush_all(&mut self, w: &mut World) {
-        let mut keys: Vec<(InstId, InstId)> = self.rbuf.keys().copied().collect();
-        // Canonical order: the priority sends scheduled here tie-break FIFO
-        // in the event queue, so hash-map iteration order must not leak
-        // into the interleaving (same-seed reproducibility).
-        keys.sort_unstable();
-        for (o, t) in keys {
-            self.flush_rbuf(w, o, t);
+        for i in 0..self.rbuf.len() {
+            self.flush_rbuf_at(w, i);
         }
     }
 
@@ -368,7 +503,16 @@ impl FlexScaler {
     // Classification
     // ------------------------------------------------------------------
 
-    fn classify(&self, w: &World, inst: InstId, ch_from: InstId, rec: &Record) -> Class {
+    // checker:hot-path
+    fn classify(&mut self, w: &World, inst: InstId, ch_from: InstId, rec: &Record) -> Class {
+        self.stats.classified += 1;
+        self.class_of(w, inst, ch_from, rec)
+    }
+
+    /// `classify` without the counter (the debug oracle re-classifies).
+    // checker:hot-path
+    #[inline]
+    fn class_of(&self, w: &World, inst: InstId, ch_from: InstId, rec: &Record) -> Class {
         if rec.kind == RecordKind::Marker {
             return Class::Process;
         }
@@ -380,8 +524,9 @@ impl FlexScaler {
         if s.phase == Phase::Pending {
             return Class::Process; // not yet launched: state is where it was
         }
+        let spec = &self.specs[si];
         let held = w.insts[inst.0 as usize].state.holds_group(kg);
-        if inst == s.spec.to {
+        if inst == spec.to {
             if !held {
                 return Class::Hold;
             }
@@ -391,27 +536,28 @@ impl FlexScaler {
             }
             // Inbox ordering: re-routed Ep records of this key-group must
             // drain before Ef records are admitted.
-            if self.inbox_kg.get(&(inst, kg.0)).copied().unwrap_or(0) > 0 {
+            let in_inbox = inst.0 as usize * w.cfg.max_key_groups as usize + kg.0 as usize;
+            if self.inbox_kg.get(in_inbox).is_some_and(|&n| n > 0) {
                 return Class::Hold;
             }
             if self.cfg.decouple {
                 // Implicit alignment: per-channel epoch switch when Record
                 // Scheduling is on ("fluid confirmation"), strict otherwise.
                 let ok = if self.cfg.scheduling {
-                    s.confirmed.contains(&ch_from) || !self.preds.contains(&ch_from)
+                    s.confirmed.get(ch_from.0 as usize) == Some(&true) || !self.is_pred(ch_from)
                 } else {
-                    s.confirms_pending.values().all(|&c| c == 0)
+                    s.confirms_left == 0
                 };
                 if !ok {
                     return Class::Hold;
                 }
             }
             Class::Process
-        } else if inst == s.spec.from {
+        } else if inst == spec.from {
             if held {
                 Class::Process // still awaiting its migration turn (Fig. 4b)
             } else {
-                Class::Reroute(s.spec.to)
+                Class::Reroute(spec.to)
             }
         } else {
             Class::Process
@@ -422,39 +568,43 @@ impl FlexScaler {
     // Selection (Record Scheduling)
     // ------------------------------------------------------------------
 
+    // checker:hot-path
     fn take_inbox_run(&mut self, w: &mut World, inst: InstId) -> Option<Selection> {
-        let q = self.inbox.get_mut(&inst)?;
-        if q.is_empty() {
-            return None;
-        }
-        let mut records = Vec::new();
+        let q = self.inbox.get_mut(inst.0 as usize)?;
+        let kgs = w.cfg.max_key_groups as usize;
+        let mut run: Option<Vec<Record>> = None;
         let mut service: SimTime = 0;
         while let Some(front) = q.front() {
             let kg = w.kg_of(front.key);
             if !w.insts[inst.0 as usize].state.holds_group(kg) {
                 break; // state still in transit: inbox is strictly FIFO
             }
-            if records.len() >= w.cfg.quantum_records || service >= w.cfg.quantum_time {
+            let taken = run.as_ref().map_or(0, Vec::len);
+            if taken >= w.cfg.quantum_records || service >= w.cfg.quantum_time {
                 break;
             }
             let rec = q.pop_front().expect("non-empty");
-            if let Some(c) = self.inbox_kg.get_mut(&(inst, kg.0)) {
+            if let Some(c) = self.inbox_kg.get_mut(inst.0 as usize * kgs + kg.0 as usize) {
                 *c = c.saturating_sub(1);
             }
             service += w.service_of(inst, &rec);
-            records.push(rec);
+            run.get_or_insert_with(|| w.take_run_buf()).push(rec);
         }
-        if records.is_empty() {
-            None
-        } else {
-            Some(Selection::Run { records, service })
-        }
+        let records = run?;
+        self.bump_epoch();
+        Some(Selection::Run { records, service })
     }
 
     // `loop` + let-else keeps the queue-front borrow scoped to the peek;
     // `while let` would hold it across the mutating body.
+    // checker:hot-path
     #[allow(clippy::while_let_loop)]
     fn flex_select(&mut self, w: &mut World, inst: InstId) -> Selection {
+        self.stats.selects += 1;
+        if !self.cfg.fluid && self.seen_in_progress != w.scale.in_progress {
+            self.seen_in_progress = w.scale.in_progress;
+            self.bump_epoch();
+        }
         // Re-routed records are special events, exempt from suspension.
         if let Some(run) = self.take_inbox_run(w, inst) {
             return run;
@@ -484,8 +634,7 @@ impl FlexScaler {
                         match self.classify(w, inst, from, r) {
                             Class::Process => {
                                 w.insts[inst.0 as usize].active_ch = idx;
-                                let mut me = TakeAdmit(self);
-                                return w.build_run(&mut me, inst, ch);
+                                return w.build_run(self, inst, ch);
                             }
                             Class::Reroute(to) => {
                                 let Some(StreamElement::Record(rec)) = w.chan_pop(ch) else {
@@ -526,49 +675,108 @@ impl FlexScaler {
         }
     }
 
-    /// Scan past the unprocessable head of `ch` for the first processable
-    /// record within the scheduling buffer; stop at any control element.
+    /// Scan past the unprocessable head of `ch` (the caller just classified
+    /// position 0 as `Hold`) for the first processable record within the
+    /// scheduling buffer; stop at any control element. Resumes behind the
+    /// channel's hold hint when it is still valid and leaves a new one.
+    // checker:hot-path
     fn intra_scan(&mut self, w: &mut World, inst: InstId, ch: ChannelId) -> Option<Selection> {
-        let depth = self
-            .cfg
-            .sched_buffer
-            .min(w.chans[ch.0 as usize].queue.len());
-        for pos in 1..depth {
-            let class = {
-                let el = w.chan_peek(ch, pos).expect("pos < queue depth");
-                match el {
-                    StreamElement::Record(r) => {
-                        let from = w.chans[ch.0 as usize].from;
-                        Some(self.classify(w, inst, from, r))
-                    }
-                    // Watermarks, checkpoint barriers and scale signals are
-                    // scheduling fences (paper §III-B).
-                    _ => None,
-                }
+        self.stats.scans += 1;
+        let from = w.chans[ch.0 as usize].from;
+        let mut pos = self.resume_pos(w, ch);
+        // Did the scan rely on anything but its own classifications?
+        let mut skipped = pos > 1;
+        let found = loop {
+            let queue = &w.chans[ch.0 as usize].queue;
+            if pos >= self.cfg.sched_buffer.min(queue.len()) {
+                break None;
+            }
+            self.stats.scan_positions += 1;
+            // Watermarks, checkpoint barriers and scale signals are
+            // scheduling fences (paper §III-B).
+            let StreamElement::Record(r) = &w.arena[queue[pos]] else {
+                break None;
             };
-            match class {
-                None => return None,
-                Some(Class::Process) => {
-                    let Some(StreamElement::Record(rec)) = w.chan_remove_at(ch, pos) else {
-                        unreachable!("checked record")
-                    };
-                    let service = w.service_of(inst, &rec);
-                    return Some(Selection::Run {
-                        records: vec![rec],
-                        service,
-                    });
-                }
-                Some(Class::Reroute(to)) => {
+            match self.classify(w, inst, from, r) {
+                Class::Hold => pos += 1,
+                Class::Process => break w.chan_remove_at(ch, pos),
+                Class::Reroute(to) => {
                     let Some(StreamElement::Record(rec)) = w.chan_remove_at(ch, pos) else {
                         unreachable!("checked record")
                     };
                     self.buffer_reroute(w, inst, to, rec);
-                    return self.intra_scan(w, inst, ch); // positions shifted
+                    // The next element slid into `pos`; what lies before it
+                    // is as it was.
+                    skipped = true;
                 }
-                Some(Class::Hold) => continue,
             }
+        };
+        self.leave_hint(w, ch, pos);
+        if skipped && cfg!(debug_assertions) {
+            self.assert_prefix_holds(w, inst, ch, pos);
         }
-        None
+        let Some(StreamElement::Record(rec)) = found else {
+            return None;
+        };
+        let service = w.service_of(inst, &rec);
+        let mut records = w.take_run_buf();
+        records.push(rec);
+        Some(Selection::Run { records, service })
+    }
+
+    /// Where the scan of `ch` starts: behind the prefix its hint certifies,
+    /// or at position 1.
+    // checker:hot-path
+    #[inline]
+    fn resume_pos(&mut self, w: &World, ch: ChannelId) -> usize {
+        let queue = &w.chans[ch.0 as usize].queue;
+        match self.hints.get(ch.0 as usize) {
+            Some(Some(h))
+                if h.epoch == self.epoch
+                    && queue.front() == Some(&h.first)
+                    && queue.get(h.len - 1) == Some(&h.last) =>
+            {
+                self.stats.hint_resumes += 1;
+                h.len
+            }
+            _ => 1,
+        }
+    }
+
+    /// Record that positions `0..len` of `ch` are records classified `Hold`
+    /// under the current epoch.
+    // checker:hot-path
+    #[inline]
+    fn leave_hint(&mut self, w: &World, ch: ChannelId, len: usize) {
+        let queue = &w.chans[ch.0 as usize].queue;
+        let hint = match (queue.front(), queue.get(len - 1)) {
+            (Some(&first), Some(&last)) => Some(HoldHint {
+                epoch: self.epoch,
+                len,
+                first,
+                last,
+            }),
+            _ => None,
+        };
+        *slot(&mut self.hints, ch.0 as usize, None) = hint;
+    }
+
+    /// The scan this one replaced, as its oracle: classify positions
+    /// `1..len` of `ch` from scratch and require records, all `Hold`.
+    fn assert_prefix_holds(&self, w: &World, inst: InstId, ch: ChannelId, len: usize) {
+        let from = w.chans[ch.0 as usize].from;
+        for pos in 1..len {
+            let class = w
+                .chan_peek(ch, pos)
+                .and_then(StreamElement::as_record)
+                .map(|r| self.class_of(w, inst, from, r));
+            assert_eq!(
+                class,
+                Some(Class::Hold),
+                "hold hint wrong at position {pos} of {len} on {ch:?} at {inst} (epoch {})",
+                self.epoch
+            );
+        }
     }
 
     // ------------------------------------------------------------------
@@ -576,23 +784,17 @@ impl FlexScaler {
     // ------------------------------------------------------------------
 
     fn maybe_finish_subscale(&mut self, w: &mut World, si: usize) {
-        let finished = {
-            let s = &self.subs[si];
-            s.phase == Phase::Launched && s.installed.len() >= s.spec.kgs.len()
-        };
-        if !finished {
+        let s = &mut self.subs[si];
+        if s.phase != Phase::Launched || s.installed < self.specs[si].kgs.len() {
             return;
         }
-        {
-            let s = &mut self.subs[si];
-            s.phase = Phase::Done;
-            if let Some(c) = self.active_cnt.get_mut(&s.spec.from) {
-                *c = c.saturating_sub(1);
-            }
-            if let Some(c) = self.active_cnt.get_mut(&s.spec.to) {
+        s.phase = Phase::Done;
+        for end in [self.specs[si].from, self.specs[si].to] {
+            if let Some(c) = self.active_cnt.get_mut(&end) {
                 *c = c.saturating_sub(1);
             }
         }
+        self.bump_epoch();
         self.launch_ready(w);
         self.check_done(w);
     }
@@ -602,14 +804,12 @@ impl FlexScaler {
             return;
         }
         let subs_done = self.subs.iter().all(|s| s.phase == Phase::Done);
-        let confirms_done = self
-            .subs
-            .iter()
-            .all(|s| s.confirms_pending.values().all(|&c| c == 0));
+        let confirms_done = self.subs.iter().all(|s| s.confirms_left == 0);
         let buffers_empty =
-            self.rbuf.values().all(|b| b.is_empty()) && self.inbox.values().all(|q| q.is_empty());
+            self.rbuf.iter().all(|b| b.1.is_empty()) && self.inbox.iter().all(|q| q.is_empty());
         if subs_done && confirms_done && buffers_empty && !w.scale.in_progress {
             self.done = true;
+            self.bump_epoch();
             // Wake everything once so suspended instances re-evaluate under
             // the engine's default selection.
             let ids: Vec<InstId> = self
@@ -620,23 +820,6 @@ impl FlexScaler {
                 w.wake(i);
             }
         }
-    }
-}
-
-/// Shim so `flex_select` can hand `build_run` an admission view of the
-/// classifier without double-borrowing `self`.
-struct TakeAdmit<'a>(&'a mut FlexScaler);
-
-impl ScalePlugin for TakeAdmit<'_> {
-    fn name(&self) -> &'static str {
-        self.0.cfg.name
-    }
-    fn on_scale_start(&mut self, _w: &mut World, _p: &ScalePlan) {}
-    fn on_signal(&mut self, _w: &mut World, _i: InstId, _c: ChannelId, _s: ScaleSignal) {}
-    fn on_chunk(&mut self, _w: &mut World, _i: InstId, _u: StateUnit, _s: SubscaleId, _f: InstId) {}
-    fn admit(&mut self, w: &mut World, inst: InstId, ch: ChannelId, rec: &Record) -> bool {
-        let from = w.chans[ch.0 as usize].from;
-        self.0.classify(w, inst, from, rec) == Class::Process
     }
 }
 
@@ -657,33 +840,21 @@ impl ScalePlugin for FlexScaler {
         self.op = Some(plan.op);
         self.started = true;
         self.done = false;
-        self.preds = w.predecessors(plan.op).iter().copied().collect();
-        self.pred_edge_count.clear();
-        for e in w.keyed_in_edges(plan.op) {
-            let from_op = w.edges[e.0 as usize].from;
-            for &p in &w.ops[from_op.0 as usize].instances {
-                *self.pred_edge_count.entry(p).or_insert(0) += 1;
-            }
+        self.bump_epoch();
+        // Every instance the plan touches exists by now: the engine creates
+        // the new ones before it announces the deployment.
+        self.pred_mask.clear();
+        self.pred_mask.resize(w.insts.len(), false);
+        for &p in w.predecessors(plan.op) {
+            *slot(&mut self.pred_mask, p.0 as usize, false) = true;
         }
-        let specs = divide_subscales(&plan.moves, self.cfg.subscale_count);
-        self.subs = specs
-            .into_iter()
-            .map(|spec| Sub {
-                spec,
-                phase: Phase::Pending,
-                triggered: false,
-                mig_queue: VecDeque::new(),
-                installed: HashSet::new(),
-                confirms_pending: HashMap::new(),
-                confirmed: HashSet::new(),
-                align_arrived: HashSet::new(),
-                aligned: false,
-            })
-            .collect();
+        self.specs = divide_subscales(&plan.moves, self.cfg.subscale_count);
+        self.subs = self.specs.iter().map(|_| Sub::default()).collect();
         self.kg2sub.clear();
-        for (i, s) in self.subs.iter().enumerate() {
-            for kg in &s.spec.kgs {
-                self.kg2sub.insert(kg.0, i);
+        self.kg2sub.resize(w.cfg.max_key_groups as usize, NO_SUB);
+        for (i, spec) in self.specs.iter().enumerate() {
+            for kg in &spec.kgs {
+                *slot(&mut self.kg2sub, kg.0 as usize, NO_SUB) = i as u32;
             }
         }
         self.pending = (0..self.subs.len()).collect();
@@ -715,7 +886,7 @@ impl ScalePlugin for FlexScaler {
     fn on_priority_signal(&mut self, w: &mut World, inst: InstId, sig: ScaleSignal) {
         if sig.kind == SignalKind::Trigger {
             let si = sig.subscale.0 as usize;
-            if si < self.subs.len() && !self.subs[si].triggered && inst == self.subs[si].spec.from {
+            if si < self.subs.len() && !self.subs[si].triggered && inst == self.specs[si].from {
                 self.subs[si].triggered = true;
                 self.start_migration(w, si);
             }
@@ -729,8 +900,8 @@ impl ScalePlugin for FlexScaler {
                 // Arrived in-order at the *old* instance: all Ep records
                 // from this predecessor are already consumed. Flush the
                 // re-route buffer, then re-route the confirm itself.
-                if si < self.subs.len() && inst == self.subs[si].spec.from {
-                    let to = self.subs[si].spec.to;
+                if si < self.subs.len() && inst == self.specs[si].from {
+                    let to = self.specs[si].to;
                     self.flush_rbuf(w, inst, to);
                     w.send_priority(
                         to,
@@ -756,11 +927,14 @@ impl ScalePlugin for FlexScaler {
         _from: InstId,
         records: Vec<Record>,
     ) {
+        let kgs = w.cfg.max_key_groups as usize;
+        let inbox = slot(&mut self.inbox, inst.0 as usize, VecDeque::new());
         for rec in records {
             let kg = w.kg_of(rec.key);
-            *self.inbox_kg.entry((inst, kg.0)).or_insert(0) += 1;
-            self.inbox.entry(inst).or_default().push_back(rec);
+            *slot(&mut self.inbox_kg, inst.0 as usize * kgs + kg.0 as usize, 0) += 1;
+            inbox.push_back(rec);
         }
+        self.bump_epoch();
         w.wake(inst);
     }
 
@@ -775,15 +949,17 @@ impl ScalePlugin for FlexScaler {
         if si >= self.subs.len() {
             return;
         }
-        let pred = sig.from_pred;
-        {
-            let s = &mut self.subs[si];
-            let c = s.confirms_pending.entry(pred).or_insert(0);
-            *c = c.saturating_sub(1);
-            if *c == 0 {
-                s.confirmed.insert(pred);
-            }
+        let pred = sig.from_pred.0 as usize;
+        let s = &mut self.subs[si];
+        let c = slot(&mut s.confirms_pending, pred, 0);
+        if *c > 0 {
+            *c -= 1;
+            s.confirms_left -= 1;
         }
+        if *c == 0 {
+            *slot(&mut s.confirmed, pred, false) = true;
+        }
+        self.bump_epoch();
         w.wake(inst);
         self.check_done(w);
     }
@@ -799,10 +975,11 @@ impl ScalePlugin for FlexScaler {
         let si = subscale.0 as usize;
         let kg = unit.kg;
         w.install_unit(inst, unit, true);
+        self.bump_epoch();
         if si < self.subs.len() {
             let fully = w.insts[inst.0 as usize].state.holds_group(kg);
             if fully {
-                self.subs[si].installed.insert(kg.0);
+                self.subs[si].installed += 1;
                 if self.cfg.fluid {
                     self.pump_migration(w, si);
                 }
@@ -818,8 +995,8 @@ impl ScalePlugin for FlexScaler {
         // record.
         let kg = w.kg_of(rec.key);
         if let Some(si) = self.sub_of_kg(kg) {
-            if inst == self.subs[si].spec.from {
-                let to = self.subs[si].spec.to;
+            if inst == self.specs[si].from {
+                let to = self.specs[si].to;
                 self.buffer_reroute(w, inst, to, rec.clone());
                 return true;
             }
@@ -835,8 +1012,10 @@ impl ScalePlugin for FlexScaler {
         self.flex_select(w, inst)
     }
 
+    // checker:hot-path
     fn admit(&mut self, w: &mut World, inst: InstId, ch: ChannelId, rec: &Record) -> bool {
-        if !self.active() {
+        // Only instances of the scaling operator hold moving state.
+        if !self.selects(w, inst) {
             return true;
         }
         let from = w.chans[ch.0 as usize].from;
@@ -854,25 +1033,23 @@ impl FlexScaler {
         let my_op = w.insts[inst.0 as usize].op;
         if my_op == op {
             // At the scaling operator.
-            if inst != self.subs[si].spec.from {
+            if inst != self.specs[si].from {
                 return; // new instances / uninvolved siblings just consume it
             }
             // Alignment with input blocking (paper Fig. 1a / Fig. 7a).
             w.block_channel(ch);
-            let expected = {
-                let i = &w.insts[inst.0 as usize];
-                i.in_channels
-                    .iter()
-                    .filter(|&&c| self.preds.contains(&w.chans[c.0 as usize].from))
-                    .count()
-            };
-            let arrived = {
-                let s = &mut self.subs[si];
-                s.align_arrived.insert(ch);
-                s.align_arrived.len()
-            };
-            if arrived >= expected && !self.subs[si].aligned {
-                self.subs[si].aligned = true;
+            let expected = w.insts[inst.0 as usize]
+                .in_channels
+                .iter()
+                .filter(|&&c| self.is_pred(w.chans[c.0 as usize].from))
+                .count();
+            let s = &mut self.subs[si];
+            if !s.align_arrived.contains(&ch) {
+                s.align_arrived.push(ch);
+            }
+            if s.align_arrived.len() >= expected && !s.aligned {
+                s.aligned = true;
+                self.bump_epoch();
                 // Unblock only channels no other still-aligning subscale at
                 // this instance is holding (overlapping subscales — the
                 // naive-division interference of Fig. 7a — share channels).
@@ -881,10 +1058,10 @@ impl FlexScaler {
                     .iter()
                     .copied()
                     .filter(|c| {
-                        !self.subs.iter().any(|o| {
+                        !self.subs.iter().zip(&self.specs).any(|(o, spec)| {
                             o.phase == Phase::Launched
                                 && !o.aligned
-                                && o.spec.from == inst
+                                && spec.from == inst
                                 && o.align_arrived.contains(c)
                         })
                     })
@@ -898,21 +1075,19 @@ impl FlexScaler {
             // Intermediate operator: align, update routing if predecessor,
             // then forward.
             let key = (inst, sig.subscale.0);
-            let set = self.fwd_align.entry(key).or_default();
-            set.insert(ch);
+            let arrived = self.fwd_align.entry(key).or_default();
+            if !arrived.contains(&ch) {
+                arrived.push(ch);
+            }
+            let arrived = arrived.len();
             w.block_channel(ch);
             let expected = w.insts[inst.0 as usize].in_channels.len();
-            let arrived = self.fwd_align.get(&key).map(|s| s.len()).unwrap_or(0);
             if arrived >= expected {
-                let chans: Vec<ChannelId> = self
-                    .fwd_align
-                    .remove(&key)
-                    .map(|s| s.into_iter().collect())
-                    .unwrap_or_default();
-                if self.preds.contains(&inst) {
+                let chans = self.fwd_align.remove(&key).unwrap_or_default();
+                if self.is_pred(inst) {
                     // The barrier itself is the routing confirmation in
                     // coupled mode; no separate confirm bookkeeping.
-                    let spec = self.subs[si].spec.clone();
+                    let spec = &self.specs[si];
                     w.reroute_groups(op, inst, &spec.kgs, spec.to);
                 }
                 for out in w.insts[inst.0 as usize].out_channels.clone() {
@@ -926,6 +1101,271 @@ impl FlexScaler {
     }
 }
 
-fn w_kg(key: u64, cfg: &streamflow::EngineConfig) -> u16 {
-    streamflow::ids::key_group_of(key, cfg.max_key_groups).0
+fn w_kg(key: u64, cfg: &streamflow::EngineConfig) -> KeyGroup {
+    streamflow::ids::key_group_of(key, cfg.max_key_groups)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use simcore::time::ms;
+    use streamflow::state::SubState;
+    use streamflow::world::tests_support::tiny_job;
+    use streamflow::EngineConfig;
+
+    /// A DRRS plan 2 → 4 stopped mid-migration, with one input channel of a
+    /// new instance under the test's control.
+    struct Frozen {
+        w: World,
+        p: FlexScaler,
+        /// A new instance, and the channel its (only) predecessor feeds.
+        to: InstId,
+        ch: ChannelId,
+        /// A launched subscale into `to`, its source, and two of its
+        /// key-groups whose state has not arrived.
+        si: usize,
+        from: InstId,
+        kg_a: KeyGroup,
+        kg_b: KeyGroup,
+    }
+
+    fn frozen() -> Frozen {
+        let mut cfg = EngineConfig::test();
+        cfg.max_key_groups = 64;
+        // A chunk takes longer than any test runs: state stays in transit.
+        cfg.ser_bytes_per_us = 1e-6;
+        let (mut w, agg) = tiny_job(cfg, 2_000.0, 512, 2);
+        w.schedule_scale(ms(300), agg, 4);
+        let mut p = FlexScaler::drrs();
+        let mut buf = Vec::new();
+        // Request + deploy delay + trigger latency, with room to spare.
+        while w.q.pop_run_at_most(ms(420), &mut buf).is_some() {
+            w.dispatch_run(&mut p, &mut buf);
+        }
+        let to = w.scale.new_instances[0];
+        let ch = w.insts[to.0 as usize].in_channels[0];
+        let si = (0..p.subs.len())
+            .find(|&i| {
+                p.specs[i].to == to
+                    && p.subs[i].phase == Phase::Launched
+                    && !p.subs[i].mig_queue.is_empty()
+            })
+            .expect("a launched subscale into the new instance, still migrating");
+        let unheld: Vec<KeyGroup> = p.specs[si]
+            .kgs
+            .iter()
+            .copied()
+            .filter(|&kg| !w.insts[to.0 as usize].state.holds_group(kg))
+            .collect();
+        assert!(unheld.len() >= 2, "plan too small: {unheld:?}");
+        while w.chan_pop(ch).is_some() {}
+        Frozen {
+            from: p.specs[si].from,
+            kg_a: unheld[0],
+            kg_b: unheld[1],
+            w,
+            p,
+            to,
+            ch,
+            si,
+        }
+    }
+
+    impl Frozen {
+        fn push(&mut self, el: StreamElement) {
+            let r = self.w.arena.insert(el);
+            self.w.chans[self.ch.0 as usize].queue.push_back(r);
+        }
+
+        /// Queue a data record of `kg` on the channel.
+        fn push_rec(&mut self, kg: KeyGroup) {
+            let rec = self.rec(kg);
+            self.push(StreamElement::Record(rec));
+        }
+
+        fn rec(&self, kg: KeyGroup) -> Record {
+            let key = (0..).find(|&k| self.w.kg_of(k) == kg).expect("a key");
+            Record::data(key, 1, 0)
+        }
+
+        /// A key-group the plan does not move: always processable.
+        fn still_kg(&self) -> KeyGroup {
+            (0..self.w.cfg.max_key_groups)
+                .map(KeyGroup)
+                .find(|&kg| self.p.sub_of_kg(kg).is_none())
+                .expect("half the key-groups stay")
+        }
+
+        fn scan(&mut self) -> Option<Selection> {
+            self.p.intra_scan(&mut self.w, self.to, self.ch)
+        }
+
+        /// `(scan positions examined, scans resumed)` by `f`.
+        fn cost(&mut self, f: impl FnOnce(&mut Self)) -> (u64, u64) {
+            let before = self.p.sched_stats();
+            f(self);
+            let after = self.p.sched_stats();
+            (
+                after.scan_positions - before.scan_positions,
+                after.hint_resumes - before.hint_resumes,
+            )
+        }
+
+        /// Five held records, scanned once (so a hint covers them), then
+        /// `transition`; the next scan must start over from position 1.
+        fn assert_drops_hint(mut self, transition: impl FnOnce(&mut Self)) {
+            for _ in 0..5 {
+                self.push_rec(self.kg_a);
+            }
+            assert_eq!(self.cost(|f| assert!(f.scan().is_none())), (4, 0));
+            assert_eq!(self.cost(|f| assert!(f.scan().is_none())), (0, 1));
+            transition(&mut self);
+            let left = self.w.chans[self.ch.0 as usize].queue.len() as u64;
+            assert_eq!(
+                self.cost(|f| assert!(f.scan().is_none())),
+                (left - 1, 0),
+                "the scan after the transition trusted a stale hint"
+            );
+        }
+    }
+
+    #[test]
+    fn hint_survives_tail_appends_and_its_own_bypass() {
+        let mut f = frozen();
+        for _ in 0..5 {
+            f.push_rec(f.kg_a);
+        }
+        assert_eq!(f.cost(|f| assert!(f.scan().is_none())), (4, 0));
+        // Nothing changed: the whole window is known to be held.
+        assert_eq!(f.cost(|f| assert!(f.scan().is_none())), (0, 1));
+        // Appends are classified once each, the prefix not again.
+        for _ in 0..3 {
+            f.push_rec(f.kg_b);
+        }
+        assert_eq!(f.cost(|f| assert!(f.scan().is_none())), (3, 1));
+        // A processable record behind the held ones is bypassed to ...
+        let still = f.still_kg();
+        f.push_rec(still);
+        f.push_rec(f.kg_a);
+        let still_key = f.rec(still).key;
+        let (cost, run) = {
+            let mut run = None;
+            let cost = f.cost(|f| run = f.scan());
+            (cost, run)
+        };
+        assert_eq!(cost, (1, 1));
+        match run {
+            Some(Selection::Run { records, .. }) => {
+                assert_eq!(records.len(), 1);
+                assert_eq!(records[0].key, still_key);
+            }
+            _ => panic!("the processable record was not selected"),
+        }
+        // ... and taking it out leaves the hint on the prefix before it.
+        assert_eq!(f.cost(|f| assert!(f.scan().is_none())), (1, 1));
+        assert_eq!(f.w.chans[f.ch.0 as usize].queue.len(), 9);
+    }
+
+    #[test]
+    fn install_drops_the_hint() {
+        frozen().assert_drops_hint(|f| {
+            let unit = StateUnit {
+                kg: f.kg_b,
+                sub: 0,
+                state: SubState::default(),
+            };
+            f.p.on_chunk(&mut f.w, f.to, unit, SubscaleId(f.si as u32), f.from);
+        });
+    }
+
+    #[test]
+    fn extract_drops_the_hint() {
+        frozen().assert_drops_hint(|f| {
+            let queued = f.p.subs[f.si].mig_queue.len();
+            f.p.pump_migration(&mut f.w, f.si);
+            assert_eq!(f.p.subs[f.si].mig_queue.len(), queued - 1);
+        });
+    }
+
+    #[test]
+    fn rerouted_confirm_drops_the_hint() {
+        frozen().assert_drops_hint(|f| {
+            let pred = f.w.chans[f.ch.0 as usize].from;
+            let sig =
+                f.p.signal(f.si, SignalKind::ConfirmRerouted, pred, f.w.now());
+            f.p.on_rerouted_confirm(&mut f.w, f.to, f.from, sig);
+        });
+    }
+
+    #[test]
+    fn inbox_push_drops_the_hint() {
+        frozen().assert_drops_hint(|f| {
+            let rec = f.rec(f.kg_b);
+            f.p.on_rerouted_records(&mut f.w, f.to, f.from, vec![rec]);
+        });
+    }
+
+    #[test]
+    fn inbox_pop_drops_the_hint() {
+        let mut f = frozen();
+        // An inbox record whose state is present can leave the inbox.
+        let unit = StateUnit {
+            kg: f.kg_b,
+            sub: 0,
+            state: SubState::default(),
+        };
+        f.p.on_chunk(&mut f.w, f.to, unit, SubscaleId(f.si as u32), f.from);
+        let rec = f.rec(f.kg_b);
+        f.p.on_rerouted_records(&mut f.w, f.to, f.from, vec![rec]);
+        f.assert_drops_hint(|f| {
+            assert!(f.p.take_inbox_run(&mut f.w, f.to).is_some());
+        });
+    }
+
+    #[test]
+    fn popping_the_channel_drops_the_hint() {
+        frozen().assert_drops_hint(|f| {
+            f.w.chan_pop(f.ch);
+        });
+    }
+
+    #[test]
+    fn removing_inside_the_window_drops_the_hint() {
+        frozen().assert_drops_hint(|f| {
+            f.w.chan_remove_at(f.ch, 2);
+        });
+    }
+
+    #[test]
+    fn a_fence_is_never_covered_by_a_hint() {
+        let mut f = frozen();
+        for _ in 0..3 {
+            f.push_rec(f.kg_a);
+        }
+        f.push(StreamElement::Watermark(1));
+        let still = f.still_kg();
+        f.push_rec(still);
+        // Positions 1 and 2 are held, position 3 is the fence: the
+        // processable record behind it must not be reached.
+        assert_eq!(f.cost(|f| assert!(f.scan().is_none())), (3, 0));
+        assert_eq!(f.p.hints[f.ch.0 as usize].map(|h| h.len), Some(3));
+        // The resumed scan looks at the fence again, and only at it.
+        assert_eq!(f.cost(|f| assert!(f.scan().is_none())), (1, 1));
+        assert_eq!(f.p.hints[f.ch.0 as usize].map(|h| h.len), Some(3));
+    }
+
+    #[test]
+    fn all_at_once_configs_track_the_worlds_in_progress_flag() {
+        let mut f = frozen();
+        f.p.cfg.fluid = false;
+        assert!(f.w.scale.in_progress);
+        let e0 = f.p.epoch;
+        let _ = f.p.flex_select(&mut f.w, f.to);
+        assert_eq!(f.p.epoch, e0 + 1, "first sight of in_progress = true");
+        let _ = f.p.flex_select(&mut f.w, f.to);
+        assert_eq!(f.p.epoch, e0 + 1, "unchanged flag, unchanged epoch");
+        f.w.scale.in_progress = false;
+        let _ = f.p.flex_select(&mut f.w, f.to);
+        assert_eq!(f.p.epoch, e0 + 2, "the world cleared the flag");
+    }
 }

@@ -179,16 +179,22 @@ impl OperatorLogic for KeyedTouch {
 
 impl OperatorLogic for KeyedAgg {
     fn on_record(&mut self, ctx: &mut OpCtx<'_>, rec: &Record) {
-        let fresh = {
+        // One probe of the state map per record: freshness, the update and
+        // the running sum to emit all come from this borrow.
+        let (fresh, total) = {
             let v = ctx
                 .state
                 .entry_or(ctx.kg, rec.key, || StateValue::Sum { count: 0, sum: 0 });
             let fresh = matches!(v, StateValue::Sum { count: 0, .. });
-            if let StateValue::Sum { count, sum } = v {
-                *count += rec.count as u64;
-                *sum += rec.value * rec.count as i64;
-            }
-            fresh
+            let total = match v {
+                StateValue::Sum { count, sum } => {
+                    *count += rec.count as u64;
+                    *sum += rec.value * rec.count as i64;
+                    *sum
+                }
+                _ => 0,
+            };
+            (fresh, total)
         };
         if fresh {
             ctx.state
@@ -202,14 +208,7 @@ impl OperatorLogic for KeyedAgg {
             );
         }
         if self.emit_every <= 1 || rec.origin.1.is_multiple_of(self.emit_every as u64) {
-            let sum = match ctx
-                .state
-                .entry_or(ctx.kg, rec.key, || StateValue::Sum { count: 0, sum: 0 })
-            {
-                StateValue::Sum { sum, .. } => *sum,
-                _ => 0,
-            };
-            ctx.emit(rec.key, sum, rec.event_time);
+            ctx.emit(rec.key, total, rec.event_time);
         }
     }
     fn service_time(&self, _rec: &Record) -> SimTime {

@@ -30,7 +30,9 @@ pub struct Pane {
     pub count: u64,
 }
 
-/// The pane ring for one key.
+/// The pane ring for one key: panes in ascending `start` order, one per
+/// slide interval that has seen a record. `add` keeps the order, the other
+/// methods rely on it.
 #[derive(Clone, Debug, PartialEq, Default)]
 pub struct PaneSet {
     panes: Vec<Pane>,
@@ -40,21 +42,24 @@ impl PaneSet {
     /// Fold a record into the pane owning `event_time`.
     pub fn add(&mut self, event_time: SimTime, value: i64, count: u64, slide: SimTime, agg: Agg) {
         let start = (event_time / slide) * slide;
-        let pane = match self.panes.iter_mut().find(|p| p.start == start) {
-            Some(p) => p,
-            None => {
-                self.panes.push(Pane {
-                    start,
-                    agg: initial(agg),
-                    count: 0,
-                });
-                self.panes.sort_by_key(|p| p.start);
-                self.panes
-                    .iter_mut()
-                    .find(|p| p.start == start)
-                    .expect("just inserted")
+        // Event time mostly advances, so the owning pane is the newest one
+        // or a new one right behind it: look from the back.
+        let at = match self.panes.iter().rposition(|p| p.start <= start) {
+            Some(i) if self.panes[i].start == start => i,
+            older => {
+                let at = older.map_or(0, |i| i + 1);
+                self.panes.insert(
+                    at,
+                    Pane {
+                        start,
+                        agg: initial(agg),
+                        count: 0,
+                    },
+                );
+                at
             }
         };
+        let pane = &mut self.panes[at];
         pane.agg = combine(agg, pane.agg, value, count);
         pane.count += count;
     }
@@ -63,16 +68,18 @@ impl PaneSet {
     /// `size`. Returns `None` if no pane overlaps.
     pub fn window_agg(&self, window_end: SimTime, size: SimTime, agg: Agg) -> Option<(i64, u64)> {
         let lo = window_end.saturating_sub(size);
+        let first = self.panes.partition_point(|p| p.start < lo);
         let mut acc: Option<i64> = None;
         let mut n = 0u64;
-        for p in &self.panes {
-            if p.start >= lo && p.start < window_end {
-                acc = Some(match acc {
-                    None => p.agg,
-                    Some(a) => merge(agg, a, p.agg),
-                });
-                n += p.count;
-            }
+        for p in self.panes[first..]
+            .iter()
+            .take_while(|p| p.start < window_end)
+        {
+            acc = Some(match acc {
+                None => p.agg,
+                Some(a) => merge(agg, a, p.agg),
+            });
+            n += p.count;
         }
         acc.map(|a| (a, n))
     }
@@ -80,16 +87,8 @@ impl PaneSet {
     /// Drop panes entirely before `horizon` (no window can need them).
     /// Returns the number of records evicted (for state-size accounting).
     pub fn evict_before(&mut self, horizon: SimTime) -> u64 {
-        let mut evicted = 0;
-        self.panes.retain(|p| {
-            if p.start < horizon {
-                evicted += p.count;
-                false
-            } else {
-                true
-            }
-        });
-        evicted
+        let n = self.panes.partition_point(|p| p.start < horizon);
+        self.panes.drain(..n).map(|p| p.count).sum()
     }
 
     /// Records currently buffered across panes.
@@ -168,6 +167,42 @@ mod tests {
         assert_eq!(evicted, 5);
         assert_eq!(p.len(), 5);
         assert_eq!(p.total_count(), 5);
+    }
+
+    #[test]
+    fn late_adds_land_in_order() {
+        // Out-of-order event times: an older pane is created between (and
+        // before) existing ones, and an existing older pane is found again.
+        let mut p = PaneSet::default();
+        for t in [500, 200, 900, 0, 250, 520] {
+            p.add(t, t as i64, 1, 100, Agg::Max);
+        }
+        let starts: Vec<SimTime> = p.panes.iter().map(|x| x.start).collect();
+        assert_eq!(starts, vec![0, 200, 500, 900]);
+        assert_eq!(p.total_count(), 6);
+        // [200, 600) sees panes 200 (records 200, 250) and 500 (500, 520).
+        assert_eq!(p.window_agg(600, 400, Agg::Max), Some((520, 4)));
+        // A window between panes sees nothing.
+        assert_eq!(p.window_agg(500, 200, Agg::Max), None);
+    }
+
+    #[test]
+    fn evicting_nothing_and_everything() {
+        let mut p = PaneSet::default();
+        assert_eq!(p.evict_before(1_000), 0);
+        for t in 3..6 {
+            p.add(t * 100, 1, 2, 100, Agg::Count);
+        }
+        // A horizon at (or before) the oldest pane's start evicts nothing.
+        assert_eq!(p.evict_before(300), 0);
+        assert_eq!(p.len(), 3);
+        // A horizon past the newest pane evicts every record.
+        assert_eq!(p.evict_before(501), 6);
+        assert!(p.is_empty());
+        assert_eq!(p.total_count(), 0);
+        // The emptied set takes new panes again.
+        p.add(50, 1, 1, 100, Agg::Count);
+        assert_eq!(p.window_agg(100, 100, Agg::Count), Some((1, 1)));
     }
 
     #[test]

@@ -1910,6 +1910,17 @@ impl World {
         Selection::Idle
     }
 
+    /// An empty quantum buffer from the recycling pool (`on_proc_done`
+    /// returns every finished quantum's buffer to it). Selections that
+    /// assemble their own `Selection::Run` take their `records` from here,
+    /// so a run costs no allocation once the pool is warm.
+    #[inline]
+    pub fn take_run_buf(&mut self) -> Vec<Record> {
+        let buf = self.run_buf_pool.pop().unwrap_or_default();
+        debug_assert!(buf.is_empty());
+        buf
+    }
+
     /// Pop a run of admissible records from `ch` bounded by the quantum.
     pub fn build_run(
         &mut self,
@@ -1917,8 +1928,7 @@ impl World {
         inst: InstId,
         ch: ChannelId,
     ) -> Selection {
-        let mut records = self.run_buf_pool.pop().unwrap_or_default();
-        debug_assert!(records.is_empty());
+        let mut records = self.take_run_buf();
         let mut service: SimTime = 0;
         loop {
             if records.len() >= self.cfg.quantum_records || service >= self.cfg.quantum_time {

@@ -439,6 +439,135 @@ proptest! {
     }
 
     #[test]
+    fn back_to_back_plans_keep_order_and_settle_under_every_flex_mechanism(
+        // Out, in, out on a random small job, each plan requested once the
+        // previous segment has run, for every `FlexScaler` configuration.
+        // In debug builds each of these sims is also a differential test of
+        // the resumable intra-channel scan against the from-scratch one.
+        seed in 0u64..10_000,
+        rate in 3_000u64..9_000,
+        par in 2usize..4,
+        slow_migration in any::<bool>(),
+        checkpoints in any::<bool>()
+    ) {
+        use drrs_repro::baselines::{megaphone, otfs_all_at_once};
+        use drrs_repro::engine::graph::{EdgeKind, JobBuilder};
+        use drrs_repro::engine::instance::SourceGen;
+        use drrs_repro::engine::operator::KeyedAgg;
+
+        /// Round-robin keys at a constant rate, then end of stream — so the
+        /// pipeline drains and the sink count is an equality.
+        struct Bounded { rate: f64, next_key: u64, limit: u64 }
+        impl SourceGen for Bounded {
+            fn rate(&self, _t: u64) -> f64 { self.rate }
+            fn next(&mut self, _t: u64) -> (u64, i64) {
+                self.next_key = (self.next_key + 1) % 2_048;
+                (self.next_key, 1)
+            }
+            fn limit(&self) -> Option<u64> { Some(self.limit) }
+        }
+
+        // Sources stop at 10 s; the last segment ends at 13 s.
+        let limit = rate * 10;
+        let mechanisms: [fn() -> FlexScaler; 6] = [
+            FlexScaler::drrs,
+            || FlexScaler::new(MechanismConfig::dr_only()),
+            || FlexScaler::new(MechanismConfig::schedule_only()),
+            || FlexScaler::new(MechanismConfig::subscale_only()),
+            || megaphone(1),
+            otfs_all_at_once,
+        ];
+        for mech in mechanisms {
+            let mech = mech();
+            // Two defects this property found (both reproduce at the commit
+            // before it was written; CHANGES.md PR 17) bound its matrix:
+            // (1) engine — after a scale-in the sink's checkpoint alignment
+            // waits forever for barriers from the retired, halted instances,
+            // under every mechanism, so with checkpoints on the plans only
+            // grow; (2) all-at-once — an instance that is both a source and
+            // a destination of moves holds the records of the whole plan
+            // and, behind them, the in-band barrier of its own outgoing
+            // subscale, so OTFS-AAO runs 2 -> 4 -> 2 -> 4 only, where it is
+            // live today.
+            let all_at_once = !mech.cfg.fluid;
+            let par = if all_at_once { 2 } else { par };
+            let plans = match (all_at_once, checkpoints) {
+                (false, false) => vec![par + 2, par, par + 3],
+                (false, true) => vec![par + 1, par + 2, par + 3],
+                (true, false) => vec![4, 2, 4],
+                (true, true) => vec![4],
+            };
+
+            let mut cfg = EngineConfig::test();
+            cfg.seed = seed;
+            cfg.check_semantics = true;
+            cfg.max_key_groups = 32;
+            if slow_migration {
+                // ~2 MB of state at the paper-calibrated 15 B/µs: state is
+                // in transit for ~100 ms per plan instead of ~1 ms.
+                cfg.ser_bytes_per_us = 15.0;
+            }
+            cfg.checkpoint_interval = checkpoints.then_some(700_000);
+            let mut b = JobBuilder::new(cfg);
+            let src = b.source("src", 1, Box::new(move |_| {
+                Box::new(Bounded { rate: rate as f64, next_key: 0, limit })
+            }));
+            let agg = b.operator("agg", par, Box::new(|| Box::new(KeyedAgg {
+                service: 50,
+                bytes_per_key: 1_000,
+                bytes_per_record: 0,
+                emit_every: 1,
+            })));
+            let sink = b.sink("sink", 1);
+            b.connect(src, agg, EdgeKind::Keyed);
+            b.connect(agg, sink, EdgeKind::Rebalance);
+            let mut sim = Sim::new(b.build(), Box::new(mech));
+            let case = format!(
+                "{}: seed {seed}, rate {rate}, par {par}, \
+                 slow_migration {slow_migration}, checkpoints {checkpoints}",
+                sim.plugin.name()
+            );
+
+            sim.run_until(secs(1));
+            for (plan, to) in plans.into_iter().enumerate() {
+                sim.world.schedule_scale(sim.world.now(), agg, to);
+                sim.run_until(secs(1 + 4 * (plan as u64 + 1)));
+                let w = &sim.world;
+                prop_assert!(!w.scale.in_progress, "plan {plan} still migrating ({case})");
+                let moves = &w.scale.plan.as_ref().expect("plan").moves;
+                let settled = moves
+                    .iter()
+                    .filter(|m| w.insts[m.to.0 as usize].state.holds_group(m.kg))
+                    .count();
+                prop_assert_eq!(settled, moves.len(), "plan {} unsettled ({})", plan, case);
+                prop_assert_eq!(
+                    w.ops[agg.0 as usize].instances.len(), to,
+                    "plan {} left the wrong parallelism ({})", plan, case
+                );
+            }
+            sim.run_until(secs(13));
+            let w = &sim.world;
+            prop_assert_eq!(
+                w.semantics.violations(), 0,
+                "order violated ({}): {:?}", case, w.semantics.samples()
+            );
+            // The limit is checked once per source tick, so the stream ends
+            // within a tick's worth past it.
+            let generated: u64 = w
+                .insts
+                .iter()
+                .filter_map(|i| i.source.as_ref())
+                .map(|s| s.generated)
+                .sum();
+            prop_assert!(generated >= limit, "stream still open ({case})");
+            prop_assert_eq!(
+                w.metrics.sink_records, generated,
+                "sink did not see every record exactly once ({})", case
+            );
+        }
+    }
+
+    #[test]
     fn parallel_execution_matches_sequential_on_random_graphs(
         // The thread-per-region executor's exactness contract, generalized
         // over graph shape: random keyed pipelines × random region count ×
