@@ -1,12 +1,13 @@
-//! Criterion micro-benchmarks for the engine's hot paths: the event queue,
-//! key-group routing, the state backend's migration primitives, sliding-
-//! window panes, the Zipf sampler, and a small end-to-end simulation
-//! throughput benchmark (events/second of simulated pipeline).
+//! Criterion micro-benchmarks for the engine's hot paths: region-scheduler
+//! and PDES-executor overheads, key-group routing, the state backend's
+//! migration primitives, sliding-window panes, the Zipf sampler, and a
+//! small end-to-end simulation throughput benchmark (events/second of
+//! simulated pipeline).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 
 use simcore::time::secs;
-use simcore::{DetRng, EventQueue, FutureEventList, Zipf};
+use simcore::{DetRng, FutureEventList, Zipf};
 use streamflow::ids::{key_group_of, InstId, KeyGroup};
 use streamflow::keygroup::{uniform_repartition, RoutingTable};
 use streamflow::state::{StateBackend, StateValue};
@@ -15,31 +16,9 @@ use streamflow::world::tests_support::tiny_job;
 use streamflow::world::Sim;
 use streamflow::{EngineConfig, NoScale};
 
-fn bench_event_queue(c: &mut Criterion) {
-    let mut g = c.benchmark_group("event_queue");
-    g.throughput(Throughput::Elements(10_000));
-    // Fill-then-drain from empty. (Output recorded before the binary-heap
-    // backend was deleted measured the heap under this name.)
-    g.bench_function("schedule_pop_10k", |b| {
-        b.iter(|| {
-            let mut q: EventQueue<u64> = FutureEventList::new();
-            for i in 0..10_000u64 {
-                q.schedule(i % 97, i);
-            }
-            let mut acc = 0u64;
-            while let Some((_, e)) = q.pop() {
-                acc = acc.wrapping_add(e);
-            }
-            black_box(acc)
-        })
-    });
-    g.finish();
-}
-
 /// A delay from the simulator's short-horizon-heavy mix: mostly sub-ms
 /// deliveries/quanta, some 10 ms-scale ticks, a few far-future timers
-/// (checkpoints, deploys) — the distribution the calendar queue is tuned
-/// for.
+/// (checkpoints, deploys).
 #[inline]
 fn sim_like_delay(rng: &mut DetRng) -> u64 {
     match rng.below(100) {
@@ -49,143 +28,22 @@ fn sim_like_delay(rng: &mut DetRng) -> u64 {
     }
 }
 
-fn bench_scheduler_backends(c: &mut Criterion) {
-    // Steady-state churn at a fixed pending population: pop one, schedule
-    // one. This is the future-event list's life inside the dispatch loop —
-    // the population stays put while time advances, where the calendar
-    // queue aims at O(1) per event. Group and bench names are unchanged
-    // from when a heap ran next to it, so unit costs stay comparable.
-    const CHURN: u64 = 10_000;
-    let mut g = c.benchmark_group("scheduler_backends");
-    g.throughput(Throughput::Elements(CHURN));
-    for pending in [1_000usize, 100_000] {
-        let name = format!("churn_calendar_{pending}_pending");
-        g.bench_function(&name, |b| {
-            b.iter_with_setup(
-                || {
-                    let mut q: FutureEventList<u64> = FutureEventList::with_capacity(pending);
-                    let mut rng = DetRng::seed(7);
-                    for i in 0..pending as u64 {
-                        q.schedule(sim_like_delay(&mut rng), i);
-                    }
-                    (q, rng)
-                },
-                |(mut q, mut rng)| {
-                    let mut acc = 0u64;
-                    for i in 0..CHURN {
-                        let (_, e) = q.pop().expect("pending events");
-                        acc = acc.wrapping_add(e);
-                        q.schedule(sim_like_delay(&mut rng), i);
-                    }
-                    black_box((acc, q.len()))
-                },
-            )
-        });
-    }
-    g.finish();
-}
-
-fn bench_batch_drain(c: &mut Criterion) {
-    // Massed-instant churn: the engine's pending set is bursty — hundreds
-    // of deliveries at a handful of instants, then a lull — so the batch
-    // drain's claim is amortizing the cursor walk and per-pop bookkeeping
-    // over a whole same-instant run. Compare popping such runs one event
-    // at a time against `pop_run_at_most`, at steady pending populations
-    // of 1k and 100k.
-    const CHURN: u64 = 10_000;
-    /// Events per massed instant (≈ one 10 ms source tick's deliveries in
-    /// the 50K rec/s scenarios).
-    const RUN: u64 = 100;
-    let mut g = c.benchmark_group("batch_drain");
-    g.throughput(Throughput::Elements(CHURN));
-    for pending in [1_000usize, 100_000] {
-        let setup = move || {
-            let mut q: FutureEventList<u64> = FutureEventList::with_capacity(pending);
-            let mut rng = DetRng::seed(11);
-            // Massed mix: bursts of RUN events at shared instants,
-            // instants a few hundred µs apart, plus a sprinkle of
-            // stragglers and far-future timers.
-            let mut at = 0u64;
-            let mut i = 0u64;
-            while (i as usize) < pending {
-                at += 100 + rng.below(400);
-                let n = match rng.below(10) {
-                    0 => 1,       // straggler
-                    1 => RUN / 4, // partial burst
-                    _ => RUN,     // full massed instant
-                };
-                for _ in 0..n {
-                    q.schedule_at(at, i);
-                    i += 1;
-                }
-            }
-            // The drain buffer is setup state, like the driver's
-            // persistent scratch buffer — its warm-up allocation must
-            // not be charged to the timed batch loop.
-            (q, Vec::with_capacity(RUN as usize))
-        };
-        let name = |mode: &str| format!("{mode}_calendar_{pending}_pending");
-        // Reschedule offset derived from the instant, not an RNG: both
-        // loops must evolve the *same* schedule (a per-pop RNG draw
-        // would fragment massed runs on the single-pop side only, and
-        // the A/B would measure workload divergence, not dispatch
-        // cost). Same offset for every event of an instant keeps each
-        // run massed at its new instant.
-        let re_offset = |at: u64| 50_000 + (at % 3) * 400;
-        g.bench_function(&name("single_pop"), |b| {
-            b.iter_with_setup(setup, |(mut q, _buf)| {
-                let mut acc = 0u64;
-                let mut popped = 0u64;
-                while popped < CHURN {
-                    let (at, e) = q.pop().expect("pending events");
-                    acc = acc.wrapping_add(e);
-                    popped += 1;
-                    // Keep the population and the massing steady:
-                    // reschedule into a future massed instant.
-                    q.schedule_at(at + re_offset(at), e);
-                }
-                black_box((acc, q.len()))
-            })
-        });
-        g.bench_function(&name("batch"), |b| {
-            b.iter_with_setup(setup, |(mut q, mut buf)| {
-                let mut acc = 0u64;
-                let mut popped = 0u64;
-                // The final run may overshoot CHURN by up to RUN-1
-                // pops (a run drains whole); both arms are credited
-                // CHURN elements, so the ≤1% overshoot biases
-                // *against* batch — the reported gain is conservative.
-                while popped < CHURN {
-                    let at = q
-                        .pop_run_at_most(u64::MAX, &mut buf)
-                        .expect("pending events");
-                    popped += buf.len() as u64;
-                    let re_at = at + re_offset(at);
-                    for &e in &buf {
-                        acc = acc.wrapping_add(e);
-                        q.schedule_at(re_at, e);
-                    }
-                }
-                black_box((acc, q.len()))
-            })
-        });
-    }
-    g.finish();
-}
-
 fn bench_region_sync(c: &mut Criterion) {
-    // The PDES region scheduler's overheads in isolation, next to
-    // `batch_drain` (its single-queue counterpart):
+    // The PDES region scheduler's overheads in isolation (the single
+    // queue's own pop-run/reschedule step is timed by `drrs_bench`'s
+    // `simcore.queue.kernel_ns_per_op`, at the depth and run length its
+    // traced run observed):
     //
     // * `spsc_ring_*` — the cross-region transport: cost of moving 8-byte
     //   record handles through the bounded SPSC ring in burst-sized chunks
     //   (the shape a region drain produces).
     // * `churn_rK_*` — steady-state pop/schedule churn at 1 region (the
-    //   plain list) and 2 regions (the region-major scheduler), at 1k and
-    //   100k pending events. The r2 cells pay the per-region head cache
-    //   plus the conservative-sync accounting per pop (region clocks,
-    //   lookahead bounds, min-rule grants, null-message counting), so
-    //   r2-minus-r1 at equal pending is the region bookkeeping per event.
+    //   plain list) and 2 regions (the region-major scheduler), at 16 and
+    //   1k pending events (no benchmark workload holds more than ~50). The
+    //   r2 cells pay the K-way head peek plus the conservative-sync
+    //   accounting per pop (region clocks, lookahead bounds, min-rule
+    //   grants, null-message counting), so r2-minus-r1 at equal pending is
+    //   the region bookkeeping per event.
     const CHURN: u64 = 10_000;
     let mut g = c.benchmark_group("region_sync");
     g.throughput(Throughput::Elements(CHURN));
@@ -211,7 +69,7 @@ fn bench_region_sync(c: &mut Criterion) {
         });
     }
     for regions in [1usize, 2] {
-        for pending in [1_000usize, 100_000] {
+        for pending in [16usize, 1_000] {
             let name = format!("churn_r{regions}_{pending}_pending");
             g.bench_function(&name, |b| {
                 b.iter_with_setup(
@@ -512,9 +370,6 @@ fn bench_dense_backend_hot_access(c: &mut Criterion) {
 
 criterion_group!(
     benches,
-    bench_event_queue,
-    bench_scheduler_backends,
-    bench_batch_drain,
     bench_region_sync,
     bench_parallel_epochs,
     bench_routing,

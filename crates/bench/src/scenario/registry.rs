@@ -96,11 +96,12 @@ pub fn perf_scenarios(quick: bool) -> Vec<ScenarioSpec> {
             MechanismSpec::NoScale,
             None,
         ),
-        // The two region-stress scenarios (PR 7): both mass on the order of
-        // 100k pending events in the future-event list, which is where
-        // per-region calendar geometry pays. `cut_pipeline_100k` has a data
-        // cut edge for the partitioner to find; `twin_pipelines_100k` has
-        // zero cut channels and infinite lookahead (the PDES best case).
+        // The two region-stress scenarios (PR 7), sized to mass ~100k
+        // pending events when every record was its own scheduler entry;
+        // with burst deliveries they hold under 30, and what they stress
+        // is the region partition. `cut_pipeline_100k` has a data cut edge
+        // for the partitioner to find; `twin_pipelines_100k` has zero cut
+        // channels and infinite lookahead (the PDES best case).
         perf(
             "cut_pipeline_100k",
             tiny(400_000.0, 16_384, 8),

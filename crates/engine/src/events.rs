@@ -66,6 +66,62 @@ pub enum ControlMsg {
     CheckpointTick,
 }
 
+/// The recycled slot table under each half of [`ControlStore`] (its docs
+/// state the one-shot contract).
+#[derive(Debug)]
+struct Slots<T> {
+    cells: Vec<Option<T>>,
+    free: Vec<u32>,
+}
+
+impl<T> Default for Slots<T> {
+    fn default() -> Self {
+        Self {
+            cells: Vec::new(),
+            free: Vec::new(),
+        }
+    }
+}
+
+impl<T> Slots<T> {
+    /// Steady state pops a recycled index off the free list — the grow
+    /// path only runs while the live-slot high-water mark is still rising.
+    // checker:hot-path
+    #[inline]
+    fn put(&mut self, v: T) -> u32 {
+        match self.free.pop() {
+            Some(slot) => {
+                self.cells[slot as usize] = Some(v);
+                slot
+            }
+            None => {
+                self.cells.push(Some(v));
+                (self.cells.len() - 1) as u32
+            }
+        }
+    }
+
+    // checker:hot-path
+    #[inline]
+    fn take(&mut self, slot: u32) -> T {
+        let v = self.cells[slot as usize]
+            .take()
+            .expect("slot taken twice or never filled");
+        self.free.push(slot);
+        v
+    }
+
+    /// Total slots ever grown.
+    fn len(&self) -> usize {
+        self.cells.len()
+    }
+
+    /// Currently occupied slots.
+    fn live(&self) -> usize {
+        self.cells.len() - self.free.len()
+    }
+}
+
 /// A slot-allocating side-channel for the rare, large control-plane
 /// payloads: `PriorityMsg` (with its boxed state chunks and re-routed
 /// record vectors) and `ControlMsg` (with its embedded `ScalePlan`).
@@ -74,22 +130,18 @@ pub enum ControlMsg {
 /// `u32` slot handle into this store; the payload parks here until the
 /// dispatcher consumes the event and `take`s it back out. Compared to the
 /// old `Box<PriorityMsg>` / `Box<ControlMsg>` fields this deletes the
-/// per-control-event heap allocation in steady state: slots are recycled
-/// through a free list, so after warm-up every `put` is a write into an
-/// already-allocated `Vec` cell (`events::tests` and the engine-level
-/// recycling test pin the slab high-water mark). It also keeps `Ev: Copy`
-/// -sized and shrinks the hot dispatch match — the control arms no longer
-/// touch a pointer the branch predictor has to chase.
+/// per-control-event heap allocation in steady state (`events::tests` and
+/// the engine-level recycling test pin the slab high-water mark). It also
+/// keeps `Ev: Copy`-sized and shrinks the hot dispatch match — the control
+/// arms no longer touch a pointer the branch predictor has to chase.
 ///
 /// Slots are strictly one-shot: `put` hands out a slot, `take` consumes
 /// it and recycles the index. Taking an empty slot is a logic error and
 /// panics.
 #[derive(Debug, Default)]
 pub struct ControlStore {
-    priority: Vec<Option<PriorityMsg>>,
-    priority_free: Vec<u32>,
-    control: Vec<Option<ControlMsg>>,
-    control_free: Vec<u32>,
+    priority: Slots<PriorityMsg>,
+    control: Slots<ControlMsg>,
 }
 
 impl ControlStore {
@@ -99,57 +151,27 @@ impl ControlStore {
     }
 
     /// Park a priority message; returns the slot for [`Ev::Priority`].
-    /// Steady state pops a recycled index off the free list — the grow
-    /// path only runs while the live-slot high-water mark is still rising.
     // checker:hot-path
     pub fn put_priority(&mut self, msg: PriorityMsg) -> u32 {
-        match self.priority_free.pop() {
-            Some(slot) => {
-                self.priority[slot as usize] = Some(msg);
-                slot
-            }
-            None => {
-                let slot = self.priority.len() as u32;
-                self.priority.push(Some(msg));
-                slot
-            }
-        }
+        self.priority.put(msg)
     }
 
     /// Consume a priority slot (dispatch time) and recycle its index.
     // checker:hot-path
     pub fn take_priority(&mut self, slot: u32) -> PriorityMsg {
-        let msg = self.priority[slot as usize]
-            .take()
-            .expect("priority slot taken twice or never filled");
-        self.priority_free.push(slot);
-        msg
+        self.priority.take(slot)
     }
 
     /// Park a control command; returns the slot for [`Ev::Control`].
     // checker:hot-path
     pub fn put_control(&mut self, cmd: ControlMsg) -> u32 {
-        match self.control_free.pop() {
-            Some(slot) => {
-                self.control[slot as usize] = Some(cmd);
-                slot
-            }
-            None => {
-                let slot = self.control.len() as u32;
-                self.control.push(Some(cmd));
-                slot
-            }
-        }
+        self.control.put(cmd)
     }
 
     /// Consume a control slot (dispatch time) and recycle its index.
     // checker:hot-path
     pub fn take_control(&mut self, slot: u32) -> ControlMsg {
-        let cmd = self.control[slot as usize]
-            .take()
-            .expect("control slot taken twice or never filled");
-        self.control_free.push(slot);
-        cmd
+        self.control.take(slot)
     }
 
     /// Slab high-water mark (total slots ever grown), priority + control.
@@ -161,8 +183,7 @@ impl ControlStore {
 
     /// Currently occupied slots (parked, not yet dispatched).
     pub fn live(&self) -> usize {
-        self.priority.len() - self.priority_free.len() + self.control.len()
-            - self.control_free.len()
+        self.priority.live() + self.control.live()
     }
 }
 
@@ -302,10 +323,10 @@ impl BurstStore {
 ///
 /// # Size discipline
 ///
-/// `Ev` is what every calendar bucket move, overflow-heap sift and run
-/// buffer copies, millions of times per run — its size is a hot-path
-/// constant. The dominant traffic (`Deliver`, `ProcDone`, `SourceTick`,
-/// `Wake`) carries at most 16 bytes inline; delivery bursts park in the
+/// `Ev` is what every scheduler heap sift and run-buffer copy moves,
+/// millions of times per run — its size is a hot-path constant. The
+/// dominant traffic (`Deliver`, `ProcDone`, `SourceTick`, `Wake`)
+/// carries at most 16 bytes inline; delivery bursts park in the
 /// world's [`BurstStore`] and the rare, large control-plane payloads in
 /// its [`ControlStore`] side-channel, and the events carry only `u32`
 /// slot handles, so they can't inflate the enum (and cost no per-event
@@ -406,9 +427,9 @@ mod tests {
 
     #[test]
     fn ev_fits_in_16_bytes() {
-        // The scheduler moves `Ev` through every bucket append, heap sift
-        // and batch-drain copy; the rare large control payloads park in
-        // the `ControlStore` side-channel precisely so the enum stays at
+        // The scheduler moves `Ev` through every heap sift and run-buffer
+        // copy; the rare large control payloads park in the
+        // `ControlStore` side-channel precisely so the enum stays at
         // the size of its hot `ProcDone` variant. A regression here is a
         // silent tax on the whole simulator — treat it like a perf bug,
         // not a style nit.

@@ -35,7 +35,7 @@
 use simcore::time::{transfer_time, SimTime};
 
 const MICROS_PER_SEC_DEFER: SimTime = 1_000_000;
-use simcore::{DetRng, EventQueue};
+use simcore::{DetRng, FutureEventList};
 
 use crate::bus::{Bus, BusEventKind};
 use crate::channel::Channel;
@@ -117,7 +117,7 @@ pub struct World {
     /// Engine configuration.
     pub cfg: EngineConfig,
     /// Future event list.
-    pub q: EventQueue<Ev>,
+    pub q: FutureEventList<Ev>,
     /// Logical operators.
     pub ops: Vec<OperatorRt>,
     /// Physical instances.
@@ -352,7 +352,7 @@ impl World {
         // a few events per instance (ticks, quanta) plus in-flight elements
         // bounded by per-channel credits.
         let mut q =
-            EventQueue::with_regions(insts.len() * 8 + chans.len() * 4 + 64, region_map.k());
+            FutureEventList::with_regions(insts.len() * 8 + chans.len() * 4 + 64, region_map.k());
         q.set_region_lookahead(region_map.lookahead());
         // Arm source ticks (jittered so they do not all fire in lockstep).
         for inst in insts.iter() {

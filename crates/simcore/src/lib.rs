@@ -3,10 +3,9 @@
 //! This crate provides the building blocks the `streamflow` engine runs on:
 //!
 //! * [`SimTime`] / [`time`] — simulated time in microseconds with helpers,
-//! * [`FutureEventList`] (alias [`EventQueue`]) — a monotonic future-event
-//!   list with stable FIFO ordering among same-timestamp events, stored in
-//!   the O(1) hierarchical [`calendar`] queue (one per [`region`] under
-//!   PDES),
+//! * [`FutureEventList`] — a monotonic future-event list with stable FIFO
+//!   ordering among same-timestamp events, stored in a binary heap keyed
+//!   `(at, seq)` (one per [`region`] under PDES),
 //! * [`rng`] — a seedable deterministic random source plus a Zipf sampler
 //!   (used by workload generators; `rand_distr` is not vendored offline, so
 //!   the Zipf sampler is implemented here),
@@ -17,7 +16,6 @@
 //! is what makes the paper's latency/suspension measurements reproducible
 //! down to the microsecond.
 
-pub mod calendar;
 pub mod hash;
 pub mod queue;
 pub mod region;
@@ -28,9 +26,8 @@ pub mod stats;
 pub mod sync;
 pub mod time;
 
-pub use calendar::CalendarQueue;
 pub use hash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
-pub use queue::{EventQueue, FutureEventList};
+pub use queue::FutureEventList;
 pub use region::{RegionScheduler, SyncStats};
 pub use rng::{DetRng, Zipf};
 pub use slab::{Slab, SlabRef};

@@ -2,10 +2,9 @@
 //!
 //! [`FutureEventList`] is the simulator's scheduler subsystem: it owns the
 //! monotonic clock, the schedule-order sequence numbers and the past-clamp
-//! semantics, and stores pending events in a hierarchical calendar queue
-//! ([`CalendarQueue`]) — O(1) amortized schedule/pop for the short-horizon
-//! events that dominate this simulator — or, for a PDES-partitioned world,
-//! in one calendar queue per region ([`crate::region`]).
+//! semantics, and stores pending events in a binary min-heap keyed
+//! `(at, seq)` (`MinQueue`) — or, for a PDES-partitioned world, in one such
+//! heap per region ([`crate::region`]).
 //!
 //! The contract:
 //!
@@ -16,14 +15,14 @@
 //! 3. scheduling in the past clamps to "now" — the clock never goes
 //!    backwards.
 //!
-//! There is one backend. A binary heap ordered by `(at, seq)` satisfies the
-//! same contract trivially and used to be selectable here; it never paid
-//! for itself in a recorded number (−0.2 % end to end after PR 12), so it
-//! now lives only as the reference model the workspace proptests
-//! (`tests/proptests.rs`) compare this list against, next to the calendar
-//! queue's own min-scan differential fuzz in [`crate::calendar`].
+//! `(at, seq)` keys are unique, so pop order is a property of the key alone.
+//! PRs 3–17 kept an adaptive calendar queue here, tuned for hundreds of
+//! pending events; burst deliveries (PR 12) left at most ~50 pending on every
+//! benchmark workload, where the heap measured no slower end to end (PR 18).
 
-use crate::calendar::CalendarQueue;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
 use crate::region::RegionScheduler;
 use crate::time::SimTime;
 
@@ -61,6 +60,66 @@ impl<E> Ord for Scheduled<E> {
     }
 }
 
+/// The pending set: a binary min-heap over the `(at, seq)` key. It requires
+/// only that pushes carry unique `seq` values; [`FutureEventList`] (clock,
+/// minting, past-clamp) and [`RegionScheduler`] are its two users.
+pub(crate) struct MinQueue<E>(BinaryHeap<Reverse<Scheduled<E>>>);
+
+impl<E> MinQueue<E> {
+    /// An empty queue with room for `cap` pending events.
+    pub(crate) fn with_capacity(cap: usize) -> Self {
+        Self(BinaryHeap::with_capacity(cap))
+    }
+
+    /// Number of pending events.
+    #[inline]
+    pub(crate) fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// Insert an event.
+    // checker:hot-path
+    #[inline]
+    pub(crate) fn push(&mut self, s: Scheduled<E>) {
+        self.0.push(Reverse(s));
+    }
+
+    /// Pop the earliest event by `(at, seq)` if it is due at or before `t`.
+    // checker:hot-path
+    #[inline]
+    pub(crate) fn pop_at_most(&mut self, t: SimTime) -> Option<Scheduled<E>> {
+        if self.peek_time()? > t {
+            return None;
+        }
+        self.0.pop().map(|Reverse(s)| s)
+    }
+
+    /// Drain the whole run of events due exactly at the earliest pending
+    /// instant (if that instant is ≤ `t`), appending their payloads to `out`
+    /// in `seq` order, and return `(instant, count)`.
+    // checker:hot-path
+    pub(crate) fn pop_run_at_most(
+        &mut self,
+        t: SimTime,
+        out: &mut Vec<E>,
+    ) -> Option<(SimTime, usize)> {
+        let at = self.peek_time().filter(|&at| at <= t)?;
+        let mut n = 0usize;
+        while self.peek_time() == Some(at) {
+            let Reverse(s) = self.0.pop().expect("peeked");
+            out.push(s.event);
+            n += 1;
+        }
+        Some((at, n))
+    }
+
+    /// Timestamp of the earliest pending event.
+    #[inline]
+    pub(crate) fn peek_time(&self) -> Option<SimTime> {
+        self.0.peek().map(|Reverse(s)| s.at)
+    }
+}
+
 /// A deterministic future-event list.
 ///
 /// `E` is the simulation's event type; the list never inspects it. The
@@ -74,16 +133,12 @@ pub struct FutureEventList<E> {
     processed: u64,
 }
 
-/// The list's storage: one calendar queue, or one per PDES region (see
+/// The list's storage: one heap, or one per PDES region (see
 /// [`crate::region`]).
 enum Lists<E> {
-    Single(CalendarQueue<E>),
+    Single(MinQueue<E>),
     Regions(RegionScheduler<E>),
 }
-
-/// The historical name of the future-event list, kept as an alias so call
-/// sites and docs that grew up with `EventQueue` keep reading naturally.
-pub type EventQueue<E> = FutureEventList<E>;
 
 impl<E> Default for FutureEventList<E> {
     fn default() -> Self {
@@ -114,7 +169,7 @@ impl<E> FutureEventList<E> {
     /// `schedule` / `schedule_at` land in region 0.
     pub fn with_regions(cap: usize, regions: usize) -> Self {
         let lists = if regions <= 1 {
-            Lists::Single(CalendarQueue::with_capacity(cap))
+            Lists::Single(MinQueue::with_capacity(cap))
         } else {
             Lists::Regions(RegionScheduler::new(cap, regions))
         };
@@ -246,10 +301,8 @@ impl<E> FutureEventList<E> {
     }
 
     /// Pop the next event only if it is due at or before `t`, advancing
-    /// the clock to its timestamp. Events beyond `t` stay queued. This is
-    /// a horizon check fused with the pop, so the calendar queue positions
-    /// its scan cursor once per event instead of once for the peek and
-    /// again for the pop. The engine's dispatch loop drains whole runs
+    /// the clock to its timestamp. Events beyond `t` stay queued. The
+    /// engine's dispatch loop drains whole runs
     /// ([`pop_run_at_most`](Self::pop_run_at_most)); popping one event at
     /// a time is the reference order that loop is tested against.
     // checker:hot-path
@@ -270,12 +323,9 @@ impl<E> FutureEventList<E> {
     /// run. Returns the run's instant, or `None` (leaving `buf` empty) if
     /// nothing is due by `t`.
     ///
-    /// This is the batch form of [`pop_at_most`](Self::pop_at_most) for the
-    /// engine's bursty pending sets (hundreds of deliveries massed at a
-    /// handful of instants): the calendar queue positions its scan cursor a
-    /// single time and takes the sorted bucket prefix, so the driver pays
-    /// one horizon check, one clock update and one cursor walk per
-    /// *instant* instead of per *event*.
+    /// This is the batch form of [`pop_at_most`](Self::pop_at_most): the
+    /// driver pays one horizon check, one clock update and one dispatch
+    /// hand-off per *instant* instead of per *event*.
     ///
     /// Contract notes (see also the batch-drain section of `CHANGES.md`):
     /// `buf` is cleared first — the caller owns the buffer and is expected
@@ -322,12 +372,8 @@ impl<E> FutureEventList<E> {
     }
 
     /// Timestamp of the next pending event without popping it.
-    ///
-    /// Takes `&mut self` because the calendar queue advances its bucket
-    /// scan cursor while peeking (the work is then reused by the next
-    /// `pop`); the logical state is unchanged.
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        match &mut self.lists {
+    pub fn peek_time(&self) -> Option<SimTime> {
+        match &self.lists {
             Lists::Single(b) => b.peek_time(),
             Lists::Regions(r) => r.peek_time(),
         }
@@ -623,5 +669,168 @@ mod tests {
             assert_eq!(at, t);
         }
         assert!(q.is_empty());
+    }
+
+    fn push(q: &mut MinQueue<u64>, at: SimTime, seq: u64) {
+        q.push(Scheduled {
+            at,
+            seq,
+            event: seq,
+        });
+    }
+
+    fn drain(q: &mut MinQueue<u64>) -> Vec<(SimTime, u64)> {
+        let mut out = Vec::new();
+        while let Some(s) = q.pop_at_most(SimTime::MAX) {
+            out.push((s.at, s.seq));
+        }
+        out
+    }
+
+    #[test]
+    fn adversarial_differential_fuzz_with_batch_drains_and_dry_jumps() {
+        // The queue's whole contract, checked against an independent
+        // sorted-Vec reference: single pops, run drains, horizon probes of
+        // both kinds that come back dry, pushes at earlier-but-still-future
+        // instants right after a dry probe, massed same-instant runs and
+        // far-future pushes, with the population swinging widely.
+        for seed in 1u64..=8 {
+            let mut q = MinQueue::with_capacity(0);
+            let mut reference: Vec<(SimTime, u64)> = Vec::new();
+            let mut x = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+            let mut step = || {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x
+            };
+            let mut now: SimTime = 0;
+            let mut seq = 0u64;
+            let mut batch: Vec<u64> = Vec::new();
+            for _ in 0..60_000u64 {
+                match step() % 10 {
+                    0 | 1 => {
+                        // Single pop.
+                        if let Some(s) = q.pop_at_most(SimTime::MAX) {
+                            reference.sort_unstable();
+                            assert_eq!((s.at, s.seq), reference.remove(0), "seed {seed}");
+                            now = s.at;
+                        }
+                    }
+                    2 | 3 => {
+                        // Batch drain of the earliest run, full horizon.
+                        match q.pop_run_at_most(SimTime::MAX, &mut batch) {
+                            Some((at, n)) => {
+                                reference.sort_unstable();
+                                assert_eq!(n, batch.len());
+                                assert!(n >= 1);
+                                let run: Vec<(SimTime, u64)> = reference.drain(..n).collect();
+                                assert!(
+                                    run.iter().all(|&(t, _)| t == at),
+                                    "seed {seed}: drained run crosses instants: {run:?}"
+                                );
+                                assert_eq!(
+                                    batch,
+                                    run.iter().map(|&(_, s)| s).collect::<Vec<_>>(),
+                                    "seed {seed}: run out of FIFO order"
+                                );
+                                assert!(
+                                    reference.first().map(|&(t, _)| t) != Some(at),
+                                    "seed {seed}: drain left same-instant events behind"
+                                );
+                                now = at;
+                            }
+                            None => assert!(reference.is_empty(), "seed {seed}"),
+                        }
+                        batch.clear();
+                    }
+                    4 => {
+                        // Dry-or-not horizon probe (single).
+                        let horizon = now + step() % 3_000;
+                        reference.sort_unstable();
+                        match q.pop_at_most(horizon) {
+                            Some(s) => {
+                                assert!(s.at <= horizon);
+                                assert_eq!((s.at, s.seq), reference.remove(0));
+                                now = s.at;
+                            }
+                            None => {
+                                assert!(
+                                    reference.first().is_none_or(|&(t, _)| t > horizon),
+                                    "seed {seed}: dry probe hid a due event"
+                                );
+                            }
+                        }
+                    }
+                    5 => {
+                        // Dry-or-not horizon probe (batch).
+                        let horizon = now + step() % 3_000;
+                        reference.sort_unstable();
+                        match q.pop_run_at_most(horizon, &mut batch) {
+                            Some((at, n)) => {
+                                assert!(at <= horizon);
+                                let run: Vec<(SimTime, u64)> = reference.drain(..n).collect();
+                                assert!(run.iter().all(|&(t, _)| t == at));
+                                assert_eq!(batch, run.iter().map(|&(_, s)| s).collect::<Vec<_>>());
+                                now = at;
+                            }
+                            None => {
+                                assert!(
+                                    reference.first().is_none_or(|&(t, _)| t > horizon),
+                                    "seed {seed}: dry batch probe hid a due event"
+                                );
+                            }
+                        }
+                        batch.clear();
+                    }
+                    6 => {
+                        // Push at an earlier-but-still-future instant, below
+                        // whatever the last dry probe peeked.
+                        let at = now + 1 + step() % 64;
+                        push(&mut q, at, seq);
+                        reference.push((at, seq));
+                        seq += 1;
+                    }
+                    7 => {
+                        // Massed tie burst at one future instant.
+                        let at = now + step() % 2_000;
+                        let burst = 1 + step() % 40;
+                        for _ in 0..burst {
+                            push(&mut q, at, seq);
+                            reference.push((at, seq));
+                            seq += 1;
+                        }
+                    }
+                    _ => {
+                        // Mixed-horizon pushes (short / mid / far future).
+                        let at = now
+                            + match step() % 10 {
+                                0..=6 => step() % 500,
+                                7 | 8 => step() % 30_000,
+                                _ => 600_000 + step() % 5_000_000,
+                            };
+                        push(&mut q, at, seq);
+                        reference.push((at, seq));
+                        seq += 1;
+                    }
+                }
+                assert_eq!(q.len(), reference.len(), "seed {seed}: length diverged");
+            }
+            reference.sort_unstable();
+            let drained = drain(&mut q);
+            assert_eq!(drained, reference, "seed {seed}: final drain diverged");
+        }
+    }
+
+    #[test]
+    fn timestamps_near_u64_max_terminate() {
+        let mut q = MinQueue::with_capacity(0);
+        push(&mut q, SimTime::MAX - 3, 0);
+        push(&mut q, SimTime::MAX, 1);
+        push(&mut q, 100, 2);
+        assert_eq!(
+            drain(&mut q),
+            vec![(100, 2), (SimTime::MAX - 3, 0), (SimTime::MAX, 1)]
+        );
     }
 }

@@ -7,19 +7,20 @@
 //! (for the engine: a connected group of operators chosen by a min-cut
 //! over the dataflow graph; the engine partitions only when every cut edge
 //! has positive latency in both directions, i.e. in PDES mode). Each
-//! region owns its own [`CalendarQueue`] — its private future-event list —
-//! plus a *local clock*: the timestamp of the last event dispatched from
-//! it. The shell state (global clock, schedule-order `seq` minting,
+//! region owns its own `(at, seq)` min-heap — its private future-event
+//! list — plus a *local clock*: the timestamp of the last event dispatched
+//! from it. The shell state (global clock, schedule-order `seq` minting,
 //! past-clamp, processed counter) stays in the owning `FutureEventList`,
 //! shared by all regions.
 //!
 //! # Region-major order
 //!
 //! Every pop takes the earliest pending instant across the per-region
-//! heads; ties at one instant break by **ascending region index**, and
-//! inside a region by `(at, seq)`. Sequence numbers are therefore never
-//! compared across regions, which is what lets the PDES engines — one
-//! shared multi-region list (the sequential reference) or one pruned
+//! heap tops (an O(1) read-only peek each); ties at one instant break by
+//! **ascending region index**, and inside a region by `(at, seq)`.
+//! Sequence numbers are therefore never compared across regions, which is
+//! what lets the PDES engines — one shared multi-region list (the
+//! sequential reference) or one pruned
 //! replica list per thread ([`retain_region`](RegionScheduler::retain_region))
 //! — mint local `seq` values independently per region yet pop each
 //! region's events in the identical order. A run drained with
@@ -39,8 +40,7 @@
 //! dispatch order; they feed the bus `SyncEpoch` events and the run
 //! reports.
 
-use crate::calendar::CalendarQueue;
-use crate::queue::Scheduled;
+use crate::queue::{MinQueue, Scheduled};
 use crate::time::SimTime;
 
 /// Conservative-synchronization accounting, maintained per pop. All
@@ -62,26 +62,12 @@ pub struct SyncStats {
     pub null_msgs: u64,
 }
 
-/// Cached earliest instant of one region's queue. Kept exact across
-/// pushes (a push below the cached minimum *is* the new minimum); only a
-/// pop invalidates it.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Head {
-    /// Unknown — refresh via `peek_time` before use.
-    Stale,
-    /// The region's queue is empty.
-    Empty,
-    /// The earliest pending instant of the region's queue.
-    At(SimTime),
-}
-
-/// K per-region calendar queues popped in region-major order, with
+/// K per-region heaps popped in region-major order, with
 /// conservative-PDES clock/lookahead accounting. See the module docs;
 /// construct via
 /// [`FutureEventList::with_regions`](crate::queue::FutureEventList::with_regions).
 pub struct RegionScheduler<E> {
-    queues: Vec<CalendarQueue<E>>,
-    heads: Vec<Head>,
+    queues: Vec<MinQueue<E>>,
     /// Per-region local clock: timestamp of the last event popped from the
     /// region (0 before the first pop). Monotone per region because pops
     /// never go back in time.
@@ -108,10 +94,7 @@ impl<E> RegionScheduler<E> {
         );
         let per = cap / regions + 1;
         Self {
-            queues: (0..regions)
-                .map(|_| CalendarQueue::with_capacity(per))
-                .collect(),
-            heads: vec![Head::Empty; regions],
+            queues: (0..regions).map(|_| MinQueue::with_capacity(per)).collect(),
             clocks: vec![0; regions],
             lookahead: vec![0; regions * regions],
             stats: SyncStats::default(),
@@ -177,64 +160,32 @@ impl<E> RegionScheduler<E> {
     /// then prunes to the one region it owns. Clocks, stats, and the
     /// lookahead matrix are left untouched.
     pub(crate) fn retain_region(&mut self, keep: usize) {
-        for r in 0..self.queues.len() {
+        for (r, q) in self.queues.iter_mut().enumerate() {
             if r != keep {
-                self.queues[r] = CalendarQueue::with_capacity(1);
-                self.heads[r] = Head::Empty;
+                *q = MinQueue::with_capacity(0);
             }
         }
     }
 
-    /// Insert an entry into `region` (clamped to the last region). The
-    /// head cache stays exact: an instant below the cached minimum *is*
-    /// the new minimum.
+    /// Insert an entry into `region` (clamped to the last region).
     #[inline]
     pub(crate) fn push(&mut self, region: usize, s: Scheduled<E>) {
         let r = region.min(self.regions() - 1);
-        match self.heads[r] {
-            Head::Empty => self.heads[r] = Head::At(s.at),
-            Head::At(at) if s.at < at => self.heads[r] = Head::At(s.at),
-            _ => {}
-        }
         self.queues[r].push(s);
-    }
-
-    /// Re-derive any stale head from its queue.
-    fn refresh_heads(&mut self) {
-        for r in 0..self.queues.len() {
-            if self.heads[r] == Head::Stale {
-                self.heads[r] = match self.queues[r].peek_time() {
-                    Some(at) => Head::At(at),
-                    None => Head::Empty,
-                };
-            }
-        }
     }
 
     /// The earliest pending instant and the lowest-indexed region holding
     /// it (the strict `<` keeps the first-seen head on a tie).
     fn min_head(&self) -> Option<(usize, SimTime)> {
         let mut best: Option<(usize, SimTime)> = None;
-        for (r, h) in self.heads.iter().enumerate() {
-            debug_assert_ne!(*h, Head::Stale);
-            if let Head::At(at) = *h {
+        for (r, q) in self.queues.iter().enumerate() {
+            if let Some(at) = q.peek_time() {
                 if best.is_none_or(|(_, bat)| at < bat) {
                     best = Some((r, at));
                 }
             }
         }
         best
-    }
-
-    /// Mark `region`'s head unknown after a pop (or exactly empty, which a
-    /// length read proves for free).
-    #[inline]
-    fn invalidate_head(&mut self, region: usize) {
-        self.heads[region] = if self.queues[region].is_empty() {
-            Head::Empty
-        } else {
-            Head::Stale
-        };
     }
 
     /// Conservative-sync accounting for dispatching timestamp `at` out of
@@ -261,7 +212,6 @@ impl<E> RegionScheduler<E> {
     /// Pop the earliest entry (lowest region on a tie) if due at or before
     /// `t`.
     pub(crate) fn pop_at_most(&mut self, t: SimTime) -> Option<Scheduled<E>> {
-        self.refresh_heads();
         let (r, at) = self.min_head()?;
         if at > t {
             return None;
@@ -271,7 +221,6 @@ impl<E> RegionScheduler<E> {
         self.stats.runs += 1;
         self.pops[r] += 1;
         self.account_advance(r, at);
-        self.invalidate_head(r);
         Some(s)
     }
 
@@ -283,23 +232,20 @@ impl<E> RegionScheduler<E> {
         t: SimTime,
         buf: &mut Vec<E>,
     ) -> Option<(SimTime, usize)> {
-        self.refresh_heads();
         let (_, at) = self.min_head()?;
         if at > t {
             return None;
         }
         let (mut n, mut contributors) = (0usize, 0u32);
         for r in 0..self.regions() {
-            if self.heads[r] == Head::At(at) {
-                let (got_at, got_n) = self.queues[r]
-                    .pop_run_at_most(t, buf)
-                    .expect("head said due");
+            // `at` is the global minimum, so a region is due by `at` exactly
+            // when its head is `at`.
+            if let Some((got_at, got_n)) = self.queues[r].pop_run_at_most(at, buf) {
                 debug_assert_eq!(got_at, at);
                 n += got_n;
                 contributors += 1;
                 self.pops[r] += got_n as u64;
                 self.account_advance(r, at);
-                self.invalidate_head(r);
             }
         }
         self.stats.runs += 1;
@@ -308,8 +254,7 @@ impl<E> RegionScheduler<E> {
     }
 
     /// Timestamp of the earliest pending entry.
-    pub(crate) fn peek_time(&mut self) -> Option<SimTime> {
-        self.refresh_heads();
+    pub(crate) fn peek_time(&self) -> Option<SimTime> {
         self.min_head().map(|(_, at)| at)
     }
 }

@@ -1,8 +1,7 @@
 //! Property-based tests over the core data structures and the scaling
 //! invariants, per the repo's testing strategy (DESIGN.md §7).
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::HashSet;
 
 use drrs_repro::drrs::{divide_subscales, FlexScaler, MechanismConfig};
 use drrs_repro::engine::ids::{key_group_of, sub_group_of, InstId, KeyGroup};
@@ -16,37 +15,38 @@ use drrs_repro::sim::time::secs;
 use drrs_repro::sim::{DetRng, FutureEventList, Zipf};
 use proptest::prelude::*;
 
-/// The reference model `FutureEventList` is checked against: a binary heap
-/// ordered by `(at, seq)` under the same shell rules (clock, FIFO `seq`
-/// mint, past-clamp). Obviously correct, which is all it is for — it used
-/// to be a selectable scheduler backend and never paid for itself.
+/// The reference model `FutureEventList` is checked against: an unsorted
+/// `Vec` min-scanned by `(at, seq)` on every read, under the same shell
+/// rules (clock, FIFO `seq` mint, past-clamp). Obviously correct and
+/// independent of the production model, which is all it is for.
 #[derive(Default)]
-struct HeapModel {
-    heap: BinaryHeap<Reverse<(u64, u64, u64)>>, // (at, seq, event)
+struct MinScanModel {
+    pending: Vec<(u64, u64, u64)>, // (at, seq, event)
     now: u64,
     seq: u64,
     processed: u64,
 }
 
-impl HeapModel {
+impl MinScanModel {
     fn schedule(&mut self, delay: u64, event: u64) {
         self.schedule_at(self.now.saturating_add(delay), event);
     }
     fn schedule_at(&mut self, at: u64, event: u64) {
-        self.heap.push(Reverse((at.max(self.now), self.seq, event)));
+        self.pending.push((at.max(self.now), self.seq, event));
         self.seq += 1;
     }
+    fn min_index(&self) -> Option<usize> {
+        (0..self.pending.len()).min_by_key(|&i| self.pending[i])
+    }
     fn peek_time(&self) -> Option<u64> {
-        self.heap.peek().map(|Reverse(k)| k.0)
+        self.min_index().map(|i| self.pending[i].0)
     }
     fn pop(&mut self) -> Option<(u64, u64)> {
         self.pop_at_most(u64::MAX)
     }
     fn pop_at_most(&mut self, t: u64) -> Option<(u64, u64)> {
-        if self.peek_time()? > t {
-            return None;
-        }
-        let Reverse((at, _, event)) = self.heap.pop()?;
+        let i = self.min_index().filter(|&i| self.pending[i].0 <= t)?;
+        let (at, _, event) = self.pending.swap_remove(i);
         self.now = at;
         self.processed += 1;
         Some((at, event))
@@ -237,84 +237,81 @@ proptest! {
     }
 
     #[test]
-    fn scheduler_backends_pop_identical_sequences(
+    fn future_event_list_matches_min_scan_model(
         // Random interleavings of schedule / schedule_at / pop /
-        // peek_time / pop_at_most. Ops are (kind, value) pairs; the value
-        // steers the delay or absolute time, deliberately covering
-        // past-clamped times (kind 2 draws absolute times that often land
-        // before "now"), massed same-timestamp ties (kind 1 always uses
-        // the same short delay), and cursor-advancing peeks and
-        // horizon-limited pops (kinds 4-5 — these walk the calendar's
-        // scan cursor ahead without popping, the precondition for its
-        // pull-back and overflow-migration edge cases).
+        // peek_time / pop_at_most / pop_run_at_most. Ops are (kind, value)
+        // pairs; the value steers the delay or absolute time, deliberately
+        // covering past-clamped times (kind 2 draws absolute times that
+        // often land before "now"), massed same-timestamp ties (kind 1
+        // always uses the same short delay), and peeks and horizon-limited
+        // pops that come back dry (kinds 4-6).
         ops in proptest::collection::vec((0u8..7, 0u64..5_000), 1..400),
-        cal_cap in 0usize..300,
+        cap in 0usize..300,
     ) {
-        let mut heap = HeapModel::default();
-        let mut cal: FutureEventList<u64> = FutureEventList::with_capacity(cal_cap);
-        let mut heap_buf: Vec<u64> = Vec::new();
-        let mut cal_buf: Vec<u64> = Vec::new();
+        let mut model = MinScanModel::default();
+        let mut list: FutureEventList<u64> = FutureEventList::with_capacity(cap);
+        let mut model_buf: Vec<u64> = Vec::new();
+        let mut list_buf: Vec<u64> = Vec::new();
         for (i, &(kind, v)) in ops.iter().enumerate() {
             let id = i as u64;
             match kind {
                 0 => {
-                    // Mixed horizons: mostly short, occasionally far future
-                    // (exercises the calendar's overflow tier).
+                    // Mixed horizons: mostly short, occasionally far future.
                     let delay = if v % 7 == 0 { v * 997 } else { v % 800 };
-                    heap.schedule(delay, id);
-                    cal.schedule(delay, id);
+                    model.schedule(delay, id);
+                    list.schedule(delay, id);
                 }
                 1 => {
                     // Massed ties at one instant: FIFO seq order must hold.
-                    heap.schedule(13, id);
-                    cal.schedule(13, id);
+                    model.schedule(13, id);
+                    list.schedule(13, id);
                 }
                 2 => {
                     // Absolute times, frequently in the past (clamped to
                     // "now" — list and model must clamp identically).
-                    heap.schedule_at(v, id);
-                    cal.schedule_at(v, id);
+                    model.schedule_at(v, id);
+                    list.schedule_at(v, id);
                 }
                 3 => {
-                    prop_assert_eq!(heap.pop(), cal.pop(), "pop diverged at op {}", i);
-                    prop_assert_eq!(heap.now, cal.now());
+                    prop_assert_eq!(model.pop(), list.pop(), "pop diverged at op {}", i);
+                    prop_assert_eq!(model.now, list.now());
                 }
                 4 => {
                     prop_assert_eq!(
-                        heap.peek_time(),
-                        cal.peek_time(),
+                        model.peek_time(),
+                        list.peek_time(),
                         "peek diverged at op {}",
                         i
                     );
                 }
                 5 => {
-                    let horizon = heap.now.saturating_add(v);
+                    let horizon = model.now.saturating_add(v);
                     prop_assert_eq!(
-                        heap.pop_at_most(horizon),
-                        cal.pop_at_most(horizon),
+                        model.pop_at_most(horizon),
+                        list.pop_at_most(horizon),
                         "pop_at_most diverged at op {}",
                         i
                     );
-                    prop_assert_eq!(heap.now, cal.now());
+                    prop_assert_eq!(model.now, list.now());
                 }
                 _ => {
                     // Batch drain of the earliest same-instant run — list
                     // and model must return the same instant and the same
                     // FIFO-ordered payload run (dry probes included).
-                    let horizon = heap.now.saturating_add(v % 2_500);
-                    let h = heap.pop_run_at_most(horizon, &mut heap_buf);
-                    let c = cal.pop_run_at_most(horizon, &mut cal_buf);
+                    let horizon = model.now.saturating_add(v % 2_500);
+                    let h = model.pop_run_at_most(horizon, &mut model_buf);
+                    let c = list.pop_run_at_most(horizon, &mut list_buf);
                     prop_assert_eq!(h, c, "pop_run_at_most diverged at op {}", i);
-                    prop_assert_eq!(&heap_buf, &cal_buf, "batch run diverged at op {}", i);
-                    prop_assert_eq!(heap.now, cal.now());
-                    prop_assert_eq!(heap.processed, cal.processed());
+                    prop_assert_eq!(&model_buf, &list_buf, "batch run diverged at op {}", i);
+                    prop_assert_eq!(model.now, list.now());
+                    prop_assert_eq!(model.processed, list.processed());
                 }
             }
-            prop_assert_eq!(heap.heap.len(), cal.len(), "len diverged at op {}", i);
+            prop_assert_eq!(model.pending.len(), list.len(), "len diverged at op {}", i);
         }
         // Drain: the full remaining sequences must match, element by element.
         loop {
-            let (h, c) = (heap.pop(), cal.pop());
+            let (h, c) = (model.pop(), list.pop());
             prop_assert_eq!(h, c, "drain diverged");
             if h.is_none() {
                 break;
@@ -324,50 +321,45 @@ proptest! {
 
     #[test]
     fn dry_jump_then_earlier_schedule_pops_in_order(
-        // The calendar's horizon probes (`pop_at_most`/`pop_run_at_most`
-        // returning `None`) are not read-only: they advance the scan
-        // cursor and migrate overflow events into the rolling window. A
-        // schedule_at for an *earlier but still future* instant right
-        // after such a dry jump lands behind the mutated cursor state —
-        // the exact precondition of the PR 3 pull-back bugs. Property:
-        // after any prefix of (pending set, dry jump, earlier schedule),
-        // the list drains the heap model's sequence, globally sorted by
-        // time with FIFO order among ties.
+        // A horizon probe (`pop_at_most`/`pop_run_at_most`) that returns
+        // `None` has looked at the pending minimum; a schedule_at for an
+        // *earlier but still future* instant right after it must still pop
+        // first. Property: after any prefix of (pending set, dry probe,
+        // earlier schedule), the list drains the model's sequence,
+        // globally sorted by time with FIFO order among ties.
         pending in proptest::collection::vec((1u64..100_000, 0u64..4), 1..60),
         probes in proptest::collection::vec((0u64..120_000, 1u64..50_000, any::<bool>()), 1..12),
     ) {
-        let mut heap = HeapModel::default();
-        let mut cal: FutureEventList<u64> = FutureEventList::new();
+        let mut model = MinScanModel::default();
+        let mut list: FutureEventList<u64> = FutureEventList::new();
         // `expected` mirrors the FEL contract: (clamped at, schedule order).
         let mut expected: Vec<(u64, u64)> = Vec::new();
         let mut id = 0u64;
-        let sched = |heap: &mut HeapModel,
-                         cal: &mut FutureEventList<u64>,
-                         expected: &mut Vec<(u64, u64)>,
-                         id: &mut u64,
-                         at: u64| {
-            let clamped = at.max(heap.now);
-            heap.schedule_at(at, *id);
-            cal.schedule_at(at, *id);
+        let sched = |model: &mut MinScanModel,
+                     list: &mut FutureEventList<u64>,
+                     expected: &mut Vec<(u64, u64)>,
+                     id: &mut u64,
+                     at: u64| {
+            let clamped = at.max(model.now);
+            model.schedule_at(at, *id);
+            list.schedule_at(at, *id);
             expected.push((clamped, *id));
             *id += 1;
         };
         for &(at, extra_ties) in &pending {
             // Seed a mixed pending set, some instants massed.
             for _ in 0..=extra_ties {
-                sched(&mut heap, &mut cal, &mut expected, &mut id, at);
+                sched(&mut model, &mut list, &mut expected, &mut id, at);
             }
         }
         for &(probe_offset, earlier_gap, batch) in &probes {
-            // A horizon probe that may or may not be dry; dry probes walk
-            // the calendar cursor ahead (and can jump it to the overflow
-            // head's day) without popping.
-            let horizon = heap.now.saturating_add(probe_offset % 3_000);
+            // A horizon probe that may or may not be dry.
+            let horizon = model.now.saturating_add(probe_offset % 3_000);
             if batch {
                 let mut hb = Vec::new();
                 let mut cb = Vec::new();
-                let h = heap.pop_run_at_most(horizon, &mut hb);
-                prop_assert_eq!(h, cal.pop_run_at_most(horizon, &mut cb));
+                let h = model.pop_run_at_most(horizon, &mut hb);
+                prop_assert_eq!(h, list.pop_run_at_most(horizon, &mut cb));
                 prop_assert_eq!(&hb, &cb);
                 for &e in &hb {
                     let min = expected.iter().enumerate().min_by_key(|(_, &(t, s))| (t, s))
@@ -376,32 +368,31 @@ proptest! {
                     prop_assert_eq!((t, s), (h.expect("popped"), e), "batch run out of order");
                 }
             } else {
-                let got = heap.pop_at_most(horizon);
-                prop_assert_eq!(got, cal.pop_at_most(horizon));
+                let got = model.pop_at_most(horizon);
+                prop_assert_eq!(got, list.pop_at_most(horizon));
                 if let Some((t, e)) = got {
                     let min = expected.iter().enumerate().min_by_key(|(_, &(t, s))| (t, s))
                         .map(|(i, _)| i).expect("popped from non-empty");
                     prop_assert_eq!(expected.remove(min), (t, e), "pop out of order");
                 }
             }
-            prop_assert_eq!(heap.now, cal.now());
+            prop_assert_eq!(model.now, list.now());
             // Now schedule an *earlier but still future* instant than the
-            // current pending minimum: strictly behind wherever the dry
-            // jump left the cursor, but at or after "now".
+            // current pending minimum, at or after "now".
             let min_pending = expected.iter().map(|&(t, _)| t).min();
             let target = match min_pending {
-                Some(m) if m > heap.now => heap.now + (m - heap.now).min(earlier_gap),
-                _ => heap.now + earlier_gap,
+                Some(m) if m > model.now => model.now + (m - model.now).min(earlier_gap),
+                _ => model.now + earlier_gap,
             };
-            sched(&mut heap, &mut cal, &mut expected, &mut id, target);
+            sched(&mut model, &mut list, &mut expected, &mut id, target);
         }
         // Full drain must come out globally (at, seq)-sorted and identical
         // to the model's.
         expected.sort_unstable();
         let mut got = Vec::new();
         loop {
-            let (h, c) = (heap.pop(), cal.pop());
-            prop_assert_eq!(h, c, "list diverged from the heap model during drain");
+            let (h, c) = (model.pop(), list.pop());
+            prop_assert_eq!(h, c, "list diverged from the model during drain");
             match h {
                 Some(p) => got.push(p),
                 None => break,

@@ -20,11 +20,20 @@ fn processed_by(w: &World, op: OpId) -> u64 {
 
 /// The production dispatch loop (`Sim::dispatch_until`) around a concrete
 /// `FlexScaler`, so its counters stay readable. Returns how many records
-/// `op` processed while the mechanism was active.
-fn run_until(w: &mut World, p: &mut FlexScaler, op: OpId, t: SimTime) -> u64 {
+/// `op` processed while the mechanism was active, and raises
+/// `pending_high_water` to the most events the future-event list held (the
+/// just-drained run included).
+fn run_until(
+    w: &mut World,
+    p: &mut FlexScaler,
+    op: OpId,
+    t: SimTime,
+    pending_high_water: &mut usize,
+) -> u64 {
     let mut buf = Vec::new();
     let mut while_active = 0;
     while w.q.pop_run_at_most(t, &mut buf).is_some() {
+        *pending_high_water = (*pending_high_water).max(w.q.len() + buf.len());
         let (active, before) = (p.active(), processed_by(w, op));
         w.dispatch_run(p, &mut buf);
         if active || p.active() {
@@ -47,12 +56,13 @@ fn scheduling_cost_is_pinned_and_linear_in_records() {
     let mut p = FlexScaler::drrs();
 
     w.schedule_scale(secs(2), agg, 6);
-    let mut while_active = run_until(&mut w, &mut p, agg, secs(5));
+    let mut pending_high_water = 0;
+    let mut while_active = run_until(&mut w, &mut p, agg, secs(5), &mut pending_high_water);
     assert!(p.finished(), "scale-out did not finish");
     let out = p.sched_stats();
 
     w.schedule_scale(secs(5), agg, 3);
-    while_active += run_until(&mut w, &mut p, agg, secs(9));
+    while_active += run_until(&mut w, &mut p, agg, secs(9), &mut pending_high_water);
     assert!(p.finished(), "scale-in did not finish");
     let total = p.sched_stats();
 
@@ -98,4 +108,11 @@ fn scheduling_cost_is_pinned_and_linear_in_records() {
     );
     // Nearly every scan finds its channel as it left it.
     assert!(total.hint_resumes * 10 >= total.scans * 8, "{total:?}");
+
+    // The traffic premise of the scheduler: with one entry per send burst
+    // the pending set stays tiny, which is why a plain binary heap holds it.
+    let regime = "if this grew, per-record scheduler entries are back and PR 18's choice \
+                  of a plain binary heap for this list (CHANGES.md) must be re-measured";
+    assert!(pending_high_water <= 64, "{pending_high_water}: {regime}");
+    assert_eq!(pending_high_water, 32, "{regime}");
 }
