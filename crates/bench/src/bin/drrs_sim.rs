@@ -32,7 +32,12 @@ struct Args {
     state_gb: u64,
 }
 
-fn parse_args() -> Args {
+const USAGE: &str = "usage: drrs_sim [--workload q7|q8|twitch|custom] \
+     [--mechanism drrs|dr|schedule|subscale|otfs|otfs-aao|megaphone|meces|unbound|stop-restart|none] \
+     [--rate N] [--from N] [--to N] [--scale-at S] [--horizon S] \
+     [--seed N] [--skew F] [--state-gb N]";
+
+fn parse_args(argv: &[String]) -> Result<Args, String> {
     let mut a = Args {
         workload: "q7".into(),
         mechanism: "drrs".into(),
@@ -45,40 +50,40 @@ fn parse_args() -> Args {
         skew: 0.0,
         state_gb: 5,
     };
-    let argv: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
     while i < argv.len() {
         let key = argv[i].as_str();
-        let val = argv.get(i + 1).cloned().unwrap_or_default();
         match key {
-            "--workload" => a.workload = val,
-            "--mechanism" => a.mechanism = val,
-            "--rate" => a.rate = val.parse().expect("--rate takes a number"),
-            "--from" => a.from = val.parse().expect("--from takes a count"),
-            "--to" => a.to = val.parse().expect("--to takes a count"),
-            "--scale-at" => a.scale_at = val.parse().expect("--scale-at takes seconds"),
-            "--horizon" => a.horizon = val.parse().expect("--horizon takes seconds"),
-            "--seed" => a.seed = val.parse().expect("--seed takes a number"),
-            "--skew" => a.skew = val.parse().expect("--skew takes a float"),
-            "--state-gb" => a.state_gb = val.parse().expect("--state-gb takes GB"),
             "--help" | "-h" => {
-                println!(
-                    "usage: drrs_sim [--workload q7|q8|twitch|custom] \
-                     [--mechanism drrs|dr|schedule|subscale|otfs|otfs-aao|megaphone|meces|unbound|stop-restart|none] \
-                     [--rate N] [--from N] [--to N] [--scale-at S] [--horizon S] \
-                     [--seed N] [--skew F] [--state-gb N]"
-                );
+                println!("{USAGE}");
                 std::process::exit(0);
             }
-            other => panic!("unknown flag {other} (try --help)"),
+            "--workload" | "--mechanism" | "--rate" | "--from" | "--to" | "--scale-at"
+            | "--horizon" | "--seed" | "--skew" | "--state-gb" => {
+                let val = bench::flag_value(argv, i)?;
+                match key {
+                    "--workload" => a.workload = val.to_string(),
+                    "--mechanism" => a.mechanism = val.to_string(),
+                    "--rate" => a.rate = bench::parse_value(key, val)?,
+                    "--from" => a.from = bench::parse_value(key, val)?,
+                    "--to" => a.to = bench::parse_value(key, val)?,
+                    "--scale-at" => a.scale_at = bench::parse_value(key, val)?,
+                    "--horizon" => a.horizon = bench::parse_value(key, val)?,
+                    "--seed" => a.seed = bench::parse_value(key, val)?,
+                    "--skew" => a.skew = bench::parse_value(key, val)?,
+                    _ => a.state_gb = bench::parse_value(key, val)?,
+                }
+                i += 1;
+            }
+            other => return Err(format!("unknown flag {other}")),
         }
-        i += 2;
+        i += 1;
     }
-    a
+    Ok(a)
 }
 
-fn build_workload(a: &Args) -> (World, OpId) {
-    match a.workload.as_str() {
+fn build_workload(a: &Args) -> Result<(World, OpId), String> {
+    Ok(match a.workload.as_str() {
         "q7" => {
             let mut cfg = nexmark_engine_config(a.seed);
             cfg.check_semantics = true;
@@ -130,12 +135,12 @@ fn build_workload(a: &Args) -> (World, OpId) {
                 },
             )
         }
-        other => panic!("unknown workload {other} (q7|q8|twitch|custom)"),
-    }
+        other => return Err(format!("unknown workload {other:?}")),
+    })
 }
 
-fn build_mechanism(name: &str) -> Box<dyn ScalePlugin> {
-    match name {
+fn build_mechanism(name: &str) -> Result<Box<dyn ScalePlugin>, String> {
+    Ok(match name {
         "drrs" => Box::new(FlexScaler::drrs()),
         "dr" => Box::new(FlexScaler::new(MechanismConfig::dr_only())),
         "schedule" => Box::new(FlexScaler::new(MechanismConfig::schedule_only())),
@@ -147,17 +152,23 @@ fn build_mechanism(name: &str) -> Box<dyn ScalePlugin> {
         "unbound" => Box::new(UnboundPlugin::new()),
         "stop-restart" => Box::new(StopRestartPlugin::new()),
         "none" => Box::new(NoScale),
-        other => panic!("unknown mechanism {other} (try --help)"),
-    }
+        other => return Err(format!("unknown mechanism {other:?}")),
+    })
 }
 
 fn main() {
-    let a = parse_args();
-    let (mut world, op) = build_workload(&a);
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    // Flags, values, workload and mechanism names: all rejected before a run.
+    let (plugin, (mut world, op), a) = parse_args(&argv)
+        .and_then(|a| Ok((build_mechanism(&a.mechanism)?, build_workload(&a)?, a)))
+        .unwrap_or_else(|e| {
+            eprintln!("drrs_sim: {e}\n{USAGE}");
+            std::process::exit(2);
+        });
     if a.mechanism != "none" && a.to != a.from {
         world.schedule_scale(secs(a.scale_at), op, a.to);
     }
-    let mut sim = Sim::new(world, build_mechanism(&a.mechanism));
+    let mut sim = Sim::new(world, plugin);
     sim.run_until(secs(a.horizon));
 
     let w = &sim.world;

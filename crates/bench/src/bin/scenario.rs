@@ -10,6 +10,8 @@
 //! scenario --run NAME --regions 2 --resume-latency 100 --threads 2
 //!                                      # thread-per-region parallel PDES run
 //! scenario --run NAME --sync-stats     # also print region/sync accounting
+//! scenario --group perf --check crates/bench/golden/perf_digests.txt
+//!                                      # the cross-build digest pin
 //! ```
 //!
 //! The digest lines on stdout are fully deterministic (`name digest events
@@ -38,15 +40,41 @@
 //! but each individually reproducible — telemetry: the parallel executor
 //! samples per-epoch sync counters and region-0 metrics ticks only).
 //! `QUICK=1` compresses the grids as everywhere else.
+//!
+//! `--group PREFIX --check FILE` runs the group on its full timelines
+//! against a golden digest file (`bench::scenario::golden`), PDES rows on
+//! both engines: exit 1 names the scenario that differs with its expected
+//! and actual digest; exit 2 is a file the checker refuses (malformed,
+//! duplicate, unknown or missing row). The rows carry their own partition,
+//! so `--check` takes no other flag. A scenario with a scale plan cannot
+//! run in PDES mode and is rejected up front (`--group`: the first one).
 
 use bench::quick;
-use bench::scenario::registry;
-use bench::scenario::Runner;
+use bench::scenario::{golden, registry, RunReport, Runner, ScenarioSpec};
 
 const USAGE: &str =
     "usage: scenario --list | --run NAME [--emit FILE] [--events FILE] | --group PREFIX\n\
      \x20       [--regions K --resume-latency MICROS] [--threads N] [--sync-stats]\n\
+     \x20      scenario --group PREFIX --check GOLDEN_FILE\n\
      (QUICK=1 in the environment compresses timelines)";
+
+/// Reject a malformed request: message, usage, exit 2.
+fn usage_exit(msg: &str) -> ! {
+    eprintln!("scenario: {msg}\n{USAGE}");
+    std::process::exit(2);
+}
+
+/// The engine asserts on a scale plan in PDES mode; refuse the request
+/// here, naming the first scenario that carries one.
+fn reject_scale_under_pdes(specs: &[ScenarioSpec]) {
+    if let Some(s) = specs.iter().find(|s| s.scales_under_pdes()) {
+        usage_exit(&format!(
+            "{} has a scale plan, which PDES mode (--regions K > 1 with a positive \
+             --resume-latency) cannot execute",
+            s.name
+        ));
+    }
+}
 
 #[derive(Default)]
 struct Opts {
@@ -55,6 +83,7 @@ struct Opts {
     group: Option<String>,
     emit: Option<String>,
     events: Option<String>,
+    check: Option<String>,
     regions: Option<usize>,
     threads: Option<usize>,
     resume_latency: Option<u64>,
@@ -69,18 +98,18 @@ fn parse_args(args: &[String]) -> Result<Opts, String> {
         match flag {
             "--list" => o.list = true,
             "--sync-stats" => o.sync_stats = true,
-            "--run" | "--group" | "--emit" | "--events" | "--regions" | "--threads"
+            "--run" | "--group" | "--emit" | "--events" | "--check" | "--regions" | "--threads"
             | "--resume-latency" => {
                 let v = bench::flag_value(args, i)?;
-                let num = || v.parse::<u64>().map_err(|e| format!("{flag} {v:?}: {e}"));
                 match flag {
                     "--run" => o.run = Some(v.to_string()),
                     "--group" => o.group = Some(v.to_string()),
                     "--emit" => o.emit = Some(v.to_string()),
                     "--events" => o.events = Some(v.to_string()),
-                    "--regions" => o.regions = Some(num()? as usize),
-                    "--threads" => o.threads = Some(num()? as usize),
-                    _ => o.resume_latency = Some(num()?),
+                    "--check" => o.check = Some(v.to_string()),
+                    "--regions" => o.regions = Some(bench::parse_value(flag, v)?),
+                    "--threads" => o.threads = Some(bench::parse_value(flag, v)?),
+                    _ => o.resume_latency = Some(bench::parse_value(flag, v)?),
                 }
                 i += 1;
             }
@@ -95,15 +124,71 @@ fn parse_args(args: &[String]) -> Result<Opts, String> {
                 .into(),
         );
     }
+    if o.check.is_some() {
+        // Exactly `--group PREFIX --check FILE`, in either order.
+        if o.group.is_none() || args.len() != 4 {
+            return Err(
+                "--check FILE goes with --group PREFIX and nothing else: the file's \
+                 rows carry their own regions and resume latency"
+                    .into(),
+            );
+        }
+        if quick() {
+            return Err("--check compares full-timeline digests; unset QUICK".into());
+        }
+    }
     Ok(o)
+}
+
+/// `--group PREFIX --check FILE`: exit 0 when every row holds, 1 on a run
+/// that differs, 2 on a file that cannot be read or that the checker refuses.
+fn check_group(prefix: &str, path: &str) -> ! {
+    let group: Vec<_> = registry::all(false)
+        .into_iter()
+        .filter(|s| s.name.starts_with(prefix))
+        .collect();
+    let held = std::fs::read_to_string(path)
+        .map_err(|e| golden::GoldenError::Refused(format!("unreadable: {e}")))
+        .and_then(|text| golden::check(&text, &group));
+    match &held {
+        Ok(rows) => println!("scenario: all {rows} rows of {path} hold"),
+        Err(e) => eprintln!("scenario: {path}: {e}"),
+    }
+    std::process::exit(match held {
+        Ok(_) => 0,
+        Err(golden::GoldenError::Mismatch { .. }) => 1,
+        Err(golden::GoldenError::Refused(_)) => 2,
+    });
+}
+
+/// The deterministic digest line of one sequential run, plus the
+/// region/sync/bus accounting line under `--sync-stats`.
+fn print_report(r: &RunReport, sync_stats: bool) {
+    println!(
+        "{} digest 0x{:016x} events {} sink_records {}",
+        r.scenario, r.digest, r.events, r.sink_records
+    );
+    if sync_stats {
+        println!(
+            "{} region_events {:?} sync_runs {} merged_runs {} \
+             min_rule_grants {} null_msgs {} bus_published {} \
+             bus_dropped {} bus_lag_max {}",
+            r.scenario,
+            r.region_events,
+            r.sync_runs,
+            r.merged_runs,
+            r.min_rule_grants,
+            r.null_msgs,
+            r.bus_published,
+            r.bus_dropped,
+            r.bus_lag_max
+        );
+    }
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let o = parse_args(&args).unwrap_or_else(|e| {
-        eprintln!("scenario: {e}\n{USAGE}");
-        std::process::exit(2);
-    });
+    let o = parse_args(&args).unwrap_or_else(|e| usage_exit(&e));
     let (regions, threads, resume_latency) = (o.regions, o.threads, o.resume_latency);
     let (sync_stats, events_path) = (o.sync_stats, o.events);
 
@@ -128,6 +213,7 @@ fn main() {
         if let Some(p) = &events_path {
             spec = spec.with_events_path(p.clone());
         }
+        reject_scale_under_pdes(std::slice::from_ref(&spec));
         if threads.map(|t| t > 1).unwrap_or(false) {
             // Thread-per-region parallel execution. There is no merged
             // World to harvest a full RunReport from, so --emit has
@@ -192,30 +278,14 @@ fn main() {
                 .unwrap_or_else(|e| panic!("writing {path}: {e}"));
             eprintln!("scenario: wrote {path}");
         }
-        println!(
-            "{} digest 0x{:016x} events {} sink_records {}",
-            report.scenario, report.digest, report.events, report.sink_records
-        );
-        if sync_stats {
-            println!(
-                "{} region_events {:?} sync_runs {} merged_runs {} \
-                 min_rule_grants {} null_msgs {} bus_published {} \
-                 bus_dropped {} bus_lag_max {}",
-                report.scenario,
-                report.region_events,
-                report.sync_runs,
-                report.merged_runs,
-                report.min_rule_grants,
-                report.null_msgs,
-                report.bus_published,
-                report.bus_dropped,
-                report.bus_lag_max
-            );
-        }
+        print_report(&report, sync_stats);
         return;
     }
 
     if let Some(prefix) = o.group {
+        if let Some(path) = &o.check {
+            check_group(&prefix, path);
+        }
         if events_path.is_some() {
             eprintln!(
                 "scenario: --events needs a single run (the group's streams \
@@ -241,28 +311,10 @@ fn main() {
             eprintln!("scenario: no scenarios match prefix {prefix:?} (see --list)");
             std::process::exit(2);
         }
+        reject_scale_under_pdes(&specs);
         let reports = Runner::in_process().with_threads(threads).run(&specs);
         for r in &reports {
-            println!(
-                "{} digest 0x{:016x} events {} sink_records {}",
-                r.scenario, r.digest, r.events, r.sink_records
-            );
-            if sync_stats {
-                println!(
-                    "{} region_events {:?} sync_runs {} merged_runs {} \
-                     min_rule_grants {} null_msgs {} bus_published {} \
-                     bus_dropped {} bus_lag_max {}",
-                    r.scenario,
-                    r.region_events,
-                    r.sync_runs,
-                    r.merged_runs,
-                    r.min_rule_grants,
-                    r.null_msgs,
-                    r.bus_published,
-                    r.bus_dropped,
-                    r.bus_lag_max
-                );
-            }
+            print_report(r, sync_stats);
         }
         return;
     }

@@ -42,6 +42,15 @@ pub fn flag_value(args: &[String], i: usize) -> Result<&str, String> {
         .ok_or_else(|| format!("{} needs a value", args[i]))
 }
 
+/// Parse the value `v` of `flag` (or of a named field of an input file),
+/// with the error the strict argument loops print: what, the text, why.
+pub fn parse_value<T: std::str::FromStr>(flag: &str, v: &str) -> Result<T, String>
+where
+    T::Err: std::fmt::Display,
+{
+    v.parse().map_err(|e| format!("{flag} {v:?}: {e}"))
+}
+
 /// Run `f` over `items` on a pool of OS threads (one simulation per
 /// thread; each simulation stays single-threaded and deterministic) and
 /// return the results **in input order** — figure output must not depend

@@ -10,7 +10,7 @@
 //!   `PartialEq`), so a run is identified by its name and reconstructible
 //!   anywhere — which is exactly what makes process-level sharding possible.
 //! * [`registry`] — the central catalog naming every run used in the repo:
-//!   the five `perf_report` scenarios, every fig02–fig15 row, and the
+//!   the seven `perf/` scenarios, every fig02–fig15 row, and the
 //!   ablation cells. Binaries pull specs from here instead of hand-assembling
 //!   `(World, OpId)` pairs.
 //! * [`runner`] — executes specs deterministically: in-process on
@@ -23,6 +23,8 @@
 //!   deterministic metrics digest, the latency/throughput/suspension series,
 //!   Lp/Ld, suspension, migration progress. Reports serialize to JSON and
 //!   parse back losslessly, so shard merging is byte-exact.
+//! * [`golden`] — the cross-build digest pin: a committed file of `perf/`
+//!   digests and the one function that checks a build against it.
 //!
 //! # Determinism contract
 //!
@@ -38,6 +40,7 @@
 //! * `RunReport` JSON round-trips exactly (floats are written in shortest
 //!   round-trip form), so nothing drifts across the emit/merge boundary.
 
+pub mod golden;
 pub mod registry;
 pub mod report;
 pub mod runner;
@@ -62,7 +65,8 @@ use workloads::twitch::{twitch, twitch_engine_config, TwitchParams};
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum EngineProfile {
     /// `EngineConfig::test()` with 128 key-groups and the semantics checker
-    /// off — the `perf_report` measurement profile.
+    /// off — the profile of the `perf/` group, whose digests the golden
+    /// file pins.
     Perf,
     /// The paper's single-machine NEXMark deployment (128 key-groups).
     Nexmark,
@@ -214,10 +218,15 @@ pub struct ScenarioSpec {
 }
 
 impl ScenarioSpec {
-    /// The name's last path segment (what `perf_report` prints and what
-    /// the `BENCH_PRn.json` baselines key digests by).
-    pub fn short_name(&self) -> &str {
-        self.name.rsplit('/').next().unwrap_or(&self.name)
+    /// Does this spec engage PDES mode (a region partition with lookahead)?
+    pub fn pdes(&self) -> bool {
+        self.regions > 1 && self.resume_latency > 0
+    }
+
+    /// A scale plan in PDES mode: the engine cannot execute one
+    /// (`start_scale` asserts), so the CLI and the golden checker refuse it.
+    pub fn scales_under_pdes(&self) -> bool {
+        self.scale.is_some() && self.pdes()
     }
 
     /// Derive a spec with a different scheduler region count.
@@ -329,8 +338,7 @@ impl ScenarioSpec {
     }
 
     /// Execute the spec to completion and harvest a [`RunReport`].
-    /// `wall_secs` times only `run_until` (not world construction), like
-    /// the perf harness.
+    /// `wall_secs` times only `run_until` (not world construction).
     pub fn run(&self) -> RunReport {
         let (mut sim, op) = self.build_sim();
         if let Some(path) = &self.events_path {
@@ -373,7 +381,7 @@ mod tests {
     }
 
     #[test]
-    fn perf_profile_matches_the_perf_report_configuration() {
+    fn perf_profile_is_128_key_groups_unchecked_on_the_fixed_seed() {
         let cfg = steady().engine_config();
         assert_eq!(cfg.max_key_groups, 128);
         assert!(!cfg.check_semantics);

@@ -1,5 +1,5 @@
 //! The central scenario registry: **every run used anywhere in the repo
-//! has a unique name here** — the five `perf_report` scenarios, every
+//! has a unique name here** — the seven `perf/` scenarios, every
 //! fig02–fig15 row, and the ablation cells.
 //!
 //! Names are hierarchical (`group/detail...`) and stable; they are the
@@ -44,9 +44,9 @@ fn spec(
     }
 }
 
-/// The five `perf_report` scenarios (the PR-over-PR perf trajectory).
-/// Digests of these runs are the cross-build behavior contract recorded in
-/// `BENCH_PRn.json`.
+/// The seven `perf/` scenarios. Digests of these runs on the full
+/// timelines are the cross-build behavior contract, pinned by
+/// `crates/bench/golden/perf_digests.txt` (see [`super::golden`]).
 pub fn perf_scenarios(quick: bool) -> Vec<ScenarioSpec> {
     let horizon = secs(if quick { 4 } else { 10 });
     let tiny = |rate, universe, par| WorkloadSpec::TinyJob {
@@ -643,20 +643,17 @@ mod tests {
 
     #[test]
     fn perf_group_matches_the_recorded_trajectory_names() {
-        let names: Vec<String> = perf_scenarios(false)
-            .iter()
-            .map(|s| s.short_name().to_string())
-            .collect();
+        let names: Vec<String> = perf_scenarios(false).into_iter().map(|s| s.name).collect();
         assert_eq!(
             names,
             vec![
-                "steady_50k",
-                "drrs_rescale_4_to_6",
-                "megaphone_rescale_4_to_6",
-                "drrs_scale_in_6_to_3",
-                "overload_backpressure",
-                "cut_pipeline_100k",
-                "twin_pipelines_100k",
+                "perf/steady_50k",
+                "perf/drrs_rescale_4_to_6",
+                "perf/megaphone_rescale_4_to_6",
+                "perf/drrs_scale_in_6_to_3",
+                "perf/overload_backpressure",
+                "perf/cut_pipeline_100k",
+                "perf/twin_pipelines_100k",
             ]
         );
     }

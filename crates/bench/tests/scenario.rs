@@ -1,9 +1,15 @@
 //! Integration tests for the scenario subsystem: registry integrity, the
 //! shard partition, shard-file round-trips, and merged-vs-sequential
-//! equality — the contracts the process-level sweep sharder stands on.
+//! equality — the contracts the process-level sweep sharder stands on —
+//! plus the golden digest pin, bus-sink neutrality, and the strict CLIs.
 
+use bench::scenario::golden::{self, GoldenError};
 use bench::scenario::{registry, runner, Runner, ScenarioSpec, Shard};
 use simcore::time::secs;
+use streamflow::BusSinkKind;
+
+/// The committed cross-build digest pin.
+const GOLDEN: &str = include_str!("../golden/perf_digests.txt");
 
 #[test]
 fn registry_names_are_unique() {
@@ -183,47 +189,131 @@ fn run_bin(exe: &str, args: &[&str]) -> (Option<i32>, String) {
 }
 
 #[test]
+fn golden_digests_hold_on_full_timelines_sequential_and_threaded() {
+    // The cross-build pin, as CI's `scenario --group perf --check`: seven
+    // sequential rows (a perf spec added without its row is refused) plus
+    // the two 100k scenarios under PDES at regions 2 and 4, run on both
+    // engines — the seq == threaded contract on full timelines.
+    let held = golden::check(GOLDEN, &registry::perf_scenarios(false));
+    assert_eq!(held, Ok(11), "a perf/ digest left the golden file");
+}
+
+#[test]
+fn golden_checker_fails_closed() {
+    let group = registry::perf_scenarios(false);
+    let digest = "0xc1221c2392952504";
+    let row = format!("perf/steady_50k 1 0 {digest} 1033084 500000");
+    let line = 1 + GOLDEN.lines().position(|l| l == row).expect("row");
+
+    // A flipped digest is a mismatch carrying name, expected and actual.
+    let flipped = GOLDEN.replacen(digest, "0xc1221c2392952505", 1);
+    let Err(GoldenError::Mismatch {
+        name,
+        run,
+        expected,
+        actual,
+    }) = golden::check(&flipped, &group)
+    else {
+        panic!("a flipped digest must be a Mismatch");
+    };
+    assert_eq!(name, "perf/steady_50k");
+    assert_eq!(run, "regions 1, resume latency 0, sequential engine");
+    assert_eq!(expected.digest, 0xc1221c2392952505);
+    assert_eq!(actual.digest, 0xc1221c2392952504);
+    assert_eq!((actual.events, actual.sink_records), (1_033_084, 500_000));
+
+    // Everything else is refused, naming the line, before anything runs
+    // (each case rewrites part or all of the steady_50k row).
+    let refused = [
+        (" 500000", "", "want 6 fields"),
+        (digest, "0xnothex", "0x-prefixed hex"),
+        (digest, "c1221c2392952504", "0x-prefixed hex"),
+        ("1033084", "many", "events \"many\""),
+        (" 1 0 ", " 2 0 ", "partition 2 0"),
+        (&row, "perf/drrs_rescale_4_to_6 2 100 0x0 1 1", "scale plan"),
+        (&row, "perf/nonexistent 1 0 0x0 1 1", "not in the checked"),
+        (&row, "perf/cut_pipeline_100k 1 0 0x0 1 1", "repeats"),
+    ];
+    for (from, to, reason) in refused {
+        let text = GOLDEN.replacen(&row, &row.replacen(from, to, 1), 1);
+        let Err(GoldenError::Refused(why)) = golden::check(&text, &group) else {
+            panic!("{from:?} -> {to:?} must be refused");
+        };
+        // A repeat is reported where the second copy sits.
+        let here = reason == "repeats" || why.starts_with(&format!("line {line}: "));
+        assert!(here && why.contains(reason), "{from:?} -> {to:?}: {why}");
+    }
+    // So is a perf spec added to the group without its sequential row.
+    let mut grown = group.clone();
+    grown.push(ScenarioSpec {
+        name: "perf/new_scenario".into(),
+        ..group[0].clone()
+    });
+    let unpinned = "no sequential (`1 0`) row for perf/new_scenario".to_string();
+    let unrowed = golden::check(GOLDEN, &grown);
+    assert_eq!(unrowed, Err(GoldenError::Refused(unpinned)));
+}
+
+#[test]
+fn bus_sinks_are_digest_neutral_on_every_sequential_perf_scenario() {
+    // Enabling the event bus — in-memory log or a JSONL stream through the
+    // sink-worker thread — must not move a digest, an event count or a
+    // sink-record count on any perf/ scenario (quick timelines).
+    let path = std::env::temp_dir().join(format!("drrs_bus_neutral_{}.jsonl", std::process::id()));
+    for spec in registry::perf_scenarios(true) {
+        let off = spec.run();
+        assert_eq!(off.bus_published, 0, "{}: bus on by default", spec.name);
+        let streamed = spec
+            .clone()
+            .with_events_path(path.to_str().expect("utf-8 temp path"));
+        for (sink, on) in [
+            ("mem", spec.clone().with_bus_sink(BusSinkKind::Mem).run()),
+            ("jsonl", streamed.run()),
+        ] {
+            assert!(on.bus_published > 0, "{} {sink}: bus stayed off", spec.name);
+            assert_eq!(
+                (on.digest, on.events, on.sink_records),
+                (off.digest, off.events, off.sink_records),
+                "{}: the {sink} sink moved the run",
+                spec.name
+            );
+        }
+    }
+    std::fs::remove_file(&path).expect("the JSONL stream was written");
+}
+
+#[test]
 fn binaries_reject_stale_or_malformed_command_lines() {
     // A stale or malformed invocation must fail loudly (usage, exit 2),
-    // never quietly measure something else: `--backend`/`--dispatch` no
-    // longer exist, `--reps abc` used to mean 1, a trailing `--out` used
-    // to fall back to the default path.
-    let perf_report = env!("CARGO_BIN_EXE_perf_report");
+    // never quietly run something else or die in a panic: `--backend` no
+    // longer exists, a trailing flag used to parse its missing value as "",
+    // a scale plan under PDES used to reach an engine assert mid-run.
     let scenario = env!("CARGO_BIN_EXE_scenario");
-    let cases: [(&str, &[&str], &str); 11] = [
-        (
-            perf_report,
-            &["--backend", "heap"],
-            "unknown flag --backend",
-        ),
-        (
-            perf_report,
-            &["--dispatch", "single"],
-            "unknown flag --dispatch",
-        ),
-        (perf_report, &["--regions", "2"], "unknown flag --regions"),
-        (perf_report, &["--quick", "--reps", "abc"], "--reps"),
-        (perf_report, &["--quick", "--reps", "0"], "--reps"),
-        (perf_report, &["--quick", "--sink", "tape"], "--sink"),
-        (perf_report, &["--quick", "--out"], "--out needs a value"),
-        (
-            scenario,
-            &["--list", "--backend", "heap"],
-            "unknown flag --backend",
-        ),
-        (scenario, &["--run"], "--run needs a value"),
-        (
-            scenario,
-            &["--group", "perf", "--threads", "two"],
-            "--threads",
-        ),
-        (
-            scenario,
-            &["--group", "perf", "--regions", "2"],
-            "--resume-latency",
-        ),
+    let drrs_sim = env!("CARGO_BIN_EXE_drrs_sim");
+    let run_pdes = "--run perf/drrs_rescale_4_to_6 --regions 2 --resume-latency 100";
+    let group_pdes = "--group perf --regions 2 --resume-latency 100";
+    let scale_plan = "perf/drrs_rescale_4_to_6 has a scale plan";
+    let check_alone = "--check FILE goes with --group";
+    let cases = [
+        (scenario, "--list --backend heap", "unknown flag --backend"),
+        (scenario, "--run", "--run needs a value"),
+        (scenario, "--group perf --threads two", "--threads"),
+        (scenario, "--group perf --regions 2", "--resume-latency"),
+        (scenario, run_pdes, scale_plan),
+        (scenario, group_pdes, scale_plan),
+        (scenario, "--group perf --check", "--check needs a value"),
+        (scenario, "--run x --check f", check_alone),
+        (scenario, "--group perf --check f --threads 2", check_alone),
+        (drrs_sim, "--rate", "--rate needs a value"),
+        (drrs_sim, "--workload", "--workload needs a value"),
+        (drrs_sim, "--rate fast", "--rate \"fast\""),
+        (drrs_sim, "--backend heap", "unknown flag --backend"),
+        (drrs_sim, "--workload q9", "unknown workload \"q9\""),
+        (drrs_sim, "--mechanism magic", "unknown mechanism \"magic\""),
     ];
     for (exe, args, reason) in cases {
+        let args: Vec<&str> = args.split(' ').collect();
+        let args = args.as_slice();
         let (code, stderr) = run_bin(exe, args);
         assert_eq!(
             code,
@@ -247,4 +337,27 @@ fn binaries_reject_stale_or_malformed_command_lines() {
         &["--list", "--regions", "2", "--resume-latency", "100"],
     );
     assert_eq!(code, Some(0), "{stderr}");
+    let (code, stderr) = run_bin(drrs_sim, &["--help"]);
+    assert_eq!(code, Some(0), "{stderr}");
+}
+
+#[test]
+fn scenario_check_exits_1_on_a_moved_digest_and_2_on_a_refused_file() {
+    let scenario = env!("CARGO_BIN_EXE_scenario");
+    let path = std::env::temp_dir().join(format!("drrs_check_cli_{}.txt", std::process::id()));
+    let file = path.to_str().expect("utf-8 temp path");
+    let flipped = GOLDEN.replacen("0xc1221c2392952504", "0xc1221c2392952505", 1);
+    let moved = "perf/steady_50k (regions 1, resume latency 0, sequential engine): \
+                 expected digest 0xc1221c2392952505 events 1033084 sink_records 500000, \
+                 got digest 0xc1221c2392952504 events 1033084 sink_records 500000";
+    let truncated = ("perf/steady_50k 1 0\n", 2, "line 1: want 6 fields");
+    for (text, code, reason) in [(flipped.as_str(), 1, moved), truncated] {
+        std::fs::write(&path, text).expect("write golden variant");
+        let (got, stderr) = run_bin(scenario, &["--group", "perf", "--check", file]);
+        assert_eq!(got, Some(code), "{text:?}: {stderr}");
+        assert!(stderr.contains(reason), "{text:?}: {stderr}");
+    }
+    std::fs::remove_file(&path).expect("remove golden variant");
+    let (got, stderr) = run_bin(scenario, &["--group", "perf", "--check", file]);
+    assert_eq!(got, Some(2), "an unreadable file is refused: {stderr}");
 }

@@ -64,7 +64,7 @@ pub struct EngineConfig {
     ///
     /// * `0` (the default) — the sequential engine: one event queue,
     ///   receiver-side `pump()` wakes blocked senders synchronously, every
-    ///   recorded digest (`BENCH_PR*.json`) is this timeline, and the
+    ///   `1 0` golden digest (`perf_digests.txt`) is this timeline, and the
     ///   thread-per-region executor runs it on the calling thread.
     /// * `> 0` with `regions > 1` — the graph is partitioned, cut channels
     ///   switch to a latency-bearing credit protocol (credits return to

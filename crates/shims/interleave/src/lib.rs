@@ -6,7 +6,7 @@
 //! hand-rolled unsafe concurrency (`simcore::spsc`, `EpochBarrier`, the
 //! epoch protocol in `engine::parallel`). This shim makes those
 //! primitives *model-checkable* in the same spirit as the offline
-//! `criterion`/`proptest` shims: API-compatible types, no behavioral
+//! `proptest` shim: API-compatible types, no behavioral
 //! surprises in real builds, and a checker that actually explores
 //! interleavings in test builds.
 //!

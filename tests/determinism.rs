@@ -7,9 +7,9 @@
 //! leaked into observable behavior.
 //!
 //! The scenarios under test are **named registry specs** — the same
-//! `bench::scenario::registry` entries `perf_report` measures — so the
-//! digest tests and the perf harness can never drift apart on what a
-//! scenario means. Horizons are shortened with the spec builders to keep
+//! `bench::scenario::registry` entries the golden digest file pins on
+//! full timelines — so these tests and the cross-build pin can never drift
+//! apart on what a scenario means. Horizons are shortened with the spec builders to keep
 //! the suite fast; everything else (rates, universes, parallelism, seeds,
 //! scale plans) is the registry's word.
 
