@@ -233,9 +233,6 @@ pub struct WindowAgg {
     pub fire_cost: SimTime,
     /// Last fired window end (per subtask).
     pub last_fired: SimTime,
-    /// Scratch for `on_watermark`: `(key, records evicted)` per firing,
-    /// always drained back to empty (its capacity is what is kept).
-    freed: Vec<(Key, u64)>,
 }
 
 impl WindowAgg {
@@ -255,7 +252,6 @@ impl WindowAgg {
             bytes_per_record,
             fire_cost: service * 4,
             last_fired: 0,
-            freed: Vec::new(),
         }
     }
 }
@@ -276,6 +272,7 @@ impl OperatorLogic for WindowAgg {
         );
     }
 
+    // checker:hot-path
     fn on_watermark(&mut self, ctx: &mut WmCtx<'_>) {
         // Fire every window whose end has passed the watermark: the ends
         // `first_end, first_end + slide, ..= last_end`.
@@ -287,27 +284,16 @@ impl OperatorLogic for WindowAgg {
         let last_end = first_end + (ctx.watermark - first_end) / slide * slide;
         self.last_fired = last_end;
         let (size, agg, bpr) = (self.size, self.agg, self.bytes_per_record);
-        let horizon = last_end.saturating_sub(size);
-        let freed = &mut self.freed;
         let WmCtx { state, out, .. } = ctx;
-        state.for_each_entry_mut(|key, v| {
-            if let StateValue::Panes(p) = v {
-                let mut e = first_end;
-                while e <= last_end {
-                    if let Some((val, _n)) = p.window_agg(e, size, agg) {
-                        out.push(Record::data(key, val, e));
-                    }
-                    e += slide;
-                }
-                let evicted = p.evict_before(horizon);
-                if evicted > 0 {
-                    freed.push((key, evicted));
-                }
+        state.for_each_entry_mut(|key, v| match v {
+            StateValue::Panes(p) => {
+                let evicted = p.fire(first_end, last_end, slide, size, agg, |end, val| {
+                    out.push(Record::data(key, val, end))
+                });
+                evicted * bpr
             }
+            _ => 0,
         });
-        for (key, evicted) in freed.drain(..) {
-            state.add_bytes_for(key, -((evicted * bpr) as i64));
-        }
     }
 
     fn service_time(&self, _rec: &Record) -> SimTime {
@@ -360,25 +346,20 @@ impl OperatorLogic for WindowJoin {
         }
     }
 
+    // checker:hot-path
     fn on_watermark(&mut self, ctx: &mut WmCtx<'_>) {
         // Trim both sides to the window horizon.
         let horizon = ctx.watermark.saturating_sub(self.size) as i64;
         let bpr = self.bytes_per_record;
-        let mut freed: Vec<(Key, u64)> = Vec::new();
-        ctx.state.for_each_entry_mut(|key, v| {
-            if let StateValue::Lists(a, b) = v {
-                let before = (a.len() + b.len()) as u64;
+        ctx.state.for_each_entry_mut(|_, v| match v {
+            StateValue::Lists(a, b) => {
+                let before = a.len() + b.len();
                 a.retain(|&t| t >= horizon);
                 b.retain(|&t| t >= horizon);
-                let after = (a.len() + b.len()) as u64;
-                if before > after {
-                    freed.push((key, before - after));
-                }
+                (before - a.len() - b.len()) as u64 * bpr
             }
+            _ => 0,
         });
-        for (key, n) in freed {
-            ctx.state.add_bytes_for(key, -((n * bpr) as i64));
-        }
     }
 
     fn service_time(&self, _rec: &Record) -> SimTime {
@@ -496,6 +477,125 @@ mod tests {
         };
         op.on_watermark(&mut wm);
         assert_eq!(st.total_bytes(), 0, "evicted pane should free bytes");
+    }
+
+    /// The firing path `PaneSet::fire` replaced, kept as the oracle: one
+    /// `window_agg` per fired end, then `evict_before` at the last end's
+    /// horizon, then the freed bytes charged key by key.
+    struct PerEndOracle {
+        size: SimTime,
+        slide: SimTime,
+        agg: Agg,
+        bpr: u64,
+        last_fired: SimTime,
+    }
+
+    impl PerEndOracle {
+        fn on_watermark(&mut self, state: &mut StateBackend, out: &mut Vec<Record>, wm: SimTime) {
+            let first_end = (self.last_fired / self.slide + 1) * self.slide;
+            if first_end > wm {
+                return;
+            }
+            let last_end = first_end + (wm - first_end) / self.slide * self.slide;
+            self.last_fired = last_end;
+            let mut freed = Vec::new();
+            state.for_each_entry_mut(|key, v| {
+                if let StateValue::Panes(p) = v {
+                    for end in (first_end..=last_end).step_by(self.slide as usize) {
+                        if let Some((val, _)) = p.window_agg(end, self.size, self.agg) {
+                            out.push(Record::data(key, val, end));
+                        }
+                    }
+                    freed.push((key, p.evict_before(last_end.saturating_sub(self.size))));
+                }
+                0
+            });
+            for (key, n) in freed {
+                let kg = key_group_of(key, 16);
+                state.add_bytes(kg, key, -((n * self.bpr) as i64));
+            }
+        }
+    }
+
+    #[test]
+    fn window_firing_matches_the_per_end_oracle() {
+        // Random keys at fanout 1 and 4, every `Agg`, in-order, late and
+        // out-of-order records, watermark steps of 0, < 1, 1 and many
+        // slides, and now and then a fresh subtask (`last_fired = 0`, as
+        // after a scale-out) taking over the state behind a far watermark.
+        for seed in 0..240u64 {
+            let mut rng = simcore::DetRng::seed(seed);
+            let fanout = [1, 4][seed as usize % 2];
+            let agg = [Agg::Max, Agg::Sum, Agg::Count][seed as usize / 2 % 3];
+            let slide = 1 + rng.below(50);
+            let size = slide * (1 + rng.below(8));
+            let bpr = 1 + rng.below(100);
+            let mut sides = [0, 1].map(|_| {
+                let mut b = StateBackend::new(16, fanout);
+                for g in 0..16 {
+                    b.ensure_group(KeyGroup(g));
+                }
+                (b, Vec::new())
+            });
+            let mut op = WindowAgg::new(size, slide, agg, 5, bpr);
+            let mut oracle = PerEndOracle {
+                size,
+                slide,
+                agg,
+                bpr,
+                last_fired: 0,
+            };
+            let mut wm: SimTime = 0;
+            for round in 0..40 {
+                for _ in 0..rng.below(24) {
+                    let t = match rng.below(4) {
+                        0 => wm.saturating_sub(rng.below(3 * size + 1)),
+                        _ => wm + rng.below(3 * slide),
+                    };
+                    let mut rec = Record::data(rng.below(40), rng.below(200) as i64 - 100, t);
+                    rec.count = 1 + rng.below(3) as u32;
+                    for (state, out) in &mut sides {
+                        run_record(&mut op, state, out, rec.clone());
+                    }
+                }
+                if rng.below(10) == 0 {
+                    op = WindowAgg::new(size, slide, agg, 5, bpr);
+                    oracle.last_fired = 0;
+                }
+                wm += match rng.below(5) {
+                    0 => 0,
+                    1 => rng.below(slide),
+                    2 => slide,
+                    _ => slide * (2 + rng.below(30)),
+                };
+                let [(st_new, out_new), (st_old, out_old)] = &mut sides;
+                op.on_watermark(&mut WmCtx {
+                    now: wm,
+                    watermark: wm,
+                    state: st_new,
+                    out: out_new,
+                });
+                oracle.on_watermark(st_old, out_old, wm);
+                let fired = |out: &[Record]| -> Vec<(Key, i64, SimTime)> {
+                    out.iter().map(|r| (r.key, r.value, r.event_time)).collect()
+                };
+                assert_eq!(
+                    fired(out_new),
+                    fired(out_old),
+                    "seed {seed} round {round}: fanout {fanout}, {agg:?}, \
+                     size {size}, slide {slide}, watermark {wm}"
+                );
+                out_new.clear();
+                out_old.clear();
+                for g in (0..16).map(KeyGroup) {
+                    assert_eq!(
+                        st_new.group_bytes(g),
+                        st_old.group_bytes(g),
+                        "seed {seed} round {round}: bytes of {g}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -278,27 +278,32 @@ impl StateBackend {
         self.fanout
     }
 
-    /// Convenience for operators: adjust nominal bytes for the sub-group
-    /// holding `key`, computing the key-group internally.
-    #[inline]
-    pub fn add_bytes_for(&mut self, key: Key, bytes: i64) {
-        let kg = crate::ids::key_group_of(key, self.max_key_groups);
-        self.add_bytes(kg, key, bytes);
-    }
-
     /// Visit every locally present `(key, value)` pair mutably (window
-    /// firing). Iteration order is deterministic (sorted by key-group then
-    /// key) so runs stay reproducible.
-    pub fn for_each_entry_mut(&mut self, mut f: impl FnMut(Key, &mut StateValue)) {
+    /// firing). `f` returns the nominal bytes it freed from that key's
+    /// state; they are taken off the key's sub-group once, after its last
+    /// key. Iteration order is deterministic (sorted by key-group then key)
+    /// so runs stay reproducible.
+    // checker:hot-path
+    pub fn for_each_entry_mut(&mut self, mut f: impl FnMut(Key, &mut StateValue) -> u64) {
         let mut keys = std::mem::take(&mut self.key_scratch);
         for s in self.slots.iter_mut().flatten() {
             keys.clear();
             keys.extend(s.entries.keys().copied());
             keys.sort_unstable();
+            let mut freed = 0;
             for &k in &keys {
                 let v = s.entries.get_mut(&k).expect("key listed");
-                f(k, v);
+                freed += f(k, v);
             }
+            // Every delta is a decrease, so one clamp of the sum equals a
+            // clamp after each key; a sum past the balance is an
+            // accounting bug, not a state to clamp silently.
+            debug_assert!(
+                freed <= s.nominal_bytes,
+                "freed {freed} of {} nominal bytes",
+                s.nominal_bytes
+            );
+            s.nominal_bytes = s.nominal_bytes.saturating_sub(freed);
         }
         keys.clear();
         self.key_scratch = keys;

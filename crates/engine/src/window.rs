@@ -4,6 +4,20 @@
 //! pane covers one slide interval; a window aggregates `size / slide`
 //! consecutive panes. The paper's Q7 uses 10 s windows with 0.5 s slides
 //! (20 panes), Q8 40 s with 5 s slides (8 panes).
+//!
+//! # Firing cost
+//!
+//! A watermark fires the window ends `first_end, first_end + slide, ..=
+//! last_end` for every key, and [`PaneSet::fire`] does that in one forward
+//! pass over the key's panes: per end it moves a head index past the panes
+//! no later window can read (`start < end - size`, counting their records),
+//! folds the panes from the head up to `end`, and after the last end drains
+//! the skipped prefix once. The window-start bound `end - size` only grows
+//! across ends, so the head never moves back, and it stops at the last
+//! end's bound — the eviction horizon. A Q7 firing is one end over ~17
+//! panes: one skip, one fold, one drain per key, no search and no second
+//! visit. Freed bytes go back to the caller, which settles them once per
+//! sub-group (see `StateBackend::for_each_entry_mut`).
 
 use simcore::SimTime;
 
@@ -89,6 +103,40 @@ impl PaneSet {
     pub fn evict_before(&mut self, horizon: SimTime) -> u64 {
         let n = self.panes.partition_point(|p| p.start < horizon);
         self.panes.drain(..n).map(|p| p.count).sum()
+    }
+
+    /// Fire the windows ending at `first_end, first_end + slide, ..=
+    /// last_end` (each of length `size`), calling `emit(end, value)` for
+    /// every window that holds a pane, then evict the panes no window ending
+    /// after `last_end` can need (those starting before `last_end - size`).
+    /// Returns the number of records evicted. One pass: see the module docs.
+    // checker:hot-path
+    pub fn fire(
+        &mut self,
+        first_end: SimTime,
+        last_end: SimTime,
+        slide: SimTime,
+        size: SimTime,
+        agg: Agg,
+        mut emit: impl FnMut(SimTime, i64),
+    ) -> u64 {
+        let mut head = 0;
+        let mut evicted = 0;
+        let mut end = first_end;
+        while end <= last_end {
+            let lo = end.saturating_sub(size);
+            while let Some(p) = self.panes.get(head).filter(|p| p.start < lo) {
+                evicted += p.count;
+                head += 1;
+            }
+            let mut window = self.panes[head..].iter().take_while(|p| p.start < end);
+            if let Some(first) = window.next() {
+                emit(end, window.fold(first.agg, |a, p| merge(agg, a, p.agg)));
+            }
+            end += slide;
+        }
+        self.panes.drain(..head);
+        evicted
     }
 
     /// Records currently buffered across panes.
@@ -216,6 +264,31 @@ mod tests {
         assert_eq!(p.window_agg(50, 40, Agg::Max), Some((20, 1)));
         // Window [0, 50) via size 50 sees both panes.
         assert_eq!(p.window_agg(50, 50, Agg::Max), Some((20, 2)));
+    }
+
+    #[test]
+    fn fire_folds_every_end_before_evicting_to_the_last_horizon() {
+        // size 300, slide 100, panes at 0..=900: ends 400, 500, 600 fire.
+        let mut p = PaneSet::default();
+        for t in 0..10 {
+            p.add(t * 100 + 7, t as i64, 1, 100, Agg::Sum);
+        }
+        let mut reference = p.clone();
+        let mut fired = Vec::new();
+        let evicted = p.fire(400, 600, 100, 300, Agg::Sum, |end, v| fired.push((end, v)));
+        // [100, 400) = 1+2+3, [200, 500) = 2+3+4, [300, 600) = 3+4+5.
+        assert_eq!(fired, vec![(400, 6), (500, 9), (600, 12)]);
+        assert_eq!(evicted, reference.evict_before(300));
+        assert_eq!(p, reference);
+        // Nothing left to evict at the same horizon; an end past every pane
+        // emits nothing and evicts everything.
+        assert_eq!(p.fire(600, 600, 100, 300, Agg::Sum, |_, _| {}), 0);
+        let mut any = false;
+        assert_eq!(
+            p.fire(2_000, 2_000, 100, 300, Agg::Sum, |_, _| any = true),
+            7
+        );
+        assert!(!any && p.is_empty());
     }
 
     #[test]
