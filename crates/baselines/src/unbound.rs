@@ -117,7 +117,7 @@ fn zero_like(v: &streamflow::state::StateValue) -> streamflow::state::StateValue
         SV::Count(_) => SV::Count(0),
         SV::Sum { .. } => SV::Sum { count: 0, sum: 0 },
         SV::Panes(_) => SV::Panes(Default::default()),
-        SV::Lists(..) => SV::Lists(Vec::new(), Vec::new()),
+        SV::Lists(_) => SV::Lists(Vec::new()),
     }
 }
 
@@ -129,12 +129,58 @@ fn merge_value(acc: &mut streamflow::state::StateValue, v: &streamflow::state::S
             *count += c2;
             *sum += s2;
         }
-        (SV::Lists(a1, b1), SV::Lists(a2, b2)) => {
-            a1.extend_from_slice(a2);
-            b1.extend_from_slice(b2);
-        }
+        (SV::Lists(l1), SV::Lists(l2)) => l1.extend_from_slice(l2),
         // Window panes would need pane-wise merging; Unbound is only run on
         // aggregation workloads in the paper's Fig. 2 methodology.
         _ => {}
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use streamflow::state::StateValue as SV;
+
+    // Join lists: a person at `t` is `t`, an auction at `t` is `!t`.
+
+    #[test]
+    fn zero_like_keeps_the_shape_and_empties_it() {
+        for (v, zero) in [
+            (SV::Count(7), SV::Count(0)),
+            (SV::Sum { count: 3, sum: -9 }, SV::Sum { count: 0, sum: 0 }),
+            (SV::Lists(vec![10, !20, 40]), SV::Lists(vec![])),
+        ] {
+            assert_eq!(zero_like(&v), zero);
+            assert_eq!(zero_like(&v).count(), 0);
+        }
+    }
+
+    #[test]
+    fn merge_value_folds_like_shapes() {
+        let mut c = SV::Count(3);
+        merge_value(&mut c, &SV::Count(4));
+        assert_eq!(c, SV::Count(7));
+
+        let mut s = SV::Sum { count: 2, sum: 5 };
+        merge_value(&mut s, &SV::Sum { count: 1, sum: -8 });
+        assert_eq!(s, SV::Sum { count: 3, sum: -3 });
+
+        let mut l = SV::Lists(vec![10, !20]);
+        merge_value(&mut l, &SV::Lists(vec![30, !40, !50]));
+        assert_eq!(l, SV::Lists(vec![10, !20, 30, !40, !50]));
+        assert_eq!(l.count(), 5);
+
+        // A zeroed value merged with the original is the original.
+        let orig = SV::Lists(vec![1, 2, !3]);
+        let mut z = zero_like(&orig);
+        merge_value(&mut z, &orig);
+        assert_eq!(z, orig);
+    }
+
+    #[test]
+    fn merge_value_ignores_mismatched_shapes() {
+        let mut c = SV::Count(3);
+        merge_value(&mut c, &SV::Sum { count: 1, sum: 1 });
+        assert_eq!(c, SV::Count(3));
     }
 }

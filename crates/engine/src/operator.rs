@@ -178,6 +178,7 @@ impl OperatorLogic for KeyedTouch {
 }
 
 impl OperatorLogic for KeyedAgg {
+    // checker:hot-path
     fn on_record(&mut self, ctx: &mut OpCtx<'_>, rec: &Record) {
         // One probe of the state map per record: freshness, the update and
         // the running sum to emit all come from this borrow.
@@ -257,6 +258,7 @@ impl WindowAgg {
 }
 
 impl OperatorLogic for WindowAgg {
+    // checker:hot-path
     fn on_record(&mut self, ctx: &mut OpCtx<'_>, rec: &Record) {
         let (slide, agg) = (self.slide, self.agg);
         let v = ctx
@@ -318,21 +320,24 @@ pub struct WindowJoin {
 
 impl OperatorLogic for WindowJoin {
     fn on_record(&mut self, ctx: &mut OpCtx<'_>, rec: &Record) {
-        let lo = rec.event_time.saturating_sub(self.size);
+        let lo = rec.event_time.saturating_sub(self.size) as i64;
+        let t = rec.event_time as i64;
         let mut emit = None;
         {
-            let v = ctx.state.entry_or(ctx.kg, rec.key, || {
-                StateValue::Lists(Vec::new(), Vec::new())
-            });
-            if let StateValue::Lists(persons, auctions) = v {
+            let v = ctx
+                .state
+                .entry_or(ctx.kg, rec.key, || StateValue::Lists(Vec::new()));
+            // One list, both sides: persons as `t`, auctions as `!t`.
+            if let StateValue::Lists(l) = v {
                 if rec.value >= 0 {
-                    persons.push(rec.event_time as i64);
+                    l.push(t);
                 } else {
-                    auctions.push(rec.event_time as i64);
-                    // New-person join: person created within the window.
-                    if persons.iter().any(|&t| t as SimTime >= lo) {
+                    // New-person join: person created within the window
+                    // (auctions are negative, so `>= lo` sees persons only).
+                    if l.iter().any(|&e| e >= lo) {
                         emit = Some((rec.key, rec.event_time));
                     }
+                    l.push(!t);
                 }
             }
         }
@@ -352,11 +357,10 @@ impl OperatorLogic for WindowJoin {
         let horizon = ctx.watermark.saturating_sub(self.size) as i64;
         let bpr = self.bytes_per_record;
         ctx.state.for_each_entry_mut(|_, v| match v {
-            StateValue::Lists(a, b) => {
-                let before = a.len() + b.len();
-                a.retain(|&t| t >= horizon);
-                b.retain(|&t| t >= horizon);
-                (before - a.len() - b.len()) as u64 * bpr
+            StateValue::Lists(l) => {
+                let before = l.len();
+                l.retain(|&e| (if e < 0 { !e } else { e }) >= horizon);
+                (before - l.len()) as u64 * bpr
             }
             _ => 0,
         });
@@ -613,5 +617,75 @@ mod tests {
         out.clear();
         run_record(&mut op, &mut st, &mut out, Record::data(3, -1, 500));
         assert!(out.is_empty());
+    }
+
+    #[test]
+    fn join_state_survives_trims_per_key_and_group() {
+        let (size, bpr) = (100, 32);
+        let (mut st, mut out) = ctx_parts(16);
+        let mut op = WindowJoin {
+            size,
+            service: 5,
+            bytes_per_record: bpr,
+        };
+        // k1 and k2 share a key-group; k3 and k4 sit in two others.
+        let kg = |k| key_group_of(k, 16);
+        let k1 = 1;
+        let k2 = (2..).find(|&k| kg(k) == kg(k1)).unwrap();
+        let k3 = (2..).find(|&k| kg(k) != kg(k1)).unwrap();
+        let k4 = (2..).find(|&k| kg(k) != kg(k1) && kg(k) != kg(k3)).unwrap();
+        let person = |k, t| Record::data(k, 1, t);
+        let auction = |k, t| Record::data(k, -1, t);
+        for rec in [
+            auction(k1, 5), // before any person: no join
+            person(k1, 10),
+            auction(k1, 60), // joins p10
+            person(k2, 40),
+            auction(k2, 140), // p40 sits exactly at the window edge: joins
+            auction(k2, 141), // one past it: no join
+            person(k3, 30),
+            person(k3, 150),
+            auction(k4, 20), // k4 never sees a person
+            auction(k4, 130),
+        ] {
+            run_record(&mut op, &mut st, &mut out, rec);
+        }
+        let joins: Vec<(Key, i64, SimTime)> =
+            out.iter().map(|r| (r.key, r.value, r.event_time)).collect();
+        assert_eq!(joins, vec![(k1, 1, 60), (k2, 1, 140)]);
+
+        // After each watermark: the surviving elements per key, and each
+        // key-group's bytes equal to its kept elements × bytes_per_record.
+        let check = |st: &StateBackend, kept: [u64; 4], when: &str| {
+            let counts = st.snapshot_counts();
+            for (k, n) in [k1, k2, k3, k4].into_iter().zip(kept) {
+                assert_eq!(counts[&k], n, "{when}: key {k}");
+            }
+            for g in (0..16).map(KeyGroup) {
+                let n: u64 = [k1, k2, k3, k4]
+                    .into_iter()
+                    .zip(kept)
+                    .filter(|&(k, _)| kg(k) == g)
+                    .map(|(_, n)| n)
+                    .sum();
+                assert_eq!(st.group_bytes(g), n * bpr, "{when}: bytes of {g}");
+            }
+        };
+        check(&st, [3, 3, 2, 2], "before any watermark");
+        for (wm, kept, when) in [
+            (100, [3, 3, 2, 2], "horizon 0 trims neither side"),
+            (108, [2, 3, 2, 2], "horizon 8 trims one auction"),
+            (135, [1, 3, 1, 1], "horizon 35 trims persons and auctions"),
+            (300, [0, 0, 0, 0], "horizon 200 trims everything"),
+        ] {
+            op.on_watermark(&mut WmCtx {
+                now: wm,
+                watermark: wm,
+                state: &mut st,
+                out: &mut out,
+            });
+            check(&st, kept, when);
+        }
+        assert_eq!(out.len(), 2, "trimming emits nothing");
     }
 }

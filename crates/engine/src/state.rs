@@ -24,6 +24,23 @@
 //! is occupied; extracting the last sub-group of a group also clears its
 //! inactive flag, matching the previous map-based semantics where the
 //! group's entry was removed.
+//!
+//! # Entry size
+//!
+//! Every per-key map entry is a `(Key, StateValue)` of 40 bytes, and
+//! `state_value_fits_in_32_bytes` pins it. The widest variant sets the
+//! width of every entry of every workload, so the Q8 join keeps both sides
+//! in one inline list in arrival order ([`StateValue::Lists`]): a person
+//! at time `t` as `t`, an auction as `!t`. Its predicates read only which
+//! times a side holds, never the order between sides. Two `Vec`s made
+//! `StateValue` 48 bytes and the entry 56. Boxing the pair
+//! (`Box<[Vec<i64>; 2]>`) also shrinks the enum, but adds a pointer chase
+//! per key to every watermark sweep. On a 2-vCPU Xeon, `scenario --run
+//! fig10_11/Q8/DRRS/seed1` took 7.40 s with two lists, 8.59 s boxed and
+//! 5.92 s with the one list (one heap buffer per key instead of two; mean
+//! of 3 alternating runs). The footprint: `rescale_churn`'s ~62 k live
+//! keys take 3.5 MB of entries at 56 bytes and 2.5 MB at 40, against a
+//! 2 MB L2 per core (both before hashbrown's bucket slack).
 
 use std::collections::HashMap;
 
@@ -41,8 +58,10 @@ pub enum StateValue {
     Sum { count: u64, sum: i64 },
     /// Sliding-window panes.
     Panes(PaneSet),
-    /// Two lists (e.g. persons/auctions sides of a windowed join).
-    Lists(Vec<i64>, Vec<i64>),
+    /// Both sides of a windowed join in one list, in arrival order: a
+    /// side-A element at time `t` is stored as `t`, a side-B element as
+    /// `!t` (negative). See the module docs' "Entry size".
+    Lists(Vec<i64>),
 }
 
 impl StateValue {
@@ -52,7 +71,7 @@ impl StateValue {
             StateValue::Count(c) => *c,
             StateValue::Sum { count, .. } => *count,
             StateValue::Panes(p) => p.total_count(),
-            StateValue::Lists(a, b) => (a.len() + b.len()) as u64,
+            StateValue::Lists(l) => l.len() as u64,
         }
     }
 }
@@ -179,6 +198,7 @@ impl StateBackend {
     /// Access the value for `key`, creating it with `default` if absent.
     /// Panics if the sub-group is not locally present — admission control
     /// must have checked [`Self::holds`] first.
+    // checker:hot-path
     #[inline]
     pub fn entry_or(
         &mut self,
@@ -196,6 +216,7 @@ impl StateBackend {
 
     /// Add to a sub-group's modeled serialized size (operators call this as
     /// their state grows).
+    // checker:hot-path
     #[inline]
     pub fn add_bytes(&mut self, kg: KeyGroup, key: Key, bytes: i64) {
         let sub = self.sub_of(key);
@@ -318,6 +339,17 @@ mod tests {
         let mut b = StateBackend::new(16, 1);
         b.ensure_group(KeyGroup(3));
         b
+    }
+
+    #[test]
+    fn state_value_fits_in_32_bytes() {
+        // Every key of every workload pays for the widest variant: a map
+        // entry is `(Key, StateValue)`, and the per-record probe's cache
+        // misses scale with it. A new wide variant is a silent tax on the
+        // whole state layer — box its payload or rethink it, and treat a
+        // regression here like a perf bug, not a style nit.
+        assert_eq!(std::mem::size_of::<StateValue>(), 32);
+        assert_eq!(std::mem::size_of::<(Key, StateValue)>(), 40);
     }
 
     #[test]

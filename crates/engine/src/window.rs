@@ -54,6 +54,7 @@ pub struct PaneSet {
 
 impl PaneSet {
     /// Fold a record into the pane owning `event_time`.
+    // checker:hot-path
     pub fn add(&mut self, event_time: SimTime, value: i64, count: u64, slide: SimTime, agg: Agg) {
         let start = (event_time / slide) * slide;
         // Event time mostly advances, so the owning pane is the newest one

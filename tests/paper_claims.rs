@@ -1,6 +1,6 @@
 //! Integration tests pinning the paper's *qualitative* claims — the shape
 //! results the reproduction must preserve (see `benchmarks/README.md`
-//! §Findings for the numbers until ROADMAP 2(d) writes `EXPERIMENTS.md`).
+//! §Findings for the numbers until ROADMAP 3(d) writes `EXPERIMENTS.md`).
 
 use drrs_repro::baselines::{megaphone, otfs_fluid, MecesPlugin, UnboundPlugin};
 use drrs_repro::drrs::FlexScaler;
