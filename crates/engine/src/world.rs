@@ -43,7 +43,7 @@ use crate::config::EngineConfig;
 use crate::events::{BurstStore, ControlMsg, ControlStore, Ev, PriorityMsg, WireElem};
 use crate::graph::{EdgeKind, EdgeRt, OperatorRt};
 use crate::ids::{key_group_of, ChannelId, EdgeId, InstId, KeyGroup, OpId, SubscaleId};
-use crate::instance::{CkptAlign, Instance, SourceState};
+use crate::instance::{CkptAlign, Instance, SourceState, TICK};
 use crate::keygroup::{uniform_repartition, RoutingTable};
 use crate::metrics::Metrics;
 use crate::operator::{OpCtx, OpRole, WmCtx};
@@ -1713,8 +1713,8 @@ impl World {
     // Sources
     // -----------------------------------------------------------------
 
+    // checker:hot-path
     fn on_source_tick(&mut self, inst: InstId) {
-        const TICK: SimTime = 10_000; // 10 ms generation granularity
         let now = self.now();
         let reg = self.reg(inst);
         let pdes = self.pdes;
@@ -1731,17 +1731,8 @@ impl World {
             let n = due as u64;
             src.carry = due - n as f64;
             let batch = src.gen.batch().max(1) as u64;
-            let mut left = n;
-            while left > 0 {
-                let c = left.min(batch);
-                let (key, value) = src.gen.next(now);
-                let et = now + (n - left) * TICK / n.max(1);
-                let mut r = Record::data(key, value, et);
-                r.count = c as u32;
-                src.pending.push_back(r);
-                src.generated += c;
-                left -= c;
-            }
+            src.pending.push_tick(now, n, batch, || src.gen.next(now));
+            src.generated += n;
             // Latency markers. In PDES mode the key draw comes from the
             // region's own RNG stripe: a single global stream would make
             // the draw order depend on how source ticks across regions
@@ -1770,25 +1761,19 @@ impl World {
         self.q.schedule_tagged(reg, TICK, Ev::SourceTick { inst });
     }
 
+    // checker:hot-path
     fn drain_source(&mut self, inst: InstId) {
         let now = self.now();
         loop {
-            {
-                let i = &self.insts[inst.0 as usize];
+            let rec = {
+                let i = &mut self.insts[inst.0 as usize];
                 if i.halted || i.blocked_out {
                     break;
                 }
-                if i.source
-                    .as_ref()
-                    .map(|s| s.pending.is_empty())
-                    .unwrap_or(true)
-                {
-                    break;
+                match i.source.as_mut().and_then(|s| s.pending.pop_front()) {
+                    Some(rec) => rec,
+                    None => break,
                 }
-            }
-            let rec = {
-                let src = self.insts[inst.0 as usize].source.as_mut().expect("source");
-                src.pending.pop_front().expect("non-empty")
             };
             if rec.count == u32::MAX {
                 // Watermark carrier.
