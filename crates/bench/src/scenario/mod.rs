@@ -10,7 +10,7 @@
 //!   `PartialEq`), so a run is identified by its name and reconstructible
 //!   anywhere — which is exactly what makes process-level sharding possible.
 //! * [`registry`] — the central catalog naming every run used in the repo:
-//!   the seven `perf/` scenarios, every fig02–fig15 row, and the
+//!   the eight `perf/` scenarios, every fig02–fig15 row, and the
 //!   ablation cells. Binaries pull specs from here instead of hand-assembling
 //!   `(World, OpId)` pairs.
 //! * [`runner`] — executes specs deterministically: in-process on

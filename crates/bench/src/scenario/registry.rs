@@ -1,5 +1,5 @@
 //! The central scenario registry: **every run used anywhere in the repo
-//! has a unique name here** — the seven `perf/` scenarios, every
+//! has a unique name here** — the eight `perf/` scenarios, every
 //! fig02–fig15 row, and the ablation cells.
 //!
 //! Names are hierarchical (`group/detail...`) and stable; they are the
@@ -44,7 +44,7 @@ fn spec(
     }
 }
 
-/// The seven `perf/` scenarios. Digests of these runs on the full
+/// The eight `perf/` scenarios. Digests of these runs on the full
 /// timelines are the cross-build behavior contract, pinned by
 /// `crates/bench/golden/perf_digests.txt` (see [`super::golden`]).
 pub fn perf_scenarios(quick: bool) -> Vec<ScenarioSpec> {
@@ -118,6 +118,21 @@ pub fn perf_scenarios(quick: bool) -> Vec<ScenarioSpec> {
             },
             MechanismSpec::NoScale,
             None,
+        ),
+        // The one row that runs a window operator: Q7's sliding-window max
+        // fires, evicts and migrates window state, so a change to the pane
+        // layout or the firing path moves this digest.
+        spec(
+            "perf/q7_drrs_rescale_8_to_12".into(),
+            EngineProfile::Nexmark,
+            0xD225,
+            WorkloadSpec::Q7(Q7Params::default()),
+            MechanismSpec::Drrs,
+            Some(ScaleSpec {
+                at: secs(if quick { 10 } else { 30 }),
+                to: 12,
+            }),
+            secs(if quick { 20 } else { 60 }),
         ),
     ]
 }
@@ -654,6 +669,7 @@ mod tests {
                 "perf/overload_backpressure",
                 "perf/cut_pipeline_100k",
                 "perf/twin_pipelines_100k",
+                "perf/q7_drrs_rescale_8_to_12",
             ]
         );
     }

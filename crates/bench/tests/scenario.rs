@@ -190,12 +190,12 @@ fn run_bin(exe: &str, args: &[&str]) -> (Option<i32>, String) {
 
 #[test]
 fn golden_digests_hold_on_full_timelines_sequential_and_threaded() {
-    // The cross-build pin, as CI's `scenario --group perf --check`: seven
+    // The cross-build pin, as CI's `scenario --group perf --check`: eight
     // sequential rows (a perf spec added without its row is refused) plus
     // the two 100k scenarios under PDES at regions 2 and 4, run on both
     // engines — the seq == threaded contract on full timelines.
     let held = golden::check(GOLDEN, &registry::perf_scenarios(false));
-    assert_eq!(held, Ok(11), "a perf/ digest left the golden file");
+    assert_eq!(held, Ok(12), "a perf/ digest left the golden file");
 }
 
 #[test]

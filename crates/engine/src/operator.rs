@@ -381,8 +381,10 @@ pub fn is_marker(rec: &Record) -> bool {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeMap;
+
     use super::*;
-    use crate::ids::InstId;
+    use crate::ids::{sub_group_of, InstId};
 
     fn ctx_parts(kgs: u16) -> (StateBackend, Vec<Record>) {
         let mut b = StateBackend::new(kgs, 1);
@@ -483,41 +485,159 @@ mod tests {
         assert_eq!(st.total_bytes(), 0, "evicted pane should free bytes");
     }
 
-    /// The firing path `PaneSet::fire` replaced, kept as the oracle: one
-    /// `window_agg` per fired end, then `evict_before` at the last end's
-    /// horizon, then the freed bytes charged key by key.
-    struct PerEndOracle {
-        size: SimTime,
-        slide: SimTime,
-        agg: Agg,
-        bpr: u64,
-        last_fired: SimTime,
+    /// One `WindowAgg` subtask under test, driven in lockstep with its
+    /// oracle: a `PaneSet` per key in its own map, fired with one
+    /// `window_agg` per end and `evict_before` at the last end's horizon,
+    /// keys visited in (key-group, sub-group, key) order. After every
+    /// watermark [`Self::watermark`] compares the fired `(key, value, end)`
+    /// sequence, every group's bytes, `snapshot_counts` and `total_keys`.
+    struct Subtask {
+        op: WindowAgg,
+        state: StateBackend,
+        out: Vec<Record>,
+        oracle: BTreeMap<Key, PaneSet>,
+        oracle_last_fired: SimTime,
     }
 
-    impl PerEndOracle {
-        fn on_watermark(&mut self, state: &mut StateBackend, out: &mut Vec<Record>, wm: SimTime) {
-            let first_end = (self.last_fired / self.slide + 1) * self.slide;
-            if first_end > wm {
-                return;
+    impl Subtask {
+        fn new(op: WindowAgg, fanout: u8, groups: std::ops::Range<u16>) -> Self {
+            let mut state = StateBackend::new(16, fanout);
+            for g in groups {
+                state.ensure_group(KeyGroup(g));
             }
-            let last_end = first_end + (wm - first_end) / self.slide * self.slide;
-            self.last_fired = last_end;
-            let mut freed = Vec::new();
-            state.for_each_entry_mut(|key, v| {
-                if let StateValue::Panes(p) = v {
-                    for end in (first_end..=last_end).step_by(self.slide as usize) {
-                        if let Some((val, _)) = p.window_agg(end, self.size, self.agg) {
-                            out.push(Record::data(key, val, end));
+            Self {
+                op,
+                state,
+                out: Vec::new(),
+                oracle: BTreeMap::new(),
+                oracle_last_fired: 0,
+            }
+        }
+
+        /// A fresh operator instance (`last_fired = 0`, as after a
+        /// scale-out) takes over the state.
+        fn restart(&mut self) {
+            let op = &self.op;
+            self.op = WindowAgg::new(op.size, op.slide, op.agg, op.service, op.bytes_per_record);
+            self.oracle_last_fired = 0;
+        }
+
+        fn record(&mut self, rec: Record) {
+            let (slide, agg) = (self.op.slide, self.op.agg);
+            let p = self.oracle.entry(rec.key).or_default();
+            p.add(rec.event_time, rec.value, rec.count as u64, slide, agg);
+            run_record(&mut self.op, &mut self.state, &mut self.out, rec);
+        }
+
+        fn watermark(&mut self, wm: SimTime, ctx: &str) {
+            self.op.on_watermark(&mut WmCtx {
+                now: wm,
+                watermark: wm,
+                state: &mut self.state,
+                out: &mut self.out,
+            });
+            let (size, slide, agg) = (self.op.size, self.op.slide, self.op.agg);
+            let mut expected = Vec::new();
+            let first_end = (self.oracle_last_fired / slide + 1) * slide;
+            if first_end <= wm {
+                let last_end = first_end + (wm - first_end) / slide * slide;
+                self.oracle_last_fired = last_end;
+                let fanout = self.state.fanout();
+                let mut keys: Vec<Key> = self.oracle.keys().copied().collect();
+                keys.sort_by_key(|&k| (key_group_of(k, 16), sub_group_of(k, 16, fanout), k));
+                for key in keys {
+                    let p = self.oracle.get_mut(&key).expect("listed");
+                    for end in (first_end..=last_end).step_by(slide as usize) {
+                        if let Some((val, _)) = p.window_agg(end, size, agg) {
+                            expected.push((key, val, end));
                         }
                     }
-                    freed.push((key, p.evict_before(last_end.saturating_sub(self.size))));
+                    p.evict_before(last_end.saturating_sub(size));
                 }
-                0
-            });
-            for (key, n) in freed {
-                let kg = key_group_of(key, 16);
-                state.add_bytes(kg, key, -((n * self.bpr) as i64));
             }
+            let fired: Vec<(Key, i64, SimTime)> = self
+                .out
+                .drain(..)
+                .map(|r| (r.key, r.value, r.event_time))
+                .collect();
+            assert_eq!(fired, expected, "{ctx}, watermark {wm}: fired");
+            self.check(ctx);
+        }
+
+        fn check(&self, ctx: &str) {
+            let bpr = self.op.bytes_per_record;
+            for g in (0..16).map(KeyGroup) {
+                let records: u64 = self
+                    .oracle
+                    .iter()
+                    .filter(|&(&k, _)| key_group_of(k, 16) == g)
+                    .map(|(_, p)| p.total_count())
+                    .sum();
+                assert_eq!(
+                    self.state.group_bytes(g),
+                    records * bpr,
+                    "{ctx}: bytes of {g}"
+                );
+            }
+            let counts: BTreeMap<Key, u64> = self.state.snapshot_counts().into_iter().collect();
+            let expected: BTreeMap<Key, u64> = self
+                .oracle
+                .iter()
+                .map(|(&k, p)| (k, p.total_count()))
+                .collect();
+            assert_eq!(counts, expected, "{ctx}: counts");
+            assert_eq!(self.state.total_keys(), self.oracle.len(), "{ctx}: keys");
+        }
+    }
+
+    /// Move sub-group `kg/sub` from `from` to `to`: the backend's unit via
+    /// `extract`/`install`, the oracle's keys by hand.
+    fn migrate(from: &mut Subtask, to: &mut Subtask, kg: KeyGroup, sub: u8) {
+        let unit = from.state.extract(kg, sub).expect("held");
+        to.state.install(unit, true);
+        let fanout = from.state.fanout();
+        let moved: Vec<Key> = from
+            .oracle
+            .keys()
+            .copied()
+            .filter(|&k| key_group_of(k, 16) == kg && sub_group_of(k, 16, fanout) == sub)
+            .collect();
+        for k in moved {
+            let p = from.oracle.remove(&k).expect("listed");
+            to.oracle.insert(k, p);
+        }
+    }
+
+    /// A random window operator for `seed`: fanout 1 and 4, every `Agg`.
+    fn random_window(seed: u64, rng: &mut simcore::DetRng) -> (WindowAgg, u8) {
+        let fanout = [1, 4][seed as usize % 2];
+        let agg = [Agg::Max, Agg::Sum, Agg::Count][seed as usize / 2 % 3];
+        let slide = 1 + rng.below(50);
+        let size = slide * (1 + rng.below(8));
+        let bpr = 1 + rng.below(100);
+        (WindowAgg::new(size, slide, agg, 5, bpr), fanout)
+    }
+
+    /// A random record around watermark `wm`: mostly in order within three
+    /// slides ahead, one in four late by up to three window sizes.
+    fn random_record(rng: &mut simcore::DetRng, wm: SimTime, op: &WindowAgg) -> Record {
+        let t = match rng.below(4) {
+            0 => wm.saturating_sub(rng.below(3 * op.size + 1)),
+            _ => wm + rng.below(3 * op.slide),
+        };
+        let mut rec = Record::data(rng.below(40), rng.below(200) as i64 - 100, t);
+        rec.count = 1 + rng.below(3) as u32;
+        rec
+    }
+
+    /// A random watermark step: 0, under one slide, one slide, or a jump
+    /// of many slides (multi-end firings).
+    fn random_step(rng: &mut simcore::DetRng, slide: SimTime) -> SimTime {
+        match rng.below(5) {
+            0 => 0,
+            1 => rng.below(slide),
+            2 => slide,
+            _ => slide * (2 + rng.below(30)),
         }
     }
 
@@ -529,74 +649,72 @@ mod tests {
         // after a scale-out) taking over the state behind a far watermark.
         for seed in 0..240u64 {
             let mut rng = simcore::DetRng::seed(seed);
-            let fanout = [1, 4][seed as usize % 2];
-            let agg = [Agg::Max, Agg::Sum, Agg::Count][seed as usize / 2 % 3];
-            let slide = 1 + rng.below(50);
-            let size = slide * (1 + rng.below(8));
-            let bpr = 1 + rng.below(100);
-            let mut sides = [0, 1].map(|_| {
-                let mut b = StateBackend::new(16, fanout);
-                for g in 0..16 {
-                    b.ensure_group(KeyGroup(g));
-                }
-                (b, Vec::new())
-            });
-            let mut op = WindowAgg::new(size, slide, agg, 5, bpr);
-            let mut oracle = PerEndOracle {
-                size,
-                slide,
-                agg,
-                bpr,
-                last_fired: 0,
-            };
+            let (op, fanout) = random_window(seed, &mut rng);
+            let mut task = Subtask::new(op, fanout, 0..16);
             let mut wm: SimTime = 0;
             for round in 0..40 {
                 for _ in 0..rng.below(24) {
-                    let t = match rng.below(4) {
-                        0 => wm.saturating_sub(rng.below(3 * size + 1)),
-                        _ => wm + rng.below(3 * slide),
-                    };
-                    let mut rec = Record::data(rng.below(40), rng.below(200) as i64 - 100, t);
-                    rec.count = 1 + rng.below(3) as u32;
-                    for (state, out) in &mut sides {
-                        run_record(&mut op, state, out, rec.clone());
-                    }
+                    let rec = random_record(&mut rng, wm, &task.op);
+                    task.record(rec);
                 }
                 if rng.below(10) == 0 {
-                    op = WindowAgg::new(size, slide, agg, 5, bpr);
-                    oracle.last_fired = 0;
+                    task.restart();
                 }
-                wm += match rng.below(5) {
-                    0 => 0,
-                    1 => rng.below(slide),
-                    2 => slide,
-                    _ => slide * (2 + rng.below(30)),
-                };
-                let [(st_new, out_new), (st_old, out_old)] = &mut sides;
-                op.on_watermark(&mut WmCtx {
-                    now: wm,
-                    watermark: wm,
-                    state: st_new,
-                    out: out_new,
-                });
-                oracle.on_watermark(st_old, out_old, wm);
-                let fired = |out: &[Record]| -> Vec<(Key, i64, SimTime)> {
-                    out.iter().map(|r| (r.key, r.value, r.event_time)).collect()
-                };
-                assert_eq!(
-                    fired(out_new),
-                    fired(out_old),
-                    "seed {seed} round {round}: fanout {fanout}, {agg:?}, \
-                     size {size}, slide {slide}, watermark {wm}"
+                wm += random_step(&mut rng, task.op.slide);
+                let op = &task.op;
+                let ctx = format!(
+                    "seed {seed} round {round}: fanout {fanout}, {:?}, size {}, slide {}",
+                    op.agg, op.size, op.slide
                 );
-                out_new.clear();
-                out_old.clear();
-                for g in (0..16).map(KeyGroup) {
-                    assert_eq!(
-                        st_new.group_bytes(g),
-                        st_old.group_bytes(g),
-                        "seed {seed} round {round}: bytes of {g}"
-                    );
+                task.watermark(wm, &ctx);
+            }
+        }
+    }
+
+    #[test]
+    fn window_state_migrates_mid_stream() {
+        // Sub-groups move between two subtasks mid-stream, at fanout 1 and
+        // 4: the receiver starts as a fresh `WindowAgg` (`last_fired = 0`)
+        // and keeps adding to and firing the moved state, later moves go
+        // either way, and both sides match their oracles throughout.
+        for seed in 0..60u64 {
+            let mut rng = simcore::DetRng::seed(seed ^ 0x5EED);
+            let (op, fanout) = random_window(seed, &mut rng);
+            let fresh = WindowAgg::new(op.size, op.slide, op.agg, 5, op.bytes_per_record);
+            let mut tasks = [
+                Subtask::new(op, fanout, 0..16),
+                Subtask::new(fresh, fanout, 0..0),
+            ];
+            let first_move = 5 + rng.below(10);
+            let mut wm: SimTime = 0;
+            for round in 0..40 {
+                for _ in 0..rng.below(24) {
+                    let rec = random_record(&mut rng, wm, &tasks[0].op);
+                    let kg = key_group_of(rec.key, 16);
+                    let sub = sub_group_of(rec.key, 16, fanout);
+                    let owner = usize::from(!tasks[0].state.holds(kg, sub));
+                    tasks[owner].record(rec);
+                }
+                if round == first_move || (round > first_move && rng.below(6) == 0) {
+                    let from = usize::from(round > first_move && rng.below(2) == 0);
+                    let held: Vec<(KeyGroup, u8)> = (0..16)
+                        .flat_map(|g| (0..fanout).map(move |s| (KeyGroup(g), s)))
+                        .filter(|&(g, s)| tasks[from].state.holds(g, s))
+                        .collect();
+                    if !held.is_empty() {
+                        let (kg, sub) = held[rng.below(held.len() as u64) as usize];
+                        let [a, b] = &mut tasks;
+                        let (src, dst) = if from == 0 { (a, b) } else { (b, a) };
+                        migrate(src, dst, kg, sub);
+                    }
+                }
+                wm += random_step(&mut rng, tasks[0].op.slide);
+                for (i, task) in tasks.iter_mut().enumerate() {
+                    // The receiver sees no watermark before its first unit,
+                    // so its first firing starts from `last_fired = 0`.
+                    if i == 0 || round >= first_move {
+                        task.watermark(wm, &format!("seed {seed} round {round} subtask {i}"));
+                    }
                 }
             }
         }
