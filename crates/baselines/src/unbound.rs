@@ -73,17 +73,22 @@ impl ScalePlugin for UnboundPlugin {
         if w.insts[inst.0 as usize].state.holds(kg, unit.sub) {
             // Fold entries into the existing group (commutative merge).
             let bytes = unit.state.nominal_bytes;
+            let panes = unit.state.panes;
             let some_key = unit.state.entries.keys().next().copied();
+            let some_key = some_key.or_else(|| panes.as_ref().and_then(|p| p.keys().next()));
+            let state = &mut w.insts[inst.0 as usize].state;
             for (k, v) in unit.state.entries {
-                let slot = w.insts[inst.0 as usize]
-                    .state
-                    .entry_or(kg, k, || zero_like(&v));
+                let slot = state.entry_or(kg, k, || zero_like(&v));
                 merge_value(slot, &v);
             }
+            // Window keys are registered and their panes dropped: merging
+            // panes is not modelled, and no scenario runs Unbound on a
+            // window operator (the paper's Fig. 2 uses aggregations).
+            for k in panes.iter().flat_map(|p| p.keys()) {
+                state.panes_mut(kg, k).insert_key(k);
+            }
             if let Some(k) = some_key {
-                w.insts[inst.0 as usize]
-                    .state
-                    .add_bytes(kg, k, bytes as i64);
+                state.add_bytes(kg, k, bytes as i64);
             }
             w.wake(inst);
         } else {
@@ -116,7 +121,6 @@ fn zero_like(v: &streamflow::state::StateValue) -> streamflow::state::StateValue
     match v {
         SV::Count(_) => SV::Count(0),
         SV::Sum { .. } => SV::Sum { count: 0, sum: 0 },
-        SV::Panes(_) => SV::Panes(Default::default()),
         SV::Lists(_) => SV::Lists(Vec::new()),
     }
 }
@@ -130,8 +134,6 @@ fn merge_value(acc: &mut streamflow::state::StateValue, v: &streamflow::state::S
             *sum += s2;
         }
         (SV::Lists(l1), SV::Lists(l2)) => l1.extend_from_slice(l2),
-        // Window panes would need pane-wise merging; Unbound is only run on
-        // aggregation workloads in the paper's Fig. 2 methodology.
         _ => {}
     }
 }

@@ -8,7 +8,7 @@ use simcore::SimTime;
 use crate::ids::{key_group_of, Key, KeyGroup};
 use crate::record::{Record, RecordKind};
 use crate::state::{StateBackend, StateValue};
-use crate::window::{Agg, PaneSet};
+use crate::window::{Agg, FireScratch};
 
 /// What role an operator plays; sources and sinks are engine-managed.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -232,8 +232,12 @@ pub struct WindowAgg {
     pub bytes_per_record: u64,
     /// Per-watermark firing cost.
     pub fire_cost: SimTime,
-    /// Last fired window end (per subtask).
+    /// Last fired window end. It is per subtask, not per key-group: a
+    /// key-group that moves to a subtask whose `last_fired` lags re-fires
+    /// windows its old owner fired, and one that moves to a subtask ahead
+    /// of it can skip windows.
     pub last_fired: SimTime,
+    scratch: FireScratch,
 }
 
 impl WindowAgg {
@@ -253,6 +257,7 @@ impl WindowAgg {
             bytes_per_record,
             fire_cost: service * 4,
             last_fired: 0,
+            scratch: FireScratch::default(),
         }
     }
 }
@@ -260,13 +265,15 @@ impl WindowAgg {
 impl OperatorLogic for WindowAgg {
     // checker:hot-path
     fn on_record(&mut self, ctx: &mut OpCtx<'_>, rec: &Record) {
-        let (slide, agg) = (self.slide, self.agg);
-        let v = ctx
-            .state
-            .entry_or(ctx.kg, rec.key, || StateValue::Panes(PaneSet::default()));
-        if let StateValue::Panes(p) = v {
-            p.add(rec.event_time, rec.value, rec.count as u64, slide, agg);
-        }
+        let rows = ctx.state.panes_mut(ctx.kg, rec.key);
+        rows.add(
+            rec.key,
+            rec.event_time,
+            rec.value,
+            rec.count,
+            self.slide,
+            self.agg,
+        );
         ctx.state.add_bytes(
             ctx.kg,
             rec.key,
@@ -286,15 +293,19 @@ impl OperatorLogic for WindowAgg {
         let last_end = first_end + (ctx.watermark - first_end) / slide * slide;
         self.last_fired = last_end;
         let (size, agg, bpr) = (self.size, self.agg, self.bytes_per_record);
+        let scratch = &mut self.scratch;
         let WmCtx { state, out, .. } = ctx;
-        state.for_each_entry_mut(|key, v| match v {
-            StateValue::Panes(p) => {
-                let evicted = p.fire(first_end, last_end, slide, size, agg, |end, val| {
-                    out.push(Record::data(key, val, end))
-                });
-                evicted * bpr
-            }
-            _ => 0,
+        state.for_each_panes_mut(|rows| {
+            let evicted = rows.fire(
+                first_end,
+                last_end,
+                slide,
+                size,
+                agg,
+                scratch,
+                |k, v, end| out.push(Record::data(k, v, end)),
+            );
+            evicted * bpr
         });
     }
 
@@ -385,6 +396,7 @@ mod tests {
 
     use super::*;
     use crate::ids::{sub_group_of, InstId};
+    use crate::window::PaneSet;
 
     fn ctx_parts(kgs: u16) -> (StateBackend, Vec<Record>) {
         let mut b = StateBackend::new(kgs, 1);
@@ -448,6 +460,34 @@ mod tests {
         // 1000 on first sight + 10 per record.
         assert_eq!(st.total_bytes(), 1020);
         assert_eq!(out.last().map(|r| r.value), Some(6));
+    }
+
+    #[test]
+    fn keyed_state_allocates_no_pane_store() {
+        // Only a window operator pays for pane rows: a backend fed by
+        // `KeyedAgg` alone holds none in any sub-group, at fanout 1 and 4.
+        for fanout in [1, 4] {
+            let mut st = StateBackend::new(16, fanout);
+            for g in 0..16 {
+                st.ensure_group(KeyGroup(g));
+            }
+            let mut out = Vec::new();
+            let mut op = KeyedAgg {
+                service: 10,
+                bytes_per_key: 100,
+                bytes_per_record: 1,
+                emit_every: 1,
+            };
+            for k in 0..200 {
+                run_record(&mut op, &mut st, &mut out, Record::data(k, 1, k));
+            }
+            assert_eq!(st.total_keys(), 200);
+            for g in (0..16).map(KeyGroup) {
+                for unit in st.extract_group(g) {
+                    assert!(unit.state.panes.is_none(), "{g}/{}", unit.sub);
+                }
+            }
+        }
     }
 
     #[test]

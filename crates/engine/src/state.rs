@@ -3,9 +3,9 @@
 //! State is partitioned into key-groups; each key-group is further split
 //! into `fanout` sub-groups to support Meces' hierarchical state
 //! organization (fanout 1 for everyone else). State values are *real*
-//! (counts/sums/window panes) so that output equivalence can be verified,
-//! while `nominal_bytes` carries the migration-cost model so that totals can
-//! match the paper's 0.5–30 GB without materializing gigabytes.
+//! (counts/sums/join lists/window panes) so that output equivalence can be
+//! verified, while `nominal_bytes` carries the migration-cost model so that
+//! totals can match the paper's 0.5–30 GB without materializing gigabytes.
 //!
 //! # Layout
 //!
@@ -25,12 +25,25 @@
 //! inactive flag, matching the previous map-based semantics where the
 //! group's entry was removed.
 //!
+//! A window operator's keys do not live in `entries`: each sub-group keeps
+//! its window state in one [`PaneRows`] (time-major rows, see
+//! [`crate::window`]), behind `SubState::panes`. The store is boxed and
+//! allocated on the first windowed record, so keyed operators pay 8 bytes
+//! per sub-group and allocate nothing. Unboxed, its map, key list and row
+//! deque widen every sub-group slot by 80 bytes, and `rescale_churn`'s
+//! peak RSS rose 27.9 → 29.1 MB. The store moves with the sub-group on
+//! `extract`/`install`, and `total_keys`/`snapshot_counts` count its keys
+//! and their buffered records as they count `entries`.
+//!
 //! # Entry size
 //!
-//! Every per-key map entry is a `(Key, StateValue)` of 40 bytes, and
-//! `state_value_fits_in_32_bytes` pins it. The widest variant sets the
-//! width of every entry of every workload, so the Q8 join keeps both sides
-//! in one inline list in arrival order ([`StateValue::Lists`]): a person
+//! Every per-key map entry is a `(Key, StateValue)` of 32 bytes, and
+//! `state_value_fits_in_24_bytes` pins it. With the window panes out of
+//! `StateValue`, one `Vec` variant is left and the enum's tag hides in that
+//! `Vec`'s capacity niche; while a second `Vec` variant held panes the entry
+//! was 40 bytes. The widest variant sets the width of every entry of every
+//! workload, so the Q8 join keeps both sides in one inline list in arrival
+//! order ([`StateValue::Lists`]): a person
 //! at time `t` as `t`, an auction as `!t`. Its predicates read only which
 //! times a side holds, never the order between sides. Two `Vec`s made
 //! `StateValue` 48 bytes and the entry 56. Boxing the pair
@@ -39,15 +52,15 @@
 //! fig10_11/Q8/DRRS/seed1` took 7.40 s with two lists, 8.59 s boxed and
 //! 5.92 s with the one list (one heap buffer per key instead of two; mean
 //! of 3 alternating runs). The footprint: `rescale_churn`'s ~62 k live
-//! keys take 3.5 MB of entries at 56 bytes and 2.5 MB at 40, against a
-//! 2 MB L2 per core (both before hashbrown's bucket slack).
+//! keys take 3.5 MB of entries at 56 bytes, 2.5 MB at 40 and 2.0 MB at 32,
+//! against a 2 MB L2 per core (all before hashbrown's bucket slack).
 
 use std::collections::HashMap;
 
 use simcore::FxHashMap;
 
 use crate::ids::{sub_group_of, Key, KeyGroup};
-use crate::window::PaneSet;
+use crate::window::PaneRows;
 
 /// A single key's state.
 #[derive(Clone, Debug, PartialEq)]
@@ -56,8 +69,6 @@ pub enum StateValue {
     Count(u64),
     /// Running count + sum.
     Sum { count: u64, sum: i64 },
-    /// Sliding-window panes.
-    Panes(PaneSet),
     /// Both sides of a windowed join in one list, in arrival order: a
     /// side-A element at time `t` is stored as `t`, a side-B element as
     /// `!t` (negative). See the module docs' "Entry size".
@@ -70,7 +81,6 @@ impl StateValue {
         match self {
             StateValue::Count(c) => *c,
             StateValue::Sum { count, .. } => *count,
-            StateValue::Panes(p) => p.total_count(),
             StateValue::Lists(l) => l.len() as u64,
         }
     }
@@ -82,6 +92,9 @@ impl StateValue {
 pub struct SubState {
     /// Per-key values (fast deterministic hashing; keys are trusted).
     pub entries: FxHashMap<Key, StateValue>,
+    /// A window operator's panes for this sub-group's keys, allocated on
+    /// the first windowed record (see the module docs' "Layout").
+    pub panes: Option<Box<PaneRows>>,
     /// Modeled serialized size of this sub-group's state.
     pub nominal_bytes: u64,
 }
@@ -214,6 +227,20 @@ impl StateBackend {
         s.entries.entry(key).or_insert_with(default)
     }
 
+    /// The window panes of `key`'s sub-group, created empty if absent.
+    /// Panics if the sub-group is not locally present, like
+    /// [`Self::entry_or`].
+    // checker:hot-path
+    #[inline]
+    pub fn panes_mut(&mut self, kg: KeyGroup, key: Key) -> &mut PaneRows {
+        let sub = self.sub_of(key);
+        let idx = self.slot_idx(kg, sub);
+        let s = self.slots[idx]
+            .as_mut()
+            .unwrap_or_else(|| panic!("state access to absent sub-group {kg}/{sub}"));
+        s.panes.get_or_insert_with(new_panes)
+    }
+
     /// Add to a sub-group's modeled serialized size (operators call this as
     /// their state grows).
     // checker:hot-path
@@ -263,7 +290,11 @@ impl StateBackend {
 
     /// Total number of keys held locally.
     pub fn total_keys(&self) -> usize {
-        self.slots.iter().flatten().map(|s| s.entries.len()).sum()
+        self.slots
+            .iter()
+            .flatten()
+            .map(|s| s.entries.len() + s.panes.as_ref().map_or(0, |p| p.key_count()))
+            .sum()
     }
 
     /// Bytes held for one key-group.
@@ -289,6 +320,9 @@ impl StateBackend {
         for s in self.slots.iter().flatten() {
             for (&k, v) in &s.entries {
                 *out.entry(k).or_insert(0) += v.count();
+            }
+            for (k, n) in s.panes.iter().flat_map(|p| p.counts()) {
+                *out.entry(k).or_insert(0) += n;
             }
         }
         out
@@ -316,19 +350,44 @@ impl StateBackend {
                 let v = s.entries.get_mut(&k).expect("key listed");
                 freed += f(k, v);
             }
-            // Every delta is a decrease, so one clamp of the sum equals a
-            // clamp after each key; a sum past the balance is an
-            // accounting bug, not a state to clamp silently.
-            debug_assert!(
-                freed <= s.nominal_bytes,
-                "freed {freed} of {} nominal bytes",
-                s.nominal_bytes
-            );
-            s.nominal_bytes = s.nominal_bytes.saturating_sub(freed);
+            s.settle(freed);
         }
         keys.clear();
         self.key_scratch = keys;
     }
+
+    /// Visit the window panes of every locally present sub-group mutably
+    /// (window firing), in key-group then sub-group order. `f` returns the
+    /// nominal bytes it freed; they are taken off the sub-group at once.
+    // checker:hot-path
+    pub fn for_each_panes_mut(&mut self, mut f: impl FnMut(&mut PaneRows) -> u64) {
+        for s in self.slots.iter_mut().flatten() {
+            if let Some(p) = s.panes.as_deref_mut() {
+                let freed = f(p);
+                s.settle(freed);
+            }
+        }
+    }
+}
+
+impl SubState {
+    /// Take `freed` bytes off the modeled size. Every delta of a sweep is a
+    /// decrease, so one clamp of the sum equals a clamp after each key; a
+    /// sum past the balance is an accounting bug, not a state to clamp
+    /// silently.
+    fn settle(&mut self, freed: u64) {
+        debug_assert!(
+            freed <= self.nominal_bytes,
+            "freed {freed} of {} nominal bytes",
+            self.nominal_bytes
+        );
+        self.nominal_bytes = self.nominal_bytes.saturating_sub(freed);
+    }
+}
+
+#[cold]
+fn new_panes() -> Box<PaneRows> {
+    Box::default()
 }
 
 #[cfg(test)]
@@ -342,14 +401,25 @@ mod tests {
     }
 
     #[test]
-    fn state_value_fits_in_32_bytes() {
+    fn state_value_fits_in_24_bytes() {
         // Every key of every workload pays for the widest variant: a map
         // entry is `(Key, StateValue)`, and the per-record probe's cache
         // misses scale with it. A new wide variant is a silent tax on the
         // whole state layer — box its payload or rethink it, and treat a
-        // regression here like a perf bug, not a style nit.
-        assert_eq!(std::mem::size_of::<StateValue>(), 32);
-        assert_eq!(std::mem::size_of::<(Key, StateValue)>(), 40);
+        // regression here like a perf bug, not a style nit. With one `Vec`
+        // variant the tag hides in the `Vec`'s capacity niche; a second
+        // one (window panes did that) takes it back to 32.
+        assert_eq!(std::mem::size_of::<StateValue>(), 24);
+        assert_eq!(std::mem::size_of::<(Key, StateValue)>(), 32);
+    }
+
+    #[test]
+    fn window_cells_and_sub_states_stay_small() {
+        // One cell per buffered window record: Q7 holds ~257 k at peak.
+        assert_eq!(std::mem::size_of::<crate::window::Cell>(), 16);
+        // Every sub-group of every operator pays for the pane store's
+        // handle: boxed it is 8 bytes, unboxed 88 (see the module docs).
+        assert!(std::mem::size_of::<SubState>() <= 48);
     }
 
     #[test]
