@@ -659,13 +659,16 @@ mod tests {
     }
 
     /// A random record around watermark `wm`: mostly in order within three
-    /// slides ahead, one in four late by up to three window sizes.
+    /// slides ahead, one in four late by up to three window sizes. Half go
+    /// to three hot keys, so a key's records often share a slide interval.
     fn random_record(rng: &mut simcore::DetRng, wm: SimTime, op: &WindowAgg) -> Record {
         let t = match rng.below(4) {
             0 => wm.saturating_sub(rng.below(3 * op.size + 1)),
             _ => wm + rng.below(3 * op.slide),
         };
-        let mut rec = Record::data(rng.below(40), rng.below(200) as i64 - 100, t);
+        let keys = [3, 40][rng.below(2) as usize];
+        let key = rng.below(keys);
+        let mut rec = Record::data(key, rng.below(200) as i64 - 100, t);
         rec.count = 1 + rng.below(3) as u32;
         rec
     }

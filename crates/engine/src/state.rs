@@ -415,7 +415,8 @@ mod tests {
 
     #[test]
     fn window_cells_and_sub_states_stay_small() {
-        // One cell per buffered window record: Q7 holds ~257 k at peak.
+        // About one cell per live (key, slide interval): Q7 holds ~220 k
+        // at peak.
         assert_eq!(std::mem::size_of::<crate::window::Cell>(), 16);
         // Every sub-group of every operator pays for the pane store's
         // handle: boxed it is 8 bytes, unboxed 88 (see the module docs).

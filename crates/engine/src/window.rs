@@ -9,12 +9,11 @@
 //!
 //! A window operator keeps one [`PaneRows`] per sub-group, not a pane list
 //! per key. Its state is **time-major**: one row per slide interval (slot
-//! `event_time / slide`), slot-ascending, and each row holds one 16-byte
-//! cell per applied record — the key's dense id, the record's count and
-//! its contribution to the aggregate. The rows are shared by every key of
-//! the sub-group, as the slices of slice-based aggregation are (Li et al.,
-//! "No pane, no gain", SIGMOD Record 2005; Traub et al., "Scotty", ICDE
-//! 2018).
+//! `event_time / slide`), slot-ascending, and each row holds 16-byte cells
+//! — a key's dense id, a record count and their partial aggregate. The
+//! rows are shared by every key of the sub-group, as the slices of
+//! slice-based aggregation are (Li et al., "No pane, no gain", SIGMOD
+//! Record 2005; Traub et al., "Scotty", ICDE 2018).
 //!
 //! - *Why time-major.* A firing reads only the rows inside each fired
 //!   window, front to back, folding cells into a per-id accumulator
@@ -29,18 +28,28 @@
 //!   memory stays O(records). A dense ring of one row per slot from the
 //!   oldest would allocate a row per slide between the rest and one record
 //!   far from them in event time.
-//! - *Why one cell per record.* Cells do not merge, so an add never
-//!   searches a row. Q7 peaks at 257 k live cells against 213 k live
-//!   panes, yet its state shrinks: a cell is 16 bytes, a pane 24 bytes
-//!   plus its share of its key's `Vec` slack (capacity 54 for 17 live
-//!   panes).
+//! - *Why merge into the key's last cell.* The key's map entry remembers
+//!   where its newest cell is, so a record in the same slide interval
+//!   folds into that cell without searching the row; any other record
+//!   starts a cell. The cells then grow with the times a key's records
+//!   switch slide interval, not with records. One cell per record was
+//!   cheap on Q7's 500 ms slides (1.36 records per pane) but not on its
+//!   tumbling variant (slide = size = 10 s, 12.4 records per pane): there
+//!   it held 2.0 MB more at peak than the per-key panes. Merged, Q7 makes
+//!   1.11 cells per pane (peak 219.7 k live cells against 213.2 k panes)
+//!   and the tumbling variant 2.16 (43.7 k against 30.0 k), where records
+//!   from sources at different event times interleave. A cell is 16
+//!   bytes, a pane 24 plus its share of its key's `Vec` slack (capacity
+//!   54 for 17 live panes).
 //!
 //! Firing emits key by key in key order, ends ascending within a key —
 //! the sequence the per-key layout produced — and the freed records are
 //! returned once per sub-group for the backend to settle (see
 //! `StateBackend::for_each_panes_mut`). On `q7_rescale` (2-vCPU Xeon,
-//! seed 1) the layout raised records/s by 10.5 % and cut peak RSS by
-//! 1.0 MB.
+//! seed 1) the layout raised records/s by 14 % and cut peak RSS by
+//! 1.7 MB. It costs where firing was already cheap: Q7's tumbling
+//! variant, one pane per key per window, runs 6 % longer at equal peak
+//! RSS, since an add loads the boxed store and the row deque as well.
 //!
 //! [`PaneSet`], one key's pane list, is the reference: the test oracle of
 //! the row layout and the subject of `drrs_bench`'s pane kernel.
@@ -152,15 +161,26 @@ impl PaneSet {
     }
 }
 
-/// One applied record in a [`PaneRows`] row.
+/// One key's partial aggregate in a [`PaneRows`] row.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct Cell {
     /// The key's dense id within its [`PaneRows`].
     id: u32,
-    /// The record's multiplicity.
+    /// Records folded in.
     count: u32,
-    /// `combine(initial, value, count)`: the record's partial aggregate.
+    /// Partial aggregate of those records.
     agg: i64,
+}
+
+/// A key's dense id and the position of its newest cell, so the key's
+/// next record in the same slide interval folds into that cell.
+#[derive(Clone, Copy, Debug)]
+struct KeyCell {
+    id: u32,
+    /// Index of the cell within the row of `slot`. A position gone stale
+    /// (the row evicted and made again) fails the cell's id check.
+    cell: u32,
+    slot: u64,
 }
 
 /// The records of one slide interval.
@@ -178,7 +198,7 @@ struct Row {
 /// slot-ascending rows.
 #[derive(Clone, Debug, Default)]
 pub struct PaneRows {
-    ids: FxHashMap<Key, u32>,
+    ids: FxHashMap<Key, KeyCell>,
     /// `(key, id)` for every key, ascending by key: the firing order.
     order: Vec<(Key, u32)>,
     rows: VecDeque<Row>,
@@ -186,17 +206,17 @@ pub struct PaneRows {
 
 /// Per-subtask scratch for [`PaneRows::fire`]: one accumulator and one
 /// seen flag per (fired end, key id). Kept for its capacity; between
-/// firings every flag is clear and every accumulator holds `identity`.
+/// firings every flag is clear and every accumulator holds the
+/// aggregation's identity.
 #[derive(Debug, Default)]
 pub struct FireScratch {
     acc: Vec<i64>,
     seen: Vec<bool>,
-    /// The merge identity the accumulators are reset to.
-    identity: i64,
 }
 
 impl PaneRows {
-    /// Fold a record of `key` into the row of slot `event_time / slide`.
+    /// Fold a record of `key` into its cell in the row of slot
+    /// `event_time / slide`.
     // checker:hot-path
     pub fn add(
         &mut self,
@@ -207,50 +227,39 @@ impl PaneRows {
         slide: SimTime,
         agg: Agg,
     ) {
-        let id = match self.ids.get(&key) {
-            Some(&id) => id,
-            None => self.new_key(key),
-        };
+        let order = &mut self.order;
+        let at = self.ids.entry(key).or_insert_with(|| new_key(order, key));
         let slot = event_time / slide;
         // Event time mostly advances, so the row is the newest one or a new
         // one right behind it: look from the back.
         let row = match self.rows.iter().rposition(|r| r.slot <= slot) {
             Some(i) if self.rows[i].slot == slot => &mut self.rows[i],
-            older => self.new_row(older.map_or(0, |i| i + 1), slot),
+            older => new_row(&mut self.rows, older.map_or(0, |i| i + 1), slot),
         };
         row.total += count as u64;
+        if at.slot == slot {
+            let id = at.id;
+            if let Some(c) = row.cells.get_mut(at.cell as usize).filter(|c| c.id == id) {
+                if let Some(n) = c.count.checked_add(count) {
+                    c.count = n;
+                    c.agg = combine(agg, c.agg, value, count as u64);
+                    return;
+                }
+            }
+        }
+        at.slot = slot;
+        at.cell = row.cells.len() as u32;
         row.cells.push(Cell {
-            id,
+            id: at.id,
             count,
             agg: combine(agg, initial(agg), value, count as u64),
         });
     }
 
-    #[cold]
-    fn new_key(&mut self, key: Key) -> u32 {
-        let id = self.order.len() as u32;
-        self.ids.insert(key, id);
-        let at = self.order.partition_point(|&(k, _)| k < key);
-        self.order.insert(at, (key, id));
-        id
-    }
-
-    #[cold]
-    fn new_row(&mut self, at: usize, slot: u64) -> &mut Row {
-        let row = Row {
-            slot,
-            total: 0,
-            cells: Vec::new(),
-        };
-        self.rows.insert(at, row);
-        &mut self.rows[at]
-    }
-
     /// Register `key` with no records (a no-op if it is known).
     pub fn insert_key(&mut self, key: Key) {
-        if !self.ids.contains_key(&key) {
-            self.new_key(key);
-        }
+        let order = &mut self.order;
+        self.ids.entry(key).or_insert_with(|| new_key(order, key));
     }
 
     /// Fire the windows ending at `first_end, first_end + slide, ..=
@@ -279,7 +288,7 @@ impl PaneRows {
             if lo_end <= hi_end {
                 let ends = ((hi_end - lo_end) / slide + 1) as usize;
                 let n = self.order.len();
-                scratch.fit(ends * n, initial(agg));
+                scratch.fit(ends * n, agg);
                 for e in 0..ends {
                     let end = lo_end + e as u64 * slide;
                     let lo = end.saturating_sub(size);
@@ -297,7 +306,7 @@ impl PaneRows {
                         Agg::Sum | Agg::Count => fold_cells(window, acc, seen, |a, b| a + b),
                     }
                 }
-                let identity = scratch.identity;
+                let identity = initial(agg);
                 for &(key, id) in &self.order {
                     for e in 0..ends {
                         let i = e * n + id as usize;
@@ -341,16 +350,35 @@ impl PaneRows {
     }
 }
 
+#[cold]
+fn new_key(order: &mut Vec<(Key, u32)>, key: Key) -> KeyCell {
+    let id = order.len() as u32;
+    let at = order.partition_point(|&(k, _)| k < key);
+    order.insert(at, (key, id));
+    KeyCell {
+        id,
+        cell: u32::MAX,
+        slot: u64::MAX,
+    }
+}
+
+#[cold]
+fn new_row(rows: &mut VecDeque<Row>, at: usize, slot: u64) -> &mut Row {
+    let row = Row {
+        slot,
+        total: 0,
+        cells: Vec::new(),
+    };
+    rows.insert(at, row);
+    &mut rows[at]
+}
+
 impl FireScratch {
     /// Make room for `len` (end, id) slots, all unseen, with accumulators
-    /// at `identity`.
-    fn fit(&mut self, len: usize, identity: i64) {
-        if self.identity != identity {
-            self.acc.fill(identity);
-            self.identity = identity;
-        }
+    /// at `agg`'s identity. A scratch serves one operator, so one `agg`.
+    fn fit(&mut self, len: usize, agg: Agg) {
         if self.seen.len() < len {
-            self.acc.resize(len, identity);
+            self.acc.resize(len, initial(agg));
             self.seen.resize(len, false);
         }
     }
@@ -532,6 +560,47 @@ mod tests {
         });
         assert_eq!((evicted, any), (8, false));
         assert_eq!(rows.counts().collect::<Vec<_>>(), vec![(4, 0), (9, 0)]);
+    }
+
+    #[test]
+    fn rows_merge_a_keys_records_per_slide() {
+        // Tumbling-shaped load: two keys interleaved, many records each in
+        // one slide interval, hold one cell per key.
+        let mut rows = PaneRows::default();
+        for t in 0..12 {
+            rows.add(1, t, t as i64, 1, 100, Agg::Max);
+            rows.add(2, t, -(t as i64), 2, 100, Agg::Max);
+        }
+        assert_eq!(rows.rows.len(), 1);
+        assert_eq!(rows.rows[0].cells.len(), 2);
+        assert_eq!(rows.counts().collect::<Vec<_>>(), vec![(1, 12), (2, 24)]);
+        // A late record for an older interval gets its own cell, and so
+        // does the key's next record back in the newer interval.
+        rows.add(1, 250, 7, 1, 100, Agg::Max);
+        rows.add(1, 50, 99, 1, 100, Agg::Max);
+        rows.add(1, 260, 3, 1, 100, Agg::Max);
+        assert_eq!(rows.rows[0].cells.len(), 3);
+        assert_eq!(rows.rows[1].cells.len(), 2);
+        // A count past `u32::MAX` starts a new cell instead of wrapping.
+        rows.add(2, 70, 0, u32::MAX, 100, Agg::Max);
+        assert_eq!(rows.rows[0].cells.len(), 4);
+        let mut scratch = FireScratch::default();
+        let mut fired = Vec::new();
+        let evicted = rows.fire(100, 300, 100, 100, Agg::Max, &mut scratch, |k, v, end| {
+            fired.push((k, v, end))
+        });
+        assert_eq!(fired, vec![(1, 99, 100), (1, 7, 300), (2, 0, 100)]);
+        assert_eq!(evicted, (12 + 1) + (24 + u32::MAX as u64));
+        // Slot 0's row is gone, and key 2's position in it with it. A new
+        // row for slot 0, filled by other keys first, must not take key
+        // 2's record into another key's cell.
+        for k in [1, 3, 4, 5] {
+            rows.add(k, 10, k as i64, 1, 100, Agg::Max);
+        }
+        rows.add(2, 30, 6, 1, 100, Agg::Max);
+        rows.add(2, 40, 8, 1, 100, Agg::Max);
+        let cells: Vec<(u32, i64)> = rows.rows[0].cells.iter().map(|c| (c.id, c.agg)).collect();
+        assert_eq!(cells, vec![(0, 1), (2, 3), (3, 4), (4, 5), (1, 8)]);
     }
 
     #[test]
