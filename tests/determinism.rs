@@ -13,11 +13,13 @@
 //! the suite fast; everything else (rates, universes, parallelism, seeds,
 //! scale plans) is the registry's word.
 
+use drrs_repro::baselines::{otfs_fluid, MecesPlugin, StopRestartPlugin, UnboundPlugin};
 use drrs_repro::bench::scenario::{registry, MechanismSpec, ScenarioSpec};
+use drrs_repro::drrs::FlexScaler;
 use drrs_repro::engine::world::tests_support::{run_until_one_at_a_time, tiny_job};
 use drrs_repro::engine::world::Sim;
-use drrs_repro::engine::{EngineConfig, NoScale};
-use drrs_repro::sim::time::secs;
+use drrs_repro::engine::{EngineConfig, NoScale, ScalePlugin};
+use drrs_repro::sim::time::{ms, secs};
 
 /// Fetch a named perf scenario (full variant) from the registry.
 fn perf_spec(name: &str) -> ScenarioSpec {
@@ -262,6 +264,50 @@ fn regions_without_resume_latency_report_as_the_sequential_run() {
     assert_eq!((r2.digest, r2.events), (seq.digest, seq.events));
     assert_eq!(r2.region_events, vec![seq.events]);
     assert_eq!((r2.sync_runs, r2.merged_runs, r2.null_msgs), (0, 0, 0));
+}
+
+#[test]
+fn world_paths_outside_the_golden_file_keep_their_digests() {
+    // The golden file runs NoScale, DRRS, Megaphone and Q7, always with
+    // checkpoints off. These rows pin the engine paths none of those reach:
+    // checkpoint barriers with the `CheckpointTick` deferral during a scale
+    // (scale-out only: a retired instance stalls later barriers), the
+    // stop-restart halt/resume, Meces' fetch path, OTFS and Unbound. The
+    // values are `(digest, events, sink_records)`; a behaviour-preserving
+    // change must not move them.
+    let rows: [(&str, bool, (u64, u64, u64)); 5] = [
+        ("DRRS+ckpt", true, (8943720978993937719, 42134, 18000)),
+        ("Meces", false, (14522126647641908098, 42101, 18000)),
+        ("Stop-Restart", false, (4677760609724557460, 41537, 18000)),
+        ("OTFS", false, (9558195888704112742, 42078, 18000)),
+        ("Unbound", false, (5591056667909817358, 42032, 18000)),
+    ];
+    for (name, ckpt, want) in rows {
+        let plugin: Box<dyn ScalePlugin> = match name {
+            "DRRS+ckpt" => Box::new(FlexScaler::drrs()),
+            "Meces" => Box::new(MecesPlugin::new()),
+            "Stop-Restart" => {
+                // Resume inside the horizon so `resume_all` runs too.
+                let mut p = StopRestartPlugin::new();
+                p.restart_overhead = ms(300);
+                Box::new(p)
+            }
+            "OTFS" => Box::new(otfs_fluid()),
+            _ => Box::new(UnboundPlugin::new()),
+        };
+        let mut cfg = EngineConfig::test();
+        cfg.seed = 0xC0FFEE;
+        if ckpt {
+            cfg.checkpoint_interval = Some(ms(400));
+        }
+        let (mut w, agg) = tiny_job(cfg, 6_000.0, 512, 4);
+        w.schedule_scale(ms(1_200), agg, 6);
+        let mut sim = Sim::new(w, plugin);
+        sim.run_until(secs(3));
+        let w = &sim.world;
+        let got = (w.metrics_digest(), w.q.processed(), w.metrics.sink_records);
+        assert_eq!(got, want, "{name}: the run moved");
+    }
 }
 
 #[test]
