@@ -515,7 +515,10 @@ mod tests {
             rules("crates/simcore/src/spsc.rs", src, false),
             Vec::<&str>::new()
         );
-        assert_eq!(rules("crates/engine/src/world.rs", src, false), vec!["U1"]);
+        assert_eq!(
+            rules("crates/engine/src/world/data_plane.rs", src, false),
+            vec!["U1"]
+        );
         let bare = "unsafe { x() }\n";
         assert_eq!(rules("crates/simcore/src/spsc.rs", bare, false), vec!["U2"]);
     }
@@ -524,7 +527,7 @@ mod tests {
     fn commented_unsafe_does_not_fire() {
         let src = "// this mentions unsafe in prose\nlet s = \"unsafe\";\n";
         assert_eq!(
-            rules("crates/engine/src/world.rs", src, false),
+            rules("crates/engine/src/world/data_plane.rs", src, false),
             Vec::<&str>::new()
         );
     }
@@ -542,14 +545,17 @@ mod tests {
     #[test]
     fn hashmap_fires_outside_allowlist() {
         let src = "use std::collections::HashMap;\n";
-        assert_eq!(rules("crates/engine/src/world.rs", src, false), vec!["D2"]);
+        assert_eq!(
+            rules("crates/engine/src/world/data_plane.rs", src, false),
+            vec!["D2"]
+        );
         assert_eq!(
             rules("crates/engine/src/state.rs", src, false),
             Vec::<&str>::new()
         );
         let fx = "use simcore::hash::FxHashMap;\n";
         assert_eq!(
-            rules("crates/engine/src/world.rs", fx, false),
+            rules("crates/engine/src/world/data_plane.rs", fx, false),
             Vec::<&str>::new()
         );
     }

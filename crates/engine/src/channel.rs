@@ -58,11 +58,12 @@ pub struct Channel {
     /// the receiver's operator watermark is the min across its channels).
     pub rx_watermark: SimTime,
     /// Does this channel cross a region cut in PDES mode
-    /// (`resume_latency > 0`)? Set once at build time. Cut channels switch
-    /// from the synchronous `has_credit`/`pump` protocol to sender-owned
-    /// [`Self::cut_credits`] with latency-bearing `CutCredit` returns, so
-    /// neither side ever touches the other's fields — the property that
-    /// lets the two endpoints live on different threads.
+    /// (`resume_latency > 0`)? Set once at build time. Cut channels take
+    /// credit from the sender-owned [`Self::cut_credits`] instead of
+    /// reading the receiver queue ([`Self::take_credit`]) and get it back
+    /// through latency-bearing `CutCredit` events, so neither side ever
+    /// touches the other's fields — the property that lets the two
+    /// endpoints live on different threads.
     pub cut: bool,
     /// Sender-owned credit count for a cut channel (starts at `capacity`).
     /// Decremented per element put on the wire; replenished by `CutCredit`
@@ -96,6 +97,25 @@ impl Channel {
     #[inline]
     pub fn has_credit(&self) -> bool {
         self.queue.len() + self.in_flight < self.capacity
+    }
+
+    /// Take the credit to put one more element on the wire, if there is
+    /// one: on a cut channel from the sender-owned pool, on any other a
+    /// receiver slot, counted in flight until delivery.
+    #[inline]
+    pub fn take_credit(&mut self) -> bool {
+        if self.cut {
+            if self.cut_credits == 0 {
+                return false;
+            }
+            self.cut_credits -= 1;
+        } else {
+            if !self.has_credit() {
+                return false;
+            }
+            self.in_flight += 1;
+        }
+        true
     }
 
     /// Elements queued at the receiver.
@@ -180,6 +200,23 @@ mod tests {
         assert!(!c.has_credit());
         c.in_flight = 1;
         assert!(c.has_credit());
+    }
+
+    #[test]
+    fn take_credit_draws_on_the_pool_of_the_channel_kind() {
+        for cut in [false, true] {
+            let mut c = chan();
+            c.cut = cut;
+            for _ in 0..4 {
+                assert!(c.take_credit(), "cut={cut}");
+            }
+            assert!(!c.take_credit(), "cut={cut}: capacity 4 exhausted");
+            // Receiver slots count in flight; the sender pool does not.
+            assert_eq!(
+                (c.in_flight, c.cut_credits),
+                if cut { (0, 0) } else { (4, 4) }
+            );
+        }
     }
 
     #[test]
