@@ -396,7 +396,7 @@ mod tests {
 
     use super::*;
     use crate::ids::{sub_group_of, InstId};
-    use crate::window::PaneSet;
+    use crate::window::{OnPanic, PaneSet};
 
     fn ctx_parts(kgs: u16) -> (StateBackend, Vec<Record>) {
         let mut b = StateBackend::new(kgs, 1);
@@ -691,6 +691,9 @@ mod tests {
         // slides, and now and then a fresh subtask (`last_fired = 0`, as
         // after a scale-out) taking over the state behind a far watermark.
         for seed in 0..240u64 {
+            let _case = OnPanic(format!(
+                "window_firing_matches_the_per_end_oracle seed {seed}"
+            ));
             let mut rng = simcore::DetRng::seed(seed);
             let (op, fanout) = random_window(seed, &mut rng);
             let mut task = Subtask::new(op, fanout, 0..16);
@@ -721,6 +724,7 @@ mod tests {
         // and keeps adding to and firing the moved state, later moves go
         // either way, and both sides match their oracles throughout.
         for seed in 0..60u64 {
+            let _case = OnPanic(format!("window_state_migrates_mid_stream seed {seed}"));
             let mut rng = simcore::DetRng::seed(seed ^ 0x5EED);
             let (op, fanout) = random_window(seed, &mut rng);
             let fresh = WindowAgg::new(op.size, op.slide, op.agg, 5, op.bytes_per_record);

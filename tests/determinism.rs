@@ -13,13 +13,20 @@
 //! the suite fast; everything else (rates, universes, parallelism, seeds,
 //! scale plans) is the registry's word.
 
+use std::sync::{Arc, Mutex};
+
 use drrs_repro::baselines::{otfs_fluid, MecesPlugin, StopRestartPlugin, UnboundPlugin};
 use drrs_repro::bench::scenario::{registry, MechanismSpec, ScenarioSpec};
 use drrs_repro::drrs::FlexScaler;
+use drrs_repro::engine::graph::{EdgeKind, JobBuilder};
+use drrs_repro::engine::operator::{OpCtx, OperatorLogic, WindowAgg, WmCtx};
+use drrs_repro::engine::record::Record;
+use drrs_repro::engine::window::Agg;
 use drrs_repro::engine::world::tests_support::{run_until_one_at_a_time, tiny_job};
 use drrs_repro::engine::world::Sim;
 use drrs_repro::engine::{EngineConfig, NoScale, ScalePlugin};
-use drrs_repro::sim::time::{ms, secs};
+use drrs_repro::sim::time::{ms, secs, SimTime};
+use drrs_repro::workloads::nexmark::{nexmark_engine_config, BidGen};
 
 /// Fetch a named perf scenario (full variant) from the registry.
 fn perf_spec(name: &str) -> ScenarioSpec {
@@ -307,6 +314,113 @@ fn world_paths_outside_the_golden_file_keep_their_digests() {
         let w = &sim.world;
         let got = (w.metrics_digest(), w.q.processed(), w.metrics.sink_records);
         assert_eq!(got, want, "{name}: the run moved");
+    }
+}
+
+/// Wraps a [`WindowAgg`] and folds every `(key, value, end)` it fires, in
+/// firing order across all subtasks, into one FNV-1a hash.
+struct FireTap {
+    inner: WindowAgg,
+    sum: Arc<Mutex<(u64, u64)>>,
+}
+
+impl OperatorLogic for FireTap {
+    fn on_record(&mut self, ctx: &mut OpCtx<'_>, rec: &Record) {
+        self.inner.on_record(ctx, rec);
+    }
+    fn on_watermark(&mut self, ctx: &mut WmCtx<'_>) {
+        let before = ctx.out.len();
+        self.inner.on_watermark(ctx);
+        let mut sum = self.sum.lock().expect("tap lock");
+        let (hash, outputs) = &mut *sum;
+        for r in &ctx.out[before..] {
+            for word in [r.key, r.value as u64, r.event_time] {
+                for byte in word.to_le_bytes() {
+                    *hash = (*hash ^ byte as u64).wrapping_mul(0x100_0000_01b3);
+                }
+            }
+            *outputs += 1;
+        }
+    }
+    fn service_time(&self, rec: &Record) -> SimTime {
+        self.inner.service_time(rec)
+    }
+    fn watermark_cost(&self) -> SimTime {
+        self.inner.watermark_cost()
+    }
+}
+
+/// A short Q7 (`q7`'s topology and rates) with DRRS scaling the window
+/// from 8 to 12 at 16 s, run to 32 s with a [`FireTap`] on the window.
+/// Returns `(fire hash, fired outputs, digest, events, sink records)`.
+fn tapped_q7(slide: SimTime) -> (u64, u64, u64, u64, u64) {
+    let sum = Arc::new(Mutex::new((0xcbf2_9ce4_8422_2325, 0)));
+    let mut b = JobBuilder::new(nexmark_engine_config(1));
+    let src = b.source(
+        "bids",
+        2,
+        Box::new(|i| Box::new(BidGen::new(10_000.0, 4_000, 0x0B1D + i as u64, 4))),
+    );
+    let tap = sum.clone();
+    let window = b.operator(
+        "window-max",
+        8,
+        Box::new(move || {
+            Box::new(FireTap {
+                inner: WindowAgg::new(secs(10), slide, Agg::Max, 330, 4_000),
+                sum: tap.clone(),
+            })
+        }),
+    );
+    let sink = b.sink("sink", 1);
+    b.connect(src, window, EdgeKind::Keyed);
+    b.connect(window, sink, EdgeKind::Rebalance);
+    let mut w = b.build();
+    w.schedule_scale(secs(16), window, 12);
+    let mut sim = Sim::new(w, Box::new(FlexScaler::drrs()));
+    sim.run_until(secs(32));
+    let (hash, outputs) = *sum.lock().expect("tap lock");
+    let w = &sim.world;
+    (
+        hash,
+        outputs,
+        w.metrics_digest(),
+        w.q.processed(),
+        w.metrics.sink_records,
+    )
+}
+
+#[test]
+fn q7_fired_window_values_keep_their_hash() {
+    // The metrics digest counts sink records and latencies, not the values
+    // a window fires: this pins every fired `(key, value, end)` of a Q7
+    // DRRS 8 → 12 run, through firing, eviction and migrated window state,
+    // at Q7's 500 ms slide and at slide = size (tumbling, one slot per
+    // window).
+    for (slide, want) in [
+        (
+            ms(500),
+            (
+                7701435001513146586,
+                194303,
+                17945457377082109604,
+                393666,
+                194303,
+            ),
+        ),
+        (
+            secs(10),
+            (
+                5929526279398281978,
+                9428,
+                16693296595622369329,
+                188300,
+                9428,
+            ),
+        ),
+    ] {
+        let got = tapped_q7(slide);
+        assert_eq!(got, want, "slide {slide}: fired values moved");
     }
 }
 
