@@ -270,8 +270,8 @@ struct Partials {
 
 /// Per-subtask scratch for [`PaneRows::fire`]: one accumulator and one
 /// seen flag per (fired end, key id). Kept for its capacity; between
-/// firings every flag is clear and every accumulator holds the
-/// aggregation's identity.
+/// firings every flag is clear, and an accumulator is read only while its
+/// flag is set.
 #[derive(Debug, Default)]
 pub struct FireScratch {
     acc: Vec<i64>,
@@ -357,7 +357,7 @@ impl PaneRows {
             if lo_end <= hi_end {
                 let ends = ((hi_end - lo_end) / slide + 1) as usize;
                 let n = self.order.len();
-                scratch.fit(ends * n, agg);
+                scratch.fit(ends * n);
                 let identity = initial(agg);
                 for e in 0..ends {
                     // The window's rows: slots `[lo, hi)`.
@@ -367,13 +367,12 @@ impl PaneRows {
                         let (rows, parts) = (&self.rows, &mut self.parts);
                         let acc = &mut scratch.acc[e * n..(e + 1) * n];
                         let seen = &mut scratch.seen[e * n..(e + 1) * n];
-                        let (slots, id) = (lo..hi, identity);
                         // One loop per merge function, so the folds do not
                         // branch on `agg` per cell.
                         match agg {
-                            Agg::Max => parts.window(rows, slots, acc, seen, id, i64::max),
+                            Agg::Max => parts.window(rows, lo..hi, acc, seen, identity, i64::max),
                             Agg::Sum | Agg::Count => {
-                                parts.window(rows, slots, acc, seen, id, |a, b| a + b)
+                                parts.window(rows, lo..hi, acc, seen, identity, |a, b| a + b)
                             }
                         }
                     }
@@ -383,8 +382,7 @@ impl PaneRows {
                         let i = e * n + id as usize;
                         if scratch.seen[i] {
                             scratch.seen[i] = false;
-                            let acc = std::mem::replace(&mut scratch.acc[i], identity);
-                            emit(key, acc, lo_end + e as u64 * slide);
+                            emit(key, scratch.acc[i], lo_end + e as u64 * slide);
                         }
                     }
                 }
@@ -448,11 +446,10 @@ fn new_row(rows: &mut VecDeque<Row>, at: usize, slot: u64) -> &mut Row {
 }
 
 impl FireScratch {
-    /// Make room for `len` (end, id) slots, all unseen, with accumulators
-    /// at `agg`'s identity. A scratch serves one operator, so one `agg`.
-    fn fit(&mut self, len: usize, agg: Agg) {
+    /// Make room for `len` (end, id) slots, all unseen.
+    fn fit(&mut self, len: usize) {
         if self.seen.len() < len {
-            self.acc.resize(len, initial(agg));
+            self.acc.resize(len, 0);
             self.seen.resize(len, false);
         }
     }
