@@ -1,6 +1,8 @@
 //! `drrs-sim` — a small CLI for running any workload × mechanism × scale
 //! combination and printing a full report. The tool a downstream user
-//! reaches for before wiring the library into their own harness.
+//! reaches for before wiring the library into their own harness. The flags
+//! become a `ScenarioSpec` with the semantics checker on; mechanism names
+//! are `MechanismSpec::parse`'s.
 //!
 //! ```bash
 //! cargo run --release -p bench --bin drrs_sim -- \
@@ -8,16 +10,11 @@
 //!     --from 8 --to 12 --scale-at 60 --horizon 180 --seed 1
 //! ```
 
-use baselines::{
-    megaphone, otfs_all_at_once, otfs_fluid, MecesPlugin, StopRestartPlugin, UnboundPlugin,
-};
-use drrs_core::{FlexScaler, MechanismConfig};
+use bench::scenario::{EngineProfile, MechanismSpec, ScaleSpec, ScenarioSpec, WorkloadSpec};
 use simcore::time::secs;
-use streamflow::world::Sim;
-use streamflow::{NoScale, OpId, ScalePlugin, World};
-use workloads::custom::{cluster_engine_config, custom, CustomParams};
-use workloads::nexmark::{nexmark_engine_config, q7, q8, Q7Params, Q8Params};
-use workloads::twitch::{twitch, twitch_engine_config, TwitchParams};
+use workloads::custom::CustomParams;
+use workloads::nexmark::{Q7Params, Q8Params};
+use workloads::twitch::TwitchParams;
 
 struct Args {
     workload: String,
@@ -82,94 +79,78 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
     Ok(a)
 }
 
-fn build_workload(a: &Args) -> Result<(World, OpId), String> {
-    Ok(match a.workload.as_str() {
-        "q7" => {
-            let mut cfg = nexmark_engine_config(a.seed);
-            cfg.check_semantics = true;
-            q7(
-                cfg,
-                &Q7Params {
-                    tps: a.rate,
-                    parallelism: a.from,
-                    ..Default::default()
-                },
-            )
-        }
-        "q8" => {
-            let mut cfg = nexmark_engine_config(a.seed);
-            cfg.check_semantics = true;
-            q8(
-                cfg,
-                &Q8Params {
-                    tps: a.rate,
-                    parallelism: a.from,
-                    ..Default::default()
-                },
-            )
-        }
-        "twitch" => {
-            let mut cfg = twitch_engine_config(a.seed);
-            cfg.check_semantics = true;
-            twitch(
-                cfg,
-                &TwitchParams {
-                    events: (a.rate * a.horizon as f64) as u64,
-                    duration_s: a.horizon,
-                    parallelism: a.from,
-                    batch: 2,
-                },
-            )
-        }
-        "custom" => {
-            let mut cfg = cluster_engine_config(a.seed);
-            cfg.check_semantics = true;
-            custom(
-                cfg,
-                &CustomParams {
-                    tps: a.rate,
-                    total_state_bytes: a.state_gb * 1_000_000_000,
-                    skew: a.skew,
-                    parallelism: a.from,
-                    ..Default::default()
-                },
-            )
-        }
+/// The run the flags describe, with the semantics checker on.
+fn scenario(a: &Args) -> Result<ScenarioSpec, String> {
+    let mechanism = MechanismSpec::parse(&a.mechanism)?;
+    let (engine, workload) = match a.workload.as_str() {
+        "q7" => (
+            EngineProfile::Nexmark,
+            WorkloadSpec::Q7(Q7Params {
+                tps: a.rate,
+                parallelism: a.from,
+                ..Default::default()
+            }),
+        ),
+        "q8" => (
+            EngineProfile::Nexmark,
+            WorkloadSpec::Q8(Q8Params {
+                tps: a.rate,
+                parallelism: a.from,
+                ..Default::default()
+            }),
+        ),
+        "twitch" => (
+            EngineProfile::Twitch,
+            WorkloadSpec::Twitch(TwitchParams {
+                events: (a.rate * a.horizon as f64) as u64,
+                duration_s: a.horizon,
+                parallelism: a.from,
+                batch: 2,
+            }),
+        ),
+        "custom" => (
+            EngineProfile::Cluster,
+            WorkloadSpec::Custom(CustomParams {
+                tps: a.rate,
+                total_state_bytes: a.state_gb * 1_000_000_000,
+                skew: a.skew,
+                parallelism: a.from,
+                ..Default::default()
+            }),
+        ),
         other => return Err(format!("unknown workload {other:?}")),
-    })
-}
-
-fn build_mechanism(name: &str) -> Result<Box<dyn ScalePlugin>, String> {
-    Ok(match name {
-        "drrs" => Box::new(FlexScaler::drrs()),
-        "dr" => Box::new(FlexScaler::new(MechanismConfig::dr_only())),
-        "schedule" => Box::new(FlexScaler::new(MechanismConfig::schedule_only())),
-        "subscale" => Box::new(FlexScaler::new(MechanismConfig::subscale_only())),
-        "otfs" => Box::new(otfs_fluid()),
-        "otfs-aao" => Box::new(otfs_all_at_once()),
-        "megaphone" => Box::new(megaphone(1)),
-        "meces" => Box::new(MecesPlugin::new()),
-        "unbound" => Box::new(UnboundPlugin::new()),
-        "stop-restart" => Box::new(StopRestartPlugin::new()),
-        "none" => Box::new(NoScale),
-        other => return Err(format!("unknown mechanism {other:?}")),
+    };
+    let scale = (a.mechanism != "none" && a.to != a.from).then(|| ScaleSpec {
+        at: secs(a.scale_at),
+        to: a.to,
+    });
+    Ok(ScenarioSpec {
+        name: format!("drrs_sim/{}/{}", a.workload, a.mechanism),
+        engine,
+        check_semantics: true,
+        seed: a.seed,
+        workload,
+        mechanism,
+        scale,
+        horizon: secs(a.horizon),
+        regions: 1,
+        resume_latency: 0,
+        bus_sink: Default::default(),
+        events_path: None,
     })
 }
 
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     // Flags, values, workload and mechanism names: all rejected before a run.
-    let (plugin, (mut world, op), a) = parse_args(&argv)
-        .and_then(|a| Ok((build_mechanism(&a.mechanism)?, build_workload(&a)?, a)))
+    let (spec, a) = parse_args(&argv)
+        .and_then(|a| Ok((scenario(&a)?, a)))
         .unwrap_or_else(|e| {
             eprintln!("drrs_sim: {e}\n{USAGE}");
             std::process::exit(2);
         });
-    if a.mechanism != "none" && a.to != a.from {
-        world.schedule_scale(secs(a.scale_at), op, a.to);
-    }
-    let mut sim = Sim::new(world, plugin);
-    sim.run_until(secs(a.horizon));
+    let (mut sim, op) = spec.build_sim();
+    sim.run_until(spec.horizon);
 
     let w = &sim.world;
     let sm = &w.scale.metrics;

@@ -1,5 +1,5 @@
-//! `scenario` — the registry/runner CLI: list, run, and digest-check named
-//! scenarios without going through a figure binary.
+//! `scenario` — the registry/runner CLI: list, run and digest-check named
+//! scenarios, and render the paper's figures from them.
 //!
 //! ```bash
 //! scenario --list                      # every registered name
@@ -12,6 +12,9 @@
 //! scenario --run NAME --sync-stats     # also print region/sync accounting
 //! scenario --group perf --check crates/bench/golden/perf_digests.txt
 //!                                      # the cross-build digest pin
+//! scenario --figure fig15              # run a figure's grid and render it
+//! scenario --figure fig15 --shard 0/2 --emit s0.json   # one stripe, as JSON
+//! scenario --figure fig15 --merge s0.json s1.json      # render from shards
 //! ```
 //!
 //! The digest lines on stdout are fully deterministic (`name digest events
@@ -48,20 +51,43 @@
 //! duplicate, unknown or missing row). The rows carry their own partition,
 //! so `--check` takes no other flag. A scenario with a scale plan cannot
 //! run in PDES mode and is rejected up front (`--group`: the first one).
+//!
+//! `--figure NAME` runs the grid of one of the paper's figures (the
+//! registry groups `fig02`, `fig10_11`, `fig12_13`, `fig14`, `fig15` and
+//! `ablation`; see `bench::scenario::figures`) and prints the figure. With
+//! `--shard K/N --emit FILE` it runs only the cells whose grid index is
+//! ≡ K mod N and writes their reports as JSON instead; `--merge FILE...`
+//! renders from such shard files, byte-identically to the unsharded run
+//! (the protocol is in `bench::scenario::runner`). An `--emit` file is
+//! created before anything runs; a path that cannot be written, or a
+//! shard file that cannot be read or does not cover the grid exactly once,
+//! exits 2 naming the file.
 
 use bench::quick;
-use bench::scenario::{golden, registry, RunReport, Runner, ScenarioSpec};
+use bench::scenario::{figures, golden, registry, runner, RunReport, Runner, ScenarioSpec, Shard};
 
 const USAGE: &str =
     "usage: scenario --list | --run NAME [--emit FILE] [--events FILE] | --group PREFIX\n\
      \x20       [--regions K --resume-latency MICROS] [--threads N] [--sync-stats]\n\
      \x20      scenario --group PREFIX --check GOLDEN_FILE\n\
-     (QUICK=1 in the environment compresses timelines)";
+     \x20      scenario --figure NAME [--shard K/N --emit FILE | --merge FILE...] [--threads N]\n\
+     (figures: fig02 fig10_11 fig12_13 fig14 fig15 ablation;\n\
+     \x20QUICK=1 in the environment compresses timelines)";
+
+/// Refuse a run that cannot go ahead: message, exit 2.
+fn fail(msg: &str) -> ! {
+    eprintln!("scenario: {msg}");
+    std::process::exit(2);
+}
 
 /// Reject a malformed request: message, usage, exit 2.
 fn usage_exit(msg: &str) -> ! {
-    eprintln!("scenario: {msg}\n{USAGE}");
-    std::process::exit(2);
+    fail(&format!("{msg}\n{USAGE}"));
+}
+
+/// Create an output file before anything runs, so a bad path costs no run.
+fn create(flag: &str, path: &str) -> std::fs::File {
+    std::fs::File::create(path).unwrap_or_else(|e| fail(&format!("{flag} {path}: {e}")))
 }
 
 /// The engine asserts on a scale plan in PDES mode; refuse the request
@@ -81,13 +107,26 @@ struct Opts {
     list: bool,
     run: Option<String>,
     group: Option<String>,
+    figure: Option<String>,
     emit: Option<String>,
     events: Option<String>,
     check: Option<String>,
+    shard: Option<Shard>,
+    merge: Option<Vec<String>>,
     regions: Option<usize>,
     threads: Option<usize>,
     resume_latency: Option<u64>,
     sync_stats: bool,
+}
+
+impl Opts {
+    /// `spec` on the requested `--regions` and `--resume-latency`.
+    fn partition(&self, spec: ScenarioSpec) -> ScenarioSpec {
+        let regions = self.regions.unwrap_or(spec.regions);
+        let resume_latency = self.resume_latency.unwrap_or(spec.resume_latency);
+        spec.with_regions(regions)
+            .with_resume_latency(resume_latency)
+    }
 }
 
 fn parse_args(args: &[String]) -> Result<Opts, String> {
@@ -98,15 +137,29 @@ fn parse_args(args: &[String]) -> Result<Opts, String> {
         match flag {
             "--list" => o.list = true,
             "--sync-stats" => o.sync_stats = true,
-            "--run" | "--group" | "--emit" | "--events" | "--check" | "--regions" | "--threads"
-            | "--resume-latency" => {
+            "--merge" => {
+                let files: Vec<String> = args[i + 1..]
+                    .iter()
+                    .take_while(|a| !a.starts_with("--"))
+                    .cloned()
+                    .collect();
+                if files.is_empty() {
+                    return Err("--merge needs one or more shard files".into());
+                }
+                i += files.len();
+                o.merge = Some(files);
+            }
+            "--run" | "--group" | "--figure" | "--emit" | "--events" | "--check" | "--shard"
+            | "--regions" | "--threads" | "--resume-latency" => {
                 let v = bench::flag_value(args, i)?;
                 match flag {
                     "--run" => o.run = Some(v.to_string()),
                     "--group" => o.group = Some(v.to_string()),
+                    "--figure" => o.figure = Some(v.to_string()),
                     "--emit" => o.emit = Some(v.to_string()),
                     "--events" => o.events = Some(v.to_string()),
                     "--check" => o.check = Some(v.to_string()),
+                    "--shard" => o.shard = Some(Shard::parse(v)?),
                     "--regions" => o.regions = Some(bench::parse_value(flag, v)?),
                     "--threads" => o.threads = Some(bench::parse_value(flag, v)?),
                     _ => o.resume_latency = Some(bench::parse_value(flag, v)?),
@@ -136,6 +189,48 @@ fn parse_args(args: &[String]) -> Result<Opts, String> {
         if quick() {
             return Err("--check compares full-timeline digests; unset QUICK".into());
         }
+    }
+    if let Some(name) = o.figure.as_deref().filter(|n| !figures::NAMES.contains(n)) {
+        return Err(format!(
+            "unknown figure {name:?}: the figures are the registry groups {} (see --list)",
+            figures::NAMES.join(", ")
+        ));
+    }
+    if o.figure.is_some() {
+        let other_mode = o.list || o.run.is_some() || o.group.is_some();
+        let per_run = o.events.is_some() || o.regions.is_some() || o.resume_latency.is_some();
+        if other_mode || per_run || o.sync_stats {
+            return Err("--figure NAME takes only --shard K/N --emit FILE, \
+                 --merge FILE... and --threads N"
+                .into());
+        }
+    } else if o.shard.is_some() || o.merge.is_some() {
+        return Err("--shard and --merge go with --figure NAME".into());
+    }
+    if o.merge.is_some() && (o.shard.is_some() || o.emit.is_some()) {
+        return Err("--merge cannot be combined with --shard/--emit".into());
+    }
+    if o.shard.is_some() && o.emit.is_none() {
+        return Err(
+            "--shard requires --emit FILE (a sharded run renders nothing; \
+             its output is the emitted JSON)"
+                .into(),
+        );
+    }
+    if o.emit.is_some() && o.run.is_none() && o.shard.is_none() {
+        return Err("--emit FILE goes with --run NAME or --shard K/N".into());
+    }
+    if o.emit.is_some() && o.run.is_some() && o.threads.is_some_and(|t| t > 1) {
+        // Thread-per-region runs have no merged World to harvest a full
+        // RunReport from, so --emit has nothing faithful to write.
+        return Err("--emit is not supported with --threads > 1 \
+             (no merged RunReport exists; drop --threads or --emit)"
+            .into());
+    }
+    if o.events.is_some() && o.group.is_some() {
+        return Err("--events needs a single run (the group's streams \
+             would clobber one file); use --run NAME --events FILE"
+            .into());
     }
     Ok(o)
 }
@@ -186,139 +281,140 @@ fn print_report(r: &RunReport, sync_stats: bool) {
     }
 }
 
+/// `--figure NAME`: run the figure's grid (or one shard of it, or merge
+/// shard files back into it) and render it.
+fn run_figure(name: &str, o: &Opts) {
+    let figure = figures::figure(name, quick()).expect("parse_args knows the name");
+    let specs = figure.specs();
+    let reports = if let Some(files) = &o.merge {
+        runner::merge_shards(name, &specs, files).unwrap_or_else(|e| fail(&e))
+    } else if let (Some(shard), Some(path)) = (o.shard, &o.emit) {
+        let file = create("--emit", path);
+        let runs = Runner::sharded(shard)
+            .with_threads(o.threads)
+            .run_indexed(&specs);
+        runner::write_shard(file, name, specs.len(), shard, &runs)
+            .unwrap_or_else(|e| fail(&format!("--emit {path}: {e}")));
+        eprintln!(
+            "scenario: {name} shard {} ran {} of {} cells -> {path}",
+            shard.label(),
+            runs.len(),
+            specs.len()
+        );
+        return;
+    } else {
+        Runner::in_process().with_threads(o.threads).run(&specs)
+    };
+    figure.render(&reports);
+}
+
+/// `--run NAME`: one run, sequential or (`--threads N > 1`) on the
+/// thread-per-region parallel engine.
+fn run_one(name: &str, o: &Opts) {
+    let Some(spec) = registry::find(name, quick()) else {
+        fail(&format!("unknown scenario {name:?} (see --list)"));
+    };
+    let mut spec = o.partition(spec);
+    if let Some(p) = &o.events {
+        spec = spec.with_events_path(p.clone());
+    }
+    reject_scale_under_pdes(std::slice::from_ref(&spec));
+    let emit = o.emit.as_deref().map(|p| (p, create("--emit", p)));
+    let events = o.events.as_deref().map(|p| (p, create("--events", p)));
+    if o.threads.is_some_and(|t| t > 1) {
+        let (report, _wall) = spec.run_threaded();
+        if let Some((path, file)) = events {
+            // Each replica buffered its own region's events; write the
+            // (at, region)-merged stream serially — byte-identical to
+            // what a sequential run streams through the sink worker.
+            use std::io::Write as _;
+            let mut out = std::io::BufWriter::new(file);
+            report
+                .bus_events
+                .iter()
+                .try_for_each(|ev| ev.write_jsonl(&mut out))
+                .and_then(|()| out.flush())
+                .unwrap_or_else(|e| fail(&format!("--events {path}: {e}")));
+            eprintln!(
+                "scenario: wrote {path} ({} events)",
+                report.bus_events.len()
+            );
+        }
+        println!(
+            "{} digest 0x{:016x} events {} sink_records {}",
+            spec.name,
+            report.digest(),
+            report.obs.processed,
+            report.obs.sink_records
+        );
+        if o.sync_stats {
+            println!(
+                "{} threads {} region_events {:?} epochs {} busy_epochs {} \
+                 msgs_sent {} msgs_overflowed {} bus_published {} bus_dropped {} \
+                 bus_lag_max {}",
+                spec.name,
+                report.threads,
+                report.per_region_events,
+                report.stats.epochs,
+                report.stats.busy_epochs,
+                report.stats.msgs_sent,
+                report.stats.msgs_overflowed,
+                report.bus.published,
+                report.bus.dropped,
+                report.bus.lag_max
+            );
+        }
+        return;
+    }
+    // A sequential run streams --events through the bus's own file.
+    drop(events);
+    let report = spec.run();
+    if let Some((path, mut file)) = emit {
+        use std::io::Write as _;
+        file.write_all(report.to_json("").as_bytes())
+            .unwrap_or_else(|e| fail(&format!("--emit {path}: {e}")));
+        eprintln!("scenario: wrote {path}");
+    }
+    print_report(&report, o.sync_stats);
+}
+
+/// `--group PREFIX`: run every matching scenario, one digest line each.
+fn run_group(prefix: &str, o: &Opts) {
+    let specs: Vec<_> = registry::all(quick())
+        .into_iter()
+        .filter(|s| s.name.starts_with(prefix))
+        .map(|s| o.partition(s))
+        .collect();
+    if specs.is_empty() {
+        fail(&format!(
+            "no scenarios match prefix {prefix:?} (see --list)"
+        ));
+    }
+    reject_scale_under_pdes(&specs);
+    let reports = Runner::in_process().with_threads(o.threads).run(&specs);
+    for r in &reports {
+        print_report(r, o.sync_stats);
+    }
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let o = parse_args(&args).unwrap_or_else(|e| usage_exit(&e));
-    let (regions, threads, resume_latency) = (o.regions, o.threads, o.resume_latency);
-    let (sync_stats, events_path) = (o.sync_stats, o.events);
-
     if o.list {
         for s in registry::all(quick()) {
             println!("{}", s.name);
         }
-        return;
+    } else if let Some(name) = &o.figure {
+        run_figure(name, &o);
+    } else if let Some(name) = &o.run {
+        run_one(name, &o);
+    } else if let Some(prefix) = &o.group {
+        match &o.check {
+            Some(path) => check_group(prefix, path),
+            None => run_group(prefix, &o),
+        }
+    } else {
+        eprintln!("{USAGE}");
+        std::process::exit(2);
     }
-
-    if let Some(name) = o.run {
-        let Some(mut spec) = registry::find(&name, quick()) else {
-            eprintln!("scenario: unknown scenario {name:?} (see --list)");
-            std::process::exit(2);
-        };
-        if let Some(r) = regions {
-            spec = spec.with_regions(r);
-        }
-        if let Some(rl) = resume_latency {
-            spec = spec.with_resume_latency(rl);
-        }
-        if let Some(p) = &events_path {
-            spec = spec.with_events_path(p.clone());
-        }
-        reject_scale_under_pdes(std::slice::from_ref(&spec));
-        if threads.map(|t| t > 1).unwrap_or(false) {
-            // Thread-per-region parallel execution. There is no merged
-            // World to harvest a full RunReport from, so --emit has
-            // nothing faithful to write — reject it instead of emitting
-            // a partial report.
-            if o.emit.is_some() {
-                eprintln!(
-                    "scenario: --emit is not supported with --threads > 1 \
-                     (no merged RunReport exists; drop --threads or --emit)"
-                );
-                std::process::exit(2);
-            }
-            let (report, _wall) = spec.run_threaded();
-            if let Some(path) = &events_path {
-                // Each replica buffered its own region's events; write the
-                // (at, region)-merged stream serially — byte-identical to
-                // what a sequential run streams through the sink worker.
-                let file =
-                    std::fs::File::create(path).unwrap_or_else(|e| panic!("creating {path}: {e}"));
-                let mut out = std::io::BufWriter::new(file);
-                for ev in &report.bus_events {
-                    ev.write_jsonl(&mut out)
-                        .unwrap_or_else(|e| panic!("writing {path}: {e}"));
-                }
-                use std::io::Write as _;
-                out.flush()
-                    .unwrap_or_else(|e| panic!("flushing {path}: {e}"));
-                eprintln!(
-                    "scenario: wrote {path} ({} events)",
-                    report.bus_events.len()
-                );
-            }
-            println!(
-                "{} digest 0x{:016x} events {} sink_records {}",
-                spec.name,
-                report.digest(),
-                report.obs.processed,
-                report.obs.sink_records
-            );
-            if sync_stats {
-                println!(
-                    "{} threads {} region_events {:?} epochs {} busy_epochs {} \
-                     msgs_sent {} msgs_overflowed {} bus_published {} bus_dropped {} \
-                     bus_lag_max {}",
-                    spec.name,
-                    report.threads,
-                    report.per_region_events,
-                    report.stats.epochs,
-                    report.stats.busy_epochs,
-                    report.stats.msgs_sent,
-                    report.stats.msgs_overflowed,
-                    report.bus.published,
-                    report.bus.dropped,
-                    report.bus.lag_max
-                );
-            }
-            return;
-        }
-        let report = spec.run();
-        if let Some(path) = o.emit {
-            std::fs::write(&path, report.to_json(""))
-                .unwrap_or_else(|e| panic!("writing {path}: {e}"));
-            eprintln!("scenario: wrote {path}");
-        }
-        print_report(&report, sync_stats);
-        return;
-    }
-
-    if let Some(prefix) = o.group {
-        if let Some(path) = &o.check {
-            check_group(&prefix, path);
-        }
-        if events_path.is_some() {
-            eprintln!(
-                "scenario: --events needs a single run (the group's streams \
-                 would clobber one file); use --run NAME --events FILE"
-            );
-            std::process::exit(2);
-        }
-        let specs: Vec<_> = registry::all(quick())
-            .into_iter()
-            .filter(|s| s.name.starts_with(&prefix))
-            .map(|s| {
-                let s = match regions {
-                    Some(r) => s.with_regions(r),
-                    None => s,
-                };
-                match resume_latency {
-                    Some(rl) => s.with_resume_latency(rl),
-                    None => s,
-                }
-            })
-            .collect();
-        if specs.is_empty() {
-            eprintln!("scenario: no scenarios match prefix {prefix:?} (see --list)");
-            std::process::exit(2);
-        }
-        reject_scale_under_pdes(&specs);
-        let reports = Runner::in_process().with_threads(threads).run(&specs);
-        for r in &reports {
-            print_report(r, sync_stats);
-        }
-        return;
-    }
-
-    eprintln!("{USAGE}");
-    std::process::exit(2);
 }

@@ -1,21 +1,25 @@
 //! `bench` — the experiment harness regenerating every figure of the paper.
 //!
-//! Each `src/bin/figXX.rs` binary reproduces one figure's rows/series:
+//! Two binaries: `scenario` runs named registry scenarios and renders the
+//! paper's figures, and `drrs_sim` runs any workload × mechanism × scale
+//! combination given on its command line. `scenario --figure NAME`
+//! reproduces one figure's rows/series:
 //!
-//! | Binary | Paper figure |
+//! | `--figure` | Paper figure |
 //! |---|---|
 //! | `fig02`    | Fig. 2 — Unbound vs OTFS vs No-Scale overhead decomposition |
 //! | `fig10_11` | Fig. 10 (latency) + Fig. 11 (throughput) on Q7/Q8/Twitch |
 //! | `fig12_13` | Fig. 12 (propagation/dependency overheads) + Fig. 13 (suspension) |
 //! | `fig14`    | Fig. 14 — mechanism ablation on Twitch |
 //! | `fig15`    | Fig. 15 — sensitivity grid (rate × state × skew) |
+//! | `ablation` | design-choice ablations beyond Fig. 14 (subscales, concurrency, re-routing, windows) |
 //!
-//! Every run any binary performs is a named [`scenario::ScenarioSpec`]
-//! pulled from [`scenario::registry`] and executed by the
-//! [`scenario::Runner`] into a typed [`scenario::RunReport`] — see the
-//! [`scenario`] module docs for the spec → registry → runner → report
-//! lifecycle, the determinism contract, and the `--shard K/N` /
-//! `--emit` / `--merge` process-sharding protocol grid binaries speak.
+//! Every run either binary performs is a [`scenario::ScenarioSpec`] —
+//! the figures' from [`scenario::registry`], `drrs_sim`'s built from its
+//! flags — executed by the [`scenario::Runner`] or `ScenarioSpec::build_sim`.
+//! See the [`scenario`] module docs for the spec → registry → runner →
+//! report lifecycle, the determinism contract, and the `--shard K/N` /
+//! `--emit` / `--merge` process-sharding protocol every figure speaks.
 //!
 //! Set `QUICK=1` in the environment for compressed timelines (CI-friendly);
 //! the default timelines follow the paper (scale at 300 s, etc.).
@@ -58,24 +62,13 @@ where
 ///
 /// Workers pull the next unstarted item from a shared cursor, so uneven
 /// per-cell runtimes (high-skew cells run much longer) still load-balance.
-/// The worker count follows `available_parallelism`, capped by the item
-/// count and overridable with `SWEEP_THREADS` (set `SWEEP_THREADS=1` to
-/// reproduce the old sequential behavior).
-pub fn parallel_map<T, R, F>(items: Vec<T>, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(T) -> R + Sync,
-{
-    parallel_map_with(items, None, f)
-}
-
-/// [`parallel_map`] with an explicit worker-thread count. `threads: None`
-/// falls back to the `SWEEP_THREADS` env var and then to
-/// `available_parallelism` — an explicit count (e.g. from `--threads N`)
-/// always wins over the environment, so a flag on the command line cannot
-/// be silently overridden by a stale exported variable.
-pub fn parallel_map_with<T, R, F>(items: Vec<T>, threads: Option<usize>, f: F) -> Vec<R>
+/// The worker count is `threads`, capped by the item count. `threads: None`
+/// falls back to the `SWEEP_THREADS` env var (set `SWEEP_THREADS=1` to run
+/// sequentially) and then to `available_parallelism` — an explicit count
+/// (e.g. from `--threads N`) always wins over the environment, so a flag on
+/// the command line cannot be silently overridden by a stale exported
+/// variable.
+pub fn parallel_map<T, R, F>(items: Vec<T>, threads: Option<usize>, f: F) -> Vec<R>
 where
     T: Send,
     R: Send,
@@ -132,55 +125,28 @@ where
         .collect()
 }
 
-/// Render a per-second series as a sparse text table (every `step` seconds).
-pub fn print_series(label: &str, series: &[(u64, f64)], step: u64, unit: &str) {
-    println!("  {label} (every {step}s, {unit}):");
-    print!("   ");
-    for (s, v) in series.iter().filter(|(s, _)| s % step == 0) {
-        print!(" {s}:{v:.0}");
-    }
-    println!();
-}
-
-/// Simple mean ± population-σ formatter over per-seed samples.
-pub fn pm(samples: &[f64]) -> String {
-    let s = simcore::stats::Summary::of(samples);
-    if samples.len() > 1 {
-        format!("{:>9.0}(±{:>6.0})", s.mean, s.std)
-    } else {
-        format!("{:>9.0}", s.mean)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn parallel_map_preserves_input_order() {
-        let out = parallel_map((0..256u64).collect::<Vec<_>>(), |i| i * 2);
+        let out = parallel_map((0..256u64).collect::<Vec<_>>(), None, |i| i * 2);
         assert_eq!(out, (0..256u64).map(|i| i * 2).collect::<Vec<_>>());
     }
 
     #[test]
     fn parallel_map_handles_empty_and_single() {
-        assert!(parallel_map(Vec::<u8>::new(), |x| x).is_empty());
-        assert_eq!(parallel_map(vec![7u8], |x| x + 1), vec![8]);
+        assert!(parallel_map(Vec::<u8>::new(), None, |x| x).is_empty());
+        assert_eq!(parallel_map(vec![7u8], None, |x| x + 1), vec![8]);
     }
 
     #[test]
     fn parallel_map_with_explicit_thread_count_preserves_order() {
         for threads in [1, 2, 7] {
-            let out = parallel_map_with((0..64u64).collect::<Vec<_>>(), Some(threads), |i| i + 1);
+            let out = parallel_map((0..64u64).collect::<Vec<_>>(), Some(threads), |i| i + 1);
             assert_eq!(out, (1..=64u64).collect::<Vec<_>>());
         }
-    }
-
-    #[test]
-    fn pm_formats_single_and_multi() {
-        assert!(pm(&[10.0]).contains("10"));
-        let m = pm(&[10.0, 20.0]);
-        assert!(m.contains("15") && m.contains("±"));
     }
 
     #[test]
@@ -190,13 +156,14 @@ mod tests {
         let spec = ScenarioSpec {
             name: "test/harness_smoke".into(),
             engine: scenario::EngineProfile::Perf,
+            check_semantics: false,
             seed: 0xD225,
             workload: WorkloadSpec::TinyJob {
                 rate: 2_000.0,
                 universe: 128,
                 par: 2,
             },
-            mechanism: MechanismSpec::Drrs,
+            mechanism: MechanismSpec::Flex(drrs_core::MechanismConfig::drrs()),
             scale: Some(ScaleSpec { at: secs(1), to: 3 }),
             horizon: secs(6),
             regions: 1,

@@ -11,14 +11,17 @@
 //!   anywhere — which is exactly what makes process-level sharding possible.
 //! * [`registry`] — the central catalog naming every run used in the repo:
 //!   the eight `perf/` scenarios, every fig02–fig15 row, and the
-//!   ablation cells. Binaries pull specs from here instead of hand-assembling
-//!   `(World, OpId)` pairs.
+//!   ablation cells. Binaries pull specs from here (or, in `drrs_sim`,
+//!   build one from flags) instead of hand-assembling `(World, OpId)` pairs.
 //! * [`runner`] — executes specs deterministically: in-process on
 //!   [`crate::parallel_map`] (one single-threaded sim per worker thread,
-//!   canonical-order join), or sharded across processes via `--shard K/N`
-//!   (run every grid cell whose index ≡ K mod N), `--emit FILE` (write the
-//!   shard's reports as JSON) and `--merge FILES..` (recombine shards and
-//!   render exactly what the unsharded run would have rendered).
+//!   canonical-order join), or sharded across processes via
+//!   `scenario --figure NAME --shard K/N --emit FILE` (run every grid cell
+//!   whose index ≡ K mod N and write the reports as JSON) and
+//!   `--merge FILE...` (recombine shards and render exactly what the
+//!   unsharded run would have rendered).
+//! * [`figures`] — the paper's figures, each a registry plan that renders
+//!   itself from its grid's reports (`scenario --figure NAME`).
 //! * [`RunReport`] — the typed result of one run: events/sec, the
 //!   deterministic metrics digest, the latency/throughput/suspension series,
 //!   Lp/Ld, suspension, migration progress. Reports serialize to JSON and
@@ -40,17 +43,18 @@
 //! * `RunReport` JSON round-trips exactly (floats are written in shortest
 //!   round-trip form), so nothing drifts across the emit/merge boundary.
 
+pub mod figures;
 pub mod golden;
 pub mod registry;
 pub mod report;
 pub mod runner;
 
 pub use report::RunReport;
-pub use runner::{Runner, Shard, SweepMode};
+pub use runner::{Runner, Shard};
 
 use std::time::Instant;
 
-use baselines::{megaphone, otfs_fluid, MecesPlugin, UnboundPlugin};
+use baselines::{MecesPlugin, StopRestartPlugin, UnboundPlugin};
 use drrs_core::{FlexScaler, MechanismConfig};
 use simcore::time::SimTime;
 use streamflow::world::tests_support::{tiny_job, twin_jobs};
@@ -64,17 +68,13 @@ use workloads::twitch::{twitch, twitch_engine_config, TwitchParams};
 /// deployment shapes the paper uses; the seed rides on the spec.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum EngineProfile {
-    /// `EngineConfig::test()` with 128 key-groups and the semantics checker
-    /// off — the profile of the `perf/` group, whose digests the golden
-    /// file pins.
+    /// `EngineConfig::test()` with 128 key-groups — the profile of the
+    /// `perf/` group, whose digests the golden file pins.
     Perf,
     /// The paper's single-machine NEXMark deployment (128 key-groups).
     Nexmark,
     /// The Twitch pipeline deployment (128 key-groups).
     Twitch,
-    /// Twitch with the semantics checker on (fig. 2 counts order
-    /// violations as part of its story).
-    TwitchChecked,
     /// The Swarm-cluster sensitivity deployment (256 key-groups).
     Cluster,
 }
@@ -122,34 +122,45 @@ pub enum WorkloadSpec {
 pub enum MechanismSpec {
     /// No scaling at all.
     NoScale,
-    /// Full DRRS (all three mechanisms).
-    Drrs,
-    /// Any `FlexScaler` configuration (ablation variants, OTFS flavors…).
+    /// Any `FlexScaler` configuration: DRRS and its ablation variants,
+    /// Megaphone, the OTFS flavors.
     Flex(MechanismConfig),
-    /// Megaphone with `batch` key-groups per sequential batch.
-    Megaphone {
-        /// Key-groups per sequential migration batch.
-        batch: usize,
-    },
     /// Meces (fetch-on-demand).
     Meces,
     /// The correctness-free "Unbound" probe from fig. 2.
     Unbound,
-    /// Generalized OTFS with fluid migration.
-    OtfsFluid,
+    /// Stop the job, move the state, restart.
+    StopRestart,
 }
 
 impl MechanismSpec {
-    /// Display label, as the figures print it.
+    /// The mechanism a CLI name selects (`drrs_sim --mechanism NAME`).
+    pub fn parse(name: &str) -> Result<Self, String> {
+        Ok(match name {
+            "drrs" => Self::Flex(MechanismConfig::drrs()),
+            "dr" => Self::Flex(MechanismConfig::dr_only()),
+            "schedule" => Self::Flex(MechanismConfig::schedule_only()),
+            "subscale" => Self::Flex(MechanismConfig::subscale_only()),
+            "otfs" => Self::Flex(MechanismConfig::otfs_fluid()),
+            "otfs-aao" => Self::Flex(MechanismConfig::otfs_all_at_once()),
+            "megaphone" => Self::Flex(MechanismConfig::megaphone(1)),
+            "meces" => Self::Meces,
+            "unbound" => Self::Unbound,
+            "stop-restart" => Self::StopRestart,
+            "none" => Self::NoScale,
+            other => return Err(format!("unknown mechanism {other:?}")),
+        })
+    }
+
+    /// Display label, as the figures print it: the plugin's `name()`,
+    /// except `No Scale`.
     pub fn label(&self) -> &'static str {
         match self {
             Self::NoScale => "No Scale",
-            Self::Drrs => "DRRS",
             Self::Flex(cfg) => cfg.name,
-            Self::Megaphone { .. } => "Megaphone",
             Self::Meces => "Meces",
             Self::Unbound => "Unbound",
-            Self::OtfsFluid => "OTFS",
+            Self::StopRestart => "Stop-Restart",
         }
     }
 
@@ -157,12 +168,10 @@ impl MechanismSpec {
     pub fn plugin(&self) -> Box<dyn ScalePlugin> {
         match self {
             Self::NoScale => Box::new(NoScale),
-            Self::Drrs => Box::new(FlexScaler::drrs()),
             Self::Flex(cfg) => Box::new(FlexScaler::new(cfg.clone())),
-            Self::Megaphone { batch } => Box::new(megaphone(*batch)),
             Self::Meces => Box::new(MecesPlugin::new()),
             Self::Unbound => Box::new(UnboundPlugin::new()),
-            Self::OtfsFluid => Box::new(otfs_fluid()),
+            Self::StopRestart => Box::new(StopRestartPlugin::new()),
         }
     }
 }
@@ -188,6 +197,9 @@ pub struct ScenarioSpec {
     pub name: String,
     /// Engine-configuration family.
     pub engine: EngineProfile,
+    /// Run the semantics checker (order violations are counted, at a
+    /// cost); every profile leaves it off.
+    pub check_semantics: bool,
     /// Engine seed (drives every RNG in the run).
     pub seed: u64,
     /// The job to build.
@@ -276,21 +288,15 @@ impl ScenarioSpec {
     /// The engine configuration this spec resolves to.
     pub fn engine_config(&self) -> EngineConfig {
         let mut cfg = match self.engine {
-            EngineProfile::Perf => {
-                let mut c = EngineConfig::test();
-                c.max_key_groups = 128;
-                c.check_semantics = false;
-                c
-            }
+            EngineProfile::Perf => EngineConfig {
+                max_key_groups: 128,
+                ..EngineConfig::test()
+            },
             EngineProfile::Nexmark => nexmark_engine_config(self.seed),
             EngineProfile::Twitch => twitch_engine_config(self.seed),
-            EngineProfile::TwitchChecked => {
-                let mut c = twitch_engine_config(self.seed);
-                c.check_semantics = true;
-                c
-            }
             EngineProfile::Cluster => cluster_engine_config(self.seed),
         };
+        cfg.check_semantics = self.check_semantics;
         cfg.seed = self.seed;
         cfg.regions = self.regions;
         cfg.resume_latency = self.resume_latency;
@@ -434,13 +440,32 @@ mod tests {
 
     #[test]
     fn mechanism_labels_match_the_figures() {
-        assert_eq!(MechanismSpec::Drrs.label(), "DRRS");
-        assert_eq!(MechanismSpec::NoScale.label(), "No Scale");
-        assert_eq!(MechanismSpec::Megaphone { batch: 4 }.label(), "Megaphone");
-        assert_eq!(MechanismSpec::OtfsFluid.label(), "OTFS");
+        // Every CLI name parses, and its label is the built plugin's name,
+        // except fig. 2's `No Scale`.
+        let names = [
+            ("drrs", "DRRS"),
+            ("dr", "DR"),
+            ("schedule", "Schedule"),
+            ("subscale", "Subscale"),
+            ("otfs", "OTFS"),
+            ("otfs-aao", "OTFS-AAO"),
+            ("megaphone", "Megaphone"),
+            ("meces", "Meces"),
+            ("unbound", "Unbound"),
+            ("stop-restart", "Stop-Restart"),
+            ("none", "No Scale"),
+        ];
+        for (name, label) in names {
+            let spec = MechanismSpec::parse(name).expect(name);
+            assert_eq!(spec.label(), label, "{name}");
+            let plugin = if name == "none" { "no-scale" } else { label };
+            assert_eq!(spec.plugin().name(), plugin, "{name}");
+        }
+        let megaphone = MechanismSpec::Flex(MechanismConfig::megaphone(4));
+        assert_eq!(megaphone.label(), "Megaphone");
         assert_eq!(
-            MechanismSpec::Flex(MechanismConfig::dr_only()).label(),
-            "DR"
+            MechanismSpec::parse("magic"),
+            Err("unknown mechanism \"magic\"".to_string())
         );
     }
 }

@@ -3,10 +3,10 @@
 //! fig02–fig15 row, and the ablation cells.
 //!
 //! Names are hierarchical (`group/detail...`) and stable; they are the
-//! shardable identity of a run. Binaries pull their grids from the
-//! `*_plan` functions (which also carry the rendering axes — rates, seeds,
-//! windows — so the figure layout and the grid can never drift apart), and
-//! tests pull individual specs with [`find`].
+//! shardable identity of a run. The figures ([`super::figures`]) are the
+//! `*_plan` structs, which carry the rendering axes — rates, seeds,
+//! windows — next to the grid, so the figure layout and the grid can never
+//! drift apart; tests pull individual specs with [`find`].
 //!
 //! Every function takes `quick: bool` explicitly — quick mode compresses
 //! timelines and grids exactly the way the pre-registry binaries did, so
@@ -32,6 +32,7 @@ fn spec(
     ScenarioSpec {
         name,
         engine,
+        check_semantics: false,
         seed,
         workload,
         mechanism,
@@ -42,6 +43,11 @@ fn spec(
         bus_sink: Default::default(),
         events_path: None,
     }
+}
+
+/// Full DRRS, the mechanism most rows run.
+fn drrs() -> MechanismSpec {
+    MechanismSpec::Flex(MechanismConfig::drrs())
 }
 
 /// The eight `perf/` scenarios. Digests of these runs on the full
@@ -75,19 +81,19 @@ pub fn perf_scenarios(quick: bool) -> Vec<ScenarioSpec> {
         perf(
             "drrs_rescale_4_to_6",
             tiny(50_000.0, 4_096, 4),
-            MechanismSpec::Drrs,
+            drrs(),
             Some(ScaleSpec { at: secs(2), to: 6 }),
         ),
         perf(
             "megaphone_rescale_4_to_6",
             tiny(50_000.0, 4_096, 4),
-            MechanismSpec::Megaphone { batch: 8 },
+            MechanismSpec::Flex(MechanismConfig::megaphone(8)),
             Some(ScaleSpec { at: secs(2), to: 6 }),
         ),
         perf(
             "drrs_scale_in_6_to_3",
             tiny(30_000.0, 4_096, 6),
-            MechanismSpec::Drrs,
+            drrs(),
             Some(ScaleSpec { at: secs(2), to: 3 }),
         ),
         perf(
@@ -127,7 +133,7 @@ pub fn perf_scenarios(quick: bool) -> Vec<ScenarioSpec> {
             EngineProfile::Nexmark,
             0xD225,
             WorkloadSpec::Q7(Q7Params::default()),
-            MechanismSpec::Drrs,
+            drrs(),
             Some(ScaleSpec {
                 at: secs(if quick { 10 } else { 30 }),
                 to: 12,
@@ -178,10 +184,12 @@ pub fn fig02_plan(quick: bool) -> Fig02Plan {
     } else {
         TwitchParams::default()
     };
-    let row = |name: &str, mechanism, scale| {
-        spec(
+    // Fig. 2 counts order violations as part of its story.
+    let row = |name: &str, mechanism, scale| ScenarioSpec {
+        check_semantics: true,
+        ..spec(
             format!("fig02/{name}"),
-            EngineProfile::TwitchChecked,
+            EngineProfile::Twitch,
             42,
             WorkloadSpec::Twitch(params.clone()),
             mechanism,
@@ -198,7 +206,11 @@ pub fn fig02_plan(quick: bool) -> Fig02Plan {
         end,
         specs: vec![
             row("unbound", MechanismSpec::Unbound, Some(out)),
-            row("otfs", MechanismSpec::OtfsFluid, Some(out)),
+            row(
+                "otfs",
+                MechanismSpec::Flex(MechanismConfig::otfs_fluid()),
+                Some(out),
+            ),
             row("noscale", MechanismSpec::NoScale, None),
         ],
     }
@@ -207,9 +219,12 @@ pub fn fig02_plan(quick: bool) -> Fig02Plan {
 /// The three comparison mechanisms of figs. 10–13, in print order.
 fn comparison_mechs() -> Vec<(&'static str, MechanismSpec)> {
     vec![
-        ("DRRS", MechanismSpec::Drrs),
+        ("DRRS", drrs()),
         ("Meces", MechanismSpec::Meces),
-        ("Megaphone", MechanismSpec::Megaphone { batch: 1 }),
+        (
+            "Megaphone",
+            MechanismSpec::Flex(MechanismConfig::megaphone(1)),
+        ),
     ]
 }
 
@@ -428,8 +443,8 @@ pub fn fig15_plan(quick: bool) -> Fig15Plan {
             for &gb in &sizes_gb {
                 for &tps in &rates {
                     let mechanism = match mech {
-                        "DRRS" => MechanismSpec::Drrs,
-                        "Megaphone" => MechanismSpec::Megaphone { batch: 4 },
+                        "DRRS" => drrs(),
+                        "Megaphone" => MechanismSpec::Flex(MechanismConfig::megaphone(4)),
                         _ => MechanismSpec::Meces,
                     };
                     specs.push(spec(
@@ -611,7 +626,7 @@ pub fn ablation_plan(quick: bool) -> AblationPlan {
                         slide,
                         ..Default::default()
                     }),
-                    MechanismSpec::Drrs,
+                    drrs(),
                     Some(ScaleSpec {
                         at: scale_at,
                         to: 12,

@@ -1,5 +1,5 @@
-//! [`RunReport`] — the typed result of one scenario run, replacing ad-hoc
-//! `sim.world.metrics.*` field poking in the figure binaries.
+//! [`RunReport`] — the typed result of one scenario run, which the figures
+//! render from instead of poking `sim.world.metrics.*` fields.
 //!
 //! A report is fully serializable: [`RunReport::to_json`] writes it as a
 //! flat JSON object (floats in Rust's shortest round-trip form) and

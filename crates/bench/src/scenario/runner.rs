@@ -3,16 +3,26 @@
 //!
 //! # Sharding model
 //!
-//! A sweep is a **canonically ordered** `Vec<ScenarioSpec>` (the registry
-//! plan). Shard `K/N` owns every grid index `i` with `i % N == K` — a
-//! striped assignment, so the expensive high-skew fig15 cells spread across
-//! shards instead of clustering in one. Each shard process runs only its
-//! cells and `--emit`s them as JSON tagged with their grid index; `--merge`
-//! reads any number of shard files, verifies they belong to the same grid
-//! and cover it exactly once, and returns the reports in canonical order —
-//! at which point rendering is *byte-identical* to the unsharded run,
-//! because every cell is a deterministic function of its spec and
-//! `RunReport` JSON round-trips losslessly.
+//! A sweep is a **canonically ordered** `Vec<ScenarioSpec>` (a figure's
+//! registry plan, see [`super::figures`]). Shard `K/N` owns every grid
+//! index `i` with `i % N == K` — a striped assignment, so the expensive
+//! high-skew fig15 cells spread across shards instead of clustering in one.
+//! The protocol is three invocations of the `scenario` binary:
+//!
+//! * `scenario --figure NAME --shard K/N --emit FILE` runs only shard
+//!   `K/N`'s cells and writes them with [`write_shard`] as JSON tagged
+//!   with the figure name and each cell's grid index (the file is created
+//!   before the first cell runs, so a bad path costs no simulation);
+//! * `scenario --figure NAME --merge FILE...` reads the shard files with
+//!   [`merge_shards`], which verifies they belong to the same figure and
+//!   grid and cover it exactly once, and returns the reports in canonical
+//!   order;
+//! * the figure then renders *byte-identically* to the unsharded
+//!   `scenario --figure NAME`, because every cell is a deterministic
+//!   function of its spec and `RunReport` JSON round-trips losslessly.
+//!
+//! A shard file that cannot be read or parsed is an error naming the file,
+//! never a panic.
 
 use std::path::Path;
 
@@ -97,7 +107,7 @@ impl Runner {
             .filter(|(i, _)| self.shard.map(|s| s.owns(*i)).unwrap_or(true))
             .map(|(i, s)| (i, s.clone()))
             .collect();
-        crate::parallel_map_with(picked, self.threads, |(i, spec)| (i, spec.run()))
+        crate::parallel_map(picked, self.threads, |(i, spec)| (i, spec.run()))
     }
 
     /// Run the full grid (requires an unsharded runner) and return reports
@@ -115,9 +125,9 @@ impl Runner {
     }
 }
 
-/// Write one shard's results as a JSON file other processes can merge.
+/// Write one shard's results as the JSON other processes can merge.
 pub fn write_shard(
-    path: &Path,
+    mut out: impl std::io::Write,
     sweep: &str,
     grid_len: usize,
     shard: Shard,
@@ -140,7 +150,7 @@ pub fn write_shard(
     }
     let _ = writeln!(json, "  ]");
     let _ = writeln!(json, "}}");
-    std::fs::write(path, json)
+    out.write_all(json.as_bytes())
 }
 
 /// One parsed shard file.
@@ -153,10 +163,10 @@ pub struct ShardFile {
     pub runs: Vec<(usize, RunReport)>,
 }
 
-/// Parse a shard file written by [`write_shard`].
+/// Parse a shard file written by [`write_shard`]. Errors do not name the
+/// file; [`merge_shards`] adds it.
 pub fn read_shard(path: &Path) -> Result<ShardFile, String> {
-    let text =
-        std::fs::read_to_string(path).map_err(|e| format!("reading {}: {e}", path.display()))?;
+    let text = std::fs::read_to_string(path).map_err(|e| e.to_string())?;
     let mut sweep = None;
     let mut grid_len = None;
     let mut runs = Vec::new();
@@ -207,7 +217,7 @@ pub fn merge_shards(
     let mut slots: Vec<Option<RunReport>> = vec![None; specs.len()];
     for p in paths {
         let p = p.as_ref();
-        let file = read_shard(p)?;
+        let file = read_shard(p).map_err(|e| format!("{}: {e}", p.display()))?;
         if file.sweep != sweep {
             return Err(format!(
                 "{}: sweep {:?} does not match {sweep:?}",
@@ -262,82 +272,6 @@ pub fn merge_shards(
     Ok(slots.into_iter().map(|s| s.expect("verified")).collect())
 }
 
-/// How a sweep binary was asked to run.
-pub enum SweepMode {
-    /// Run the whole grid in this process and render.
-    Full,
-    /// Run one shard and emit its reports as JSON (no rendering).
-    Shard {
-        /// The stripe to run.
-        shard: Shard,
-        /// Where to write the shard file.
-        emit: String,
-    },
-    /// Merge previously emitted shard files and render.
-    Merge {
-        /// The shard files.
-        inputs: Vec<String>,
-    },
-}
-
-/// Parse the standard sweep CLI: `[--shard K/N --emit FILE | --merge FILE...]`.
-/// Exits with a usage message on malformed input (binary-friendly).
-pub fn sweep_mode_from_args(bin: &str) -> SweepMode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    match parse_sweep_args(&args) {
-        Ok(mode) => mode,
-        Err(e) => {
-            eprintln!("{bin}: {e}");
-            eprintln!(
-                "usage: {bin} [--shard K/N --emit FILE | --merge FILE...]\n\
-                 (QUICK=1 in the environment compresses the grid)"
-            );
-            std::process::exit(2);
-        }
-    }
-}
-
-/// The pure parser behind [`sweep_mode_from_args`].
-pub fn parse_sweep_args(args: &[String]) -> Result<SweepMode, String> {
-    let mut shard = None;
-    let mut emit = None;
-    let mut merge: Option<Vec<String>> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--shard" => {
-                let v = args.get(i + 1).ok_or("--shard takes K/N")?;
-                shard = Some(Shard::parse(v)?);
-                i += 2;
-            }
-            "--emit" => {
-                let v = args.get(i + 1).ok_or("--emit takes a file path")?;
-                emit = Some(v.clone());
-                i += 2;
-            }
-            "--merge" => {
-                let files: Vec<String> = args[i + 1..].to_vec();
-                if files.is_empty() {
-                    return Err("--merge takes one or more shard files".into());
-                }
-                merge = Some(files);
-                i = args.len();
-            }
-            other => return Err(format!("unknown flag {other}")),
-        }
-    }
-    match (shard, emit, merge) {
-        (None, None, None) => Ok(SweepMode::Full),
-        (Some(shard), Some(emit), None) => Ok(SweepMode::Shard { shard, emit }),
-        (Some(_), None, None) => Err("--shard requires --emit FILE (a sharded run \
-             renders nothing; its output is the emitted JSON)"
-            .into()),
-        (None, Some(_), None) => Err("--emit requires --shard K/N".into()),
-        (None, None, Some(inputs)) => Ok(SweepMode::Merge { inputs }),
-        _ => Err("--merge cannot be combined with --shard/--emit".into()),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -369,25 +303,5 @@ mod tests {
                 "N={n}: some index owned != once"
             );
         }
-    }
-
-    #[test]
-    fn sweep_args_modes() {
-        let s = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
-        assert!(matches!(parse_sweep_args(&[]).unwrap(), SweepMode::Full));
-        match parse_sweep_args(&s(&["--shard", "1/3", "--emit", "x.json"])).unwrap() {
-            SweepMode::Shard { shard, emit } => {
-                assert_eq!(shard, Shard { index: 1, count: 3 });
-                assert_eq!(emit, "x.json");
-            }
-            _ => panic!("expected shard mode"),
-        }
-        match parse_sweep_args(&s(&["--merge", "a.json", "b.json"])).unwrap() {
-            SweepMode::Merge { inputs } => assert_eq!(inputs.len(), 2),
-            _ => panic!("expected merge mode"),
-        }
-        assert!(parse_sweep_args(&s(&["--shard", "0/2"])).is_err());
-        assert!(parse_sweep_args(&s(&["--emit", "x"])).is_err());
-        assert!(parse_sweep_args(&s(&["--merge"])).is_err());
     }
 }

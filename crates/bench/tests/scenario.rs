@@ -96,7 +96,8 @@ fn merged_sharded_run_equals_the_sequential_run() {
         // Sharded runs must be strict subsets, in canonical order.
         assert!(runs.iter().all(|(i, _)| shard.owns(*i)));
         let path = dir.join(format!("shard_{k}.json"));
-        runner::write_shard(&path, "test", grid.len(), shard, &runs).expect("write shard");
+        let file = std::fs::File::create(&path).expect("create shard");
+        runner::write_shard(file, "test", grid.len(), shard, &runs).expect("write shard");
         paths.push(path);
     }
     let merged = runner::merge_shards("test", &grid, &paths).expect("merge");
@@ -126,7 +127,8 @@ fn merge_rejects_overlap_gaps_and_grid_mismatch() {
     let shard0 = Shard { index: 0, count: 2 };
     let runs0 = Runner::sharded(shard0).run_indexed(&grid);
     let p0 = dir.join("s0.json");
-    runner::write_shard(&p0, "test", grid.len(), shard0, &runs0).expect("write");
+    let file = std::fs::File::create(&p0).expect("create");
+    runner::write_shard(file, "test", grid.len(), shard0, &runs0).expect("write");
 
     // Gap: shard 1 missing.
     let err = runner::merge_shards("test", &grid, &[&p0]).unwrap_err();
@@ -163,7 +165,8 @@ fn run_report_round_trips_through_shard_files() {
     std::fs::create_dir_all(&dir).expect("mk temp dir");
     let path = dir.join("one.json");
     let shard = Shard { index: 0, count: 1 };
-    runner::write_shard(&path, "rt", 1, shard, &[(0, report.clone())]).expect("write");
+    let file = std::fs::File::create(&path).expect("create");
+    runner::write_shard(file, "rt", 1, shard, &[(0, report.clone())]).expect("write");
     let back = runner::read_shard(&path).expect("read");
     std::fs::remove_dir_all(&dir).ok();
 
@@ -304,6 +307,27 @@ fn binaries_reject_stale_or_malformed_command_lines() {
         (scenario, "--group perf --check", "--check needs a value"),
         (scenario, "--run x --check f", check_alone),
         (scenario, "--group perf --check f --threads 2", check_alone),
+        (scenario, "--figure fig99", "unknown figure \"fig99\""),
+        (scenario, "--figure fig02 --bogus", "unknown flag --bogus"),
+        (scenario, "--shard 0/2 --emit f", "go with --figure"),
+        (
+            scenario,
+            "--figure fig15 --shard 0/2",
+            "--shard requires --emit",
+        ),
+        (scenario, "--merge a.json --shard 0/2", "go with --figure"),
+        (
+            scenario,
+            "--figure fig15 --merge a.json --shard 0/2",
+            "cannot be combined",
+        ),
+        (scenario, "--figure fig15 --check f", check_alone),
+        (
+            scenario,
+            "--figure fig15 --merge",
+            "--merge needs one or more",
+        ),
+        (scenario, "--figure fig15 --emit f", "--emit FILE goes with"),
         (drrs_sim, "--rate", "--rate needs a value"),
         (drrs_sim, "--workload", "--workload needs a value"),
         (drrs_sim, "--rate fast", "--rate \"fast\""),
@@ -329,6 +353,50 @@ fn binaries_reject_stale_or_malformed_command_lines() {
             "{exe} {args:?}: no usage in: {stderr}"
         );
     }
+    // Unusable files exit 2 naming the file and the reason, before any
+    // cell runs: the --emit file is created first.
+    let dir = std::env::temp_dir().join(format!("drrs_cli_files_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("mk temp dir");
+    let file = |name: &str| {
+        dir.join(name)
+            .to_str()
+            .expect("utf-8 temp path")
+            .to_string()
+    };
+    std::fs::write(file("bad.json"), "{ \"garbage\": 1 }\n").expect("write bad shard");
+    let (missing, bad, no_dir) = (file("missing.json"), file("bad.json"), file("no/x.json"));
+    let no_such = "No such file or directory";
+    let file_cases = [
+        (
+            vec!["--figure", "fig15", "--merge", &missing],
+            &missing,
+            no_such,
+        ),
+        (
+            vec!["--figure", "fig15", "--merge", &bad],
+            &bad,
+            "missing sweep name",
+        ),
+        (
+            vec!["--figure", "fig15", "--shard", "0/2", "--emit", &no_dir],
+            &no_dir,
+            no_such,
+        ),
+        (
+            vec!["--run", "perf/steady_50k", "--emit", &no_dir],
+            &no_dir,
+            no_such,
+        ),
+    ];
+    for (args, path, reason) in &file_cases {
+        let (code, stderr) = run_bin(scenario, args);
+        assert_eq!(code, Some(2), "{args:?} must exit 2; stderr: {stderr}");
+        assert!(
+            stderr.contains(path.as_str()) && stderr.contains(reason),
+            "{args:?}: no {path:?} and {reason:?} in: {stderr}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
     // The well-formed neighbours still work.
     let (code, stderr) = run_bin(scenario, &["--list"]);
     assert_eq!(code, Some(0), "{stderr}");

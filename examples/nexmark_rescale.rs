@@ -61,6 +61,6 @@ fn main() {
         );
     }
     println!(
-        "\n(The full-protocol comparison lives in `cargo run --release -p bench --bin fig10_11`.)"
+        "\n(The full-protocol comparison lives in `cargo run --release -p bench --bin scenario -- --figure fig10_11`.)"
     );
 }

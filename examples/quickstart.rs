@@ -99,18 +99,20 @@ fn main() {
     println!("\nOK: scaled 2 → 4 on the fly with zero order violations.");
 
     // 5. The same experiment as a declarative, nameable unit: any run can
-    //    also be expressed as a ScenarioSpec (this is what the figure
-    //    binaries and the process-level sweep sharder are built on).
+    //    also be expressed as a ScenarioSpec (this is what
+    //    `scenario --figure` and the process-level sweep sharder are
+    //    built on).
     let spec = ScenarioSpec {
         name: "example/quickstart".into(),
         engine: EngineProfile::Perf,
+        check_semantics: false,
         seed: 7,
         workload: WorkloadSpec::TinyJob {
             rate: 5_000.0,
             universe: 1_000,
             par: 2,
         },
-        mechanism: MechanismSpec::Drrs,
+        mechanism: MechanismSpec::Flex(MechanismConfig::drrs()),
         scale: Some(ScaleSpec {
             at: secs(10),
             to: 4,

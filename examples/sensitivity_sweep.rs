@@ -1,4 +1,4 @@
-//! A miniature sensitivity sweep (the full grid is `bench --bin fig15`):
+//! A miniature sensitivity sweep (the full grid is `scenario --figure fig15`):
 //! how does throughput deviation during scaling respond to workload
 //! skewness for DRRS vs Megaphone?
 //!
