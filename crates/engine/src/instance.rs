@@ -5,25 +5,34 @@
 //! A source that falls behind keeps what it generated in its [`Backlog`],
 //! the model of a Kafka topic's backlog. The backlog is unbounded on
 //! purpose: the paper measures latency from record creation, so records
-//! wait there while the job cannot keep up. It stores one 16-byte
-//! `(key, value)` per data element, plus one header per 10 ms `TICK`.
-//! The header holds the tick's instant, record count, batch and next
-//! offset, and from these `pop_front` rebuilds the rest of each
-//! [`Record`]. Latency markers and the watermark and barrier carriers
-//! are rare, so they keep a whole `Record` in a header slot of their own.
-//! On the paper's Fig. 10 cell (`q7_rescale`, seed 1) the backlog peaks at
-//! 278,186 elements. As 56-byte `Record`s that was about half of the run's
-//! 43 MB peak RSS, and with 16-byte payloads the peak is about 30 MB.
+//! wait there while the job cannot keep up. It stores one header per
+//! 10 ms `TICK`, holding the tick's instant, record count, batch and next
+//! offset, and nothing per data element. Latency markers and the
+//! watermark and barrier carriers are rare, so they keep a whole
+//! [`Record`] in a header slot of their own.
 //!
-//! The draw stays eager: `push_tick` calls the generator once per element
-//! at tick time, in the same order as before. Drawing lazily at pop time
-//! would make the backlog O(ticks), but `iter()` must report the exact
-//! pending records, and a `SourceGen` can be neither cloned nor peeked.
-//! A block deque (4,096-entry blocks and a spare pool, so growth never
-//! copies) reached a 27.4 MB peak on the same cell instead of 30.4 MB.
-//! That saves 3 MB for a bespoke container, so the backlog keeps two
-//! std `VecDeque`s.
+//! The draw is lazy: the backlog owns the source's [`SourceGen`], and
+//! `pop_front` calls `next(tick instant)` for the element it returns. A
+//! source's draws are FIFO, so the generator sees the same `next` calls,
+//! in the same order and with the same `t`, as a draw at tick time would
+//! make; [`SourceGen`]'s contract (draws depend only on call order and
+//! `t`; `rate`, `limit` and `batch` never depend on draws) makes that the
+//! same output. `iter()` must report the exact pending records, and a
+//! generator can be neither cloned nor peeked, so `iter()` forces every
+//! pending draw into a draw-ahead deque, oldest first, and `pop_front`
+//! takes from that deque before it draws. Only observers call `iter()`;
+//! a run that never does keeps the draw-ahead deque empty.
+//!
+//! On the paper's Fig. 10 cell (`q7_rescale`) the backlog peaks at 278,186
+//! elements on seed 1. As 56-byte `Record`s that was about half of the
+//! run's 43 MB peak RSS. With a 16-byte `(key, value)` per element the
+//! peak was 29.4 MB, of which the payload deque took 6.3 MB while it grew
+//! from 131,072 to 262,144 slots. With lazy draws it is 23.0 MB (seed
+//! 7919: 25.4 → 21.1 MB). A Q7 tick carries 25 elements, so the
+//! headers of the peak backlog (about 11,000 ticks of 56 bytes) take
+//! under 1 MB.
 
+use std::cell::RefCell;
 use std::collections::VecDeque;
 
 use simcore::{FxHashSet, SimTime};
@@ -39,13 +48,23 @@ pub(crate) const TICK: SimTime = 10_000;
 
 /// A workload generator driving one source instance. Implementations are
 /// deterministic given their construction seed.
+///
+/// # Contract
+///
+/// The engine draws a tick's records when they leave the source's
+/// [`Backlog`], not when the tick runs (module docs, "Backlog
+/// footprint"), so it interleaves `next` with the `rate`, `limit` and
+/// `batch` calls of later ticks. Implementations must therefore keep two
+/// rules:
+/// - `next(t)` depends only on how many draws came before it and on `t`;
+/// - `rate`, `limit` and `batch` never depend on draws.
 pub trait SourceGen: Send {
     /// Demanded input rate (records/second) at simulated time `t`. This is
     /// the pre-backpressure demand, i.e. the Kafka producer rate.
     fn rate(&self, t: SimTime) -> f64;
 
-    /// Draw the next record: `(key, value)`. Event time is assigned by the
-    /// engine.
+    /// Draw the next record: `(key, value)`. `t` is the instant of the
+    /// tick that generated it. Event time is assigned by the engine.
     fn next(&mut self, t: SimTime) -> (Key, i64);
 
     /// Optional end of stream: stop generating after this many records.
@@ -83,6 +102,11 @@ impl Tick {
         self.off >= self.n
     }
 
+    /// Pending elements.
+    fn left(&self) -> usize {
+        (self.n - self.off).div_ceil(self.batch) as usize
+    }
+
     /// Rebuild the element at `off` from its drawn `(key, value)`, and
     /// step past it.
     #[inline]
@@ -96,51 +120,72 @@ impl Tick {
 
 /// One header slot of a [`Backlog`].
 enum Head {
-    /// A tick's pending data elements. Their `(key, value)`s are at the
-    /// front of [`Backlog::payloads`], in order.
+    /// A tick's pending data elements, drawn when they are popped.
     Tick(Tick),
     /// A latency marker, watermark carrier or barrier carrier, kept whole.
     Verbatim(Record),
 }
 
+/// The generator of a [`Backlog`] and the draws `iter()` forced ahead of
+/// `pop_front`.
+struct Draws {
+    gen: Box<dyn SourceGen>,
+    /// The drawn `(key, value)` of the oldest pending data elements.
+    ahead: VecDeque<(Key, i64)>,
+}
+
 /// The Kafka backlog of one source: generated elements not yet emitted,
 /// oldest first (module docs, "Backlog footprint").
-#[derive(Default)]
 pub struct Backlog {
     /// One slot per tick with pending data, and one per verbatim record.
     heads: VecDeque<Head>,
-    /// The drawn `(key, value)` of every pending data element.
-    payloads: VecDeque<(Key, i64)>,
+    /// Pending data elements, drawn or not.
+    elements: usize,
     /// `Head::Verbatim` slots in `heads`.
     verbatim: usize,
+    /// Behind a `RefCell` so that `iter(&self)` can force draws.
+    draws: RefCell<Draws>,
 }
 
 impl Backlog {
+    /// An empty backlog drawing from `gen`. The header deque starts with
+    /// room for 16 slots (896 bytes): with no allocation here at all,
+    /// building `rescale_churn`'s 16 worlds back to back took ~10 % longer
+    /// under glibc malloc. That is a heap-layout effect: it vanishes under
+    /// a `GLIBC_TUNABLES` trim or tcache setting.
+    pub(crate) fn new(gen: Box<dyn SourceGen>) -> Self {
+        Self {
+            heads: VecDeque::with_capacity(16),
+            elements: 0,
+            verbatim: 0,
+            draws: RefCell::new(Draws {
+                gen,
+                ahead: VecDeque::new(),
+            }),
+        }
+    }
+
+    /// The generator, for the tick path's `rate`, `limit` and `batch`.
+    pub(crate) fn generator(&mut self) -> &dyn SourceGen {
+        &*self.draws.get_mut().gen
+    }
+
     /// Append a tick at `at` that generated `n` records, fused `batch`
-    /// (≥ 1) per element. `draw` is called once per element, in order.
+    /// (≥ 1) per element. Nothing is drawn until the elements are popped.
     // checker:hot-path
-    pub(crate) fn push_tick(
-        &mut self,
-        at: SimTime,
-        n: u64,
-        batch: u64,
-        mut draw: impl FnMut() -> (Key, i64),
-    ) {
+    pub(crate) fn push_tick(&mut self, at: SimTime, n: u64, batch: u64) {
         debug_assert!(batch > 0, "batch must be at least 1");
         if n == 0 {
             return;
         }
-        let mut off = 0;
-        while off < n {
-            self.payloads.push_back(draw());
-            off += batch;
-        }
-        self.heads.push_back(Head::Tick(Tick {
+        let tick = Tick {
             at,
             n,
             batch,
             off: 0,
-        }));
+        };
+        self.elements += tick.left();
+        self.heads.push_back(Head::Tick(tick));
     }
 
     /// Append one record verbatim (a marker or a carrier).
@@ -149,13 +194,19 @@ impl Backlog {
         self.heads.push_back(Head::Verbatim(r));
     }
 
-    /// Remove and return the oldest element.
+    /// Remove and return the oldest element, drawing it if `iter()` has
+    /// not.
     // checker:hot-path
     pub(crate) fn pop_front(&mut self) -> Option<Record> {
         match self.heads.front_mut()? {
             Head::Tick(t) => {
-                let payload = self.payloads.pop_front().expect("a payload per element");
+                let d = self.draws.get_mut();
+                let payload = match d.ahead.pop_front() {
+                    Some(p) => p,
+                    None => d.gen.next(t.at),
+                };
                 let r = t.take(payload);
+                self.elements -= 1;
                 if t.done() {
                     self.heads.pop_front();
                 }
@@ -173,7 +224,7 @@ impl Backlog {
 
     /// Pending elements (data elements, markers and carriers).
     pub fn len(&self) -> usize {
-        self.payloads.len() + self.verbatim
+        self.elements + self.verbatim
     }
 
     /// Nothing pending?
@@ -182,9 +233,12 @@ impl Backlog {
     }
 
     /// Every pending element, oldest first, as `pop_front` would return it.
+    /// Draws every pending element not drawn yet, so the generator sees
+    /// the calls `pop_front` would have made, in the same order.
     pub fn iter(&self) -> impl Iterator<Item = Record> + '_ {
+        self.draw_ahead();
         let mut heads = self.heads.iter();
-        let mut payloads = self.payloads.iter();
+        let mut drawn = 0;
         let mut tick = Tick {
             at: 0,
             n: 0,
@@ -193,7 +247,9 @@ impl Backlog {
         };
         std::iter::from_fn(move || loop {
             if !tick.done() {
-                return Some(tick.take(*payloads.next().expect("a payload per element")));
+                let payload = self.draws.borrow().ahead[drawn];
+                drawn += 1;
+                return Some(tick.take(payload));
             }
             match heads.next()? {
                 Head::Tick(t) => tick = *t,
@@ -201,16 +257,36 @@ impl Backlog {
             }
         })
     }
+
+    /// Draw every pending data element not drawn yet into the draw-ahead
+    /// deque, oldest first.
+    fn draw_ahead(&self) {
+        if self.draws.borrow().ahead.len() == self.elements {
+            return;
+        }
+        let mut d = self.draws.borrow_mut();
+        let Draws { gen, ahead } = &mut *d;
+        let mut skip = ahead.len();
+        for h in &self.heads {
+            let Head::Tick(t) = h else { continue };
+            let left = t.left();
+            let drawn = left.min(skip);
+            skip -= drawn;
+            for _ in drawn..left {
+                ahead.push_back(gen.next(t.at));
+            }
+        }
+        debug_assert_eq!(ahead.len(), self.elements);
+    }
 }
 
 /// Engine-managed state of one source instance: the pending queue models the
 /// Kafka topic backlog, so marker latency includes "Kafka transit time" as
 /// in the paper's measurement methodology.
 pub struct SourceState {
-    /// Generated but not yet emitted records (the Kafka backlog).
+    /// Generated but not yet emitted records (the Kafka backlog). It owns
+    /// the source's generator.
     pub pending: Backlog,
-    /// The generator.
-    pub gen: Box<dyn SourceGen>,
     /// Fractional-record accumulator for rate control.
     pub carry: f64,
     /// Records generated so far.
@@ -227,18 +303,10 @@ pub struct SourceState {
 }
 
 impl SourceState {
-    /// Wrap a generator. The backlog starts with room for 64 payloads
-    /// (1 KB). With no allocation here at all, building `rescale_churn`'s
-    /// 16 worlds back to back took ~10 % longer under glibc malloc. That
-    /// is a heap-layout effect: it vanishes under a `GLIBC_TUNABLES` trim
-    /// or tcache setting, and 64 to 3,584 payloads all measure alike.
+    /// Wrap a generator in an empty backlog.
     pub fn new(gen: Box<dyn SourceGen>, marker_offset: SimTime) -> Self {
         Self {
-            pending: Backlog {
-                payloads: VecDeque::with_capacity(64),
-                ..Backlog::default()
-            },
-            gen,
+            pending: Backlog::new(gen),
             carry: 0.0,
             generated: 0,
             emitted: 0,
@@ -395,27 +463,53 @@ mod tests {
         assert!(b > a);
     }
 
-    /// The backlog as one `Record` per element. `push_tick` is the loop
-    /// `World::on_source_tick` ran before [`Backlog`] existed.
-    #[derive(Default)]
-    struct Oracle(VecDeque<Record>);
+    /// A generator whose draws depend on both call order and `t`, so a
+    /// draw out of order or with the wrong instant changes a record. It
+    /// panics on a draw past `budget`.
+    struct Probe {
+        seq: u64,
+        budget: u64,
+    }
+
+    impl Probe {
+        fn new() -> Self {
+            Self::with_budget(u64::MAX)
+        }
+
+        fn with_budget(budget: u64) -> Self {
+            Self { seq: 0, budget }
+        }
+    }
+
+    impl SourceGen for Probe {
+        fn rate(&self, _t: SimTime) -> f64 {
+            0.0
+        }
+        fn next(&mut self, t: SimTime) -> (Key, i64) {
+            assert!(self.seq < self.budget, "draw past the budget");
+            self.seq += 1;
+            (self.seq % 97, (t as i64) * 1_000_003 + self.seq as i64)
+        }
+    }
+
+    /// The backlog as one `Record` per element, drawn at tick time.
+    /// `push_tick` is the loop `World::on_source_tick` ran before
+    /// [`Backlog`] existed.
+    struct Oracle {
+        records: VecDeque<Record>,
+        gen: Probe,
+    }
 
     impl Oracle {
-        fn push_tick(
-            &mut self,
-            now: SimTime,
-            n: u64,
-            batch: u64,
-            mut draw: impl FnMut() -> (Key, i64),
-        ) {
+        fn push_tick(&mut self, now: SimTime, n: u64, batch: u64) {
             let mut left = n;
             while left > 0 {
                 let c = left.min(batch);
-                let (key, value) = draw();
+                let (key, value) = self.gen.next(now);
                 let et = now + (n - left) * TICK / n.max(1);
                 let mut r = Record::data(key, value, et);
                 r.count = c as u32;
-                self.0.push_back(r);
+                self.records.push_back(r);
                 left -= c;
             }
         }
@@ -464,11 +558,16 @@ mod tests {
     #[test]
     fn backlog_matches_the_per_record_oracle() {
         // Which tick shapes the seeds reached: n = 0, n < batch,
-        // n % batch != 0, batch = 1.
-        let mut shapes = [0u32; 4];
+        // n % batch != 0, batch = 1; and pops served from forced draws
+        // and drawn at pop time.
+        let mut shapes = [0u32; 6];
         for seed in 0..300u64 {
             let mut rng = DetRng::seed(seed);
-            let (mut b, mut o) = (Backlog::default(), Oracle::default());
+            let mut b = Backlog::new(Box::new(Probe::new()));
+            let mut o = Oracle {
+                records: VecDeque::new(),
+                gen: Probe::new(),
+            };
             let mut now = 0;
             for step in 0..120 {
                 let ctx = format!("seed {seed}, step {step}");
@@ -481,34 +580,35 @@ mod tests {
                         shapes[1] += (n > 0 && n < batch) as u32;
                         shapes[2] += (n % batch != 0) as u32;
                         shapes[3] += (n > 0 && batch == 1) as u32;
-                        let draws: Vec<(Key, i64)> = (0..n.div_ceil(batch))
-                            .map(|_| (rng.below(100), rng.next_u64() as i64))
-                            .collect();
-                        let (mut bi, mut oi) = (draws.iter(), draws.iter());
-                        b.push_tick(now, n, batch, || *bi.next().expect("draw"));
-                        o.push_tick(now, n, batch, || *oi.next().expect("draw"));
-                        assert!(bi.next().is_none() && oi.next().is_none(), "{ctx}: draws");
+                        b.push_tick(now, n, batch);
+                        o.push_tick(now, n, batch);
                     }
                     2 => {
                         let r = verbatim(&mut rng, now);
                         b.push_back(r.clone());
-                        o.0.push_back(r);
+                        o.records.push_back(r);
                     }
                     _ => {
                         for _ in 0..rng.below(30) {
+                            let data = matches!(b.heads.front(), Some(Head::Tick(_)));
+                            let forced = !b.draws.get_mut().ahead.is_empty();
                             let got = b.pop_front().map(|r| fields(&r));
-                            let want = o.0.pop_front().map(|r| fields(&r));
+                            let want = o.records.pop_front().map(|r| fields(&r));
                             assert_eq!(got, want, "{ctx}: pop_front");
+                            shapes[4] += (data && forced) as u32;
+                            shapes[5] += (data && !forced) as u32;
                         }
                     }
                 }
-                assert_eq!(b.len(), o.0.len(), "{ctx}: len");
-                assert_eq!(b.is_empty(), o.0.is_empty(), "{ctx}: is_empty");
-                let got: Vec<Fields> = b.iter().map(|r| fields(&r)).collect();
-                let want: Vec<Fields> = o.0.iter().map(fields).collect();
-                assert_eq!(got, want, "{ctx}: iter");
+                assert_eq!(b.len(), o.records.len(), "{ctx}: len");
+                assert_eq!(b.is_empty(), o.records.is_empty(), "{ctx}: is_empty");
+                if rng.below(8) == 0 {
+                    let got: Vec<Fields> = b.iter().map(|r| fields(&r)).collect();
+                    let want: Vec<Fields> = o.records.iter().map(fields).collect();
+                    assert_eq!(got, want, "{ctx}: iter");
+                }
             }
-            while let Some(want) = o.0.pop_front() {
+            while let Some(want) = o.records.pop_front() {
                 let got = b.pop_front().map(|r| fields(&r));
                 assert_eq!(got, Some(fields(&want)), "seed {seed}: final drain");
             }
@@ -516,29 +616,43 @@ mod tests {
                 b.pop_front().is_none() && b.is_empty(),
                 "seed {seed}: drained"
             );
+            assert_eq!(b.len(), 0, "seed {seed}: drained len");
         }
-        assert!(
-            shapes.iter().all(|&s| s > 0),
-            "tick shapes reached: {shapes:?}"
-        );
+        assert!(shapes.iter().all(|&s| s > 0), "shapes reached: {shapes:?}");
+    }
+
+    /// Heap bytes of `b`'s two deques.
+    fn heap_bytes(b: &Backlog) -> usize {
+        b.heads.capacity() * std::mem::size_of::<Head>()
+            + b.draws.borrow().ahead.capacity() * std::mem::size_of::<(Key, i64)>()
     }
 
     #[test]
-    fn backlog_keeps_one_payload_per_element_and_one_header_per_tick() {
-        assert_eq!(std::mem::size_of::<(Key, i64)>(), 16);
-        let mut b = Backlog::default();
-        let ticks = [(25, 1), (10, 3), (7, 8), (64, 64), (100, 7)];
-        for (t, &(n, batch)) in ticks.iter().enumerate() {
-            b.push_tick(t as u64 * TICK, n, batch, || (1, 2));
+    fn backlog_heap_grows_with_ticks_not_elements() {
+        // The same 40 ticks, carrying one element each or 1,000 each.
+        let mut heaps = Vec::new();
+        for per_tick in [1, 1_000] {
+            // Only the pops below may draw: a draw per pushed element
+            // would exceed the budget.
+            let mut b = Backlog::new(Box::new(Probe::with_budget(per_tick)));
+            for t in 0..40 {
+                b.push_tick(t * TICK, per_tick * 4, 4);
+            }
+            assert_eq!(b.len() as u64, 40 * per_tick);
+            heaps.push(heap_bytes(&b));
+            // A pop draws its element, and frees the header at a tick's end.
+            for _ in 0..per_tick {
+                b.pop_front();
+            }
+            assert_eq!(b.heads.len(), 39);
+            assert_eq!(heap_bytes(&b), heaps[heaps.len() - 1]);
         }
-        let elements: u64 = ticks.iter().map(|&(n, batch)| n.div_ceil(batch)).sum();
-        let payloads: &VecDeque<(Key, i64)> = &b.payloads;
-        assert_eq!(payloads.len() as u64, elements);
-        assert_eq!(b.heads.len(), ticks.len());
+        assert_eq!(heaps[0], heaps[1], "heap bytes per tick count");
         // An empty tick leaves nothing; a verbatim record takes one slot.
-        b.push_tick(9 * TICK, 0, 4, || unreachable!("no draw for an empty tick"));
-        b.push_back(Record::data(0, 0, 9 * TICK));
-        assert_eq!(b.heads.len(), ticks.len() + 1);
-        assert_eq!(b.len() as u64, elements + 1);
+        let mut b = Backlog::new(Box::new(Probe::with_budget(0)));
+        b.push_tick(0, 0, 4);
+        assert!(b.is_empty());
+        b.push_back(Record::data(0, 0, 0));
+        assert_eq!((b.heads.len(), b.len()), (1, 1));
     }
 }

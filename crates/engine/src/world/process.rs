@@ -15,17 +15,19 @@ impl World {
         {
             let i = &mut self.insts[inst.0 as usize];
             let src = i.source.as_mut().expect("source tick on non-source");
-            // Generate records for this tick.
-            let rate = src.gen.rate(now);
+            // Generate this tick's records; the backlog draws them when
+            // they leave it.
+            let gen = src.pending.generator();
+            let rate = gen.rate(now);
             let mut due = rate * TICK as f64 / 1_000_000.0 + src.carry;
-            let limit_hit = src.gen.limit().map(|l| src.generated >= l).unwrap_or(false);
+            let limit_hit = gen.limit().map(|l| src.generated >= l).unwrap_or(false);
             if limit_hit {
                 due = 0.0;
             }
             let n = due as u64;
             src.carry = due - n as f64;
-            let batch = src.gen.batch().max(1) as u64;
-            src.pending.push_tick(now, n, batch, || src.gen.next(now));
+            let batch = gen.batch().max(1) as u64;
+            src.pending.push_tick(now, n, batch);
             src.generated += n;
             // Latency markers. In PDES mode the key draw comes from the
             // region's own RNG stripe: a single global stream would make
@@ -174,16 +176,7 @@ impl World {
                 let elem = self.chan_pop(ch).expect("non-empty");
                 return Selection::Control(ch, elem);
             }
-            // Peek admission for the head record.
-            let rec = self
-                .chan_front(ch)
-                .and_then(|e| e.as_record())
-                .cloned()
-                .expect("checked record");
-            let admissible = rec.kind == RecordKind::Marker || plugin.admit(self, inst, ch, &rec);
-            if !admissible {
-                return Selection::Suspend;
-            }
+            // An inadmissible head record ends in an empty run: `Suspend`.
             return self.build_run(plugin, inst, ch);
         }
         Selection::Idle
@@ -198,6 +191,19 @@ impl World {
         let buf = self.run_buf_pool.pop().unwrap_or_default();
         debug_assert!(buf.is_empty());
         buf
+    }
+
+    /// Return an empty quantum buffer to the pool. Zero-capacity buffers
+    /// are dropped: they are the placeholders left in `pending_runs` by
+    /// busy periods that ran no quantum (window firings, snapshots), and
+    /// pooling them would crowd out warm buffers. The pool is bounded so
+    /// that pathological plugins cannot hoard memory through it.
+    #[inline]
+    fn recycle_run_buf(&mut self, buf: Vec<Record>) {
+        debug_assert!(buf.is_empty());
+        if buf.capacity() > 0 && self.run_buf_pool.len() < 64 {
+            self.run_buf_pool.push(buf);
+        }
     }
 
     /// Pop a run of admissible records from `ch` bounded by the quantum.
@@ -229,7 +235,7 @@ impl World {
             }
         }
         if records.is_empty() {
-            self.run_buf_pool.push(records);
+            self.recycle_run_buf(records);
             Selection::Suspend
         } else {
             Selection::Run { records, service }
@@ -261,11 +267,7 @@ impl World {
         for rec in records.drain(..) {
             self.apply_record(plugin, inst, rec);
         }
-        // Recycle the (now empty, capacity-preserving) buffer. Bound the
-        // pool so pathological plugins cannot hoard memory through it.
-        if self.run_buf_pool.len() < 64 {
-            self.run_buf_pool.push(records);
-        }
+        self.recycle_run_buf(records);
         self.try_start(plugin, inst);
     }
 
@@ -452,5 +454,45 @@ mod tests {
         let p50 = m.latency_quantile_ms(0.5).expect("samples");
         let p99 = m.latency_quantile_ms(0.99).expect("samples");
         assert!(p99 >= p50);
+    }
+
+    #[test]
+    fn window_firings_leave_no_placeholder_in_the_run_buffer_pool() {
+        use crate::graph::JobBuilder;
+        use crate::operator::WindowAgg;
+        use crate::window::Agg;
+        use crate::world::tests_support::FixedGen;
+
+        let mut b = JobBuilder::new(EngineConfig::test());
+        let src = b.source("src", 2, Box::new(|_| Box::new(FixedGen::new(2_000.0, 64))));
+        let win = b.operator(
+            "win",
+            3,
+            Box::new(|| Box::new(WindowAgg::new(secs(1), 100_000, Agg::Max, 20, 16))),
+        );
+        let sink = b.sink("sink", 1);
+        b.connect(src, win, EdgeKind::Keyed);
+        b.connect(win, sink, EdgeKind::Rebalance);
+        let mut sim = Sim::new(b.build(), Box::new(NoScale));
+        for step in 1..=30 {
+            sim.run_until(step * 100_000);
+            let w = &sim.world;
+            assert!(
+                w.run_buf_pool.iter().all(|b| b.capacity() > 0),
+                "step {step}: a zero-capacity buffer in the pool"
+            );
+            assert!(
+                w.run_buf_pool.len() <= w.insts.len(),
+                "step {step}: {} pooled buffers for {} instances",
+                w.run_buf_pool.len(),
+                w.insts.len()
+            );
+        }
+        // The windows fired: the sink received their outputs.
+        assert!(
+            sim.world.metrics.sink_records > 100,
+            "{}",
+            sim.world.metrics.sink_records
+        );
     }
 }

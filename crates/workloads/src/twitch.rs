@@ -26,7 +26,6 @@ pub struct TwitchGen {
     users: Zipf,
     channels: Zipf,
     rng: DetRng,
-    total: u64,
     limit: u64,
     batch: u32,
 }
@@ -40,7 +39,6 @@ impl TwitchGen {
             users: Zipf::new(100_000, 1.1),
             channels: Zipf::new(5_000, 1.0),
             rng: DetRng::seed(seed),
-            total: 0,
             limit: events,
             batch,
         }
@@ -54,7 +52,6 @@ impl SourceGen for TwitchGen {
         self.base_tps * (1.0 + 0.3 * phase.sin())
     }
     fn next(&mut self, _t: SimTime) -> (u64, i64) {
-        self.total += 1;
         let user = self.users.sample(&mut self.rng) as u64;
         let channel = self.channels.sample(&mut self.rng) as i64;
         (user, channel)
