@@ -136,7 +136,6 @@ fn scenario(a: &Args) -> Result<ScenarioSpec, String> {
         regions: 1,
         resume_latency: 0,
         bus_sink: Default::default(),
-        events_path: None,
     })
 }
 

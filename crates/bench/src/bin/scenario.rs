@@ -35,13 +35,15 @@
 //! the per-region event counts, the region-scheduler (sequential) or
 //! epoch (parallel) synchronization counters, and the bus lag/drop
 //! accounting — every number on it is reproducible, so two `--sync-stats`
-//! runs diff clean. `--events FILE` turns on the event bus and writes the
-//! published stream as JSONL: sequential runs stream through the attached
-//! sink-worker thread; `--threads N` runs buffer per region and write the
-//! `(at, region)`-merged stream after the join. Each engine's stream is
-//! byte-deterministic across reruns (the two engines publish different —
-//! but each individually reproducible — telemetry: the parallel executor
-//! samples per-epoch sync counters and region-0 metrics ticks only).
+//! runs diff clean. `--events FILE` turns on the event bus's in-memory
+//! sink and, after the run, writes its log as JSONL, one event a line: the
+//! sequential engine's drained log, or a `--threads N` run's
+//! `(at, region)`-merged per-region logs. Both engines print `wrote FILE
+//! (N events)` on stderr, and a write error exits 2 naming the file. Each
+//! engine's stream is byte-deterministic across reruns (the two engines
+//! publish different — but each individually reproducible — telemetry: the
+//! parallel executor samples per-epoch sync counters and region-0 metrics
+//! ticks only).
 //! `QUICK=1` compresses the grids as everywhere else.
 //!
 //! `--group PREFIX --check FILE` runs the group on its full timelines
@@ -65,6 +67,7 @@
 
 use bench::quick;
 use bench::scenario::{figures, golden, registry, runner, RunReport, Runner, ScenarioSpec, Shard};
+use streamflow::{BusEvent, BusSinkKind};
 
 const USAGE: &str =
     "usage: scenario --list | --run NAME [--emit FILE] [--events FILE] | --group PREFIX\n\
@@ -88,6 +91,18 @@ fn usage_exit(msg: &str) -> ! {
 /// Create an output file before anything runs, so a bad path costs no run.
 fn create(flag: &str, path: &str) -> std::fs::File {
     std::fs::File::create(path).unwrap_or_else(|e| fail(&format!("{flag} {path}: {e}")))
+}
+
+/// Write a run's bus events to its `--events` file, one JSON line each.
+fn write_events(path: &str, file: std::fs::File, events: &[BusEvent]) {
+    use std::io::Write as _;
+    let mut out = std::io::BufWriter::new(file);
+    events
+        .iter()
+        .try_for_each(|ev| ev.write_jsonl(&mut out))
+        .and_then(|()| out.flush())
+        .unwrap_or_else(|e| fail(&format!("--events {path}: {e}")));
+    eprintln!("scenario: wrote {path} ({} events)", events.len());
 }
 
 /// The engine asserts on a scale plan in PDES mode; refuse the request
@@ -315,8 +330,8 @@ fn run_one(name: &str, o: &Opts) {
         fail(&format!("unknown scenario {name:?} (see --list)"));
     };
     let mut spec = o.partition(spec);
-    if let Some(p) = &o.events {
-        spec = spec.with_events_path(p.clone());
+    if o.events.is_some() {
+        spec = spec.with_bus_sink(BusSinkKind::Mem);
     }
     reject_scale_under_pdes(std::slice::from_ref(&spec));
     let emit = o.emit.as_deref().map(|p| (p, create("--emit", p)));
@@ -324,21 +339,7 @@ fn run_one(name: &str, o: &Opts) {
     if o.threads.is_some_and(|t| t > 1) {
         let (report, _wall) = spec.run_threaded();
         if let Some((path, file)) = events {
-            // Each replica buffered its own region's events; write the
-            // (at, region)-merged stream serially — byte-identical to
-            // what a sequential run streams through the sink worker.
-            use std::io::Write as _;
-            let mut out = std::io::BufWriter::new(file);
-            report
-                .bus_events
-                .iter()
-                .try_for_each(|ev| ev.write_jsonl(&mut out))
-                .and_then(|()| out.flush())
-                .unwrap_or_else(|e| fail(&format!("--events {path}: {e}")));
-            eprintln!(
-                "scenario: wrote {path} ({} events)",
-                report.bus_events.len()
-            );
+            write_events(path, file, &report.bus_events);
         }
         println!(
             "{} digest 0x{:016x} events {} sink_records {}",
@@ -366,9 +367,10 @@ fn run_one(name: &str, o: &Opts) {
         }
         return;
     }
-    // A sequential run streams --events through the bus's own file.
-    drop(events);
-    let report = spec.run();
+    let (report, log) = spec.run_logged();
+    if let Some((path, file)) = events {
+        write_events(path, file, &log);
+    }
     if let Some((path, mut file)) = emit {
         use std::io::Write as _;
         file.write_all(report.to_json("").as_bytes())

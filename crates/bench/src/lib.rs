@@ -169,7 +169,6 @@ mod tests {
             regions: 1,
             resume_latency: 0,
             bus_sink: Default::default(),
-            events_path: None,
         };
         let r = spec.run();
         assert!(r.migration_done.is_some());

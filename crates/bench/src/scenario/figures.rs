@@ -62,6 +62,12 @@ fn pm(samples: &[f64]) -> String {
     }
 }
 
+/// DRRS's signed change against a baseline, `(ours / theirs − 1) × 100`:
+/// a win prints as `-31.5%`, a loss as `+684.2%`.
+fn signed_change(ours: f64, theirs: f64) -> String {
+    format!("{:+.1}%", (ours / theirs.max(1e-9) - 1.0) * 100.0)
+}
+
 /// The series print step, in seconds: `quick` on compressed timelines.
 fn step(quick_step: u64, full_step: u64) -> u64 {
     if quick() {
@@ -208,9 +214,9 @@ impl Figure for Fig1011Plan {
             let (drrs_avg, d0) = (mean(&table[0].2), mean(&table[0].3));
             for (m, _, a, d) in table.iter().skip(1) {
                 println!(
-                    "  DRRS vs {m}: avg latency -{:.1}%, scaling time -{:.1}%",
-                    (1.0 - drrs_avg / mean(a).max(1e-9)) * 100.0,
-                    (1.0 - d0 / mean(d).max(1e-9)) * 100.0
+                    "  DRRS vs {m}: avg latency {}, scaling time {}",
+                    signed_change(drrs_avg, mean(a)),
+                    signed_change(d0, mean(d))
                 );
             }
             println!();
@@ -471,6 +477,13 @@ mod tests {
         assert!(pm(&[10.0]).contains("10"));
         let m = pm(&[10.0, 20.0]);
         assert!(m.contains("15") && m.contains("±"));
+    }
+
+    #[test]
+    fn signed_change_prints_one_sign() {
+        assert_eq!(signed_change(685.0, 1000.0), "-31.5%");
+        assert_eq!(signed_change(7842.0, 1000.0), "+684.2%");
+        assert_eq!(signed_change(1000.0, 1000.0), "+0.0%");
     }
 
     #[test]

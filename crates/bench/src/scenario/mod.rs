@@ -59,7 +59,7 @@ use drrs_core::{FlexScaler, MechanismConfig};
 use simcore::time::SimTime;
 use streamflow::world::tests_support::{tiny_job, twin_jobs};
 use streamflow::world::Sim;
-use streamflow::{BusSinkKind, EngineConfig, NoScale, OpId, ScalePlugin, World};
+use streamflow::{BusEvent, BusSinkKind, EngineConfig, NoScale, OpId, ScalePlugin, World};
 use workloads::custom::{cluster_engine_config, custom, CustomParams};
 use workloads::nexmark::{nexmark_engine_config, q7, q8, Q7Params, Q8Params};
 use workloads::twitch::{twitch, twitch_engine_config, TwitchParams};
@@ -220,13 +220,11 @@ pub struct ScenarioSpec {
     /// `resume_latency`* rather than equality with the 0-latency run.
     pub resume_latency: SimTime,
     /// Which sink the engine's event/metrics bus feeds
-    /// (`streamflow::bus`). `Null` (the default) disables the bus;
-    /// every sink is digest-neutral by the engine's contract.
+    /// (`streamflow::bus`). `Null` (the default) disables the bus; `Mem`
+    /// keeps its events for [`ScenarioSpec::run_logged`] (sequential) or
+    /// `ParallelReport::bus_events` (threaded) to hand back. Either sink
+    /// is digest-neutral by the engine's contract.
     pub bus_sink: BusSinkKind,
-    /// Stream bus events to this JSONL file (`--events`). Implies the
-    /// `Jsonl` sink for sequential runs; threaded runs buffer per region
-    /// and write the merged stream after the join.
-    pub events_path: Option<String>,
 }
 
 impl ScenarioSpec {
@@ -274,14 +272,6 @@ impl ScenarioSpec {
     /// Derive a spec with a different event-bus sink.
     pub fn with_bus_sink(mut self, sink: BusSinkKind) -> Self {
         self.bus_sink = sink;
-        self
-    }
-
-    /// Derive a spec streaming bus events to a JSONL file (selects the
-    /// `Jsonl` sink).
-    pub fn with_events_path(mut self, path: impl Into<String>) -> Self {
-        self.events_path = Some(path.into());
-        self.bus_sink = BusSinkKind::Jsonl;
         self
     }
 
@@ -346,20 +336,19 @@ impl ScenarioSpec {
     /// Execute the spec to completion and harvest a [`RunReport`].
     /// `wall_secs` times only `run_until` (not world construction).
     pub fn run(&self) -> RunReport {
+        self.run_logged().0
+    }
+
+    /// [`ScenarioSpec::run`], also returning the bus's drained event log
+    /// (empty unless `bus_sink` is `Mem`).
+    pub fn run_logged(&self) -> (RunReport, Vec<BusEvent>) {
         let (mut sim, op) = self.build_sim();
-        if let Some(path) = &self.events_path {
-            sim.world
-                .bus
-                .attach_jsonl(std::path::Path::new(path))
-                .expect("open bus events file");
-        }
         let start = Instant::now();
         sim.run_until(self.horizon);
         let wall_secs = start.elapsed().as_secs_f64();
-        // Final drain + writer join, so lag/drop counters (and the file)
-        // are complete before harvesting.
-        sim.world.bus.finish().expect("flush bus events file");
-        RunReport::harvest(self, &sim, op, wall_secs)
+        sim.world.bus.drain();
+        let report = RunReport::harvest(self, &sim, op, wall_secs);
+        (report, sim.world.bus.take_log())
     }
 
     /// Execute the spec on the thread-per-region parallel executor

@@ -41,7 +41,6 @@ fn spec(
         regions: 1,
         resume_latency: 0,
         bus_sink: Default::default(),
-        events_path: None,
     }
 }
 

@@ -1,7 +1,8 @@
 //! Integration tests for the scenario subsystem: registry integrity, the
 //! shard partition, shard-file round-trips, and merged-vs-sequential
 //! equality — the contracts the process-level sweep sharder stands on —
-//! plus the golden digest pin, bus-sink neutrality, and the strict CLIs.
+//! plus the golden digest pin, bus-sink neutrality, the `--events` file,
+//! and the strict CLIs.
 
 use bench::scenario::golden::{self, GoldenError};
 use bench::scenario::{registry, runner, Runner, ScenarioSpec, Shard};
@@ -259,30 +260,90 @@ fn golden_checker_fails_closed() {
 
 #[test]
 fn bus_sinks_are_digest_neutral_on_every_sequential_perf_scenario() {
-    // Enabling the event bus — in-memory log or a JSONL stream through the
-    // sink-worker thread — must not move a digest, an event count or a
-    // sink-record count on any perf/ scenario (quick timelines).
-    let path = std::env::temp_dir().join(format!("drrs_bus_neutral_{}.jsonl", std::process::id()));
+    // Enabling the event bus's in-memory sink must not move a digest, an
+    // event count or a sink-record count on any perf/ scenario (quick
+    // timelines).
     for spec in registry::perf_scenarios(true) {
         let off = spec.run();
         assert_eq!(off.bus_published, 0, "{}: bus on by default", spec.name);
-        let streamed = spec
-            .clone()
-            .with_events_path(path.to_str().expect("utf-8 temp path"));
-        for (sink, on) in [
-            ("mem", spec.clone().with_bus_sink(BusSinkKind::Mem).run()),
-            ("jsonl", streamed.run()),
-        ] {
-            assert!(on.bus_published > 0, "{} {sink}: bus stayed off", spec.name);
-            assert_eq!(
-                (on.digest, on.events, on.sink_records),
-                (off.digest, off.events, off.sink_records),
-                "{}: the {sink} sink moved the run",
-                spec.name
-            );
-        }
+        let on = spec.clone().with_bus_sink(BusSinkKind::Mem).run();
+        assert!(on.bus_published > 0, "{}: bus stayed off", spec.name);
+        assert_eq!(
+            (on.digest, on.events, on.sink_records),
+            (off.digest, off.events, off.sink_records),
+            "{}: the mem sink moved the run",
+            spec.name
+        );
     }
-    std::fs::remove_file(&path).expect("the JSONL stream was written");
+}
+
+#[test]
+fn events_file_is_the_serialized_in_memory_log_on_both_engines() {
+    // `scenario --events FILE` writes, byte for byte, the JSONL of the
+    // same spec's in-process `Mem` log: the drained sequential log on a
+    // scaled run (scale_planned/scale_deployed events included), and the
+    // merged per-region logs of a thread-per-region run.
+    let scenario = env!("CARGO_BIN_EXE_scenario");
+    let path = std::env::temp_dir().join(format!("drrs_events_{}.jsonl", std::process::id()));
+    let file = path.to_str().expect("utf-8 temp path");
+    let q7 = registry::find("perf/q7_drrs_rescale_8_to_12", true).expect("registered");
+    let cut = registry::find("perf/cut_pipeline_100k", true)
+        .expect("registered")
+        .with_regions(2)
+        .with_resume_latency(100);
+    let runs = [
+        (
+            vec!["--run", "perf/q7_drrs_rescale_8_to_12"],
+            q7.with_bus_sink(BusSinkKind::Mem).run_logged().1,
+            "scale_deployed",
+        ),
+        (
+            vec![
+                "--run",
+                "perf/cut_pipeline_100k",
+                "--regions",
+                "2",
+                "--resume-latency",
+                "100",
+                "--threads",
+                "2",
+            ],
+            cut.with_bus_sink(BusSinkKind::Mem)
+                .run_threaded()
+                .0
+                .bus_events,
+            "sync_epoch",
+        ),
+    ];
+    for (mut args, log, kind) in runs {
+        args.extend(["--events", file]);
+        let out = std::process::Command::new(scenario)
+            .args(&args)
+            .env("QUICK", "1")
+            .output()
+            .unwrap_or_else(|e| panic!("spawning {scenario}: {e}"));
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains(&format!("wrote {file} ({} events)", log.len())),
+            "{args:?}: {stderr}"
+        );
+        let mut want = Vec::new();
+        for ev in &log {
+            ev.write_jsonl(&mut want).expect("serialize to memory");
+        }
+        let got = std::fs::read(&path).expect("read the events file");
+        let kind = format!("\"kind\":\"{kind}\"");
+        assert!(
+            String::from_utf8_lossy(&want).contains(&kind),
+            "{args:?}: no {kind} event in the log"
+        );
+        assert!(
+            got == want,
+            "{args:?}: the events file differs from the log"
+        );
+    }
+    std::fs::remove_file(&path).expect("remove the events file");
 }
 
 #[test]
@@ -328,6 +389,11 @@ fn binaries_reject_stale_or_malformed_command_lines() {
             "--merge needs one or more",
         ),
         (scenario, "--figure fig15 --emit f", "--emit FILE goes with"),
+        (
+            scenario,
+            "--group perf --events f",
+            "--events needs a single run",
+        ),
         (drrs_sim, "--rate", "--rate needs a value"),
         (drrs_sim, "--workload", "--workload needs a value"),
         (drrs_sim, "--rate fast", "--rate \"fast\""),
@@ -354,7 +420,8 @@ fn binaries_reject_stale_or_malformed_command_lines() {
         );
     }
     // Unusable files exit 2 naming the file and the reason, before any
-    // cell runs: the --emit file is created first.
+    // cell runs: the --emit file is created first. An --events file that
+    // cannot take the log exits 2 the same way after the run.
     let dir = std::env::temp_dir().join(format!("drrs_cli_files_{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("mk temp dir");
     let file = |name: &str| {
@@ -366,6 +433,8 @@ fn binaries_reject_stale_or_malformed_command_lines() {
     std::fs::write(file("bad.json"), "{ \"garbage\": 1 }\n").expect("write bad shard");
     let (missing, bad, no_dir) = (file("missing.json"), file("bad.json"), file("no/x.json"));
     let no_such = "No such file or directory";
+    // A write that fails after the run, not at create time.
+    let full = "/dev/full".to_string();
     let file_cases = [
         (
             vec!["--figure", "fig15", "--merge", &missing],
@@ -386,6 +455,16 @@ fn binaries_reject_stale_or_malformed_command_lines() {
             vec!["--run", "perf/steady_50k", "--emit", &no_dir],
             &no_dir,
             no_such,
+        ),
+        (
+            vec!["--run", "perf/steady_50k", "--events", &no_dir],
+            &no_dir,
+            no_such,
+        ),
+        (
+            vec!["--run", "perf/steady_50k", "--events", &full],
+            &full,
+            "No space left on device",
         ),
     ];
     for (args, path, reason) in &file_cases {

@@ -1,5 +1,5 @@
 //! The engine event/metrics bus: typed event classes, bounded per-class
-//! channels with explicit drop policies, and pluggable sinks.
+//! channels with explicit drop policies, and an in-memory sink.
 //!
 //! Until now every metric left the engine *after* the run, scraped out of
 //! `RunReport`. The bus is the in-flight observation layer: the world
@@ -39,26 +39,33 @@
 //!   is a single branch, the channels are never even allocated, and the
 //!   steady-state dispatch path allocates and hashes nothing. Digests are
 //!   byte-identical to a build without the bus.
-//! * [`BusSinkKind::Mem`] — events accumulate in an in-memory log
-//!   ([`Bus::take_log`]); for tests and for the thread-per-region
-//!   executor's per-replica buffers.
-//! * [`BusSinkKind::Jsonl`] — streaming: a dedicated sink-worker thread is
-//!   attached with [`Bus::attach_jsonl`] and fed over a bounded
-//!   [`simcore::spsc`] ring (the Lamport ring the PDES executor already
-//!   uses); the worker serializes each event to one JSON line. Memory
-//!   stays flat on arbitrarily long runs: channels are bounded, the ring
-//!   is bounded, and the file absorbs the stream. Until a writer is
-//!   attached a `Jsonl` bus stages into the in-memory log (this is what
-//!   parallel replicas do — see below).
+//! * [`BusSinkKind::Mem`] — the channels drain into an in-memory log,
+//!   taken with [`Bus::take_log`] after a final [`Bus::drain`]. The bus
+//!   spawns no thread and touches no file: `scenario --events FILE` turns
+//!   this sink on and writes the log as JSONL ([`BusEvent::write_jsonl`])
+//!   after the run, on the sequential engine and on the thread-per-region
+//!   executor alike.
 //!
 //! # Drain points
 //!
-//! Channels drain to the sink at deliberately *low-rate* points, never on
+//! Channels drain to the log at deliberately *low-rate* points, never on
 //! the per-record hot path: every [`DRAIN_EVERY_SAMPLES`]-th metrics
 //! sample ([`Bus::on_sample`]), at each parallel epoch end, when a
-//! block-class channel fills, and at [`Bus::finish`]. Between drains a
-//! drop-oldest class that overflows genuinely drops — the counters are
-//! the honest record of it.
+//! block-class channel fills, and at the final [`Bus::drain`] the run's
+//! owner makes before taking the log. Between drains a drop-oldest class
+//! that overflows genuinely drops — the counters are the honest record of
+//! it.
+//!
+//! # Memory bound
+//!
+//! The log grows with the run, but slowly. Between two periodic drains
+//! the drop-oldest classes pass at most their capacities to the log (64
+//! metrics ticks and 128 backpressure transitions per 8 samples), and the
+//! block classes carry a handful of events per rescale, checkpoint or
+//! sample. The longest run in the repo, full-length
+//! `fig10_11/Q7/DRRS/seed1`, sinks 11,274 events: about 0.63 MB at 56
+//! bytes per [`BusEvent`], or 1.49 MB as JSONL. A streaming writer thread
+//! would save that much memory and nothing else, so there is none.
 //!
 //! # Determinism and parallel merged emission
 //!
@@ -69,9 +76,9 @@
 //! runs of the same spec report identical drop/lag numbers.
 //!
 //! Under the thread-per-region executor each replica buffers its own
-//! region's events in memory (never attaching a writer), and
-//! [`merge_region_logs`] folds the per-region buffers in region order by
-//! stable-sorting on `(at, region)` — exactly mirroring
+//! region's events in memory, and [`merge_region_logs`] folds the
+//! per-region buffers in region order by stable-sorting on
+//! `(at, region)` — exactly mirroring
 //! [`Observables::merge`](crate::world::Observables::merge), whose
 //! `(t, region)` key reproduces the sequential region-major recording
 //! order. The periodic sampler is pinned to region 0, so in parallel runs
@@ -79,30 +86,20 @@
 //! other regions' instances would read state frozen at replica pruning
 //! time); whole-fleet snapshots come from `Observables`, which merges
 //! exactly.
-//!
-//! The nondeterministic parts — how often the JSONL ring momentarily
-//! fills, how fast the worker drains — affect only wall-clock, never the
-//! stream content or the counters.
 
 use std::collections::VecDeque;
-use std::io::{self, Write as _};
-use std::sync::Arc;
+use std::io;
 
-use simcore::spsc::{ring, Consumer, Producer};
-use simcore::sync::{thread, AtomicU32, Ordering};
 use simcore::time::SimTime;
 
 /// Number of event classes (see the table in the module docs).
 pub const CLASS_COUNT: usize = 5;
 
-/// Drain the channels to the sink every this many `Sample` events (plus
-/// at block-class overflow, parallel epoch ends, and `finish`). The sink
-/// service interval is deliberately coarser than the publish rate so the
-/// drop/lag accounting exercises real bounded-channel behavior.
+/// Drain the channels to the log every this many `Sample` events (plus
+/// at block-class overflow, parallel epoch ends, and the final drain).
+/// The drain interval is deliberately coarser than the publish rate so
+/// the drop/lag accounting exercises real bounded-channel behavior.
 pub const DRAIN_EVERY_SAMPLES: u32 = 8;
-
-/// Capacity of the ring feeding the JSONL sink-worker thread, in events.
-const JSONL_RING_CAP: usize = 1024;
 
 /// The typed event classes (one bounded channel each).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -271,8 +268,8 @@ impl BusEvent {
         }
     }
 
-    /// Serialize as one JSON line (the JSONL sink format). Field order is
-    /// fixed, so the output is byte-deterministic.
+    /// Serialize as one JSON line (the `--events` file format). Field
+    /// order is fixed, so the output is byte-deterministic.
     pub fn write_jsonl(&self, w: &mut impl io::Write) -> io::Result<()> {
         let head = (self.at, self.region, self.class().name());
         match self.kind {
@@ -353,33 +350,8 @@ pub enum BusSinkKind {
     /// Bus disabled: `publish` is a single branch, nothing is allocated.
     #[default]
     Null,
-    /// In-memory event log (tests, parallel per-replica buffers).
+    /// In-memory event log ([`Bus::take_log`]).
     Mem,
-    /// Streaming JSONL via an attached sink-worker thread
-    /// ([`Bus::attach_jsonl`]); stages to the in-memory log until one is
-    /// attached.
-    Jsonl,
-}
-
-impl BusSinkKind {
-    /// Parse a CLI flag value (`null` / `mem` / `jsonl`).
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "null" | "none" | "off" => Some(Self::Null),
-            "mem" | "memory" => Some(Self::Mem),
-            "jsonl" | "json" => Some(Self::Jsonl),
-            _ => None,
-        }
-    }
-
-    /// The flag-style name.
-    pub fn name(self) -> &'static str {
-        match self {
-            Self::Null => "null",
-            Self::Mem => "mem",
-            Self::Jsonl => "jsonl",
-        }
-    }
 }
 
 /// Deterministic lag/drop accounting, summed over classes where scalar.
@@ -424,52 +396,13 @@ struct Chan {
     max_depth: u64,
 }
 
-/// The attached JSONL sink worker: a bounded SPSC ring into a writer
-/// thread. Shutdown is flag + drain: `finish` raises `done`, the worker
-/// drains the ring empty and exits.
-struct JsonlWriter {
-    tx: Producer<BusEvent>,
-    done: Arc<AtomicU32>,
-    handle: Option<thread::JoinHandle<io::Result<u64>>>,
-}
-
-fn writer_loop(
-    mut rx: Consumer<BusEvent>,
-    done: Arc<AtomicU32>,
-    mut out: io::BufWriter<std::fs::File>,
-) -> io::Result<u64> {
-    let mut written = 0u64;
-    loop {
-        match rx.pop() {
-            Some(ev) => {
-                ev.write_jsonl(&mut out)?;
-                written += 1;
-            }
-            None => {
-                // The producer publishes `done` *before* its final push
-                // could be missed: it only raises the flag after its last
-                // push, and we re-check emptiness after reading the flag.
-                if done.load(Ordering::SeqCst) == 1 && rx.is_empty() {
-                    break;
-                }
-                thread::yield_now();
-            }
-        }
-    }
-    out.flush()?;
-    Ok(written)
-}
-
 /// The event/metrics bus owned by a `World`. See the module docs.
 pub struct Bus {
-    kind: BusSinkKind,
     /// Per-class channels, indexed like [`BusClass::ALL`]. Empty when the
     /// bus is disabled (`Null`): the disabled bus owns no buffers at all.
     chans: Vec<Chan>,
-    /// The in-memory sink log (`Mem`, and `Jsonl` before attach).
+    /// The in-memory sink log.
     log: Vec<BusEvent>,
-    /// The attached streaming sink worker, if any.
-    writer: Option<JsonlWriter>,
     /// Samples since the last periodic drain.
     samples: u32,
 }
@@ -494,10 +427,8 @@ impl Bus {
                 .collect()
         };
         Self {
-            kind,
             chans,
             log: Vec::new(),
-            writer: None,
             samples: 0,
         }
     }
@@ -505,12 +436,7 @@ impl Bus {
     /// Is the bus publishing (any sink but `Null`)?
     #[inline]
     pub fn enabled(&self) -> bool {
-        self.kind != BusSinkKind::Null
-    }
-
-    /// The configured sink kind.
-    pub fn sink_kind(&self) -> BusSinkKind {
-        self.kind
+        !self.chans.is_empty()
     }
 
     /// Publish one event. With the `Null` sink this is a single branch —
@@ -519,7 +445,7 @@ impl Bus {
     // checker:hot-path
     #[inline]
     pub fn publish(&mut self, at: SimTime, region: u8, kind: BusEventKind) {
-        if self.kind == BusSinkKind::Null {
+        if !self.enabled() {
             return;
         }
         self.admit(BusEvent { at, region, kind });
@@ -556,31 +482,13 @@ impl Bus {
         }
     }
 
-    /// Drain one class to the sink (block-policy overflow, and `drain`).
+    /// Drain one class to the log (block-policy overflow, and `drain`).
     fn flush_class(&mut self, ci: usize) {
-        while let Some(ev) = self.chans[ci].buf.pop_front() {
-            self.emit(ev);
-        }
-    }
-
-    /// Hand one event to the sink: the attached writer's ring, or the
-    /// in-memory log. A full ring is a *blocking* send (all drops already
-    /// happened at admission): spin-yield until the worker frees a slot.
-    fn emit(&mut self, ev: BusEvent) {
-        match &mut self.writer {
-            Some(w) => {
-                let mut pending = ev;
-                while let Err(back) = w.tx.push(pending) {
-                    pending = back;
-                    thread::yield_now();
-                }
-            }
-            None => self.log.push(ev),
-        }
+        self.log.extend(self.chans[ci].buf.drain(..));
     }
 
     /// Periodic drain pacing: called once per `Ev::Sample`; every
-    /// [`DRAIN_EVERY_SAMPLES`]-th call drains all channels to the sink.
+    /// [`DRAIN_EVERY_SAMPLES`]-th call drains all channels to the log.
     pub fn on_sample(&mut self) {
         if !self.enabled() {
             return;
@@ -592,58 +500,15 @@ impl Bus {
         }
     }
 
-    /// Drain every class to the sink, in class order (FIFO within each).
+    /// Drain every class to the log, in class order (FIFO within each).
     pub fn drain(&mut self) {
         for ci in 0..self.chans.len() {
             self.flush_class(ci);
         }
     }
 
-    /// Attach the streaming JSONL sink-worker: open `path`, spawn the
-    /// writer thread, and forward everything staged in the log so far.
-    /// Only meaningful for a [`BusSinkKind::Jsonl`] bus.
-    pub fn attach_jsonl(&mut self, path: &std::path::Path) -> io::Result<()> {
-        assert_eq!(
-            self.kind,
-            BusSinkKind::Jsonl,
-            "attach_jsonl on a {:?} bus",
-            self.kind
-        );
-        assert!(self.writer.is_none(), "JSONL writer already attached");
-        let file = std::fs::File::create(path)?;
-        let (tx, rx) = ring::<BusEvent>(JSONL_RING_CAP);
-        let done = Arc::new(AtomicU32::new(0));
-        let done2 = Arc::clone(&done);
-        let handle = thread::spawn(move || writer_loop(rx, done2, io::BufWriter::new(file)));
-        self.writer = Some(JsonlWriter {
-            tx,
-            done,
-            handle: Some(handle),
-        });
-        let staged = std::mem::take(&mut self.log);
-        for ev in staged {
-            self.emit(ev);
-        }
-        Ok(())
-    }
-
-    /// Final drain: flush every channel, then shut the writer down (raise
-    /// the done flag, join, surface its I/O result as the number of lines
-    /// written). Idempotent; returns 0 lines when no writer was attached.
-    pub fn finish(&mut self) -> io::Result<u64> {
-        self.drain();
-        match self.writer.take() {
-            Some(mut w) => {
-                w.done.store(1, Ordering::SeqCst);
-                let handle = w.handle.take().expect("writer joined twice");
-                handle.join().expect("bus sink worker panicked")
-            }
-            None => Ok(0),
-        }
-    }
-
-    /// Take the in-memory event log (`Mem` sink, or `Jsonl` before
-    /// attach). Call [`Bus::finish`] first so the channels are drained.
+    /// Take the in-memory event log. Call [`Bus::drain`] first so the
+    /// channels are empty.
     pub fn take_log(&mut self) -> Vec<BusEvent> {
         std::mem::take(&mut self.log)
     }
@@ -659,17 +524,6 @@ impl Bus {
             s.class_drops[ci] = c.dropped;
         }
         s
-    }
-}
-
-impl Drop for Bus {
-    fn drop(&mut self) {
-        // Backstop: if `finish` was never called, shut the worker down
-        // anyway so the thread and file handle are not leaked (I/O errors
-        // are swallowed here — call `finish` to observe them).
-        if self.writer.is_some() {
-            let _ = self.finish();
-        }
     }
 }
 
@@ -708,7 +562,7 @@ mod tests {
         assert_eq!(b.chans.capacity(), 0, "disabled bus must own no buffers");
         b.publish(1, 0, tick(1, 0));
         b.on_sample();
-        assert_eq!(b.finish().expect("finish"), 0);
+        b.drain();
         assert_eq!(b.summary(), BusSummary::default());
         assert!(b.take_log().is_empty());
     }
@@ -725,7 +579,7 @@ mod tests {
         assert_eq!(s.dropped, 10);
         assert_eq!(s.class_drops[BusClass::Metrics as usize], 10);
         assert_eq!(s.lag_max, cap, "high-water mark is the full channel");
-        b.finish().expect("finish");
+        b.drain();
         let log = b.take_log();
         assert_eq!(log.len() as u64, cap, "sink sees cap newest events");
         assert_eq!(log[0].at, 10, "the 10 oldest were dropped");
@@ -743,7 +597,7 @@ mod tests {
         assert_eq!(s.published, cap + 3);
         assert_eq!(s.dropped, 0, "block classes never drop");
         assert_eq!(s.blocking_flushes, 1, "one forced drain at overflow");
-        b.finish().expect("finish");
+        b.drain();
         let log = b.take_log();
         assert_eq!(log.len() as u64, cap + 3, "every event reached the sink");
         // Delivery preserves publish order within the class.
@@ -805,24 +659,8 @@ mod tests {
     }
 
     #[test]
-    fn jsonl_worker_streams_and_reports_line_count() {
-        let dir = std::env::temp_dir();
-        let path = dir.join("streamflow_bus_worker_test.jsonl");
-        let mut b = Bus::new(BusSinkKind::Jsonl);
-        // Staged before attach...
-        b.publish(1, 0, tick(1, 0));
-        b.drain();
-        b.attach_jsonl(&path).expect("attach");
-        // ...and streamed after.
-        for i in 2..50u64 {
-            b.publish(i, 0, tick(i, 0));
-        }
-        let written = b.finish().expect("finish");
-        assert_eq!(written, 49, "staged + streamed events all written");
-        let text = std::fs::read_to_string(&path).expect("read back");
-        assert_eq!(text.lines().count(), 49);
-        assert!(text.starts_with("{\"at\":1,"), "staged event first");
-        let _ = std::fs::remove_file(&path);
+    fn bus_event_is_56_bytes_as_the_memory_bound_assumes() {
+        assert_eq!(std::mem::size_of::<BusEvent>(), 56);
     }
 
     #[test]

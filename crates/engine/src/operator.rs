@@ -6,7 +6,7 @@
 use simcore::SimTime;
 
 use crate::ids::{key_group_of, Key, KeyGroup};
-use crate::record::{Record, RecordKind};
+use crate::record::Record;
 use crate::state::{StateBackend, StateValue};
 use crate::window::{Agg, FireScratch};
 
@@ -383,11 +383,6 @@ impl OperatorLogic for WindowJoin {
     fn watermark_cost(&self) -> SimTime {
         self.service * 2
     }
-}
-
-/// Is this record a latency marker (engine fast-path check)?
-pub fn is_marker(rec: &Record) -> bool {
-    rec.kind == RecordKind::Marker
 }
 
 #[cfg(test)]

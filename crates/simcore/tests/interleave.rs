@@ -129,54 +129,6 @@ fn epoch_barrier_never_deadlocks_or_races() {
     assert_well_explored(&report);
 }
 
-#[test]
-fn sink_worker_flag_and_drain_shutdown_loses_nothing() {
-    // The engine bus's JSONL sink-worker protocol, verbatim: the producer
-    // spin-pushes events into the bounded ring and only *after* its final
-    // push raises the `done` flag; the worker treats an empty pop as
-    // terminal only when `done` is already visible AND the ring re-checks
-    // empty. The classic lost-wakeup shape is the worker reading `done=1`
-    // between the producer's last push and its own empty-check — the
-    // re-check closes it, and the explorer must find no schedule where an
-    // event pushed before the flag is dropped or reordered.
-    const N: u64 = 3;
-    let report = checker().run(|| {
-        use simcore::sync::AtomicU32;
-        let (mut tx, mut rx) = ring::<u64>(2);
-        let done = Arc::new(AtomicU32::new(0));
-        let done2 = Arc::clone(&done);
-        let producer = thread::spawn(move || {
-            let mut i = 0;
-            while i < N {
-                match tx.push(i) {
-                    Ok(()) => i += 1,
-                    Err(_) => hint::spin_loop(),
-                }
-            }
-            // Shutdown: the flag is raised strictly after the last push.
-            done2.store(1, Ordering::SeqCst);
-        });
-        let mut got = 0u64;
-        loop {
-            match rx.pop() {
-                Some(v) => {
-                    assert_eq!(v, got, "sink worker lost or reordered an event");
-                    got += 1;
-                }
-                None => {
-                    if done.load(Ordering::SeqCst) == 1 && rx.is_empty() {
-                        break;
-                    }
-                    hint::spin_loop();
-                }
-            }
-        }
-        assert_eq!(got, N, "worker exited with events still in flight");
-        producer.join().unwrap();
-    });
-    assert_well_explored(&report);
-}
-
 // ---------------------------------------------------------------------
 // Mutation-kill suite: seeded bugs the checker MUST catch
 // ---------------------------------------------------------------------

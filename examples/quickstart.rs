@@ -121,7 +121,6 @@ fn main() {
         regions: 1,
         resume_latency: 0,
         bus_sink: Default::default(),
-        events_path: None,
     };
     let report: RunReport = spec.run();
     println!(

@@ -113,88 +113,63 @@ fn arena_slots_are_reclaimed_in_steady_state() {
 }
 
 #[test]
-fn jsonl_bus_sink_streams_with_flat_memory_and_deterministic_loss() {
-    // The streaming-sink memory contract on a 10x-horizon run: with a
-    // writer attached nothing stages in process memory — the bounded
-    // channels plateau at their caps (lag high-water), the bounded ring
-    // feeds the worker, and the file absorbs the stream. The wide job
-    // (18 instances x 8 samples per drain > the 64-slot metrics channel)
-    // makes the drop-oldest policy fire for real, and the loss accounting
-    // must be byte-reproducible: same counters, same file, every run.
+fn mem_bus_sink_lag_plateaus_and_loss_is_deterministic() {
+    // The bounded channels on a 10x-horizon run: the lag high-water
+    // plateaus at the channel caps. The wide job (18 instances x 8 samples
+    // per drain > the 64-slot metrics channel) makes the drop-oldest
+    // policy fire for real, and the loss accounting must be
+    // byte-reproducible: same counters, same serialized log, every run,
+    // and the digest of the run with the bus off.
     use drrs_repro::engine::{BusClass, BusSinkKind};
-    let dir = std::env::temp_dir();
-    let run = |tag: &str, horizon| {
-        let path = dir.join(format!("drrs_bus_flatmem_{tag}.jsonl"));
+    let run = |sink, horizon| {
         let mut cfg = EngineConfig::test();
         cfg.seed = 7;
-        cfg.bus_sink = BusSinkKind::Jsonl;
+        cfg.bus_sink = sink;
         let (w, _) = tiny_job(cfg, 20_000.0, 256, 16);
         let mut sim = Sim::new(w, Box::new(NoScale));
-        sim.world
-            .bus
-            .attach_jsonl(&path)
-            .expect("attach sink worker");
         sim.run_until(horizon);
-        let lines = sim.world.bus.finish().expect("flush sink worker");
-        assert!(
-            sim.world.bus.take_log().is_empty(),
-            "writer-attached bus staged events in memory"
-        );
-        let bytes = std::fs::read(&path).expect("read stream back");
-        let _ = std::fs::remove_file(&path);
-        (
-            lines,
-            sim.world.bus.summary(),
-            sim.world.metrics_digest(),
-            bytes,
-        )
+        sim.world.bus.drain();
+        let mut bytes = Vec::new();
+        for ev in sim.world.bus.take_log() {
+            ev.write_jsonl(&mut bytes).expect("serialize to memory");
+        }
+        (sim.world.bus.summary(), sim.world.metrics_digest(), bytes)
     };
-    let short = run("short", secs(1));
-    let long = run("long", secs(10));
-    // Flat memory: the channel high-water plateaus at the bounded caps —
+    let short = run(BusSinkKind::Mem, secs(1));
+    let long = run(BusSinkKind::Mem, secs(10));
     // 10x more simulated time must not deepen any queue.
     assert_eq!(
-        short.1.lag_max, long.1.lag_max,
+        short.0.lag_max, long.0.lag_max,
         "channel lag grew with the horizon"
     );
-    assert!(long.1.lag_max <= 128, "lag exceeds the largest channel cap");
-    // The stream went to disk, not memory: ~10x the events, all on file.
-    assert!(
-        long.0 > 5 * short.0,
-        "long run did not stream ({} vs {})",
-        long.0,
-        short.0
-    );
+    assert!(long.0.lag_max <= 128, "lag exceeds the largest channel cap");
     // Honest loss: the high-rate metrics class dropped, deterministically.
     assert!(
-        long.1.dropped > 0,
+        long.0.dropped > 0,
         "wide job should overflow the metrics channel"
     );
-    assert!(long.1.class_drops[BusClass::Metrics as usize] > 0);
-    let again = run("again", secs(10));
-    assert_eq!(again.1, long.1, "bus accounting not reproducible");
-    assert_eq!(again.0, long.0, "line count not reproducible");
-    assert_eq!(again.3, long.3, "JSONL stream bytes not reproducible");
-    assert_eq!(again.2, long.2, "digest perturbed by the streaming sink");
+    assert!(long.0.class_drops[BusClass::Metrics as usize] > 0);
+    let again = run(BusSinkKind::Mem, secs(10));
+    assert_eq!(again.0, long.0, "bus accounting not reproducible");
+    assert_eq!(again.2, long.2, "serialized log bytes not reproducible");
+    let off = run(BusSinkKind::Null, secs(10));
+    assert_eq!(long.1, off.1, "digest perturbed by the bus");
 }
 
 #[test]
 fn run_report_surfaces_deterministic_bus_counters() {
-    // The RunReport side of the loss accounting: a lossy JSONL scenario
-    // run says so through `bus_dropped`/`bus_lag_max`, identically on
-    // every rerun (and the counters survive the JSON round trip).
-    let dir = std::env::temp_dir();
-    let run = |tag: &str| {
-        let path = dir.join(format!("drrs_bus_report_{tag}.jsonl"));
-        let report = perf_spec("perf/steady_50k")
+    // The RunReport side of the loss accounting: a lossy scenario run
+    // with the bus on says so through `bus_dropped`/`bus_lag_max`,
+    // identically on every rerun (and the counters survive the JSON round
+    // trip).
+    let run = || {
+        perf_spec("perf/steady_50k")
             .with_horizon(secs(3))
-            .with_events_path(path.display().to_string())
-            .run();
-        let _ = std::fs::remove_file(&path);
-        report
+            .with_bus_sink(drrs_repro::engine::BusSinkKind::Mem)
+            .run()
     };
-    let a = run("a");
-    let b = run("b");
+    let a = run();
+    let b = run();
     assert!(a.bus_published > 0, "enabled bus published nothing");
     assert!(a.bus_lag_max > 0);
     assert_eq!(
