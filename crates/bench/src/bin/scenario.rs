@@ -4,7 +4,6 @@
 //! ```bash
 //! scenario --list                      # every registered name
 //! scenario --run perf/steady_50k       # one run; prints a digest line
-//! scenario --run NAME --emit report.json   # also write the RunReport JSON
 //! scenario --group perf                # run a whole group, one line each
 //! scenario --group perf --threads 4    # pin the worker pool to 4 threads
 //! scenario --run NAME --regions 2 --resume-latency 100 --threads 2
@@ -12,9 +11,7 @@
 //! scenario --run NAME --sync-stats     # also print region/sync accounting
 //! scenario --group perf --check crates/bench/golden/perf_digests.txt
 //!                                      # the cross-build digest pin
-//! scenario --figure fig15              # run a figure's grid and render it
-//! scenario --figure fig15 --shard 0/2 --emit s0.json   # one stripe, as JSON
-//! scenario --figure fig15 --merge s0.json s1.json      # render from shards
+//! scenario --figure fig15 --threads 2  # run a figure's grid and render it
 //! ```
 //!
 //! The digest lines on stdout are fully deterministic (`name digest events
@@ -28,9 +25,9 @@
 //! executes on the thread-per-region parallel engine instead — the digest
 //! line keeps the same format (events = merged processed count), so CI
 //! diffs a threaded run directly against the sequential run at the same
-//! `--regions`/`--resume-latency`. With `--group`, `--threads N` pins the
-//! sweep worker pool (first-class form of the `SWEEP_THREADS` env var,
-//! which stays as the fallback); each worker still runs one sequential sim.
+//! `--regions`/`--resume-latency`. With `--group` or `--figure`,
+//! `--threads N` pins the worker pool (default: one worker per available
+//! CPU); each worker still runs one sequential sim.
 //! `--sync-stats` appends a second, equally deterministic line per run with
 //! the per-region event counts, the region-scheduler (sequential) or
 //! epoch (parallel) synchronization counters, and the bus lag/drop
@@ -56,24 +53,18 @@
 //!
 //! `--figure NAME` runs the grid of one of the paper's figures (the
 //! registry groups `fig02`, `fig10_11`, `fig12_13`, `fig14`, `fig15` and
-//! `ablation`; see `bench::scenario::figures`) and prints the figure. With
-//! `--shard K/N --emit FILE` it runs only the cells whose grid index is
-//! ≡ K mod N and writes their reports as JSON instead; `--merge FILE...`
-//! renders from such shard files, byte-identically to the unsharded run
-//! (the protocol is in `bench::scenario::runner`). An `--emit` file is
-//! created before anything runs; a path that cannot be written, or a
-//! shard file that cannot be read or does not cover the grid exactly once,
-//! exits 2 naming the file.
+//! `ablation`; see `bench::scenario::figures`) and prints the figure,
+//! byte-identically at every `--threads N`. The QUICK text of each figure
+//! is pinned in `crates/bench/golden/figures/NAME.txt`.
 
 use bench::quick;
-use bench::scenario::{figures, golden, registry, runner, RunReport, Runner, ScenarioSpec, Shard};
+use bench::scenario::{figures, golden, registry, run_all, RunReport, ScenarioSpec};
 use streamflow::{BusEvent, BusSinkKind};
 
-const USAGE: &str =
-    "usage: scenario --list | --run NAME [--emit FILE] [--events FILE] | --group PREFIX\n\
+const USAGE: &str = "usage: scenario --list | --run NAME [--events FILE] | --group PREFIX\n\
      \x20       [--regions K --resume-latency MICROS] [--threads N] [--sync-stats]\n\
      \x20      scenario --group PREFIX --check GOLDEN_FILE\n\
-     \x20      scenario --figure NAME [--shard K/N --emit FILE | --merge FILE...] [--threads N]\n\
+     \x20      scenario --figure NAME [--threads N]\n\
      (figures: fig02 fig10_11 fig12_13 fig14 fig15 ablation;\n\
      \x20QUICK=1 in the environment compresses timelines)";
 
@@ -86,11 +77,6 @@ fn fail(msg: &str) -> ! {
 /// Reject a malformed request: message, usage, exit 2.
 fn usage_exit(msg: &str) -> ! {
     fail(&format!("{msg}\n{USAGE}"));
-}
-
-/// Create an output file before anything runs, so a bad path costs no run.
-fn create(flag: &str, path: &str) -> std::fs::File {
-    std::fs::File::create(path).unwrap_or_else(|e| fail(&format!("{flag} {path}: {e}")))
 }
 
 /// Write a run's bus events to its `--events` file, one JSON line each.
@@ -123,11 +109,8 @@ struct Opts {
     run: Option<String>,
     group: Option<String>,
     figure: Option<String>,
-    emit: Option<String>,
     events: Option<String>,
     check: Option<String>,
-    shard: Option<Shard>,
-    merge: Option<Vec<String>>,
     regions: Option<usize>,
     threads: Option<usize>,
     resume_latency: Option<u64>,
@@ -152,29 +135,15 @@ fn parse_args(args: &[String]) -> Result<Opts, String> {
         match flag {
             "--list" => o.list = true,
             "--sync-stats" => o.sync_stats = true,
-            "--merge" => {
-                let files: Vec<String> = args[i + 1..]
-                    .iter()
-                    .take_while(|a| !a.starts_with("--"))
-                    .cloned()
-                    .collect();
-                if files.is_empty() {
-                    return Err("--merge needs one or more shard files".into());
-                }
-                i += files.len();
-                o.merge = Some(files);
-            }
-            "--run" | "--group" | "--figure" | "--emit" | "--events" | "--check" | "--shard"
-            | "--regions" | "--threads" | "--resume-latency" => {
+            "--run" | "--group" | "--figure" | "--events" | "--check" | "--regions"
+            | "--threads" | "--resume-latency" => {
                 let v = bench::flag_value(args, i)?;
                 match flag {
                     "--run" => o.run = Some(v.to_string()),
                     "--group" => o.group = Some(v.to_string()),
                     "--figure" => o.figure = Some(v.to_string()),
-                    "--emit" => o.emit = Some(v.to_string()),
                     "--events" => o.events = Some(v.to_string()),
                     "--check" => o.check = Some(v.to_string()),
-                    "--shard" => o.shard = Some(Shard::parse(v)?),
                     "--regions" => o.regions = Some(bench::parse_value(flag, v)?),
                     "--threads" => o.threads = Some(bench::parse_value(flag, v)?),
                     _ => o.resume_latency = Some(bench::parse_value(flag, v)?),
@@ -215,32 +184,8 @@ fn parse_args(args: &[String]) -> Result<Opts, String> {
         let other_mode = o.list || o.run.is_some() || o.group.is_some();
         let per_run = o.events.is_some() || o.regions.is_some() || o.resume_latency.is_some();
         if other_mode || per_run || o.sync_stats {
-            return Err("--figure NAME takes only --shard K/N --emit FILE, \
-                 --merge FILE... and --threads N"
-                .into());
+            return Err("--figure NAME takes only --threads N".into());
         }
-    } else if o.shard.is_some() || o.merge.is_some() {
-        return Err("--shard and --merge go with --figure NAME".into());
-    }
-    if o.merge.is_some() && (o.shard.is_some() || o.emit.is_some()) {
-        return Err("--merge cannot be combined with --shard/--emit".into());
-    }
-    if o.shard.is_some() && o.emit.is_none() {
-        return Err(
-            "--shard requires --emit FILE (a sharded run renders nothing; \
-             its output is the emitted JSON)"
-                .into(),
-        );
-    }
-    if o.emit.is_some() && o.run.is_none() && o.shard.is_none() {
-        return Err("--emit FILE goes with --run NAME or --shard K/N".into());
-    }
-    if o.emit.is_some() && o.run.is_some() && o.threads.is_some_and(|t| t > 1) {
-        // Thread-per-region runs have no merged World to harvest a full
-        // RunReport from, so --emit has nothing faithful to write.
-        return Err("--emit is not supported with --threads > 1 \
-             (no merged RunReport exists; drop --threads or --emit)"
-            .into());
     }
     if o.events.is_some() && o.group.is_some() {
         return Err("--events needs a single run (the group's streams \
@@ -296,31 +241,10 @@ fn print_report(r: &RunReport, sync_stats: bool) {
     }
 }
 
-/// `--figure NAME`: run the figure's grid (or one shard of it, or merge
-/// shard files back into it) and render it.
+/// `--figure NAME`: run the figure's grid and render it.
 fn run_figure(name: &str, o: &Opts) {
     let figure = figures::figure(name, quick()).expect("parse_args knows the name");
-    let specs = figure.specs();
-    let reports = if let Some(files) = &o.merge {
-        runner::merge_shards(name, &specs, files).unwrap_or_else(|e| fail(&e))
-    } else if let (Some(shard), Some(path)) = (o.shard, &o.emit) {
-        let file = create("--emit", path);
-        let runs = Runner::sharded(shard)
-            .with_threads(o.threads)
-            .run_indexed(&specs);
-        runner::write_shard(file, name, specs.len(), shard, &runs)
-            .unwrap_or_else(|e| fail(&format!("--emit {path}: {e}")));
-        eprintln!(
-            "scenario: {name} shard {} ran {} of {} cells -> {path}",
-            shard.label(),
-            runs.len(),
-            specs.len()
-        );
-        return;
-    } else {
-        Runner::in_process().with_threads(o.threads).run(&specs)
-    };
-    figure.render(&reports);
+    figure.render(&run_all(&figure.specs(), o.threads));
 }
 
 /// `--run NAME`: one run, sequential or (`--threads N > 1`) on the
@@ -334,10 +258,16 @@ fn run_one(name: &str, o: &Opts) {
         spec = spec.with_bus_sink(BusSinkKind::Mem);
     }
     reject_scale_under_pdes(std::slice::from_ref(&spec));
-    let emit = o.emit.as_deref().map(|p| (p, create("--emit", p)));
-    let events = o.events.as_deref().map(|p| (p, create("--events", p)));
+    // Created before the run, so a bad path costs no run.
+    let events = o.events.as_deref().map(|p| {
+        let file = std::fs::File::create(p);
+        (
+            p,
+            file.unwrap_or_else(|e| fail(&format!("--events {p}: {e}"))),
+        )
+    });
     if o.threads.is_some_and(|t| t > 1) {
-        let (report, _wall) = spec.run_threaded();
+        let report = spec.run_threaded();
         if let Some((path, file)) = events {
             write_events(path, file, &report.bus_events);
         }
@@ -371,12 +301,6 @@ fn run_one(name: &str, o: &Opts) {
     if let Some((path, file)) = events {
         write_events(path, file, &log);
     }
-    if let Some((path, mut file)) = emit {
-        use std::io::Write as _;
-        file.write_all(report.to_json("").as_bytes())
-            .unwrap_or_else(|e| fail(&format!("--emit {path}: {e}")));
-        eprintln!("scenario: wrote {path}");
-    }
     print_report(&report, o.sync_stats);
 }
 
@@ -393,8 +317,7 @@ fn run_group(prefix: &str, o: &Opts) {
         ));
     }
     reject_scale_under_pdes(&specs);
-    let reports = Runner::in_process().with_threads(o.threads).run(&specs);
-    for r in &reports {
+    for r in &run_all(&specs, o.threads) {
         print_report(r, o.sync_stats);
     }
 }

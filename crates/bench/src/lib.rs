@@ -16,10 +16,11 @@
 //!
 //! Every run either binary performs is a [`scenario::ScenarioSpec`] —
 //! the figures' from [`scenario::registry`], `drrs_sim`'s built from its
-//! flags — executed by the [`scenario::Runner`] or `ScenarioSpec::build_sim`.
-//! See the [`scenario`] module docs for the spec → registry → runner →
-//! report lifecycle, the determinism contract, and the `--shard K/N` /
-//! `--emit` / `--merge` process-sharding protocol every figure speaks.
+//! flags — executed by [`scenario::run_all`] or `ScenarioSpec::build_sim`.
+//! See the [`scenario`] module docs for the spec → registry → run →
+//! report lifecycle and the determinism contract. A figure's grid runs in
+//! one process on a `--threads N` worker pool, and its text is the same
+//! at every `N`.
 //!
 //! Set `QUICK=1` in the environment for compressed timelines (CI-friendly);
 //! the default timelines follow the paper (scale at 300 s, etc.).
@@ -62,12 +63,9 @@ where
 ///
 /// Workers pull the next unstarted item from a shared cursor, so uneven
 /// per-cell runtimes (high-skew cells run much longer) still load-balance.
-/// The worker count is `threads`, capped by the item count. `threads: None`
-/// falls back to the `SWEEP_THREADS` env var (set `SWEEP_THREADS=1` to run
-/// sequentially) and then to `available_parallelism` — an explicit count
-/// (e.g. from `--threads N`) always wins over the environment, so a flag on
-/// the command line cannot be silently overridden by a stale exported
-/// variable.
+/// The worker count is `threads` (e.g. from `--threads N`), or
+/// `available_parallelism` when it is `None` or 0, capped by the item
+/// count.
 pub fn parallel_map<T, R, F>(items: Vec<T>, threads: Option<usize>, f: F) -> Vec<R>
 where
     T: Send,
@@ -83,12 +81,6 @@ where
     }
     let threads = threads
         .filter(|&t| t >= 1)
-        .or_else(|| {
-            std::env::var("SWEEP_THREADS")
-                .ok()
-                .and_then(|v| v.parse::<usize>().ok())
-                .filter(|&t| t >= 1)
-        })
         .unwrap_or_else(|| {
             std::thread::available_parallelism()
                 .map(|p| p.get())

@@ -2,10 +2,9 @@
 //!
 //! Each figure is a registry plan (`registry::*_plan`) that knows its grid
 //! and prints itself from that grid's reports, keyed by the plan's registry
-//! group name. `scenario --figure NAME` runs the grid once through the
-//! [`super::Runner`] — whole, or one `--shard K/N` of it, or `--merge`d
-//! back from shard files — and renders it; the rendering depends only on
-//! the reports, so every route prints the same bytes.
+//! group name. `scenario --figure NAME` runs the grid once with
+//! [`super::run_all`] and renders it; the rendering depends only on the
+//! reports, so every `--threads N` prints the same bytes.
 
 use simcore::time::secs;
 
@@ -424,7 +423,7 @@ impl Figure for Fig15Plan {
 ///   acceleration vs contention),
 /// * **Re-route Manager strategy** (§IV-A B4: capacity- vs timeout-based
 ///   flushing),
-/// * **Megaphone batch size**, and sliding vs tumbling windows on Q7.
+/// * sliding vs tumbling windows on Q7.
 impl Figure for AblationPlan {
     fn specs(&self) -> Vec<ScenarioSpec> {
         self.sections
@@ -441,22 +440,18 @@ impl Figure for AblationPlan {
             first += rows.len();
             for (label, r) in section.labels.iter().zip(rows) {
                 let (peak, avg) = r.latency_ms(self.scale_at, self.window_end);
-                let migration = r.migration_secs();
-                match section.key {
-                    "megaphone_batch" => println!(
-                        "{label:<34} peak {peak:>8.0} ms  avg {avg:>7.0} ms  migration {migration:>6.1} s"
-                    ),
-                    // §V-A: the paper swaps Tumbling for Sliding windows
-                    // because tumbling windows' periodic state accumulation
-                    // destabilizes scaling (reproduced on Q7: same total
-                    // window, slide = size vs 500 ms slides).
-                    "window" => {
-                        println!("{label:<34} peak {peak:>8.0} ms  avg {avg:>7.0} ms")
-                    }
-                    _ => println!(
-                        "{label:<34} peak {peak:>8.0} ms  avg {avg:>7.0} ms  migration {migration:>6.1} s  susp {:>8.0} ms",
+                // §V-A: the paper swaps Tumbling for Sliding windows
+                // because tumbling windows' periodic state accumulation
+                // destabilizes scaling (reproduced on Q7: same total
+                // window, slide = size vs 500 ms slides).
+                if section.key == "window" {
+                    println!("{label:<34} peak {peak:>8.0} ms  avg {avg:>7.0} ms");
+                } else {
+                    println!(
+                        "{label:<34} peak {peak:>8.0} ms  avg {avg:>7.0} ms  migration {:>6.1} s  susp {:>8.0} ms",
+                        r.migration_secs(),
                         r.suspension_ms
-                    ),
+                    );
                 }
             }
         }

@@ -174,7 +174,7 @@ pub fn check(text: &str, group: &[ScenarioSpec]) -> Result<usize, GoldenError> {
         let seq = spec.run();
         held("sequential", seq.digest, seq.events, seq.sink_records)?;
         if spec.pdes() {
-            let (par, _wall) = spec.run_threaded();
+            let par = spec.run_threaded();
             held(
                 "threaded",
                 par.digest(),

@@ -1,5 +1,5 @@
 //! `bench::scenario` — the unified experiment API: **spec → registry →
-//! runner → report**.
+//! run → report**.
 //!
 //! The paper's evaluation is a grid of scenarios (workload × mechanism ×
 //! scale plan × seed). This module makes that shape first-class:
@@ -8,24 +8,19 @@
 //!   workload parameters, mechanism, scale plan, horizon, seed, and the
 //!   PDES partition (`regions`, `resume_latency`). Specs are plain data (`Clone` +
 //!   `PartialEq`), so a run is identified by its name and reconstructible
-//!   anywhere — which is exactly what makes process-level sharding possible.
+//!   anywhere.
 //! * [`registry`] — the central catalog naming every run used in the repo:
 //!   the eight `perf/` scenarios, every fig02–fig15 row, and the
 //!   ablation cells. Binaries pull specs from here (or, in `drrs_sim`,
 //!   build one from flags) instead of hand-assembling `(World, OpId)` pairs.
-//! * [`runner`] — executes specs deterministically: in-process on
+//! * [`run_all`] — executes a grid of specs deterministically on
 //!   [`crate::parallel_map`] (one single-threaded sim per worker thread,
-//!   canonical-order join), or sharded across processes via
-//!   `scenario --figure NAME --shard K/N --emit FILE` (run every grid cell
-//!   whose index ≡ K mod N and write the reports as JSON) and
-//!   `--merge FILE...` (recombine shards and render exactly what the
-//!   unsharded run would have rendered).
+//!   canonical-order join).
 //! * [`figures`] — the paper's figures, each a registry plan that renders
 //!   itself from its grid's reports (`scenario --figure NAME`).
-//! * [`RunReport`] — the typed result of one run: events/sec, the
-//!   deterministic metrics digest, the latency/throughput/suspension series,
-//!   Lp/Ld, suspension, migration progress. Reports serialize to JSON and
-//!   parse back losslessly, so shard merging is byte-exact.
+//! * [`RunReport`] — the typed result of one run: the deterministic
+//!   metrics digest, the latency/throughput/suspension series, Lp/Ld,
+//!   suspension, migration progress.
 //! * [`golden`] — the cross-build digest pin: a committed file of `perf/`
 //!   digests and the one function that checks a build against it.
 //!
@@ -35,24 +30,19 @@
 //! [`ScenarioSpec`] is plain data and the engine seed is part of the spec.
 //! Consequently:
 //!
-//! * the same spec run twice produces the same [`RunReport`] except for
-//!   `wall_secs` (the only non-deterministic field);
-//! * a sharded sweep merged back together renders byte-identically to the
-//!   unsharded sweep — the shard assignment only partitions *which process*
-//!   runs a cell, never what the cell computes;
-//! * `RunReport` JSON round-trips exactly (floats are written in shortest
-//!   round-trip form), so nothing drifts across the emit/merge boundary.
+//! * the same spec run twice produces `==` [`RunReport`]s (a report holds
+//!   no wall-clock field);
+//! * [`run_all`] returns the same reports in the same order whatever the
+//!   worker count — a worker only decides *which thread* runs a cell,
+//!   never what the cell computes — so a figure renders byte-identically
+//!   at every `--threads N`.
 
 pub mod figures;
 pub mod golden;
 pub mod registry;
 pub mod report;
-pub mod runner;
 
 pub use report::RunReport;
-pub use runner::{Runner, Shard};
-
-use std::time::Instant;
 
 use baselines::{MecesPlugin, StopRestartPlugin, UnboundPlugin};
 use drrs_core::{FlexScaler, MechanismConfig};
@@ -188,7 +178,7 @@ pub struct ScaleSpec {
 /// A declarative, serializable description of one experiment run.
 ///
 /// Everything a run needs is in here; [`ScenarioSpec::run`] is a pure
-/// function of the spec (modulo wall-clock timing). Specs come from
+/// function of the spec. Specs come from
 /// [`registry`]; ad-hoc variations are derived with the `with_*` builders
 /// so tests and A/B harnesses never re-assemble worlds by hand.
 #[derive(Clone, Debug, PartialEq)]
@@ -334,7 +324,6 @@ impl ScenarioSpec {
     }
 
     /// Execute the spec to completion and harvest a [`RunReport`].
-    /// `wall_secs` times only `run_until` (not world construction).
     pub fn run(&self) -> RunReport {
         self.run_logged().0
     }
@@ -343,27 +332,29 @@ impl ScenarioSpec {
     /// (empty unless `bus_sink` is `Mem`).
     pub fn run_logged(&self) -> (RunReport, Vec<BusEvent>) {
         let (mut sim, op) = self.build_sim();
-        let start = Instant::now();
         sim.run_until(self.horizon);
-        let wall_secs = start.elapsed().as_secs_f64();
         sim.world.bus.drain();
-        let report = RunReport::harvest(self, &sim, op, wall_secs);
+        let report = RunReport::harvest(self, &sim, op);
         (report, sim.world.bus.take_log())
     }
 
     /// Execute the spec on the thread-per-region parallel executor
-    /// ([`streamflow::run_parallel`]) and return the merged report plus
-    /// the wall-clock seconds the execution took. When the spec is not in
-    /// PDES mode (`resume_latency == 0` or one region) this is the
-    /// sequential engine on the calling thread; either way the report's
-    /// digest obeys the *parallel == sequential at the same config*
-    /// contract. Scale plans are rejected by the engine in PDES mode, so
-    /// sweeps route only `NoScale` scenarios here.
-    pub fn run_threaded(&self) -> (streamflow::ParallelReport, f64) {
-        let start = Instant::now();
-        let report = streamflow::run_parallel(|| self.build_sim().0, self.horizon);
-        (report, start.elapsed().as_secs_f64())
+    /// ([`streamflow::run_parallel`]) and return the merged report. When
+    /// the spec is not in PDES mode (`resume_latency == 0` or one region)
+    /// this is the sequential engine on the calling thread; either way the
+    /// report's digest obeys the *parallel == sequential at the same
+    /// config* contract. Scale plans are rejected by the engine in PDES
+    /// mode, so sweeps route only `NoScale` scenarios here.
+    pub fn run_threaded(&self) -> streamflow::ParallelReport {
+        streamflow::run_parallel(|| self.build_sim().0, self.horizon)
     }
+}
+
+/// Run every spec of a grid on a pool of `threads` workers
+/// ([`crate::parallel_map`]; `None` is one per available CPU) and return
+/// the reports in the grid's order.
+pub fn run_all(specs: &[ScenarioSpec], threads: Option<usize>) -> Vec<RunReport> {
+    crate::parallel_map(specs.iter().collect(), threads, ScenarioSpec::run)
 }
 
 #[cfg(test)]
@@ -410,7 +401,7 @@ mod tests {
             .with_regions(2)
             .with_resume_latency(100);
         let seq = spec.run();
-        let (par, _) = spec.run_threaded();
+        let par = spec.run_threaded();
         assert_eq!(par.threads, 2, "PDES config must engage both workers");
         assert_eq!(par.digest(), seq.digest);
         assert_eq!(par.obs.processed, seq.events);
@@ -420,11 +411,11 @@ mod tests {
     #[test]
     fn same_spec_runs_digest_identically() {
         let spec = steady().with_horizon(secs(2));
-        let a = spec.run();
-        let b = spec.run();
-        assert_eq!(a.digest, b.digest, "same spec diverged between two runs");
-        assert_eq!(a.events, b.events);
-        assert_eq!(a.latency, b.latency);
+        assert_eq!(
+            spec.run(),
+            spec.run(),
+            "same spec diverged between two runs"
+        );
     }
 
     #[test]
@@ -450,8 +441,6 @@ mod tests {
             let plugin = if name == "none" { "no-scale" } else { label };
             assert_eq!(spec.plugin().name(), plugin, "{name}");
         }
-        let megaphone = MechanismSpec::Flex(MechanismConfig::megaphone(4));
-        assert_eq!(megaphone.label(), "Megaphone");
         assert_eq!(
             MechanismSpec::parse("magic"),
             Err("unknown mechanism \"magic\"".to_string())

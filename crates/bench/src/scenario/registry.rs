@@ -3,7 +3,7 @@
 //! fig02–fig15 row, and the ablation cells.
 //!
 //! Names are hierarchical (`group/detail...`) and stable; they are the
-//! shardable identity of a run. The figures ([`super::figures`]) are the
+//! identity of a run (`scenario --run NAME`). The figures ([`super::figures`]) are the
 //! `*_plan` structs, which carry the rendering axes — rates, seeds,
 //! windows — next to the grid, so the figure layout and the grid can never
 //! drift apart; tests pull individual specs with [`find`].
@@ -86,7 +86,7 @@ pub fn perf_scenarios(quick: bool) -> Vec<ScenarioSpec> {
         perf(
             "megaphone_rescale_4_to_6",
             tiny(50_000.0, 4_096, 4),
-            MechanismSpec::Flex(MechanismConfig::megaphone(8)),
+            MechanismSpec::Flex(MechanismConfig::megaphone(1)),
             Some(ScaleSpec { at: secs(2), to: 6 }),
         ),
         perf(
@@ -397,9 +397,9 @@ pub fn fig14_plan(quick: bool) -> Fig14Plan {
     }
 }
 
-/// Fig. 15 — the sensitivity grid (mechanism × skew × state × rate). This
-/// is the grid the `--shard` machinery exists for: the full grid is 192
-/// mutually independent cells.
+/// Fig. 15 — the sensitivity grid (mechanism × skew × state × rate): 192
+/// mutually independent cells on the full timelines, the largest grid
+/// `run_all` spreads over its workers.
 pub struct Fig15Plan {
     /// Input rates (tps), in print order.
     pub rates: Vec<f64>,
@@ -443,7 +443,7 @@ pub fn fig15_plan(quick: bool) -> Fig15Plan {
                 for &tps in &rates {
                     let mechanism = match mech {
                         "DRRS" => drrs(),
-                        "Megaphone" => MechanismSpec::Flex(MechanismConfig::megaphone(4)),
+                        "Megaphone" => MechanismSpec::Flex(MechanismConfig::megaphone(1)),
                         _ => MechanismSpec::Meces,
                     };
                     specs.push(spec(
@@ -586,25 +586,6 @@ pub fn ablation_plan(quick: bool) -> AblationPlan {
             .collect(),
     };
 
-    let batches = [1usize, 4, 16, 64];
-    let megaphone_batch = AblationSection {
-        key: "megaphone_batch",
-        title: "\n=== Ablation E: Megaphone batch size (naive-division granularity) ===",
-        labels: batches
-            .iter()
-            .map(|b| format!("megaphone batch={b}"))
-            .collect(),
-        specs: batches
-            .iter()
-            .map(|&batch| {
-                twitch_row(
-                    format!("ablation/megaphone_batch/{batch}"),
-                    MechanismConfig::megaphone(batch),
-                )
-            })
-            .collect(),
-    };
-
     let windows: [(&str, &str, SimTime); 2] = [
         ("sliding", "sliding 500ms (paper)", ms(500)),
         ("tumbling", "tumbling (slide=size)", secs(10)),
@@ -639,7 +620,7 @@ pub fn ablation_plan(quick: bool) -> AblationPlan {
     AblationPlan {
         scale_at,
         window_end,
-        sections: vec![subscale, concurrency, reroute, megaphone_batch, window],
+        sections: vec![subscale, concurrency, reroute, window],
     }
 }
 

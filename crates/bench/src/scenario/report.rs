@@ -1,12 +1,7 @@
 //! [`RunReport`] — the typed result of one scenario run, which the figures
-//! render from instead of poking `sim.world.metrics.*` fields.
-//!
-//! A report is fully serializable: [`RunReport::to_json`] writes it as a
-//! flat JSON object (floats in Rust's shortest round-trip form) and
-//! [`RunReport::parse`] reads it back **losslessly**, so reports can cross
-//! the process boundary during sharded sweeps without perturbing a single
-//! bit of the rendered figures. `wall_secs` is the only field that differs
-//! between two runs of the same spec — everything else is deterministic.
+//! render from instead of poking `sim.world.metrics.*` fields. Every field
+//! is a deterministic function of the spec, so two runs of one spec give
+//! `==` reports.
 
 use simcore::stats::TimeSeries;
 use simcore::time::{as_ms, SimTime};
@@ -30,9 +25,6 @@ pub struct RunReport {
     pub horizon: SimTime,
     /// Simulated events dispatched.
     pub events: u64,
-    /// Wall-clock seconds spent in `run_until` — the only
-    /// non-deterministic field.
-    pub wall_secs: f64,
     /// Records delivered to sinks.
     pub sink_records: u64,
     /// The deterministic metrics digest (same spec ⇒ same digest).
@@ -92,7 +84,7 @@ impl RunReport {
     /// Harvest a report from a finished simulation. Must only be called
     /// after `run_until(spec.horizon)` — it reads clocks and instance
     /// suspension "as of now".
-    pub fn harvest(spec: &ScenarioSpec, sim: &Sim, op: OpId, wall_secs: f64) -> Self {
+    pub fn harvest(spec: &ScenarioSpec, sim: &Sim, op: OpId) -> Self {
         let w = &sim.world;
         let scale_at = spec.scale.map(|s| s.at).unwrap_or(0);
         let hold = if crate::quick() {
@@ -128,7 +120,6 @@ impl RunReport {
             scale_at,
             horizon: spec.horizon,
             events: w.q.processed(),
-            wall_secs,
             sink_records: w.metrics.sink_records,
             digest: w.metrics_digest(),
             violations: w.semantics.violations(),
@@ -220,209 +211,6 @@ impl RunReport {
             .checked_div(self.planned_moves)
             .unwrap_or(100)
     }
-
-    /// Serialize to JSON, each scalar field on its own line and each series
-    /// on one line, indented by `indent`. Floats use Rust's shortest
-    /// round-trip formatting, so [`RunReport::parse`] recovers them
-    /// bit-exactly.
-    pub fn to_json(&self, indent: &str) -> String {
-        use std::fmt::Write as _;
-        let mut s = String::new();
-        let i = indent;
-        let _ = writeln!(s, "{i}{{");
-        let _ = writeln!(s, "{i}  \"scenario\": \"{}\",", self.scenario);
-        let _ = writeln!(s, "{i}  \"mechanism\": \"{}\",", self.mechanism);
-        let _ = writeln!(s, "{i}  \"seed\": {},", self.seed);
-        let _ = writeln!(s, "{i}  \"scale_at\": {},", self.scale_at);
-        let _ = writeln!(s, "{i}  \"horizon\": {},", self.horizon);
-        let _ = writeln!(s, "{i}  \"events\": {},", self.events);
-        let _ = writeln!(s, "{i}  \"wall_secs\": {:?},", self.wall_secs);
-        let _ = writeln!(s, "{i}  \"sink_records\": {},", self.sink_records);
-        let _ = writeln!(s, "{i}  \"digest\": \"0x{:016x}\",", self.digest);
-        let _ = writeln!(s, "{i}  \"violations\": {},", self.violations);
-        let _ = writeln!(s, "{i}  \"lp_ms\": {:?},", self.lp_ms);
-        let _ = writeln!(s, "{i}  \"ld_ms\": {:?},", self.ld_ms);
-        let _ = writeln!(s, "{i}  \"suspension_ms\": {:?},", self.suspension_ms);
-        let _ = writeln!(s, "{i}  \"bytes_transferred\": {},", self.bytes_transferred);
-        let _ = writeln!(s, "{i}  \"migration_done\": {},", opt(self.migration_done));
-        let _ = writeln!(
-            s,
-            "{i}  \"scaling_period_end\": {},",
-            opt(self.scaling_period_end)
-        );
-        let _ = writeln!(s, "{i}  \"planned_moves\": {},", self.planned_moves);
-        let _ = writeln!(s, "{i}  \"settled_moves\": {},", self.settled_moves);
-        let _ = writeln!(s, "{i}  \"churn_avg\": {:?},", self.churn_avg);
-        let _ = writeln!(s, "{i}  \"churn_max\": {},", self.churn_max);
-        let _ = writeln!(s, "{i}  \"region_events\": {},", ints(&self.region_events));
-        let _ = writeln!(s, "{i}  \"sync_runs\": {},", self.sync_runs);
-        let _ = writeln!(s, "{i}  \"merged_runs\": {},", self.merged_runs);
-        let _ = writeln!(s, "{i}  \"min_rule_grants\": {},", self.min_rule_grants);
-        let _ = writeln!(s, "{i}  \"null_msgs\": {},", self.null_msgs);
-        let _ = writeln!(s, "{i}  \"bus_published\": {},", self.bus_published);
-        let _ = writeln!(s, "{i}  \"bus_dropped\": {},", self.bus_dropped);
-        let _ = writeln!(s, "{i}  \"bus_lag_max\": {},", self.bus_lag_max);
-        let _ = writeln!(
-            s,
-            "{i}  \"bus_class_drops\": {},",
-            ints(&self.bus_class_drops)
-        );
-        let _ = writeln!(s, "{i}  \"latency\": {},", pairs(&self.latency));
-        let _ = writeln!(
-            s,
-            "{i}  \"suspension_series\": {},",
-            pairs(&self.suspension_series)
-        );
-        let _ = writeln!(s, "{i}  \"throughput\": {}", pairs(&self.throughput));
-        let _ = writeln!(s, "{i}}}");
-        s
-    }
-
-    /// Parse a report back from the JSON [`RunReport::to_json`] writes.
-    /// Tolerates surrounding whitespace and trailing commas per line; the
-    /// field set is strict (a missing field is an error).
-    pub fn parse(text: &str) -> Result<Self, String> {
-        let mut fields = std::collections::HashMap::new();
-        for line in text.lines() {
-            let t = line.trim().trim_end_matches(',');
-            if let Some(rest) = t.strip_prefix('"') {
-                if let Some((key, val)) = rest.split_once("\":") {
-                    fields.insert(key.to_string(), val.trim().to_string());
-                }
-            }
-        }
-        let get = |k: &str| -> Result<&String, String> {
-            fields.get(k).ok_or_else(|| format!("missing field {k:?}"))
-        };
-        let num_u64 = |k: &str| -> Result<u64, String> {
-            get(k)?.parse().map_err(|e| format!("field {k:?}: {e}"))
-        };
-        let num_f64 = |k: &str| -> Result<f64, String> {
-            get(k)?.parse().map_err(|e| format!("field {k:?}: {e}"))
-        };
-        let num_opt = |k: &str| -> Result<Option<u64>, String> {
-            let v = get(k)?;
-            if v == "null" {
-                Ok(None)
-            } else {
-                v.parse().map(Some).map_err(|e| format!("field {k:?}: {e}"))
-            }
-        };
-        let string =
-            |k: &str| -> Result<String, String> { Ok(get(k)?.trim_matches('"').to_string()) };
-        let digest_text = string("digest")?;
-        let digest = u64::from_str_radix(digest_text.trim_start_matches("0x"), 16)
-            .map_err(|e| format!("field \"digest\": {e}"))?;
-        Ok(Self {
-            scenario: string("scenario")?,
-            mechanism: string("mechanism")?,
-            seed: num_u64("seed")?,
-            scale_at: num_u64("scale_at")?,
-            horizon: num_u64("horizon")?,
-            events: num_u64("events")?,
-            wall_secs: num_f64("wall_secs")?,
-            sink_records: num_u64("sink_records")?,
-            digest,
-            violations: num_u64("violations")?,
-            lp_ms: num_f64("lp_ms")?,
-            ld_ms: num_f64("ld_ms")?,
-            suspension_ms: num_f64("suspension_ms")?,
-            bytes_transferred: num_u64("bytes_transferred")?,
-            migration_done: num_opt("migration_done")?,
-            scaling_period_end: num_opt("scaling_period_end")?,
-            planned_moves: num_u64("planned_moves")?,
-            settled_moves: num_u64("settled_moves")?,
-            churn_avg: num_f64("churn_avg")?,
-            churn_max: num_u64("churn_max")? as u32,
-            region_events: parse_ints(get("region_events")?)
-                .map_err(|e| format!("region_events: {e}"))?,
-            sync_runs: num_u64("sync_runs")?,
-            merged_runs: num_u64("merged_runs")?,
-            min_rule_grants: num_u64("min_rule_grants")?,
-            null_msgs: num_u64("null_msgs")?,
-            bus_published: num_u64("bus_published")?,
-            bus_dropped: num_u64("bus_dropped")?,
-            bus_lag_max: num_u64("bus_lag_max")?,
-            bus_class_drops: parse_ints(get("bus_class_drops")?)
-                .map_err(|e| format!("bus_class_drops: {e}"))?,
-            latency: parse_pairs(get("latency")?).map_err(|e| format!("latency: {e}"))?,
-            suspension_series: parse_pairs(get("suspension_series")?)
-                .map_err(|e| format!("suspension_series: {e}"))?,
-            throughput: parse_pairs(get("throughput")?).map_err(|e| format!("throughput: {e}"))?,
-        })
-    }
-}
-
-fn opt(v: Option<SimTime>) -> String {
-    v.map(|t| t.to_string()).unwrap_or_else(|| "null".into())
-}
-
-/// `[[t0,v0],[t1,v1],...]` on one line, floats in round-trip form.
-fn pairs(xs: &[(u64, f64)]) -> String {
-    use std::fmt::Write as _;
-    let mut s = String::with_capacity(xs.len() * 16 + 2);
-    s.push('[');
-    for (i, (t, v)) in xs.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        let _ = write!(s, "[{t},{v:?}]");
-    }
-    s.push(']');
-    s
-}
-
-/// `[a,b,c]` on one line.
-fn ints(xs: &[u64]) -> String {
-    use std::fmt::Write as _;
-    let mut s = String::with_capacity(xs.len() * 8 + 2);
-    s.push('[');
-    for (i, v) in xs.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        let _ = write!(s, "{v}");
-    }
-    s.push(']');
-    s
-}
-
-fn parse_ints(s: &str) -> Result<Vec<u64>, String> {
-    let inner = s
-        .trim()
-        .strip_prefix('[')
-        .and_then(|s| s.strip_suffix(']'))
-        .ok_or("not an array")?;
-    inner
-        .split(',')
-        .filter(|t| !t.trim().is_empty())
-        .map(|t| t.trim().parse().map_err(|e| format!("element: {e}")))
-        .collect()
-}
-
-fn parse_pairs(s: &str) -> Result<Vec<(u64, f64)>, String> {
-    let inner = s
-        .trim()
-        .strip_prefix('[')
-        .and_then(|s| s.strip_suffix(']'))
-        .ok_or("not an array")?;
-    let mut out = Vec::new();
-    let mut rest = inner.trim();
-    while !rest.is_empty() {
-        rest = rest.trim_start_matches(',').trim_start();
-        if rest.is_empty() {
-            break;
-        }
-        let body = rest.strip_prefix('[').ok_or("expected [t,v] pair")?;
-        let (pair, tail) = body.split_once(']').ok_or("unterminated pair")?;
-        let (t, v) = pair.split_once(',').ok_or("pair needs two elements")?;
-        out.push((
-            t.trim().parse().map_err(|e| format!("time: {e}"))?,
-            v.trim().parse().map_err(|e| format!("value: {e}"))?,
-        ));
-        rest = tail;
-    }
-    Ok(out)
 }
 
 #[cfg(test)]
@@ -437,7 +225,6 @@ mod tests {
             scale_at: 40_000_000,
             horizon: 170_000_000,
             events: 123_456,
-            wall_secs: 0.123456789012345,
             sink_records: 777,
             digest: 0xc1221c2392952504,
             violations: 0,
@@ -464,33 +251,6 @@ mod tests {
             suspension_series: vec![(500_000, 1234.0)],
             throughput: vec![(0, 4999.0), (1, 5001.0)],
         }
-    }
-
-    #[test]
-    fn json_round_trips_bit_exactly() {
-        let r = sample();
-        let json = r.to_json("");
-        let back = RunReport::parse(&json).expect("parse");
-        assert_eq!(back, r);
-        assert_eq!(back.to_json(""), json, "re-serialization drifted");
-    }
-
-    #[test]
-    fn round_trip_survives_awkward_floats() {
-        let mut r = sample();
-        r.wall_secs = 1.0 / 3.0;
-        r.churn_avg = f64::NAN;
-        r.latency = vec![(1, 1e-9), (2, 123456789.000001)];
-        let back = RunReport::parse(&r.to_json("  ")).expect("parse");
-        assert!(back.churn_avg.is_nan());
-        assert_eq!(back.wall_secs.to_bits(), r.wall_secs.to_bits());
-        assert_eq!(back.latency, r.latency);
-    }
-
-    #[test]
-    fn parse_rejects_missing_fields() {
-        let err = RunReport::parse("{\n  \"scenario\": \"x\"\n}").unwrap_err();
-        assert!(err.contains("missing field"), "{err}");
     }
 
     #[test]

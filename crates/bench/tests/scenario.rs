@@ -1,11 +1,9 @@
-//! Integration tests for the scenario subsystem: registry integrity, the
-//! shard partition, shard-file round-trips, and merged-vs-sequential
-//! equality — the contracts the process-level sweep sharder stands on —
-//! plus the golden digest pin, bus-sink neutrality, the `--events` file,
-//! and the strict CLIs.
+//! Integration tests for the scenario subsystem: registry integrity, grid
+//! runs independent of the worker count, the golden digest pin, bus-sink
+//! neutrality, the `--events` file, and the strict CLIs.
 
 use bench::scenario::golden::{self, GoldenError};
-use bench::scenario::{registry, runner, Runner, ScenarioSpec, Shard};
+use bench::scenario::{registry, run_all, ScenarioSpec};
 use simcore::time::secs;
 use streamflow::BusSinkKind;
 
@@ -53,130 +51,20 @@ fn registry_covers_every_experiment_group() {
 }
 
 #[test]
-fn shard_union_is_the_full_grid_with_no_overlap() {
-    // Over the real fig15 grid: for several shard counts, the union of
-    // shards 0/N..N-1/N must select every cell exactly once.
-    let grid = registry::fig15_plan(false).specs;
-    for n in [1usize, 2, 3, 4, 7, 16] {
-        let mut owned = vec![0u32; grid.len()];
-        for k in 0..n {
-            let shard = Shard { index: k, count: n };
-            for (i, o) in owned.iter_mut().enumerate() {
-                if shard.owns(i) {
-                    *o += 1;
-                }
-            }
-        }
-        assert!(
-            owned.iter().all(|&o| o == 1),
-            "N={n}: shard union does not cover the grid exactly once"
-        );
-    }
-}
-
-/// A small, fast grid for end-to-end runner tests: real registry specs
-/// with shortened horizons.
-fn tiny_grid() -> Vec<ScenarioSpec> {
-    registry::perf_scenarios(true)
+fn run_all_is_independent_of_the_worker_count() {
+    // Every report, every field, in grid order: a worker only decides which
+    // thread runs a cell, never what the cell computes. The grid is the
+    // perf group on 2 s horizons.
+    let grid: Vec<ScenarioSpec> = registry::perf_scenarios(true)
         .into_iter()
         .map(|s| s.with_horizon(secs(2)))
-        .collect()
-}
-
-#[test]
-fn merged_sharded_run_equals_the_sequential_run() {
-    let grid = tiny_grid();
-    let sequential = Runner::in_process().run(&grid);
-
-    let dir = std::env::temp_dir().join(format!("drrs_shard_test_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("mk temp dir");
-    let mut paths = Vec::new();
-    for k in 0..2 {
-        let shard = Shard { index: k, count: 2 };
-        let runs = Runner::sharded(shard).run_indexed(&grid);
-        // Sharded runs must be strict subsets, in canonical order.
-        assert!(runs.iter().all(|(i, _)| shard.owns(*i)));
-        let path = dir.join(format!("shard_{k}.json"));
-        let file = std::fs::File::create(&path).expect("create shard");
-        runner::write_shard(file, "test", grid.len(), shard, &runs).expect("write shard");
-        paths.push(path);
+        .collect();
+    let (one, three) = (run_all(&grid, Some(1)), run_all(&grid, Some(3)));
+    assert_eq!((one.len(), three.len()), (grid.len(), grid.len()));
+    for ((a, b), spec) in one.iter().zip(&three).zip(&grid) {
+        assert_eq!(a.scenario, spec.name, "reports out of grid order");
+        assert!(a == b, "{}: the worker count moved the report", spec.name);
     }
-    let merged = runner::merge_shards("test", &grid, &paths).expect("merge");
-    std::fs::remove_dir_all(&dir).ok();
-
-    assert_eq!(merged.len(), sequential.len());
-    for (m, s) in merged.iter().zip(&sequential) {
-        // Everything except wall-clock timing must be identical — the
-        // shard boundary is not allowed to perturb a single bit.
-        let mut m = m.clone();
-        let mut s = s.clone();
-        m.wall_secs = 0.0;
-        s.wall_secs = 0.0;
-        assert_eq!(
-            m, s,
-            "scenario {} drifted across the shard boundary",
-            m.scenario
-        );
-    }
-}
-
-#[test]
-fn merge_rejects_overlap_gaps_and_grid_mismatch() {
-    let grid = tiny_grid();
-    let dir = std::env::temp_dir().join(format!("drrs_merge_reject_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("mk temp dir");
-    let shard0 = Shard { index: 0, count: 2 };
-    let runs0 = Runner::sharded(shard0).run_indexed(&grid);
-    let p0 = dir.join("s0.json");
-    let file = std::fs::File::create(&p0).expect("create");
-    runner::write_shard(file, "test", grid.len(), shard0, &runs0).expect("write");
-
-    // Gap: shard 1 missing.
-    let err = runner::merge_shards("test", &grid, &[&p0]).unwrap_err();
-    assert!(err.contains("missing"), "{err}");
-
-    // Overlap: shard 0 supplied twice.
-    let err = runner::merge_shards("test", &grid, &[&p0, &p0]).unwrap_err();
-    assert!(err.contains("more than one shard"), "{err}");
-
-    // Wrong sweep name.
-    let err = runner::merge_shards("other", &grid, &[&p0]).unwrap_err();
-    assert!(err.contains("does not match"), "{err}");
-
-    // Wrong grid (e.g. quick shard merged into a full-grid run).
-    let bigger: Vec<ScenarioSpec> = registry::perf_scenarios(false);
-    let err = runner::merge_shards("test", &bigger[..4], &[&p0]).unwrap_err();
-    assert!(err.contains("grid length"), "{err}");
-
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn run_report_round_trips_through_shard_files() {
-    // A report harvested from a real run (with a scale, so the migration
-    // fields are populated) must survive write_shard -> read_shard
-    // bit-exactly, wall clock included.
-    let spec = registry::find("perf/drrs_rescale_4_to_6", true)
-        .expect("registered")
-        .with_horizon(secs(3));
-    let report = spec.run();
-    assert!(report.planned_moves > 0, "scale produced no plan");
-
-    let dir = std::env::temp_dir().join(format!("drrs_report_rt_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("mk temp dir");
-    let path = dir.join("one.json");
-    let shard = Shard { index: 0, count: 1 };
-    let file = std::fs::File::create(&path).expect("create");
-    runner::write_shard(file, "rt", 1, shard, &[(0, report.clone())]).expect("write");
-    let back = runner::read_shard(&path).expect("read");
-    std::fs::remove_dir_all(&dir).ok();
-
-    assert_eq!(back.runs.len(), 1);
-    assert_eq!(back.runs[0].0, 0);
-    assert_eq!(
-        back.runs[0].1, report,
-        "shard round-trip perturbed the report"
-    );
 }
 
 /// Run one of this package's binaries and return `(exit code, stderr)`.
@@ -310,7 +198,6 @@ fn events_file_is_the_serialized_in_memory_log_on_both_engines() {
             ],
             cut.with_bus_sink(BusSinkKind::Mem)
                 .run_threaded()
-                .0
                 .bus_events,
             "sync_epoch",
         ),
@@ -370,25 +257,14 @@ fn binaries_reject_stale_or_malformed_command_lines() {
         (scenario, "--group perf --check f --threads 2", check_alone),
         (scenario, "--figure fig99", "unknown figure \"fig99\""),
         (scenario, "--figure fig02 --bogus", "unknown flag --bogus"),
-        (scenario, "--shard 0/2 --emit f", "go with --figure"),
+        (scenario, "--shard 0/2", "unknown flag --shard"),
+        (scenario, "--merge a.json", "unknown flag --merge"),
         (
             scenario,
-            "--figure fig15 --shard 0/2",
-            "--shard requires --emit",
-        ),
-        (scenario, "--merge a.json --shard 0/2", "go with --figure"),
-        (
-            scenario,
-            "--figure fig15 --merge a.json --shard 0/2",
-            "cannot be combined",
+            "--run perf/steady_50k --emit f",
+            "unknown flag --emit",
         ),
         (scenario, "--figure fig15 --check f", check_alone),
-        (
-            scenario,
-            "--figure fig15 --merge",
-            "--merge needs one or more",
-        ),
-        (scenario, "--figure fig15 --emit f", "--emit FILE goes with"),
         (
             scenario,
             "--group perf --events f",
@@ -419,63 +295,28 @@ fn binaries_reject_stale_or_malformed_command_lines() {
             "{exe} {args:?}: no usage in: {stderr}"
         );
     }
-    // Unusable files exit 2 naming the file and the reason, before any
-    // cell runs: the --emit file is created first. An --events file that
-    // cannot take the log exits 2 the same way after the run.
-    let dir = std::env::temp_dir().join(format!("drrs_cli_files_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("mk temp dir");
-    let file = |name: &str| {
-        dir.join(name)
-            .to_str()
-            .expect("utf-8 temp path")
-            .to_string()
-    };
-    std::fs::write(file("bad.json"), "{ \"garbage\": 1 }\n").expect("write bad shard");
-    let (missing, bad, no_dir) = (file("missing.json"), file("bad.json"), file("no/x.json"));
-    let no_such = "No such file or directory";
-    // A write that fails after the run, not at create time.
-    let full = "/dev/full".to_string();
+    // An --events file that cannot be created exits 2 naming the file and
+    // the reason before the run; one that cannot take the log exits 2 the
+    // same way after it.
+    let no_dir = std::env::temp_dir()
+        .join(format!("drrs_cli_no_dir_{}/x.jsonl", std::process::id()))
+        .to_str()
+        .expect("utf-8 temp path")
+        .to_string();
+    // /dev/full: a write that fails after the run, not at create time.
     let file_cases = [
-        (
-            vec!["--figure", "fig15", "--merge", &missing],
-            &missing,
-            no_such,
-        ),
-        (
-            vec!["--figure", "fig15", "--merge", &bad],
-            &bad,
-            "missing sweep name",
-        ),
-        (
-            vec!["--figure", "fig15", "--shard", "0/2", "--emit", &no_dir],
-            &no_dir,
-            no_such,
-        ),
-        (
-            vec!["--run", "perf/steady_50k", "--emit", &no_dir],
-            &no_dir,
-            no_such,
-        ),
-        (
-            vec!["--run", "perf/steady_50k", "--events", &no_dir],
-            &no_dir,
-            no_such,
-        ),
-        (
-            vec!["--run", "perf/steady_50k", "--events", &full],
-            &full,
-            "No space left on device",
-        ),
+        (no_dir.as_str(), "No such file or directory"),
+        ("/dev/full", "No space left on device"),
     ];
-    for (args, path, reason) in &file_cases {
-        let (code, stderr) = run_bin(scenario, args);
+    for (path, reason) in file_cases {
+        let args = ["--run", "perf/steady_50k", "--events", path];
+        let (code, stderr) = run_bin(scenario, &args);
         assert_eq!(code, Some(2), "{args:?} must exit 2; stderr: {stderr}");
         assert!(
-            stderr.contains(path.as_str()) && stderr.contains(reason),
+            stderr.contains(path) && stderr.contains(reason),
             "{args:?}: no {path:?} and {reason:?} in: {stderr}"
         );
     }
-    std::fs::remove_dir_all(&dir).ok();
     // The well-formed neighbours still work.
     let (code, stderr) = run_bin(scenario, &["--list"]);
     assert_eq!(code, Some(0), "{stderr}");

@@ -17,10 +17,9 @@ pub struct Metrics {
     /// Cumulative suspension time across scaled-operator instances,
     /// sampled periodically: `(time, cumulative µs)`.
     pub suspension: TimeSeries,
-    /// Checkpoint completion times `(time, duration µs)`.
+    /// Checkpoint completions `(time, checkpoint id)`: one sample each
+    /// time a sink instance completes a checkpoint.
     pub checkpoints: TimeSeries,
-    /// Per-key order violations observed by the semantics checker.
-    pub order_violations: u64,
     /// Total records delivered to sinks.
     pub sink_records: u64,
 }

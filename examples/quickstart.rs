@@ -100,8 +100,7 @@ fn main() {
 
     // 5. The same experiment as a declarative, nameable unit: any run can
     //    also be expressed as a ScenarioSpec (this is what
-    //    `scenario --figure` and the process-level sweep sharder are
-    //    built on).
+    //    `scenario --figure` is built on).
     let spec = ScenarioSpec {
         name: "example/quickstart".into(),
         engine: EngineProfile::Perf,

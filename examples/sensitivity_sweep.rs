@@ -31,7 +31,7 @@ fn main() {
             world.schedule_scale(secs(40), op, 30);
             let plugin: Box<dyn ScalePlugin> = match mech {
                 "DRRS" => Box::new(FlexScaler::drrs()),
-                _ => Box::new(megaphone(4)),
+                _ => Box::new(megaphone(1)),
             };
             let mut sim = Sim::new(world, plugin);
             sim.run_until(secs(160));

@@ -11,8 +11,8 @@
 //! * [`workloads`] — NEXMark Q7/Q8, the Twitch pipeline, and the custom
 //!   3-operator sensitivity workload,
 //! * [`sim`] — the deterministic simulation kernel,
-//! * [`bench`] — the experiment harness: the scenario registry, runner and
-//!   typed run reports (`bench::scenario`).
+//! * [`bench`] — the experiment harness: the scenario registry, the grid
+//!   runner and typed run reports (`bench::scenario`).
 //!
 //! For the common case, [`prelude`] pulls the whole working set into scope
 //! with one `use`:
@@ -35,13 +35,13 @@ pub use workloads;
 /// engine configuration and driving (`EngineConfig`, `Sim`, `World`), the
 /// mechanisms (`FlexScaler`, `MechanismConfig`, the baselines), the
 /// workloads, timing helpers, and the experiment API (`ScenarioSpec`,
-/// `registry`, `Runner`, `RunReport`).
+/// `registry`, `run_all`, `RunReport`).
 pub mod prelude {
     pub use baselines::{
         megaphone, otfs_all_at_once, otfs_fluid, MecesPlugin, StopRestartPlugin, UnboundPlugin,
     };
     pub use bench::scenario::{
-        registry, EngineProfile, MechanismSpec, RunReport, Runner, ScaleSpec, ScenarioSpec, Shard,
+        registry, run_all, EngineProfile, MechanismSpec, RunReport, ScaleSpec, ScenarioSpec,
         WorkloadSpec,
     };
     pub use drrs_core::{FlexScaler, MechanismConfig};

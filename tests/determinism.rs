@@ -188,9 +188,6 @@ fn run_report_surfaces_deterministic_bus_counters() {
         "bus counters diverged across reruns"
     );
     assert_eq!(a.digest, b.digest);
-    let back = drrs_repro::bench::scenario::RunReport::parse(&a.to_json("")).expect("round trip");
-    assert_eq!(back.bus_published, a.bus_published);
-    assert_eq!(back.bus_class_drops, a.bus_class_drops);
     // And the default-spec report is honest about the bus being off.
     let off = perf_spec("perf/steady_50k").with_horizon(secs(1)).run();
     assert_eq!(off.bus_published, 0, "Null sink must publish nothing");
