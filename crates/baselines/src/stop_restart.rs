@@ -111,4 +111,7 @@ impl ScalePlugin for StopRestartPlugin {
     fn admit(&mut self, _w: &mut World, _i: InstId, _c: ChannelId, _r: &Record) -> bool {
         true
     }
+    fn admits_whole_run(&self, _w: &World, _inst: InstId) -> bool {
+        true
+    }
 }

@@ -1,11 +1,17 @@
 //! Integration tests for the scenario subsystem: registry integrity, grid
 //! runs independent of the worker count, the golden digest pin, bus-sink
-//! neutrality, the `--events` file, and the strict CLIs.
+//! neutrality, run-level admission against per-record admission, the
+//! `--events` file, and the strict CLIs.
 
 use bench::scenario::golden::{self, GoldenError};
-use bench::scenario::{registry, run_all, ScenarioSpec};
+use bench::scenario::{registry, run_all, RunReport, ScenarioSpec};
 use simcore::time::secs;
-use streamflow::BusSinkKind;
+use streamflow::ids::ChannelId;
+use streamflow::state::StateUnit;
+use streamflow::{
+    BusSinkKind, InstId, KeyGroup, NoScale, Record, ScalePlan, ScalePlugin, ScaleSignal, Selection,
+    SubscaleId, World,
+};
 
 /// The committed cross-build digest pin.
 const GOLDEN: &str = include_str!("../golden/perf_digests.txt");
@@ -160,6 +166,92 @@ fn bus_sinks_are_digest_neutral_on_every_sequential_perf_scenario() {
             (on.digest, on.events, on.sink_records),
             (off.digest, off.events, off.sink_records),
             "{}: the mem sink moved the run",
+            spec.name
+        );
+    }
+}
+
+/// Delegates every [`ScalePlugin`] method to the wrapped plugin except
+/// [`ScalePlugin::admits_whole_run`], whose default keeps per-record
+/// admission: quantum assembly then takes the reference path everywhere.
+struct PerRecordAdmission(Box<dyn ScalePlugin>);
+
+impl ScalePlugin for PerRecordAdmission {
+    fn name(&self) -> &'static str {
+        self.0.name()
+    }
+    fn on_scale_start(&mut self, w: &mut World, plan: &ScalePlan) {
+        self.0.on_scale_start(w, plan)
+    }
+    fn on_signal(&mut self, w: &mut World, inst: InstId, ch: ChannelId, sig: ScaleSignal) {
+        self.0.on_signal(w, inst, ch, sig)
+    }
+    fn on_priority_signal(&mut self, w: &mut World, inst: InstId, sig: ScaleSignal) {
+        self.0.on_priority_signal(w, inst, sig)
+    }
+    fn on_chunk(
+        &mut self,
+        w: &mut World,
+        inst: InstId,
+        unit: StateUnit,
+        subscale: SubscaleId,
+        from: InstId,
+    ) {
+        self.0.on_chunk(w, inst, unit, subscale, from)
+    }
+    fn on_rerouted_records(
+        &mut self,
+        w: &mut World,
+        inst: InstId,
+        from: InstId,
+        records: Vec<Record>,
+    ) {
+        self.0.on_rerouted_records(w, inst, from, records)
+    }
+    fn on_rerouted_confirm(&mut self, w: &mut World, inst: InstId, from: InstId, sig: ScaleSignal) {
+        self.0.on_rerouted_confirm(w, inst, from, sig)
+    }
+    fn on_fetch(&mut self, w: &mut World, inst: InstId, kg: KeyGroup, sub: u8, requester: InstId) {
+        self.0.on_fetch(w, inst, kg, sub, requester)
+    }
+    fn on_control(&mut self, w: &mut World, tag: u64) {
+        self.0.on_control(w, tag)
+    }
+    fn selects(&self, w: &World, inst: InstId) -> bool {
+        self.0.selects(w, inst)
+    }
+    fn select(&mut self, w: &mut World, inst: InstId) -> Selection {
+        self.0.select(w, inst)
+    }
+    fn admit(&mut self, w: &mut World, inst: InstId, ch: ChannelId, rec: &Record) -> bool {
+        self.0.admit(w, inst, ch, rec)
+    }
+    fn on_orphan_record(&mut self, w: &mut World, inst: InstId, rec: &Record) -> bool {
+        self.0.on_orphan_record(w, inst, rec)
+    }
+    fn active(&self) -> bool {
+        self.0.active()
+    }
+}
+
+#[test]
+fn run_level_admission_digests_like_per_record_admission() {
+    // Quantum assembly skips the per-record `admit` call only where the
+    // plugin declares that every call would admit with no side effect.
+    // Wrapping each sequential perf/ scenario's plugin so that it never
+    // declares this must not move a digest, an event count or a
+    // sink-record count (quick timelines).
+    for spec in registry::perf_scenarios(true) {
+        let want = spec.run();
+        let (mut sim, op) = spec.build_sim();
+        let plugin = std::mem::replace(&mut sim.plugin, Box::new(NoScale));
+        sim.plugin = Box::new(PerRecordAdmission(plugin));
+        sim.run_until(spec.horizon);
+        let got = RunReport::harvest(&spec, &sim, op);
+        assert_eq!(
+            (got.digest, got.events, got.sink_records),
+            (want.digest, want.events, want.sink_records),
+            "{}: per-record admission moved the run",
             spec.name
         );
     }

@@ -1021,6 +1021,13 @@ impl ScalePlugin for FlexScaler {
         let from = w.chans[ch.0 as usize].from;
         self.classify(w, inst, from, rec) == Class::Process
     }
+
+    // Outside `selects`, `admit` returns `true` before touching anything,
+    // and nothing `build_run` does between records reaches `selects`'s
+    // inputs (the scaler's own flags and the instance's operator).
+    fn admits_whole_run(&self, w: &World, inst: InstId) -> bool {
+        !self.selects(w, inst)
+    }
 }
 
 impl FlexScaler {

@@ -128,14 +128,25 @@ pub trait ScalePlugin {
 
     /// May this data record be processed at `inst` right now? The default
     /// filter admits everything (non-scaling operation). Implementations may
-    /// have side effects (e.g. Meces issues a fetch on a miss).
+    /// have side effects: Meces issues a fetch on a miss, Unbound creates
+    /// the missing state group.
     fn admit(&mut self, _w: &mut World, _inst: InstId, _ch: ChannelId, _rec: &Record) -> bool {
         true
     }
 
-    /// Called after a record was applied at a scaling-operator instance
-    /// (post-processing hook; e.g. Meces forward tracking).
-    fn after_record(&mut self, _w: &mut World, _inst: InstId, _rec: &Record) {}
+    /// Would every [`ScalePlugin::admit`] call of the quantum about to be
+    /// assembled at `inst` return `true` with no side effect? When this
+    /// returns `true`, [`World::build_run`] skips the per-record `admit`
+    /// call for the whole run. Nothing `build_run` does between records
+    /// can reach the plugin, so the answer must only hold for the world
+    /// as it is at the call.
+    ///
+    /// The default `false` keeps per-record admission, which is always
+    /// exact; a plugin whose `admit` fetches or creates state (Meces,
+    /// Unbound) keeps it.
+    fn admits_whole_run(&self, _w: &World, _inst: InstId) -> bool {
+        false
+    }
 
     /// A record reached application but its state sub-group is not locally
     /// present (it was extracted between admission and quantum completion,
@@ -166,6 +177,9 @@ impl ScalePlugin for NoScale {
     fn on_scale_start(&mut self, _w: &mut World, _plan: &ScalePlan) {}
     fn on_signal(&mut self, _w: &mut World, _inst: InstId, _ch: ChannelId, _sig: ScaleSignal) {}
     fn on_chunk(&mut self, _w: &mut World, _i: InstId, _u: StateUnit, _s: SubscaleId, _f: InstId) {}
+    fn admits_whole_run(&self, _w: &World, _inst: InstId) -> bool {
+        true
+    }
 }
 
 /// State of one migration link (one per sending instance: the container NIC

@@ -167,6 +167,84 @@ impl World {
         self.edges[edge.0 as usize].channel(from, to)
     }
 
+    /// Emit every record of one operator callback's output, in order, and
+    /// leave `out` empty (capacity kept). A batch of two or more onto a
+    /// single Rebalance edge goes through [`Self::emit_rebalanced`];
+    /// anything else record by record through [`Self::emit_one`].
+    // checker:hot-path
+    #[inline]
+    pub(super) fn emit_all(&mut self, inst: InstId, out: &mut Vec<Record>) {
+        if out.len() > 1 {
+            let op = &self.ops[self.insts[inst.0 as usize].op.0 as usize];
+            if let [eid] = op.out_edges[..] {
+                if self.edges[eid.0 as usize].kind == EdgeKind::Rebalance {
+                    self.emit_rebalanced(inst, eid, out);
+                    return;
+                }
+            }
+        }
+        for rec in out.drain(..) {
+            self.emit_one(inst, rec);
+        }
+    }
+
+    /// Emit a batch of records from `from` onto its one out edge `eid`, a
+    /// Rebalance edge: the per-record round-robin of [`Self::route_record`]
+    /// with the eligible destinations' channels resolved once per batch.
+    /// Eligibility reads only the clock and the scale state, and neither
+    /// changes while a callback's output is emitted. The origin `seq` and
+    /// the edge's `rr_cursor` still advance per record, so every record
+    /// takes the channel, and every send the order, of the per-record path.
+    /// Markers keep `route_record`.
+    // checker:hot-path
+    fn emit_rebalanced(&mut self, from: InstId, eid: EdgeId, out: &mut Vec<Record>) {
+        let now = self.now();
+        let mut dests = std::mem::take(&mut self.dest_scratch);
+        debug_assert!(dests.is_empty());
+        let edge = &self.edges[eid.0 as usize];
+        for &i in &self.ops[edge.to.0 as usize].instances {
+            if self.eligible(i, now) {
+                dests.push(edge.channel_of(from, i));
+            }
+        }
+        let fi = from.0 as usize;
+        for mut rec in out.drain(..) {
+            let seq = self.insts[fi].next_seq();
+            rec.origin = (from, seq);
+            if rec.kind != RecordKind::Data {
+                self.route_record(from, eid, rec);
+                continue;
+            }
+            debug_assert!(
+                !dests.is_empty(),
+                "edge {} from {from} at {now}: no eligible destination, the record is lost",
+                eid.0
+            );
+            if dests.is_empty() {
+                continue;
+            }
+            let cursor = {
+                let c = &mut self.insts[fi].rr_cursor[eid.0 as usize];
+                *c += 1;
+                *c
+            };
+            let ch = dests[cursor % dests.len()];
+            self.send(ch, StreamElement::Record(rec));
+        }
+        dests.clear();
+        self.dest_scratch = dests;
+    }
+
+    /// May round-robin routing send to `i` at `now`? Freshly deployed
+    /// instances must not swallow traffic (or markers) while their
+    /// container is still initializing, and retiring instances receive
+    /// nothing new; the retiring probe is a bitset read.
+    // checker:hot-path
+    #[inline]
+    fn eligible(&self, i: InstId, now: SimTime) -> bool {
+        self.insts[i.0 as usize].operational_at <= now && !self.scale.retiring.contains(i)
+    }
+
     /// Emit one record produced by `inst` (stamps the origin sequence).
     pub(super) fn emit_one(&mut self, inst: InstId, mut rec: Record) {
         let seq = self.insts[inst.0 as usize].next_seq();
@@ -220,25 +298,24 @@ impl World {
                     }
                     return;
                 }
-                // Round-robin only over operational, non-retiring
-                // destinations: freshly deployed instances must not swallow
-                // traffic (or markers) while their container is still
-                // initializing, and retiring instances receive nothing new.
-                // Two in-place scans (count, then pick) keep this
-                // allocation-free; destination lists are a handful of
-                // instances, and the retiring probe is a bitset read.
+                // Round-robin only over eligible destinations (see
+                // `eligible`). Two in-place scans (count, then pick) keep
+                // this allocation-free; destination lists are a handful of
+                // instances.
                 let now = self.now();
                 let toi = self.edges[eid.0 as usize].to.0 as usize;
-                let eligible = |w: &World, i: InstId| {
-                    w.insts[i.0 as usize].operational_at <= now && !w.scale.retiring.contains(i)
-                };
                 let mut count = 0usize;
                 for k in 0..self.ops[toi].instances.len() {
                     let i = self.ops[toi].instances[k];
-                    if eligible(self, i) {
+                    if self.eligible(i, now) {
                         count += 1;
                     }
                 }
+                debug_assert!(
+                    count > 0,
+                    "edge {} from {from} at {now}: no eligible destination, the record is lost",
+                    eid.0
+                );
                 if count == 0 {
                     return;
                 }
@@ -251,7 +328,7 @@ impl World {
                 let mut seen = 0usize;
                 for k in 0..self.ops[toi].instances.len() {
                     let i = self.ops[toi].instances[k];
-                    if eligible(self, i) {
+                    if self.eligible(i, now) {
                         if seen == pick {
                             let ch = self.edges[eid.0 as usize].channel_of(from, i);
                             self.send(ch, StreamElement::Record(rec));
@@ -600,5 +677,110 @@ mod tests {
             "{warm} slots for {} events: not recycling",
             w.q.processed()
         );
+    }
+
+    // -----------------------------------------------------------------
+    // Batched Rebalance emission (`emit_rebalanced`)
+    // -----------------------------------------------------------------
+
+    /// A relay whose one out edge is a Rebalance edge into four sinks:
+    /// sink 1 still deploying, sink 2 retiring, every sink halted so that
+    /// delivered elements stay queued. Returns the world, the relay
+    /// instance, the edge and the sinks.
+    fn fan_fixture() -> (World, InstId, EdgeId, Vec<InstId>) {
+        use crate::graph::JobBuilder;
+        use crate::operator::Relay;
+        use crate::world::tests_support::FixedGen;
+
+        let mut b = JobBuilder::new(EngineConfig::test());
+        let src = b.source("src", 1, Box::new(|_| Box::new(FixedGen::new(0.0, 16))));
+        let relay = b.operator("relay", 1, Box::new(|| Box::new(Relay { service: 1 })));
+        let sink = b.sink("sink", 4);
+        b.connect(src, relay, EdgeKind::Keyed);
+        b.connect(relay, sink, EdgeKind::Rebalance);
+        let mut w = b.build();
+        let from = w.ops[relay.0 as usize].instances[0];
+        let eid = w.ops[relay.0 as usize].out_edges[0];
+        let sinks = w.ops[sink.0 as usize].instances.clone();
+        for &s in &sinks {
+            w.insts[s.0 as usize].halted = true;
+        }
+        w.insts[sinks[1].0 as usize].operational_at = secs(1);
+        w.scale.retiring.insert(sinks[2]);
+        (w, from, eid, sinks)
+    }
+
+    /// Deliver everything on the wire and return, per sink, the
+    /// `(key, origin)` of each element queued on its channel from `from`.
+    fn delivered(
+        w: &mut World,
+        from: InstId,
+        eid: EdgeId,
+        sinks: &[InstId],
+    ) -> Vec<Vec<(u64, (InstId, u64))>> {
+        deliver_until(w, &mut NoScale, secs(1) - 1, Via::Dispatch);
+        sinks
+            .iter()
+            .map(|&s| {
+                let ch = w.channel_between(eid, from, s).expect("wired");
+                (0..w.chans[ch.0 as usize].queue.len())
+                    .map(|i| match w.chan_peek(ch, i) {
+                        Some(StreamElement::Record(r)) => (r.key, r.origin),
+                        other => panic!("not a record: {other:?}"),
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn batched_rebalance_emission_matches_per_record_routing() {
+        // Two callback batches (7 records, then 5) through `invoke`, which
+        // takes the batched path, against the same records emitted one at
+        // a time through `emit_one` → `route_record`: the same elements in
+        // the same order on every channel, and the same cursor.
+        let batches: [Vec<Record>; 2] = [
+            (0..7).map(|k| Record::data(k, k as i64, 0)).collect(),
+            (7..12).map(|k| Record::data(k, k as i64, 0)).collect(),
+        ];
+        let (mut batched, from, eid, sinks) = fan_fixture();
+        for batch in &batches {
+            batched.invoke(from, |_, _, out| out.extend(batch.iter().cloned()));
+        }
+        let (mut reference, ..) = fan_fixture();
+        for rec in batches.iter().flatten() {
+            reference.emit_one(from, rec.clone());
+        }
+        let got = delivered(&mut batched, from, eid, &sinks);
+        let want = delivered(&mut reference, from, eid, &sinks);
+        assert_eq!(got, want, "per-channel element sequences differ");
+        let cursor = |w: &World| w.insts[from.0 as usize].rr_cursor[eid.0 as usize];
+        assert_eq!(cursor(&batched), cursor(&reference));
+        assert_eq!(cursor(&batched), 12);
+        // Only the two eligible sinks received anything, alternately.
+        let counts: Vec<usize> = got.iter().map(Vec::len).collect();
+        assert_eq!(counts, vec![6, 0, 0, 6]);
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "no eligible destination")]
+    fn a_record_with_no_eligible_destination_is_a_debug_panic() {
+        let (mut w, from, _, sinks) = fan_fixture();
+        w.scale.retiring.insert(sinks[0]);
+        w.scale.retiring.insert(sinks[3]);
+        w.emit_one(from, Record::data(1, 1, 0));
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "no eligible destination")]
+    fn a_batch_with_no_eligible_destination_is_a_debug_panic() {
+        let (mut w, from, _, sinks) = fan_fixture();
+        w.scale.retiring.insert(sinks[0]);
+        w.scale.retiring.insert(sinks[3]);
+        w.invoke(from, |_, _, out| {
+            out.extend((0..2).map(|k| Record::data(k, k as i64, 0)));
+        });
     }
 }

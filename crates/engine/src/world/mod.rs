@@ -20,7 +20,7 @@
 //! # Hot-path discipline
 //!
 //! The dispatch path (`Deliver` → `try_start` → `build_run` → `ProcDone` →
-//! `apply_record` → `invoke` → `emit_one` → `route_record` → `send`) is
+//! `apply_run` → `emit_all` → `emit_one` → `route_record` → `send`) is
 //! allocation-free and hash-free in steady state:
 //!
 //! * stream elements live exactly once in the world's [`RecordArena`];
@@ -43,6 +43,28 @@
 //!   the scale-in retiring probe is a bitset read,
 //! * channel queues, the arena and the future-event list are pre-sized at
 //!   build time.
+//!
+//! It also pays per run, not per element: each of its four per-element
+//! stages reads once per run what cannot change within that run, and
+//! keeps every send, `seq` mint and state update in the per-element
+//! order.
+//!
+//! * *Quantum assembly* (`build_run`) reads the quantum bounds, the
+//!   instance's role and its sink service once. It skips the per-record
+//!   `admit` call only when the plugin declares, through
+//!   [`ScalePlugin::admits_whole_run`], that every call would admit with no
+//!   side effect; then each record leaves the arena with one move, and a
+//!   channel whose pump would be a no-op is not pumped per pop.
+//! * *Quantum apply* (`apply_run`) reads the operator's `stateful` flag,
+//!   the semantics switch and the logic box once; the orphan guard hands
+//!   its record to the plugin with the world as a per-record apply leaves
+//!   it. A sink's run (`sink_run`) folds to counts and marker latencies.
+//! * *Delivery* (`dispatch_run`) proves a receiver idle once per channel
+//!   streak; any `try_start` or non-`Deliver` event ends the streak.
+//! * *Firing emission* (`emit_rebalanced`): a callback's output of two or
+//!   more records onto a single Rebalance edge resolves the eligible
+//!   destinations' channels once per batch; the origin `seq` and the
+//!   edge's `rr_cursor` still advance per record.
 //!
 //! Keep it that way: if a change needs a temporary collection on any of
 //! those paths, reuse a scratch buffer on `World` instead of allocating.
@@ -126,6 +148,9 @@ pub struct World {
     emit_scratch: Vec<Record>,
     /// Recycled quantum buffers: `build_run` pops, `on_proc_done` returns.
     run_buf_pool: Vec<Vec<Record>>,
+    /// Scratch: the eligible destinations' channels of one batched
+    /// Rebalance emission (`emit_rebalanced`). Always cleared after use.
+    dest_scratch: Vec<ChannelId>,
     /// Next checkpoint id.
     next_ckpt: u64,
     /// Suspension series tracks instances of this op (set at scale time;
@@ -382,6 +407,7 @@ impl World {
             pending_runs: (0..n).map(|_| Vec::new()).collect(),
             emit_scratch: Vec::with_capacity(16),
             run_buf_pool: Vec::new(),
+            dest_scratch: Vec::new(),
             next_ckpt: 0,
             suspension_op: None,
             cross_mode: CrossMode::Inline,

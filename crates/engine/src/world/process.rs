@@ -207,31 +207,73 @@ impl World {
     }
 
     /// Pop a run of admissible records from `ch` bounded by the quantum.
+    ///
+    /// The quantum bounds, the instance's role and its sink service are
+    /// read once per run. When the plugin
+    /// [admits the whole run](ScalePlugin::admits_whole_run), no per-record
+    /// `admit` call is made, the transform logic that prices each record is
+    /// taken out of the instance once, each record leaves the arena with
+    /// one move, and a channel whose pump is a no-op is not pumped per
+    /// pop. Otherwise each record is cloned for the plugin's `admit` before
+    /// it is popped. Both loops keep the per-record order of side effects:
+    /// peek, admit, price, pop (which pumps the channel).
+    // checker:hot-path
     pub fn build_run(
         &mut self,
         plugin: &mut dyn ScalePlugin,
         inst: InstId,
         ch: ChannelId,
     ) -> Selection {
+        let (max_records, max_time) = (self.cfg.quantum_records, self.cfg.quantum_time);
+        let sink_service = self.sink_service(inst);
         let mut records = self.take_run_buf();
         let mut service: SimTime = 0;
-        loop {
-            if records.len() >= self.cfg.quantum_records || service >= self.cfg.quantum_time {
-                break;
-            }
-            let Some(front) = self.chan_front(ch) else {
-                break;
+        if plugin.admits_whole_run(self, inst) {
+            // Nothing below reaches the plugin or the instance's logic:
+            // popping only pumps the channel (and may wake its sender).
+            // That pump is a no-op while the backlog is empty and the
+            // sender is not output-blocked, and popping changes neither,
+            // so such a run pops without pumping.
+            let logic = self.insts[inst.0 as usize].logic.take();
+            let quiet = {
+                let c = &self.chans[ch.0 as usize];
+                !c.cut && c.backlog.is_empty() && !self.insts[c.from.0 as usize].blocked_out
             };
-            let Some(rec) = front.as_record() else { break };
-            let rec = rec.clone();
-            if rec.kind != RecordKind::Marker && !plugin.admit(self, inst, ch, &rec) {
-                break;
+            while records.len() < max_records && service < max_time {
+                let Some(&r) = self.chans[ch.0 as usize].queue.front() else {
+                    break;
+                };
+                let StreamElement::Record(rec) = &self.arena[r] else {
+                    break;
+                };
+                service += service_time(sink_service, logic.as_deref(), rec);
+                let popped = if quiet {
+                    self.chans[ch.0 as usize].queue.pop_front();
+                    self.arena.remove(r)
+                } else {
+                    self.chan_pop(ch).expect("non-empty")
+                };
+                match popped {
+                    StreamElement::Record(rec) => records.push(rec),
+                    _ => unreachable!("front was a record"),
+                }
             }
-            service += self.service_of(inst, &rec);
-            let popped = self.chan_pop(ch).expect("non-empty");
-            match popped {
-                StreamElement::Record(r) => records.push(r),
-                _ => unreachable!("front was a record"),
+            self.insts[inst.0 as usize].logic = logic;
+        } else {
+            while records.len() < max_records && service < max_time {
+                let Some(StreamElement::Record(rec)) = self.chan_front(ch) else {
+                    break;
+                };
+                let rec = rec.clone();
+                if rec.kind != RecordKind::Marker && !plugin.admit(self, inst, ch, &rec) {
+                    break;
+                }
+                let logic = self.insts[inst.0 as usize].logic.as_deref();
+                service += service_time(sink_service, logic, &rec);
+                match self.chan_pop(ch) {
+                    Some(StreamElement::Record(r)) => records.push(r),
+                    _ => unreachable!("front was a record"),
+                }
             }
         }
         if records.is_empty() {
@@ -244,18 +286,16 @@ impl World {
 
     /// Service time of one element at an instance.
     pub fn service_of(&self, inst: InstId, rec: &Record) -> SimTime {
-        if rec.kind == RecordKind::Marker {
-            return 0;
-        }
-        let i = &self.insts[inst.0 as usize];
-        match self.ops[i.op.0 as usize].role {
-            OpRole::Sink => self.ops[i.op.0 as usize].sink_service * rec.count as SimTime,
-            _ => i
-                .logic
-                .as_ref()
-                .map(|l| l.service_time(rec) * rec.count as SimTime)
-                .unwrap_or(1),
-        }
+        let logic = self.insts[inst.0 as usize].logic.as_deref();
+        service_time(self.sink_service(inst), logic, rec)
+    }
+
+    /// The per-record service of `inst`'s operator if it is a sink.
+    // checker:hot-path
+    #[inline]
+    fn sink_service(&self, inst: InstId) -> Option<SimTime> {
+        let op = self.op_of(inst);
+        (op.role == OpRole::Sink).then_some(op.sink_service)
     }
 
     pub(super) fn on_proc_done(&mut self, plugin: &mut dyn ScalePlugin, inst: InstId, gen: u64) {
@@ -264,63 +304,116 @@ impl World {
         }
         self.insts[inst.0 as usize].busy = false;
         let mut records = std::mem::take(&mut self.pending_runs[inst.0 as usize]);
-        for rec in records.drain(..) {
-            self.apply_record(plugin, inst, rec);
+        if self.op_of(inst).role == OpRole::Sink {
+            self.sink_run(inst, &records);
+            records.clear();
+        } else {
+            self.apply_run(plugin, inst, &mut records);
         }
         self.recycle_run_buf(records);
         self.try_start(plugin, inst);
     }
 
-    /// Apply one record of a finished quantum at an instance (logic +
-    /// emission + metrics), with the orphan guard and the plugin's
-    /// `after_record` hook.
-    fn apply_record(&mut self, plugin: &mut dyn ScalePlugin, inst: InstId, rec: Record) {
+    /// A sink's finished quantum folds to counts: the instance's processed
+    /// count and the sunk-record count grow once per run, and each latency
+    /// marker records its latency in run order.
+    // checker:hot-path
+    fn sink_run(&mut self, inst: InstId, records: &[Record]) {
         let now = self.now();
-        let role = self.op_of(inst).role;
-        self.insts[inst.0 as usize].processed += rec.count as u64;
-        match role {
-            OpRole::Sink => {
-                if rec.kind == RecordKind::Marker {
-                    self.metrics
-                        .record_latency(now, now.saturating_sub(rec.created));
-                } else {
-                    self.metrics.sink_records += rec.count as u64;
-                }
+        let (mut processed, mut sunk) = (0u64, 0u64);
+        for rec in records {
+            processed += rec.count as u64;
+            if rec.kind == RecordKind::Marker {
+                self.metrics
+                    .record_latency(now, now.saturating_sub(rec.created));
+            } else {
+                sunk += rec.count as u64;
             }
-            _ => {
-                if rec.kind == RecordKind::Marker {
-                    // Markers bypass operator logic entirely (origin is
-                    // already stamped; forward as-is).
-                    self.fan_out(inst, rec);
-                    return;
-                }
-                let kg = self.kg_of(rec.key);
-                // Guard (stateful operators): the sub-group may have been
-                // extracted between admission and quantum completion
-                // (trigger barriers bypass in-flight work). Hand such
-                // records to the mechanism.
-                if self.op_of(inst).stateful {
-                    let sub = self.insts[inst.0 as usize].state.sub_of(rec.key);
-                    if !self.insts[inst.0 as usize].state.holds(kg, sub) {
-                        if plugin.on_orphan_record(self, inst, &rec) {
-                            return;
-                        }
+        }
+        self.insts[inst.0 as usize].processed += processed;
+        self.metrics.sink_records += sunk;
+    }
+
+    /// Apply a transform's finished quantum record by record, in run order:
+    /// markers are forwarded, data records pass the orphan guard, then the
+    /// operator logic runs and its output is emitted.
+    ///
+    /// The operator's `stateful` flag, the semantics switch, the logic box
+    /// and the output buffer are read once per run. Nothing on this path
+    /// but the orphan guard reaches the plugin; around it the logic and the
+    /// buffer go back into the world, so the plugin's `on_orphan_record`
+    /// (which may call [`Self::apply_record_basic`]) sees the world exactly
+    /// as a per-record apply would leave it.
+    // checker:hot-path
+    fn apply_run(&mut self, plugin: &mut dyn ScalePlugin, inst: InstId, records: &mut Vec<Record>) {
+        let now = self.now();
+        let (op, stateful) = {
+            let o = self.op_of(inst);
+            (o.id, o.stateful)
+        };
+        let observe = self.cfg.check_semantics && stateful;
+        let max_key_groups = self.cfg.max_key_groups;
+        let ii = inst.0 as usize;
+        let mut logic = self.insts[ii].logic.take().expect("transform logic");
+        let mut out = std::mem::take(&mut self.emit_scratch);
+        debug_assert!(out.is_empty());
+        for rec in records.drain(..) {
+            self.insts[ii].processed += rec.count as u64;
+            if rec.kind == RecordKind::Marker {
+                // Markers bypass operator logic entirely (origin is
+                // already stamped; forward as-is).
+                self.fan_out(inst, rec);
+                continue;
+            }
+            let kg = key_group_of(rec.key, max_key_groups);
+            // Guard (stateful operators): the sub-group may have been
+            // extracted between admission and quantum completion (trigger
+            // barriers bypass in-flight work). Hand such records to the
+            // mechanism.
+            if stateful {
+                let state = &self.insts[ii].state;
+                let sub = state.sub_of(rec.key);
+                if !state.holds(kg, sub) {
+                    self.insts[ii].logic = Some(logic);
+                    self.emit_scratch = out;
+                    if !plugin.on_orphan_record(self, inst, &rec) {
                         panic!(
                             "record for absent state {kg}/{sub} at {inst} not handled by {}",
                             plugin.name()
                         );
                     }
+                    logic = self.insts[ii].logic.take().expect("transform logic");
+                    out = std::mem::take(&mut self.emit_scratch);
+                    continue;
                 }
-                self.apply_record_basic(inst, rec.clone());
-                plugin.after_record(self, inst, &rec);
             }
+            // Per-key order is only a guarantee of keyed (hash-partitioned)
+            // edges; rebalance edges interleave keys across instances by
+            // design.
+            if observe && rec.origin.0 != InstId(u32::MAX) {
+                self.semantics
+                    .observe(op, rec.key, rec.origin.0, rec.origin.1);
+            }
+            let i = &mut self.insts[ii];
+            let mut ctx = OpCtx {
+                now,
+                watermark: i.watermark,
+                kg,
+                state: &mut i.state,
+                out: &mut out,
+                max_key_groups,
+            };
+            logic.on_record(&mut ctx, &rec);
+            self.emit_all(inst, &mut out);
         }
+        self.insts[ii].logic = Some(logic);
+        self.emit_scratch = out;
     }
 
     /// Apply a data record's logic at a transform instance without the
-    /// orphan guard or plugin hooks. Plugins call this to replay records
-    /// they buffered themselves (Meces orphan replay, Unbound universal
-    /// keys); semantics checking still applies.
+    /// orphan guard. Plugins call this to replay records they buffered
+    /// themselves (Meces orphan replay, Unbound universal keys); semantics
+    /// checking still applies.
     pub fn apply_record_basic(&mut self, inst: InstId, rec: Record) {
         let now = self.now();
         let kg = self.kg_of(rec.key);
@@ -363,9 +456,7 @@ impl World {
         debug_assert!(out.is_empty());
         let r = f(&mut *logic, i, &mut out);
         self.insts[inst.0 as usize].logic = Some(logic);
-        for rec in out.drain(..) {
-            self.emit_one(inst, rec);
-        }
+        self.emit_all(inst, &mut out);
         self.emit_scratch = out;
         r
     }
@@ -384,6 +475,26 @@ impl World {
             StreamElement::Scale(sig) => plugin.on_signal(self, inst, ch, sig),
             StreamElement::Record(_) => unreachable!("records are not control elements"),
         }
+    }
+}
+
+/// Service time of one element: nothing for a latency marker, the sink's
+/// per-record service at a sink (`sink_service` is `Some`), else the
+/// operator logic's price, each times the element's multiplicity.
+// checker:hot-path
+#[inline]
+fn service_time(
+    sink_service: Option<SimTime>,
+    logic: Option<&dyn OperatorLogic>,
+    rec: &Record,
+) -> SimTime {
+    if rec.kind == RecordKind::Marker {
+        return 0;
+    }
+    match (sink_service, logic) {
+        (Some(per_record), _) => per_record * rec.count as SimTime,
+        (None, Some(l)) => l.service_time(rec) * rec.count as SimTime,
+        (None, None) => 1,
     }
 }
 

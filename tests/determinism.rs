@@ -232,6 +232,46 @@ fn massed_same_instant_runs_digest_identically_popped_one_at_a_time() {
 }
 
 #[test]
+fn dispatch_loop_matches_one_at_a_time_popping_under_drrs_and_meces() {
+    // The engine's own `dispatch_loop_matches_one_at_a_time_popping` drives
+    // `NoScale`, the one plugin the engine crate can name. Here the same
+    // check runs under real mechanisms, scaling 4 -> 6 mid-run: DRRS
+    // (run-level admission outside its scaling operator, per-record
+    // admission and Record Scheduling inside it) and Meces (per-record
+    // admission everywhere, with fetches on a miss). Fused bulk delivery
+    // and run-level admission must leave the digest and the logical event
+    // count where one-event-at-a-time popping puts them.
+    for name in ["DRRS", "Meces"] {
+        let run = |one_at_a_time: bool| {
+            let plugin: Box<dyn ScalePlugin> = match name {
+                "DRRS" => Box::new(FlexScaler::drrs()),
+                _ => Box::new(MecesPlugin::new()),
+            };
+            let mut cfg = EngineConfig::test();
+            cfg.seed = 0xBA7C;
+            let (mut w, agg) = tiny_job(cfg, 8_000.0, 256, 4);
+            w.schedule_scale(secs(1), agg, 6);
+            let mut sim = Sim::new(w, plugin);
+            if one_at_a_time {
+                run_until_one_at_a_time(&mut sim, secs(4));
+            } else {
+                sim.run_until(secs(4));
+            }
+            assert!(
+                sim.world.scale.metrics.migration_done.is_some(),
+                "{name}: the scale did not finish"
+            );
+            (sim.world.metrics_digest(), sim.world.q.processed())
+        };
+        assert_eq!(
+            run(true),
+            run(false),
+            "{name}: the dispatch loop changed the event interleaving"
+        );
+    }
+}
+
+#[test]
 fn regions_without_resume_latency_report_as_the_sequential_run() {
     // The `scenario` binary rejects `--regions K` without a resume latency;
     // the library stays lenient and builds the sequential engine, so a
