@@ -129,7 +129,8 @@ pub trait ScalePlugin {
     /// May this data record be processed at `inst` right now? The default
     /// filter admits everything (non-scaling operation). Implementations may
     /// have side effects: Meces issues a fetch on a miss, Unbound creates
-    /// the missing state group.
+    /// the missing state group. [`World::build_run`] calls it while the
+    /// instance's operator logic is taken out of the instance.
     fn admit(&mut self, _w: &mut World, _inst: InstId, _ch: ChannelId, _rec: &Record) -> bool {
         true
     }

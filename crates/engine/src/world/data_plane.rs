@@ -195,7 +195,6 @@ impl World {
     /// changes while a callback's output is emitted. The origin `seq` and
     /// the edge's `rr_cursor` still advance per record, so every record
     /// takes the channel, and every send the order, of the per-record path.
-    /// Markers keep `route_record`.
     // checker:hot-path
     fn emit_rebalanced(&mut self, from: InstId, eid: EdgeId, out: &mut Vec<Record>) {
         let now = self.now();
@@ -211,10 +210,6 @@ impl World {
         for mut rec in out.drain(..) {
             let seq = self.insts[fi].next_seq();
             rec.origin = (from, seq);
-            if rec.kind != RecordKind::Data {
-                self.route_record(from, eid, rec);
-                continue;
-            }
             debug_assert!(
                 !dests.is_empty(),
                 "edge {} from {from} at {now}: no eligible destination, the record is lost",

@@ -44,23 +44,23 @@
 //! * channel queues, the arena and the future-event list are pre-sized at
 //!   build time.
 //!
-//! It also pays per run, not per element: each of its four per-element
-//! stages reads once per run what cannot change within that run, and
-//! keeps every send, `seq` mint and state update in the per-element
+//! It also pays per run, not per element: each of its three per-element
+//! stages below reads once per run what cannot change within that run,
+//! and keeps every send, `seq` mint and state update in the per-element
 //! order.
 //!
 //! * *Quantum assembly* (`build_run`) reads the quantum bounds, the
-//!   instance's role and its sink service once. It skips the per-record
-//!   `admit` call only when the plugin declares, through
+//!   instance's role, its sink service and its logic once. It skips the
+//!   per-record `admit` call only when the plugin declares, through
 //!   [`ScalePlugin::admits_whole_run`], that every call would admit with no
-//!   side effect; then each record leaves the arena with one move, and a
-//!   channel whose pump would be a no-op is not pumped per pop.
+//!   side effect; then each record leaves the arena with one move.
 //! * *Quantum apply* (`apply_run`) reads the operator's `stateful` flag,
-//!   the semantics switch and the logic box once; the orphan guard hands
-//!   its record to the plugin with the world as a per-record apply leaves
-//!   it. A sink's run (`sink_run`) folds to counts and marker latencies.
-//! * *Delivery* (`dispatch_run`) proves a receiver idle once per channel
-//!   streak; any `try_start` or non-`Deliver` event ends the streak.
+//!   the semantics switch and the logic box once, and applies each data
+//!   record through `apply_data`, the one per-record apply rule (plugins
+//!   replay through it too, via `apply_record_basic`); the orphan guard
+//!   hands its record to the plugin with the world as a per-record apply
+//!   leaves it. A sink's run (`sink_run`) folds to counts and marker
+//!   latencies.
 //! * *Firing emission* (`emit_rebalanced`): a callback's output of two or
 //!   more records onto a single Rebalance edge resolves the eligible
 //!   destinations' channels once per batch; the origin `seq` and the

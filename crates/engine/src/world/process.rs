@@ -208,15 +208,13 @@ impl World {
 
     /// Pop a run of admissible records from `ch` bounded by the quantum.
     ///
-    /// The quantum bounds, the instance's role and its sink service are
-    /// read once per run. When the plugin
-    /// [admits the whole run](ScalePlugin::admits_whole_run), no per-record
-    /// `admit` call is made, the transform logic that prices each record is
-    /// taken out of the instance once, each record leaves the arena with
-    /// one move, and a channel whose pump is a no-op is not pumped per
-    /// pop. Otherwise each record is cloned for the plugin's `admit` before
-    /// it is popped. Both loops keep the per-record order of side effects:
-    /// peek, admit, price, pop (which pumps the channel).
+    /// The quantum bounds, the instance's role, its sink service and its
+    /// logic (which prices each record) are read once per run. When the
+    /// plugin [admits the whole run](ScalePlugin::admits_whole_run), no
+    /// per-record `admit` call is made and each record leaves the arena
+    /// with one move. Otherwise each data record is cloned for the plugin's
+    /// `admit` before it is popped. Either way the per-record order of side
+    /// effects is kept: peek, admit, pop (which pumps the channel).
     // checker:hot-path
     pub fn build_run(
         &mut self,
@@ -226,56 +224,31 @@ impl World {
     ) -> Selection {
         let (max_records, max_time) = (self.cfg.quantum_records, self.cfg.quantum_time);
         let sink_service = self.sink_service(inst);
+        let whole = plugin.admits_whole_run(self, inst);
+        let logic = self.insts[inst.0 as usize].logic.take();
         let mut records = self.take_run_buf();
         let mut service: SimTime = 0;
-        if plugin.admits_whole_run(self, inst) {
-            // Nothing below reaches the plugin or the instance's logic:
-            // popping only pumps the channel (and may wake its sender).
-            // That pump is a no-op while the backlog is empty and the
-            // sender is not output-blocked, and popping changes neither,
-            // so such a run pops without pumping.
-            let logic = self.insts[inst.0 as usize].logic.take();
-            let quiet = {
-                let c = &self.chans[ch.0 as usize];
-                !c.cut && c.backlog.is_empty() && !self.insts[c.from.0 as usize].blocked_out
+        while records.len() < max_records && service < max_time {
+            let Some(&r) = self.chans[ch.0 as usize].queue.front() else {
+                break;
             };
-            while records.len() < max_records && service < max_time {
-                let Some(&r) = self.chans[ch.0 as usize].queue.front() else {
+            let StreamElement::Record(rec) = &self.arena[r] else {
+                break;
+            };
+            let cost = service_time(sink_service, logic.as_deref(), rec);
+            if !whole && rec.kind != RecordKind::Marker {
+                let rec = rec.clone();
+                if !plugin.admit(self, inst, ch, &rec) {
                     break;
-                };
-                let StreamElement::Record(rec) = &self.arena[r] else {
-                    break;
-                };
-                service += service_time(sink_service, logic.as_deref(), rec);
-                let popped = if quiet {
-                    self.chans[ch.0 as usize].queue.pop_front();
-                    self.arena.remove(r)
-                } else {
-                    self.chan_pop(ch).expect("non-empty")
-                };
-                match popped {
-                    StreamElement::Record(rec) => records.push(rec),
-                    _ => unreachable!("front was a record"),
                 }
             }
-            self.insts[inst.0 as usize].logic = logic;
-        } else {
-            while records.len() < max_records && service < max_time {
-                let Some(StreamElement::Record(rec)) = self.chan_front(ch) else {
-                    break;
-                };
-                let rec = rec.clone();
-                if rec.kind != RecordKind::Marker && !plugin.admit(self, inst, ch, &rec) {
-                    break;
-                }
-                let logic = self.insts[inst.0 as usize].logic.as_deref();
-                service += service_time(sink_service, logic, &rec);
-                match self.chan_pop(ch) {
-                    Some(StreamElement::Record(r)) => records.push(r),
-                    _ => unreachable!("front was a record"),
-                }
+            service += cost;
+            match self.chan_pop(ch) {
+                Some(StreamElement::Record(rec)) => records.push(rec),
+                _ => unreachable!("front was a record"),
             }
         }
+        self.insts[inst.0 as usize].logic = logic;
         if records.is_empty() {
             self.recycle_run_buf(records);
             Selection::Suspend
@@ -335,8 +308,8 @@ impl World {
     }
 
     /// Apply a transform's finished quantum record by record, in run order:
-    /// markers are forwarded, data records pass the orphan guard, then the
-    /// operator logic runs and its output is emitted.
+    /// markers are forwarded, data records pass the orphan guard, then
+    /// [`Self::apply_data`] runs the logic and emits its output.
     ///
     /// The operator's `stateful` flag, the semantics switch, the logic box
     /// and the output buffer are read once per run. Nothing on this path
@@ -346,11 +319,7 @@ impl World {
     /// as a per-record apply would leave it.
     // checker:hot-path
     fn apply_run(&mut self, plugin: &mut dyn ScalePlugin, inst: InstId, records: &mut Vec<Record>) {
-        let now = self.now();
-        let (op, stateful) = {
-            let o = self.op_of(inst);
-            (o.id, o.stateful)
-        };
+        let stateful = self.op_of(inst).stateful;
         let observe = self.cfg.check_semantics && stateful;
         let max_key_groups = self.cfg.max_key_groups;
         let ii = inst.0 as usize;
@@ -387,24 +356,7 @@ impl World {
                     continue;
                 }
             }
-            // Per-key order is only a guarantee of keyed (hash-partitioned)
-            // edges; rebalance edges interleave keys across instances by
-            // design.
-            if observe && rec.origin.0 != InstId(u32::MAX) {
-                self.semantics
-                    .observe(op, rec.key, rec.origin.0, rec.origin.1);
-            }
-            let i = &mut self.insts[ii];
-            let mut ctx = OpCtx {
-                now,
-                watermark: i.watermark,
-                kg,
-                state: &mut i.state,
-                out: &mut out,
-                max_key_groups,
-            };
-            logic.on_record(&mut ctx, &rec);
-            self.emit_all(inst, &mut out);
+            self.apply_data(inst, &mut *logic, &mut out, observe, kg, &rec);
         }
         self.insts[ii].logic = Some(logic);
         self.emit_scratch = out;
@@ -415,28 +367,53 @@ impl World {
     /// themselves (Meces orphan replay, Unbound universal keys); semantics
     /// checking still applies.
     pub fn apply_record_basic(&mut self, inst: InstId, rec: Record) {
-        let now = self.now();
+        let observe = self.cfg.check_semantics && self.op_of(inst).stateful;
         let kg = self.kg_of(rec.key);
+        let ii = inst.0 as usize;
+        let mut logic = self.insts[ii].logic.take().expect("transform logic");
+        let mut out = std::mem::take(&mut self.emit_scratch);
+        debug_assert!(out.is_empty());
+        self.apply_data(inst, &mut *logic, &mut out, observe, kg, &rec);
+        self.insts[ii].logic = Some(logic);
+        self.emit_scratch = out;
+    }
+
+    /// The per-record apply rule of a data record in key group `kg` at
+    /// transform instance `inst`, whose `logic` and output buffer `out`
+    /// the caller has taken out of the world: observe the record's order
+    /// when `observe` (the semantics check of a stateful operator) is on,
+    /// run the logic, emit its output and leave `out` empty.
+    // checker:hot-path
+    #[inline]
+    fn apply_data(
+        &mut self,
+        inst: InstId,
+        logic: &mut dyn OperatorLogic,
+        out: &mut Vec<Record>,
+        observe: bool,
+        kg: KeyGroup,
+        rec: &Record,
+    ) {
         // Per-key order is only a guarantee of keyed (hash-partitioned)
         // edges; rebalance edges interleave keys across instances by design.
-        if self.cfg.check_semantics && rec.origin.0 != InstId(u32::MAX) && self.op_of(inst).stateful
-        {
+        if observe && rec.origin.0 != InstId(u32::MAX) {
             let op = self.insts[inst.0 as usize].op;
             self.semantics
                 .observe(op, rec.key, rec.origin.0, rec.origin.1);
         }
+        let now = self.now();
         let max_key_groups = self.cfg.max_key_groups;
-        self.invoke(inst, |logic, i, out| {
-            let mut ctx = OpCtx {
-                now,
-                watermark: i.watermark,
-                kg,
-                state: &mut i.state,
-                out,
-                max_key_groups,
-            };
-            logic.on_record(&mut ctx, &rec);
-        });
+        let i = &mut self.insts[inst.0 as usize];
+        let mut ctx = OpCtx {
+            now,
+            watermark: i.watermark,
+            kg,
+            state: &mut i.state,
+            out,
+            max_key_groups,
+        };
+        logic.on_record(&mut ctx, rec);
+        self.emit_all(inst, out);
     }
 
     /// Run one operator callback at transform instance `inst` — its logic,

@@ -84,36 +84,32 @@ impl World {
     /// `Deliver` events: while deliveries target the same channel and the
     /// receiver provably cannot start work, the per-element `try_start` is
     /// skipped and the credit decrement is batched into one channel borrow
-    /// per (channel, streak). The receiver's idleness is proven once, when
-    /// its channel's streak starts, and holds for the rest of the streak.
+    /// per (channel, streak).
     ///
     /// **Exactness of the fusing.** Single-pop semantics per delivery are
     /// `in_flight -= 1; queue.push_back; try_start(to)`. `try_start`
     /// returns without any side effect when the receiver is halted, busy,
     /// not yet operational, or output-blocked (for a source,
     /// `drain_source` breaks immediately on `blocked_out`) — and none of
-    /// those guard fields, nor the clock, can change while we only push
-    /// handles and count credits, so one proof covers the streak and
-    /// skipping those calls is observationally identical. The moment a
-    /// delivery's `try_start` is *not* provably a no-op, the deferred
-    /// credits are flushed first — `try_start → build_run → chan_pop →
-    /// pump` reads `has_credit()`, which must see the exact sequential
-    /// `in_flight` — and the streak ends, as it does at any other event:
-    /// the next delivery proves its receiver afresh. Deliveries are still
-    /// pushed strictly one at a time before their own `try_start`
-    /// (batching the pushes would let the first quantum see later
-    /// records). The tests that drive the one-event-at-a-time loop by hand
-    /// against `Sim::dispatch_until` enforce all of this.
+    /// those guard fields can change while we only push handles and count
+    /// credits, so skipping those calls is observationally identical. The
+    /// moment a delivery's `try_start` is *not* provably a no-op, the
+    /// deferred credits are flushed first — `try_start → build_run →
+    /// chan_pop → pump` reads `has_credit()`, which must see the exact
+    /// sequential `in_flight`. Deliveries are still pushed strictly one
+    /// at a time before their own `try_start` (batching the pushes would
+    /// let the first quantum see later records). The tests that drive the
+    /// one-event-at-a-time loop by hand against `Sim::dispatch_until`
+    /// enforce all of this.
     // checker:hot-path
     pub fn dispatch_run(&mut self, plugin: &mut dyn ScalePlugin, buf: &mut Vec<Ev>) {
         // The whole run is one instant.
         let now = self.q.now();
-        // The current Deliver streak: its channel, the credit decrements
-        // it deferred, and whether its receiver is proven idle.
-        let mut cur: Option<(ChannelId, usize, bool)> = None;
+        // Deferred credit decrements for the current Deliver streak.
+        let mut cur: Option<(ChannelId, usize)> = None;
         macro_rules! flush {
             () => {
-                if let Some((ch, credits, _)) = cur.take() {
+                if let Some((ch, credits)) = cur.take() {
                     if credits > 0 {
                         let c = &mut self.chans[ch.0 as usize];
                         debug_assert!(
@@ -130,24 +126,20 @@ impl World {
             if let Ev::Deliver { burst } = ev {
                 let mut elems = self.take_burst(burst);
                 for WireElem { ch, elem, credited } in elems.drain(..) {
-                    let idle = match &mut cur {
-                        Some((c, credits, idle)) if *c == ch => {
-                            *credits += credited as usize;
-                            *idle
-                        }
+                    match &mut cur {
+                        Some((c, credits)) if *c == ch => *credits += credited as usize,
                         _ => {
                             flush!();
-                            let i = &self.insts[self.chans[ch.0 as usize].to.0 as usize];
-                            let idle =
-                                i.halted || i.busy || now < i.operational_at || i.blocked_out;
-                            cur = Some((ch, credited as usize, idle));
-                            idle
+                            cur = Some((ch, credited as usize));
                         }
+                    }
+                    let to = self.chans[ch.0 as usize].to;
+                    let noop = {
+                        let i = &self.insts[to.0 as usize];
+                        i.halted || i.busy || now < i.operational_at || i.blocked_out
                     };
-                    let c = &mut self.chans[ch.0 as usize];
-                    c.queue.push_back(elem);
-                    if !idle {
-                        let to = c.to;
+                    self.chans[ch.0 as usize].queue.push_back(elem);
+                    if !noop {
                         flush!();
                         self.try_start(plugin, to);
                     }
