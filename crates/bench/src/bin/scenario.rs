@@ -30,17 +30,20 @@
 //! CPU); each worker still runs one sequential sim.
 //! `--sync-stats` appends a second, equally deterministic line per run with
 //! the per-region event counts, the region-scheduler (sequential) or
-//! epoch (parallel) synchronization counters, and the bus lag/drop
-//! accounting — every number on it is reproducible, so two `--sync-stats`
-//! runs diff clean. `--events FILE` turns on the event bus's in-memory
-//! sink and, after the run, writes its log as JSONL, one event a line: the
-//! sequential engine's drained log, or a `--threads N` run's
-//! `(at, region)`-merged per-region logs. Both engines print `wrote FILE
-//! (N events)` on stderr, and a write error exits 2 naming the file. Each
-//! engine's stream is byte-deterministic across reruns (the two engines
-//! publish different — but each individually reproducible — telemetry: the
-//! parallel executor samples per-epoch sync counters and region-0 metrics
-//! ticks only).
+//! epoch (parallel) synchronization counters, and the number of events
+//! the bus published (`bus_published`, 0 without `--events`) — every
+//! number on it is reproducible, so two `--sync-stats` runs diff clean.
+//! `--events FILE` turns on the event bus's in-memory sink and, after the
+//! run, writes its log as JSONL, one event a line and every published
+//! event once: the sequential engine's log in publish order (its `at`
+//! never decreases), or a `--threads N` run's `(at, region)`-merged
+//! per-region logs. Both engines print `wrote FILE (N events)` on stderr,
+//! and a write error exits 2 naming the file. Each engine's stream is
+//! byte-deterministic across reruns. The two engines agree on every
+//! backpressure, scale and checkpoint event and on region-0 instances'
+//! metrics ticks; the parallel executor ticks region-0 instances only, and
+//! its `sync_epoch` events carry epoch counters where the sequential
+//! engine's carry region-scheduler counters.
 //! `QUICK=1` compresses the grids as everywhere else.
 //!
 //! `--group PREFIX --check FILE` runs the group on its full timelines
@@ -226,17 +229,14 @@ fn print_report(r: &RunReport, sync_stats: bool) {
     if sync_stats {
         println!(
             "{} region_events {:?} sync_runs {} merged_runs {} \
-             min_rule_grants {} null_msgs {} bus_published {} \
-             bus_dropped {} bus_lag_max {}",
+             min_rule_grants {} null_msgs {} bus_published {}",
             r.scenario,
             r.region_events,
             r.sync_runs,
             r.merged_runs,
             r.min_rule_grants,
             r.null_msgs,
-            r.bus_published,
-            r.bus_dropped,
-            r.bus_lag_max
+            r.bus_published
         );
     }
 }
@@ -281,8 +281,7 @@ fn run_one(name: &str, o: &Opts) {
         if o.sync_stats {
             println!(
                 "{} threads {} region_events {:?} epochs {} busy_epochs {} \
-                 msgs_sent {} msgs_overflowed {} bus_published {} bus_dropped {} \
-                 bus_lag_max {}",
+                 msgs_sent {} msgs_overflowed {} bus_published {}",
                 spec.name,
                 report.threads,
                 report.per_region_events,
@@ -290,9 +289,7 @@ fn run_one(name: &str, o: &Opts) {
                 report.stats.busy_epochs,
                 report.stats.msgs_sent,
                 report.stats.msgs_overflowed,
-                report.bus.published,
-                report.bus.dropped,
-                report.bus.lag_max
+                report.bus.published
             );
         }
         return;

@@ -328,12 +328,11 @@ impl ScenarioSpec {
         self.run_logged().0
     }
 
-    /// [`ScenarioSpec::run`], also returning the bus's drained event log
+    /// [`ScenarioSpec::run`], also returning the bus's event log
     /// (empty unless `bus_sink` is `Mem`).
     pub fn run_logged(&self) -> (RunReport, Vec<BusEvent>) {
         let (mut sim, op) = self.build_sim();
         sim.run_until(self.horizon);
-        sim.world.bus.drain();
         let report = RunReport::harvest(self, &sim, op);
         (report, sim.world.bus.take_log())
     }

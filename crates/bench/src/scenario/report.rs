@@ -63,15 +63,9 @@ pub struct RunReport {
     pub min_rule_grants: u64,
     /// Null messages a message-passing CMB runtime would have needed.
     pub null_msgs: u64,
-    /// Bus events accepted for publication (0 under the `Null` sink).
+    /// Bus events published, each one in the log (0 under the `Null`
+    /// sink).
     pub bus_published: u64,
-    /// Bus events evicted by `DropOldest` channels (deterministic).
-    pub bus_dropped: u64,
-    /// Deepest any bus channel ever got (high-water lag, in events).
-    pub bus_lag_max: u64,
-    /// Per-class drop counts, one entry per [`streamflow::BusClass`] in
-    /// declaration order.
-    pub bus_class_drops: Vec<u64>,
     /// End-to-end latency samples `(sink arrival µs, latency µs)`.
     pub latency: Vec<(SimTime, f64)>,
     /// Cumulative suspension samples `(time µs, cumulative µs)`.
@@ -112,7 +106,6 @@ impl RunReport {
             .map(|r| w.q.region_processed(r))
             .collect();
         let sync = w.q.region_sync_stats();
-        let bus = w.bus.summary();
         Self {
             scenario: spec.name.clone(),
             mechanism: spec.mechanism.label().to_string(),
@@ -143,10 +136,7 @@ impl RunReport {
             merged_runs: sync.merged_runs,
             min_rule_grants: sync.min_rule_grants,
             null_msgs: sync.null_msgs,
-            bus_published: bus.published,
-            bus_dropped: bus.dropped,
-            bus_lag_max: bus.lag_max,
-            bus_class_drops: bus.class_drops.to_vec(),
+            bus_published: w.bus.summary().published,
             latency: w.metrics.latency.points().to_vec(),
             suspension_series: w.metrics.suspension.points().to_vec(),
             throughput: w.metrics.throughput(),
@@ -244,9 +234,6 @@ mod tests {
             min_rule_grants: 3,
             null_msgs: 9,
             bus_published: 1_234,
-            bus_dropped: 56,
-            bus_lag_max: 64,
-            bus_class_drops: vec![56, 0, 0, 0, 0],
             latency: vec![(100, 2.0), (200, 3.0625)],
             suspension_series: vec![(500_000, 1234.0)],
             throughput: vec![(0, 4999.0), (1, 5001.0)],

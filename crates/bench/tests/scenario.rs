@@ -1,7 +1,8 @@
 //! Integration tests for the scenario subsystem: registry integrity, grid
 //! runs independent of the worker count, the golden digest pin, bus-sink
 //! neutrality, run-level admission against per-record admission, the
-//! `--events` file, and the strict CLIs.
+//! `--events` file, the event stream both engines share, and the strict
+//! CLIs.
 
 use bench::scenario::golden::{self, GoldenError};
 use bench::scenario::{registry, run_all, RunReport, ScenarioSpec};
@@ -9,8 +10,8 @@ use simcore::time::secs;
 use streamflow::ids::ChannelId;
 use streamflow::state::StateUnit;
 use streamflow::{
-    BusSinkKind, InstId, KeyGroup, NoScale, Record, ScalePlan, ScalePlugin, ScaleSignal, Selection,
-    SubscaleId, World,
+    BusEvent, BusEventKind, BusSinkKind, InstId, KeyGroup, NoScale, Record, ScalePlan, ScalePlugin,
+    ScaleSignal, Selection, SubscaleId, World,
 };
 
 /// The committed cross-build digest pin.
@@ -323,6 +324,47 @@ fn events_file_is_the_serialized_in_memory_log_on_both_engines() {
         );
     }
     std::fs::remove_file(&path).expect("remove the events file");
+}
+
+#[test]
+fn both_engines_log_the_same_shared_event_stream() {
+    // The events both engines publish — backpressure, scale and
+    // checkpoint events, and metrics ticks of region-0 instances (the
+    // threaded sampler ticks no others) — form the same sequence in the
+    // sequential log and in the threaded run's merged log. `SyncEpoch`
+    // carries region-scheduler counters on one engine and epoch counters
+    // on the other, so it is left out.
+    let spec = registry::find("perf/cut_pipeline_100k", true)
+        .expect("registered")
+        .with_regions(2)
+        .with_resume_latency(100)
+        .with_bus_sink(BusSinkKind::Mem)
+        .with_horizon(secs(2));
+    let shared = |log: Vec<BusEvent>| -> Vec<BusEvent> {
+        log.into_iter()
+            .filter(|e| match e.kind {
+                BusEventKind::SyncEpoch { .. } => false,
+                BusEventKind::MetricsTick { .. } => e.region == 0,
+                _ => true,
+            })
+            .collect()
+    };
+    let seq = shared(spec.run_logged().1);
+    let threaded = shared(spec.run_threaded().bus_events);
+    if let Some(i) = (0..seq.len().min(threaded.len())).find(|&i| seq[i] != threaded[i]) {
+        panic!(
+            "event {i} differs: sequential {:?}, threaded {:?}",
+            seq[i], threaded[i]
+        );
+    }
+    assert_eq!(
+        seq.len(),
+        threaded.len(),
+        "one log is a prefix of the other"
+    );
+    let has = |f: fn(&BusEventKind) -> bool| seq.iter().any(|e| f(&e.kind));
+    assert!(has(|k| matches!(k, BusEventKind::BackpressureBlock { .. })));
+    assert!(has(|k| matches!(k, BusEventKind::MetricsTick { .. })));
 }
 
 #[test]

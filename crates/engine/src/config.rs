@@ -80,9 +80,9 @@ pub struct EngineConfig {
     /// Which sink the event/metrics bus feeds (see [`crate::bus`]).
     /// `Null` (the default) disables the bus entirely: publishing is a
     /// single branch and steady state allocates and hashes nothing, so
-    /// every digest is byte-identical to a bus-less build. `Mem` keeps the
-    /// drained events in memory for the run's owner to take after the
-    /// run. Behavior-neutral by contract for either sink: the bus
+    /// every digest is byte-identical to a bus-less build. `Mem` appends
+    /// every published event to an in-memory log, in publish order, for
+    /// the run's owner to take after the run. Behavior-neutral by contract for either sink: the bus
     /// observes, never steers.
     pub bus_sink: BusSinkKind,
 }

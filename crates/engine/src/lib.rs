@@ -19,8 +19,8 @@
 //! * latency / throughput / suspension measurement and the paper's
 //!   scaling-period detector ([`metrics`]),
 //! * an execution-order semantics checker ([`semantics`]), and
-//! * an in-flight event/metrics bus with bounded per-class channels and
-//!   pluggable sinks ([`bus`]).
+//! * an in-flight event/metrics bus: one append-only, time-ordered event
+//!   log behind a `Null` (off) or `Mem` sink ([`bus`]).
 //!
 //! # Quick start
 //!
@@ -64,7 +64,7 @@ pub mod state;
 pub mod window;
 pub mod world;
 
-pub use bus::{Bus, BusClass, BusEvent, BusEventKind, BusSinkKind, BusSummary};
+pub use bus::{Bus, BusEvent, BusEventKind, BusSinkKind, BusSummary};
 pub use config::EngineConfig;
 pub use graph::{EdgeKind, JobBuilder};
 pub use ids::{InstId, Key, KeyGroup, OpId, SubscaleId};

@@ -71,7 +71,7 @@ const RING_CAP: usize = 4096;
 /// (plus the totals after the loop). Epoch counts are lock-stepped and
 /// deterministic, so the resulting bus stream is too — but at fine
 /// `resume_latency` an epoch is far more frequent than a metrics sample,
-/// so the bus samples the accounting rather than flooding the channel.
+/// so the bus samples the accounting rather than flooding the log.
 const SYNC_EPOCH_EVERY: u64 = 64;
 
 /// Per-worker epoch accounting, summed across workers in the report.
@@ -111,12 +111,12 @@ pub struct ParallelReport {
     /// OS threads actually used (1 on the sequential fallback).
     pub threads: usize,
     /// Bus events from all replicas, deterministically merged: per-region
-    /// buffers folded in region order by stable `(at, region)` sort —
+    /// logs folded in region order by stable `(at, region)` sort —
     /// exactly the [`Observables::merge`] key (see
     /// [`merge_region_logs`]). Empty with the default `Null` sink.
     pub bus_events: Vec<BusEvent>,
-    /// Bus lag/drop accounting summed across replicas (deterministic —
-    /// every counter is a function of the simulated timeline).
+    /// Bus counters summed across replicas (deterministic — every counter
+    /// is a function of the simulated timeline).
     pub bus: BusSummary,
 }
 
@@ -254,23 +254,18 @@ fn drive(
                 }
             }
             sim.world.put_outbox_scratch(out);
-            if sim.world.bus.enabled() {
+            if sim.world.bus.enabled() && stats.epochs % SYNC_EPOCH_EVERY == 1 {
                 // Cumulative sync accounting, sampled every
                 // `SYNC_EPOCH_EVERY` epochs. `merged` is the ring+overflow
                 // *sum*: the repo only guarantees the sum is deterministic,
-                // never the split. Draining each epoch keeps the replica's
-                // channels (which have no sample-cadence drain of their
-                // own outside region 0) from shedding events needlessly.
-                if stats.epochs % SYNC_EPOCH_EVERY == 1 {
-                    let ev = BusEventKind::SyncEpoch {
-                        epochs: stats.epochs,
-                        dispatched: sim.world.q.processed(),
-                        merged: stats.msgs_sent + stats.msgs_overflowed,
-                        grants: stats.busy_epochs,
-                    };
-                    sim.world.bus.publish(m, r as u8, ev);
-                }
-                sim.world.bus.drain();
+                // never the split.
+                let ev = BusEventKind::SyncEpoch {
+                    epochs: stats.epochs,
+                    dispatched: sim.world.q.processed(),
+                    merged: stats.msgs_sent + stats.msgs_overflowed,
+                    grants: stats.busy_epochs,
+                };
+                sim.world.bus.publish(m, r as u8, ev);
             }
         }
         barrier_b.wait();
@@ -284,8 +279,8 @@ fn drive(
     }
     sim.world.q.advance_clock_to(horizon);
     if sim.world.bus.enabled() {
-        // Final cumulative totals, then flush everything to the replica's
-        // in-memory buffer for the region-order fold.
+        // Final cumulative totals; the replica's log then goes to the
+        // region-order fold.
         let ev = BusEventKind::SyncEpoch {
             epochs: stats.epochs,
             dispatched: sim.world.q.processed(),
@@ -293,7 +288,6 @@ fn drive(
             grants: stats.busy_epochs,
         };
         sim.world.bus.publish(horizon, r as u8, ev);
-        sim.world.bus.drain();
     }
     WorkerOut {
         events: sim.world.q.processed(),
@@ -322,7 +316,6 @@ where
     if !probe.world.pdes() {
         probe.run_until(horizon);
         let per_region_events = vec![probe.world.q.processed()];
-        probe.world.bus.drain();
         return ParallelReport {
             obs: probe.world.observables(),
             per_region_events,
@@ -523,6 +516,11 @@ mod tests {
         assert!(on1.bus.published > 0, "replicas published nothing");
         assert_eq!(on1.bus, on2.bus);
         assert_eq!(on1.bus_events, on2.bus_events);
+        assert_eq!(
+            on1.bus_events.len() as u64,
+            on1.bus.published,
+            "lost events"
+        );
         // The fold is ordered by the Observables::merge key.
         for w in on1.bus_events.windows(2) {
             assert!((w[0].at, w[0].region) <= (w[1].at, w[1].region));

@@ -103,7 +103,6 @@ impl World {
                 self.bus.publish(now, 0, ev);
             }
         }
-        self.bus.on_sample();
         let iv = self.cfg.sample_interval;
         self.q.schedule(iv, Ev::Sample);
     }
