@@ -61,13 +61,21 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
                 match key {
                     "--workload" => a.workload = val.to_string(),
                     "--mechanism" => a.mechanism = val.to_string(),
-                    "--rate" => a.rate = bench::parse_value(key, val)?,
-                    "--from" => a.from = bench::parse_value(key, val)?,
-                    "--to" => a.to = bench::parse_value(key, val)?,
+                    "--rate" => {
+                        a.rate = checked(key, val, "a finite number > 0", |r: &f64| {
+                            r.is_finite() && *r > 0.0
+                        })?
+                    }
+                    "--from" => a.from = checked(key, val, "at least 1", |&n: &usize| n >= 1)?,
+                    "--to" => a.to = checked(key, val, "at least 1", |&n: &usize| n >= 1)?,
                     "--scale-at" => a.scale_at = bench::parse_value(key, val)?,
-                    "--horizon" => a.horizon = bench::parse_value(key, val)?,
+                    "--horizon" => a.horizon = checked(key, val, "at least 1", |&s: &u64| s >= 1)?,
                     "--seed" => a.seed = bench::parse_value(key, val)?,
-                    "--skew" => a.skew = bench::parse_value(key, val)?,
+                    "--skew" => {
+                        a.skew = checked(key, val, "a finite number >= 0", |k: &f64| {
+                            k.is_finite() && *k >= 0.0
+                        })?
+                    }
                     _ => a.state_gb = bench::parse_value(key, val)?,
                 }
                 i += 1;
@@ -77,6 +85,26 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         i += 1;
     }
     Ok(a)
+}
+
+/// `val` parsed as `flag`'s value, refused unless `ok` holds (`need` says
+/// what it requires): a non-finite or out-of-range number would otherwise
+/// run a degenerate timeline or panic inside the engine.
+fn checked<T: std::str::FromStr>(
+    flag: &str,
+    val: &str,
+    need: &str,
+    ok: impl Fn(&T) -> bool,
+) -> Result<T, String>
+where
+    T::Err: std::fmt::Display,
+{
+    let v = bench::parse_value(flag, val)?;
+    if ok(&v) {
+        Ok(v)
+    } else {
+        Err(format!("{flag} {val:?}: must be {need}"))
+    }
 }
 
 /// The run the flags describe, with the semantics checker on.
@@ -124,6 +152,12 @@ fn scenario(a: &Args) -> Result<ScenarioSpec, String> {
         at: secs(a.scale_at),
         to: a.to,
     });
+    if scale.is_some() && a.scale_at >= a.horizon {
+        return Err(format!(
+            "--scale-at {} is not before --horizon {}: the scale plan would never fire",
+            a.scale_at, a.horizon
+        ));
+    }
     Ok(ScenarioSpec {
         name: format!("drrs_sim/{}/{}", a.workload, a.mechanism),
         engine,

@@ -410,6 +410,21 @@ fn binaries_reject_stale_or_malformed_command_lines() {
         (drrs_sim, "--backend heap", "unknown flag --backend"),
         (drrs_sim, "--workload q9", "unknown workload \"q9\""),
         (drrs_sim, "--mechanism magic", "unknown mechanism \"magic\""),
+        (drrs_sim, "--skew nan", "--skew \"nan\": must be"),
+        (drrs_sim, "--skew inf", "--skew \"inf\": must be"),
+        (drrs_sim, "--skew -1", "--skew \"-1\": must be"),
+        (drrs_sim, "--rate nan", "--rate \"nan\": must be"),
+        (drrs_sim, "--rate -5", "--rate \"-5\": must be"),
+        (drrs_sim, "--rate inf", "--rate \"inf\": must be"),
+        (drrs_sim, "--rate 0", "--rate \"0\": must be"),
+        (drrs_sim, "--from 0", "--from \"0\": must be"),
+        (drrs_sim, "--to 0", "--to \"0\": must be"),
+        (drrs_sim, "--horizon 0", "--horizon \"0\": must be"),
+        (
+            drrs_sim,
+            "--scale-at 30 --horizon 20",
+            "--scale-at 30 is not before --horizon 20",
+        ),
     ];
     for (exe, args, reason) in cases {
         let args: Vec<&str> = args.split(' ').collect();

@@ -2,8 +2,9 @@
 //!
 //! Self-contained (the offline crate set has no `rand`): a xoshiro256++
 //! generator seeded through SplitMix64, plus a Zipf(α) sampler over a finite
-//! item universe implemented with a precomputed CDF + binary search, which
-//! is both exact and fast for the universe sizes the workloads use.
+//! item universe: a precomputed CDF inverted through a guide table, so a
+//! draw is O(1) expected compares and returns exactly the index a binary
+//! search over the CDF would (see [`Zipf`]).
 //!
 //! Every draw is a pure function of the seed, so simulation runs are
 //! bit-reproducible across platforms and rustc versions — the property the
@@ -107,14 +108,47 @@ impl DetRng {
 ///
 /// `alpha = 0` degenerates to the uniform distribution, matching the paper's
 /// skewness parameter sweep `[0.0, 0.5, 1.0, 1.5]`.
+///
+/// A draw inverts the CDF at `u = rng.unit()` through a guide table (Chen &
+/// Asau's cutpoint method; Devroye, *Non-Uniform Random Variate
+/// Generation*, §III.2.4). With `m` a power of two, `guide[j]` is the first
+/// item whose CDF reaches `j / m`, and `guide[m] = n - 1`. For
+/// `j = ⌊u · m⌋` the answer lies in `guide[j] ..= guide[j + 1]`, a span
+/// of a few entries on average, so a draw costs O(1) expected compares
+/// instead of a ~log₂ n binary search over the whole CDF.
+///
+/// The draw is exact: `u · m` and `j / m` are computed without rounding
+/// (scaling by a power of two), so `j / m <= u < (j + 1) / m` holds in
+/// floating point, and the span always contains the first `i` with
+/// `cdf[i] >= u`. Every draw returns the index a full binary search would,
+/// for every seed. `m = min(4 · n.next_power_of_two(), 2^16)`, so the table
+/// is at most 256 KB next to the CDF's `8 · n` bytes.
 pub struct Zipf {
     cdf: Vec<f64>,
+    guide: Vec<u32>,
 }
 
+/// The guide table's maximum number of cells (`m`): 2^16 cells keep the
+/// table at 256 KB for any universe size.
+const GUIDE_CELLS_MAX: usize = 1 << 16;
+
+/// Spans of at most this many entries past `guide[j]` are scanned
+/// linearly; longer ones (only the tail cells of a large universe) are
+/// binary-searched.
+const LINEAR_SPAN: usize = 8;
+
 impl Zipf {
-    /// Build the sampler. `n` must be ≥ 1.
+    /// Build the sampler. `n` must be ≥ 1 and `alpha` finite and ≥ 0.
     pub fn new(n: usize, alpha: f64) -> Self {
         assert!(n >= 1, "zipf over empty universe");
+        assert!(
+            alpha.is_finite() && alpha >= 0.0,
+            "zipf exponent must be finite and >= 0, got {alpha}"
+        );
+        assert!(
+            n <= u32::MAX as usize,
+            "zipf universe of {n} items overflows the u32 guide"
+        );
         let mut cdf = Vec::with_capacity(n);
         let mut acc = 0.0f64;
         for i in 0..n {
@@ -128,7 +162,18 @@ impl Zipf {
         // Guard against floating point drift: the last entry must be 1.0 so
         // sampling can never fall off the end.
         *cdf.last_mut().expect("n >= 1") = 1.0;
-        Self { cdf }
+        let m = (4 * n.next_power_of_two()).min(GUIDE_CELLS_MAX);
+        let mut guide = Vec::with_capacity(m + 1);
+        let mut i = 0;
+        for j in 0..m {
+            let cut = j as f64 / m as f64;
+            while cdf[i] < cut {
+                i += 1;
+            }
+            guide.push(i as u32);
+        }
+        guide.push((n - 1) as u32);
+        Self { cdf, guide }
     }
 
     /// Number of items in the universe.
@@ -142,10 +187,30 @@ impl Zipf {
     }
 
     /// Draw an item index.
+    // checker:hot-path
+    #[inline]
     pub fn sample(&self, rng: &mut DetRng) -> usize {
-        let u = rng.unit();
-        // partition_point returns the first index with cdf[i] >= u.
-        self.cdf.partition_point(|&c| c < u)
+        self.invert(rng.unit())
+    }
+
+    /// The first index `i` with `cdf[i] >= u`, for `u` in `[0, 1)`.
+    // checker:hot-path
+    #[inline]
+    fn invert(&self, u: f64) -> usize {
+        let m = self.guide.len() - 1;
+        let j = (u * m as f64) as usize;
+        let lo = self.guide[j] as usize;
+        let hi = self.guide[j + 1] as usize;
+        // cdf[hi] >= u, so the answer is in lo..=hi.
+        if hi - lo <= LINEAR_SPAN {
+            let mut i = lo;
+            while self.cdf[i] < u {
+                i += 1;
+            }
+            i
+        } else {
+            lo + self.cdf[lo..hi].partition_point(|&c| c < u)
+        }
     }
 
     /// Probability mass of item `i`.
@@ -236,6 +301,69 @@ mod tests {
         }
         // Zipf(1.5) head mass is ~0.38 of all draws; allow generous slack.
         assert!(head > 2_000, "head drawn {head} times");
+    }
+
+    /// The search the guide table replaced: the oracle for exactness.
+    fn binary_search(z: &Zipf, u: f64) -> usize {
+        z.cdf.partition_point(|&c| c < u)
+    }
+
+    #[test]
+    fn zipf_draws_match_the_binary_search_oracle() {
+        // Universe sizes at 1, around powers of two (where the guide's cell
+        // count steps), the workloads' sizes, and past the 2^16-cell cap;
+        // then random ones.
+        let mut sizes = vec![1, 2, 3, 4000, 100_000, 200_000, 300_000];
+        for p in [2usize, 4, 8, 1024, 1 << 14, 1 << 16, 1 << 17] {
+            sizes.extend([p - 1, p, p + 1]);
+        }
+        let mut pick = DetRng::seed(0x21FF);
+        sizes.extend((0..8).map(|_| pick.range(1, 300_001) as usize));
+        for &n in &sizes {
+            for alpha in [0.0, 0.2, 1.0, 1.1, 1.5, 3.0] {
+                let z = Zipf::new(n, alpha);
+                assert!(z.guide.len() <= GUIDE_CELLS_MAX + 1, "n {n}");
+                let seed = pick.next_u64();
+                let mut draws = DetRng::seed(seed);
+                let mut oracle = DetRng::seed(seed);
+                for draw in 0..4_000 {
+                    let got = z.sample(&mut draws);
+                    let want = binary_search(&z, oracle.unit());
+                    assert_eq!(got, want, "n {n} alpha {alpha} seed {seed} draw {draw}");
+                }
+                // The values a random stream almost never hits: cell
+                // boundaries j/m and CDF entries, with their neighbours.
+                let m = z.guide.len() - 1;
+                let cuts = (0..m).step_by(m / 4096 + 1).map(|j| j as f64 / m as f64);
+                let steps = z.cdf.iter().step_by(n / 4096 + 1).copied();
+                for c in cuts.chain(steps) {
+                    for u in [c, c.next_down(), c.next_up()] {
+                        if (0.0..1.0).contains(&u) {
+                            let (got, want) = (z.invert(u), binary_search(&z, u));
+                            assert_eq!(got, want, "n {n} alpha {alpha} u {u:e}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "zipf exponent must be finite and >= 0")]
+    fn zipf_rejects_nan_alpha() {
+        Zipf::new(10, f64::NAN);
+    }
+
+    #[test]
+    #[should_panic(expected = "zipf exponent must be finite and >= 0")]
+    fn zipf_rejects_infinite_alpha() {
+        Zipf::new(10, f64::INFINITY);
+    }
+
+    #[test]
+    #[should_panic(expected = "zipf exponent must be finite and >= 0")]
+    fn zipf_rejects_negative_alpha() {
+        Zipf::new(10, -0.5);
     }
 
     #[test]
