@@ -270,17 +270,73 @@ fn world_paths_outside_the_golden_file_keep_their_digests() {
     // checkpoints off. These rows pin the engine paths none of those reach:
     // checkpoint barriers with the `CheckpointTick` deferral during a scale
     // (scale-out only: a retired instance stalls later barriers), the
-    // stop-restart halt/resume, Meces' fetch path, OTFS and Unbound. The
-    // values are `(digest, events, sink_records)`; a behaviour-preserving
-    // change must not move them.
-    let rows: [(&str, bool, (u64, u64, u64)); 5] = [
-        ("DRRS+ckpt", true, (8943720978993937719, 42134, 18000)),
-        ("Meces", false, (14522126647641908098, 42101, 18000)),
-        ("Stop-Restart", false, (4677760609724557460, 41537, 18000)),
-        ("OTFS", false, (9558195888704112742, 42078, 18000)),
-        ("Unbound", false, (5591056667909817358, 42032, 18000)),
+    // stop-restart halt/resume, Meces' fetch path (once more over two
+    // back-to-back scale-outs at sub-group fanout 4, so unit locations
+    // outlive a plan), OTFS and Unbound. The values are `(digest, events,
+    // sink_records)` and the last plan's `(Lp, Ld bits, (churn average
+    // bits, churn max))`, which the digest does not hash; a
+    // behaviour-preserving change must not move them.
+    type Pin = ((u64, u64, u64), (u64, u64, (u64, u32)));
+    type Row<'a> = (&'a str, bool, &'a [(SimTime, usize)], Pin);
+    let one: &[(SimTime, usize)] = &[(ms(1_200), 6)];
+    let two: &[(SimTime, usize)] = &[(ms(1_200), 6), (ms(2_400), 8)];
+    let rows: [Row; 6] = [
+        (
+            "DRRS+ckpt",
+            true,
+            one,
+            (
+                (8943720978993937719, 42134, 18000),
+                (351, 4649946624139532102, (4607182418800017408, 1)),
+            ),
+        ),
+        (
+            "Meces",
+            false,
+            one,
+            (
+                (14522126647641908098, 42101, 18000),
+                (798, 4679106759525329082, (4607182418800017408, 1)),
+            ),
+        ),
+        (
+            "Meces",
+            false,
+            two,
+            (
+                (10859862851143769027, 60086, 25200),
+                (798, 4688482312985973681, (4607182418800017408, 1)),
+            ),
+        ),
+        (
+            "Stop-Restart",
+            false,
+            one,
+            (
+                (4677760609724557460, 41537, 18000),
+                (0, 4688909324251037696, (4607182418800017408, 1)),
+            ),
+        ),
+        (
+            "OTFS",
+            false,
+            one,
+            (
+                (9558195888704112742, 42078, 18000),
+                (1200, 4651440360663667060, (4607182418800017408, 1)),
+            ),
+        ),
+        (
+            "Unbound",
+            false,
+            one,
+            (
+                (5591056667909817358, 42032, 18000),
+                (0, 4648092070102637682, (4607182418800017408, 1)),
+            ),
+        ),
     ];
-    for (name, ckpt, want) in rows {
+    for (name, ckpt, plans, want) in rows {
         let plugin: Box<dyn ScalePlugin> = match name {
             "DRRS+ckpt" => Box::new(FlexScaler::drrs()),
             "Meces" => Box::new(MecesPlugin::new()),
@@ -298,13 +354,38 @@ fn world_paths_outside_the_golden_file_keep_their_digests() {
         if ckpt {
             cfg.checkpoint_interval = Some(ms(400));
         }
+        if plans.len() > 1 {
+            // Meces' hierarchical state: four units per key-group.
+            cfg.sub_group_fanout = 4;
+        }
         let (mut w, agg) = tiny_job(cfg, 6_000.0, 512, 4);
-        w.schedule_scale(ms(1_200), agg, 6);
+        for &(at, par) in plans {
+            w.schedule_scale(at, agg, par);
+        }
         let mut sim = Sim::new(w, plugin);
-        sim.run_until(secs(3));
+        sim.run_until(plans[plans.len() - 1].0 + ms(1_800));
         let w = &sim.world;
-        let got = (w.metrics_digest(), w.q.processed(), w.metrics.sink_records);
-        assert_eq!(got, want, "{name}: the run moved");
+        assert_eq!(
+            w.scale.epoch as usize,
+            plans.len(),
+            "{name}: a plan never started"
+        );
+        let m = &w.scale.metrics;
+        let (churn_avg, churn_max) = m.migration_churn();
+        let got = (
+            (w.metrics_digest(), w.q.processed(), w.metrics.sink_records),
+            (
+                m.cumulative_propagation_delay(),
+                m.avg_dependency_overhead().to_bits(),
+                (churn_avg.to_bits(), churn_max),
+            ),
+        );
+        assert_eq!(
+            got,
+            want,
+            "{name} over {} plans: the run moved",
+            plans.len()
+        );
     }
 }
 
