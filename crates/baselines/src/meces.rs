@@ -54,8 +54,6 @@ pub struct MecesPlugin {
     op: Option<OpId>,
     started: bool,
     done: bool,
-    /// Final planned owner per unit.
-    dest: HashMap<(u16, u8), InstId>,
     /// Outstanding fetch requests: (requester, unit).
     requested: HashSet<(InstId, (u16, u8))>,
     /// Records orphaned mid-quantum, replayed when their unit returns.
@@ -93,7 +91,6 @@ impl MecesPlugin {
             op: None,
             started: false,
             done: false,
-            dest: HashMap::new(),
             requested: HashSet::new(),
             orphans: HashMap::new(),
             arrived_at: HashMap::new(),
@@ -116,13 +113,14 @@ impl MecesPlugin {
         if self.requested.contains(&(requester, unit)) {
             return;
         }
-        let Some(&(holder, in_transit)) = w.scale.unit_loc.get(&unit) else {
+        let row = w.scale.metrics.units.row(kg, sub);
+        let Some(holder) = row.holder else {
             return;
         };
-        if in_transit.is_some() || holder == requester {
+        if row.transit.is_some() || holder == requester {
             return; // already on the move (or arriving here): wait
         }
-        if self.dest.get(&unit) != Some(&requester) {
+        if row.planned != Some(requester) {
             // A non-final holder pulling state back: back-and-forth.
             *self.fetch_back.entry(unit).or_insert(0) += 1;
         }
@@ -131,9 +129,9 @@ impl MecesPlugin {
     }
 
     /// May `inst` still pull this unit back, or must it forward records?
-    fn may_fetch_back(&self, inst: InstId, unit: (u16, u8)) -> bool {
-        self.dest.get(&unit) == Some(&inst)
-            || self.fetch_back.get(&unit).copied().unwrap_or(0) < self.max_fetch_back
+    fn may_fetch_back(&self, w: &World, inst: InstId, kg: KeyGroup, sub: u8) -> bool {
+        w.scale.metrics.units.row(kg, sub).planned == Some(inst)
+            || self.fetch_back.get(&(kg.0, sub)).copied().unwrap_or(0) < self.max_fetch_back
     }
 
     fn replay_orphans(&mut self, w: &mut World, inst: InstId) {
@@ -162,27 +160,17 @@ impl MecesPlugin {
 
     fn background_pump(&mut self, w: &mut World) {
         let mut moved = 0;
-        #[allow(clippy::type_complexity)]
-        let mut entries: Vec<((u16, u8), (InstId, Option<InstId>))> =
-            w.scale.unit_loc.iter().map(|(&u, &l)| (u, l)).collect();
-        // Canonical order: map iteration order must never pick which units
-        // migrate this pump (same seed ⇒ same run, the repo's determinism
-        // invariant).
-        entries.sort_unstable_by_key(|&(u, _)| u);
-        for (unit, (holder, transit)) in entries {
+        // The ledger's rows are in unit order, so the units this pump
+        // migrates never depend on anything but the run itself.
+        for i in 0..w.scale.metrics.units.rows().len() {
             if moved >= self.background_batch {
                 break;
             }
-            if transit.is_some() {
-                continue;
-            }
-            let Some(&dest) = self.dest.get(&unit) else {
+            let (kg, sub, row) = w.scale.metrics.units.at(i);
+            let (Some(holder), None, Some(dest)) = (row.holder, row.transit, row.planned) else {
                 continue;
             };
-            if holder == dest {
-                continue;
-            }
-            if w.migrate_unit(holder, dest, KeyGroup(unit.0), unit.1, SubscaleId(0)) {
+            if holder != dest && w.migrate_unit(holder, dest, kg, sub, SubscaleId(0)) {
                 moved += 1;
             }
         }
@@ -216,13 +204,13 @@ impl MecesPlugin {
         if self.done || !self.started {
             return;
         }
-        let settled = self.dest.iter().all(|(u, &d)| {
-            w.scale
-                .unit_loc
-                .get(u)
-                .map(|&(h, t)| h == d && t.is_none())
-                .unwrap_or(false)
-        });
+        let settled = w
+            .scale
+            .metrics
+            .units
+            .rows()
+            .iter()
+            .all(|r| r.planned.is_none() || (r.holder == r.planned && r.transit.is_none()));
         let orphans_empty = self.orphans.values().all(|v| v.is_empty());
         if settled && orphans_empty {
             self.done = true;
@@ -245,20 +233,15 @@ impl ScalePlugin for MecesPlugin {
         self.done = false;
         let now = w.now();
         // Single synchronization: flip every predecessor's routing at once.
-        let kgs: Vec<KeyGroup> = plan.moves.iter().map(|m| m.kg).collect();
         for pred in w.predecessors(plan.op).to_vec() {
             for m in &plan.moves {
                 w.reroute_groups(plan.op, pred, &[m.kg], m.to);
             }
         }
-        let _ = kgs;
         w.scale.metrics.injected.insert(SubscaleId(0), now);
-        let fanout = w.cfg.sub_group_fanout.max(1);
         for m in &plan.moves {
-            for s in 0..fanout {
-                self.dest.insert((m.kg.0, s), m.to);
-                w.scale.metrics.unit_injected.insert((m.kg.0, s), now);
-            }
+            w.scale.metrics.units.plan(m.kg, m.to);
+            w.scale.metrics.units.inject(m.kg, now);
         }
         if !self.timer_armed {
             self.timer_armed = true;
@@ -273,8 +256,9 @@ impl ScalePlugin for MecesPlugin {
         if tag & TAG_FETCH != 0 {
             // A deferred fetch matured: serve it if we still hold the unit.
             let (kg, sub, requester) = decode_fetch(tag);
-            if let Some(&(holder, transit)) = w.scale.unit_loc.get(&(kg.0, sub)) {
-                if transit.is_none() && holder != requester {
+            let row = w.scale.metrics.units.row(kg, sub);
+            if let (Some(holder), None) = (row.holder, row.transit) {
+                if holder != requester {
                     self.serve_fetch(w, holder, kg, sub, requester);
                 }
             }
@@ -335,7 +319,7 @@ impl ScalePlugin for MecesPlugin {
         if w.insts[inst.0 as usize].state.holds(kg, sub) {
             return true;
         }
-        if self.dest.contains_key(&(kg.0, sub)) {
+        if w.scale.metrics.units.row(kg, sub).planned.is_some() {
             // Fetch-on-demand, then suspend until it lands.
             self.issue_fetch(w, inst, kg, sub);
             false
@@ -380,22 +364,19 @@ impl ScalePlugin for MecesPlugin {
                     Some((kind, key)) => {
                         w.insts[inst.0 as usize].active_ch = idx;
                         if kind == RecordKind::Marker {
-                            let mut shim = MecesAdmit(self);
-                            return w.build_run(&mut shim, inst, ch);
+                            return w.build_run(&mut MecesAdmit, inst, ch);
                         }
                         let (kg, sub) = Self::unit_of(w, inst, key);
                         if w.insts[inst.0 as usize].state.holds(kg, sub) {
-                            let mut shim = MecesAdmit(self);
-                            return w.build_run(&mut shim, inst, ch);
+                            return w.build_run(&mut MecesAdmit, inst, ch);
                         }
-                        if self.dest.contains_key(&(kg.0, sub)) {
-                            if self.may_fetch_back(inst, (kg.0, sub)) {
+                        if let Some(dest) = w.scale.metrics.units.row(kg, sub).planned {
+                            if self.may_fetch_back(w, inst, kg, sub) {
                                 self.issue_fetch(w, inst, kg, sub);
                                 return Selection::Suspend;
                             }
                             // Forward to the owner (order no longer
                             // guaranteed — the Meces semantics gap).
-                            let dest = self.dest[&(kg.0, sub)];
                             let Some(StreamElement::Record(rec)) = w.chan_pop(ch) else {
                                 unreachable!("front was a record")
                             };
@@ -445,11 +426,11 @@ impl ScalePlugin for MecesPlugin {
     fn on_orphan_record(&mut self, w: &mut World, inst: InstId, rec: &Record) -> bool {
         // The unit left between admission and application.
         let (kg, sub) = Self::unit_of(w, inst, rec.key);
-        if self.may_fetch_back(inst, (kg.0, sub)) {
+        if self.may_fetch_back(w, inst, kg, sub) {
             // Buffer and fetch the state back — the back-and-forth path.
             self.orphans.entry(inst).or_default().push(rec.clone());
             self.issue_fetch(w, inst, kg, sub);
-        } else if let Some(&dest) = self.dest.get(&(kg.0, sub)) {
+        } else if let Some(dest) = w.scale.metrics.units.row(kg, sub).planned {
             w.send_priority(
                 dest,
                 PriorityMsg::ReroutedRecords {
@@ -463,9 +444,9 @@ impl ScalePlugin for MecesPlugin {
 }
 
 /// Admission shim for quantum building: process only locally held units.
-struct MecesAdmit<'a>(#[allow(dead_code)] &'a mut MecesPlugin);
+struct MecesAdmit;
 
-impl ScalePlugin for MecesAdmit<'_> {
+impl ScalePlugin for MecesAdmit {
     fn name(&self) -> &'static str {
         "Meces"
     }

@@ -5,7 +5,7 @@
 //! proportional to total state size.
 
 use simcore::time::SimTime;
-use streamflow::ids::{ChannelId, InstId, OpId, SubscaleId};
+use streamflow::ids::{ChannelId, InstId, SubscaleId};
 use streamflow::record::{Record, ScaleSignal};
 use streamflow::scaling::{ScalePlan, ScalePlugin};
 use streamflow::state::StateUnit;
@@ -18,7 +18,6 @@ pub struct StopRestartPlugin {
     /// Fixed restart overhead on top of checkpoint write + restore
     /// (JVM/container restart, task re-scheduling).
     pub restart_overhead: SimTime,
-    op: Option<OpId>,
     plan: Option<ScalePlan>,
     started: bool,
     done: bool,
@@ -35,7 +34,6 @@ impl StopRestartPlugin {
     pub fn new() -> Self {
         Self {
             restart_overhead: 5_000_000,
-            op: None,
             plan: None,
             started: false,
             done: false,
@@ -53,17 +51,13 @@ impl ScalePlugin for StopRestartPlugin {
     }
 
     fn on_scale_start(&mut self, w: &mut World, plan: &ScalePlan) {
-        self.op = Some(plan.op);
         self.plan = Some(plan.clone());
         self.started = true;
         self.done = false;
         let now = w.now();
         w.scale.metrics.injected.insert(SubscaleId(0), now);
-        let fanout = w.cfg.sub_group_fanout.max(1);
         for m in &plan.moves {
-            for s in 0..fanout {
-                w.scale.metrics.unit_injected.insert((m.kg.0, s), now);
-            }
+            w.scale.metrics.units.inject(m.kg, now);
         }
         // Global halt, then checkpoint *all* operators' state (the paper's
         // point: even non-scaling operators pay), write + restore.

@@ -42,7 +42,6 @@ impl ScalePlugin for UnboundPlugin {
         self.started = true;
         let now = w.now();
         w.scale.metrics.injected.insert(SubscaleId(0), now);
-        let fanout = w.cfg.sub_group_fanout.max(1);
         // Independent routing update + migration trigger, no signals.
         for pred in w.predecessors(plan.op).to_vec() {
             for m in &plan.moves {
@@ -50,9 +49,7 @@ impl ScalePlugin for UnboundPlugin {
             }
         }
         for m in &plan.moves {
-            for s in 0..fanout {
-                w.scale.metrics.unit_injected.insert((m.kg.0, s), now);
-            }
+            w.scale.metrics.units.inject(m.kg, now);
             w.migrate_group(m.from, m.to, m.kg, SubscaleId(0));
         }
     }

@@ -76,7 +76,6 @@ const ORDERING_ALLOW: &[&str] = &[
 /// deterministic-hasher wrappers themselves, and one pinned signature.
 const HASH_ALLOW: &[&str] = &[
     "crates/simcore/src/hash.rs",
-    "crates/engine/src/scaling.rs",
     "crates/engine/src/state.rs",
     "crates/engine/src/semantics.rs",
     "crates/engine/src/keygroup.rs",

@@ -298,11 +298,8 @@ impl FlexScaler {
         *self.active_cnt.entry(spec.to).or_insert(0) += 1;
         w.scale.metrics.injected.insert(SubscaleId(si as u32), now);
         if !self.cfg.sequential {
-            let fanout = w.cfg.sub_group_fanout.max(1);
-            for kg in &spec.kgs {
-                for sb in 0..fanout {
-                    w.scale.metrics.unit_injected.insert((kg.0, sb), now);
-                }
+            for &kg in &spec.kgs {
+                w.scale.metrics.units.inject(kg, now);
             }
         }
         match self.cfg.injection {
@@ -417,14 +414,11 @@ impl FlexScaler {
         if self.cfg.sequential {
             // Megaphone's timestamp-driven plan announces every unit at the
             // start; record the governing injection lazily at first touch.
-            let t = w.scale.metrics.deployed_at.unwrap_or_else(|| w.now());
-            let fanout = w.cfg.sub_group_fanout.max(1);
-            for sb in 0..fanout {
-                w.scale
-                    .metrics
-                    .unit_injected
-                    .entry((next.0, sb))
-                    .or_insert(t);
+            // Every unit of a key-group is injected together, so its first
+            // unit answers for all of them.
+            if w.scale.metrics.units.row(next, 0).injected.is_none() {
+                let t = w.scale.metrics.deployed_at.unwrap_or_else(|| w.now());
+                w.scale.metrics.units.inject(next, t);
             }
         }
         w.migrate_group(from, to, next, SubscaleId(si as u32));

@@ -3,11 +3,10 @@
 //! All rescaling mechanisms — DRRS, Megaphone, Meces, generalized OTFS,
 //! Unbound, Stop-Checkpoint-Restart — implement [`ScalePlugin`]. The engine
 //! owns the generic machinery every mechanism needs (deployment, migration
-//! links, per-unit metrics, suspension accounting) and calls the plugin at
-//! a small set of decision points.
+//! links, the [`UnitLedger`] of state units, suspension accounting) and
+//! calls the plugin at a small set of decision points.
 
-use std::collections::HashMap;
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 
 use simcore::SimTime;
 
@@ -183,17 +182,14 @@ impl ScalePlugin for NoScale {
     }
 }
 
-/// State of one migration link (one per sending instance: the container NIC
-/// serializes outgoing chunks).
-#[derive(Default)]
-pub struct LinkState {
-    /// Chunks waiting to be serialized+sent: `(dest, unit, subscale)`.
-    pub queue: VecDeque<(InstId, StateUnit, SubscaleId)>,
-    /// Is a chunk currently on the wire?
-    pub busy: bool,
-}
+/// One migration link (one per sending instance: the container NIC
+/// serializes outgoing chunks): `(dest, unit, subscale)` in send order, the
+/// front one on the wire.
+pub type LinkQueue = VecDeque<(InstId, StateUnit, SubscaleId)>;
 
 /// Timing metrics for the paper's three overhead classes plus bookkeeping.
+/// Everything but the ledger's persistent columns resets when a plan
+/// starts ([`ScaleMetrics::begin_plan`]).
 #[derive(Default)]
 pub struct ScaleMetrics {
     /// When the harness requested the scale.
@@ -201,16 +197,11 @@ pub struct ScaleMetrics {
     /// When the new containers became operational.
     pub deployed_at: Option<SimTime>,
     /// Per subscale: signal injection time.
-    pub injected: HashMap<SubscaleId, SimTime>,
+    pub injected: BTreeMap<SubscaleId, SimTime>,
     /// Per subscale: first chunk send start (propagation delay end point).
-    pub first_migration: HashMap<SubscaleId, SimTime>,
-    /// Per state unit `(kg, sub)`: governing signal injection time.
-    pub unit_injected: HashMap<(u16, u8), SimTime>,
-    /// Per state unit: install time at the destination.
-    pub unit_installed: HashMap<(u16, u8), SimTime>,
-    /// Per state unit: number of times it has been migrated (Meces
-    /// back-and-forth counting; 1 for everyone else).
-    pub unit_migrations: HashMap<(u16, u8), u32>,
+    pub first_migration: BTreeMap<SubscaleId, SimTime>,
+    /// Every state unit's location and this plan's per-unit timing.
+    pub units: UnitLedger,
     /// When every planned move had been installed at its final destination.
     pub migration_done: Option<SimTime>,
     /// Total bytes transferred over migration links.
@@ -218,6 +209,18 @@ pub struct ScaleMetrics {
 }
 
 impl ScaleMetrics {
+    /// A plan was requested at `now`: reset this plan's metrics, keeping
+    /// the units' locations.
+    pub fn begin_plan(&mut self, now: SimTime) {
+        let mut units = std::mem::take(&mut self.units);
+        units.begin_plan();
+        *self = Self {
+            requested_at: Some(now),
+            units,
+            ..Self::default()
+        };
+    }
+
     /// Cumulative propagation delay `Lp`: Σ over signals of
     /// (first migration − injection). Units: µs.
     pub fn cumulative_propagation_delay(&self) -> SimTime {
@@ -236,8 +239,8 @@ impl ScaleMetrics {
     pub fn avg_dependency_overhead(&self) -> f64 {
         let mut n = 0u64;
         let mut sum = 0u64;
-        for (unit, &inst_t) in &self.unit_installed {
-            if let Some(&inj) = self.unit_injected.get(unit) {
+        for r in &self.units.rows {
+            if let (Some(inst_t), Some(inj)) = (r.installed, r.injected) {
                 n += 1;
                 sum += inst_t.saturating_sub(inj);
             }
@@ -251,12 +254,129 @@ impl ScaleMetrics {
 
     /// `(average, max)` migrations per state unit (Meces fetch conflicts).
     pub fn migration_churn(&self) -> (f64, u32) {
-        if self.unit_migrations.is_empty() {
-            return (0.0, 0);
+        let (mut n, mut total, mut max) = (0u64, 0u64, 0);
+        for r in self.units.rows.iter().filter(|r| r.migrations > 0) {
+            n += 1;
+            total += r.migrations as u64;
+            max = max.max(r.migrations);
         }
-        let total: u64 = self.unit_migrations.values().map(|&c| c as u64).sum();
-        let max = self.unit_migrations.values().copied().max().unwrap_or(0);
-        (total as f64 / self.unit_migrations.len() as f64, max)
+        if n == 0 {
+            (0.0, 0)
+        } else {
+            (total as f64 / n as f64, max)
+        }
+    }
+}
+
+/// One state unit's row in the [`UnitLedger`].
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct UnitRow {
+    /// The holder (the sender while in transit); `None` until a plan moves it.
+    pub holder: Option<InstId>,
+    /// The destination while in transit.
+    pub transit: Option<InstId>,
+    /// The plan's destination (Meces writes and reads it).
+    pub planned: Option<InstId>,
+    /// This plan: the governing signal's injection time.
+    pub injected: Option<SimTime>,
+    /// This plan: the install time at the destination.
+    pub installed: Option<SimTime>,
+    /// This plan: installs (Meces' back-and-forth; 1 for everyone else).
+    pub migrations: u32,
+}
+
+/// Every state unit's location and per-plan timing, one dense row per
+/// `(key-group, sub-group)` unit, the atom subscale division migrates.
+///
+/// Rows are indexed `kg * fanout + sub`, like
+/// [`crate::state::StateBackend`]'s slots: no hashing, and iteration is
+/// unit order by construction. `holder`, `transit` and `planned` persist
+/// across plans (a unit stays where the last plan left it); `injected`,
+/// `installed` and `migrations` describe the current plan and are cleared
+/// when the next one starts.
+///
+/// [`Self::send`] and [`Self::install`] debug-assert the ledger's half of
+/// the single-owner rule: a unit leaves only its holder, is never sent
+/// twice, and lands where it was sent. No assertion scans the state
+/// backends, because Unbound's universal keys create state anywhere.
+#[derive(Debug, Default)]
+pub struct UnitLedger {
+    fanout: usize,
+    rows: Vec<UnitRow>,
+}
+
+impl UnitLedger {
+    /// An untracked ledger over `max_key_groups × fanout` units.
+    pub fn new(max_key_groups: u16, fanout: u8) -> Self {
+        let fanout = fanout.max(1) as usize;
+        let rows = vec![UnitRow::default(); max_key_groups as usize * fanout];
+        Self { fanout, rows }
+    }
+
+    /// Every row, in unit order.
+    pub fn rows(&self) -> &[UnitRow] {
+        &self.rows
+    }
+
+    /// The unit at row index `i`, with its row.
+    pub fn at(&self, i: usize) -> (KeyGroup, u8, UnitRow) {
+        let (kg, sub) = (i / self.fanout, i % self.fanout);
+        (KeyGroup(kg as u16), sub as u8, self.rows[i])
+    }
+
+    /// The row of unit `(kg, sub)`.
+    pub fn row(&self, kg: KeyGroup, sub: u8) -> UnitRow {
+        self.rows[kg.0 as usize * self.fanout + sub as usize]
+    }
+
+    /// The rows of key-group `kg`'s units.
+    fn group(&mut self, kg: KeyGroup) -> &mut [UnitRow] {
+        &mut self.rows[kg.0 as usize * self.fanout..][..self.fanout]
+    }
+
+    /// A plan moves `kg`: every unit of it is at `holder`.
+    pub fn track(&mut self, kg: KeyGroup, holder: InstId) {
+        for r in self.group(kg) {
+            (r.holder, r.transit) = (Some(holder), None);
+        }
+    }
+
+    /// The plan sends every unit of `kg` to `to`.
+    pub fn plan(&mut self, kg: KeyGroup, to: InstId) {
+        self.group(kg).iter_mut().for_each(|r| r.planned = Some(to));
+    }
+
+    /// The signal governing every unit of `kg` was injected at `t`.
+    pub fn inject(&mut self, kg: KeyGroup, t: SimTime) {
+        self.group(kg).iter_mut().for_each(|r| r.injected = Some(t));
+    }
+
+    /// Unit `(kg, sub)` left `from` for `to`.
+    pub fn send(&mut self, kg: KeyGroup, sub: u8, from: InstId, to: InstId) {
+        let r = &mut self.group(kg)[sub as usize];
+        debug_assert!(
+            r.transit.is_none() && r.holder.is_none_or(|h| h == from),
+            "{kg}/{sub} extracted at {from}, but the ledger has {r:?}"
+        );
+        (r.holder, r.transit) = (Some(from), Some(to));
+    }
+
+    /// Unit `(kg, sub)` was installed at `inst` at `t`.
+    pub fn install(&mut self, kg: KeyGroup, sub: u8, inst: InstId, t: SimTime) {
+        let r = &mut self.group(kg)[sub as usize];
+        debug_assert!(
+            r.transit.is_none_or(|to| to == inst),
+            "{kg}/{sub} installed at {inst}, but the ledger has {r:?}"
+        );
+        (r.holder, r.transit, r.installed) = (Some(inst), None, Some(t));
+        r.migrations += 1;
+    }
+
+    /// Clear the per-plan columns.
+    pub fn begin_plan(&mut self) {
+        for r in &mut self.rows {
+            (r.injected, r.installed, r.migrations) = (None, None, 0);
+        }
     }
 }
 
@@ -343,32 +463,13 @@ pub struct ScaleContext {
     /// Instances being removed by the current scale-in (they stop receiving
     /// new traffic immediately and are halted once drained).
     pub retiring: RetiringSet,
-    /// Migration link per sending instance.
-    pub links: HashMap<InstId, LinkState>,
-    /// Location registry of moving state units (Meces fetch-on-demand and
-    /// conservation checks): `(kg, sub) → (holder, in_transit_to)`.
-    pub unit_loc: HashMap<(u16, u8), (InstId, Option<InstId>)>,
-    /// Metrics for the current (or last) scale.
+    /// Migration link per sending instance, by `InstId.0` (grown on an
+    /// instance's first send).
+    pub links: Vec<LinkQueue>,
+    /// Metrics for the current (or last) scale, with the unit ledger.
     pub metrics: ScaleMetrics,
     /// True between `StartScale` and migration completion.
     pub in_progress: bool,
-}
-
-impl ScaleContext {
-    /// Key-groups moving in the current plan, with their source/destination.
-    pub fn moving(&self) -> impl Iterator<Item = &KgMove> + '_ {
-        self.plan.iter().flat_map(|p| p.moves.iter())
-    }
-
-    /// Is this key-group part of the current plan?
-    pub fn is_moving(&self, kg: KeyGroup) -> bool {
-        self.moving().any(|m| m.kg == kg)
-    }
-
-    /// The move entry for a key-group, if it is moving.
-    pub fn move_of(&self, kg: KeyGroup) -> Option<&KgMove> {
-        self.plan.as_ref()?.moves.iter().find(|m| m.kg == kg)
-    }
 }
 
 #[cfg(test)]
@@ -394,41 +495,60 @@ mod tests {
 
     #[test]
     fn ld_averages_units() {
-        let mut m = ScaleMetrics::default();
-        m.unit_injected.insert((1, 0), 100);
-        m.unit_injected.insert((2, 0), 100);
-        m.unit_installed.insert((1, 0), 200);
-        m.unit_installed.insert((2, 0), 400);
+        let mut m = ScaleMetrics {
+            units: UnitLedger::new(4, 1),
+            ..Default::default()
+        };
+        m.units.inject(KeyGroup(1), 100);
+        m.units.inject(KeyGroup(2), 100);
+        m.units.install(KeyGroup(1), 0, InstId(3), 200);
+        m.units.install(KeyGroup(2), 0, InstId(3), 400);
+        // Installed without an injection: not a dependency sample.
+        m.units.install(KeyGroup(3), 0, InstId(3), 900);
         assert!((m.avg_dependency_overhead() - 200.0).abs() < 1e-9);
     }
 
     #[test]
     fn churn_reports_avg_and_max() {
-        let mut m = ScaleMetrics::default();
-        m.unit_migrations.insert((1, 0), 1);
-        m.unit_migrations.insert((2, 0), 7);
+        let mut m = ScaleMetrics {
+            units: UnitLedger::new(4, 2),
+            ..Default::default()
+        };
+        m.units.install(KeyGroup(1), 0, InstId(0), 10);
+        for t in 0..7 {
+            m.units.install(KeyGroup(2), 1, InstId(t % 2), t as SimTime);
+        }
         let (avg, max) = m.migration_churn();
         assert!((avg - 4.0).abs() < 1e-9);
         assert_eq!(max, 7);
     }
 
     #[test]
-    #[allow(clippy::field_reassign_with_default)]
-    fn context_move_lookup() {
-        let mut ctx = ScaleContext::default();
-        ctx.plan = Some(ScalePlan {
-            op: OpId(1),
-            old_parallelism: 2,
-            new_parallelism: 3,
-            strategy: Default::default(),
-            moves: vec![KgMove {
-                kg: KeyGroup(5),
-                from: InstId(1),
-                to: InstId(9),
-            }],
-        });
-        assert!(ctx.is_moving(KeyGroup(5)));
-        assert!(!ctx.is_moving(KeyGroup(6)));
-        assert_eq!(ctx.move_of(KeyGroup(5)).map(|m| m.to), Some(InstId(9)));
+    fn a_new_plan_keeps_locations_and_clears_timing() {
+        let mut m = ScaleMetrics {
+            units: UnitLedger::new(4, 2),
+            ..Default::default()
+        };
+        m.units.track(KeyGroup(2), InstId(0));
+        m.units.plan(KeyGroup(2), InstId(1));
+        m.units.inject(KeyGroup(2), 5);
+        m.units.send(KeyGroup(2), 1, InstId(0), InstId(1));
+        m.units.install(KeyGroup(2), 0, InstId(1), 9);
+        m.injected.insert(SubscaleId(0), 5);
+        m.begin_plan(50);
+        assert_eq!(m.requested_at, Some(50));
+        assert!(m.injected.is_empty());
+        assert!(m.units.rows().iter().all(|r| r.installed.is_none()));
+        let kept = |holder, transit| UnitRow {
+            holder: Some(InstId(holder)),
+            transit,
+            planned: Some(InstId(1)),
+            ..Default::default()
+        };
+        assert_eq!(m.units.row(KeyGroup(2), 0), kept(1, None));
+        assert_eq!(m.units.row(KeyGroup(2), 1), kept(0, Some(InstId(1))));
+        // Rows are unit order: row 5 is key-group 2, sub-group 1.
+        assert_eq!(m.units.at(5).0, KeyGroup(2));
+        assert_eq!(m.units.at(5).1, 1);
     }
 }

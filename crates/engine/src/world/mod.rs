@@ -88,7 +88,7 @@ use crate::keygroup::{uniform_repartition, Repartition, RoutingTable};
 use crate::metrics::Metrics;
 use crate::operator::{OpCtx, OpRole, OperatorLogic, WmCtx};
 use crate::record::{Record, RecordArena, RecordKind, RecordRef, StreamElement};
-use crate::scaling::{ScaleContext, ScalePlan, ScalePlugin, Selection};
+use crate::scaling::{ScaleContext, ScalePlan, ScalePlugin, Selection, UnitLedger};
 use crate::semantics::SemanticsChecker;
 use crate::state::{StateBackend, StateUnit};
 
@@ -391,6 +391,8 @@ impl World {
         // capped by per-channel credits plus modest backlogs.
         let arena = RecordArena::with_capacity(chans.len() * (cfg.channel_capacity + 4) + 64);
         let bus = Bus::new(cfg.bus_sink);
+        let mut scale = ScaleContext::default();
+        scale.metrics.units = UnitLedger::new(cfg.max_key_groups, cfg.sub_group_fanout);
         World {
             cfg,
             q,
@@ -399,7 +401,7 @@ impl World {
             chans,
             arena,
             edges,
-            scale: ScaleContext::default(),
+            scale,
             metrics: Metrics::default(),
             region_map,
             semantics: SemanticsChecker::new(),

@@ -100,26 +100,24 @@ impl World {
     }
 
     fn enqueue_unit(&mut self, from: InstId, to: InstId, unit: StateUnit, subscale: SubscaleId) {
-        self.scale
-            .unit_loc
-            .insert((unit.kg.0, unit.sub), (from, Some(to)));
-        let link = self.scale.links.entry(from).or_default();
-        link.queue.push_back((to, unit, subscale));
-        if !link.busy {
+        self.scale.metrics.units.send(unit.kg, unit.sub, from, to);
+        let i = from.0 as usize;
+        if self.scale.links.len() <= i {
+            self.scale.links.resize_with(i + 1, Default::default);
+        }
+        let link = &mut self.scale.links[i];
+        link.push_back((to, unit, subscale));
+        if link.len() == 1 {
             self.link_start(from);
         }
     }
 
+    /// Put the front unit of `from`'s link on the wire, if there is one.
     fn link_start(&mut self, from: InstId) {
         let now = self.now();
-        let Some(link) = self.scale.links.get_mut(&from) else {
+        let Some((_to, unit, ss)) = self.scale.links[from.0 as usize].front() else {
             return;
         };
-        let Some((_to, unit, ss)) = link.queue.front() else {
-            link.busy = false;
-            return;
-        };
-        link.busy = true;
         let bytes = unit.bytes();
         let ss = *ss;
         let dur = (bytes as f64 / self.cfg.ser_bytes_per_us).ceil() as SimTime
@@ -134,13 +132,9 @@ impl World {
     /// The link at `from` finished sending its front unit: ship it to its
     /// destination as a chunk and start the next one.
     pub(super) fn on_link_done(&mut self, from: InstId) {
-        let Some(link) = self.scale.links.get_mut(&from) else {
+        let Some((to, unit, ss)) = self.scale.links[from.0 as usize].pop_front() else {
             return;
         };
-        let Some((to, unit, ss)) = link.queue.pop_front() else {
-            return;
-        };
-        link.busy = false;
         let lat = self.cfg.net_latency;
         let reg = self.reg(to);
         let ev = self.ev_priority(
@@ -158,11 +152,8 @@ impl World {
     /// Install a migrated unit at `inst`. `active = false` keeps the
     /// key-group present-but-inactive (DRRS implicit alignment).
     pub fn install_unit(&mut self, inst: InstId, unit: StateUnit, active: bool) {
-        let key = (unit.kg.0, unit.sub);
-        let now = self.now();
-        self.scale.metrics.unit_installed.insert(key, now);
-        *self.scale.metrics.unit_migrations.entry(key).or_insert(0) += 1;
-        self.scale.unit_loc.insert(key, (inst, None));
+        let (kg, sub, now) = (unit.kg, unit.sub, self.now());
+        self.scale.metrics.units.install(kg, sub, inst, now);
         self.insts[inst.0 as usize].state.install(unit, active);
         self.check_scale_complete();
         self.wake(inst);
@@ -359,8 +350,7 @@ impl World {
 
         self.scale.plan = Some(plan);
         self.scale.in_progress = true;
-        self.scale.metrics = Default::default();
-        self.scale.metrics.requested_at = Some(now);
+        self.scale.metrics.begin_plan(now);
         {
             let p = self.scale.plan.as_ref().expect("just set");
             self.bus.publish(
@@ -375,13 +365,10 @@ impl World {
                 },
             );
         }
-        // Seed the unit location registry.
-        let fanout = self.cfg.sub_group_fanout.max(1);
-        let moves = self.scale.plan.as_ref().expect("just set").moves.clone();
-        for m in &moves {
-            for s in 0..fanout {
-                self.scale.unit_loc.insert((m.kg.0, s), (m.from, None));
-            }
+        // Every unit of a moving key-group starts at its old owner.
+        let plan = self.scale.plan.as_ref().expect("just set");
+        for m in &plan.moves {
+            self.scale.metrics.units.track(m.kg, m.from);
         }
         let delay = self.cfg.deploy_delay;
         let ev = self.ev_control(ControlMsg::DeployDone { epoch });

@@ -39,7 +39,8 @@ fn main() {
     for t in [80u64, 95, 100, 110, 130, 180] {
         sim.run_until(secs(t));
         let w = &sim.world;
-        let installed = w.scale.metrics.unit_installed.len();
+        let units = w.scale.metrics.units.rows();
+        let installed = units.iter().filter(|r| r.installed.is_some()).count();
         let planned = w.scale.plan.as_ref().map(|p| p.moves.len()).unwrap_or(0);
         let (_, avg) = w
             .metrics

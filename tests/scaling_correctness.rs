@@ -9,7 +9,7 @@ use drrs_repro::drrs::{FlexScaler, MechanismConfig};
 use drrs_repro::engine::world::tests_support::tiny_job;
 use drrs_repro::engine::world::Sim;
 use drrs_repro::engine::{EngineConfig, ScalePlugin};
-use drrs_repro::sim::time::secs;
+use drrs_repro::sim::time::{ms, secs, SimTime};
 
 fn scaled_run(plugin: Box<dyn ScalePlugin>, horizon: u64) -> Sim {
     let (mut w, agg) = tiny_job(EngineConfig::test(), 4_000.0, 512, 2);
@@ -139,4 +139,93 @@ fn back_to_back_scales_supersede_cleanly() {
     assert_eq!(sim.world.ops[agg.0 as usize].instances.len(), 4);
     assert!(!sim.world.scale.in_progress, "second scale incomplete");
     assert_eq!(sim.world.semantics.violations(), 0);
+}
+
+/// Run `sim` to `t` one dispatched run at a time, checking the single-owner
+/// rule after every run: each unit the ledger tracks is either in transit
+/// and held by no state backend, or held by exactly one instance, the
+/// ledger's holder. Returns how many `(unit, run)` pairs were checked and
+/// how many of them were in transit.
+fn run_checking_owners(name: &str, sim: &mut Sim, t: SimTime) -> (u64, u64) {
+    let (mut checked, mut in_transit) = (0, 0);
+    let mut buf = Vec::new();
+    while sim.world.q.pop_run_at_most(t, &mut buf).is_some() {
+        sim.world.dispatch_run(&mut *sim.plugin, &mut buf);
+        let w = &sim.world;
+        let units = &w.scale.metrics.units;
+        for u in 0..units.rows().len() {
+            let (kg, sub, row) = units.at(u);
+            let Some(holder) = row.holder else {
+                continue; // no plan has moved this unit yet
+            };
+            let mut holders = w.insts.iter().filter(|i| i.state.holds(kg, sub));
+            let (first, more) = (holders.next().map(|i| i.id), holders.count());
+            let want = if row.transit.is_some() {
+                in_transit += 1;
+                None
+            } else {
+                Some(holder)
+            };
+            assert!(
+                first == want && more == 0,
+                "{name}: unit {kg}/{sub} at t={} is held by {first:?} (+{more} more), \
+                 the ledger has {row:?}",
+                w.now()
+            );
+            checked += 1;
+        }
+    }
+    sim.world.q.advance_clock_to(t);
+    (checked, in_transit)
+}
+
+#[test]
+fn every_moved_unit_has_exactly_one_owner() {
+    // DRRS through `rescale_churn`'s plan shape (4 → 6 → 3 → 8 → 4), Meces
+    // at sub-group fanout 4 (fetches move single sub-groups back and
+    // forth) and stop-restart (extract and install in one step).
+    let churn = [(4_000, 6), (5_500, 3), (7_000, 8), (8_500, 4)];
+    let scale_out = [(2_000, 4)];
+    // (mechanism, plugin, sub-group fanout, parallelism, plans, horizon s)
+    type Case<'a> = (
+        &'a str,
+        Box<dyn ScalePlugin>,
+        u8,
+        usize,
+        &'a [(u64, usize)],
+        u64,
+    );
+    let cases: [Case; 3] = [
+        ("DRRS", Box::new(FlexScaler::drrs()), 1, 4, &churn, 10),
+        ("Meces", Box::new(MecesPlugin::new()), 4, 2, &scale_out, 8),
+        (
+            "Stop-Restart",
+            Box::new(StopRestartPlugin::new()),
+            1,
+            2,
+            &scale_out,
+            10,
+        ),
+    ];
+    for (name, plugin, fanout, par, plans, horizon) in cases {
+        let mut cfg = EngineConfig::test();
+        cfg.sub_group_fanout = fanout;
+        let (mut w, agg) = tiny_job(cfg, 4_000.0, 512, par);
+        for &(at, par) in plans {
+            w.schedule_scale(ms(at), agg, par);
+        }
+        let mut sim = Sim::new(w, plugin);
+        let (checked, in_transit) = run_checking_owners(name, &mut sim, secs(horizon));
+        let w = &sim.world;
+        assert_eq!(
+            w.scale.epoch as usize,
+            plans.len(),
+            "{name}: a plan never started"
+        );
+        assert!(!w.scale.in_progress, "{name}: the last plan never finished");
+        assert!(checked > 0, "{name}: no unit was tracked");
+        if name != "Stop-Restart" {
+            assert!(in_transit > 0, "{name}: no unit was seen in transit");
+        }
+    }
 }
