@@ -17,7 +17,7 @@ use std::sync::{Arc, Mutex};
 
 use drrs_repro::baselines::{otfs_fluid, MecesPlugin, StopRestartPlugin, UnboundPlugin};
 use drrs_repro::bench::scenario::{registry, MechanismSpec, ScenarioSpec};
-use drrs_repro::drrs::FlexScaler;
+use drrs_repro::drrs::{FlexScaler, MechanismConfig};
 use drrs_repro::engine::graph::{EdgeKind, JobBuilder};
 use drrs_repro::engine::operator::{OpCtx, OperatorLogic, WindowAgg, WmCtx};
 use drrs_repro::engine::record::Record;
@@ -269,8 +269,10 @@ fn world_paths_outside_the_golden_file_keep_their_digests() {
     // The golden file runs NoScale, DRRS, Megaphone and Q7, always with
     // checkpoints off. These rows pin the engine paths none of those reach:
     // checkpoint barriers with the `CheckpointTick` deferral during a scale
-    // (scale-out only: a retired instance stalls later barriers), the
-    // stop-restart halt/resume, Meces' fetch path (once more over two
+    // (scale-out only: a retired instance stalls later barriers), checkpoint
+    // alignment beside the coupled scaling barriers' (Megaphone injects them
+    // at the predecessors, OTFS at the sources), the stop-restart
+    // halt/resume, Meces' fetch path (once more over two
     // back-to-back scale-outs at sub-group fanout 4, so unit locations
     // outlive a plan), OTFS and Unbound. The values are `(digest, events,
     // sink_records)` and the last plan's `(Lp, Ld bits, (churn average
@@ -280,7 +282,7 @@ fn world_paths_outside_the_golden_file_keep_their_digests() {
     type Row<'a> = (&'a str, bool, &'a [(SimTime, usize)], Pin);
     let one: &[(SimTime, usize)] = &[(ms(1_200), 6)];
     let two: &[(SimTime, usize)] = &[(ms(1_200), 6), (ms(2_400), 8)];
-    let rows: [Row; 6] = [
+    let rows: [Row; 8] = [
         (
             "DRRS+ckpt",
             true,
@@ -335,6 +337,24 @@ fn world_paths_outside_the_golden_file_keep_their_digests() {
                 (0, 4648092070102637682, (4607182418800017408, 1)),
             ),
         ),
+        (
+            "Megaphone+ckpt",
+            true,
+            one,
+            (
+                (10574774161353680232, 42130, 18000),
+                (3446, 4661903813091596102, (4607182418800017408, 1)),
+            ),
+        ),
+        (
+            "OTFS+ckpt",
+            true,
+            one,
+            (
+                (857367154848441048, 42148, 18000),
+                (1200, 4651440360663667060, (4607182418800017408, 1)),
+            ),
+        ),
     ];
     for (name, ckpt, plans, want) in rows {
         let plugin: Box<dyn ScalePlugin> = match name {
@@ -346,7 +366,8 @@ fn world_paths_outside_the_golden_file_keep_their_digests() {
                 p.restart_overhead = ms(300);
                 Box::new(p)
             }
-            "OTFS" => Box::new(otfs_fluid()),
+            "OTFS" | "OTFS+ckpt" => Box::new(otfs_fluid()),
+            "Megaphone+ckpt" => Box::new(FlexScaler::new(MechanismConfig::megaphone(1))),
             _ => Box::new(UnboundPlugin::new()),
         };
         let mut cfg = EngineConfig::test();
