@@ -348,7 +348,7 @@ impl ScalePlugin for MecesPlugin {
         for k in 0..n {
             let idx = (start + k) % n;
             let ch = w.insts[inst.0 as usize].in_channels[idx];
-            if w.insts[inst.0 as usize].blocked_channels.contains(&ch) {
+            if w.chans[ch.0 as usize].holds > 0 {
                 continue;
             }
             loop {

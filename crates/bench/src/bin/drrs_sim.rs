@@ -68,15 +68,28 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
                     }
                     "--from" => a.from = checked(key, val, "at least 1", |&n: &usize| n >= 1)?,
                     "--to" => a.to = checked(key, val, "at least 1", |&n: &usize| n >= 1)?,
-                    "--scale-at" => a.scale_at = bench::parse_value(key, val)?,
-                    "--horizon" => a.horizon = checked(key, val, "at least 1", |&s: &u64| s >= 1)?,
+                    "--scale-at" => {
+                        a.scale_at = checked(key, val, "at most 18446744073709", fits_sim_time)?
+                    }
+                    "--horizon" => {
+                        a.horizon = checked(key, val, "between 1 and 18446744073709", |s| {
+                            *s >= 1 && fits_sim_time(s)
+                        })?
+                    }
                     "--seed" => a.seed = bench::parse_value(key, val)?,
                     "--skew" => {
                         a.skew = checked(key, val, "a finite number >= 0", |k: &f64| {
                             k.is_finite() && *k >= 0.0
                         })?
                     }
-                    _ => a.state_gb = bench::parse_value(key, val)?,
+                    _ => {
+                        a.state_gb = checked(
+                            key,
+                            val,
+                            "at most 18446744073 (bytes fit in u64)",
+                            |g: &u64| g.checked_mul(BYTES_PER_GB).is_some(),
+                        )?
+                    }
                 }
                 i += 1;
             }
@@ -85,6 +98,13 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         i += 1;
     }
     Ok(a)
+}
+
+const BYTES_PER_GB: u64 = 1_000_000_000;
+
+/// Do `s` seconds fit in a [`SimTime`](simcore::SimTime)?
+fn fits_sim_time(s: &u64) -> bool {
+    s.checked_mul(secs(1)).is_some()
 }
 
 /// `val` parsed as `flag`'s value, refused unless `ok` holds (`need` says
@@ -140,7 +160,7 @@ fn scenario(a: &Args) -> Result<ScenarioSpec, String> {
             EngineProfile::Cluster,
             WorkloadSpec::Custom(CustomParams {
                 tps: a.rate,
-                total_state_bytes: a.state_gb * 1_000_000_000,
+                total_state_bytes: a.state_gb * BYTES_PER_GB,
                 skew: a.skew,
                 parallelism: a.from,
                 ..Default::default()
@@ -188,13 +208,14 @@ fn main() {
     let w = &sim.world;
     let sm = &w.scale.metrics;
     println!("== drrs-sim report ==");
+    let scale = match spec.scale {
+        Some(_) => format!("{} -> {} instances at {} s", a.from, a.to, a.scale_at),
+        None => format!("{} instances, no scale", a.from),
+    };
     println!(
-        "workload {} · mechanism {} · {} -> {} instances at {} s · seed {}",
+        "workload {} · mechanism {} · {scale} · seed {}",
         a.workload,
         sim.plugin.name(),
-        a.from,
-        a.to,
-        a.scale_at,
         a.seed
     );
     println!();
@@ -208,7 +229,7 @@ fn main() {
             println!("latency p{:<4}           : {v:.1} ms", (q * 100.0) as u32);
         }
     }
-    if a.mechanism != "none" {
+    if spec.scale.is_some() {
         println!(
             "migration               : {} key-groups, {:.1} MB, done at {:?} s",
             w.scale.plan.as_ref().map(|p| p.moves.len()).unwrap_or(0),

@@ -420,6 +420,23 @@ fn binaries_reject_stale_or_malformed_command_lines() {
         (drrs_sim, "--from 0", "--from \"0\": must be"),
         (drrs_sim, "--to 0", "--to \"0\": must be"),
         (drrs_sim, "--horizon 0", "--horizon \"0\": must be"),
+        // Past `SimTime`'s range in seconds, and bytes past u64: these
+        // used to wrap and run a different timeline.
+        (
+            drrs_sim,
+            "--horizon 18446744073710",
+            "--horizon \"18446744073710\": must be",
+        ),
+        (
+            drrs_sim,
+            "--scale-at 18446744073710",
+            "--scale-at \"18446744073710\": must be",
+        ),
+        (
+            drrs_sim,
+            "--state-gb 18446744074",
+            "--state-gb \"18446744074\": must be",
+        ),
         (
             drrs_sim,
             "--scale-at 30 --horizon 20",
@@ -476,6 +493,26 @@ fn binaries_reject_stale_or_malformed_command_lines() {
     assert_eq!(code, Some(0), "{stderr}");
     let (code, stderr) = run_bin(drrs_sim, &["--help"]);
     assert_eq!(code, Some(0), "{stderr}");
+}
+
+#[test]
+fn drrs_sim_reports_a_scale_only_when_a_plan_exists() {
+    let drrs_sim = env!("CARGO_BIN_EXE_drrs_sim");
+    let base = "--horizon 2 --from 2 --scale-at 1";
+    for (args, header, migration) in [
+        ("--mechanism none --to 3", "2 instances, no scale", false),
+        ("--to 2", "2 instances, no scale", false),
+        ("--to 3", "2 -> 3 instances at 1 s", true),
+    ] {
+        let out = std::process::Command::new(drrs_sim)
+            .args(format!("{base} {args}").split(' '))
+            .output()
+            .expect("spawning drrs_sim");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert_eq!(out.status.code(), Some(0), "{args}: {stdout}");
+        assert!(stdout.contains(header), "{args}: no {header:?} in {stdout}");
+        assert_eq!(stdout.contains("migration"), migration, "{args}: {stdout}");
+    }
 }
 
 #[test]

@@ -64,13 +64,13 @@
 
 use std::collections::VecDeque;
 
-use simcore::{FxHashMap, SimTime};
+use simcore::SimTime;
 use streamflow::events::PriorityMsg;
 use streamflow::ids::{ChannelId, InstId, KeyGroup, OpId, SubscaleId};
 use streamflow::record::{Record, RecordKind, RecordRef, ScaleSignal, SignalKind, StreamElement};
 use streamflow::scaling::{ScalePlan, ScalePlugin, Selection};
 use streamflow::state::StateUnit;
-use streamflow::world::World;
+use streamflow::world::{BarrierKey, World};
 
 use crate::config::{Injection, MechanismConfig};
 use crate::planner::{divide_subscales, greedy_pick, ActiveCounts, SubscaleSpec};
@@ -107,9 +107,6 @@ struct Sub {
     /// Per predecessor (`InstId.0`): its confirms have fully arrived at the
     /// destination (per-channel epoch switching = "fluid confirmation").
     confirmed: Vec<bool>,
-    /// Coupled: channels whose barrier arrived at the old instance.
-    align_arrived: Vec<ChannelId>,
-    aligned: bool,
 }
 
 /// How a data record at a scaling-operator instance is classified.
@@ -187,9 +184,6 @@ pub struct FlexScaler {
     /// By `inst * max_key_groups + kg`: outstanding inbox records — gates
     /// `Ef`.
     inbox_kg: Vec<u32>,
-    /// Source-injection forwarding alignment at intermediate operators:
-    /// `(instance, subscale)` → channels whose barrier arrived.
-    fwd_align: FxHashMap<(InstId, u32), Vec<ChannelId>>,
     timer_armed: bool,
     /// Bumped whenever an input of `classify` may have changed.
     epoch: u64,
@@ -217,7 +211,6 @@ impl FlexScaler {
             rbuf: Vec::new(),
             inbox: Vec::new(),
             inbox_kg: Vec::new(),
-            fwd_align: FxHashMap::default(),
             timer_armed: false,
             epoch: 0,
             seen_in_progress: false,
@@ -614,7 +607,7 @@ impl FlexScaler {
         for k in 0..n {
             let idx = (start + k) % n;
             let ch = w.insts[inst.0 as usize].in_channels[idx];
-            if w.insts[inst.0 as usize].blocked_channels.contains(&ch) {
+            if w.chans[ch.0 as usize].holds > 0 {
                 continue;
             }
             // Drain any front-of-queue re-routable records, then examine.
@@ -1031,72 +1024,44 @@ impl FlexScaler {
             return;
         }
         let op = self.op.expect("signal during scale");
-        let my_op = w.insts[inst.0 as usize].op;
-        if my_op == op {
+        let key = BarrierKey::Subscale(sig.subscale);
+        if w.insts[inst.0 as usize].op == op {
             // At the scaling operator.
             if inst != self.specs[si].from {
                 return; // new instances / uninvolved siblings just consume it
             }
             // Alignment with input blocking (paper Fig. 1a / Fig. 7a).
-            w.block_channel(ch);
             let expected = w.insts[inst.0 as usize]
                 .in_channels
                 .iter()
                 .filter(|&&c| self.is_pred(w.chans[c.0 as usize].from))
                 .count();
-            let s = &mut self.subs[si];
-            if !s.align_arrived.contains(&ch) {
-                s.align_arrived.push(ch);
+            let Some(freed) = w.align(inst, key, ch, expected) else {
+                return;
+            };
+            self.bump_epoch();
+            for _ in freed {
+                w.wake(inst);
             }
-            if s.align_arrived.len() >= expected && !s.aligned {
-                s.aligned = true;
-                self.bump_epoch();
-                // Unblock only channels no other still-aligning subscale at
-                // this instance is holding (overlapping subscales — the
-                // naive-division interference of Fig. 7a — share channels).
-                let to_unblock: Vec<ChannelId> = self.subs[si]
-                    .align_arrived
-                    .iter()
-                    .copied()
-                    .filter(|c| {
-                        !self.subs.iter().zip(&self.specs).any(|(o, spec)| {
-                            o.phase == Phase::Launched
-                                && !o.aligned
-                                && spec.from == inst
-                                && o.align_arrived.contains(c)
-                        })
-                    })
-                    .collect();
-                for c in to_unblock {
-                    w.unblock_channel(c);
-                }
-                self.start_migration(w, si);
-            }
+            self.start_migration(w, si);
         } else {
             // Intermediate operator: align, update routing if predecessor,
             // then forward.
-            let key = (inst, sig.subscale.0);
-            let arrived = self.fwd_align.entry(key).or_default();
-            if !arrived.contains(&ch) {
-                arrived.push(ch);
-            }
-            let arrived = arrived.len();
-            w.block_channel(ch);
             let expected = w.insts[inst.0 as usize].in_channels.len();
-            if arrived >= expected {
-                let chans = self.fwd_align.remove(&key).unwrap_or_default();
-                if self.is_pred(inst) {
-                    // The barrier itself is the routing confirmation in
-                    // coupled mode; no separate confirm bookkeeping.
-                    let spec = &self.specs[si];
-                    w.reroute_groups(op, inst, &spec.kgs, spec.to);
-                }
-                for out in w.insts[inst.0 as usize].out_channels.clone() {
-                    w.send(out, StreamElement::Scale(sig));
-                }
-                for c in chans {
-                    w.unblock_channel(c);
-                }
+            let Some(freed) = w.align(inst, key, ch, expected) else {
+                return;
+            };
+            if self.is_pred(inst) {
+                // The barrier itself is the routing confirmation in
+                // coupled mode; no separate confirm bookkeeping.
+                let spec = &self.specs[si];
+                w.reroute_groups(op, inst, &spec.kgs, spec.to);
+            }
+            for out in w.insts[inst.0 as usize].out_channels.clone() {
+                w.send(out, StreamElement::Scale(sig));
+            }
+            for _ in freed {
+                w.wake(inst);
             }
         }
     }
@@ -1152,18 +1117,20 @@ mod tests {
                     && !p.subs[i].mig_queue.is_empty()
             })
             .expect("a launched subscale into the new instance, still migrating");
-        let unheld: Vec<KeyGroup> = p.specs[si]
+        // `kg_b` is the next key-group to be extracted, so the tests can
+        // send it on its way (`extract_b`) before its chunk arrives.
+        let kg_b = p.subs[si].mig_queue[0];
+        let kg_a = p.specs[si]
             .kgs
             .iter()
             .copied()
-            .filter(|&kg| !w.insts[to.0 as usize].state.holds_group(kg))
-            .collect();
-        assert!(unheld.len() >= 2, "plan too small: {unheld:?}");
+            .find(|&kg| kg != kg_b && !w.insts[to.0 as usize].state.holds_group(kg))
+            .expect("plan too small: a second key-group still to arrive");
         while w.chan_pop(ch).is_some() {}
         Frozen {
             from: p.specs[si].from,
-            kg_a: unheld[0],
-            kg_b: unheld[1],
+            kg_a,
+            kg_b,
             w,
             p,
             to,
@@ -1195,6 +1162,29 @@ mod tests {
                 .map(KeyGroup)
                 .find(|&kg| self.p.sub_of_kg(kg).is_none())
                 .expect("half the key-groups stay")
+        }
+
+        /// Extract `kg_b` at its source: its units leave through the
+        /// ledger and are in transit to `to`, so a chunk of it may arrive.
+        fn extract_b(&mut self) {
+            assert_eq!(self.p.subs[self.si].mig_queue.front(), Some(&self.kg_b));
+            self.p.pump_migration(&mut self.w, self.si);
+        }
+
+        /// The chunk of `kg_b`'s unit arrives at `to`.
+        fn install_b(&mut self) {
+            let unit = StateUnit {
+                kg: self.kg_b,
+                sub: 0,
+                state: SubState::default(),
+            };
+            self.p.on_chunk(
+                &mut self.w,
+                self.to,
+                unit,
+                SubscaleId(self.si as u32),
+                self.from,
+            );
         }
 
         fn scan(&mut self) -> Option<Selection> {
@@ -1269,14 +1259,9 @@ mod tests {
 
     #[test]
     fn install_drops_the_hint() {
-        frozen().assert_drops_hint(|f| {
-            let unit = StateUnit {
-                kg: f.kg_b,
-                sub: 0,
-                state: SubState::default(),
-            };
-            f.p.on_chunk(&mut f.w, f.to, unit, SubscaleId(f.si as u32), f.from);
-        });
+        let mut f = frozen();
+        f.extract_b();
+        f.assert_drops_hint(Frozen::install_b);
     }
 
     #[test]
@@ -1310,12 +1295,8 @@ mod tests {
     fn inbox_pop_drops_the_hint() {
         let mut f = frozen();
         // An inbox record whose state is present can leave the inbox.
-        let unit = StateUnit {
-            kg: f.kg_b,
-            sub: 0,
-            state: SubState::default(),
-        };
-        f.p.on_chunk(&mut f.w, f.to, unit, SubscaleId(f.si as u32), f.from);
+        f.extract_b();
+        f.install_b();
         let rec = f.rec(f.kg_b);
         f.p.on_rerouted_records(&mut f.w, f.to, f.from, vec![rec]);
         f.assert_drops_hint(|f| {

@@ -13,6 +13,9 @@
 //! propagates hop by hop back to the sources — the effect behind the paper's
 //! latency spikes and post-scaling throughput overshoot.
 //!
+//! A channel also counts the alignments in progress at its receiver that
+//! hold it (`World::align`); the receiver reads nothing from a held channel.
+//!
 //! Queues hold [`RecordRef`] handles, not elements: the payload lives once
 //! in the world's [`RecordArena`](crate::record::RecordArena) from `send`
 //! until consumption, so moving an element between stages (backlog → wire →
@@ -57,6 +60,8 @@ pub struct Channel {
     /// Highest watermark delivered over this channel (receiver-side view;
     /// the receiver's operator watermark is the min across its channels).
     pub rx_watermark: SimTime,
+    /// Alignments in progress at the receiver that hold this channel.
+    pub holds: u32,
     /// Does this channel cross a region cut in PDES mode
     /// (`resume_latency > 0`)? Set once at build time. Cut channels take
     /// credit from the sender-owned [`Self::cut_credits`] instead of
@@ -88,6 +93,7 @@ impl Channel {
             capacity,
             latency,
             rx_watermark: 0,
+            holds: 0,
             cut: false,
             cut_credits: capacity,
         }

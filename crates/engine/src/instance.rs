@@ -35,7 +35,7 @@
 use std::cell::RefCell;
 use std::collections::VecDeque;
 
-use simcore::{FxHashSet, SimTime};
+use simcore::SimTime;
 
 use crate::ids::{ChannelId, InstId, Key, OpId};
 use crate::operator::OperatorLogic;
@@ -317,15 +317,6 @@ impl SourceState {
     }
 }
 
-/// Checkpoint alignment state at an instance.
-#[derive(Default)]
-pub struct CkptAlign {
-    /// Checkpoint id being aligned.
-    pub id: u64,
-    /// Channels whose barrier has arrived (and are therefore blocked).
-    pub arrived: FxHashSet<ChannelId>,
-}
-
 /// One physical operator instance.
 pub struct Instance {
     /// Global instance id.
@@ -352,10 +343,6 @@ pub struct Instance {
     pub blocked_out: bool,
     /// Active-channel cursor (index into `in_channels`).
     pub active_ch: usize,
-    /// Channels blocked by alignment (checkpoint or coupled scale barriers).
-    pub blocked_channels: FxHashSet<ChannelId>,
-    /// In-progress checkpoint alignment.
-    pub ckpt: Option<CkptAlign>,
     /// Operator watermark (min across channels).
     pub watermark: SimTime,
     /// When the current suspension started, if suspended.
@@ -392,8 +379,6 @@ impl Instance {
             proc_gen: 0,
             blocked_out: false,
             active_ch: 0,
-            blocked_channels: FxHashSet::default(),
-            ckpt: None,
             watermark: 0,
             suspended_since: None,
             suspended_total: 0,

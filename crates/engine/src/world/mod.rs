@@ -11,7 +11,8 @@
 //!   invocation and busy periods;
 //! * `scale_ctl` — scale requests, deployment, re-routing, migration links,
 //!   retirement and stop-restart;
-//! * `align` — watermarks, checkpoint barriers and channel blocking;
+//! * `align` — watermarks, and the one alignment primitive that holds input
+//!   channels for checkpoint and coupled scaling barriers;
 //! * `cross` — PDES region-crossing traffic (PDES is the region-partitioned
 //!   parallel mode);
 //! * `observe` — the digest, [`Observables`] and the periodic sampler;
@@ -83,7 +84,7 @@ use crate::config::EngineConfig;
 use crate::events::{BurstStore, ControlMsg, ControlStore, Ev, PriorityMsg, WireElem};
 use crate::graph::{EdgeKind, EdgeRt, OperatorRt};
 use crate::ids::{key_group_of, ChannelId, EdgeId, InstId, KeyGroup, OpId, SubscaleId};
-use crate::instance::{CkptAlign, Instance, SourceState, TICK};
+use crate::instance::{Instance, SourceState, TICK};
 use crate::keygroup::{uniform_repartition, Repartition, RoutingTable};
 use crate::metrics::Metrics;
 use crate::operator::{OpCtx, OpRole, OperatorLogic, WmCtx};
@@ -101,6 +102,7 @@ mod scale_ctl;
 mod sim;
 pub mod tests_support;
 
+pub use align::BarrierKey;
 pub use cross::{CrossMode, CrossMsg, CrossPayload, CROSS_BIT};
 pub use observe::{InstObservables, Observables};
 pub use sim::Sim;
@@ -151,6 +153,8 @@ pub struct World {
     /// Scratch: the eligible destinations' channels of one batched
     /// Rebalance emission (`emit_rebalanced`). Always cleared after use.
     dest_scratch: Vec<ChannelId>,
+    /// Alignments in progress, one per `(instance, barrier)` ([`Self::align`]).
+    aligning: Vec<align::Alignment>,
     /// Next checkpoint id.
     next_ckpt: u64,
     /// Suspension series tracks instances of this op (set at scale time;
@@ -410,6 +414,7 @@ impl World {
             emit_scratch: Vec::with_capacity(16),
             run_buf_pool: Vec::new(),
             dest_scratch: Vec::new(),
+            aligning: Vec::new(),
             next_ckpt: 0,
             suspension_op: None,
             cross_mode: CrossMode::Inline,

@@ -152,6 +152,8 @@ impl World {
     /// plugin's admission filter (the generalized-OTFS behaviour from the
     /// paper's Fig. 6 — suspend when the active channel's head is
     /// unprocessable, even if other channels have processable records).
+    /// Channels an alignment holds are skipped.
+    // checker:hot-path
     fn default_select(&mut self, plugin: &mut dyn ScalePlugin, inst: InstId) -> Selection {
         let (n, start) = {
             let i = &self.insts[inst.0 as usize];
@@ -163,13 +165,11 @@ impl World {
         for k in 0..n {
             let idx = (start + k) % n;
             let ch = self.insts[inst.0 as usize].in_channels[idx];
-            if self.insts[inst.0 as usize].blocked_channels.contains(&ch) {
+            let c = &self.chans[ch.0 as usize];
+            if c.holds > 0 || c.queue.is_empty() {
                 continue;
             }
-            if self.chans[ch.0 as usize].queue.is_empty() {
-                continue;
-            }
-            // First non-empty unblocked channel becomes the active channel.
+            // First non-empty unheld channel becomes the active channel.
             self.insts[inst.0 as usize].active_ch = idx;
             let is_record = self.chan_front(ch).map(|e| e.is_record()).unwrap_or(false);
             if !is_record {
@@ -482,6 +482,27 @@ mod tests {
     use super::*;
     use crate::scaling::NoScale;
     use crate::world::tests_support::tiny_job;
+
+    #[test]
+    fn default_select_skips_a_held_channel() {
+        let (mut w, _) = tiny_job(EngineConfig::test(), 500.0, 16, 2);
+        while w.q.pop().is_some() {}
+        let sink = w.insts.last().expect("a sink").id;
+        let c = w.insts[sink.0 as usize].in_channels.clone();
+        let r = w.arena.insert(StreamElement::Record(Record::data(1, 1, 0)));
+        w.chans[c[0].0 as usize].queue.push_back(r);
+        let key = BarrierKey::Checkpoint(1);
+        assert_eq!(w.align(sink, key, c[0], 2), None);
+        assert!(matches!(
+            w.default_select(&mut NoScale, sink),
+            Selection::Idle
+        ));
+        assert_eq!(w.align(sink, key, c[1], 2), Some(vec![c[0], c[1]]));
+        match w.default_select(&mut NoScale, sink) {
+            Selection::Run { records, .. } => assert_eq!(records.len(), 1),
+            _ => panic!("the freed channel's record was not selected"),
+        }
+    }
 
     #[test]
     fn records_flow_source_to_sink() {
