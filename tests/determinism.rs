@@ -19,11 +19,12 @@ use drrs_repro::baselines::{otfs_fluid, MecesPlugin, StopRestartPlugin, UnboundP
 use drrs_repro::bench::scenario::{registry, MechanismSpec, ScenarioSpec};
 use drrs_repro::drrs::{FlexScaler, MechanismConfig};
 use drrs_repro::engine::graph::{EdgeKind, JobBuilder};
-use drrs_repro::engine::operator::{OpCtx, OperatorLogic, WindowAgg, WmCtx};
+use drrs_repro::engine::ids::OpId;
+use drrs_repro::engine::operator::{KeyedAgg, OpCtx, OperatorLogic, WindowAgg, WmCtx};
 use drrs_repro::engine::record::Record;
 use drrs_repro::engine::window::Agg;
-use drrs_repro::engine::world::tests_support::{run_until_one_at_a_time, tiny_job};
-use drrs_repro::engine::world::Sim;
+use drrs_repro::engine::world::tests_support::{run_until_one_at_a_time, tiny_job, FixedGen};
+use drrs_repro::engine::world::{Sim, World};
 use drrs_repro::engine::{EngineConfig, NoScale, ScalePlugin};
 use drrs_repro::sim::time::{ms, secs, SimTime};
 use drrs_repro::workloads::nexmark::{nexmark_engine_config, BidGen};
@@ -282,7 +283,7 @@ fn world_paths_outside_the_golden_file_keep_their_digests() {
     type Row<'a> = (&'a str, bool, &'a [(SimTime, usize)], Pin);
     let one: &[(SimTime, usize)] = &[(ms(1_200), 6)];
     let two: &[(SimTime, usize)] = &[(ms(1_200), 6), (ms(2_400), 8)];
-    let rows: [Row; 8] = [
+    let rows: [Row; 9] = [
         (
             "DRRS+ckpt",
             true,
@@ -355,6 +356,15 @@ fn world_paths_outside_the_golden_file_keep_their_digests() {
                 (1200, 4651440360663667060, (4607182418800017408, 1)),
             ),
         ),
+        (
+            "Megaphone+ckpt, two sources",
+            true,
+            one,
+            (
+                (986763007888072998, 83330, 36000),
+                (2446, 4660782811009277207, (4607182418800017408, 1)),
+            ),
+        ),
     ];
     for (name, ckpt, plans, want) in rows {
         let plugin: Box<dyn ScalePlugin> = match name {
@@ -367,7 +377,9 @@ fn world_paths_outside_the_golden_file_keep_their_digests() {
                 Box::new(p)
             }
             "OTFS" | "OTFS+ckpt" => Box::new(otfs_fluid()),
-            "Megaphone+ckpt" => Box::new(FlexScaler::new(MechanismConfig::megaphone(1))),
+            "Megaphone+ckpt" | "Megaphone+ckpt, two sources" => {
+                Box::new(FlexScaler::new(MechanismConfig::megaphone(1)))
+            }
             _ => Box::new(UnboundPlugin::new()),
         };
         let mut cfg = EngineConfig::test();
@@ -379,7 +391,11 @@ fn world_paths_outside_the_golden_file_keep_their_digests() {
             // Meces' hierarchical state: four units per key-group.
             cfg.sub_group_fanout = 4;
         }
-        let (mut w, agg) = tiny_job(cfg, 6_000.0, 512, 4);
+        let (mut w, agg) = if name.ends_with("two sources") {
+            two_source_job(cfg)
+        } else {
+            tiny_job(cfg, 6_000.0, 512, 4)
+        };
         for &(at, par) in plans {
             w.schedule_scale(at, agg, par);
         }
@@ -408,6 +424,34 @@ fn world_paths_outside_the_golden_file_keep_their_digests() {
             plans.len()
         );
     }
+}
+
+/// `tiny_job` with two source instances, at 2,000 and 10,000 records/s,
+/// so each of the four aggregators has two inputs whose barriers arrive
+/// at different times.
+fn two_source_job(cfg: EngineConfig) -> (World, OpId) {
+    let mut b = JobBuilder::new(cfg);
+    let src = b.source(
+        "src",
+        2,
+        Box::new(|i| Box::new(FixedGen::new([2_000.0, 10_000.0][i], 512))),
+    );
+    let agg = b.operator(
+        "agg",
+        4,
+        Box::new(|| {
+            Box::new(KeyedAgg {
+                service: 50,
+                bytes_per_key: 1_000,
+                bytes_per_record: 0,
+                emit_every: 1,
+            })
+        }),
+    );
+    let sink = b.sink("sink", 1);
+    b.connect(src, agg, EdgeKind::Keyed);
+    b.connect(agg, sink, EdgeKind::Rebalance);
+    (b.build(), agg)
 }
 
 /// Wraps a [`WindowAgg`] and folds every `(key, value, end)` it fires, in
