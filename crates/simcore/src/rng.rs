@@ -2,8 +2,9 @@
 //!
 //! Self-contained (the offline crate set has no `rand`): a xoshiro256++
 //! generator seeded through SplitMix64, plus a Zipf(α) sampler over a finite
-//! item universe: a precomputed CDF inverted through a guide table, so a
-//! draw is O(1) expected compares and returns exactly the index a binary
+//! item universe: a precomputed CDF inverted through a table of cutpoint
+//! cells, each carrying its first item's CDF value, so most draws cost one
+//! load and one compare, and every draw returns exactly the index a binary
 //! search over the CDF would (see [`Zipf`]).
 //!
 //! Every draw is a pure function of the seed, so simulation runs are
@@ -109,36 +110,63 @@ impl DetRng {
 /// `alpha = 0` degenerates to the uniform distribution, matching the paper's
 /// skewness parameter sweep `[0.0, 0.5, 1.0, 1.5]`.
 ///
-/// A draw inverts the CDF at `u = rng.unit()` through a guide table (Chen &
-/// Asau's cutpoint method; Devroye, *Non-Uniform Random Variate
-/// Generation*, §III.2.4). With `m` a power of two, `guide[j]` is the first
-/// item whose CDF reaches `j / m`, and `guide[m] = n - 1`. For
-/// `j = ⌊u · m⌋` the answer lies in `guide[j] ..= guide[j + 1]`, a span
-/// of a few entries on average, so a draw costs O(1) expected compares
-/// instead of a ~log₂ n binary search over the whole CDF.
+/// A draw inverts the CDF at `u = x · 2^-53`, where `x` is the same 53
+/// random bits [`DetRng::unit`] turns into a double, through a table of
+/// cells (Chen & Asau's cutpoint method; Devroye, *Non-Uniform Random
+/// Variate Generation*, §III.2.4). With `m` a power of two, cell `j` holds
+/// `lo`, the first item whose CDF reaches `j / m`, together with `cdf[lo]`
+/// and a *wide* flag; cell `m` holds `lo = n - 1`. For `j = ⌊u · m⌋` the
+/// answer lies in `lo ..= lo'`, where `lo'` is cell `j + 1`'s, and the flag
+/// is set when that span has more than two entries. A draw therefore
+/// costs one load for an unflagged cell (`lo + (cdf[lo] < u)`, with no
+/// branch on the data) and a short scan, or a binary search over the
+/// span, for a flagged one, instead of a ~log₂ n search over the whole CDF.
 ///
-/// The draw is exact: `u · m` and `j / m` are computed without rounding
-/// (scaling by a power of two), so `j / m <= u < (j + 1) / m` holds in
-/// floating point, and the span always contains the first `i` with
-/// `cdf[i] >= u`. Every draw returns the index a full binary search would,
-/// for every seed. `m = min(4 · n.next_power_of_two(), 2^16)`, so the table
-/// is at most 256 KB next to the CDF's `8 · n` bytes.
+/// The draw is exact. `m = 2^k`, so `j = x >> (53 - k)` is `⌊u · m⌋`
+/// computed on the integer (`u · m` and `j / m` are exact scalings by a
+/// power of two), and `j / m <= u < (j + 1) / m` holds. Then `cdf[lo'] >=
+/// (j + 1) / m > u`, or `lo' = n - 1` whose CDF is 1, and every item below
+/// `lo` has a CDF under `j / m <= u`; so the span contains the first `i`
+/// with `cdf[i] >= u`, and an unflagged cell's compare picks it. Every draw
+/// returns the index a full binary search over the CDF would, for every
+/// seed.
+///
+/// `m = min(4 · n.next_power_of_two(), 2^16)`, and a cell is 16 bytes, so
+/// the table is at most ~1 MB next to the CDF's `8 · n` bytes (the
+/// Twitch users sampler, n = 100 k, sits at that cap). The flag is bit 31
+/// of `lo`, so the universe is capped at 2^31 items.
 pub struct Zipf {
     cdf: Vec<f64>,
-    guide: Vec<u32>,
+    cells: Vec<Cell>,
+    /// `53 - log2 m`: a draw's 53 bits shifted by this are its cell.
+    shift: u32,
 }
 
-/// The guide table's maximum number of cells (`m`): 2^16 cells keep the
-/// table at 256 KB for any universe size.
-const GUIDE_CELLS_MAX: usize = 1 << 16;
+/// One cutpoint cell: the first item of its span, that item's CDF value,
+/// and the [`WIDE`] flag in `lo`. Aligned so a cell never straddles a
+/// cache line.
+#[derive(Clone, Copy)]
+#[repr(align(16))]
+struct Cell {
+    cdf: f64,
+    lo: u32,
+}
 
-/// Spans of at most this many entries past `guide[j]` are scanned
+/// Set in [`Cell::lo`] when the cell's span has more than two entries.
+const WIDE: u32 = 1 << 31;
+
+/// The table's maximum number of cells (`m`): 2^16 cells keep it at about
+/// 1 MB for any universe size.
+const CELLS_MAX: usize = 1 << 16;
+
+/// Spans of at most this many entries past a wide cell's `lo` are scanned
 /// linearly; longer ones (only the tail cells of a large universe) are
 /// binary-searched.
 const LINEAR_SPAN: usize = 8;
 
 impl Zipf {
-    /// Build the sampler. `n` must be ≥ 1 and `alpha` finite and ≥ 0.
+    /// Build the sampler. `n` must be in `1 ..= 2^31` and `alpha` finite
+    /// and ≥ 0.
     pub fn new(n: usize, alpha: f64) -> Self {
         assert!(n >= 1, "zipf over empty universe");
         assert!(
@@ -146,8 +174,8 @@ impl Zipf {
             "zipf exponent must be finite and >= 0, got {alpha}"
         );
         assert!(
-            n <= u32::MAX as usize,
-            "zipf universe of {n} items overflows the u32 guide"
+            n <= WIDE as usize,
+            "zipf universe of {n} items overflows the cells' 31-bit index"
         );
         let mut cdf = Vec::with_capacity(n);
         let mut acc = 0.0f64;
@@ -162,18 +190,30 @@ impl Zipf {
         // Guard against floating point drift: the last entry must be 1.0 so
         // sampling can never fall off the end.
         *cdf.last_mut().expect("n >= 1") = 1.0;
-        let m = (4 * n.next_power_of_two()).min(GUIDE_CELLS_MAX);
-        let mut guide = Vec::with_capacity(m + 1);
+        let m = (4 * n.next_power_of_two()).min(CELLS_MAX);
+        let mut cells: Vec<Cell> = Vec::with_capacity(m + 1);
         let mut i = 0;
-        for j in 0..m {
-            let cut = j as f64 / m as f64;
-            while cdf[i] < cut {
-                i += 1;
+        for j in 0..=m {
+            if j == m {
+                i = n - 1;
+            } else {
+                let cut = j as f64 / m as f64;
+                while cdf[i] < cut {
+                    i += 1;
+                }
             }
-            guide.push(i as u32);
+            if let Some(prev) = cells.last_mut() {
+                if i - prev.lo as usize > 1 {
+                    prev.lo |= WIDE;
+                }
+            }
+            cells.push(Cell {
+                cdf: cdf[i],
+                lo: i as u32,
+            });
         }
-        guide.push((n - 1) as u32);
-        Self { cdf, guide }
+        let shift = 53 - m.trailing_zeros();
+        Self { cdf, cells, shift }
     }
 
     /// Number of items in the universe.
@@ -190,18 +230,21 @@ impl Zipf {
     // checker:hot-path
     #[inline]
     pub fn sample(&self, rng: &mut DetRng) -> usize {
-        self.invert(rng.unit())
+        self.invert(rng.next_u64() >> 11)
     }
 
-    /// The first index `i` with `cdf[i] >= u`, for `u` in `[0, 1)`.
+    /// The first index `i` with `cdf[i] >= x · 2^-53`, for `x < 2^53`.
     // checker:hot-path
     #[inline]
-    fn invert(&self, u: f64) -> usize {
-        let m = self.guide.len() - 1;
-        let j = (u * m as f64) as usize;
-        let lo = self.guide[j] as usize;
-        let hi = self.guide[j + 1] as usize;
-        // cdf[hi] >= u, so the answer is in lo..=hi.
+    fn invert(&self, x: u64) -> usize {
+        let u = x as f64 * (1.0 / (1u64 << 53) as f64);
+        let cell = self.cells[(x >> self.shift) as usize];
+        let lo = (cell.lo & !WIDE) as usize;
+        if cell.lo & WIDE == 0 {
+            return lo + usize::from(cell.cdf < u);
+        }
+        // A wide cell: the answer is in lo..=hi, and cdf[hi] >= u.
+        let hi = (self.cells[(x >> self.shift) as usize + 1].lo & !WIDE) as usize;
         if hi - lo <= LINEAR_SPAN {
             let mut i = lo;
             while self.cdf[i] < u {
@@ -303,14 +346,24 @@ mod tests {
         assert!(head > 2_000, "head drawn {head} times");
     }
 
-    /// The search the guide table replaced: the oracle for exactness.
-    fn binary_search(z: &Zipf, u: f64) -> usize {
+    /// The search the cell table replaced: the oracle for exactness, at the
+    /// double `unit()` makes of the 53 bits `x`.
+    fn binary_search(z: &Zipf, x: u64) -> usize {
+        let u = x as f64 * (1.0 / (1u64 << 53) as f64);
         z.cdf.partition_point(|&c| c < u)
+    }
+
+    /// Share of the cells a draw can land in (all but the last) that are
+    /// flagged wide.
+    fn wide_share(z: &Zipf) -> f64 {
+        let m = z.cells.len() - 1;
+        let wide = z.cells[..m].iter().filter(|c| c.lo & WIDE != 0).count();
+        wide as f64 / m as f64
     }
 
     #[test]
     fn zipf_draws_match_the_binary_search_oracle() {
-        // Universe sizes at 1, around powers of two (where the guide's cell
+        // Universe sizes at 1, around powers of two (where the table's cell
         // count steps), the workloads' sizes, and past the 2^16-cell cap;
         // then random ones.
         let mut sizes = vec![1, 2, 3, 4000, 100_000, 200_000, 300_000];
@@ -319,33 +372,55 @@ mod tests {
         }
         let mut pick = DetRng::seed(0x21FF);
         sizes.extend((0..8).map(|_| pick.range(1, 300_001) as usize));
+        const TOP: u64 = 1 << 53;
         for &n in &sizes {
             for alpha in [0.0, 0.2, 1.0, 1.1, 1.5, 3.0] {
                 let z = Zipf::new(n, alpha);
-                assert!(z.guide.len() <= GUIDE_CELLS_MAX + 1, "n {n}");
+                let m = z.cells.len() - 1;
+                assert!(m.is_power_of_two() && m <= CELLS_MAX, "n {n}: {m} cells");
+                assert_eq!(1 << (53 - z.shift), m, "n {n}");
                 let seed = pick.next_u64();
                 let mut draws = DetRng::seed(seed);
                 let mut oracle = DetRng::seed(seed);
                 for draw in 0..4_000 {
                     let got = z.sample(&mut draws);
-                    let want = binary_search(&z, oracle.unit());
+                    let want = binary_search(&z, oracle.next_u64() >> 11);
                     assert_eq!(got, want, "n {n} alpha {alpha} seed {seed} draw {draw}");
                 }
-                // The values a random stream almost never hits: cell
-                // boundaries j/m and CDF entries, with their neighbours.
-                let m = z.guide.len() - 1;
-                let cuts = (0..m).step_by(m / 4096 + 1).map(|j| j as f64 / m as f64);
-                let steps = z.cdf.iter().step_by(n / 4096 + 1).copied();
-                for c in cuts.chain(steps) {
-                    for u in [c, c.next_down(), c.next_up()] {
-                        if (0.0..1.0).contains(&u) {
-                            let (got, want) = (z.invert(u), binary_search(&z, u));
-                            assert_eq!(got, want, "n {n} alpha {alpha} u {u:e}");
+                // The values a random stream almost never hits: the bits
+                // of CDF entries (⌊c · 2^53⌋) and of cell boundaries
+                // (j · 2^shift), with their neighbours.
+                let steps = z.cdf.iter().step_by(n / 4096 + 1);
+                let entries = steps.map(|&c| (c * TOP as f64) as u64);
+                let cuts = (0..=m as u64).step_by(m / 4096 + 1).map(|j| j << z.shift);
+                for x in entries.chain(cuts) {
+                    for x in [x.wrapping_sub(1), x, x + 1] {
+                        if x < TOP {
+                            let (got, want) = (z.invert(x), binary_search(&z, x));
+                            assert_eq!(got, want, "n {n} alpha {alpha} x {x:#x}");
                         }
                     }
                 }
             }
         }
+        // Both kinds of cell are exercised above: the skewed head of
+        // Zipf(1024, 1.0) leaves a few percent of its 4,096 cells wide,
+        // while Zipf(4000, 0.2), Q7's auctions, has none.
+        let skewed = wide_share(&Zipf::new(1024, 1.0));
+        assert!((0.01..0.1).contains(&skewed), "wide share {skewed}");
+        assert_eq!(wide_share(&Zipf::new(4000, 0.2)), 0.0);
+    }
+
+    #[test]
+    fn zipf_cells_stay_within_their_bound() {
+        // 16 bytes a cell, at most 2^16 + 1 cells: about 1 MB a sampler,
+        // reached at n = 100 k (the Twitch users sampler).
+        assert_eq!(std::mem::size_of::<Cell>(), 16);
+        for n in [1, 1000, 100_000, 1 << 20] {
+            let cells = Zipf::new(n, 1.1).cells.len();
+            assert!(cells <= CELLS_MAX + 1, "n {n}: {cells} cells");
+        }
+        assert_eq!(Zipf::new(100_000, 1.1).cells.len(), CELLS_MAX + 1);
     }
 
     #[test]
