@@ -195,9 +195,14 @@ fn scenario(a: &Args) -> Result<ScenarioSpec, String> {
 
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    // Flags, values, workload and mechanism names: all rejected before a run.
+    // Flags, values, workload and mechanism names, and the engine config
+    // the spec builds: all rejected before a run. the spec builds is validated before any run.
     let (spec, a) = parse_args(&argv)
-        .and_then(|a| Ok((scenario(&a)?, a)))
+        .and_then(|a| {
+            let spec = scenario(&a)?;
+            spec.engine_config().validate().map_err(|e| e.to_string())?;
+            Ok((spec, a))
+        })
         .unwrap_or_else(|e| {
             eprintln!("drrs_sim: {e}\n{USAGE}");
             std::process::exit(2);

@@ -94,6 +94,16 @@ fn write_events(path: &str, file: std::fs::File, events: &[BusEvent]) {
     eprintln!("scenario: wrote {path} ({} events)", events.len());
 }
 
+/// Refuse, before any run, a spec whose engine config does not
+/// validate, naming the scenario and the field.
+fn reject_invalid_configs(specs: &[ScenarioSpec]) {
+    for s in specs {
+        if let Err(e) = s.engine_config().validate() {
+            usage_exit(&format!("{}: {e}", s.name));
+        }
+    }
+}
+
 /// The engine asserts on a scale plan in PDES mode; refuse the request
 /// here, naming the first scenario that carries one.
 fn reject_scale_under_pdes(specs: &[ScenarioSpec]) {
@@ -205,6 +215,7 @@ fn check_group(prefix: &str, path: &str) -> ! {
         .into_iter()
         .filter(|s| s.name.starts_with(prefix))
         .collect();
+    reject_invalid_configs(&group);
     let held = std::fs::read_to_string(path)
         .map_err(|e| golden::GoldenError::Refused(format!("unreadable: {e}")))
         .and_then(|text| golden::check(&text, &group));
@@ -244,7 +255,9 @@ fn print_report(r: &RunReport, sync_stats: bool) {
 /// `--figure NAME`: run the figure's grid and render it.
 fn run_figure(name: &str, o: &Opts) {
     let figure = figures::figure(name, quick()).expect("parse_args knows the name");
-    figure.render(&run_all(&figure.specs(), o.threads));
+    let specs = figure.specs();
+    reject_invalid_configs(&specs);
+    figure.render(&run_all(&specs, o.threads));
 }
 
 /// `--run NAME`: one run, sequential or (`--threads N > 1`) on the
@@ -257,6 +270,7 @@ fn run_one(name: &str, o: &Opts) {
     if o.events.is_some() {
         spec = spec.with_bus_sink(BusSinkKind::Mem);
     }
+    reject_invalid_configs(std::slice::from_ref(&spec));
     reject_scale_under_pdes(std::slice::from_ref(&spec));
     // Created before the run, so a bad path costs no run.
     let events = o.events.as_deref().map(|p| {
@@ -313,6 +327,7 @@ fn run_group(prefix: &str, o: &Opts) {
             "no scenarios match prefix {prefix:?} (see --list)"
         ));
     }
+    reject_invalid_configs(&specs);
     reject_scale_under_pdes(&specs);
     for r in &run_all(&specs, o.threads) {
         print_report(r, o.sync_stats);

@@ -18,6 +18,15 @@ use streamflow::{
 const GOLDEN: &str = include_str!("../golden/perf_digests.txt");
 
 #[test]
+fn every_registry_scenario_config_validates() {
+    for quick in [false, true] {
+        for s in registry::all(quick) {
+            assert_eq!(s.engine_config().validate(), Ok(()), "{}", s.name);
+        }
+    }
+}
+
+#[test]
 fn registry_names_are_unique() {
     for quick in [false, true] {
         let specs = registry::all(quick);
@@ -399,6 +408,11 @@ fn binaries_reject_stale_or_malformed_command_lines() {
             "unknown flag --emit",
         ),
         (scenario, "--figure fig15 --check f", check_alone),
+        (
+            scenario,
+            "--run perf/steady_50k --regions 0",
+            "perf/steady_50k: engine config: regions must be positive",
+        ),
         (
             scenario,
             "--group perf --events f",

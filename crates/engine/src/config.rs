@@ -120,7 +120,83 @@ impl Default for EngineConfig {
     }
 }
 
+/// A configuration [`EngineConfig::validate`] refuses, naming the field.
+#[derive(Clone, Debug, PartialEq)]
+pub enum ConfigError {
+    /// A count or duration the engine divides by or loops on is 0.
+    Zero(&'static str),
+    /// The backlog's low watermark is not below its high watermark, so a
+    /// blocked sender could never resume (or never block).
+    BacklogOrder {
+        /// `backlog_resume`.
+        resume: usize,
+        /// `backlog_block`.
+        block: usize,
+    },
+    /// A throughput that must be finite and positive is not.
+    NotPositive {
+        /// The field's name.
+        field: &'static str,
+        /// Its value.
+        value: f64,
+    },
+}
+
+impl std::fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Self::Zero(field) => write!(f, "engine config: {field} must be positive, got 0"),
+            Self::BacklogOrder { resume, block } => write!(
+                f,
+                "engine config: backlog_resume ({resume}) must be below backlog_block ({block})"
+            ),
+            Self::NotPositive { field, value } => write!(
+                f,
+                "engine config: {field} must be finite and positive, got {value}"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for ConfigError {}
+
 impl EngineConfig {
+    /// Check the fields a run cannot start without: the counts and the
+    /// quantum length are positive, the backlog watermarks are ordered,
+    /// and the migration and serialization throughputs are finite and
+    /// positive. `regions > 1` with `resume_latency = 0` is valid: it is
+    /// the sequential fallback documented on [`EngineConfig::regions`].
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        let counts = [
+            ("max_key_groups", self.max_key_groups as u64),
+            ("sub_group_fanout", self.sub_group_fanout as u64),
+            ("channel_capacity", self.channel_capacity as u64),
+            ("quantum_records", self.quantum_records as u64),
+            ("quantum_time", self.quantum_time),
+            ("regions", self.regions as u64),
+        ];
+        if let Some(&(field, _)) = counts.iter().find(|&&(_, v)| v == 0) {
+            return Err(ConfigError::Zero(field));
+        }
+        if self.backlog_resume >= self.backlog_block {
+            return Err(ConfigError::BacklogOrder {
+                resume: self.backlog_resume,
+                block: self.backlog_block,
+            });
+        }
+        let rates = [
+            ("migration_gbps", self.migration_gbps),
+            ("ser_bytes_per_us", self.ser_bytes_per_us),
+        ];
+        match rates
+            .into_iter()
+            .find(|&(_, v)| !(v.is_finite() && v > 0.0))
+        {
+            Some((field, value)) => Err(ConfigError::NotPositive { field, value }),
+            None => Ok(()),
+        }
+    }
+
     /// Convenience: a small, fast configuration for unit/integration tests.
     pub fn test() -> Self {
         Self {
@@ -144,10 +220,6 @@ mod tests {
     #[test]
     fn defaults_are_consistent() {
         let c = EngineConfig::default();
-        assert!(c.backlog_resume < c.backlog_block);
-        assert!(c.channel_capacity > 0);
-        assert!(c.quantum_records > 0);
-        assert!(c.sub_group_fanout >= 1);
         assert_eq!(c.regions, 1, "the sequential engine is the default");
         assert_eq!(
             c.resume_latency, 0,
@@ -159,6 +231,78 @@ mod tests {
             "the bus must be off by default: the Null sink is the \
              zero-cost steady-state contract"
         );
+    }
+
+    #[test]
+    fn both_profiles_validate() {
+        assert_eq!(EngineConfig::default().validate(), Ok(()));
+        assert_eq!(EngineConfig::test().validate(), Ok(()));
+        // The sequential fallback, not an error.
+        let fallback = EngineConfig {
+            regions: 4,
+            ..EngineConfig::test()
+        };
+        assert_eq!(fallback.validate(), Ok(()));
+    }
+
+    #[test]
+    fn validate_names_a_zero_field() {
+        type Zero = fn(&mut EngineConfig);
+        let zeroed: [(&str, Zero); 6] = [
+            ("max_key_groups", |c| c.max_key_groups = 0),
+            ("sub_group_fanout", |c| c.sub_group_fanout = 0),
+            ("channel_capacity", |c| c.channel_capacity = 0),
+            ("quantum_records", |c| c.quantum_records = 0),
+            ("quantum_time", |c| c.quantum_time = 0),
+            ("regions", |c| c.regions = 0),
+        ];
+        for (field, zero) in zeroed {
+            let mut c = EngineConfig::test();
+            zero(&mut c);
+            assert_eq!(c.validate(), Err(ConfigError::Zero(field)));
+            assert!(c.validate().unwrap_err().to_string().contains(field));
+        }
+    }
+
+    #[test]
+    fn validate_wants_backlog_resume_below_block() {
+        for resume in [512, 600] {
+            let c = EngineConfig {
+                backlog_resume: resume,
+                backlog_block: 512,
+                ..EngineConfig::test()
+            };
+            let e = c.validate().unwrap_err();
+            assert_eq!(e, ConfigError::BacklogOrder { resume, block: 512 });
+            assert!(e.to_string().contains("backlog_resume"), "{e}");
+        }
+    }
+
+    #[test]
+    fn validate_wants_finite_positive_throughputs() {
+        for bad in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            let gbps = EngineConfig {
+                migration_gbps: bad,
+                ..EngineConfig::test()
+            };
+            let e = gbps.validate().unwrap_err();
+            assert!(
+                matches!(
+                    e,
+                    ConfigError::NotPositive {
+                        field: "migration_gbps",
+                        ..
+                    }
+                ),
+                "{e}"
+            );
+            let ser = EngineConfig {
+                ser_bytes_per_us: bad,
+                ..EngineConfig::test()
+            };
+            let e = ser.validate().unwrap_err();
+            assert!(e.to_string().contains("ser_bytes_per_us"), "{e}");
+        }
     }
 
     #[test]

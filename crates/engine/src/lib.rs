@@ -65,7 +65,7 @@ pub mod window;
 pub mod world;
 
 pub use bus::{Bus, BusEvent, BusEventKind, BusSinkKind, BusSummary};
-pub use config::EngineConfig;
+pub use config::{ConfigError, EngineConfig};
 pub use graph::{EdgeKind, JobBuilder};
 pub use ids::{InstId, Key, KeyGroup, OpId, SubscaleId};
 pub use parallel::{run_parallel, ParallelReport};
