@@ -196,7 +196,7 @@ fn scenario(a: &Args) -> Result<ScenarioSpec, String> {
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     // Flags, values, workload and mechanism names, and the engine config
-    // the spec builds: all rejected before a run. the spec builds is validated before any run.
+    // the spec builds: all rejected before a run.
     let (spec, a) = parse_args(&argv)
         .and_then(|a| {
             let spec = scenario(&a)?;

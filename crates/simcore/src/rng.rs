@@ -238,13 +238,14 @@ impl Zipf {
     #[inline]
     fn invert(&self, x: u64) -> usize {
         let u = x as f64 * (1.0 / (1u64 << 53) as f64);
-        let cell = self.cells[(x >> self.shift) as usize];
+        let j = (x >> self.shift) as usize;
+        let cell = self.cells[j];
         let lo = (cell.lo & !WIDE) as usize;
         if cell.lo & WIDE == 0 {
             return lo + usize::from(cell.cdf < u);
         }
         // A wide cell: the answer is in lo..=hi, and cdf[hi] >= u.
-        let hi = (self.cells[(x >> self.shift) as usize + 1].lo & !WIDE) as usize;
+        let hi = (self.cells[j + 1].lo & !WIDE) as usize;
         if hi - lo <= LINEAR_SPAN {
             let mut i = lo;
             while self.cdf[i] < u {
@@ -409,17 +410,9 @@ mod tests {
         let skewed = wide_share(&Zipf::new(1024, 1.0));
         assert!((0.01..0.1).contains(&skewed), "wide share {skewed}");
         assert_eq!(wide_share(&Zipf::new(4000, 0.2)), 0.0);
-    }
-
-    #[test]
-    fn zipf_cells_stay_within_their_bound() {
-        // 16 bytes a cell, at most 2^16 + 1 cells: about 1 MB a sampler,
-        // reached at n = 100 k (the Twitch users sampler).
+        // The documented bound: 16 bytes a cell, at most 2^16 + 1 cells
+        // (asserted per universe above), reached at n = 100 k.
         assert_eq!(std::mem::size_of::<Cell>(), 16);
-        for n in [1, 1000, 100_000, 1 << 20] {
-            let cells = Zipf::new(n, 1.1).cells.len();
-            assert!(cells <= CELLS_MAX + 1, "n {n}: {cells} cells");
-        }
         assert_eq!(Zipf::new(100_000, 1.1).cells.len(), CELLS_MAX + 1);
     }
 
