@@ -18,6 +18,13 @@ pub struct DetRng {
     s: [u64; 4],
 }
 
+/// The double in `[0, 1)` that 53 random bits `x < 2^53` stand for:
+/// `x · 2^-53`, exact.
+#[inline]
+fn unit_of(x: u64) -> f64 {
+    x as f64 * (1.0 / (1u64 << 53) as f64)
+}
+
 #[inline]
 fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -80,7 +87,7 @@ impl DetRng {
     #[inline]
     pub fn unit(&mut self) -> f64 {
         // 53 high bits → the canonical [0,1) double.
-        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+        unit_of(self.next_u64() >> 11)
     }
 
     /// Uniform integer in `[lo, hi)`.
@@ -237,7 +244,7 @@ impl Zipf {
     // checker:hot-path
     #[inline]
     fn invert(&self, x: u64) -> usize {
-        let u = x as f64 * (1.0 / (1u64 << 53) as f64);
+        let u = unit_of(x);
         let j = (x >> self.shift) as usize;
         let cell = self.cells[j];
         let lo = (cell.lo & !WIDE) as usize;
@@ -350,7 +357,7 @@ mod tests {
     /// The search the cell table replaced: the oracle for exactness, at the
     /// double `unit()` makes of the 53 bits `x`.
     fn binary_search(z: &Zipf, x: u64) -> usize {
-        let u = x as f64 * (1.0 / (1u64 << 53) as f64);
+        let u = unit_of(x);
         z.cdf.partition_point(|&c| c < u)
     }
 
