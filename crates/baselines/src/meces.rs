@@ -24,12 +24,23 @@ use std::collections::{HashMap, HashSet};
 use simcore::time::{ms, SimTime};
 use streamflow::events::PriorityMsg;
 use streamflow::ids::{ChannelId, InstId, KeyGroup, OpId, SubscaleId};
-use streamflow::record::{Record, RecordKind, ScaleSignal, StreamElement};
+use streamflow::record::{Record, RecordKind, StreamElement};
 use streamflow::scaling::{ScalePlan, ScalePlugin, Selection};
 use streamflow::state::StateUnit;
 use streamflow::world::World;
 
 const TAG_BG: u64 = 11;
+/// Period of the background migration pump.
+const BACKGROUND_INTERVAL: SimTime = ms(40);
+/// Units migrated per background pump.
+const BACKGROUND_BATCH: usize = 1;
+/// Minimum residence time before a unit can be fetched away again.
+const FETCH_HOLDOFF: SimTime = ms(100);
+/// After this many fetch-backs of a unit, the old instance stops pulling
+/// state and *forwards* its records to the new owner instead — Meces'
+/// record-forwarding path, which is where its execution-order guarantee
+/// breaks (paper §II-B).
+const MAX_FETCH_BACK: u32 = 6;
 /// High bit marks a deferred-fetch timer; the low bits encode the request.
 const TAG_FETCH: u64 = 1 << 63;
 
@@ -47,10 +58,6 @@ fn decode_fetch(tag: u64) -> (KeyGroup, u8, InstId) {
 
 /// The Meces mechanism.
 pub struct MecesPlugin {
-    /// Period of the background migration pump.
-    pub background_interval: SimTime,
-    /// Units migrated per background pump.
-    pub background_batch: usize,
     op: Option<OpId>,
     started: bool,
     done: bool,
@@ -59,21 +66,14 @@ pub struct MecesPlugin {
     /// Records orphaned mid-quantum, replayed when their unit returns.
     orphans: HashMap<InstId, Vec<Record>>,
     /// When each unit last arrived at its current holder. A freshly arrived
-    /// unit is held for [`Self::fetch_holdoff`] before a competing fetch may
-    /// take it away, giving the holder time to drain its pending records —
+    /// unit is held for [`FETCH_HOLDOFF`] before a competing fetch may take
+    /// it away, giving the holder time to drain its pending records —
     /// without this the hot units ping-pong forever without progress.
     arrived_at: HashMap<(u16, u8), SimTime>,
     /// How many times each unit has been fetched *back* by a non-final
     /// holder (the back-and-forth counter).
     fetch_back: HashMap<(u16, u8), u32>,
     timer_armed: bool,
-    /// Minimum residence time before a unit can be fetched away again.
-    pub fetch_holdoff: SimTime,
-    /// After this many fetch-backs of a unit, the old instance stops
-    /// pulling state and *forwards* its records to the new owner instead —
-    /// Meces' record-forwarding path, which is where its execution-order
-    /// guarantee breaks (paper §II-B).
-    pub max_fetch_back: u32,
 }
 
 impl Default for MecesPlugin {
@@ -86,8 +86,6 @@ impl MecesPlugin {
     /// Meces with the paper's configuration.
     pub fn new() -> Self {
         Self {
-            background_interval: ms(40),
-            background_batch: 1,
             op: None,
             started: false,
             done: false,
@@ -96,8 +94,6 @@ impl MecesPlugin {
             arrived_at: HashMap::new(),
             fetch_back: HashMap::new(),
             timer_armed: false,
-            fetch_holdoff: ms(100),
-            max_fetch_back: 6,
         }
     }
 
@@ -131,7 +127,7 @@ impl MecesPlugin {
     /// May `inst` still pull this unit back, or must it forward records?
     fn may_fetch_back(&self, w: &World, inst: InstId, kg: KeyGroup, sub: u8) -> bool {
         w.scale.metrics.units.row(kg, sub).planned == Some(inst)
-            || self.fetch_back.get(&(kg.0, sub)).copied().unwrap_or(0) < self.max_fetch_back
+            || self.fetch_back.get(&(kg.0, sub)).copied().unwrap_or(0) < MAX_FETCH_BACK
     }
 
     fn replay_orphans(&mut self, w: &mut World, inst: InstId) {
@@ -163,7 +159,7 @@ impl MecesPlugin {
         // The ledger's rows are in unit order, so the units this pump
         // migrates never depend on anything but the run itself.
         for i in 0..w.scale.metrics.units.rows().len() {
-            if moved >= self.background_batch {
+            if moved >= BACKGROUND_BATCH {
                 break;
             }
             let (kg, sub, row) = w.scale.metrics.units.at(i);
@@ -192,12 +188,51 @@ impl MecesPlugin {
         }
         let now = w.now();
         let arrived = self.arrived_at.get(&(kg.0, sub)).copied().unwrap_or(0);
-        let release_at = arrived + self.fetch_holdoff;
+        let release_at = arrived + FETCH_HOLDOFF;
         if now < release_at {
             w.schedule_plugin(release_at - now, encode_fetch(kg.0, sub, requester));
             return;
         }
         w.migrate_unit(inst, requester, kg, sub, SubscaleId(0));
+    }
+
+    /// Does Meces select input at `inst` (a plan is active and `inst`
+    /// belongs to the scaling operator)?
+    fn selecting(&self, w: &World, inst: InstId) -> bool {
+        self.active() && self.op == Some(w.insts[inst.0 as usize].op)
+    }
+
+    /// A migrated unit arrived at `inst`.
+    fn on_chunk(&mut self, w: &mut World, inst: InstId, unit: StateUnit) {
+        let key = (unit.kg.0, unit.sub);
+        self.arrived_at.insert(key, w.now());
+        w.install_unit(inst, unit, true);
+        self.requested.retain(|&(_, u)| u != key);
+        self.replay_orphans(w, inst);
+        // Wake every scaling-operator instance: suspended peers may now
+        // re-issue fetches for units that were in transit.
+        if let Some(op) = self.op {
+            for i in w.ops[op.0 as usize].instances.clone() {
+                w.wake(i);
+            }
+        }
+        self.check_done(w);
+    }
+
+    /// Records another instance forwarded to `inst`.
+    fn on_rerouted_records(&mut self, w: &mut World, inst: InstId, records: Vec<Record>) {
+        for rec in records {
+            let (kg, sub) = Self::unit_of(w, inst, rec.key);
+            if w.insts[inst.0 as usize].state.holds(kg, sub) {
+                // Applied out-of-band relative to the instance's own queue:
+                // this is where per-key order can break.
+                w.apply_record_basic(inst, rec);
+            } else {
+                self.issue_fetch(w, inst, kg, sub);
+                self.orphans.entry(inst).or_default().push(rec);
+            }
+        }
+        w.wake(inst);
     }
 
     fn check_done(&mut self, w: &mut World) {
@@ -231,26 +266,18 @@ impl ScalePlugin for MecesPlugin {
         self.op = Some(plan.op);
         self.started = true;
         self.done = false;
-        let now = w.now();
         // Single synchronization: flip every predecessor's routing at once.
-        for pred in w.predecessors(plan.op).to_vec() {
-            for m in &plan.moves {
-                w.reroute_groups(plan.op, pred, &[m.kg], m.to);
-            }
-        }
-        w.scale.metrics.injected.insert(SubscaleId(0), now);
+        w.reroute_plan(plan);
+        let now = w.now();
+        w.scale.metrics.inject_plan(&plan.moves, now);
         for m in &plan.moves {
             w.scale.metrics.units.plan(m.kg, m.to);
-            w.scale.metrics.units.inject(m.kg, now);
         }
         if !self.timer_armed {
             self.timer_armed = true;
-            let t = self.background_interval;
-            w.schedule_plugin(t, TAG_BG);
+            w.schedule_plugin(BACKGROUND_INTERVAL, TAG_BG);
         }
     }
-
-    fn on_signal(&mut self, _w: &mut World, _i: InstId, _c: ChannelId, _s: ScaleSignal) {}
 
     fn on_control(&mut self, w: &mut World, tag: u64) {
         if tag & TAG_FETCH != 0 {
@@ -274,62 +301,38 @@ impl ScalePlugin for MecesPlugin {
         self.background_pump(w);
         self.check_done(w);
         if !self.done {
-            let t = self.background_interval;
-            w.schedule_plugin(t, TAG_BG);
+            w.schedule_plugin(BACKGROUND_INTERVAL, TAG_BG);
         } else {
             self.timer_armed = false;
         }
     }
 
-    fn on_fetch(&mut self, w: &mut World, inst: InstId, kg: KeyGroup, sub: u8, requester: InstId) {
-        self.serve_fetch(w, inst, kg, sub, requester);
-    }
-
-    fn on_chunk(
-        &mut self,
-        w: &mut World,
-        inst: InstId,
-        unit: StateUnit,
-        _ss: SubscaleId,
-        _from: InstId,
-    ) {
-        let key = (unit.kg.0, unit.sub);
-        self.arrived_at.insert(key, w.now());
-        w.install_unit(inst, unit, true);
-        self.requested.retain(|&(_, u)| u != key);
-        self.replay_orphans(w, inst);
-        // Wake every scaling-operator instance: suspended peers may now
-        // re-issue fetches for units that were in transit.
-        if let Some(op) = self.op {
-            for i in w.ops[op.0 as usize].instances.clone() {
-                w.wake(i);
+    fn on_priority(&mut self, w: &mut World, to: InstId, msg: PriorityMsg) {
+        match msg {
+            PriorityMsg::Chunk { unit, .. } => self.on_chunk(w, to, *unit),
+            PriorityMsg::ReroutedRecords { records, .. } => {
+                self.on_rerouted_records(w, to, records)
             }
+            PriorityMsg::Fetch { kg, sub, requester } => {
+                self.serve_fetch(w, to, kg, sub, requester)
+            }
+            PriorityMsg::Signal(_) | PriorityMsg::ReroutedConfirm { .. } => {}
         }
-        self.check_done(w);
     }
 
     fn admit(&mut self, w: &mut World, inst: InstId, _ch: ChannelId, rec: &Record) -> bool {
-        if !self.active() || rec.kind == RecordKind::Marker {
-            return true;
-        }
-        if self.op != Some(w.insts[inst.0 as usize].op) {
+        // Outside its selection Meces admits everything; its own runs take
+        // only records whose unit is held here.
+        if !self.selecting(w, inst) {
             return true;
         }
         let (kg, sub) = Self::unit_of(w, inst, rec.key);
-        if w.insts[inst.0 as usize].state.holds(kg, sub) {
-            return true;
-        }
-        if w.scale.metrics.units.row(kg, sub).planned.is_some() {
-            // Fetch-on-demand, then suspend until it lands.
-            self.issue_fetch(w, inst, kg, sub);
-            false
-        } else {
-            true // not part of the scale: must be a non-moving group
-        }
+        w.insts[inst.0 as usize].state.holds(kg, sub)
     }
 
-    fn selects(&self, w: &World, inst: InstId) -> bool {
-        self.active() && self.op == Some(w.insts[inst.0 as usize].op)
+    // Outside `selecting`, `admit` returns `true` with no side effect.
+    fn admits_whole_run(&self, w: &World, inst: InstId) -> bool {
+        !self.selecting(w, inst)
     }
 
     /// Active-channel selection (no scheduling buffer, per the paper), with
@@ -337,13 +340,16 @@ impl ScalePlugin for MecesPlugin {
     /// fetch-back budget.
     // See FlexScaler::select: the peek borrow must not span the body.
     #[allow(clippy::while_let_loop)]
-    fn select(&mut self, w: &mut World, inst: InstId) -> Selection {
+    fn select(&mut self, w: &mut World, inst: InstId) -> Option<Selection> {
+        if !self.selecting(w, inst) {
+            return None;
+        }
         let (n, start) = {
             let i = &w.insts[inst.0 as usize];
             (i.in_channels.len(), i.active_ch)
         };
         if n == 0 {
-            return Selection::Idle;
+            return Some(Selection::Idle);
         }
         for k in 0..n {
             let idx = (start + k) % n;
@@ -363,17 +369,16 @@ impl ScalePlugin for MecesPlugin {
                 match head {
                     Some((kind, key)) => {
                         w.insts[inst.0 as usize].active_ch = idx;
-                        if kind == RecordKind::Marker {
-                            return w.build_run(&mut MecesAdmit, inst, ch);
-                        }
                         let (kg, sub) = Self::unit_of(w, inst, key);
-                        if w.insts[inst.0 as usize].state.holds(kg, sub) {
-                            return w.build_run(&mut MecesAdmit, inst, ch);
+                        if kind == RecordKind::Marker
+                            || w.insts[inst.0 as usize].state.holds(kg, sub)
+                        {
+                            return Some(w.build_run(self, inst, ch));
                         }
                         if let Some(dest) = w.scale.metrics.units.row(kg, sub).planned {
                             if self.may_fetch_back(w, inst, kg, sub) {
                                 self.issue_fetch(w, inst, kg, sub);
-                                return Selection::Suspend;
+                                return Some(Selection::Suspend);
                             }
                             // Forward to the owner (order no longer
                             // guaranteed — the Meces semantics gap).
@@ -389,38 +394,17 @@ impl ScalePlugin for MecesPlugin {
                             );
                             continue;
                         }
-                        return Selection::Suspend;
+                        return Some(Selection::Suspend);
                     }
                     None => {
                         w.insts[inst.0 as usize].active_ch = idx;
                         let elem = w.chan_pop(ch).expect("non-empty");
-                        return Selection::Control(ch, elem);
+                        return Some(Selection::Control(ch, elem));
                     }
                 }
             }
         }
-        Selection::Idle
-    }
-
-    fn on_rerouted_records(
-        &mut self,
-        w: &mut World,
-        inst: InstId,
-        _from: InstId,
-        records: Vec<Record>,
-    ) {
-        for rec in records {
-            let (kg, sub) = Self::unit_of(w, inst, rec.key);
-            if w.insts[inst.0 as usize].state.holds(kg, sub) {
-                // Applied out-of-band relative to the instance's own queue:
-                // this is where per-key order can break.
-                w.apply_record_basic(inst, rec);
-            } else {
-                self.issue_fetch(w, inst, kg, sub);
-                self.orphans.entry(inst).or_default().push(rec);
-            }
-        }
-        w.wake(inst);
+        Some(Selection::Idle)
     }
 
     fn on_orphan_record(&mut self, w: &mut World, inst: InstId, rec: &Record) -> bool {
@@ -440,21 +424,5 @@ impl ScalePlugin for MecesPlugin {
             );
         }
         true
-    }
-}
-
-/// Admission shim for quantum building: process only locally held units.
-struct MecesAdmit;
-
-impl ScalePlugin for MecesAdmit {
-    fn name(&self) -> &'static str {
-        "Meces"
-    }
-    fn on_scale_start(&mut self, _w: &mut World, _p: &ScalePlan) {}
-    fn on_signal(&mut self, _w: &mut World, _i: InstId, _c: ChannelId, _s: ScaleSignal) {}
-    fn on_chunk(&mut self, _w: &mut World, _i: InstId, _u: StateUnit, _s: SubscaleId, _f: InstId) {}
-    fn admit(&mut self, w: &mut World, inst: InstId, _ch: ChannelId, rec: &Record) -> bool {
-        let (kg, sub) = MecesPlugin::unit_of(w, inst, rec.key);
-        w.insts[inst.0 as usize].state.holds(kg, sub)
     }
 }

@@ -5,10 +5,8 @@
 //! proportional to total state size.
 
 use simcore::time::SimTime;
-use streamflow::ids::{ChannelId, InstId, SubscaleId};
-use streamflow::record::{Record, ScaleSignal};
+use streamflow::ids::InstId;
 use streamflow::scaling::{ScalePlan, ScalePlugin};
-use streamflow::state::StateUnit;
 use streamflow::world::World;
 
 const TAG_RESUME: u64 = 21;
@@ -55,10 +53,7 @@ impl ScalePlugin for StopRestartPlugin {
         self.started = true;
         self.done = false;
         let now = w.now();
-        w.scale.metrics.injected.insert(SubscaleId(0), now);
-        for m in &plan.moves {
-            w.scale.metrics.units.inject(m.kg, now);
-        }
+        w.scale.metrics.inject_plan(&plan.moves, now);
         // Global halt, then checkpoint *all* operators' state (the paper's
         // point: even non-scaling operators pay), write + restore.
         w.halt_all();
@@ -73,14 +68,11 @@ impl ScalePlugin for StopRestartPlugin {
         if tag != TAG_RESUME || self.done {
             return;
         }
-        let plan = self.plan.clone().expect("resume after start");
+        let plan = self.plan.as_ref().expect("resume after start");
         // Restore = direct installation at the new owners (state comes from
-        // the checkpoint store, not the old instances' memory).
-        for pred in w.predecessors(plan.op).to_vec() {
-            for m in &plan.moves {
-                w.reroute_groups(plan.op, pred, &[m.kg], m.to);
-            }
-        }
+        // the checkpoint store, not the old instances' memory): nothing
+        // travels a migration link, so no chunk ever arrives.
+        w.reroute_plan(plan);
         for m in &plan.moves {
             let units = w.insts[m.from.0 as usize].state.extract_group(m.kg);
             for u in units {
@@ -91,20 +83,6 @@ impl ScalePlugin for StopRestartPlugin {
         w.resume_all();
     }
 
-    fn on_signal(&mut self, _w: &mut World, _i: InstId, _c: ChannelId, _s: ScaleSignal) {}
-    fn on_chunk(
-        &mut self,
-        w: &mut World,
-        inst: InstId,
-        unit: StateUnit,
-        _ss: SubscaleId,
-        _f: InstId,
-    ) {
-        w.install_unit(inst, unit, true);
-    }
-    fn admit(&mut self, _w: &mut World, _i: InstId, _c: ChannelId, _r: &Record) -> bool {
-        true
-    }
     fn admits_whole_run(&self, _w: &World, _inst: InstId) -> bool {
         true
     }

@@ -8,10 +8,10 @@
 //! is **not** equivalent to a non-scaled execution — the semantics checker
 //! is expected to flag violations, which `fig02` reports.
 
+use streamflow::events::PriorityMsg;
 use streamflow::ids::{ChannelId, InstId, OpId, SubscaleId};
-use streamflow::record::{Record, ScaleSignal};
+use streamflow::record::Record;
 use streamflow::scaling::{ScalePlan, ScalePlugin};
-use streamflow::state::StateUnit;
 use streamflow::world::World;
 
 /// The Unbound pseudo-mechanism.
@@ -25,6 +25,12 @@ impl UnboundPlugin {
     /// Create the mechanism.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Does `inst` run on universal keys (the scale started and `inst`
+    /// belongs to the scaled operator)?
+    fn universal(&self, w: &World, inst: InstId) -> bool {
+        self.started && self.op == Some(w.insts[inst.0 as usize].op)
     }
 }
 
@@ -41,29 +47,19 @@ impl ScalePlugin for UnboundPlugin {
         self.op = Some(plan.op);
         self.started = true;
         let now = w.now();
-        w.scale.metrics.injected.insert(SubscaleId(0), now);
+        w.scale.metrics.inject_plan(&plan.moves, now);
         // Independent routing update + migration trigger, no signals.
-        for pred in w.predecessors(plan.op).to_vec() {
-            for m in &plan.moves {
-                w.reroute_groups(plan.op, pred, &[m.kg], m.to);
-            }
-        }
+        w.reroute_plan(plan);
         for m in &plan.moves {
-            w.scale.metrics.units.inject(m.kg, now);
             w.migrate_group(m.from, m.to, m.kg, SubscaleId(0));
         }
     }
 
-    fn on_signal(&mut self, _w: &mut World, _i: InstId, _c: ChannelId, _s: ScaleSignal) {}
-
-    fn on_chunk(
-        &mut self,
-        w: &mut World,
-        inst: InstId,
-        unit: StateUnit,
-        _ss: SubscaleId,
-        _from: InstId,
-    ) {
+    fn on_priority(&mut self, w: &mut World, inst: InstId, msg: PriorityMsg) {
+        let PriorityMsg::Chunk { unit, .. } = msg else {
+            return;
+        };
+        let unit = *unit;
         // Merge into whatever local state exists: the instance may already
         // have created a universal-key group for these keys.
         let kg = unit.kg;
@@ -95,13 +91,18 @@ impl ScalePlugin for UnboundPlugin {
 
     fn admit(&mut self, w: &mut World, inst: InstId, _ch: ChannelId, rec: &Record) -> bool {
         // Universal keys: fabricate local state if it is missing.
-        if self.started && self.op == Some(w.insts[inst.0 as usize].op) {
+        if self.universal(w, inst) {
             let kg = w.kg_of(rec.key);
             if !w.insts[inst.0 as usize].state.holds_group(kg) {
                 w.insts[inst.0 as usize].state.ensure_group(kg);
             }
         }
         true
+    }
+
+    // Outside `universal`, `admit` returns `true` with no side effect.
+    fn admits_whole_run(&self, w: &World, inst: InstId) -> bool {
+        !self.universal(w, inst)
     }
 
     fn on_orphan_record(&mut self, w: &mut World, inst: InstId, rec: &Record) -> bool {

@@ -7,11 +7,11 @@
 use bench::scenario::golden::{self, GoldenError};
 use bench::scenario::{registry, run_all, RunReport, ScenarioSpec};
 use simcore::time::secs;
+use streamflow::events::PriorityMsg;
 use streamflow::ids::ChannelId;
-use streamflow::state::StateUnit;
 use streamflow::{
-    BusEvent, BusEventKind, BusSinkKind, InstId, KeyGroup, NoScale, Record, ScalePlan, ScalePlugin,
-    ScaleSignal, Selection, SubscaleId, World,
+    BusEvent, BusEventKind, BusSinkKind, InstId, NoScale, Record, ScalePlan, ScalePlugin,
+    ScaleSignal, Selection, World,
 };
 
 /// The committed cross-build digest pin.
@@ -196,41 +196,13 @@ impl ScalePlugin for PerRecordAdmission {
     fn on_signal(&mut self, w: &mut World, inst: InstId, ch: ChannelId, sig: ScaleSignal) {
         self.0.on_signal(w, inst, ch, sig)
     }
-    fn on_priority_signal(&mut self, w: &mut World, inst: InstId, sig: ScaleSignal) {
-        self.0.on_priority_signal(w, inst, sig)
-    }
-    fn on_chunk(
-        &mut self,
-        w: &mut World,
-        inst: InstId,
-        unit: StateUnit,
-        subscale: SubscaleId,
-        from: InstId,
-    ) {
-        self.0.on_chunk(w, inst, unit, subscale, from)
-    }
-    fn on_rerouted_records(
-        &mut self,
-        w: &mut World,
-        inst: InstId,
-        from: InstId,
-        records: Vec<Record>,
-    ) {
-        self.0.on_rerouted_records(w, inst, from, records)
-    }
-    fn on_rerouted_confirm(&mut self, w: &mut World, inst: InstId, from: InstId, sig: ScaleSignal) {
-        self.0.on_rerouted_confirm(w, inst, from, sig)
-    }
-    fn on_fetch(&mut self, w: &mut World, inst: InstId, kg: KeyGroup, sub: u8, requester: InstId) {
-        self.0.on_fetch(w, inst, kg, sub, requester)
+    fn on_priority(&mut self, w: &mut World, to: InstId, msg: PriorityMsg) {
+        self.0.on_priority(w, to, msg)
     }
     fn on_control(&mut self, w: &mut World, tag: u64) {
         self.0.on_control(w, tag)
     }
-    fn selects(&self, w: &World, inst: InstId) -> bool {
-        self.0.selects(w, inst)
-    }
-    fn select(&mut self, w: &mut World, inst: InstId) -> Selection {
+    fn select(&mut self, w: &mut World, inst: InstId) -> Option<Selection> {
         self.0.select(w, inst)
     }
     fn admit(&mut self, w: &mut World, inst: InstId, ch: ChannelId, rec: &Record) -> bool {
@@ -250,8 +222,11 @@ fn run_level_admission_digests_like_per_record_admission() {
     // plugin declares that every call would admit with no side effect.
     // Wrapping each sequential perf/ scenario's plugin so that it never
     // declares this must not move a digest, an event count or a
-    // sink-record count (quick timelines).
-    for spec in registry::perf_scenarios(true) {
+    // sink-record count (quick timelines). So must wrapping one Unbound and
+    // one Meces row: both declare whole runs wherever they do not scale.
+    let baselines = ["fig02/unbound", "fig12_13/Q7/Meces"]
+        .map(|name| registry::find(name, true).expect("registered"));
+    for spec in registry::perf_scenarios(true).into_iter().chain(baselines) {
         let want = spec.run();
         let (mut sim, op) = spec.build_sim();
         let plugin = std::mem::replace(&mut sim.plugin, Box::new(NoScale));

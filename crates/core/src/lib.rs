@@ -24,7 +24,7 @@
 //! | Scale Coordinator (A) / Topology Updater (A0) | the engine's control plane ([`streamflow::World::schedule_scale`], deploy events) |
 //! | Subscale Handler (A1) | [`plugin::FlexScaler`] launch path |
 //! | Scale Executor (B) / Scale Input Handler (B1) | [`plugin::FlexScaler`]'s `select` (replaces the native input handler during scaling) |
-//! | Barrier Handler (B2) | `on_signal` / `on_priority_signal` |
+//! | Barrier Handler (B2) | `on_signal` / `on_priority` |
 //! | Suspend Manager (B3) | classification + engine suspension accounting |
 //! | Re-route Manager (B4) | the re-route buffers with capacity/timeout flushing |
 //! | Scale Planner (C0/C1) | [`planner`] (uniform repartition lives in the engine; division + greedy scheduling here) |

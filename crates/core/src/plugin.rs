@@ -870,13 +870,15 @@ impl ScalePlugin for FlexScaler {
         }
     }
 
-    fn on_priority_signal(&mut self, w: &mut World, inst: InstId, sig: ScaleSignal) {
-        if sig.kind == SignalKind::Trigger {
-            let si = sig.subscale.0 as usize;
-            if si < self.subs.len() && !self.subs[si].triggered && inst == self.specs[si].from {
-                self.subs[si].triggered = true;
-                self.start_migration(w, si);
+    fn on_priority(&mut self, w: &mut World, to: InstId, msg: PriorityMsg) {
+        match msg {
+            PriorityMsg::Signal(sig) => self.on_trigger(w, to, sig),
+            PriorityMsg::Chunk { unit, subscale, .. } => self.on_chunk(w, to, *unit, subscale),
+            PriorityMsg::ReroutedRecords { records, .. } => {
+                self.on_rerouted_records(w, to, records)
             }
+            PriorityMsg::ReroutedConfirm { signal, .. } => self.on_rerouted_confirm(w, to, signal),
+            PriorityMsg::Fetch { .. } => {}
         }
     }
 
@@ -902,18 +904,70 @@ impl ScalePlugin for FlexScaler {
             SignalKind::Coupled => self.on_coupled(w, inst, ch, sig),
             SignalKind::Trigger | SignalKind::ConfirmRerouted => {
                 // Triggers normally travel out-of-band; tolerate in-band.
-                self.on_priority_signal(w, inst, sig);
+                self.on_trigger(w, inst, sig);
             }
         }
     }
 
-    fn on_rerouted_records(
-        &mut self,
-        w: &mut World,
-        inst: InstId,
-        _from: InstId,
-        records: Vec<Record>,
-    ) {
+    fn on_orphan_record(&mut self, w: &mut World, inst: InstId, rec: &Record) -> bool {
+        // A quantum admitted this record before its key-group was extracted
+        // (triggers bypass in-flight work). Re-route it like any other Ep
+        // record.
+        let kg = w.kg_of(rec.key);
+        if let Some(si) = self.sub_of_kg(kg) {
+            if inst == self.specs[si].from {
+                let to = self.specs[si].to;
+                self.buffer_reroute(w, inst, to, rec.clone());
+                return true;
+            }
+        }
+        false
+    }
+
+    fn select(&mut self, w: &mut World, inst: InstId) -> Option<Selection> {
+        self.selecting(w, inst).then(|| self.flex_select(w, inst))
+    }
+
+    // checker:hot-path
+    fn admit(&mut self, w: &mut World, inst: InstId, ch: ChannelId, rec: &Record) -> bool {
+        // Only instances of the scaling operator hold moving state.
+        if !self.selecting(w, inst) {
+            return true;
+        }
+        let from = w.chans[ch.0 as usize].from;
+        self.classify(w, inst, from, rec) == Class::Process
+    }
+
+    // Outside `selecting`, `admit` returns `true` before touching
+    // anything, and nothing `build_run` does between records reaches
+    // `selecting`'s inputs (the scaler's own flags and the instance's
+    // operator).
+    fn admits_whole_run(&self, w: &World, inst: InstId) -> bool {
+        !self.selecting(w, inst)
+    }
+}
+
+impl FlexScaler {
+    /// Does the scaler select input at `inst` (a plan is active and `inst`
+    /// belongs to the scaling operator)?
+    fn selecting(&self, w: &World, inst: InstId) -> bool {
+        self.started && !self.done && self.op == Some(w.insts[inst.0 as usize].op)
+    }
+
+    /// A trigger barrier arrived at `inst` (out-of-band, or tolerated
+    /// in-band): the subscale's source starts migrating.
+    fn on_trigger(&mut self, w: &mut World, inst: InstId, sig: ScaleSignal) {
+        if sig.kind == SignalKind::Trigger {
+            let si = sig.subscale.0 as usize;
+            if si < self.subs.len() && !self.subs[si].triggered && inst == self.specs[si].from {
+                self.subs[si].triggered = true;
+                self.start_migration(w, si);
+            }
+        }
+    }
+
+    /// Re-routed `Ep` records arrived at the new instance `inst`.
+    fn on_rerouted_records(&mut self, w: &mut World, inst: InstId, records: Vec<Record>) {
         let kgs = w.cfg.max_key_groups as usize;
         let inbox = slot(&mut self.inbox, inst.0 as usize, VecDeque::new());
         for rec in records {
@@ -925,13 +979,8 @@ impl ScalePlugin for FlexScaler {
         w.wake(inst);
     }
 
-    fn on_rerouted_confirm(
-        &mut self,
-        w: &mut World,
-        inst: InstId,
-        _from: InstId,
-        sig: ScaleSignal,
-    ) {
+    /// A re-routed confirm barrier arrived at the new instance `inst`.
+    fn on_rerouted_confirm(&mut self, w: &mut World, inst: InstId, sig: ScaleSignal) {
         let si = sig.subscale.0 as usize;
         if si >= self.subs.len() {
             return;
@@ -951,14 +1000,8 @@ impl ScalePlugin for FlexScaler {
         self.check_done(w);
     }
 
-    fn on_chunk(
-        &mut self,
-        w: &mut World,
-        inst: InstId,
-        unit: StateUnit,
-        subscale: SubscaleId,
-        _from: InstId,
-    ) {
+    /// A migrated unit of `subscale` arrived at `inst`.
+    fn on_chunk(&mut self, w: &mut World, inst: InstId, unit: StateUnit, subscale: SubscaleId) {
         let si = subscale.0 as usize;
         let kg = unit.kg;
         w.install_unit(inst, unit, true);
@@ -976,48 +1019,6 @@ impl ScalePlugin for FlexScaler {
         self.check_done(w);
     }
 
-    fn on_orphan_record(&mut self, w: &mut World, inst: InstId, rec: &Record) -> bool {
-        // A quantum admitted this record before its key-group was extracted
-        // (triggers bypass in-flight work). Re-route it like any other Ep
-        // record.
-        let kg = w.kg_of(rec.key);
-        if let Some(si) = self.sub_of_kg(kg) {
-            if inst == self.specs[si].from {
-                let to = self.specs[si].to;
-                self.buffer_reroute(w, inst, to, rec.clone());
-                return true;
-            }
-        }
-        false
-    }
-
-    fn selects(&self, w: &World, inst: InstId) -> bool {
-        self.started && !self.done && self.op == Some(w.insts[inst.0 as usize].op)
-    }
-
-    fn select(&mut self, w: &mut World, inst: InstId) -> Selection {
-        self.flex_select(w, inst)
-    }
-
-    // checker:hot-path
-    fn admit(&mut self, w: &mut World, inst: InstId, ch: ChannelId, rec: &Record) -> bool {
-        // Only instances of the scaling operator hold moving state.
-        if !self.selects(w, inst) {
-            return true;
-        }
-        let from = w.chans[ch.0 as usize].from;
-        self.classify(w, inst, from, rec) == Class::Process
-    }
-
-    // Outside `selects`, `admit` returns `true` before touching anything,
-    // and nothing `build_run` does between records reaches `selects`'s
-    // inputs (the scaler's own flags and the instance's operator).
-    fn admits_whole_run(&self, w: &World, inst: InstId) -> bool {
-        !self.selects(w, inst)
-    }
-}
-
-impl FlexScaler {
     fn on_coupled(&mut self, w: &mut World, inst: InstId, ch: ChannelId, sig: ScaleSignal) {
         let si = sig.subscale.0 as usize;
         if si >= self.subs.len() {
@@ -1087,10 +1088,9 @@ mod tests {
         /// A new instance, and the channel its (only) predecessor feeds.
         to: InstId,
         ch: ChannelId,
-        /// A launched subscale into `to`, its source, and two of its
-        /// key-groups whose state has not arrived.
+        /// A launched subscale into `to`, and two of its key-groups whose
+        /// state has not arrived.
         si: usize,
-        from: InstId,
         kg_a: KeyGroup,
         kg_b: KeyGroup,
     }
@@ -1128,7 +1128,6 @@ mod tests {
             .expect("plan too small: a second key-group still to arrive");
         while w.chan_pop(ch).is_some() {}
         Frozen {
-            from: p.specs[si].from,
             kg_a,
             kg_b,
             w,
@@ -1178,13 +1177,8 @@ mod tests {
                 sub: 0,
                 state: SubState::default(),
             };
-            self.p.on_chunk(
-                &mut self.w,
-                self.to,
-                unit,
-                SubscaleId(self.si as u32),
-                self.from,
-            );
+            self.p
+                .on_chunk(&mut self.w, self.to, unit, SubscaleId(self.si as u32));
         }
 
         fn scan(&mut self) -> Option<Selection> {
@@ -1279,7 +1273,7 @@ mod tests {
             let pred = f.w.chans[f.ch.0 as usize].from;
             let sig =
                 f.p.signal(f.si, SignalKind::ConfirmRerouted, pred, f.w.now());
-            f.p.on_rerouted_confirm(&mut f.w, f.to, f.from, sig);
+            f.p.on_rerouted_confirm(&mut f.w, f.to, sig);
         });
     }
 
@@ -1287,7 +1281,7 @@ mod tests {
     fn inbox_push_drops_the_hint() {
         frozen().assert_drops_hint(|f| {
             let rec = f.rec(f.kg_b);
-            f.p.on_rerouted_records(&mut f.w, f.to, f.from, vec![rec]);
+            f.p.on_rerouted_records(&mut f.w, f.to, vec![rec]);
         });
     }
 
@@ -1298,7 +1292,7 @@ mod tests {
         f.extract_b();
         f.install_b();
         let rec = f.rec(f.kg_b);
-        f.p.on_rerouted_records(&mut f.w, f.to, f.from, vec![rec]);
+        f.p.on_rerouted_records(&mut f.w, f.to, vec![rec]);
         f.assert_drops_hint(|f| {
             assert!(f.p.take_inbox_run(&mut f.w, f.to).is_some());
         });

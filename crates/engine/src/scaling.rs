@@ -10,6 +10,7 @@ use std::collections::{BTreeMap, VecDeque};
 
 use simcore::SimTime;
 
+use crate::events::PriorityMsg;
 use crate::ids::{ChannelId, InstId, KeyGroup, OpId, SubscaleId};
 use crate::keygroup::KgMove;
 use crate::record::{Record, ScaleSignal};
@@ -53,7 +54,9 @@ pub enum Selection {
 /// A pluggable rescaling mechanism.
 ///
 /// Methods take `&mut World` — the plugin is held outside the world by the
-/// simulation driver, so there is no aliasing.
+/// simulation driver, so there is no aliasing. Only [`Self::name`] and
+/// [`Self::on_scale_start`] are required; every other method's provided
+/// body is what a mechanism that does not use the hook needs.
 pub trait ScalePlugin {
     /// Mechanism name (for reports).
     fn name(&self) -> &'static str;
@@ -63,73 +66,45 @@ pub trait ScalePlugin {
     fn on_scale_start(&mut self, w: &mut World, plan: &ScalePlan);
 
     /// An in-band scale signal was consumed at `inst` from channel `ch`.
-    fn on_signal(&mut self, w: &mut World, inst: InstId, ch: ChannelId, sig: ScaleSignal);
+    fn on_signal(&mut self, _w: &mut World, _inst: InstId, _ch: ChannelId, _sig: ScaleSignal) {}
 
-    /// A priority (out-of-band) signal arrived at `inst`.
-    fn on_priority_signal(&mut self, _w: &mut World, _inst: InstId, _sig: ScaleSignal) {}
-
-    /// A migrated state unit arrived at `inst`.
-    fn on_chunk(
-        &mut self,
-        w: &mut World,
-        inst: InstId,
-        unit: StateUnit,
-        subscale: SubscaleId,
-        from: InstId,
-    );
-
-    /// Re-routed records arrived at `inst` (DRRS-style mechanisms).
-    fn on_rerouted_records(
-        &mut self,
-        _w: &mut World,
-        _inst: InstId,
-        _from: InstId,
-        _records: Vec<Record>,
-    ) {
-    }
-
-    /// A re-routed confirm barrier arrived at `inst`.
-    fn on_rerouted_confirm(
-        &mut self,
-        _w: &mut World,
-        _inst: InstId,
-        _from: InstId,
-        _sig: ScaleSignal,
-    ) {
-    }
-
-    /// A fetch request arrived at `inst` (Meces).
-    fn on_fetch(
-        &mut self,
-        _w: &mut World,
-        _inst: InstId,
-        _kg: KeyGroup,
-        _sub: u8,
-        _requester: InstId,
-    ) {
-    }
+    /// A priority (out-of-band) message arrived at `to`; right after this
+    /// returns, the engine tries to start work at `to`.
+    ///
+    /// Every priority message reaches the mechanism here and only here.
+    /// Who sends which [`PriorityMsg`], and so who must handle it:
+    ///
+    /// * `Signal` — DRRS-style decoupled trigger barriers
+    ///   (`drrs_core::FlexScaler`, which sends them itself);
+    /// * `Chunk` — a migrated state unit off a migration link, for every
+    ///   mechanism that migrates through [`World::migrate_group`] or
+    ///   [`World::migrate_unit`] (`FlexScaler`, Meces, Unbound); the
+    ///   handler must install it (usually [`World::install_unit`]);
+    /// * `ReroutedRecords` — `FlexScaler`'s re-routed epoch-`Ep` records
+    ///   and Meces' forwarded records;
+    /// * `ReroutedConfirm` — `FlexScaler`'s re-routed confirm barriers;
+    /// * `Fetch` — Meces' fetch-on-demand requests.
+    ///
+    /// The provided body ignores every message.
+    fn on_priority(&mut self, _w: &mut World, _to: InstId, _msg: PriorityMsg) {}
 
     /// A plugin timer (scheduled via [`World::schedule_plugin`]) fired.
     fn on_control(&mut self, _w: &mut World, _tag: u64) {}
 
-    /// Does this plugin currently override input selection at `inst`?
-    /// When `false`, the engine's default (active-channel) selection runs
-    /// with [`ScalePlugin::admit`] as the admission filter.
-    fn selects(&self, _w: &World, _inst: InstId) -> bool {
-        false
-    }
-
-    /// Custom input selection for `inst` (only called when
-    /// [`ScalePlugin::selects`] returns true).
-    fn select(&mut self, _w: &mut World, _inst: InstId) -> Selection {
-        Selection::Idle
+    /// Input selection at `inst`. `None` — the provided answer — hands
+    /// selection to the engine's default (active-channel) discipline, with
+    /// [`ScalePlugin::admit`] as its admission filter; `Some` is the
+    /// plugin's own decision (a plugin that assembles a run with
+    /// [`World::build_run`] passes itself, so its `admit` filters it).
+    fn select(&mut self, _w: &mut World, _inst: InstId) -> Option<Selection> {
+        None
     }
 
     /// May this data record be processed at `inst` right now? The default
     /// filter admits everything (non-scaling operation). Implementations may
-    /// have side effects: Meces issues a fetch on a miss, Unbound creates
-    /// the missing state group. [`World::build_run`] calls it while the
-    /// instance's operator logic is taken out of the instance.
+    /// have side effects: Unbound creates the missing state group.
+    /// [`World::build_run`] calls it while the instance's operator logic is
+    /// taken out of the instance.
     fn admit(&mut self, _w: &mut World, _inst: InstId, _ch: ChannelId, _rec: &Record) -> bool {
         true
     }
@@ -142,8 +117,7 @@ pub trait ScalePlugin {
     /// as it is at the call.
     ///
     /// The default `false` keeps per-record admission, which is always
-    /// exact; a plugin whose `admit` fetches or creates state (Meces,
-    /// Unbound) keeps it.
+    /// exact.
     fn admits_whole_run(&self, _w: &World, _inst: InstId) -> bool {
         false
     }
@@ -155,7 +129,7 @@ pub trait ScalePlugin {
     /// returning `false` lets the engine treat it as a hard error.
     ///
     /// Unbound implements its "universal keys" here by creating an empty
-    /// local group and returning `false` so processing proceeds.
+    /// local group and applying the record itself.
     fn on_orphan_record(&mut self, _w: &mut World, _inst: InstId, _rec: &Record) -> bool {
         false
     }
@@ -175,8 +149,6 @@ impl ScalePlugin for NoScale {
         "no-scale"
     }
     fn on_scale_start(&mut self, _w: &mut World, _plan: &ScalePlan) {}
-    fn on_signal(&mut self, _w: &mut World, _inst: InstId, _ch: ChannelId, _sig: ScaleSignal) {}
-    fn on_chunk(&mut self, _w: &mut World, _i: InstId, _u: StateUnit, _s: SubscaleId, _f: InstId) {}
     fn admits_whole_run(&self, _w: &World, _inst: InstId) -> bool {
         true
     }
@@ -219,6 +191,15 @@ impl ScaleMetrics {
             units,
             ..Self::default()
         };
+    }
+
+    /// One signal governs the whole plan: it and every unit of each move
+    /// count as injected at `now`.
+    pub fn inject_plan(&mut self, moves: &[KgMove], now: SimTime) {
+        self.injected.insert(SubscaleId(0), now);
+        for m in moves {
+            self.units.inject(m.kg, now);
+        }
     }
 
     /// Cumulative propagation delay `Lp`: Σ over signals of

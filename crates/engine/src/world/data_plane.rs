@@ -559,35 +559,15 @@ mod tests {
             "sending"
         }
         fn on_scale_start(&mut self, _w: &mut World, _plan: &ScalePlan) {}
-        fn on_signal(
-            &mut self,
-            _w: &mut World,
-            _i: InstId,
-            _c: ChannelId,
-            _s: crate::record::ScaleSignal,
-        ) {
-        }
-        fn on_chunk(
-            &mut self,
-            _w: &mut World,
-            _i: InstId,
-            _u: StateUnit,
-            _s: SubscaleId,
-            _f: InstId,
-        ) {
-        }
         fn on_control(&mut self, w: &mut World, tag: u64) {
             w.send(self.ch, wm(tag));
         }
-        fn selects(&self, _w: &World, _inst: InstId) -> bool {
-            true
-        }
-        fn select(&mut self, w: &mut World, _inst: InstId) -> Selection {
+        fn select(&mut self, w: &mut World, _inst: InstId) -> Option<Selection> {
             if !self.sent_on_select {
                 self.sent_on_select = true;
                 w.send_uncredited(self.ch, wm(99));
             }
-            Selection::Idle
+            Some(Selection::Idle)
         }
     }
 

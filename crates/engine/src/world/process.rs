@@ -103,10 +103,9 @@ impl World {
                     return;
                 }
             }
-            let sel = if plugin.selects(self, inst) {
-                plugin.select(self, inst)
-            } else {
-                self.default_select(plugin, inst)
+            let sel = match plugin.select(self, inst) {
+                Some(sel) => sel,
+                None => self.default_select(plugin, inst),
             };
             let now = self.now();
             match sel {

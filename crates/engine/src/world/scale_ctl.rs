@@ -53,6 +53,17 @@ impl World {
         }
     }
 
+    /// Point every predecessor of `plan.op` at each move's destination at
+    /// once (a single synchronization: Meces, Unbound, stop-restart).
+    pub fn reroute_plan(&mut self, plan: &ScalePlan) {
+        for k in 0..self.predecessors(plan.op).len() {
+            let pred = self.predecessors(plan.op)[k];
+            for m in &plan.moves {
+                self.reroute_groups(plan.op, pred, &[m.kg], m.to);
+            }
+        }
+    }
+
     /// All upstream instances feeding the keyed inputs of `op` (cached;
     /// refreshed whenever an upstream instance list changes).
     #[inline]
@@ -465,7 +476,7 @@ mod tests {
         for m in &plan_moves {
             sim.world.migrate_group(m.from, m.to, m.kg, SubscaleId(0));
         }
-        // The chunk events call plugin.on_chunk (NoScale drops them), so
+        // The chunk events reach plugin.on_priority (NoScale drops them), so
         // verify the links dispatched, bytes were counted and the sources
         // no longer hold the groups.
         sim.run_until(secs(3));

@@ -34,7 +34,8 @@ impl World {
             }
             Ev::Priority { to, slot } => {
                 let msg = self.ctrl.take_priority(slot);
-                self.on_priority(plugin, to, msg)
+                plugin.on_priority(self, to, msg);
+                self.try_start(plugin, to);
             }
             Ev::ProcDone { inst, gen } => self.on_proc_done(plugin, inst, gen),
             Ev::LinkSendDone { from } => self.on_link_done(from),
@@ -153,27 +154,6 @@ impl World {
             }
         }
         flush!();
-    }
-
-    fn on_priority(&mut self, plugin: &mut dyn ScalePlugin, to: InstId, msg: PriorityMsg) {
-        match msg {
-            PriorityMsg::Signal(sig) => plugin.on_priority_signal(self, to, sig),
-            PriorityMsg::Chunk {
-                unit,
-                subscale,
-                from,
-            } => plugin.on_chunk(self, to, *unit, subscale, from),
-            PriorityMsg::ReroutedRecords { from, records } => {
-                plugin.on_rerouted_records(self, to, from, records)
-            }
-            PriorityMsg::ReroutedConfirm { from, signal } => {
-                plugin.on_rerouted_confirm(self, to, from, signal)
-            }
-            PriorityMsg::Fetch { kg, sub, requester } => {
-                plugin.on_fetch(self, to, kg, sub, requester)
-            }
-        }
-        self.try_start(plugin, to);
     }
 }
 
