@@ -239,13 +239,7 @@ impl MecesPlugin {
         if self.done || !self.started {
             return;
         }
-        let settled = w
-            .scale
-            .metrics
-            .units
-            .rows()
-            .iter()
-            .all(|r| r.planned.is_none() || (r.holder == r.planned && r.transit.is_none()));
+        let settled = w.scale.metrics.units.outstanding() == 0;
         let orphans_empty = self.orphans.values().all(|v| v.is_empty());
         if settled && orphans_empty {
             self.done = true;
@@ -270,9 +264,6 @@ impl ScalePlugin for MecesPlugin {
         w.reroute_plan(plan);
         let now = w.now();
         w.scale.metrics.inject_plan(&plan.moves, now);
-        for m in &plan.moves {
-            w.scale.metrics.units.plan(m.kg, m.to);
-        }
         if !self.timer_armed {
             self.timer_armed = true;
             w.schedule_plugin(BACKGROUND_INTERVAL, TAG_BG);

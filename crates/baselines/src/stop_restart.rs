@@ -74,10 +74,7 @@ impl ScalePlugin for StopRestartPlugin {
         // travels a migration link, so no chunk ever arrives.
         w.reroute_plan(plan);
         for m in &plan.moves {
-            let units = w.insts[m.from.0 as usize].state.extract_group(m.kg);
-            for u in units {
-                w.install_unit(m.to, u, true);
-            }
+            w.restore_group(m.from, m.to, m.kg);
         }
         self.done = true;
         w.resume_all();

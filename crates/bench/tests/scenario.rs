@@ -1,18 +1,12 @@
 //! Integration tests for the scenario subsystem: registry integrity, grid
 //! runs independent of the worker count, the golden digest pin, bus-sink
-//! neutrality, run-level admission against per-record admission, the
-//! `--events` file, the event stream both engines share, and the strict
-//! CLIs.
+//! neutrality, the `--events` file, the event stream both engines share,
+//! and the strict CLIs.
 
 use bench::scenario::golden::{self, GoldenError};
-use bench::scenario::{registry, run_all, RunReport, ScenarioSpec};
+use bench::scenario::{registry, run_all, ScenarioSpec};
 use simcore::time::secs;
-use streamflow::events::PriorityMsg;
-use streamflow::ids::ChannelId;
-use streamflow::{
-    BusEvent, BusEventKind, BusSinkKind, InstId, NoScale, Record, ScalePlan, ScalePlugin,
-    ScaleSignal, Selection, World,
-};
+use streamflow::{BusEvent, BusEventKind, BusSinkKind};
 
 /// The committed cross-build digest pin.
 const GOLDEN: &str = include_str!("../golden/perf_digests.txt");
@@ -176,67 +170,6 @@ fn bus_sinks_are_digest_neutral_on_every_sequential_perf_scenario() {
             (on.digest, on.events, on.sink_records),
             (off.digest, off.events, off.sink_records),
             "{}: the mem sink moved the run",
-            spec.name
-        );
-    }
-}
-
-/// Delegates every [`ScalePlugin`] method to the wrapped plugin except
-/// [`ScalePlugin::admits_whole_run`], whose default keeps per-record
-/// admission: quantum assembly then takes the reference path everywhere.
-struct PerRecordAdmission(Box<dyn ScalePlugin>);
-
-impl ScalePlugin for PerRecordAdmission {
-    fn name(&self) -> &'static str {
-        self.0.name()
-    }
-    fn on_scale_start(&mut self, w: &mut World, plan: &ScalePlan) {
-        self.0.on_scale_start(w, plan)
-    }
-    fn on_signal(&mut self, w: &mut World, inst: InstId, ch: ChannelId, sig: ScaleSignal) {
-        self.0.on_signal(w, inst, ch, sig)
-    }
-    fn on_priority(&mut self, w: &mut World, to: InstId, msg: PriorityMsg) {
-        self.0.on_priority(w, to, msg)
-    }
-    fn on_control(&mut self, w: &mut World, tag: u64) {
-        self.0.on_control(w, tag)
-    }
-    fn select(&mut self, w: &mut World, inst: InstId) -> Option<Selection> {
-        self.0.select(w, inst)
-    }
-    fn admit(&mut self, w: &mut World, inst: InstId, ch: ChannelId, rec: &Record) -> bool {
-        self.0.admit(w, inst, ch, rec)
-    }
-    fn on_orphan_record(&mut self, w: &mut World, inst: InstId, rec: &Record) -> bool {
-        self.0.on_orphan_record(w, inst, rec)
-    }
-    fn active(&self) -> bool {
-        self.0.active()
-    }
-}
-
-#[test]
-fn run_level_admission_digests_like_per_record_admission() {
-    // Quantum assembly skips the per-record `admit` call only where the
-    // plugin declares that every call would admit with no side effect.
-    // Wrapping each sequential perf/ scenario's plugin so that it never
-    // declares this must not move a digest, an event count or a
-    // sink-record count (quick timelines). So must wrapping one Unbound and
-    // one Meces row: both declare whole runs wherever they do not scale.
-    let baselines = ["fig02/unbound", "fig12_13/Q7/Meces"]
-        .map(|name| registry::find(name, true).expect("registered"));
-    for spec in registry::perf_scenarios(true).into_iter().chain(baselines) {
-        let want = spec.run();
-        let (mut sim, op) = spec.build_sim();
-        let plugin = std::mem::replace(&mut sim.plugin, Box::new(NoScale));
-        sim.plugin = Box::new(PerRecordAdmission(plugin));
-        sim.run_until(spec.horizon);
-        let got = RunReport::harvest(&spec, &sim, op);
-        assert_eq!(
-            (got.digest, got.events, got.sink_records),
-            (want.digest, want.events, want.sink_records),
-            "{}: per-record admission moved the run",
             spec.name
         );
     }

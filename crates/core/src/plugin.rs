@@ -559,6 +559,7 @@ impl FlexScaler {
     fn take_inbox_run(&mut self, w: &mut World, inst: InstId) -> Option<Selection> {
         let q = self.inbox.get_mut(inst.0 as usize)?;
         let kgs = w.cfg.max_key_groups as usize;
+        let price = w.service_of(inst);
         let mut run: Option<Vec<Record>> = None;
         let mut service: SimTime = 0;
         while let Some(front) = q.front() {
@@ -574,7 +575,7 @@ impl FlexScaler {
             if let Some(c) = self.inbox_kg.get_mut(inst.0 as usize * kgs + kg.0 as usize) {
                 *c = c.saturating_sub(1);
             }
-            service += w.service_of(inst, &rec);
+            service += rec.service(price);
             run.get_or_insert_with(|| w.take_run_buf()).push(rec);
         }
         let records = run?;
@@ -705,7 +706,7 @@ impl FlexScaler {
         let Some(StreamElement::Record(rec)) = found else {
             return None;
         };
-        let service = w.service_of(inst, &rec);
+        let service = rec.service(w.service_of(inst));
         let mut records = w.take_run_buf();
         records.push(rec);
         Some(Selection::Run { records, service })

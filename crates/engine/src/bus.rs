@@ -283,7 +283,8 @@ impl Bus {
 
 /// Fold per-replica event logs (indexed by region) into the deterministic
 /// merged stream: concatenate in region order, then stable-sort by
-/// `(at, region)` — the same key [`Observables::merge`] uses for latency
+/// `(at, region)` — the same key
+/// [`Observables::merge`](crate::world::Observables::merge) uses for latency
 /// samples, which reproduces the sequential region-major recording order
 /// for same-instant events while preserving each replica's own in-order
 /// sub-sequence.

@@ -17,7 +17,7 @@
 //! hold it (`World::align`); the receiver reads nothing from a held channel.
 //!
 //! Queues hold [`RecordRef`] handles, not elements: the payload lives once
-//! in the world's [`RecordArena`](crate::record::RecordArena) from `send`
+//! in the world's [`RecordArena`] from `send`
 //! until consumption, so moving an element between stages (backlog → wire →
 //! queue) and DRRS' backlog redirection are 8-byte handle moves.
 
@@ -157,7 +157,7 @@ impl Channel {
     /// Like [`Self::drain_backlog_matching`] but stops scanning at the
     /// first element for which `fence` returns true (paper Fig. 9a: during
     /// checkpoint/scaling interplay, "redirection concludes at the
-    /// [checkpoint] barrier").
+    /// checkpoint barrier").
     pub fn drain_backlog_matching_until(
         &mut self,
         arena: &RecordArena,

@@ -71,8 +71,10 @@ pub trait OperatorLogic: Send {
     /// The operator watermark advanced; fire windows etc.
     fn on_watermark(&mut self, _ctx: &mut WmCtx<'_>) {}
 
-    /// Service time for one record of this shape (multiplied by `count`).
-    fn service_time(&self, rec: &Record) -> SimTime;
+    /// Service time of one record (multiplied by its `count`). Every
+    /// record of an operator costs the same, so quantum assembly reads it
+    /// once per run.
+    fn service_time(&self) -> SimTime;
 
     /// Busy time charged per watermark advance (window firing cost).
     fn watermark_cost(&self) -> SimTime {
@@ -96,7 +98,7 @@ impl OperatorLogic for Relay {
         r.origin = (crate::ids::InstId(u32::MAX), 0); // re-stamped at emission
         ctx.out.push(r);
     }
-    fn service_time(&self, _rec: &Record) -> SimTime {
+    fn service_time(&self) -> SimTime {
         self.service
     }
 }
@@ -115,7 +117,7 @@ impl OperatorLogic for ReKeyByValue {
         r.origin = (crate::ids::InstId(u32::MAX), 0);
         ctx.out.push(r);
     }
-    fn service_time(&self, _rec: &Record) -> SimTime {
+    fn service_time(&self) -> SimTime {
         self.service
     }
 }
@@ -172,7 +174,7 @@ impl OperatorLogic for KeyedTouch {
         r.origin = (crate::ids::InstId(u32::MAX), 0);
         ctx.out.push(r);
     }
-    fn service_time(&self, _rec: &Record) -> SimTime {
+    fn service_time(&self) -> SimTime {
         self.service
     }
 }
@@ -212,7 +214,7 @@ impl OperatorLogic for KeyedAgg {
             ctx.emit(rec.key, total, rec.event_time);
         }
     }
-    fn service_time(&self, _rec: &Record) -> SimTime {
+    fn service_time(&self) -> SimTime {
         self.service
     }
 }
@@ -309,7 +311,7 @@ impl OperatorLogic for WindowAgg {
         });
     }
 
-    fn service_time(&self, _rec: &Record) -> SimTime {
+    fn service_time(&self) -> SimTime {
         self.service
     }
     fn watermark_cost(&self) -> SimTime {
@@ -377,7 +379,7 @@ impl OperatorLogic for WindowJoin {
         });
     }
 
-    fn service_time(&self, _rec: &Record) -> SimTime {
+    fn service_time(&self) -> SimTime {
         self.service
     }
     fn watermark_cost(&self) -> SimTime {

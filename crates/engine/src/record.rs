@@ -52,6 +52,18 @@ impl Record {
             count: 1,
         }
     }
+
+    /// This element's service time at a per-record `price`
+    /// ([`World::service_of`](crate::world::World::service_of)): nothing
+    /// for a latency marker, else `price` per unit of multiplicity.
+    #[inline]
+    pub fn service(&self, price: SimTime) -> SimTime {
+        if self.kind == RecordKind::Marker {
+            0
+        } else {
+            price * self.count as SimTime
+        }
+    }
 }
 
 /// The kind of a scaling signal (the vocabulary shared by all mechanisms;

@@ -6,7 +6,7 @@
 //! links, the [`UnitLedger`] of state units, suspension accounting) and
 //! calls the plugin at a small set of decision points.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use simcore::SimTime;
 
@@ -79,7 +79,8 @@ pub trait ScalePlugin {
     /// * `Chunk` — a migrated state unit off a migration link, for every
     ///   mechanism that migrates through [`World::migrate_group`] or
     ///   [`World::migrate_unit`] (`FlexScaler`, Meces, Unbound); the
-    ///   handler must install it (usually [`World::install_unit`]);
+    ///   handler must install it with [`World::install_unit`], the one
+    ///   arrival path the unit ledger sees;
     /// * `ReroutedRecords` — `FlexScaler`'s re-routed epoch-`Ep` records
     ///   and Meces' forwarded records;
     /// * `ReroutedConfirm` — `FlexScaler`'s re-routed confirm barriers;
@@ -101,23 +102,25 @@ pub trait ScalePlugin {
     }
 
     /// May this data record be processed at `inst` right now? The default
-    /// filter admits everything (non-scaling operation). Implementations may
-    /// have side effects: Unbound creates the missing state group.
-    /// [`World::build_run`] calls it while the instance's operator logic is
-    /// taken out of the instance.
+    /// filter admits everything (non-scaling operation). Where
+    /// [`Self::admits_whole_run`] holds, debug builds call it for the
+    /// contract check alone, so it must have no side effect there.
     fn admit(&mut self, _w: &mut World, _inst: InstId, _ch: ChannelId, _rec: &Record) -> bool {
         true
     }
 
     /// Would every [`ScalePlugin::admit`] call of the quantum about to be
     /// assembled at `inst` return `true` with no side effect? When this
-    /// returns `true`, [`World::build_run`] skips the per-record `admit`
-    /// call for the whole run. Nothing `build_run` does between records
-    /// can reach the plugin, so the answer must only hold for the world
-    /// as it is at the call.
+    /// returns `true`, release builds of [`World::build_run`] skip the
+    /// per-record `admit` call for the whole run. Nothing `build_run` does
+    /// between records can reach the plugin, so the answer must only hold
+    /// for the world as it is at the call.
     ///
     /// The default `false` keeps per-record admission, which is always
-    /// exact.
+    /// exact. Debug builds check the declaration: `build_run` still calls
+    /// `admit` on every data record of a whole run and asserts that it
+    /// accepts, on the engine's selection and on the runs plugins assemble
+    /// with [`World::build_run`] alike.
     fn admits_whole_run(&self, _w: &World, _inst: InstId) -> bool {
         false
     }
@@ -128,8 +131,9 @@ pub trait ScalePlugin {
     /// plugin consumed the record (re-routed / buffered / fetched);
     /// returning `false` lets the engine treat it as a hard error.
     ///
-    /// Unbound implements its "universal keys" here by creating an empty
-    /// local group and applying the record itself.
+    /// Unbound implements its "universal keys" here: it creates an empty
+    /// local copy of the group ([`World::fabricate_group`]) and applies the
+    /// record itself.
     fn on_orphan_record(&mut self, _w: &mut World, _inst: InstId, _rec: &Record) -> bool {
         false
     }
@@ -256,7 +260,7 @@ pub struct UnitRow {
     pub holder: Option<InstId>,
     /// The destination while in transit.
     pub transit: Option<InstId>,
-    /// The plan's destination (Meces writes and reads it).
+    /// This plan: the destination of the move that carries the unit.
     pub planned: Option<InstId>,
     /// This plan: the governing signal's injection time.
     pub injected: Option<SimTime>,
@@ -271,19 +275,36 @@ pub struct UnitRow {
 ///
 /// Rows are indexed `kg * fanout + sub`, like
 /// [`crate::state::StateBackend`]'s slots: no hashing, and iteration is
-/// unit order by construction. `holder`, `transit` and `planned` persist
-/// across plans (a unit stays where the last plan left it); `injected`,
+/// unit order by construction. `holder` and `transit` persist across plans
+/// (a unit stays where the last plan left it); `planned`, `injected`,
 /// `installed` and `migrations` describe the current plan and are cleared
 /// when the next one starts.
 ///
-/// [`Self::send`] and [`Self::install`] debug-assert the ledger's half of
-/// the single-owner rule: a unit leaves only its holder, is never sent
-/// twice, and lands where it was sent. No assertion scans the state
-/// backends, because Unbound's universal keys create state anywhere.
+/// Every hand-off of a unit is a [`Self::send`] and then an
+/// [`Self::install`], both recorded by `World`: a migration link, a
+/// restore from the checkpoint store (both at one instant) or a fold into
+/// a fabricated copy. The two debug-assert the ledger's half of the
+/// single-owner rule: a unit leaves only its holder, is never sent twice,
+/// and is installed only where it was sent.
+///
+/// The ledger also counts the plan's outstanding units, those not
+/// installed at their planned destination: [`Self::plan`] adds every unit
+/// of a move, a send away from the destination adds one (Meces' fetches),
+/// and an install there takes one off. The plan is complete when the count
+/// is 0.
+///
+/// A copy of a key-group created where its units are not held (Unbound's
+/// universal keys, [`Self::fabricate`]) is a state of its own: it is not
+/// the units' holder, so an owner scan tells it from the real one, and the
+/// unit installed later at that instance folds into it.
 #[derive(Debug, Default)]
 pub struct UnitLedger {
     fanout: usize,
     rows: Vec<UnitRow>,
+    /// This plan's units not installed at their destination.
+    outstanding: usize,
+    /// Fabricated copies, as `(row index, instance)`.
+    fabricated: BTreeSet<(usize, InstId)>,
 }
 
 impl UnitLedger {
@@ -291,7 +312,11 @@ impl UnitLedger {
     pub fn new(max_key_groups: u16, fanout: u8) -> Self {
         let fanout = fanout.max(1) as usize;
         let rows = vec![UnitRow::default(); max_key_groups as usize * fanout];
-        Self { fanout, rows }
+        Self {
+            fanout,
+            rows,
+            ..Self::default()
+        }
     }
 
     /// Every row, in unit order.
@@ -307,24 +332,26 @@ impl UnitLedger {
 
     /// The row of unit `(kg, sub)`.
     pub fn row(&self, kg: KeyGroup, sub: u8) -> UnitRow {
-        self.rows[kg.0 as usize * self.fanout + sub as usize]
+        self.rows[self.index(kg, sub)]
+    }
+
+    fn index(&self, kg: KeyGroup, sub: u8) -> usize {
+        kg.0 as usize * self.fanout + sub as usize
     }
 
     /// The rows of key-group `kg`'s units.
     fn group(&mut self, kg: KeyGroup) -> &mut [UnitRow] {
-        &mut self.rows[kg.0 as usize * self.fanout..][..self.fanout]
+        let first = self.index(kg, 0);
+        &mut self.rows[first..][..self.fanout]
     }
 
-    /// A plan moves `kg`: every unit of it is at `holder`.
-    pub fn track(&mut self, kg: KeyGroup, holder: InstId) {
+    /// The plan moves `kg` from `from` to `to`: every unit of it is at
+    /// `from` and outstanding.
+    pub fn plan(&mut self, kg: KeyGroup, from: InstId, to: InstId) {
         for r in self.group(kg) {
-            (r.holder, r.transit) = (Some(holder), None);
+            (r.holder, r.transit, r.planned) = (Some(from), None, Some(to));
         }
-    }
-
-    /// The plan sends every unit of `kg` to `to`.
-    pub fn plan(&mut self, kg: KeyGroup, to: InstId) {
-        self.group(kg).iter_mut().for_each(|r| r.planned = Some(to));
+        self.outstanding += self.fanout;
     }
 
     /// The signal governing every unit of `kg` was injected at `t`.
@@ -334,30 +361,60 @@ impl UnitLedger {
 
     /// Unit `(kg, sub)` left `from` for `to`.
     pub fn send(&mut self, kg: KeyGroup, sub: u8, from: InstId, to: InstId) {
-        let r = &mut self.group(kg)[sub as usize];
+        let i = self.index(kg, sub);
+        let r = &mut self.rows[i];
         debug_assert!(
             r.transit.is_none() && r.holder.is_none_or(|h| h == from),
             "{kg}/{sub} extracted at {from}, but the ledger has {r:?}"
         );
+        if r.planned == Some(from) {
+            self.outstanding += 1;
+        }
         (r.holder, r.transit) = (Some(from), Some(to));
     }
 
-    /// Unit `(kg, sub)` was installed at `inst` at `t`.
-    pub fn install(&mut self, kg: KeyGroup, sub: u8, inst: InstId, t: SimTime) {
-        let r = &mut self.group(kg)[sub as usize];
+    /// Unit `(kg, sub)` was installed at `inst` at `t`. Returns whether
+    /// `inst` held a fabricated copy of it, which the unit folds into (and
+    /// which is then the real one).
+    pub fn install(&mut self, kg: KeyGroup, sub: u8, inst: InstId, t: SimTime) -> bool {
+        let i = self.index(kg, sub);
+        let r = &mut self.rows[i];
         debug_assert!(
-            r.transit.is_none_or(|to| to == inst),
+            r.transit == Some(inst),
             "{kg}/{sub} installed at {inst}, but the ledger has {r:?}"
         );
+        if r.planned == Some(inst) {
+            self.outstanding -= 1;
+        }
         (r.holder, r.transit, r.installed) = (Some(inst), None, Some(t));
         r.migrations += 1;
+        self.fabricated.remove(&(i, inst))
+    }
+
+    /// An empty copy of every unit of `kg` was created at `inst`, which
+    /// held none of them.
+    pub fn fabricate(&mut self, kg: KeyGroup, inst: InstId) {
+        for sub in 0..self.fanout as u8 {
+            self.fabricated.insert((self.index(kg, sub), inst));
+        }
+    }
+
+    /// Does `inst` hold a fabricated copy of unit `(kg, sub)`?
+    pub fn is_fabricated(&self, kg: KeyGroup, sub: u8, inst: InstId) -> bool {
+        self.fabricated.contains(&(self.index(kg, sub), inst))
+    }
+
+    /// This plan's units not yet installed at their destination.
+    pub fn outstanding(&self) -> usize {
+        self.outstanding
     }
 
     /// Clear the per-plan columns.
     pub fn begin_plan(&mut self) {
         for r in &mut self.rows {
-            (r.injected, r.installed, r.migrations) = (None, None, 0);
+            (r.planned, r.injected, r.installed, r.migrations) = (None, None, None, 0);
         }
+        self.outstanding = 0;
     }
 }
 
@@ -482,10 +539,12 @@ mod tests {
         };
         m.units.inject(KeyGroup(1), 100);
         m.units.inject(KeyGroup(2), 100);
-        m.units.install(KeyGroup(1), 0, InstId(3), 200);
-        m.units.install(KeyGroup(2), 0, InstId(3), 400);
-        // Installed without an injection: not a dependency sample.
-        m.units.install(KeyGroup(3), 0, InstId(3), 900);
+        for (kg, t) in [(1, 200), (2, 400), (3, 900)] {
+            m.units.send(KeyGroup(kg), 0, InstId(0), InstId(3));
+            m.units.install(KeyGroup(kg), 0, InstId(3), t);
+        }
+        // Key-group 3 was installed without an injection: not a dependency
+        // sample.
         assert!((m.avg_dependency_overhead() - 200.0).abs() < 1e-9);
     }
 
@@ -495,9 +554,12 @@ mod tests {
             units: UnitLedger::new(4, 2),
             ..Default::default()
         };
+        m.units.send(KeyGroup(1), 0, InstId(1), InstId(0));
         m.units.install(KeyGroup(1), 0, InstId(0), 10);
         for t in 0..7 {
-            m.units.install(KeyGroup(2), 1, InstId(t % 2), t as SimTime);
+            let to = InstId(t % 2);
+            m.units.send(KeyGroup(2), 1, InstId(1 - to.0), to);
+            m.units.install(KeyGroup(2), 1, to, t as SimTime);
         }
         let (avg, max) = m.migration_churn();
         assert!((avg - 4.0).abs() < 1e-9);
@@ -510,20 +572,21 @@ mod tests {
             units: UnitLedger::new(4, 2),
             ..Default::default()
         };
-        m.units.track(KeyGroup(2), InstId(0));
-        m.units.plan(KeyGroup(2), InstId(1));
+        m.units.plan(KeyGroup(2), InstId(0), InstId(1));
         m.units.inject(KeyGroup(2), 5);
+        m.units.send(KeyGroup(2), 0, InstId(0), InstId(1));
         m.units.send(KeyGroup(2), 1, InstId(0), InstId(1));
         m.units.install(KeyGroup(2), 0, InstId(1), 9);
+        assert_eq!(m.units.outstanding(), 1);
         m.injected.insert(SubscaleId(0), 5);
         m.begin_plan(50);
         assert_eq!(m.requested_at, Some(50));
         assert!(m.injected.is_empty());
+        assert_eq!(m.units.outstanding(), 0);
         assert!(m.units.rows().iter().all(|r| r.installed.is_none()));
         let kept = |holder, transit| UnitRow {
             holder: Some(InstId(holder)),
             transit,
-            planned: Some(InstId(1)),
             ..Default::default()
         };
         assert_eq!(m.units.row(KeyGroup(2), 0), kept(1, None));
@@ -531,5 +594,44 @@ mod tests {
         // Rows are unit order: row 5 is key-group 2, sub-group 1.
         assert_eq!(m.units.at(5).0, KeyGroup(2));
         assert_eq!(m.units.at(5).1, 1);
+    }
+
+    #[test]
+    fn outstanding_units_reach_zero_at_the_last_planned_install() {
+        // Fanout 2: key-group 1 moves a -> c and key-group 3 moves b -> c,
+        // where a universal key fabricated a copy of key-group 3.
+        let (a, b, c) = (InstId(0), InstId(1), InstId(2));
+        let (g1, g3) = (KeyGroup(1), KeyGroup(3));
+        let mut l = UnitLedger::new(4, 2);
+        l.plan(g1, a, c);
+        l.plan(g3, b, c);
+        l.fabricate(g3, c);
+        // (unit, from, to, outstanding after the install)
+        let hops = [
+            ((g1, 0), a, c, 3),
+            ((g1, 1), a, c, 2),
+            // Away from the destination and back (a Meces fetch).
+            ((g1, 1), c, a, 3),
+            ((g1, 1), a, c, 2),
+            ((g3, 0), b, c, 1),
+            ((g3, 1), b, c, 0),
+        ];
+        for (t, ((kg, sub), from, to, left)) in hops.into_iter().enumerate() {
+            assert_ne!(l.outstanding(), 0, "before install {t}");
+            l.send(kg, sub, from, to);
+            assert_eq!(l.install(kg, sub, to, t as SimTime), kg == g3, "fold");
+            assert_eq!(l.outstanding(), left, "after install {t}");
+        }
+        assert_eq!(l.row(g1, 1).migrations, 3);
+        assert!(!l.is_fabricated(g3, 0, c) && l.row(g3, 0).holder == Some(c));
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "installed at")]
+    fn an_install_without_a_matching_send_is_a_debug_panic() {
+        let mut l = UnitLedger::new(4, 1);
+        l.plan(KeyGroup(1), InstId(0), InstId(1));
+        l.install(KeyGroup(1), 0, InstId(1), 3);
     }
 }

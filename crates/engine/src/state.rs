@@ -84,6 +84,21 @@ impl StateValue {
             StateValue::Lists(l) => l.len() as u64,
         }
     }
+
+    /// Fold `other` into `self`: counts and sums add, lists concatenate.
+    /// The fold is commutative up to list order; unlike shapes leave
+    /// `self` as it is.
+    pub fn merge(&mut self, other: &StateValue) {
+        match (self, other) {
+            (StateValue::Count(a), StateValue::Count(b)) => *a += b,
+            (StateValue::Sum { count, sum }, StateValue::Sum { count: c2, sum: s2 }) => {
+                *count += c2;
+                *sum += s2;
+            }
+            (StateValue::Lists(l1), StateValue::Lists(l2)) => l1.extend_from_slice(l2),
+            _ => {}
+        }
+    }
 }
 
 /// State of one sub-group (the migration atom under hierarchical
@@ -283,6 +298,27 @@ impl StateBackend {
         self.set_inactive(unit.kg, !active);
     }
 
+    /// Fold a migrated unit into the copy of its sub-group already present
+    /// here (a copy fabricated for Unbound's universal keys): each key's
+    /// value [merges](StateValue::merge) into the local one or is inserted,
+    /// and the modeled bytes add up. Window keys are registered and their
+    /// panes dropped: merging panes is not modelled, and no scenario folds
+    /// window state. The group's active flag is left as it is.
+    pub fn fold(&mut self, unit: StateUnit) {
+        let (kg, sub) = (unit.kg, unit.sub);
+        let idx = self.slot_idx(kg, sub);
+        let s = self.slots[idx]
+            .as_mut()
+            .unwrap_or_else(|| panic!("fold into absent sub-group {kg}/{sub}"));
+        for (k, v) in unit.state.entries {
+            s.entries.entry(k).and_modify(|a| a.merge(&v)).or_insert(v);
+        }
+        for k in unit.state.panes.iter().flat_map(|p| p.keys()) {
+            s.panes.get_or_insert_with(new_panes).insert_key(k);
+        }
+        s.nominal_bytes += unit.state.nominal_bytes;
+    }
+
     /// Total modeled bytes held locally.
     pub fn total_bytes(&self) -> u64 {
         self.slots.iter().flatten().map(|s| s.nominal_bytes).sum()
@@ -304,13 +340,6 @@ impl StateBackend {
             .flatten()
             .map(|s| s.nominal_bytes)
             .sum()
-    }
-
-    /// Iterate over locally present key-groups, in key-group order.
-    pub fn held_groups(&self) -> impl Iterator<Item = KeyGroup> + '_ {
-        (0..self.max_key_groups)
-            .map(KeyGroup)
-            .filter(|&kg| self.group_exists(kg))
     }
 
     /// Fold all per-key values into `(key, count)` pairs — used by output
@@ -454,6 +483,37 @@ mod tests {
     }
 
     #[test]
+    fn fold_merges_like_values_adds_bytes_and_keeps_the_active_flag() {
+        use StateValue::{Count, Lists};
+        let (kg, sum) = (KeyGroup(3), |count, sum| StateValue::Sum { count, sum });
+        let (mut b, mut src) = (backend(), backend());
+        b.set_inactive(kg, true);
+        // Join lists: a person at `t` is `t`, an auction at `t` is `!t`.
+        for (key, here, there) in [
+            (1, Count(2), Count(5)),
+            (2, sum(2, 5), sum(1, -8)),
+            (3, Lists(vec![10, !20]), Lists(vec![!40])),
+            (4, Count(3), sum(1, 1)), // unlike shapes: kept
+        ] {
+            b.entry_or(kg, key, || here);
+            src.entry_or(kg, key, || there);
+        }
+        src.entry_or(kg, 5, || Count(7));
+        b.add_bytes(kg, 1, 100);
+        src.add_bytes(kg, 1, 300);
+        b.fold(src.extract(kg, 0).expect("present"));
+        assert_eq!(b.entry_or(kg, 2, || unreachable!()), &sum(3, -3));
+        assert_eq!(
+            b.entry_or(kg, 3, || unreachable!()),
+            &Lists(vec![10, !20, !40])
+        );
+        let counts = HashMap::from([(1, 7), (2, 3), (3, 3), (4, 3), (5, 7)]);
+        assert_eq!(b.snapshot_counts(), counts);
+        assert_eq!(b.total_bytes(), 400);
+        assert!(!b.is_active(kg), "a fold keeps the active flag");
+    }
+
+    #[test]
     fn inactive_flag() {
         let mut b = backend();
         assert!(b.is_active(KeyGroup(3)));
@@ -515,15 +575,5 @@ mod tests {
         b.add_bytes(KeyGroup(3), 1, 100);
         b.add_bytes(KeyGroup(3), 1, -500);
         assert_eq!(b.total_bytes(), 0);
-    }
-
-    #[test]
-    fn held_groups_iterates_in_order() {
-        let mut b = StateBackend::new(16, 1);
-        for g in [9u16, 2, 14] {
-            b.ensure_group(KeyGroup(g));
-        }
-        let held: Vec<u16> = b.held_groups().map(|kg| kg.0).collect();
-        assert_eq!(held, vec![2, 9, 14]);
     }
 }

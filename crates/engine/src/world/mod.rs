@@ -27,7 +27,7 @@
 //! * stream elements live exactly once in the world's [`RecordArena`];
 //!   `send` parks the payload and everything downstream — sender backlog,
 //!   the in-flight leg of `Ev::Deliver`, the receiver queue — moves 8-byte
-//!   [`RecordRef`](crate::record::RecordRef) handles until `chan_pop`
+//!   [`RecordRef`] handles until `chan_pop`
 //!   takes the element out,
 //! * the wire carries *bursts*: consecutive sends that nothing could sort
 //!   between share one scheduler entry, their handles parked in a

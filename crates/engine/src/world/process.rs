@@ -207,11 +207,14 @@ impl World {
 
     /// Pop a run of admissible records from `ch` bounded by the quantum.
     ///
-    /// The quantum bounds, the instance's role, its sink service and its
-    /// logic (which prices each record) are read once per run. When the
-    /// plugin [admits the whole run](ScalePlugin::admits_whole_run), no
-    /// per-record `admit` call is made and each record leaves the arena
-    /// with one move. Otherwise each data record is cloned for the plugin's
+    /// The quantum bounds and the instance's per-record price
+    /// ([`Self::service_of`]) are read once per run. When the plugin
+    /// [admits the whole run](ScalePlugin::admits_whole_run), no per-record
+    /// `admit` call is made in release builds and each record leaves the
+    /// arena with one move; debug builds still ask `admit` about every data
+    /// record and assert that it accepts, which checks the declaration on
+    /// every run of every mechanism, the runs plugins assemble themselves
+    /// included. Otherwise each data record is cloned for the plugin's
     /// `admit` before it is popped. Either way the per-record order of side
     /// effects is kept: peek, admit, pop (which pumps the channel).
     // checker:hot-path
@@ -222,9 +225,9 @@ impl World {
         ch: ChannelId,
     ) -> Selection {
         let (max_records, max_time) = (self.cfg.quantum_records, self.cfg.quantum_time);
-        let sink_service = self.sink_service(inst);
+        let price = self.service_of(inst);
         let whole = plugin.admits_whole_run(self, inst);
-        let logic = self.insts[inst.0 as usize].logic.take();
+        let ask = !whole || cfg!(debug_assertions);
         let mut records = self.take_run_buf();
         let mut service: SimTime = 0;
         while records.len() < max_records && service < max_time {
@@ -234,10 +237,16 @@ impl World {
             let StreamElement::Record(rec) = &self.arena[r] else {
                 break;
             };
-            let cost = service_time(sink_service, logic.as_deref(), rec);
-            if !whole && rec.kind != RecordKind::Marker {
+            let cost = rec.service(price);
+            if ask && rec.kind != RecordKind::Marker {
                 let rec = rec.clone();
-                if !plugin.admit(self, inst, ch, &rec) {
+                let admitted = plugin.admit(self, inst, ch, &rec);
+                debug_assert!(
+                    admitted || !whole,
+                    "{} admits whole runs at {inst}, but its admit refused {rec:?}",
+                    plugin.name()
+                );
+                if !admitted {
                     break;
                 }
             }
@@ -247,7 +256,6 @@ impl World {
                 _ => unreachable!("front was a record"),
             }
         }
-        self.insts[inst.0 as usize].logic = logic;
         if records.is_empty() {
             self.recycle_run_buf(records);
             Selection::Suspend
@@ -256,18 +264,19 @@ impl World {
         }
     }
 
-    /// Service time of one element at an instance.
-    pub fn service_of(&self, inst: InstId, rec: &Record) -> SimTime {
-        let logic = self.insts[inst.0 as usize].logic.as_deref();
-        service_time(self.sink_service(inst), logic, rec)
-    }
-
-    /// The per-record service of `inst`'s operator if it is a sink.
+    /// The per-record service price at `inst`: the sink's service at a
+    /// sink, else the operator logic's
+    /// [`service_time`](OperatorLogic::service_time). A record costs it
+    /// times its multiplicity ([`Record::service`]).
     // checker:hot-path
     #[inline]
-    fn sink_service(&self, inst: InstId) -> Option<SimTime> {
+    pub fn service_of(&self, inst: InstId) -> SimTime {
         let op = self.op_of(inst);
-        (op.role == OpRole::Sink).then_some(op.sink_service)
+        if op.role == OpRole::Sink {
+            return op.sink_service;
+        }
+        let logic = self.insts[inst.0 as usize].logic.as_deref();
+        logic.expect("transform logic").service_time()
     }
 
     pub(super) fn on_proc_done(&mut self, plugin: &mut dyn ScalePlugin, inst: InstId, gen: u64) {
@@ -451,26 +460,6 @@ impl World {
             StreamElement::Scale(sig) => plugin.on_signal(self, inst, ch, sig),
             StreamElement::Record(_) => unreachable!("records are not control elements"),
         }
-    }
-}
-
-/// Service time of one element: nothing for a latency marker, the sink's
-/// per-record service at a sink (`sink_service` is `Some`), else the
-/// operator logic's price, each times the element's multiplicity.
-// checker:hot-path
-#[inline]
-fn service_time(
-    sink_service: Option<SimTime>,
-    logic: Option<&dyn OperatorLogic>,
-    rec: &Record,
-) -> SimTime {
-    if rec.kind == RecordKind::Marker {
-        return 0;
-    }
-    match (sink_service, logic) {
-        (Some(per_record), _) => per_record * rec.count as SimTime,
-        (None, Some(l)) => l.service_time(rec) * rec.count as SimTime,
-        (None, None) => 1,
     }
 }
 

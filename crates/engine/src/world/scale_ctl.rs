@@ -1,9 +1,10 @@
 //! Scaling control: scale requests and their deployment (new instances
 //! wired into the topology, or tail instances marked retiring), routing
-//! table updates, the per-sender migration links that serialize state
-//! units, installation, retirement, the stop-restart halt/resume, and the
-//! control events (`StartScale`, `DeployDone`, plugin timers, checkpoint
-//! ticks) that drive them.
+//! table updates, every hand-off of a state unit (the per-sender migration
+//! links that serialize units, the stop-restart restore, installation and
+//! the fabricated copies of universal keys), retirement, the stop-restart
+//! halt/resume, and the control events (`StartScale`, `DeployDone`,
+//! plugin timers, checkpoint ticks) that drive them.
 
 use super::*;
 
@@ -86,13 +87,13 @@ impl World {
     /// Extract a whole key-group at `from` and enqueue its units for
     /// migration to `to` under `subscale`.
     pub fn migrate_group(&mut self, from: InstId, to: InstId, kg: KeyGroup, subscale: SubscaleId) {
-        let units = self.insts[from.0 as usize].state.extract_group(kg);
-        for u in units {
-            self.enqueue_unit(from, to, u, subscale);
+        for sub in 0..self.insts[from.0 as usize].state.fanout() {
+            self.migrate_unit(from, to, kg, sub, subscale);
         }
     }
 
-    /// Extract a single sub-group and enqueue it.
+    /// Extract a single sub-group and enqueue it. Returns whether `from`
+    /// held it.
     pub fn migrate_unit(
         &mut self,
         from: InstId,
@@ -101,17 +102,9 @@ impl World {
         sub: u8,
         subscale: SubscaleId,
     ) -> bool {
-        match self.insts[from.0 as usize].state.extract(kg, sub) {
-            Some(u) => {
-                self.enqueue_unit(from, to, u, subscale);
-                true
-            }
-            None => false,
-        }
-    }
-
-    fn enqueue_unit(&mut self, from: InstId, to: InstId, unit: StateUnit, subscale: SubscaleId) {
-        self.scale.metrics.units.send(unit.kg, unit.sub, from, to);
+        let Some(unit) = self.hand_off(from, to, kg, sub) else {
+            return false;
+        };
         let i = from.0 as usize;
         if self.scale.links.len() <= i {
             self.scale.links.resize_with(i + 1, Default::default);
@@ -121,6 +114,26 @@ impl World {
         if link.len() == 1 {
             self.link_start(from);
         }
+        true
+    }
+
+    /// Restore a whole key-group at `to` from the checkpoint store (state
+    /// taken at `from`): each unit is sent and installed at this instant,
+    /// with no link time, no transferred bytes and no first migration.
+    pub fn restore_group(&mut self, from: InstId, to: InstId, kg: KeyGroup) {
+        for sub in 0..self.insts[from.0 as usize].state.fanout() {
+            if let Some(unit) = self.hand_off(from, to, kg, sub) {
+                self.install_unit(to, unit, true);
+            }
+        }
+    }
+
+    /// The one send side of a unit changing hands: extract `(kg, sub)` at
+    /// `from` and record it in the ledger as sent to `to`.
+    fn hand_off(&mut self, from: InstId, to: InstId, kg: KeyGroup, sub: u8) -> Option<StateUnit> {
+        let unit = self.insts[from.0 as usize].state.extract(kg, sub)?;
+        self.scale.metrics.units.send(kg, sub, from, to);
+        Some(unit)
     }
 
     /// Put the front unit of `from`'s link on the wire, if there is one.
@@ -160,34 +173,39 @@ impl World {
         self.link_start(from);
     }
 
-    /// Install a migrated unit at `inst`. `active = false` keeps the
-    /// key-group present-but-inactive (DRRS implicit alignment).
+    /// The one arrival side of a unit changing hands: install a unit sent
+    /// to `inst`. `active = false` keeps the key-group
+    /// present-but-inactive (DRRS implicit alignment). When `inst` holds a
+    /// fabricated copy of the unit, the unit folds into it and the active
+    /// flag stays as it is. The install that leaves the plan no outstanding
+    /// unit completes it.
     pub fn install_unit(&mut self, inst: InstId, unit: StateUnit, active: bool) {
-        let (kg, sub, now) = (unit.kg, unit.sub, self.now());
-        self.scale.metrics.units.install(kg, sub, inst, now);
-        self.insts[inst.0 as usize].state.install(unit, active);
-        self.check_scale_complete();
+        let now = self.now();
+        let units = &mut self.scale.metrics.units;
+        let state = &mut self.insts[inst.0 as usize].state;
+        if units.install(unit.kg, unit.sub, inst, now) {
+            state.fold(unit);
+        } else {
+            state.install(unit, active);
+        }
+        if self.scale.in_progress && units.outstanding() == 0 {
+            self.scale.in_progress = false;
+            self.scale.metrics.migration_done = Some(now);
+        }
         self.wake(inst);
     }
 
-    fn check_scale_complete(&mut self) {
-        if !self.scale.in_progress {
-            return;
-        }
-        let done = self
-            .scale
-            .plan
-            .as_ref()
-            .map(|p| {
-                p.moves
-                    .iter()
-                    .all(|m| self.insts[m.to.0 as usize].state.holds_group(m.kg))
-            })
-            .unwrap_or(false);
-        if done {
-            self.scale.in_progress = false;
-            self.scale.metrics.migration_done = Some(self.now());
-        }
+    /// Create an empty copy of key-group `kg` at `inst`, which holds no
+    /// unit of it, for a record that reached `inst` without its state
+    /// (Unbound's universal keys). The ledger marks the copy fabricated.
+    pub fn fabricate_group(&mut self, inst: InstId, kg: KeyGroup) {
+        let state = &mut self.insts[inst.0 as usize].state;
+        debug_assert!(
+            (0..state.fanout()).all(|sub| !state.holds(kg, sub)),
+            "{kg} fabricated at {inst}, which holds part of it"
+        );
+        state.ensure_group(kg);
+        self.scale.metrics.units.fabricate(kg, inst);
     }
 
     /// Halt every instance (global stop). Sources keep *generating* (the
@@ -379,7 +397,7 @@ impl World {
         // Every unit of a moving key-group starts at its old owner.
         let plan = self.scale.plan.as_ref().expect("just set");
         for m in &plan.moves {
-            self.scale.metrics.units.track(m.kg, m.from);
+            self.scale.metrics.units.plan(m.kg, m.from, m.to);
         }
         let delay = self.cfg.deploy_delay;
         let ev = self.ev_control(ControlMsg::DeployDone { epoch });

@@ -68,7 +68,7 @@ impl World {
     /// **Bursts.** A `Deliver` event stands for a whole send burst (the
     /// contract, with its four extension conditions, is on
     /// [`Ev::Deliver`]). Its elements are taken out of the
-    /// [`BurstStore`](crate::events::BurstStore)
+    /// [`BurstStore`]
     /// when the event's turn comes — not when the run was drained — so a
     /// send made by an earlier event of this very run may still have
     /// extended it; once taken, a burst is closed and any further send

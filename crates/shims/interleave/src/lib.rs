@@ -35,7 +35,7 @@
 //!
 //! The closure runs once per explored schedule; panics inside it, data
 //! races on [`sync::UnsafeCell`], deadlocks and livelocks are reported
-//! as [`Violation`]s with an operation trace. See the [`rt`] module docs
+//! as [`Violation`]s with an operation trace. See the `rt` module docs
 //! for the exploration strategies and the memory-model approximation,
 //! and `simcore::sync` for what the model can and cannot catch.
 //!

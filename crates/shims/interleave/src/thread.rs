@@ -1,7 +1,7 @@
 //! Virtual threads: spawn/join/yield inside a model execution.
 //!
 //! Model threads are real OS threads, but the runtime's single execution
-//! token serializes them completely — see the [`crate::rt`] module docs.
+//! token serializes them completely — see the `rt` module docs.
 //! `spawn` must be called from inside a [`crate::Checker::run`] closure;
 //! there is deliberately no fallback to `std::thread::spawn`, because
 //! code under test reaches threads only from its test harness, which is

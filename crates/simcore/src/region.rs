@@ -21,7 +21,7 @@
 //! Sequence numbers are therefore never compared across regions, which is
 //! what lets the PDES engines — one shared multi-region list (the
 //! sequential reference) or one pruned
-//! replica list per thread ([`retain_region`](RegionScheduler::retain_region))
+//! replica list per thread (`RegionScheduler::retain_region`)
 //! — mint local `seq` values independently per region yet pop each
 //! region's events in the identical order. A run drained with
 //! `pop_run_at_most` that spans several regions is the concatenation of

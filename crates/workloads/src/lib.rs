@@ -3,10 +3,10 @@
 //!
 //! * [`nexmark`] — NEXMark Q7 (sliding-window max, 20K tps, ≈800 MB state)
 //!   and Q8 (windowed person⋈auction join, 1K tps, ≈3 GB state),
-//! * [`twitch`] — a seven-operator viewer-engagement pipeline over a
+//! * [`twitch`](mod@twitch) — a seven-operator viewer-engagement pipeline over a
 //!   synthetic trace with the Rappaz-dataset macro-shape (~4 M events in
 //!   1000 s, ≈500 MB of state at the scale point),
-//! * [`custom`] — the configurable 3-operator sensitivity workload
+//! * [`custom`](mod@custom) — the configurable 3-operator sensitivity workload
 //!   (rate × state size × Zipf skewness) used for Fig. 15.
 //!
 //! Each builder returns `(World, OpId)` where the `OpId` is the operator

@@ -11,7 +11,7 @@
 //! * [`workloads`] — NEXMark Q7/Q8, the Twitch pipeline, and the custom
 //!   3-operator sensitivity workload,
 //! * [`sim`] — the deterministic simulation kernel,
-//! * [`bench`] — the experiment harness: the scenario registry, the grid
+//! * [`bench`](mod@bench) — the experiment harness: the scenario registry, the grid
 //!   runner and typed run reports (`bench::scenario`).
 //!
 //! For the common case, [`prelude`] pulls the whole working set into scope

@@ -142,10 +142,11 @@ fn back_to_back_scales_supersede_cleanly() {
 }
 
 /// Run `sim` to `t` one dispatched run at a time, checking the single-owner
-/// rule after every run: each unit the ledger tracks is either in transit
-/// and held by no state backend, or held by exactly one instance, the
-/// ledger's holder. Returns how many `(unit, run)` pairs were checked and
-/// how many of them were in transit.
+/// rule after every run: each unit the ledger tracks is held by its holder
+/// alone unless it is in transit, when no state backend holds it, except
+/// for the copies the ledger marks fabricated (Unbound's universal keys).
+/// Returns how many `(unit, run)` pairs were checked and how many of them
+/// were in transit.
 fn run_checking_owners(name: &str, sim: &mut Sim, t: SimTime) -> (u64, u64) {
     let (mut checked, mut in_transit) = (0, 0);
     let mut buf = Vec::new();
@@ -158,16 +159,19 @@ fn run_checking_owners(name: &str, sim: &mut Sim, t: SimTime) -> (u64, u64) {
             let Some(holder) = row.holder else {
                 continue; // no plan has moved this unit yet
             };
-            let mut holders = w.insts.iter().filter(|i| i.state.holds(kg, sub));
-            let (first, more) = (holders.next().map(|i| i.id), holders.count());
-            let want = if row.transit.is_some() {
+            let owner = if row.transit.is_some() {
                 in_transit += 1;
                 None
             } else {
                 Some(holder)
             };
+            let mut owners = w
+                .insts
+                .iter()
+                .filter(|i| i.state.holds(kg, sub) && !units.is_fabricated(kg, sub, i.id));
+            let (first, more) = (owners.next().map(|i| i.id), owners.count());
             assert!(
-                first == want && more == 0,
+                first == owner && more == 0,
                 "{name}: unit {kg}/{sub} at t={} is held by {first:?} (+{more} more), \
                  the ledger has {row:?}",
                 w.now()
@@ -181,33 +185,40 @@ fn run_checking_owners(name: &str, sim: &mut Sim, t: SimTime) -> (u64, u64) {
 
 #[test]
 fn every_moved_unit_has_exactly_one_owner() {
-    // DRRS through `rescale_churn`'s plan shape (4 → 6 → 3 → 8 → 4), Meces
-    // at sub-group fanout 4 (fetches move single sub-groups back and
-    // forth) and stop-restart (extract and install in one step).
+    // DRRS through `rescale_churn`'s plan shape (4 → 6 → 3 → 8 → 4),
+    // Megaphone (sequential key-group batches), Meces at sub-group fanout 4
+    // (fetches move single sub-groups back and forth), stop-restart and
+    // Unbound (universal keys fabricate copies beside the real units). Every
+    // row but stop-restart must catch a unit in transit between runs; a
+    // restore sends and installs at one instant, so its row must catch none.
     let churn = [(4_000, 6), (5_500, 3), (7_000, 8), (8_500, 4)];
-    let scale_out = [(2_000, 4)];
-    // (mechanism, plugin, sub-group fanout, parallelism, plans, horizon s)
-    type Case<'a> = (
-        &'a str,
-        Box<dyn ScalePlugin>,
-        u8,
-        usize,
-        &'a [(u64, usize)],
-        u64,
-    );
-    let cases: [Case; 3] = [
-        ("DRRS", Box::new(FlexScaler::drrs()), 1, 4, &churn, 10),
-        ("Meces", Box::new(MecesPlugin::new()), 4, 2, &scale_out, 8),
+    let out = [(2_000, 4)];
+    // (mechanism, plugin, sub-group fanout, parallelism, plans, horizon s,
+    // a unit is seen in transit)
+    let cases: [(_, Box<dyn ScalePlugin>, _, _, &[_], _, _); 5] = [
+        ("DRRS", Box::new(FlexScaler::drrs()), 1, 4, &churn, 10, true),
+        ("Megaphone", Box::new(megaphone(1)), 1, 2, &out, 10, true),
+        ("Meces", Box::new(MecesPlugin::new()), 4, 2, &out, 8, true),
         (
             "Stop-Restart",
             Box::new(StopRestartPlugin::new()),
             1,
             2,
-            &scale_out,
+            &out,
             10,
+            false,
+        ),
+        (
+            "Unbound",
+            Box::new(UnboundPlugin::new()),
+            1,
+            2,
+            &out,
+            6,
+            true,
         ),
     ];
-    for (name, plugin, fanout, par, plans, horizon) in cases {
+    for (name, plugin, fanout, par, plans, horizon, expect_transit) in cases {
         let mut cfg = EngineConfig::test();
         cfg.sub_group_fanout = fanout;
         let (mut w, agg) = tiny_job(cfg, 4_000.0, 512, par);
@@ -216,6 +227,11 @@ fn every_moved_unit_has_exactly_one_owner() {
         }
         let mut sim = Sim::new(w, plugin);
         let (checked, in_transit) = run_checking_owners(name, &mut sim, secs(horizon));
+        assert_eq!(
+            in_transit > 0,
+            expect_transit,
+            "{name}: {in_transit} in transit"
+        );
         let w = &sim.world;
         assert_eq!(
             w.scale.epoch as usize,
@@ -224,8 +240,15 @@ fn every_moved_unit_has_exactly_one_owner() {
         );
         assert!(!w.scale.in_progress, "{name}: the last plan never finished");
         assert!(checked > 0, "{name}: no unit was tracked");
-        if name != "Stop-Restart" {
-            assert!(in_transit > 0, "{name}: no unit was seen in transit");
+        // Every unit of the last plan was sent and installed at its
+        // destination.
+        let units = &w.scale.metrics.units;
+        for m in &w.scale.plan.as_ref().expect("plan").moves {
+            for r in (0..fanout).map(|sub| units.row(m.kg, sub)) {
+                let settled = r.holder == Some(m.to) && r.transit.is_none() && r.migrations > 0;
+                assert!(settled, "{name}: {m:?} ended with {r:?}");
+            }
         }
+        assert_eq!(units.outstanding(), 0, "{name}: units left outstanding");
     }
 }
