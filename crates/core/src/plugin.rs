@@ -149,6 +149,9 @@ pub struct SchedStats {
     pub scan_positions: u64,
     /// Scans that resumed behind a still-valid hold hint.
     pub hint_resumes: u64,
+    /// Scans that found a record to process: each bypasses the records
+    /// held ahead of it as a one-record run.
+    pub bypass_runs: u64,
 }
 
 /// `table[i]`, first growing the table with `fill` if `i` is past its end.
@@ -706,6 +709,7 @@ impl FlexScaler {
         let Some(StreamElement::Record(rec)) = found else {
             return None;
         };
+        self.stats.bypass_runs += 1;
         let service = rec.service(w.service_of(inst));
         let mut records = w.take_run_buf();
         records.push(rec);

@@ -16,9 +16,12 @@
 //! per instance and turns every state access on the per-record hot path into
 //! two array indexings — no hashing, no map lookups, and iteration order is
 //! the key-group order by construction, which keeps runs deterministic.
-//! Per-key entries inside a sub-group use [`simcore::FxHashMap`]: simulator
-//! keys are trusted `u64`s, so the DoS-resistant (and several-times slower)
-//! SipHash default buys nothing here.
+//! Per-key entries inside a sub-group live in a [`simcore::KeyMap`]: groups
+//! of eight inline `(key, value)` slots behind eight tag bytes, in one
+//! allocation, with no removal (a key leaves only with its sub-group). A
+//! table grows when 7/8 full: below 256 slots it doubles, from there on by
+//! a quarter, so a table of a few hundred keys stays at 70–87.5 % load.
+//! Simulator keys are trusted `u64`s, hashed with Fx.
 //!
 //! A key-group is "locally present" iff at least one of its sub-group slots
 //! is occupied; extracting the last sub-group of a group also clears its
@@ -37,7 +40,8 @@
 //!
 //! # Entry size
 //!
-//! Every per-key map entry is a `(Key, StateValue)` of 32 bytes, and
+//! Every per-key slot is an `Option<(Key, StateValue)>` of 32 bytes (the
+//! empty slot lives in `StateValue`'s niche), plus its tag byte, and
 //! `state_value_fits_in_24_bytes` pins it. With the window panes out of
 //! `StateValue`, one `Vec` variant is left and the enum's tag hides in that
 //! `Vec`'s capacity niche; while a second `Vec` variant held panes the entry
@@ -51,13 +55,19 @@
 //! per key to every watermark sweep. On a 2-vCPU Xeon, `scenario --run
 //! fig10_11/Q8/DRRS/seed1` took 7.40 s with two lists, 8.59 s boxed and
 //! 5.92 s with the one list (one heap buffer per key instead of two; mean
-//! of 3 alternating runs). The footprint: `rescale_churn`'s ~62 k live
-//! keys take 3.5 MB of entries at 56 bytes, 2.5 MB at 40 and 2.0 MB at 32,
-//! against a 2 MB L2 per core (all before hashbrown's bucket slack).
+//! of 3 alternating runs).
+//!
+//! The footprint is slot bytes times slots per key. `rescale_churn`'s
+//! ~62 k live keys sit ~484 to a sub-group. A hash map that doubles gave
+//! each 1,024 buckets of 33 bytes (47 % load, 70 bytes per key, 4.3 MB in
+//! all, twice a 2 MB L2 per core); a `KeyMap` gives each 616 slots of 33
+//! bytes (79 % load, 42 bytes per key, 2.6 MB).
+//! `large_keyed_state_stays_dense` pins the slots per key on that shape,
+//! and the workload's peak RSS fell by ~1.5 MB with it.
 
 use std::collections::HashMap;
 
-use simcore::FxHashMap;
+use simcore::KeyMap;
 
 use crate::ids::{sub_group_of, Key, KeyGroup};
 use crate::window::PaneRows;
@@ -105,8 +115,9 @@ impl StateValue {
 /// organization; the whole key-group when `fanout == 1`).
 #[derive(Clone, Debug, Default)]
 pub struct SubState {
-    /// Per-key values (fast deterministic hashing; keys are trusted).
-    pub entries: FxHashMap<Key, StateValue>,
+    /// Per-key values, in a dense table with no removal: a key leaves
+    /// only with its whole sub-group (see the module docs' "Layout").
+    pub entries: KeyMap<StateValue>,
     /// A window operator's panes for this sub-group's keys, allocated on
     /// the first windowed record (see the module docs' "Layout").
     pub panes: Option<Box<PaneRows>>,
@@ -239,7 +250,7 @@ impl StateBackend {
         let s = self.slots[idx]
             .as_mut()
             .unwrap_or_else(|| panic!("state access to absent sub-group {kg}/{sub}"));
-        s.entries.entry(key).or_insert_with(default)
+        s.entries.get_or_insert_with(key, default)
     }
 
     /// The window panes of `key`'s sub-group, created empty if absent.
@@ -311,7 +322,12 @@ impl StateBackend {
             .as_mut()
             .unwrap_or_else(|| panic!("fold into absent sub-group {kg}/{sub}"));
         for (k, v) in unit.state.entries {
-            s.entries.entry(k).and_modify(|a| a.merge(&v)).or_insert(v);
+            match s.entries.get_mut(k) {
+                Some(a) => a.merge(&v),
+                None => {
+                    s.entries.insert(k, v);
+                }
+            }
         }
         for k in unit.state.panes.iter().flat_map(|p| p.keys()) {
             s.panes.get_or_insert_with(new_panes).insert_key(k);
@@ -347,7 +363,7 @@ impl StateBackend {
     pub fn snapshot_counts(&self) -> HashMap<Key, u64> {
         let mut out = HashMap::new();
         for s in self.slots.iter().flatten() {
-            for (&k, v) in &s.entries {
+            for (k, v) in s.entries.iter() {
                 *out.entry(k).or_insert(0) += v.count();
             }
             for (k, n) in s.panes.iter().flat_map(|p| p.counts()) {
@@ -372,11 +388,11 @@ impl StateBackend {
         let mut keys = std::mem::take(&mut self.key_scratch);
         for s in self.slots.iter_mut().flatten() {
             keys.clear();
-            keys.extend(s.entries.keys().copied());
+            keys.extend(s.entries.keys());
             keys.sort_unstable();
             let mut freed = 0;
             for &k in &keys {
-                let v = s.entries.get_mut(&k).expect("key listed");
+                let v = s.entries.get_mut(k).expect("key listed");
                 freed += f(k, v);
             }
             s.settle(freed);
@@ -440,6 +456,8 @@ mod tests {
         // one (window panes did that) takes it back to 32.
         assert_eq!(std::mem::size_of::<StateValue>(), 24);
         assert_eq!(std::mem::size_of::<(Key, StateValue)>(), 32);
+        // A `KeyMap` slot: the empty slot lives in the same niche.
+        assert_eq!(std::mem::size_of::<Option<(Key, StateValue)>>(), 32);
     }
 
     #[test]
@@ -449,7 +467,30 @@ mod tests {
         assert_eq!(std::mem::size_of::<crate::window::Cell>(), 16);
         // Every sub-group of every operator pays for the pane store's
         // handle: boxed it is 8 bytes, unboxed 88 (see the module docs).
-        assert!(std::mem::size_of::<SubState>() <= 48);
+        // The key table is one boxed slice and a length.
+        assert!(std::mem::size_of::<SubState>() <= 40);
+    }
+
+    #[test]
+    fn large_keyed_state_stays_dense() {
+        // `rescale_churn`'s shape: 65,536 uniform keys over 128 key-groups,
+        // ~512 keys per table. Every table is past the doubling regime, so
+        // it holds at most 1.43 slots per key (load >= 0.7); a hash map that
+        // doubles holds 2 at this size. This is the deterministic side of
+        // the workload's peak-RSS figure.
+        let mut b = StateBackend::new(128, 1);
+        for kg in 0..128 {
+            b.ensure_group(KeyGroup(kg));
+        }
+        for key in 0..65_536 {
+            let kg = crate::ids::key_group_of(key, 128);
+            b.entry_or(kg, key, || StateValue::Count(0));
+        }
+        assert_eq!(b.total_keys(), 65_536);
+        for s in b.slots.iter().flatten() {
+            let (cap, len) = (s.entries.capacity(), s.entries.len());
+            assert!(cap * 100 <= len * 143, "{cap} slots for {len} keys");
+        }
     }
 
     #[test]
@@ -562,7 +603,7 @@ mod tests {
         }
         let (s0, k0) = subs[0];
         let unit = b.extract(KeyGroup(2), s0).expect("present");
-        assert!(unit.state.entries.contains_key(&k0));
+        assert!(unit.state.entries.keys().any(|k| k == k0));
         assert!(!b.holds(KeyGroup(2), s0));
         assert!(!b.holds_group(KeyGroup(2)));
         // The other sub-group is still present.

@@ -18,7 +18,7 @@ use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 
 const ROTATE: u32 = 5;
-const SEED64: u64 = 0x51_7c_c1_b7_27_22_0a_95;
+pub(crate) const SEED64: u64 = 0x51_7c_c1_b7_27_22_0a_95;
 
 /// The rustc FxHash function: fast multiplicative hashing for trusted keys.
 #[derive(Default, Clone)]

@@ -6,6 +6,9 @@
 //! * [`FutureEventList`] — a monotonic future-event list with stable FIFO
 //!   ordering among same-timestamp events, stored in a binary heap keyed
 //!   `(at, seq)` (one per [`region`] under PDES),
+//! * [`KeyMap`] — a dense open-addressing `u64 → V` table with inline
+//!   slots, any capacity and no removal: the keyed state backend's
+//!   per-sub-group table (see [`keymap`]),
 //! * [`rng`] — a seedable deterministic random source plus a Zipf sampler
 //!   (used by workload generators; `rand_distr` is not vendored offline, so
 //!   the Zipf sampler is implemented here),
@@ -17,6 +20,7 @@
 //! down to the microsecond.
 
 pub mod hash;
+pub mod keymap;
 pub mod queue;
 pub mod region;
 pub mod rng;
@@ -27,6 +31,7 @@ pub mod sync;
 pub mod time;
 
 pub use hash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
+pub use keymap::KeyMap;
 pub use queue::FutureEventList;
 pub use region::{RegionScheduler, SyncStats};
 pub use rng::{DetRng, Zipf};

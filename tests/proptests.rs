@@ -1,7 +1,7 @@
 //! Property-based tests over the core data structures and the scaling
 //! invariants, per the repo's testing strategy (DESIGN.md §7).
 
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 
 use drrs_repro::drrs::{divide_subscales, FlexScaler, MechanismConfig};
 use drrs_repro::engine::ids::{key_group_of, sub_group_of, InstId, KeyGroup};
@@ -106,6 +106,76 @@ fn linear_job(
     Sim::new(b.build(), Box::new(drrs_repro::engine::NoScale))
 }
 
+/// One `StateBackend::fold` (Unbound's merge of a migrated sub-group into
+/// the copy already present) against a std `HashMap` model: a key on both
+/// sides merges its values, any other key is inserted. Even seeds hold a
+/// few dozen keys per side (the key table's doubling regime), odd seeds
+/// several hundred (its dense one); keys 0 and `u64::MAX` are on both
+/// sides. A failure names its seed; `fold_replay(seed)` reruns it.
+fn fold_replay(seed: u64) -> Result<(), String> {
+    let _case = SeedOnPanic(seed);
+    let kg = KeyGroup(0);
+    let mut rng = DetRng::seed(seed);
+    let n = if seed & 1 == 0 { 40 } else { 900 };
+    let value = |rng: &mut DetRng| match rng.below(3) {
+        0 => StateValue::Count(rng.below(100)),
+        1 => StateValue::Sum {
+            count: rng.below(100),
+            sum: rng.below(100) as i64 - 50,
+        },
+        _ => StateValue::Lists((0..rng.below(3)).map(|_| rng.below(100) as i64).collect()),
+    };
+    let (mut dst, mut src) = (StateBackend::new(1, 1), StateBackend::new(1, 1));
+    dst.ensure_group(kg);
+    src.ensure_group(kg);
+    let (mut model, mut incoming) = (HashMap::new(), Vec::new());
+    for i in 0..2 * n {
+        let key = match i {
+            0 | 1 => 0,
+            2 | 3 => u64::MAX,
+            _ => rng.below(2 * n),
+        };
+        let v = value(&mut rng);
+        if i % 2 == 0 {
+            *dst.entry_or(kg, key, || StateValue::Count(0)) = v.clone();
+            model.insert(key, v);
+        } else {
+            *src.entry_or(kg, key, || StateValue::Count(0)) = v.clone();
+            incoming.retain(|(k, _)| *k != key);
+            incoming.push((key, v));
+        }
+    }
+    for (k, v) in incoming {
+        model
+            .entry(k)
+            .and_modify(|a: &mut StateValue| a.merge(&v))
+            .or_insert(v);
+    }
+    dst.fold(src.extract(kg, 0).expect("present"));
+    if dst.total_keys() != model.len() {
+        let keys = dst.total_keys();
+        return Err(format!("seed {seed}: {keys} keys, model {}", model.len()));
+    }
+    for (k, v) in &model {
+        let got = dst.entry_or(kg, *k, || StateValue::Count(u64::MAX));
+        if got != v {
+            return Err(format!("seed {seed}: key {k}: {got:?}, model {v:?}"));
+        }
+    }
+    Ok(())
+}
+
+/// Names the seed of a seeded case that panics.
+struct SeedOnPanic(u64);
+
+impl Drop for SeedOnPanic {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            eprintln!("failing case: seed {}", self.0);
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -187,7 +257,7 @@ proptest! {
         for g in 0..16 {
             b.ensure_group(KeyGroup(g));
         }
-        let mut expect = std::collections::HashMap::new();
+        let mut expect = HashMap::new();
         for &(k, c) in &keys {
             let kg = key_group_of(k, 16);
             if let StateValue::Count(v) = b.entry_or(kg, k, || StateValue::Count(0)) {
@@ -204,6 +274,12 @@ proptest! {
         }
         prop_assert_eq!(b.total_keys(), 0);
         prop_assert_eq!(b2.snapshot_counts(), expect);
+    }
+
+    #[test]
+    fn state_fold_matches_a_std_map_merge(seed in any::<u64>()) {
+        let run = fold_replay(seed);
+        prop_assert!(run.is_ok(), "{}", run.unwrap_err());
     }
 
     #[test]

@@ -82,6 +82,7 @@ fn scheduling_cost_is_pinned_and_linear_in_records() {
             scans: 7_327,
             scan_positions: 27_440,
             hint_resumes: 7_131,
+            bypass_runs: 6_381,
         },
         "after 4 -> 6"
     );
@@ -93,6 +94,7 @@ fn scheduling_cost_is_pinned_and_linear_in_records() {
             scans: 13_127,
             scan_positions: 50_229,
             hint_resumes: 12_779,
+            bypass_runs: 11_841,
         },
         "after 4 -> 6 -> 3"
     );
