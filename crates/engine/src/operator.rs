@@ -219,8 +219,10 @@ impl OperatorLogic for KeyedAgg {
     }
 }
 
-/// Keyed sliding-window aggregate (the scaling operator of NEXMark Q7 and
-/// the Twitch loyalty stage).
+/// Keyed sliding-window aggregate (the scaling operator of NEXMark Q7).
+/// Its panes and firing progress live in each sub-group's
+/// [`PaneRows`](crate::window::PaneRows) and move with it, so a subtask
+/// holds no window state. A watermark advance costs `service * 4`.
 pub struct WindowAgg {
     /// Window size (event time).
     pub size: SimTime,
@@ -232,18 +234,11 @@ pub struct WindowAgg {
     pub service: SimTime,
     /// Nominal state bytes per buffered record.
     pub bytes_per_record: u64,
-    /// Per-watermark firing cost.
-    pub fire_cost: SimTime,
-    /// Last fired window end. It is per subtask, not per key-group: a
-    /// key-group that moves to a subtask whose `last_fired` lags re-fires
-    /// windows its old owner fired, and one that moves to a subtask ahead
-    /// of it can skip windows.
-    pub last_fired: SimTime,
     scratch: FireScratch,
 }
 
 impl WindowAgg {
-    /// Standard construction with `last_fired` starting at zero.
+    /// A window operator of `size` sliding by `slide`.
     pub fn new(
         size: SimTime,
         slide: SimTime,
@@ -257,8 +252,6 @@ impl WindowAgg {
             agg,
             service,
             bytes_per_record,
-            fire_cost: service * 4,
-            last_fired: 0,
             scratch: FireScratch::default(),
         }
     }
@@ -285,29 +278,14 @@ impl OperatorLogic for WindowAgg {
 
     // checker:hot-path
     fn on_watermark(&mut self, ctx: &mut WmCtx<'_>) {
-        // Fire every window whose end has passed the watermark: the ends
-        // `first_end, first_end + slide, ..= last_end`.
-        let slide = self.slide;
-        let first_end = ((self.last_fired / slide) + 1) * slide;
-        if first_end > ctx.watermark {
-            return;
-        }
-        let last_end = first_end + (ctx.watermark - first_end) / slide * slide;
-        self.last_fired = last_end;
-        let (size, agg, bpr) = (self.size, self.agg, self.bytes_per_record);
-        let scratch = &mut self.scratch;
+        // Each sub-group fires the ends the watermark passed since its own
+        // last firing.
+        let (slide, size, agg, bpr) = (self.slide, self.size, self.agg, self.bytes_per_record);
+        let (watermark, scratch) = (ctx.watermark, &mut self.scratch);
         let WmCtx { state, out, .. } = ctx;
         state.for_each_panes_mut(|rows| {
-            let evicted = rows.fire(
-                first_end,
-                last_end,
-                slide,
-                size,
-                agg,
-                scratch,
-                |k, v, end| out.push(Record::data(k, v, end)),
-            );
-            evicted * bpr
+            let emit = |k, v, end| out.push(Record::data(k, v, end));
+            rows.fire(watermark, slide, size, agg, scratch, emit) * bpr
         });
     }
 
@@ -315,7 +293,7 @@ impl OperatorLogic for WindowAgg {
         self.service
     }
     fn watermark_cost(&self) -> SimTime {
-        self.fire_cost
+        self.service * 4
     }
 }
 
@@ -523,17 +501,22 @@ mod tests {
     }
 
     /// One `WindowAgg` subtask under test, driven in lockstep with its
-    /// oracle: a `PaneSet` per key in its own map, fired with one
-    /// `window_agg` per end and `evict_before` at the last end's horizon,
-    /// keys visited in (key-group, sub-group, key) order. After every
-    /// watermark [`Self::watermark`] compares the fired `(key, value, end)`
-    /// sequence, every group's bytes, `snapshot_counts` and `total_keys`.
+    /// oracle: a `PaneSet` per key and each sub-group's last fired end, in
+    /// maps of its own. A sub-group fires with one `window_agg` per end
+    /// past its progress and `evict_before` at the last end's horizon, keys
+    /// visited in (key-group, sub-group, key) order. After every watermark
+    /// [`Self::watermark`] compares the fired `(key, value, end)` sequence,
+    /// every group's bytes, `snapshot_counts` and `total_keys`.
     struct Subtask {
         op: WindowAgg,
         state: StateBackend,
         out: Vec<Record>,
         oracle: BTreeMap<Key, PaneSet>,
-        oracle_last_fired: SimTime,
+        /// The oracle's firing progress per `(key-group, sub-group)`, kept
+        /// from the sub-group's first record on, as `PaneRows` keeps it.
+        oracle_fired: BTreeMap<(KeyGroup, u8), SimTime>,
+        /// The last watermark seen.
+        wm: SimTime,
     }
 
     impl Subtask {
@@ -547,26 +530,50 @@ mod tests {
                 state,
                 out: Vec::new(),
                 oracle: BTreeMap::new(),
-                oracle_last_fired: 0,
+                oracle_fired: BTreeMap::new(),
+                wm: 0,
             }
         }
 
-        /// A fresh operator instance (`last_fired = 0`, as after a
-        /// scale-out) takes over the state.
-        fn restart(&mut self) {
+        fn unit_of(&self, key: Key) -> (KeyGroup, u8) {
+            (
+                key_group_of(key, 16),
+                sub_group_of(key, 16, self.state.fanout()),
+            )
+        }
+
+        /// A fresh operator instance (as after a scale-out) takes over the
+        /// state; the progress stays with the state, so at the last
+        /// watermark it fires nothing.
+        fn restart(&mut self, ctx: &str) {
             let op = &self.op;
             self.op = WindowAgg::new(op.size, op.slide, op.agg, op.service, op.bytes_per_record);
-            self.oracle_last_fired = 0;
+            self.op.on_watermark(&mut WmCtx {
+                now: self.wm,
+                watermark: self.wm,
+                state: &mut self.state,
+                out: &mut self.out,
+            });
+            assert!(
+                self.out.is_empty(),
+                "{ctx}: a restart re-fired {:?}",
+                self.out
+            );
         }
 
         fn record(&mut self, rec: Record) {
             let (slide, agg) = (self.op.slide, self.op.agg);
             let p = self.oracle.entry(rec.key).or_default();
             p.add(rec.event_time, rec.value, rec.count as u64, slide, agg);
+            let unit = self.unit_of(rec.key);
+            self.oracle_fired.entry(unit).or_insert(0);
             run_record(&mut self.op, &mut self.state, &mut self.out, rec);
         }
 
-        fn watermark(&mut self, wm: SimTime, ctx: &str) {
+        /// Advance to `wm`, check every firing against the oracle and
+        /// return the fired `(key, end)` pairs.
+        fn watermark(&mut self, wm: SimTime, ctx: &str) -> Vec<(Key, SimTime)> {
+            self.wm = wm;
             self.op.on_watermark(&mut WmCtx {
                 now: wm,
                 watermark: wm,
@@ -574,23 +581,24 @@ mod tests {
                 out: &mut self.out,
             });
             let (size, slide, agg) = (self.op.size, self.op.slide, self.op.agg);
+            let mut keys: Vec<Key> = self.oracle.keys().copied().collect();
+            keys.sort_by_key(|&k| (self.unit_of(k), k));
             let mut expected = Vec::new();
-            let first_end = (self.oracle_last_fired / slide + 1) * slide;
-            if first_end <= wm {
-                let last_end = first_end + (wm - first_end) / slide * slide;
-                self.oracle_last_fired = last_end;
-                let fanout = self.state.fanout();
-                let mut keys: Vec<Key> = self.oracle.keys().copied().collect();
-                keys.sort_by_key(|&k| (key_group_of(k, 16), sub_group_of(k, 16, fanout), k));
-                for key in keys {
-                    let p = self.oracle.get_mut(&key).expect("listed");
-                    for end in (first_end..=last_end).step_by(slide as usize) {
+            let last_end = wm / slide * slide;
+            for key in keys {
+                let fired = self.oracle_fired[&self.unit_of(key)];
+                let p = self.oracle.get_mut(&key).expect("listed");
+                if fired < last_end {
+                    for end in (fired + slide..=last_end).step_by(slide as usize) {
                         if let Some((val, _)) = p.window_agg(end, size, agg) {
                             expected.push((key, val, end));
                         }
                     }
                     p.evict_before(last_end.saturating_sub(size));
                 }
+            }
+            for fired in self.oracle_fired.values_mut() {
+                *fired = (*fired).max(last_end);
             }
             let fired: Vec<(Key, i64, SimTime)> = self
                 .out
@@ -599,6 +607,7 @@ mod tests {
                 .collect();
             assert_eq!(fired, expected, "{ctx}, watermark {wm}: fired");
             self.check(ctx);
+            fired.into_iter().map(|(k, _, end)| (k, end)).collect()
         }
 
         fn check(&self, ctx: &str) {
@@ -628,20 +637,22 @@ mod tests {
     }
 
     /// Move sub-group `kg/sub` from `from` to `to`: the backend's unit via
-    /// `extract`/`install`, the oracle's keys by hand.
+    /// `extract`/`install`, the oracle's keys and progress by hand.
     fn migrate(from: &mut Subtask, to: &mut Subtask, kg: KeyGroup, sub: u8) {
         let unit = from.state.extract(kg, sub).expect("held");
         to.state.install(unit, true);
-        let fanout = from.state.fanout();
         let moved: Vec<Key> = from
             .oracle
             .keys()
             .copied()
-            .filter(|&k| key_group_of(k, 16) == kg && sub_group_of(k, 16, fanout) == sub)
+            .filter(|&k| from.unit_of(k) == (kg, sub))
             .collect();
         for k in moved {
             let p = from.oracle.remove(&k).expect("listed");
             to.oracle.insert(k, p);
+        }
+        if let Some(fired) = from.oracle_fired.remove(&(kg, sub)) {
+            to.oracle_fired.insert((kg, sub), fired);
         }
     }
 
@@ -685,8 +696,8 @@ mod tests {
     fn window_firing_matches_the_per_end_oracle() {
         // Random keys at fanout 1 and 4, every `Agg`, in-order, late and
         // out-of-order records, watermark steps of 0, < 1, 1 and many
-        // slides, and now and then a fresh subtask (`last_fired = 0`, as
-        // after a scale-out) taking over the state behind a far watermark.
+        // slides, and now and then a fresh subtask (as after a scale-out)
+        // taking over the state: it must re-fire nothing.
         for seed in 0..240u64 {
             let _case = OnPanic(format!(
                 "window_firing_matches_the_per_end_oracle seed {seed}"
@@ -696,19 +707,19 @@ mod tests {
             let mut task = Subtask::new(op, fanout, 0..16);
             let mut wm: SimTime = 0;
             for round in 0..40 {
-                for _ in 0..rng.below(24) {
-                    let rec = random_record(&mut rng, wm, &task.op);
-                    task.record(rec);
-                }
-                if rng.below(10) == 0 {
-                    task.restart();
-                }
-                wm += random_step(&mut rng, task.op.slide);
                 let op = &task.op;
                 let ctx = format!(
                     "seed {seed} round {round}: fanout {fanout}, {:?}, size {}, slide {}",
                     op.agg, op.size, op.slide
                 );
+                if rng.below(10) == 0 {
+                    task.restart(&ctx);
+                }
+                for _ in 0..rng.below(24) {
+                    let rec = random_record(&mut rng, wm, &task.op);
+                    task.record(rec);
+                }
+                wm += random_step(&mut rng, task.op.slide);
                 task.watermark(wm, &ctx);
             }
         }
@@ -717,9 +728,10 @@ mod tests {
     #[test]
     fn window_state_migrates_mid_stream() {
         // Sub-groups move between two subtasks mid-stream, at fanout 1 and
-        // 4: the receiver starts as a fresh `WindowAgg` (`last_fired = 0`)
-        // and keeps adding to and firing the moved state, later moves go
-        // either way, and both sides match their oracles throughout.
+        // 4: the receiver starts as a fresh `WindowAgg` and keeps adding to
+        // and firing the moved state, later moves go either way, both
+        // sides match their oracles throughout, and no `(key, end)` fires
+        // on both.
         for seed in 0..60u64 {
             let _case = OnPanic(format!("window_state_migrates_mid_stream seed {seed}"));
             let mut rng = simcore::DetRng::seed(seed ^ 0x5EED);
@@ -731,11 +743,11 @@ mod tests {
             ];
             let first_move = 5 + rng.below(10);
             let mut wm: SimTime = 0;
+            let mut fired = std::collections::BTreeSet::new();
             for round in 0..40 {
                 for _ in 0..rng.below(24) {
                     let rec = random_record(&mut rng, wm, &tasks[0].op);
-                    let kg = key_group_of(rec.key, 16);
-                    let sub = sub_group_of(rec.key, 16, fanout);
+                    let (kg, sub) = tasks[0].unit_of(rec.key);
                     let owner = usize::from(!tasks[0].state.holds(kg, sub));
                     tasks[owner].record(rec);
                 }
@@ -754,10 +766,9 @@ mod tests {
                 }
                 wm += random_step(&mut rng, tasks[0].op.slide);
                 for (i, task) in tasks.iter_mut().enumerate() {
-                    // The receiver sees no watermark before its first unit,
-                    // so its first firing starts from `last_fired = 0`.
-                    if i == 0 || round >= first_move {
-                        task.watermark(wm, &format!("seed {seed} round {round} subtask {i}"));
+                    let ctx = format!("seed {seed} round {round} subtask {i}");
+                    for pair in task.watermark(wm, &ctx) {
+                        assert!(fired.insert(pair), "{ctx}: {pair:?} fired twice");
                     }
                 }
             }

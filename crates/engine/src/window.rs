@@ -52,6 +52,15 @@
 //! variant, one pane per key per window, runs 6 % longer at equal peak
 //! RSS, since an add loads the boxed store and the row deque as well.
 //!
+//! # Firing progress
+//!
+//! Each [`PaneRows`] keeps the last end it fired, and [`PaneRows::fire`]
+//! fires from there to the watermark. The cursor moves with the rows, as
+//! Flink's event-time timers move with their key-group (Carbone et al.,
+//! "State Management in Apache Flink", VLDB 2017), so a migrated sub-group
+//! neither re-fires nor skips an end, and its ends only advance.
+//! `nominal_bytes` does not count it.
+//!
 //! # Firing partials
 //!
 //! Folding every row of every fired window reads each cell once per window
@@ -70,15 +79,15 @@
 //!   `last > lo`.
 //! - *When it rebuilds.* Every other window rebuilds the front stack over
 //!   `[lo, hi)` from the rows and empties the back: the first firing, the
-//!   flip when `lo` reaches `m`, `lo < f`, ends that go backwards
-//!   (`hi < h`, a subtask whose `last_fired` lags the rows it was given),
-//!   and dropped partials. An add into a slot below `h` drops them (the
-//!   record path's one compare), and so does a new key (checked at
-//!   firing, as a changed id count). Eviction raises `f` past the rows it
-//!   pops. Rebuilding is the only way partials are made, so they are a
-//!   pure function of the rows, the ids and `f`, `m`, `h`: they move with
-//!   the rows on `extract`/`install`, and `nominal_bytes` does not count
-//!   them.
+//!   flip when `lo` reaches `m`, and dropped partials. An add into a slot
+//!   below `h` drops them (the record path's one compare), and so does a
+//!   new key (checked at firing, as a changed id count). Eviction raises
+//!   `f` past the rows it pops. Since a sub-group's ends only advance (see
+//!   "Firing progress"), a window never starts below `f` nor ends at or
+//!   below `h`; debug builds assert both. Rebuilding is the only way
+//!   partials are made, so they are a pure function of the rows, the ids
+//!   and `f`, `m`, `h`: they move with the rows on `extract`/`install`,
+//!   and `nominal_bytes` does not count them.
 //! - *Memory.* At most (W + 2) × ids × 8 bytes per sub-group (W suffixes,
 //!   the back stack, `last`), at exact capacity. On Q7, with about 31 ids
 //!   in each of 128 sub-groups, that is about 700 kB.
@@ -233,7 +242,8 @@ struct Row {
 
 /// The window state of one sub-group in time-major rows (see the module
 /// docs): a key → dense-id map, the ids in key order, the sparse,
-/// slot-ascending rows, and the firing partials derived from them.
+/// slot-ascending rows, the firing partials derived from them, and the
+/// firing progress.
 #[derive(Clone, Debug, Default)]
 pub struct PaneRows {
     ids: FxHashMap<Key, KeyCell>,
@@ -241,6 +251,9 @@ pub struct PaneRows {
     order: Vec<(Key, u32)>,
     rows: VecDeque<Row>,
     parts: Partials,
+    /// The last window end fired, 0 before the first firing (see the
+    /// module docs' "Firing progress").
+    fired: SimTime,
 }
 
 /// Two-stack partials over a [`PaneRows`]' key ids (see the module docs'
@@ -330,25 +343,28 @@ impl PaneRows {
         self.ids.entry(key).or_insert_with(|| new_key(order, key));
     }
 
-    /// Fire the windows ending at `first_end, first_end + slide, ..=
-    /// last_end` (each of length `size`, every end a multiple of `slide`),
-    /// calling `emit(key, value, end)` for every (key, window) holding a
-    /// record — key by key in key order, ends ascending — then evict the
-    /// rows no window ending after `last_end` can need (those starting
-    /// before `last_end - size`). Returns the number of records evicted.
-    /// Each window comes from the firing partials, not from its rows.
+    /// Fire the windows (each of length `size`) ending after the last
+    /// fired end and at most at `watermark`, calling `emit(key, value,
+    /// end)` for every (key, window) holding a record — key by key in key
+    /// order, ends ascending — then evict the rows no later window can
+    /// need (those starting before the last end minus `size`). Returns the
+    /// number of records evicted. Each window comes from the firing
+    /// partials, not from its rows.
     // checker:hot-path
-    #[allow(clippy::too_many_arguments)]
     pub fn fire(
         &mut self,
-        first_end: SimTime,
-        last_end: SimTime,
+        watermark: SimTime,
         slide: SimTime,
         size: SimTime,
         agg: Agg,
         scratch: &mut FireScratch,
         mut emit: impl FnMut(Key, i64, SimTime),
     ) -> u64 {
+        let (first_end, last_end) = (self.fired + slide, watermark / slide * slide);
+        if first_end > last_end {
+            return 0;
+        }
+        self.fired = last_end;
         // Only ends after the first row's start and at most `size` past the
         // last row's start can see a row.
         if let (Some(front), Some(back)) = (self.rows.front(), self.rows.back()) {
@@ -458,8 +474,9 @@ impl FireScratch {
 impl Partials {
     /// Write the window of the rows in `slots` into `acc` and `seen`, one
     /// entry each per id. Advances the back stack over the rows it has not
-    /// folded when the window starts in the front stack and ends at or
-    /// past the back's end; rebuilds otherwise.
+    /// folded when the window starts in the front stack; rebuilds
+    /// otherwise. Windows come in advancing order: a later one starts no
+    /// lower and ends higher.
     #[inline(always)]
     fn window(
         &mut self,
@@ -471,10 +488,14 @@ impl Partials {
         merge: impl Fn(i64, i64) -> i64 + Copy,
     ) {
         let (lo, hi, n) = (slots.start, slots.end, acc.len());
+        debug_assert!(
+            lo >= self.f && hi > self.h,
+            "a sub-group's ends only advance"
+        );
         let built = self.h > 0 && self.back.len() == n;
-        if !built || lo < self.f || lo >= self.m || hi < self.h {
+        if !built || lo >= self.m {
             self.rebuild(rows, slots, n, identity, merge);
-        } else if hi > self.h {
+        } else {
             // The rows not folded yet are the newest ones: look from the
             // back, where the record path keeps the rows warm.
             let first = rows
@@ -704,11 +725,22 @@ mod tests {
         assert_eq!(rows.counts().collect::<Vec<_>>(), vec![(4, 4), (9, 10)]);
         let mut scratch = FireScratch::default();
         let mut fired = Vec::new();
-        let evicted = rows.fire(400, 600, 100, 300, Agg::Sum, &mut scratch, |k, v, end| {
-            fired.push((k, v, end))
-        });
-        // Key 4 first: [100, 400) and [200, 500) hold 5*2 - 1; [300, 600)
+        let mut fire = |rows: &mut PaneRows, wm, fired: &mut Vec<_>| {
+            rows.fire(wm, 100, 300, Agg::Sum, &mut scratch, |k, v, end| {
+                fired.push((k, v, end))
+            })
+        };
+        // Watermark 300 fires the ends 100, 200 and 300 and evicts nothing.
+        assert_eq!(fire(&mut rows, 300, &mut fired), 0);
+        assert_eq!(
+            fired,
+            vec![(4, 9, 300), (9, 0, 100), (9, 1, 200), (9, 3, 300)]
+        );
+        fired.clear();
+        // Watermark 650 fires 400, 500 and 600, never 300 again. Key 4
+        // first: [100, 400) and [200, 500) hold 5*2 - 1; [300, 600)
         // nothing. Key 9: 1+2+3, 2+3+4, 3+4+5.
+        let evicted = fire(&mut rows, 650, &mut fired);
         let expected = vec![
             (4, 9, 400),
             (4, 9, 500),
@@ -720,18 +752,31 @@ mod tests {
         // Rows 0, 100 and 200 go: three records of key 9, three of key 4.
         assert_eq!(evicted, 6);
         assert_eq!(rows.counts().collect::<Vec<_>>(), vec![(4, 1), (9, 7)]);
+        // A watermark short of the next end fires and evicts nothing.
+        assert_eq!(fire(&mut rows, 699, &mut fired), 0);
+        assert_eq!(fired.len(), 5);
+        fired.clear();
+        // A watermark past every row fires the ends that still see one
+        // (up to 900 + 300) and evicts everything; the keys stay
+        // registered.
+        let evicted = fire(&mut rows, 2_000, &mut fired);
+        let expected = vec![
+            (4, 1, 800),
+            (4, 1, 900),
+            (4, 1, 1_000),
+            (9, 15, 700),
+            (9, 18, 800),
+            (9, 21, 900),
+            (9, 24, 1_000),
+            (9, 17, 1_100),
+            (9, 9, 1_200),
+        ];
+        assert_eq!((evicted, &fired), (8, &expected));
+        assert_eq!(rows.counts().collect::<Vec<_>>(), vec![(4, 0), (9, 0)]);
         assert!(
             scratch.seen.iter().all(|&s| !s),
             "flags clear between firings"
         );
-        // An end past every row emits nothing and evicts everything; the
-        // keys stay registered.
-        let mut any = false;
-        let evicted = rows.fire(2_000, 2_000, 100, 300, Agg::Sum, &mut scratch, |_, _, _| {
-            any = true
-        });
-        assert_eq!((evicted, any), (8, false));
-        assert_eq!(rows.counts().collect::<Vec<_>>(), vec![(4, 0), (9, 0)]);
     }
 
     #[test]
@@ -758,7 +803,7 @@ mod tests {
         assert_eq!(rows.rows[0].cells.len(), 4);
         let mut scratch = FireScratch::default();
         let mut fired = Vec::new();
-        let evicted = rows.fire(100, 300, 100, 100, Agg::Max, &mut scratch, |k, v, end| {
+        let evicted = rows.fire(300, 100, 100, Agg::Max, &mut scratch, |k, v, end| {
             fired.push((k, v, end))
         });
         assert_eq!(fired, vec![(1, 99, 100), (1, 7, 300), (2, 0, 100)]);
@@ -776,10 +821,12 @@ mod tests {
     }
 
     /// One [`PaneRows`] and its oracle, a [`PaneSet`] per key, fed the same
-    /// records and fired at the same ends.
+    /// records and the same watermarks.
     struct Twin {
         rows: PaneRows,
         oracle: std::collections::BTreeMap<Key, PaneSet>,
+        /// The oracle's last fired end.
+        oracle_fired: SimTime,
         scratch: FireScratch,
         slide: SimTime,
         size: SimTime,
@@ -793,6 +840,7 @@ mod tests {
             Twin {
                 rows: PaneRows::default(),
                 oracle: Default::default(),
+                oracle_fired: 0,
                 scratch: FireScratch::default(),
                 slide,
                 size,
@@ -808,32 +856,32 @@ mod tests {
             p.add(t, value, count as u64, slide, agg);
         }
 
-        /// Fire `first_end..=last_end` on both; every `(key, value, end)`
-        /// must match the oracle's fresh fold, in order.
-        fn fire(&mut self, first_end: SimTime, last_end: SimTime, ctx: &str) {
+        /// Advance both to `watermark`: the ends it passes after the last
+        /// fired one fire, and every `(key, value, end)` must match the
+        /// oracle's fresh fold, in order.
+        fn fire(&mut self, watermark: SimTime, ctx: &str) {
             let (slide, size, agg) = (self.slide, self.size, self.agg);
             let m = self.rows.parts.m;
             let mut fired = Vec::new();
-            self.rows.fire(
-                first_end,
-                last_end,
-                slide,
-                size,
-                agg,
-                &mut self.scratch,
-                |k, v, e| fired.push((k, v, e)),
-            );
+            self.rows
+                .fire(watermark, slide, size, agg, &mut self.scratch, |k, v, e| {
+                    fired.push((k, v, e))
+                });
             self.flips += u32::from(self.rows.parts.m != m);
+            let (first_end, last_end) = (self.oracle_fired + slide, watermark / slide * slide);
             let mut expected = Vec::new();
-            for (&key, p) in &mut self.oracle {
-                for end in (first_end..=last_end).step_by(slide as usize) {
-                    if let Some((v, _)) = p.window_agg(end, size, agg) {
-                        expected.push((key, v, end));
+            if first_end <= last_end {
+                self.oracle_fired = last_end;
+                for (&key, p) in &mut self.oracle {
+                    for end in (first_end..=last_end).step_by(slide as usize) {
+                        if let Some((v, _)) = p.window_agg(end, size, agg) {
+                            expected.push((key, v, end));
+                        }
                     }
+                    p.evict_before(last_end.saturating_sub(size));
                 }
-                p.evict_before(last_end.saturating_sub(size));
             }
-            assert_eq!(fired, expected, "{ctx}: fired {first_end}..={last_end}");
+            assert_eq!(fired, expected, "{ctx}: fired at watermark {watermark}");
         }
     }
 
@@ -843,8 +891,8 @@ mod tests {
         // merge functions. Each shape runs: single-slide firings with
         // records arriving ahead of the watermark (several flips), late
         // adds into a front and a back slot, a multi-end firing, a new
-        // key between firings, and ends going backwards (a restarted
-        // subtask refiring from an earlier end).
+        // key between firings, a watermark that passes no end, and one
+        // between two slides.
         for (slide, w) in [(10, 20), (100, 1)] {
             for agg in [Agg::Max, Agg::Sum] {
                 let seed = slide ^ w;
@@ -865,7 +913,7 @@ mod tests {
                     let ahead = end + 2 * slide + rng.below(slide);
                     let v = value(&mut rng);
                     t.add(1 + rng.below(4), ahead, v, 1);
-                    t.fire(end, end, &format!("{ctx}, single end {end}"));
+                    t.fire(end, &format!("{ctx}, single end {end}"));
                     end += slide;
                 }
                 assert!(t.flips >= 3, "{ctx}: {} flips", t.flips);
@@ -878,23 +926,26 @@ mod tests {
                 }
                 t.add(2, front_slot * slide, 99, 1);
                 assert_eq!(t.rows.parts.h, 0, "{ctx}: a front add drops the partials");
-                t.fire(end, end, &format!("{ctx}, after a front add"));
+                t.fire(end, &format!("{ctx}, after a front add"));
                 end += slide;
                 t.add(3, back_slot * slide + 1, 99, 1);
                 assert_eq!(t.rows.parts.h, 0, "{ctx}: a back add drops the partials");
-                t.fire(end, end, &format!("{ctx}, after a back add"));
+                t.fire(end, &format!("{ctx}, after a back add"));
                 end += slide;
                 // One multi-end firing.
-                t.fire(end, end + 6 * slide, &format!("{ctx}, multi-end"));
+                t.fire(end + 6 * slide, &format!("{ctx}, multi-end"));
                 end += 7 * slide;
                 // A new key between firings.
                 t.add(77, end - slide / 2, 60, 2);
-                t.fire(end, end + slide, &format!("{ctx}, after a new key"));
+                t.fire(end + slide, &format!("{ctx}, after a new key"));
                 end += 2 * slide;
-                // Ends going backwards, then forward again.
-                let back_to = end - (w + 2) * slide;
-                t.fire(back_to, end - slide, &format!("{ctx}, backwards"));
-                t.fire(end, end + 3 * slide, &format!("{ctx}, forward again"));
+                // A watermark short of the next end fires nothing, and one
+                // between two slides fires up to the slide below it.
+                t.fire(end - 1, &format!("{ctx}, no end passed"));
+                t.fire(
+                    end + 3 * slide + slide / 2,
+                    &format!("{ctx}, between slides"),
+                );
             }
         }
     }

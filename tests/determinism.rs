@@ -538,22 +538,16 @@ fn q7_fired_window_values_keep_their_hash() {
         (
             ms(500),
             (
-                7701435001513146586,
-                194303,
-                17945457377082109604,
-                393666,
-                194303,
+                18121975167903792679,
+                189926,
+                11760264993078218346,
+                389217,
+                189926,
             ),
         ),
         (
             secs(10),
-            (
-                5929526279398281978,
-                9428,
-                16693296595622369329,
-                188300,
-                9428,
-            ),
+            (6218260372869718989, 7940, 8185223629459394941, 186786, 7940),
         ),
     ] {
         let got = tapped_q7(slide);

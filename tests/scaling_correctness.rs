@@ -2,14 +2,21 @@
 //! the invariants the paper claims (semantics preservation, state
 //! conservation, completion).
 
+use std::sync::{Arc, Mutex};
+
 use drrs_repro::baselines::{
     megaphone, otfs_all_at_once, otfs_fluid, MecesPlugin, StopRestartPlugin, UnboundPlugin,
 };
 use drrs_repro::drrs::{FlexScaler, MechanismConfig};
+use drrs_repro::engine::graph::{EdgeKind, JobBuilder};
+use drrs_repro::engine::operator::{OpCtx, OperatorLogic, WindowAgg, WmCtx};
+use drrs_repro::engine::record::Record;
+use drrs_repro::engine::window::Agg;
 use drrs_repro::engine::world::tests_support::tiny_job;
 use drrs_repro::engine::world::Sim;
-use drrs_repro::engine::{EngineConfig, ScalePlugin};
+use drrs_repro::engine::{EngineConfig, Key, NoScale, ScalePlugin};
 use drrs_repro::sim::time::{ms, secs, SimTime};
+use drrs_repro::workloads::nexmark::{nexmark_engine_config, BidGen};
 
 fn scaled_run(plugin: Box<dyn ScalePlugin>, horizon: u64) -> Sim {
     let (mut w, agg) = tiny_job(EngineConfig::test(), 4_000.0, 512, 2);
@@ -250,5 +257,108 @@ fn every_moved_unit_has_exactly_one_owner() {
             }
         }
         assert_eq!(units.outstanding(), 0, "{name}: units left outstanding");
+    }
+}
+
+/// Wraps a [`WindowAgg`] and collects every `(key, end, value)` it fires
+/// with an end at or before `cut`, across all subtasks.
+struct FireTap {
+    inner: WindowAgg,
+    cut: SimTime,
+    fired: Arc<Mutex<Vec<(Key, SimTime, i64)>>>,
+}
+
+impl OperatorLogic for FireTap {
+    fn on_record(&mut self, ctx: &mut OpCtx<'_>, rec: &Record) {
+        self.inner.on_record(ctx, rec);
+    }
+    fn on_watermark(&mut self, ctx: &mut WmCtx<'_>) {
+        let before = ctx.out.len();
+        self.inner.on_watermark(ctx);
+        let mut fired = self.fired.lock().expect("tap lock");
+        let new = ctx.out[before..]
+            .iter()
+            .filter(|r| r.event_time <= self.cut);
+        fired.extend(new.map(|r| (r.key, r.event_time, r.value)));
+    }
+    fn service_time(&self) -> SimTime {
+        self.inner.service_time()
+    }
+    fn watermark_cost(&self) -> SimTime {
+        self.inner.watermark_cost()
+    }
+}
+
+/// A Q7-shaped job: two bid sources at 5 k tps each, a 10 s / 500 ms
+/// window maximum at parallelism 8 behind a [`FireTap`], and a sink. With
+/// `scale` the window goes 8 → 12 at 16 s under `plugin`. Runs to 45 s and
+/// returns the windows fired with ends at or before 40 s, sorted.
+fn q7_firings(plugin: Box<dyn ScalePlugin>, scale: bool) -> Vec<(Key, SimTime, i64)> {
+    let fired = Arc::new(Mutex::new(Vec::new()));
+    let mut b = JobBuilder::new(nexmark_engine_config(1));
+    let src = b.source(
+        "bids",
+        2,
+        Box::new(|i| Box::new(BidGen::new(5_000.0, 4_000, 0x0B1D + i as u64, 4))),
+    );
+    let tap = fired.clone();
+    let window = b.operator(
+        "window-max",
+        8,
+        Box::new(move || {
+            Box::new(FireTap {
+                inner: WindowAgg::new(secs(10), ms(500), Agg::Max, 330, 4_000),
+                cut: secs(40),
+                fired: tap.clone(),
+            })
+        }),
+    );
+    let sink = b.sink("sink", 1);
+    b.connect(src, window, EdgeKind::Keyed);
+    b.connect(window, sink, EdgeKind::Rebalance);
+    let mut w = b.build();
+    if scale {
+        w.schedule_scale(secs(16), window, 12);
+    }
+    Sim::new(w, plugin).run_until(secs(45));
+    let mut fired = std::mem::take(&mut *fired.lock().expect("tap lock"));
+    fired.sort_unstable();
+    fired
+}
+
+#[test]
+fn every_window_fires_exactly_once_under_every_mechanism() {
+    // A window's firing progress is window state and moves with its
+    // sub-group, so under every mechanism each `(key, end)` fires at most
+    // once, and only if the no-scale twin fires it too. Megaphone and
+    // Meces also fire every window with the twin's value.
+    let window = |&(key, end, _): &(Key, SimTime, i64)| (key, end);
+    let twice = |fired: &[(Key, SimTime, i64)]| {
+        let pairs = fired.windows(2);
+        pairs.filter(|p| window(&p[0]) == window(&p[1])).count()
+    };
+    let twin = q7_firings(Box::new(NoScale), false);
+    assert_eq!(twice(&twin), 0, "no-scale: windows fired twice");
+    let mut all = semantic_mechanisms();
+    all.push(("Meces", Box::new(MecesPlugin::new())));
+    for (name, plugin) in all {
+        let fired = q7_firings(plugin, true);
+        let extra = fired
+            .iter()
+            .filter(|&f| twin.binary_search_by_key(&window(f), window).is_err())
+            .count();
+        assert_eq!(
+            (twice(&fired), extra),
+            (0, 0),
+            "{name}: windows fired twice, windows the no-scale twin never fires"
+        );
+        if matches!(name, "Megaphone" | "Meces") {
+            let differ = twin.iter().filter(|t| fired.binary_search(t).is_err());
+            assert_eq!(
+                differ.count(),
+                0,
+                "{name}: windows missing or unlike the twin's"
+            );
+        }
     }
 }
