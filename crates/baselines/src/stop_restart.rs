@@ -54,9 +54,9 @@ impl ScalePlugin for StopRestartPlugin {
         self.done = false;
         let now = w.now();
         w.scale.metrics.inject_plan(&plan.moves, now);
-        // Global halt, then checkpoint *all* operators' state (the paper's
+        // Global stop, then checkpoint *all* operators' state (the paper's
         // point: even non-scaling operators pay), write + restore.
-        w.halt_all();
+        w.pause();
         let total_bytes: u64 = w.insts.iter().map(|i| i.state.total_bytes()).sum();
         let ckpt = (total_bytes as f64 / w.cfg.ser_bytes_per_us).ceil() as SimTime;
         let restore = ckpt; // read + deserialize symmetric
@@ -77,7 +77,7 @@ impl ScalePlugin for StopRestartPlugin {
             w.restore_group(m.from, m.to, m.kg);
         }
         self.done = true;
-        w.resume_all();
+        w.resume();
     }
 
     fn admits_whole_run(&self, _w: &World, _inst: InstId) -> bool {

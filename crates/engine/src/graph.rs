@@ -68,9 +68,9 @@ const NO_SLOT: u32 = u32::MAX;
 ///
 /// Per-record lookups — routing table of the sender, channel of a
 /// `(from, to)` pair — are two dense index reads plus one matrix read, no
-/// hashing. The dense index is derived from an append-only wiring log and
-/// rebuilt only on scale events (build time, scale-out channel wiring), so
-/// sender/receiver slots are compacted per edge and stable across rebuilds.
+/// hashing. The dense index is derived from a wiring log and rebuilt only
+/// on scale events (build time, scale-out wiring, retirement unwiring), so
+/// sender/receiver slots are compacted per edge.
 pub struct EdgeRt {
     /// Edge id.
     pub id: EdgeId,
@@ -80,8 +80,8 @@ pub struct EdgeRt {
     pub to: OpId,
     /// Partitioning.
     pub kind: EdgeKind,
-    /// Append-only wiring log: every `(from, to, channel)` ever created on
-    /// this edge, in creation order. Source of truth for rebuilds.
+    /// Wiring log: every wired `(from, to, channel)` on this edge, in
+    /// creation order. Source of truth for rebuilds.
     wiring: Vec<(InstId, InstId, ChannelId)>,
     /// Global `InstId` → compacted sender slot (`NO_SLOT` = not a sender).
     from_slot: Vec<u32>,
@@ -120,11 +120,18 @@ impl EdgeRt {
         self.wiring.push((from, to, ch));
     }
 
+    /// Forget an unwired channel, if it is on this edge, and rebuild.
+    pub fn remove_channel(&mut self, ch: ChannelId, n_insts: usize) {
+        self.wiring.retain(|&(_, _, c)| c != ch);
+        self.rebuild_index(n_insts);
+    }
+
     /// Recompute the compacted slots and channel matrix from the wiring
     /// log. `n_insts` is the world's current instance count (slot vectors
     /// are indexed by global `InstId`). Slot assignment follows wiring
-    /// discovery order, so existing instances keep their slots across
-    /// rebuilds and routing tables survive in place.
+    /// discovery order, and each sender's routing table moves with it to
+    /// its new slot; a sender left with no channel loses its slot and its
+    /// table.
     pub fn rebuild_index(&mut self, n_insts: usize) {
         // Remember which instance owned each sender slot, to carry tables.
         let mut old_slot_inst: Vec<Option<InstId>> = vec![None; self.tables.len()];
@@ -156,9 +163,8 @@ impl EdgeRt {
         }
         let mut tables = vec![None; from_len as usize];
         for (old_slot, inst) in old_slot_inst.into_iter().enumerate() {
-            if let Some(inst) = inst {
-                let new_slot = self.from_slot[inst.0 as usize];
-                debug_assert_ne!(new_slot, NO_SLOT, "wired sender lost its slot");
+            let new_slot = inst.map_or(NO_SLOT, |i| self.from_slot[i.0 as usize]);
+            if new_slot != NO_SLOT {
                 tables[new_slot as usize] = self.tables[old_slot].take();
             }
         }
@@ -310,6 +316,8 @@ impl JobBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ids::KeyGroup;
+    use crate::keygroup::RoutingTable;
     use crate::operator::Relay;
 
     #[test]
@@ -325,6 +333,37 @@ mod tests {
         assert_eq!(s, OpId(0));
         assert_eq!(t, OpId(1));
         assert_eq!(k, OpId(2));
+    }
+
+    #[test]
+    fn removing_channels_keeps_the_other_slots_and_tables() {
+        // Senders 0 and 1, receivers 2 and 3, channel ids 10 + 2 * from + to.
+        let mut e = EdgeRt::new(EdgeId(0), OpId(0), OpId(1), EdgeKind::Keyed);
+        let (senders, receivers) = ([InstId(0), InstId(1)], [InstId(2), InstId(3)]);
+        let id = |f: InstId, t: InstId| ChannelId(10 + 2 * f.0 + t.0);
+        for f in senders {
+            for t in receivers {
+                e.add_channel(f, t, id(f, t));
+            }
+        }
+        e.rebuild_index(4);
+        let table = |to: InstId| RoutingTable::uniform(4, &[to]);
+        e.set_table(senders[0], table(receivers[0]));
+        e.set_table(senders[1], table(receivers[1]));
+        // Sender 0 loses all its channels: its slot and table go.
+        for t in receivers {
+            e.remove_channel(id(senders[0], t), 4);
+        }
+        assert_eq!(e.channel(senders[0], receivers[0]), None);
+        assert!(e.table(senders[0]).is_none());
+        let kept = e.table(senders[1]).expect("table moved with its sender");
+        assert_eq!(kept.route(KeyGroup(0)), receivers[1]);
+        // Receiver 2 loses its last channel; receiver 3 keeps its own.
+        e.remove_channel(id(senders[1], receivers[0]), 4);
+        assert_eq!(e.channel(senders[1], receivers[0]), None);
+        let last = (senders[1], receivers[1]);
+        assert_eq!(e.channel_of(last.0, last.1), id(last.0, last.1));
+        assert_eq!(e.tables().count(), 1);
     }
 
     #[test]

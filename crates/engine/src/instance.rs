@@ -317,6 +317,40 @@ impl SourceState {
     }
 }
 
+/// Where an instance is in its life. Built instances start `Running`; a
+/// scale-out deploys new ones; a scale-in drains the tail ones, then
+/// retires them: unwired, they never run again.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Life {
+    /// Its container initializes until the given time.
+    Deploying(SimTime),
+    /// Running.
+    Running,
+    /// Being removed by a scale-in: it runs what it was sent but receives
+    /// no new traffic.
+    Draining,
+    /// Drained and unwired.
+    Retired,
+}
+
+impl Life {
+    /// May the instance run at `now`?
+    #[inline]
+    pub fn runs(self, now: SimTime) -> bool {
+        match self {
+            Life::Deploying(until) => until <= now,
+            Life::Running | Life::Draining => true,
+            Life::Retired => false,
+        }
+    }
+
+    /// May round-robin routing send it new traffic at `now`?
+    #[inline]
+    pub fn takes_new(self, now: SimTime) -> bool {
+        self != Life::Draining && self.runs(now)
+    }
+}
+
 /// One physical operator instance.
 pub struct Instance {
     /// Global instance id.
@@ -351,10 +385,8 @@ pub struct Instance {
     pub suspended_total: SimTime,
     /// Emission sequence counter (stamps record origins).
     pub emit_seq: u64,
-    /// Halted by Stop-Checkpoint-Restart.
-    pub halted: bool,
-    /// When this instance becomes operational (deploy delay).
-    pub operational_at: SimTime,
+    /// Deploying, running, draining or retired.
+    pub life: Life,
     /// Round-robin cursors per out-edge for rebalance partitioning and
     /// marker forwarding, indexed densely by edge id (edge count is fixed
     /// at build time; a hash lookup per emitted record is pure overhead).
@@ -383,8 +415,7 @@ impl Instance {
             suspended_since: None,
             suspended_total: 0,
             emit_seq: 0,
-            halted: false,
-            operational_at: 0,
+            life: Life::Running,
             rr_cursor: Vec::new(),
             processed: 0,
         }

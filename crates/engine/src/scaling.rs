@@ -22,7 +22,7 @@ use crate::world::World;
 pub struct ScalePlan {
     /// The scaling operator.
     pub op: OpId,
-    /// Parallelism before scaling.
+    /// Parallelism before scaling (set when the plan starts).
     pub old_parallelism: usize,
     /// Parallelism after scaling.
     pub new_parallelism: usize,
@@ -418,78 +418,9 @@ impl UnitLedger {
     }
 }
 
-/// The set of instances being retired by a scale-in. Membership is probed
-/// once per routed record on rebalance/broadcast edges while a scale-in
-/// drains, so the test is a fixed-size bitset read keyed by the (dense)
-/// instance index — O(1) instead of the former `Vec` scan, which mattered
-/// once operators with hundreds of instances became a target. The ordered
-/// list is kept alongside for the (cold) retirement sweep.
-#[derive(Default)]
-pub struct RetiringSet {
-    /// Retiring instances in retirement order (cold-path iteration).
-    list: Vec<InstId>,
-    /// Bitset over dense instance indices (hot-path membership).
-    bits: Vec<u64>,
-}
-
-impl RetiringSet {
-    /// Is `i` retiring? One word read + mask — the per-routed-record probe.
-    #[inline]
-    pub fn contains(&self, i: InstId) -> bool {
-        self.bits
-            .get((i.0 / 64) as usize)
-            .is_some_and(|w| w & (1u64 << (i.0 % 64)) != 0)
-    }
-
-    /// Replace the whole set (scale-in start). The bitset is sized once to
-    /// cover the highest instance index and never grows mid-drain.
-    pub fn assign(&mut self, ids: &[InstId]) {
-        self.clear();
-        for &i in ids {
-            self.insert(i);
-        }
-    }
-
-    /// Add one instance.
-    pub fn insert(&mut self, i: InstId) {
-        if self.contains(i) {
-            return;
-        }
-        let w = (i.0 / 64) as usize;
-        if self.bits.len() <= w {
-            self.bits.resize(w + 1, 0);
-        }
-        self.bits[w] |= 1u64 << (i.0 % 64);
-        self.list.push(i);
-    }
-
-    /// Remove one instance (it finished draining and was halted).
-    pub fn remove(&mut self, i: InstId) {
-        if let Some(w) = self.bits.get_mut((i.0 / 64) as usize) {
-            *w &= !(1u64 << (i.0 % 64));
-        }
-        self.list.retain(|&x| x != i);
-    }
-
-    /// Drop everything.
-    pub fn clear(&mut self) {
-        self.list.clear();
-        self.bits.iter_mut().for_each(|w| *w = 0);
-    }
-
-    /// No instance is retiring.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.list.is_empty()
-    }
-
-    /// Retiring instances in retirement order.
-    pub fn iter(&self) -> impl Iterator<Item = InstId> + '_ {
-        self.list.iter().copied()
-    }
-}
-
-/// Engine-side scaling context shared by all mechanisms.
+/// Engine-side scaling context shared by all mechanisms. Which instances a
+/// scale deploys or drains is each instance's own
+/// [`Life`](crate::instance::Life), not kept here.
 #[derive(Default)]
 pub struct ScaleContext {
     /// Monotonic scale-operation counter.
@@ -498,9 +429,6 @@ pub struct ScaleContext {
     pub plan: Option<ScalePlan>,
     /// Instances created by the current scale.
     pub new_instances: Vec<InstId>,
-    /// Instances being removed by the current scale-in (they stop receiving
-    /// new traffic immediately and are halted once drained).
-    pub retiring: RetiringSet,
     /// Migration link per sending instance, by `InstId.0` (grown on an
     /// instance's first send).
     pub links: Vec<LinkQueue>,

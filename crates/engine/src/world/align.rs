@@ -201,9 +201,9 @@ mod tests {
         b.connect(s2, agg, EdgeKind::Keyed);
         b.connect(agg, sink, EdgeKind::Rebalance);
         let mut w = b.build();
-        // Halt source 2: its watermarks stop flowing.
-        let s2i = w.ops[s2.0 as usize].instances[0];
-        w.insts[s2i.0 as usize].halted = true;
+        // Hold source 2's channel: its watermarks stop arriving.
+        let ch = w.insts[w.ops[s2.0 as usize].instances[0].0 as usize].out_channels[0];
+        w.chans[ch.0 as usize].holds = 1;
         let mut sim = Sim::new(w, Box::new(NoScale));
         sim.run_until(secs(3));
         let aggi = sim.world.ops[agg.0 as usize].instances[0];
@@ -211,9 +211,9 @@ mod tests {
             sim.world.insts[aggi.0 as usize].watermark, 0,
             "watermark advanced past a silent channel"
         );
-        // Un-halt: the watermark catches up.
-        sim.world.insts[s2i.0 as usize].halted = false;
-        sim.world.wake(s2i);
+        // Release it: the watermark catches up.
+        sim.world.chans[ch.0 as usize].holds = 0;
+        sim.world.wake(aggi);
         sim.run_until(secs(6));
         assert!(sim.world.insts[aggi.0 as usize].watermark > secs(3));
     }

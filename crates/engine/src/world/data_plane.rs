@@ -232,12 +232,12 @@ impl World {
 
     /// May round-robin routing send to `i` at `now`? Freshly deployed
     /// instances must not swallow traffic (or markers) while their
-    /// container is still initializing, and retiring instances receive
-    /// nothing new; the retiring probe is a bitset read.
+    /// container is still initializing, and draining instances receive
+    /// nothing new: one read of `i`'s [`Life`](crate::instance::Life).
     // checker:hot-path
     #[inline]
     fn eligible(&self, i: InstId, now: SimTime) -> bool {
-        self.insts[i.0 as usize].operational_at <= now && !self.scale.retiring.contains(i)
+        self.insts[i.0 as usize].life.takes_new(now)
     }
 
     /// Emit one record produced by `inst` (stamps the origin sequence).
@@ -353,6 +353,7 @@ mod tests {
     use simcore::time::secs;
 
     use super::*;
+    use crate::instance::Life;
     use crate::scaling::NoScale;
     use crate::world::tests_support::{run_until_one_at_a_time, tiny_job};
 
@@ -447,16 +448,17 @@ mod tests {
             .collect()
     }
 
-    /// A silent tiny job plus its source's first out channel, with that
-    /// channel's receiver optionally halted so delivered elements stay
-    /// queued where a test can read them.
-    fn burst_fixture(net_latency: SimTime, halt_receiver: bool) -> (World, ChannelId) {
+    /// A silent tiny job plus its source's first out channel, with the
+    /// world optionally paused so delivered elements stay queued where a
+    /// test can read them.
+    fn burst_fixture(net_latency: SimTime, pause: bool) -> (World, ChannelId) {
         let mut cfg = EngineConfig::test();
         cfg.net_latency = net_latency;
         let (mut w, _) = tiny_job(cfg, 0.0, 16, 2);
+        if pause {
+            w.pause();
+        }
         let ch = w.insts[0].out_channels[0];
-        let to = w.chans[ch.0 as usize].to;
-        w.insts[to.0 as usize].halted = halt_receiver;
         (w, ch)
     }
 
@@ -659,7 +661,7 @@ mod tests {
     // -----------------------------------------------------------------
 
     /// A relay whose one out edge is a Rebalance edge into four sinks:
-    /// sink 1 still deploying, sink 2 retiring, every sink halted so that
+    /// sink 1 still deploying, sink 2 draining, the world paused so that
     /// delivered elements stay queued. Returns the world, the relay
     /// instance, the edge and the sinks.
     fn fan_fixture() -> (World, InstId, EdgeId, Vec<InstId>) {
@@ -677,11 +679,9 @@ mod tests {
         let from = w.ops[relay.0 as usize].instances[0];
         let eid = w.ops[relay.0 as usize].out_edges[0];
         let sinks = w.ops[sink.0 as usize].instances.clone();
-        for &s in &sinks {
-            w.insts[s.0 as usize].halted = true;
-        }
-        w.insts[sinks[1].0 as usize].operational_at = secs(1);
-        w.scale.retiring.insert(sinks[2]);
+        w.pause();
+        w.insts[sinks[1].0 as usize].life = Life::Deploying(secs(1));
+        w.insts[sinks[2].0 as usize].life = Life::Draining;
         (w, from, eid, sinks)
     }
 
@@ -742,8 +742,9 @@ mod tests {
     #[should_panic(expected = "no eligible destination")]
     fn a_record_with_no_eligible_destination_is_a_debug_panic() {
         let (mut w, from, _, sinks) = fan_fixture();
-        w.scale.retiring.insert(sinks[0]);
-        w.scale.retiring.insert(sinks[3]);
+        for s in [sinks[0], sinks[3]] {
+            w.insts[s.0 as usize].life = Life::Draining;
+        }
         w.emit_one(from, Record::data(1, 1, 0));
     }
 
@@ -752,8 +753,9 @@ mod tests {
     #[should_panic(expected = "no eligible destination")]
     fn a_batch_with_no_eligible_destination_is_a_debug_panic() {
         let (mut w, from, _, sinks) = fan_fixture();
-        w.scale.retiring.insert(sinks[0]);
-        w.scale.retiring.insert(sinks[3]);
+        for s in [sinks[0], sinks[3]] {
+            w.insts[s.0 as usize].life = Life::Draining;
+        }
         w.invoke(from, |_, _, out| {
             out.extend((0..2).map(|k| Record::data(k, k as i64, 0)));
         });

@@ -10,7 +10,8 @@
 //! * `process` — source ticks, input selection, quanta, operator
 //!   invocation and busy periods;
 //! * `scale_ctl` — scale requests, deployment, re-routing, migration links,
-//!   retirement and stop-restart;
+//!   retirement (a drained instance's channels are unwired) and the
+//!   stop-restart pause;
 //! * `align` — watermarks, and the one alignment primitive that holds input
 //!   channels for checkpoint and coupled scaling barriers;
 //! * `cross` — PDES region-crossing traffic (PDES is the region-partitioned
@@ -41,7 +42,8 @@
 //! * quantum record buffers are recycled through `run_buf_pool`,
 //! * round-robin routing scans the destination list in place instead of
 //!   collecting eligible instances, cursors are dense per-edge slots, and
-//!   the scale-in retiring probe is a bitset read,
+//!   eligibility is one read of the destination's `life` (a retired
+//!   instance is not even on the list: its channels are unwired),
 //! * channel queues, the arena and the future-event list are pre-sized at
 //!   build time.
 //!
@@ -155,6 +157,8 @@ pub struct World {
     dest_scratch: Vec<ChannelId>,
     /// Alignments in progress, one per `(instance, barrier)` ([`Self::align`]).
     aligning: Vec<align::Alignment>,
+    /// Stop-restart's global stop ([`Self::pause`]).
+    paused: bool,
     /// Next checkpoint id.
     next_ckpt: u64,
     /// Suspension series tracks instances of this op (set at scale time;
@@ -253,6 +257,34 @@ fn wire_channel(
 }
 
 impl World {
+    /// Remove channel `ch` from the topology, the inverse of
+    /// [`wire_channel`]: it leaves its edge and both endpoints' lists, and
+    /// its slot in [`Self::chans`] stays as an empty tombstone, so ids stay
+    /// valid indices. It must be quiet: empty and unheld, hence counted by
+    /// no open alignment, so no alignment has anything to drop.
+    fn unwire_channel(&mut self, ch: ChannelId) {
+        let c = &mut self.chans[ch.0 as usize];
+        debug_assert!(
+            c.occupancy() == 0 && c.holds == 0 && self.aligning.iter().all(|a| !a.2.contains(&ch)),
+            "unwiring {ch:?}, which is not quiet"
+        );
+        let (from, to) = (c.from, c.to);
+        (c.queue, c.backlog) = Default::default();
+        let n = self.insts.len();
+        for &e in &self.ops[self.insts[from.0 as usize].op.0 as usize].out_edges {
+            self.edges[e.0 as usize].remove_channel(ch, n);
+        }
+        let outs = &mut self.insts[from.0 as usize].out_channels;
+        outs.retain(|&c| c != ch);
+        // Input rotation keeps its place: the active channel stays active.
+        let i = &mut self.insts[to.0 as usize];
+        let k = i.in_channels.iter().position(|&c| c == ch).expect("wired");
+        i.in_channels.remove(k);
+        if k < i.active_ch {
+            i.active_ch -= 1;
+        }
+    }
+
     /// Lower builder output into a wired world. Called by
     /// [`JobBuilder::build`](crate::graph::JobBuilder::build).
     pub fn from_builder(
@@ -415,6 +447,7 @@ impl World {
             run_buf_pool: Vec::new(),
             dest_scratch: Vec::new(),
             aligning: Vec::new(),
+            paused: false,
             next_ckpt: 0,
             suspension_op: None,
             cross_mode: CrossMode::Inline,

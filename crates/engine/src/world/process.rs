@@ -63,7 +63,7 @@ impl World {
         loop {
             let rec = {
                 let i = &mut self.insts[inst.0 as usize];
-                if i.halted || i.blocked_out {
+                if self.paused || i.blocked_out {
                     break;
                 }
                 match i.source.as_mut().and_then(|s| s.pending.pop_front()) {
@@ -93,7 +93,7 @@ impl World {
         loop {
             {
                 let i = &self.insts[inst.0 as usize];
-                if i.halted || i.busy || self.now() < i.operational_at {
+                if self.paused || i.busy || !i.life.runs(self.now()) {
                     return;
                 }
                 if i.source.is_some() {

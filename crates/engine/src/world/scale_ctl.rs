@@ -1,12 +1,14 @@
 //! Scaling control: scale requests and their deployment (new instances
-//! wired into the topology, or tail instances marked retiring), routing
-//! table updates, every hand-off of a state unit (the per-sender migration
-//! links that serialize units, the stop-restart restore, installation and
-//! the fabricated copies of universal keys), retirement, the stop-restart
-//! halt/resume, and the control events (`StartScale`, `DeployDone`,
-//! plugin timers, checkpoint ticks) that drive them.
+//! wired into the topology, or tail instances set draining), routing table
+//! updates, every hand-off of a state unit (the per-sender migration links
+//! that serialize units, the stop-restart restore, installation and the
+//! fabricated copies of universal keys), retirement (a drained instance's
+//! channels are unwired, so it leaves the topology), the stop-restart
+//! pause, and the control events (`StartScale`, `DeployDone`, plugin
+//! timers, checkpoint ticks) that drive them.
 
 use super::*;
+use crate::instance::Life;
 
 /// Deferral of a checkpoint tick that lands during a scale, and twice the
 /// deferral of a scale request that lands during another one.
@@ -27,10 +29,9 @@ impl World {
         new_parallelism: usize,
         strategy: Repartition,
     ) {
-        let old = self.ops[op.0 as usize].instances.len();
         let ev = self.ev_control(ControlMsg::StartScale(ScalePlan {
             op,
-            old_parallelism: old,
+            old_parallelism: 0,
             new_parallelism,
             strategy,
             moves: Vec::new(),
@@ -208,20 +209,20 @@ impl World {
         self.scale.metrics.units.fabricate(kg, inst);
     }
 
-    /// Halt every instance (global stop). Sources keep *generating* (the
-    /// Kafka backlog grows) but nothing is drained or processed.
-    pub fn halt_all(&mut self) {
-        for i in &mut self.insts {
-            i.halted = true;
-        }
+    /// Stop the whole job (stop-restart's global stop). Sources keep
+    /// *generating* (the Kafka backlog grows) but nothing is drained or
+    /// processed until [`Self::resume`].
+    pub fn pause(&mut self) {
+        self.paused = true;
     }
 
-    /// Resume every instance after a halt.
-    pub fn resume_all(&mut self) {
+    /// End the global stop and wake every instance that has not retired.
+    pub fn resume(&mut self) {
+        self.paused = false;
         for k in 0..self.insts.len() {
-            self.insts[k].halted = false;
-            let id = self.insts[k].id;
-            self.wake(id);
+            if self.insts[k].life != Life::Retired {
+                self.wake(InstId(k as u32));
+            }
         }
     }
 
@@ -230,6 +231,9 @@ impl World {
             ControlMsg::StartScale(plan) => self.start_scale(plan),
             ControlMsg::DeployDone { epoch } => {
                 if epoch == self.scale.epoch {
+                    for &i in &self.scale.new_instances {
+                        self.insts[i.0 as usize].life = Life::Running;
+                    }
                     self.scale.metrics.deployed_at = Some(self.now());
                     self.bus
                         .publish(self.now(), 0, BusEventKind::ScaleDeployed { epoch });
@@ -293,17 +297,22 @@ impl World {
         let op = plan.op;
         self.suspension_op = Some(op);
 
-        // Create the new instances (scale-out), or mark the tail instances
-        // retiring (scale-in: they keep draining but receive no new traffic
-        // and are halted once empty).
-        let old_insts = self.ops[op.0 as usize].instances.clone();
+        // Create the new instances (scale-out), or set the tail instances
+        // draining (scale-in: no new traffic, then `maybe_retire`). One an
+        // earlier scale-in left draining is no longer a member.
+        let old_insts: Vec<InstId> = self.ops[op.0 as usize]
+            .instances
+            .iter()
+            .copied()
+            .filter(|&i| self.insts[i.0 as usize].life != Life::Draining)
+            .collect();
         let mut all_insts = old_insts.clone();
+        plan.old_parallelism = old_insts.len();
         self.scale.new_instances.clear();
-        self.scale.retiring.clear();
         if plan.new_parallelism < old_insts.len() {
-            self.scale
-                .retiring
-                .assign(&old_insts[plan.new_parallelism..]);
+            for &i in &old_insts[plan.new_parallelism..] {
+                self.insts[i.0 as usize].life = Life::Draining;
+            }
             all_insts.truncate(plan.new_parallelism);
         }
         for li in old_insts.len()..plan.new_parallelism {
@@ -314,7 +323,7 @@ impl World {
                 "scaling a transform operator"
             );
             let mut inst = spawn_instance(&self.cfg, scaled, li, id);
-            inst.operational_at = now + self.cfg.deploy_delay;
+            inst.life = Life::Deploying(now + self.cfg.deploy_delay);
             inst.rr_cursor = vec![0; self.edges.len()];
             self.insts.push(inst);
             self.pending_runs.push(Vec::new());
@@ -404,36 +413,29 @@ impl World {
         self.q.schedule(delay, ev);
     }
 
-    /// Halt retiring instances once their migration finished and their
-    /// queues drained, and remove them from the operator's instance list.
+    /// Retire each draining instance that is idle with every channel empty
+    /// and unheld, once no unit is in transit: unwire its channels (so
+    /// alignments and watermarks count only wired ones) and drop it.
     pub(super) fn maybe_retire(&mut self) {
-        if self.scale.in_progress || self.scale.retiring.is_empty() {
+        if self.scale.in_progress {
             return;
         }
-        let ready: Vec<InstId> = self
-            .scale
-            .retiring
-            .iter()
-            .filter(|&i| {
-                let inst = &self.insts[i.0 as usize];
-                !inst.busy
-                    && inst
-                        .in_channels
-                        .iter()
-                        .all(|&c| self.chans[c.0 as usize].occupancy() == 0)
-            })
-            .collect();
-        let mut changed_op = None;
-        for i in ready {
-            self.insts[i.0 as usize].halted = true;
-            self.scale.retiring.remove(i);
-            if let Some(plan) = self.scale.plan.as_ref() {
-                let op = plan.op;
-                self.ops[op.0 as usize].instances.retain(|&x| x != i);
-                changed_op = Some(op);
+        for k in 0..self.insts.len() {
+            let i = &self.insts[k];
+            if i.life != Life::Draining || i.busy {
+                continue;
             }
-        }
-        if let Some(op) = changed_op {
+            let chans = [&i.in_channels[..], &i.out_channels[..]].concat();
+            let quiet = |c: &Channel| c.occupancy() == 0 && c.holds == 0;
+            if !chans.iter().all(|c| quiet(&self.chans[c.0 as usize])) {
+                continue;
+            }
+            let (id, op) = (i.id, i.op);
+            for ch in chans {
+                self.unwire_channel(ch);
+            }
+            self.insts[k].life = Life::Retired;
+            self.ops[op.0 as usize].instances.retain(|&x| x != id);
             self.refresh_pred_caches_after(op);
         }
     }
@@ -465,18 +467,28 @@ mod tests {
     }
 
     #[test]
-    fn halt_and_resume_pause_the_pipeline() {
+    fn pause_and_resume_stop_and_restart_the_pipeline() {
         let (w, _) = tiny_job(EngineConfig::test(), 1000.0, 16, 2);
         let mut sim = Sim::new(w, Box::new(NoScale));
         sim.run_until(secs(1));
         let before = sim.world.metrics.sink_records;
-        sim.world.halt_all();
+        sim.world.pause();
         sim.run_until(secs(2));
         let during = sim.world.metrics.sink_records;
-        assert_eq!(before, during, "halted pipeline must not deliver");
-        sim.world.resume_all();
+        assert_eq!(before, during, "paused pipeline must not deliver");
+        sim.world.resume();
         sim.run_until(secs(3));
         assert!(sim.world.metrics.sink_records > during);
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "which is not quiet")]
+    fn unwiring_a_held_channel_is_a_debug_panic() {
+        let (mut w, _) = tiny_job(EngineConfig::test(), 0.0, 16, 2);
+        let ch = w.insts[0].out_channels[0];
+        w.chans[ch.0 as usize].holds = 1;
+        w.unwire_channel(ch);
     }
 
     #[test]
@@ -487,10 +499,10 @@ mod tests {
         // Run past deployment.
         sim.run_until(secs(2));
         let plan_moves = sim.world.scale.plan.as_ref().expect("plan").moves.clone();
-        // Halt processing first: NoScale never updates routing, so records
+        // Pause processing first: NoScale never updates routing, so records
         // for extracted groups would otherwise hit the old instances' (by
         // design) missing-state panic.
-        sim.world.halt_all();
+        sim.world.pause();
         for m in &plan_moves {
             sim.world.migrate_group(m.from, m.to, m.kg, SubscaleId(0));
         }

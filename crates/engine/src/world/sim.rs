@@ -89,8 +89,8 @@ impl World {
     ///
     /// **Exactness of the fusing.** Single-pop semantics per delivery are
     /// `in_flight -= 1; queue.push_back; try_start(to)`. `try_start`
-    /// returns without any side effect when the receiver is halted, busy,
-    /// not yet operational, or output-blocked (for a source,
+    /// returns without any side effect when the world is paused or the
+    /// receiver is busy, not running, or output-blocked (for a source,
     /// `drain_source` breaks immediately on `blocked_out`) — and none of
     /// those guard fields can change while we only push handles and count
     /// credits, so skipping those calls is observationally identical. The
@@ -137,7 +137,7 @@ impl World {
                     let to = self.chans[ch.0 as usize].to;
                     let noop = {
                         let i = &self.insts[to.0 as usize];
-                        i.halted || i.busy || now < i.operational_at || i.blocked_out
+                        self.paused || i.busy || !i.life.runs(now) || i.blocked_out
                     };
                     self.chans[ch.0 as usize].queue.push_back(elem);
                     if !noop {

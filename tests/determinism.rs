@@ -270,10 +270,10 @@ fn world_paths_outside_the_golden_file_keep_their_digests() {
     // The golden file runs NoScale, DRRS, Megaphone and Q7, always with
     // checkpoints off. These rows pin the engine paths none of those reach:
     // checkpoint barriers with the `CheckpointTick` deferral during a scale
-    // (scale-out only: a retired instance stalls later barriers), checkpoint
-    // alignment beside the coupled scaling barriers' (Megaphone injects them
-    // at the predecessors, OTFS at the sources), the stop-restart
-    // halt/resume, Meces' fetch path (once more over two
+    // (scale-out; `scale_in`'s long run checks checkpoints across scale-ins),
+    // checkpoint alignment beside the coupled scaling barriers' (Megaphone
+    // injects them at the predecessors, OTFS at the sources), the
+    // stop-restart pause/resume, Meces' fetch path (once more over two
     // back-to-back scale-outs at sub-group fanout 4, so unit locations
     // outlive a plan), OTFS and Unbound. The values are `(digest, events,
     // sink_records)` and the last plan's `(Lp, Ld bits, (churn average
@@ -371,7 +371,7 @@ fn world_paths_outside_the_golden_file_keep_their_digests() {
             "DRRS+ckpt" => Box::new(FlexScaler::drrs()),
             "Meces" => Box::new(MecesPlugin::new()),
             "Stop-Restart" => {
-                // Resume inside the horizon so `resume_all` runs too.
+                // Resume inside the horizon so `World::resume` runs too.
                 let mut p = StopRestartPlugin::new();
                 p.restart_overhead = ms(300);
                 Box::new(p)
