@@ -1,8 +1,8 @@
 //! `baselines` — every comparison mechanism from the paper's evaluation:
 //!
-//! * [`otfs_fluid`] / [`otfs_all_at_once`] — the generalized on-the-fly
-//!   scaling framework (§II-B, Fig. 1): source-injected coupled barriers
-//!   with alignment, fluid or all-at-once migration.
+//! * [`otfs_fluid`] — the generalized on-the-fly scaling framework
+//!   (§II-B, Fig. 1): source-injected coupled barriers with alignment,
+//!   fluid migration (the paper's Fig. 2 OTFS baseline).
 //! * [`megaphone`] — Megaphone (VLDB '19) as ported in §V-A: predecessor
 //!   injection, coupled barriers, timestamp-driven naive division
 //!   (sequential batches), fluid migration, 200-record buffer.
@@ -11,7 +11,8 @@
 //!   migration pathology included.
 //! * [`unbound::UnboundPlugin`] — the correctness-free "Unbound" probe from
 //!   the paper's Fig. 2 overhead-decomposition experiment.
-//! * [`stop_restart::StopRestartPlugin`] — mainstream Stop-Checkpoint-Restart.
+//! * [`stop_restart::StopRestartPlugin`] — mainstream Stop-Checkpoint-Restart,
+//!   the traditional all-at-once move.
 //!
 //! The barrier-based baselines (OTFS, Megaphone) are expressed as
 //! configurations of `drrs_core`'s [`FlexScaler`] — the same single-fork
@@ -30,11 +31,6 @@ use drrs_core::{FlexScaler, MechanismConfig};
 /// Generalized OTFS with fluid migration (the paper's Fig. 2 baseline).
 pub fn otfs_fluid() -> FlexScaler {
     FlexScaler::new(MechanismConfig::otfs_fluid())
-}
-
-/// Generalized OTFS with all-at-once migration.
-pub fn otfs_all_at_once() -> FlexScaler {
-    FlexScaler::new(MechanismConfig::otfs_all_at_once())
 }
 
 /// Megaphone with `batch_kgs` key-groups per sequential batch (1 = the

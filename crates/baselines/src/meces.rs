@@ -311,7 +311,7 @@ impl ScalePlugin for MecesPlugin {
         }
     }
 
-    fn admit(&mut self, w: &mut World, inst: InstId, _ch: ChannelId, rec: &Record) -> bool {
+    fn admit(&mut self, w: &World, inst: InstId, _ch: ChannelId, rec: &Record) -> bool {
         // Outside its selection Meces admits everything; its own runs take
         // only records whose unit is held here.
         if !self.selecting(w, inst) {

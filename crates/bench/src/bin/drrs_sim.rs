@@ -30,7 +30,7 @@ struct Args {
 }
 
 const USAGE: &str = "usage: drrs_sim [--workload q7|q8|twitch|custom] \
-     [--mechanism drrs|dr|schedule|subscale|otfs|otfs-aao|megaphone|meces|unbound|stop-restart|none] \
+     [--mechanism drrs|dr|schedule|subscale|otfs|megaphone|meces|unbound|stop-restart|none] \
      [--rate N] [--from N] [--to N] [--scale-at S] [--horizon S] \
      [--seed N] [--skew F] [--state-gb N]";
 

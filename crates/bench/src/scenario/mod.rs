@@ -113,7 +113,7 @@ pub enum MechanismSpec {
     /// No scaling at all.
     NoScale,
     /// Any `FlexScaler` configuration: DRRS and its ablation variants,
-    /// Megaphone, the OTFS flavors.
+    /// Megaphone, OTFS.
     Flex(MechanismConfig),
     /// Meces (fetch-on-demand).
     Meces,
@@ -132,7 +132,6 @@ impl MechanismSpec {
             "schedule" => Self::Flex(MechanismConfig::schedule_only()),
             "subscale" => Self::Flex(MechanismConfig::subscale_only()),
             "otfs" => Self::Flex(MechanismConfig::otfs_fluid()),
-            "otfs-aao" => Self::Flex(MechanismConfig::otfs_all_at_once()),
             "megaphone" => Self::Flex(MechanismConfig::megaphone(1)),
             "meces" => Self::Meces,
             "unbound" => Self::Unbound,
@@ -427,7 +426,6 @@ mod tests {
             ("schedule", "Schedule"),
             ("subscale", "Subscale"),
             ("otfs", "OTFS"),
-            ("otfs-aao", "OTFS-AAO"),
             ("megaphone", "Megaphone"),
             ("meces", "Meces"),
             ("unbound", "Unbound"),

@@ -15,6 +15,11 @@ pub enum Injection {
 }
 
 /// Full mechanism configuration for [`FlexScaler`](crate::plugin::FlexScaler).
+///
+/// Every preset migrates fluidly: a subscale's source extracts one
+/// key-group at a time, the next when the last is installed, and the
+/// destination resumes each key-group as soon as its state lands. The
+/// traditional all-at-once move is Stop-Restart's, a plugin of its own.
 #[derive(Clone, Debug, PartialEq)]
 pub struct MechanismConfig {
     /// Mechanism name for reports.
@@ -33,8 +38,6 @@ pub struct MechanismConfig {
     /// Launch subscales strictly one-after-another (Megaphone's
     /// timestamp-driven naive division).
     pub sequential: bool,
-    /// Fluid migration (per key-group resume); `false` = all-at-once.
-    pub fluid: bool,
     /// Record-scheduling buffer depth (paper: 200 records).
     pub sched_buffer: usize,
     /// Re-route Manager: flush when this many records are buffered.
@@ -54,7 +57,6 @@ impl MechanismConfig {
             subscale_count: 8,
             concurrency_limit: 2,
             sequential: false,
-            fluid: true,
             sched_buffer: 200,
             reroute_batch: 32,
             reroute_timeout: ms(5),
@@ -106,19 +108,9 @@ impl MechanismConfig {
             subscale_count: 1,
             concurrency_limit: 1,
             sequential: false,
-            fluid: true,
             sched_buffer: 0,
             reroute_batch: 32,
             reroute_timeout: ms(5),
-        }
-    }
-
-    /// Generalized OTFS with all-at-once migration (traditional).
-    pub fn otfs_all_at_once() -> Self {
-        Self {
-            name: "OTFS-AAO",
-            fluid: false,
-            ..Self::otfs_fluid()
         }
     }
 
@@ -135,7 +127,6 @@ impl MechanismConfig {
             subscale_count: usize::MAX / batch_kgs.max(1), // one batch per `batch_kgs` groups
             concurrency_limit: 1,
             sequential: true,
-            fluid: true,
             sched_buffer: 200,
             reroute_batch: 32,
             reroute_timeout: ms(5),
@@ -158,8 +149,7 @@ mod tests {
         let ss = MechanismConfig::subscale_only();
         assert!(!ss.decouple && !ss.scheduling && ss.subscale_count > 1);
         let o = MechanismConfig::otfs_fluid();
-        assert!(o.fluid && o.injection == Injection::Source);
-        assert!(!MechanismConfig::otfs_all_at_once().fluid);
+        assert!(!o.decouple && o.injection == Injection::Source);
         let m = MechanismConfig::megaphone(1);
         assert!(m.sequential && !m.decouple && m.scheduling);
     }

@@ -124,12 +124,6 @@ mod tests {
     }
 
     #[test]
-    fn otfs_all_at_once_completes() {
-        let sim = run_scale(MechanismConfig::otfs_all_at_once(), 4_000.0);
-        assert_scale_completed(&sim, "OTFS-AAO");
-    }
-
-    #[test]
     fn megaphone_completes() {
         let sim = run_scale(MechanismConfig::megaphone(1), 4_000.0);
         assert_scale_completed(&sim, "Megaphone");

@@ -28,22 +28,20 @@
 //! tables `kg2sub`, the subscale's phase and endpoints, `pred_mask`; the
 //! instance's `StateBackend::holds_group` (changed only by extraction and
 //! installation, both driven from here); the inbox count `inbox_kg` of
-//! `(instance, key-group)`; the subscale's confirm bookkeeping; and, for
-//! non-fluid configurations only, `World::scale.in_progress`. All of them
-//! are arrays indexed by `InstId.0`, by key-group or by
-//! `inst * max_key_groups + kg`, sized when the plan starts and grown on
-//! demand. `admit` answers for instances of other operators before touching
-//! any of them.
+//! `(instance, key-group)`; and the subscale's confirm bookkeeping. It
+//! reads no `World::scale` field. All of them are arrays indexed by
+//! `InstId.0`, by key-group or by `inst * max_key_groups + kg`, sized when
+//! the plan starts and grown on demand. `admit` answers for instances of
+//! other operators before touching any of them.
 //!
 //! **The epoch.** One plugin-wide counter is bumped at every transition
 //! that can change any of those inputs: a plan starting, a subscale
 //! launching, a key-group extracted (`pump_migration`), a unit installed
 //! (`on_chunk`), a subscale finishing, re-routed records entering an inbox,
 //! records leaving an inbox, a re-routed confirm arriving, a coupled
-//! barrier completing its alignment, the scale completing, and — checked
-//! at the top of `select`, because the world flips it — a change of
-//! `scale.in_progress` under a non-fluid configuration. Between two bumps
-//! `classify` is a pure function of `(instance, sending instance, record)`.
+//! barrier completing its alignment, and the scale completing. Between two
+//! bumps `classify` is a pure function of `(instance, sending instance,
+//! record)`.
 //!
 //! **What a hold hint certifies.** The intra-channel scan remembers, per
 //! input channel, the length `len` of the queue prefix it has proven to be
@@ -95,7 +93,7 @@ struct Sub {
     phase: Phase,
     /// Decoupled: first trigger barrier already acted on.
     triggered: bool,
-    /// Key-groups awaiting extraction (fluid migration pumps them serially).
+    /// Key-groups awaiting extraction, pumped one at a time.
     mig_queue: VecDeque<KeyGroup>,
     /// Key-groups fully installed at the destination.
     installed: usize,
@@ -190,8 +188,6 @@ pub struct FlexScaler {
     timer_armed: bool,
     /// Bumped whenever an input of `classify` may have changed.
     epoch: u64,
-    /// Non-fluid only: the `scale.in_progress` the epoch last saw.
-    seen_in_progress: bool,
     /// By `ChannelId.0`: what the last scan of the channel proved.
     hints: Vec<Option<HoldHint>>,
     stats: SchedStats,
@@ -216,7 +212,6 @@ impl FlexScaler {
             inbox_kg: Vec::new(),
             timer_armed: false,
             epoch: 0,
-            seen_in_progress: false,
             hints: Vec::new(),
             stats: SchedStats::default(),
         }
@@ -399,7 +394,7 @@ impl FlexScaler {
     }
 
     // ------------------------------------------------------------------
-    // Migration pump (fluid: one key-group in flight per subscale)
+    // Migration pump (one key-group in flight per subscale)
     // ------------------------------------------------------------------
 
     fn pump_migration(&mut self, w: &mut World, si: usize) {
@@ -423,14 +418,7 @@ impl FlexScaler {
 
     fn start_migration(&mut self, w: &mut World, si: usize) {
         self.subs[si].mig_queue = self.specs[si].kgs.iter().copied().collect();
-        if self.cfg.fluid {
-            self.pump_migration(w, si);
-        } else {
-            // All-at-once: extract and enqueue the lot in one batch.
-            while !self.subs[si].mig_queue.is_empty() {
-                self.pump_migration(w, si);
-            }
-        }
+        self.pump_migration(w, si);
     }
 
     // ------------------------------------------------------------------
@@ -520,10 +508,6 @@ impl FlexScaler {
             if !held {
                 return Class::Hold;
             }
-            if !self.cfg.fluid && w.scale.in_progress {
-                // All-at-once: resume only once the entire migration landed.
-                return Class::Hold;
-            }
             // Inbox ordering: re-routed Ep records of this key-group must
             // drain before Ef records are admitted.
             let in_inbox = inst.0 as usize * w.cfg.max_key_groups as usize + kg.0 as usize;
@@ -592,10 +576,6 @@ impl FlexScaler {
     #[allow(clippy::while_let_loop)]
     fn flex_select(&mut self, w: &mut World, inst: InstId) -> Selection {
         self.stats.selects += 1;
-        if !self.cfg.fluid && self.seen_in_progress != w.scale.in_progress {
-            self.seen_in_progress = w.scale.in_progress;
-            self.bump_epoch();
-        }
         // Re-routed records are special events, exempt from suspension.
         if let Some(run) = self.take_inbox_run(w, inst) {
             return run;
@@ -934,7 +914,7 @@ impl ScalePlugin for FlexScaler {
     }
 
     // checker:hot-path
-    fn admit(&mut self, w: &mut World, inst: InstId, ch: ChannelId, rec: &Record) -> bool {
+    fn admit(&mut self, w: &World, inst: InstId, ch: ChannelId, rec: &Record) -> bool {
         // Only instances of the scaling operator hold moving state.
         if !self.selecting(w, inst) {
             return true;
@@ -1015,9 +995,7 @@ impl FlexScaler {
             let fully = w.insts[inst.0 as usize].state.holds_group(kg);
             if fully {
                 self.subs[si].installed += 1;
-                if self.cfg.fluid {
-                    self.pump_migration(w, si);
-                }
+                self.pump_migration(w, si);
                 self.maybe_finish_subscale(w, si);
             }
         }
@@ -1333,20 +1311,5 @@ mod tests {
         // The resumed scan looks at the fence again, and only at it.
         assert_eq!(f.cost(|f| assert!(f.scan().is_none())), (1, 1));
         assert_eq!(f.p.hints[f.ch.0 as usize].map(|h| h.len), Some(3));
-    }
-
-    #[test]
-    fn all_at_once_configs_track_the_worlds_in_progress_flag() {
-        let mut f = frozen();
-        f.p.cfg.fluid = false;
-        assert!(f.w.scale.in_progress);
-        let e0 = f.p.epoch;
-        let _ = f.p.flex_select(&mut f.w, f.to);
-        assert_eq!(f.p.epoch, e0 + 1, "first sight of in_progress = true");
-        let _ = f.p.flex_select(&mut f.w, f.to);
-        assert_eq!(f.p.epoch, e0 + 1, "unchanged flag, unchanged epoch");
-        f.w.scale.in_progress = false;
-        let _ = f.p.flex_select(&mut f.w, f.to);
-        assert_eq!(f.p.epoch, e0 + 2, "the world cleared the flag");
     }
 }

@@ -102,10 +102,13 @@ pub trait ScalePlugin {
     }
 
     /// May this data record be processed at `inst` right now? The default
-    /// filter admits everything (non-scaling operation). Where
-    /// [`Self::admits_whole_run`] holds, debug builds call it for the
-    /// contract check alone, so it must have no side effect there.
-    fn admit(&mut self, _w: &mut World, _inst: InstId, _ch: ChannelId, _rec: &Record) -> bool {
+    /// filter admits everything (non-scaling operation). The world is
+    /// read-only here: [`World::build_run`] asks about the record where it
+    /// sits at the head of `ch`, before popping it, so admission can only
+    /// answer, never act. Where [`Self::admits_whole_run`] holds, debug
+    /// builds call it for the contract check alone, so it must have no
+    /// side effect on the plugin either.
+    fn admit(&mut self, _w: &World, _inst: InstId, _ch: ChannelId, _rec: &Record) -> bool {
         true
     }
 

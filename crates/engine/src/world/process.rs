@@ -214,9 +214,10 @@ impl World {
     /// arena with one move; debug builds still ask `admit` about every data
     /// record and assert that it accepts, which checks the declaration on
     /// every run of every mechanism, the runs plugins assemble themselves
-    /// included. Otherwise each data record is cloned for the plugin's
-    /// `admit` before it is popped. Either way the per-record order of side
-    /// effects is kept: peek, admit, pop (which pumps the channel).
+    /// included. Otherwise the plugin's `admit` reads each data record in
+    /// place at the head of the queue before it is popped. Either way the
+    /// per-record order of side effects is kept: peek, admit, pop (which
+    /// pumps the channel).
     // checker:hot-path
     pub fn build_run(
         &mut self,
@@ -239,8 +240,7 @@ impl World {
             };
             let cost = rec.service(price);
             if ask && rec.kind != RecordKind::Marker {
-                let rec = rec.clone();
-                let admitted = plugin.admit(self, inst, ch, &rec);
+                let admitted = plugin.admit(self, inst, ch, rec);
                 debug_assert!(
                     admitted || !whole,
                     "{} admits whole runs at {inst}, but its admit refused {rec:?}",

@@ -37,9 +37,7 @@ pub use workloads;
 /// workloads, timing helpers, and the experiment API (`ScenarioSpec`,
 /// `registry`, `run_all`, `RunReport`).
 pub mod prelude {
-    pub use baselines::{
-        megaphone, otfs_all_at_once, otfs_fluid, MecesPlugin, StopRestartPlugin, UnboundPlugin,
-    };
+    pub use baselines::{megaphone, otfs_fluid, MecesPlugin, StopRestartPlugin, UnboundPlugin};
     pub use bench::scenario::{
         registry, run_all, EngineProfile, MechanismSpec, RunReport, ScaleSpec, ScenarioSpec,
         WorkloadSpec,

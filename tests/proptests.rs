@@ -517,7 +517,7 @@ proptest! {
         slow_migration in any::<bool>(),
         checkpoints in any::<bool>()
     ) {
-        use drrs_repro::baselines::{megaphone, otfs_all_at_once};
+        use drrs_repro::baselines::{megaphone, otfs_fluid};
         use drrs_repro::engine::graph::{EdgeKind, JobBuilder};
         use drrs_repro::engine::instance::SourceGen;
         use drrs_repro::engine::operator::KeyedAgg;
@@ -542,24 +542,11 @@ proptest! {
             || FlexScaler::new(MechanismConfig::schedule_only()),
             || FlexScaler::new(MechanismConfig::subscale_only()),
             || megaphone(1),
-            otfs_all_at_once,
+            otfs_fluid,
         ];
+        let plans = [par + 2, par, par + 3];
         for mech in mechanisms {
             let mech = mech();
-            // A defect this property found bounds its matrix (ROADMAP item
-            // 20): under all-at-once, an instance that is both a source and
-            // a destination of moves holds the records of the whole plan
-            // and, behind them, the in-band barrier of its own outgoing
-            // subscale, so OTFS-AAO runs 2 -> 4 -> 2 -> 4 only, where it is
-            // live today.
-            let all_at_once = !mech.cfg.fluid;
-            let par = if all_at_once { 2 } else { par };
-            let plans = if all_at_once {
-                vec![4, 2, 4]
-            } else {
-                vec![par + 2, par, par + 3]
-            };
-
             let mut cfg = EngineConfig::test();
             cfg.seed = seed;
             cfg.check_semantics = true;

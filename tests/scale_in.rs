@@ -100,9 +100,8 @@ impl SourceGen for Bounded {
 #[test]
 fn a_long_run_of_plans_in_and_out_leaves_nothing_behind() {
     // Eight plans alternating out and in, on a job with two sources, under
-    // every order-preserving mechanism but OTFS all-at-once (which cannot
-    // finish back-to-back plans, ROADMAP item 20) plus Meces, with
-    // checkpoints on and off. Every second plan drains instances.
+    // every order-preserving mechanism plus Meces, with checkpoints on and
+    // off. Every second plan drains instances.
     let plans = [4, 2, 5, 3, 4, 2, 3, 2];
     let stop = secs(13);
     // 8 ms past a 10 ms source-tick boundary (ticks are jittered by under

@@ -4,9 +4,7 @@
 
 use std::sync::{Arc, Mutex};
 
-use drrs_repro::baselines::{
-    megaphone, otfs_all_at_once, otfs_fluid, MecesPlugin, StopRestartPlugin, UnboundPlugin,
-};
+use drrs_repro::baselines::{megaphone, otfs_fluid, MecesPlugin, StopRestartPlugin, UnboundPlugin};
 use drrs_repro::drrs::{FlexScaler, MechanismConfig};
 use drrs_repro::engine::graph::{EdgeKind, JobBuilder};
 use drrs_repro::engine::operator::{OpCtx, OperatorLogic, WindowAgg, WmCtx};
@@ -39,7 +37,6 @@ fn semantic_mechanisms() -> Vec<(&'static str, Box<dyn ScalePlugin>)> {
             Box::new(FlexScaler::new(MechanismConfig::subscale_only())),
         ),
         ("OTFS", Box::new(otfs_fluid())),
-        ("OTFS-AAO", Box::new(otfs_all_at_once())),
         ("Megaphone", Box::new(megaphone(1))),
         ("Stop-Restart", Box::new(StopRestartPlugin::new())),
     ]
