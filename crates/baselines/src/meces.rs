@@ -23,7 +23,7 @@ use std::collections::{HashMap, HashSet};
 
 use simcore::time::{ms, SimTime};
 use streamflow::events::PriorityMsg;
-use streamflow::ids::{ChannelId, InstId, KeyGroup, OpId, SubscaleId};
+use streamflow::ids::{InstId, KeyGroup, OpId, SubscaleId};
 use streamflow::record::{Record, RecordKind, StreamElement};
 use streamflow::scaling::{ScalePlan, ScalePlugin, Selection};
 use streamflow::state::StateUnit;
@@ -102,6 +102,13 @@ impl MecesPlugin {
         let kg = w.kg_of(key);
         let sub = w.insts[inst.0 as usize].state.sub_of(key);
         (kg, sub)
+    }
+
+    /// Can `inst` process a record of this kind and key now (a marker, or
+    /// data whose unit it holds)?
+    fn local(w: &World, inst: InstId, kind: RecordKind, key: u64) -> bool {
+        let (kg, sub) = Self::unit_of(w, inst, key);
+        kind == RecordKind::Marker || w.insts[inst.0 as usize].state.holds(kg, sub)
     }
 
     fn issue_fetch(&mut self, w: &mut World, requester: InstId, kg: KeyGroup, sub: u8) {
@@ -311,21 +318,6 @@ impl ScalePlugin for MecesPlugin {
         }
     }
 
-    fn admit(&mut self, w: &World, inst: InstId, _ch: ChannelId, rec: &Record) -> bool {
-        // Outside its selection Meces admits everything; its own runs take
-        // only records whose unit is held here.
-        if !self.selecting(w, inst) {
-            return true;
-        }
-        let (kg, sub) = Self::unit_of(w, inst, rec.key);
-        w.insts[inst.0 as usize].state.holds(kg, sub)
-    }
-
-    // Outside `selecting`, `admit` returns `true` with no side effect.
-    fn admits_whole_run(&self, w: &World, inst: InstId) -> bool {
-        !self.selecting(w, inst)
-    }
-
     /// Active-channel selection (no scheduling buffer, per the paper), with
     /// Meces' record-forwarding path for units that exhausted their
     /// fetch-back budget.
@@ -360,12 +352,12 @@ impl ScalePlugin for MecesPlugin {
                 match head {
                     Some((kind, key)) => {
                         w.insts[inst.0 as usize].active_ch = idx;
-                        let (kg, sub) = Self::unit_of(w, inst, key);
-                        if kind == RecordKind::Marker
-                            || w.insts[inst.0 as usize].state.holds(kg, sub)
-                        {
-                            return Some(w.build_run(self, inst, ch));
+                        if Self::local(w, inst, kind, key) {
+                            let run =
+                                w.build_run(inst, ch, |w, r| Self::local(w, inst, r.kind, r.key));
+                            return Some(run);
                         }
+                        let (kg, sub) = Self::unit_of(w, inst, key);
                         if let Some(dest) = w.scale.metrics.units.row(kg, sub).planned {
                             if self.may_fetch_back(w, inst, kg, sub) {
                                 self.issue_fetch(w, inst, kg, sub);

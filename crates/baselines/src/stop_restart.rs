@@ -5,7 +5,6 @@
 //! proportional to total state size.
 
 use simcore::time::SimTime;
-use streamflow::ids::InstId;
 use streamflow::scaling::{ScalePlan, ScalePlugin};
 use streamflow::world::World;
 
@@ -78,9 +77,5 @@ impl ScalePlugin for StopRestartPlugin {
         }
         self.done = true;
         w.resume();
-    }
-
-    fn admits_whole_run(&self, _w: &World, _inst: InstId) -> bool {
-        true
     }
 }

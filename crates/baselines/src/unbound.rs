@@ -48,10 +48,6 @@ impl ScalePlugin for UnboundPlugin {
         }
     }
 
-    fn admits_whole_run(&self, _w: &World, _inst: InstId) -> bool {
-        true
-    }
-
     fn on_orphan_record(&mut self, w: &mut World, inst: InstId, rec: &Record) -> bool {
         // Universal keys: process against fresh local state.
         let kg = w.kg_of(rec.key);

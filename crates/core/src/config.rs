@@ -29,8 +29,6 @@ pub struct MechanismConfig {
     /// Decoupled trigger/confirm barriers with re-routing (DRRS §III-A);
     /// `false` = coupled barrier with alignment and input blocking.
     pub decouple: bool,
-    /// Record Scheduling (inter- + intra-channel, §III-B).
-    pub scheduling: bool,
     /// Number of subscales to divide the migration into (§III-C); 1 = none.
     pub subscale_count: usize,
     /// Max concurrent subscales per instance (paper default: 2).
@@ -38,7 +36,8 @@ pub struct MechanismConfig {
     /// Launch subscales strictly one-after-another (Megaphone's
     /// timestamp-driven naive division).
     pub sequential: bool,
-    /// Record-scheduling buffer depth (paper: 200 records).
+    /// Record Scheduling's buffer depth (inter- + intra-channel, §III-B;
+    /// paper: 200 records); 0 = no Record Scheduling.
     pub sched_buffer: usize,
     /// Re-route Manager: flush when this many records are buffered.
     pub reroute_batch: usize,
@@ -53,7 +52,6 @@ impl MechanismConfig {
             name: "DRRS",
             injection: Injection::Predecessor,
             decouple: true,
-            scheduling: true,
             subscale_count: 8,
             concurrency_limit: 2,
             sequential: false,
@@ -67,7 +65,7 @@ impl MechanismConfig {
     pub fn dr_only() -> Self {
         Self {
             name: "DR",
-            scheduling: false,
+            sched_buffer: 0,
             subscale_count: 1,
             ..Self::drrs()
         }
@@ -92,7 +90,7 @@ impl MechanismConfig {
         Self {
             name: "Subscale",
             decouple: false,
-            scheduling: false,
+            sched_buffer: 0,
             ..Self::drrs()
         }
     }
@@ -104,7 +102,6 @@ impl MechanismConfig {
             name: "OTFS",
             injection: Injection::Source,
             decouple: false,
-            scheduling: false,
             subscale_count: 1,
             concurrency_limit: 1,
             sequential: false,
@@ -123,7 +120,6 @@ impl MechanismConfig {
             name: "Megaphone",
             injection: Injection::Predecessor,
             decouple: false,
-            scheduling: true,
             subscale_count: usize::MAX / batch_kgs.max(1), // one batch per `batch_kgs` groups
             concurrency_limit: 1,
             sequential: true,
@@ -141,16 +137,16 @@ mod tests {
     #[test]
     fn presets_have_expected_axes() {
         let d = MechanismConfig::drrs();
-        assert!(d.decouple && d.scheduling && d.subscale_count > 1);
+        assert!(d.decouple && d.sched_buffer == 200 && d.subscale_count > 1);
         let dr = MechanismConfig::dr_only();
-        assert!(dr.decouple && !dr.scheduling && dr.subscale_count == 1);
+        assert!(dr.decouple && dr.sched_buffer == 0 && dr.subscale_count == 1);
         let s = MechanismConfig::schedule_only();
-        assert!(!s.decouple && s.scheduling && s.injection == Injection::Source);
+        assert!(!s.decouple && s.sched_buffer == 200 && s.injection == Injection::Source);
         let ss = MechanismConfig::subscale_only();
-        assert!(!ss.decouple && !ss.scheduling && ss.subscale_count > 1);
+        assert!(!ss.decouple && ss.sched_buffer == 0 && ss.subscale_count > 1);
         let o = MechanismConfig::otfs_fluid();
-        assert!(!o.decouple && o.injection == Injection::Source);
+        assert!(!o.decouple && o.sched_buffer == 0 && o.injection == Injection::Source);
         let m = MechanismConfig::megaphone(1);
-        assert!(m.sequential && !m.decouple && m.scheduling);
+        assert!(m.sequential && !m.decouple && m.sched_buffer == 200);
     }
 }

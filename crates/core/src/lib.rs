@@ -217,7 +217,7 @@ mod tests {
     fn record_scheduling_reduces_suspension_within_drrs() {
         // Isolate Record Scheduling: same decoupled signals and subscales,
         // scheduling on vs off. Fig. 6's claim — fewer suspensions.
-        let run_with = |scheduling: bool| {
+        let run_with = |sched_buffer: usize| {
             // Slow the migration path down so state is genuinely in
             // transit while records arrive (the test profile's instant
             // transfers would leave nothing to suspend on).
@@ -226,7 +226,7 @@ mod tests {
             let (mut w, agg) = tiny_job(ecfg, 10_000.0, 512, 2);
             w.schedule_scale(secs(2), agg, 4);
             let cfg = MechanismConfig {
-                scheduling,
+                sched_buffer,
                 ..MechanismConfig::drrs()
             };
             let mut sim = Sim::new(w, Box::new(FlexScaler::new(cfg)));
@@ -239,8 +239,8 @@ mod tests {
                 .map(|&i| sim.world.insts[i.0 as usize].suspension_as_of(sim.world.now()))
                 .sum::<u64>()
         };
-        let with = run_with(true);
-        let without = run_with(false);
+        let with = run_with(MechanismConfig::drrs().sched_buffer);
+        let without = run_with(0);
         assert!(
             with < without,
             "scheduling on: {with} µs, off: {without} µs"
@@ -258,7 +258,7 @@ mod tests {
         let (mut w, agg) = tiny_job(EngineConfig::test(), 45_000.0, 256, 2);
         w.schedule_scale(secs(2), agg, 4);
         let cfg = MechanismConfig {
-            scheduling: false,
+            sched_buffer: 0,
             ..MechanismConfig::drrs()
         };
         let mut sim = Sim::new(w, Box::new(FlexScaler::new(cfg)));

@@ -15,7 +15,7 @@
 //!   input blocking.
 //! * **Record Scheduling** — inter-channel switching plus intra-channel
 //!   bypass within a bounded buffer, never crossing watermarks, checkpoint
-//!   barriers or scale signals.
+//!   barriers or scale signals; one scan of a channel returns one run.
 //! * **Subscale Division** — independent subscales scheduled greedily with a
 //!   per-instance concurrency threshold.
 //!
@@ -24,6 +24,21 @@
 //! Record Scheduling runs on every record while a plan is active, so it is
 //! O(1) amortised per record and hashes nothing.
 //!
+//! **One scan per channel.** A selection at an instance of the scaling
+//! operator scans its input channels in turn, each once, from the head or
+//! from behind the channel's hold hint (below). The scan buffers `Reroute`
+//! records, takes `Process` records in queue order into one run and, with
+//! Record Scheduling (`sched_buffer > 0`), skips `Hold` records. It stops
+//! at both quantum caps, at the end of the `sched_buffer` window and at
+//! the first fence. §III-B's scheduler picks processable records out of a
+//! bounded buffer; that one decision yields a run of them rather than a
+//! single record is the simulator's choice, and it pays one quantum's
+//! per-run cost for the lot. Per-key order holds: a classification is per
+//! (instance, sender, key-group) and nothing changes it within one scan,
+//! so no record is taken past a held one of its key. Without Record
+//! Scheduling a held head suspends the instance and a run ends at its
+//! first record that is not `Process`.
+//!
 //! **What `classify` reads.** The record's kind and key; the per-plan
 //! tables `kg2sub`, the subscale's phase and endpoints, `pred_mask`; the
 //! instance's `StateBackend::holds_group` (changed only by extraction and
@@ -31,23 +46,26 @@
 //! `(instance, key-group)`; and the subscale's confirm bookkeeping. It
 //! reads no `World::scale` field. All of them are arrays indexed by
 //! `InstId.0`, by key-group or by `inst * max_key_groups + kg`, sized when
-//! the plan starts and grown on demand. `admit` answers for instances of
+//! the plan starts and grown on demand. `select` answers for instances of
 //! other operators before touching any of them.
 //!
-//! **The epoch.** One plugin-wide counter is bumped at every transition
-//! that can change any of those inputs: a plan starting, a subscale
-//! launching, a key-group extracted (`pump_migration`), a unit installed
-//! (`on_chunk`), a subscale finishing, re-routed records entering an inbox,
-//! records leaving an inbox, a re-routed confirm arriving, a coupled
-//! barrier completing its alignment, and the scale completing. Between two
-//! bumps `classify` is a pure function of `(instance, sending instance,
-//! record)`.
+//! **The epochs.** A record is `Hold` only at its subscale's destination,
+//! and only while the subscale is launched and the destination lacks the
+//! key-group's state, has re-routed records of it in its inbox or (when
+//! decoupled) misses a confirm. Each instance has an epoch, bumped at the
+//! three transitions that can end one of those there: a unit installed
+//! (`on_chunk`), records leaving its inbox and a re-routed confirm
+//! arriving. A plan starting drops every hint. Every other transition (a
+//! launch, an extraction, records entering an inbox, a subscale or the
+//! scale finishing, an alignment completing) can only turn records into
+//! `Hold` or change records that are not, so between two bumps of an
+//! instance's epoch every record `classify` held there stays held.
 //!
-//! **What a hold hint certifies.** The intra-channel scan remembers, per
-//! input channel, the length `len` of the queue prefix it has proven to be
-//! data records all classified `Hold` (hence free of fences), the epoch it
-//! proved that under, and the arena handles at positions `0` and
-//! `len - 1`. The next scan of that channel resumes at `len` instead of 1
+//! **What a hold hint certifies.** The scan remembers, per input channel,
+//! the length `len` of the queue prefix it has proven to be data records
+//! all classified `Hold` (hence free of fences), the receiving instance's
+//! epoch it proved that under, and the arena handles at positions `0` and
+//! `len - 1`. The next scan of that channel resumes at `len` instead of 0
 //! when the epoch is unchanged and both handles are still where they were.
 //! Identity at the two ends suffices because a receiver queue is only ever
 //! appended to at the back and popped/removed from inside: arena handles
@@ -56,8 +74,8 @@
 //! down (or off the queue), so finding it in place proves nothing below it
 //! left, and appends beyond `len` are exactly what the resumed scan goes on
 //! to classify. A fence stops the scan and is never covered by a hint. In
-//! debug builds every scan that skipped work re-classifies the whole prefix
-//! from position 1 and asserts it — the scan this replaced, kept as the
+//! debug builds every scan re-classifies the prefix it leaves a hint over
+//! from position 0 and asserts it: a scan that never resumes, kept as the
 //! always-on test oracle.
 
 use std::collections::VecDeque;
@@ -118,11 +136,11 @@ enum Class {
     Hold,
 }
 
-/// What the last intra-channel scan of one input channel proved (see the
+/// What the last scan of one input channel proved (see the
 /// module docs, "Cost model").
 #[derive(Clone, Copy)]
 struct HoldHint {
-    /// `FlexScaler::epoch` the prefix was classified under.
+    /// The instance's epoch the prefix was classified under.
     epoch: u64,
     /// Queue positions `0..len` are data records classified `Hold`.
     len: usize,
@@ -138,17 +156,18 @@ struct HoldHint {
 pub struct SchedStats {
     /// Input selections made for instances of the scaling operator.
     pub selects: u64,
-    /// Records classified, wherever from (queue heads, admission, scans).
+    /// Records classified (every one by a channel scan).
     pub classified: u64,
-    /// Intra-channel scans started.
+    /// Channel scans whose head record was held (resumed behind a hint or
+    /// classified `Hold`): the intra-channel bypasses, each of which
+    /// leaves a hold hint.
     pub scans: u64,
-    /// Queue positions scans examined: the records they classified plus
-    /// the fences that stopped them.
+    /// Queue positions channel scans examined: the records they classified
+    /// plus the fences that stopped them.
     pub scan_positions: u64,
     /// Scans that resumed behind a still-valid hold hint.
     pub hint_resumes: u64,
-    /// Scans that found a record to process: each bypasses the records
-    /// held ahead of it as a one-record run.
+    /// Runs that took a record past a held one.
     pub bypass_runs: u64,
 }
 
@@ -186,8 +205,9 @@ pub struct FlexScaler {
     /// `Ef`.
     inbox_kg: Vec<u32>,
     timer_armed: bool,
-    /// Bumped whenever an input of `classify` may have changed.
-    epoch: u64,
+    /// By `InstId.0`: bumped whenever a record held at the instance may be
+    /// held no longer (module docs, "The epochs").
+    epochs: Vec<u64>,
     /// By `ChannelId.0`: what the last scan of the channel proved.
     hints: Vec<Option<HoldHint>>,
     stats: SchedStats,
@@ -211,7 +231,7 @@ impl FlexScaler {
             inbox: Vec::new(),
             inbox_kg: Vec::new(),
             timer_armed: false,
-            epoch: 0,
+            epochs: Vec::new(),
             hints: Vec::new(),
             stats: SchedStats::default(),
         }
@@ -244,9 +264,14 @@ impl FlexScaler {
         self.pred_mask.get(inst.0 as usize) == Some(&true)
     }
 
-    /// An input of `classify` may have changed: every hold hint is stale.
-    fn bump_epoch(&mut self) {
-        self.epoch += 1;
+    /// A record `classify` held at `inst` may be held no longer: every
+    /// hold hint of a channel into `inst` is stale.
+    fn bump_epoch(&mut self, inst: InstId) {
+        *slot(&mut self.epochs, inst.0 as usize, 0) += 1;
+    }
+
+    fn epoch_of(&self, inst: InstId) -> u64 {
+        self.epochs.get(inst.0 as usize).copied().unwrap_or(0)
     }
 
     // ------------------------------------------------------------------
@@ -283,7 +308,6 @@ impl FlexScaler {
         let now = w.now();
         let op = self.op.expect("launch after start");
         self.subs[si].phase = Phase::Launched;
-        self.bump_epoch();
         let spec = &self.specs[si];
         *self.active_cnt.entry(spec.from).or_insert(0) += 1;
         *self.active_cnt.entry(spec.to).or_insert(0) += 1;
@@ -413,7 +437,6 @@ impl FlexScaler {
             }
         }
         w.migrate_group(from, to, next, SubscaleId(si as u32));
-        self.bump_epoch();
     }
 
     fn start_migration(&mut self, w: &mut World, si: usize) {
@@ -517,7 +540,7 @@ impl FlexScaler {
             if self.cfg.decouple {
                 // Implicit alignment: per-channel epoch switch when Record
                 // Scheduling is on ("fluid confirmation"), strict otherwise.
-                let ok = if self.cfg.scheduling {
+                let ok = if self.cfg.sched_buffer > 0 {
                     s.confirmed.get(ch_from.0 as usize) == Some(&true) || !self.is_pred(ch_from)
                 } else {
                     s.confirms_left == 0
@@ -566,14 +589,11 @@ impl FlexScaler {
             run.get_or_insert_with(|| w.take_run_buf()).push(rec);
         }
         let records = run?;
-        self.bump_epoch();
+        self.bump_epoch(inst);
         Some(Selection::Run { records, service })
     }
 
-    // `loop` + let-else keeps the queue-front borrow scoped to the peek;
-    // `while let` would hold it across the mutating body.
     // checker:hot-path
-    #[allow(clippy::while_let_loop)]
     fn flex_select(&mut self, w: &mut World, inst: InstId) -> Selection {
         self.stats.selects += 1;
         // Re-routed records are special events, exempt from suspension.
@@ -584,160 +604,154 @@ impl FlexScaler {
             let i = &w.insts[inst.0 as usize];
             (i.in_channels.len(), i.active_ch)
         };
-        if n == 0 {
-            return Selection::Idle;
-        }
-        let mut saw_unprocessable = false;
+        let mut held = false;
         for k in 0..n {
             let idx = (start + k) % n;
             let ch = w.insts[inst.0 as usize].in_channels[idx];
             if w.chans[ch.0 as usize].holds > 0 {
                 continue;
             }
-            // Drain any front-of-queue re-routable records, then examine.
-            loop {
-                let Some(front) = w.chan_front(ch) else {
-                    break;
-                };
-                match front {
-                    StreamElement::Record(r) => {
-                        let from = w.chans[ch.0 as usize].from;
-                        match self.classify(w, inst, from, r) {
-                            Class::Process => {
-                                w.insts[inst.0 as usize].active_ch = idx;
-                                return w.build_run(self, inst, ch);
-                            }
-                            Class::Reroute(to) => {
-                                let Some(StreamElement::Record(rec)) = w.chan_pop(ch) else {
-                                    unreachable!("front was a record")
-                                };
-                                self.buffer_reroute(w, inst, to, rec);
-                                continue; // re-examine the new front
-                            }
-                            Class::Hold => {
-                                saw_unprocessable = true;
-                                if self.cfg.scheduling {
-                                    // Intra-channel: bypass unprocessable
-                                    // records within the bounded buffer,
-                                    // never crossing control elements.
-                                    if let Some(sel) = self.intra_scan(w, inst, ch) {
-                                        return sel;
-                                    }
-                                    break; // inter-channel: try next channel
-                                } else {
-                                    // Active-channel discipline: suspend.
-                                    return Selection::Suspend;
-                                }
-                            }
-                        }
-                    }
-                    _ => {
-                        w.insts[inst.0 as usize].active_ch = idx;
-                        let elem = w.chan_pop(ch).expect("non-empty");
-                        return Selection::Control(ch, elem);
-                    }
+            match self.scan(w, inst, ch, &mut held) {
+                Some(sel) => {
+                    w.insts[inst.0 as usize].active_ch = idx;
+                    return sel;
                 }
+                // Active-channel discipline without Record Scheduling: a
+                // held head suspends. With it, try the next channel
+                // (inter-channel switching).
+                None if held && self.cfg.sched_buffer == 0 => return Selection::Suspend,
+                None => {}
             }
         }
-        if saw_unprocessable {
+        if held {
             Selection::Suspend
         } else {
             Selection::Idle
         }
     }
 
-    /// Scan past the unprocessable head of `ch` (the caller just classified
-    /// position 0 as `Hold`) for the first processable record within the
-    /// scheduling buffer; stop at any control element. Resumes behind the
-    /// channel's hold hint when it is still valid and leaves a new one.
+    /// One selection scan of `ch` (module docs, "Cost model"): from the
+    /// head, or behind the channel's hold hint while it is valid, buffer
+    /// `Reroute` records and take `Process` records in queue order into
+    /// one run, up to both quantum caps and never past a fence. With
+    /// Record Scheduling it skips `Hold` records within the first
+    /// `sched_buffer` positions and leaves a hint over them; without, a
+    /// run ends at its first record that is not `Process`. Returns the
+    /// run, or the control element at the head, or `None` when it took
+    /// neither; sets `held` when the head is a held record.
     // checker:hot-path
-    fn intra_scan(&mut self, w: &mut World, inst: InstId, ch: ChannelId) -> Option<Selection> {
-        self.stats.scans += 1;
+    fn scan(
+        &mut self,
+        w: &mut World,
+        inst: InstId,
+        ch: ChannelId,
+        held: &mut bool,
+    ) -> Option<Selection> {
         let from = w.chans[ch.0 as usize].from;
-        let mut pos = self.resume_pos(w, ch);
-        // Did the scan rely on anything but its own classifications?
-        let mut skipped = pos > 1;
-        let found = loop {
+        let bypass = self.cfg.sched_buffer > 0;
+        let (window, mut pos) = if bypass {
+            (self.cfg.sched_buffer, self.resume_pos(w, inst, ch))
+        } else {
+            (usize::MAX, 0)
+        };
+        let (max_records, max_time) = (w.cfg.quantum_records, w.cfg.quantum_time);
+        let price = w.service_of(inst);
+        let mut run: Option<Vec<Record>> = None;
+        let mut service: SimTime = 0;
+        let mut bypassed = false;
+        loop {
             let queue = &w.chans[ch.0 as usize].queue;
-            if pos >= self.cfg.sched_buffer.min(queue.len()) {
-                break None;
+            let taken = run.as_ref().map_or(0, Vec::len);
+            if pos >= window.min(queue.len()) || taken >= max_records || service >= max_time {
+                break;
             }
             self.stats.scan_positions += 1;
             // Watermarks, checkpoint barriers and scale signals are
             // scheduling fences (paper §III-B).
             let StreamElement::Record(r) = &w.arena[queue[pos]] else {
-                break None;
+                if pos == 0 && run.is_none() {
+                    return w.chan_pop(ch).map(|el| Selection::Control(ch, el));
+                }
+                break;
             };
             match self.classify(w, inst, from, r) {
-                Class::Hold => pos += 1,
-                Class::Process => break w.chan_remove_at(ch, pos),
+                Class::Process => {
+                    let Some(StreamElement::Record(rec)) = w.chan_remove_at(ch, pos) else {
+                        unreachable!("checked record")
+                    };
+                    service += rec.service(price);
+                    bypassed |= pos > 0;
+                    run.get_or_insert_with(|| w.take_run_buf()).push(rec);
+                }
+                // Without Record Scheduling a run ends at its first record
+                // that is not `Process`.
+                Class::Reroute(_) if !bypass && run.is_some() => break,
                 Class::Reroute(to) => {
                     let Some(StreamElement::Record(rec)) = w.chan_remove_at(ch, pos) else {
                         unreachable!("checked record")
                     };
                     self.buffer_reroute(w, inst, to, rec);
-                    // The next element slid into `pos`; what lies before it
-                    // is as it was.
-                    skipped = true;
+                }
+                Class::Hold => {
+                    pos += 1;
+                    if !bypass {
+                        break;
+                    }
                 }
             }
-        };
-        self.leave_hint(w, ch, pos);
-        if skipped && cfg!(debug_assertions) {
-            self.assert_prefix_holds(w, inst, ch, pos);
         }
-        let Some(StreamElement::Record(rec)) = found else {
-            return None;
-        };
-        self.stats.bypass_runs += 1;
-        let service = rec.service(w.service_of(inst));
-        let mut records = w.take_run_buf();
-        records.push(rec);
+        *held |= pos > 0;
+        if bypass {
+            self.stats.scans += u64::from(pos > 0);
+            self.leave_hint(w, inst, ch, pos);
+            if cfg!(debug_assertions) {
+                self.assert_prefix_holds(w, inst, ch, pos);
+            }
+        }
+        let records = run?;
+        self.stats.bypass_runs += u64::from(bypassed);
         Some(Selection::Run { records, service })
     }
 
     /// Where the scan of `ch` starts: behind the prefix its hint certifies,
-    /// or at position 1.
+    /// or at the head.
     // checker:hot-path
     #[inline]
-    fn resume_pos(&mut self, w: &World, ch: ChannelId) -> usize {
+    fn resume_pos(&mut self, w: &World, inst: InstId, ch: ChannelId) -> usize {
         let queue = &w.chans[ch.0 as usize].queue;
         match self.hints.get(ch.0 as usize) {
             Some(Some(h))
-                if h.epoch == self.epoch
+                if h.epoch == self.epoch_of(inst)
                     && queue.front() == Some(&h.first)
                     && queue.get(h.len - 1) == Some(&h.last) =>
             {
                 self.stats.hint_resumes += 1;
                 h.len
             }
-            _ => 1,
+            _ => 0,
         }
     }
 
     /// Record that positions `0..len` of `ch` are records classified `Hold`
-    /// under the current epoch.
+    /// under `inst`'s current epoch (no hint when `len` is 0).
     // checker:hot-path
     #[inline]
-    fn leave_hint(&mut self, w: &World, ch: ChannelId, len: usize) {
+    fn leave_hint(&mut self, w: &World, inst: InstId, ch: ChannelId, len: usize) {
         let queue = &w.chans[ch.0 as usize].queue;
-        let hint = match (queue.front(), queue.get(len - 1)) {
-            (Some(&first), Some(&last)) => Some(HoldHint {
-                epoch: self.epoch,
-                len,
-                first,
-                last,
-            }),
-            _ => None,
-        };
+        let hint = (len > 0).then(|| HoldHint {
+            epoch: self.epoch_of(inst),
+            len,
+            first: queue[0],
+            last: queue[len - 1],
+        });
         *slot(&mut self.hints, ch.0 as usize, None) = hint;
     }
 
-    /// The scan this one replaced, as its oracle: classify positions
-    /// `1..len` of `ch` from scratch and require records, all `Hold`.
+    /// The hint's oracle: classify positions `0..len` of `ch` from scratch
+    /// and require records, all `Hold`.
     fn assert_prefix_holds(&self, w: &World, inst: InstId, ch: ChannelId, len: usize) {
         let from = w.chans[ch.0 as usize].from;
-        for pos in 1..len {
+        for pos in 0..len {
             let class = w
                 .chan_peek(ch, pos)
                 .and_then(StreamElement::as_record)
@@ -746,7 +760,7 @@ impl FlexScaler {
                 class,
                 Some(Class::Hold),
                 "hold hint wrong at position {pos} of {len} on {ch:?} at {inst} (epoch {})",
-                self.epoch
+                self.epoch_of(inst)
             );
         }
     }
@@ -766,7 +780,6 @@ impl FlexScaler {
                 *c = c.saturating_sub(1);
             }
         }
-        self.bump_epoch();
         self.launch_ready(w);
         self.check_done(w);
     }
@@ -781,7 +794,6 @@ impl FlexScaler {
             self.rbuf.iter().all(|b| b.1.is_empty()) && self.inbox.iter().all(|q| q.is_empty());
         if subs_done && confirms_done && buffers_empty && !w.scale.in_progress {
             self.done = true;
-            self.bump_epoch();
             // Wake everything once so suspended instances re-evaluate under
             // the engine's default selection.
             let ids: Vec<InstId> = self
@@ -812,7 +824,7 @@ impl ScalePlugin for FlexScaler {
         self.op = Some(plan.op);
         self.started = true;
         self.done = false;
-        self.bump_epoch();
+        self.hints.clear();
         // Every instance the plan touches exists by now: the engine creates
         // the new ones before it announces the deployment.
         self.pred_mask.clear();
@@ -895,7 +907,7 @@ impl ScalePlugin for FlexScaler {
     }
 
     fn on_orphan_record(&mut self, w: &mut World, inst: InstId, rec: &Record) -> bool {
-        // A quantum admitted this record before its key-group was extracted
+        // A run took this record before its key-group was extracted
         // (triggers bypass in-flight work). Re-route it like any other Ep
         // record.
         let kg = w.kg_of(rec.key);
@@ -911,24 +923,6 @@ impl ScalePlugin for FlexScaler {
 
     fn select(&mut self, w: &mut World, inst: InstId) -> Option<Selection> {
         self.selecting(w, inst).then(|| self.flex_select(w, inst))
-    }
-
-    // checker:hot-path
-    fn admit(&mut self, w: &World, inst: InstId, ch: ChannelId, rec: &Record) -> bool {
-        // Only instances of the scaling operator hold moving state.
-        if !self.selecting(w, inst) {
-            return true;
-        }
-        let from = w.chans[ch.0 as usize].from;
-        self.classify(w, inst, from, rec) == Class::Process
-    }
-
-    // Outside `selecting`, `admit` returns `true` before touching
-    // anything, and nothing `build_run` does between records reaches
-    // `selecting`'s inputs (the scaler's own flags and the instance's
-    // operator).
-    fn admits_whole_run(&self, w: &World, inst: InstId) -> bool {
-        !self.selecting(w, inst)
     }
 }
 
@@ -960,7 +954,6 @@ impl FlexScaler {
             *slot(&mut self.inbox_kg, inst.0 as usize * kgs + kg.0 as usize, 0) += 1;
             inbox.push_back(rec);
         }
-        self.bump_epoch();
         w.wake(inst);
     }
 
@@ -980,7 +973,7 @@ impl FlexScaler {
         if *c == 0 {
             *slot(&mut s.confirmed, pred, false) = true;
         }
-        self.bump_epoch();
+        self.bump_epoch(inst);
         w.wake(inst);
         self.check_done(w);
     }
@@ -990,7 +983,7 @@ impl FlexScaler {
         let si = subscale.0 as usize;
         let kg = unit.kg;
         w.install_unit(inst, unit, true);
-        self.bump_epoch();
+        self.bump_epoch(inst);
         if si < self.subs.len() {
             let fully = w.insts[inst.0 as usize].state.holds_group(kg);
             if fully {
@@ -1023,7 +1016,6 @@ impl FlexScaler {
             let Some(freed) = w.align(inst, key, ch, expected) else {
                 return;
             };
-            self.bump_epoch();
             for _ in freed {
                 w.wake(inst);
             }
@@ -1138,11 +1130,12 @@ mod tests {
             Record::data(key, 1, 0)
         }
 
-        /// A key-group the plan does not move: always processable.
-        fn still_kg(&self) -> KeyGroup {
+        /// The `nth` key-group the plan does not move: always processable.
+        fn still_kg(&self, nth: usize) -> KeyGroup {
             (0..self.w.cfg.max_key_groups)
                 .map(KeyGroup)
-                .find(|&kg| self.p.sub_of_kg(kg).is_none())
+                .filter(|&kg| self.p.sub_of_kg(kg).is_none())
+                .nth(nth)
                 .expect("half the key-groups stay")
         }
 
@@ -1164,8 +1157,27 @@ mod tests {
                 .on_chunk(&mut self.w, self.to, unit, SubscaleId(self.si as u32));
         }
 
+        /// One selection scan of the channel.
         fn scan(&mut self) -> Option<Selection> {
-            self.p.intra_scan(&mut self.w, self.to, self.ch)
+            let mut held = false;
+            self.p.scan(&mut self.w, self.to, self.ch, &mut held)
+        }
+
+        /// The keys of the run one scan takes (empty if it takes none).
+        fn scan_keys(&mut self) -> Vec<u64> {
+            match self.scan() {
+                Some(Selection::Run { records, .. }) => records.iter().map(|r| r.key).collect(),
+                Some(_) => panic!("the scan returned a control element"),
+                None => Vec::new(),
+            }
+        }
+
+        fn queue_len(&self) -> usize {
+            self.w.chans[self.ch.0 as usize].queue.len()
+        }
+
+        fn hint_len(&self) -> Option<usize> {
+            self.p.hints[self.ch.0 as usize].map(|h| h.len)
         }
 
         /// `(scan positions examined, scans resumed)` by `f`.
@@ -1180,58 +1192,125 @@ mod tests {
         }
 
         /// Five held records, scanned once (so a hint covers them), then
-        /// `transition`; the next scan must start over from position 1.
-        fn assert_drops_hint(mut self, transition: impl FnOnce(&mut Self)) {
+        /// `transition`; returns what the next scan cost and the queue
+        /// length it found.
+        fn rescan_after(mut self, transition: impl FnOnce(&mut Self)) -> ((u64, u64), u64) {
             for _ in 0..5 {
                 self.push_rec(self.kg_a);
             }
-            assert_eq!(self.cost(|f| assert!(f.scan().is_none())), (4, 0));
+            assert_eq!(self.cost(|f| assert!(f.scan().is_none())), (5, 0));
             assert_eq!(self.cost(|f| assert!(f.scan().is_none())), (0, 1));
             transition(&mut self);
-            let left = self.w.chans[self.ch.0 as usize].queue.len() as u64;
-            assert_eq!(
-                self.cost(|f| assert!(f.scan().is_none())),
-                (left - 1, 0),
-                "the scan after the transition trusted a stale hint"
-            );
+            let left = self.queue_len() as u64;
+            (self.cost(|f| assert!(f.scan().is_none())), left)
+        }
+
+        /// After `transition` the next scan must start over from the head.
+        fn assert_drops_hint(self, transition: impl FnOnce(&mut Self)) {
+            let (cost, left) = self.rescan_after(transition);
+            assert_eq!(cost, (left, 0), "the scan trusted a stale hint");
+        }
+
+        /// `transition` releases no held record, so the hint stays valid.
+        fn assert_keeps_hint(self, transition: impl FnOnce(&mut Self)) {
+            let (cost, _) = self.rescan_after(transition);
+            assert_eq!(cost, (0, 1), "the scan started over needlessly");
         }
     }
 
     #[test]
-    fn hint_survives_tail_appends_and_its_own_bypass() {
+    fn one_scan_takes_every_processable_record_in_queue_order() {
+        let mut f = frozen();
+        let (s1, s2, s3) = (f.still_kg(0), f.still_kg(1), f.still_kg(2));
+        f.push_rec(f.kg_a);
+        f.push_rec(s1);
+        f.push_rec(f.kg_b);
+        f.push_rec(s2);
+        f.push_rec(f.kg_a);
+        f.push(StreamElement::Watermark(1));
+        f.push_rec(s3);
+        let bypass_runs = f.p.sched_stats().bypass_runs;
+        let mut keys = Vec::new();
+        // Six positions: three held, two taken, and the fence, which
+        // keeps S3 out of reach.
+        assert_eq!(f.cost(|f| keys = f.scan_keys()), (6, 0));
+        assert_eq!(keys, vec![f.rec(s1).key, f.rec(s2).key], "S1, S2 in order");
+        assert_eq!(f.queue_len(), 5);
+        assert_eq!(f.hint_len(), Some(3), "the hint covers the three held");
+        // The next scan looks at the fence again, and only at it.
+        assert_eq!(f.cost(|f| assert!(f.scan().is_none())), (1, 1));
+        assert_eq!(f.p.sched_stats().bypass_runs, bypass_runs + 1);
+    }
+
+    #[test]
+    fn hint_survives_tail_appends_and_taking_past_it() {
         let mut f = frozen();
         for _ in 0..5 {
             f.push_rec(f.kg_a);
         }
-        assert_eq!(f.cost(|f| assert!(f.scan().is_none())), (4, 0));
+        assert_eq!(f.cost(|f| assert!(f.scan().is_none())), (5, 0));
         // Nothing changed: the whole window is known to be held.
         assert_eq!(f.cost(|f| assert!(f.scan().is_none())), (0, 1));
-        // Appends are classified once each, the prefix not again.
+        // Appends are classified once each, the prefix not again ...
+        f.push_rec(f.kg_b);
+        let still = f.still_kg(0);
+        f.push_rec(still);
+        f.push_rec(f.kg_b);
+        let mut keys = Vec::new();
+        assert_eq!(f.cost(|f| keys = f.scan_keys()), (3, 1));
+        assert_eq!(keys, vec![f.rec(still).key]);
+        // ... and taking one out leaves the hint over every held record.
+        assert_eq!(f.hint_len(), Some(7));
+        f.push_rec(f.kg_a);
+        assert_eq!(f.cost(|f| assert!(f.scan().is_none())), (1, 1));
+        assert_eq!(f.hint_len(), Some(8));
+    }
+
+    #[test]
+    fn a_quantum_records_cap_ends_a_run_mid_window() {
+        let mut f = frozen();
+        f.w.cfg.quantum_records = 2;
+        let still = f.still_kg(0);
+        f.push_rec(f.kg_a);
         for _ in 0..3 {
-            f.push_rec(f.kg_b);
+            f.push_rec(still);
         }
-        assert_eq!(f.cost(|f| assert!(f.scan().is_none())), (3, 1));
-        // A processable record behind the held ones is bypassed to ...
-        let still = f.still_kg();
+        f.push_rec(f.kg_a);
+        // The held head and two taken: the third is left for the next run.
+        assert_eq!(f.cost(|f| assert_eq!(f.scan_keys().len(), 2)), (3, 0));
+        assert_eq!(f.queue_len(), 3);
+        assert_eq!(f.hint_len(), Some(1));
+        assert_eq!(f.cost(|f| assert_eq!(f.scan_keys().len(), 1)), (2, 1));
+        assert_eq!(f.hint_len(), Some(2));
+    }
+
+    #[test]
+    fn without_record_scheduling_a_held_record_stops_the_scan() {
+        let mut f = frozen();
+        f.p.cfg.sched_buffer = 0;
+        let bypass_runs = f.p.sched_stats().bypass_runs;
+        let still = f.still_kg(0);
+        // A held head: nothing is taken, and the selection suspends.
+        f.push_rec(f.kg_a);
+        f.push_rec(still);
+        let mut held = false;
+        assert!(f.p.scan(&mut f.w, f.to, f.ch, &mut held).is_none());
+        assert!(held);
+        assert_eq!(f.queue_len(), 2);
+        assert!(matches!(
+            f.p.flex_select(&mut f.w, f.to),
+            Selection::Suspend
+        ));
+        // A processable head: the run stops at the first held record.
+        while f.w.chan_pop(f.ch).is_some() {}
+        f.push_rec(still);
         f.push_rec(still);
         f.push_rec(f.kg_a);
-        let still_key = f.rec(still).key;
-        let (cost, run) = {
-            let mut run = None;
-            let cost = f.cost(|f| run = f.scan());
-            (cost, run)
-        };
-        assert_eq!(cost, (1, 1));
-        match run {
-            Some(Selection::Run { records, .. }) => {
-                assert_eq!(records.len(), 1);
-                assert_eq!(records[0].key, still_key);
-            }
-            _ => panic!("the processable record was not selected"),
-        }
-        // ... and taking it out leaves the hint on the prefix before it.
-        assert_eq!(f.cost(|f| assert!(f.scan().is_none())), (1, 1));
-        assert_eq!(f.w.chans[f.ch.0 as usize].queue.len(), 9);
+        f.push_rec(still);
+        let cost = f.cost(|f| assert_eq!(f.scan_keys().len(), 2));
+        assert_eq!(cost, (3, 0), "two taken, one held, no hint read");
+        assert_eq!(f.queue_len(), 2);
+        assert_eq!(f.p.sched_stats().bypass_runs, bypass_runs);
     }
 
     #[test]
@@ -1242,8 +1321,10 @@ mod tests {
     }
 
     #[test]
-    fn extract_drops_the_hint() {
-        frozen().assert_drops_hint(|f| {
+    fn extract_keeps_the_hint() {
+        // Extraction turns records at the source into re-routes; nothing
+        // held at the destination becomes processable.
+        frozen().assert_keeps_hint(|f| {
             let queued = f.p.subs[f.si].mig_queue.len();
             f.p.pump_migration(&mut f.w, f.si);
             assert_eq!(f.p.subs[f.si].mig_queue.len(), queued - 1);
@@ -1261,8 +1342,9 @@ mod tests {
     }
 
     #[test]
-    fn inbox_push_drops_the_hint() {
-        frozen().assert_drops_hint(|f| {
+    fn inbox_push_keeps_the_hint() {
+        // A fuller inbox can only hold more.
+        frozen().assert_keeps_hint(|f| {
             let rec = f.rec(f.kg_b);
             f.p.on_rerouted_records(&mut f.w, f.to, vec![rec]);
         });
@@ -1302,14 +1384,14 @@ mod tests {
             f.push_rec(f.kg_a);
         }
         f.push(StreamElement::Watermark(1));
-        let still = f.still_kg();
+        let still = f.still_kg(0);
         f.push_rec(still);
-        // Positions 1 and 2 are held, position 3 is the fence: the
+        // Positions 0 to 2 are held, position 3 is the fence: the
         // processable record behind it must not be reached.
-        assert_eq!(f.cost(|f| assert!(f.scan().is_none())), (3, 0));
-        assert_eq!(f.p.hints[f.ch.0 as usize].map(|h| h.len), Some(3));
+        assert_eq!(f.cost(|f| assert!(f.scan().is_none())), (4, 0));
+        assert_eq!(f.hint_len(), Some(3));
         // The resumed scan looks at the fence again, and only at it.
         assert_eq!(f.cost(|f| assert!(f.scan().is_none())), (1, 1));
-        assert_eq!(f.p.hints[f.ch.0 as usize].map(|h| h.len), Some(3));
+        assert_eq!(f.hint_len(), Some(3));
     }
 }

@@ -45,7 +45,7 @@ pub enum Selection {
         /// Total busy time for the quantum.
         service: SimTime,
     },
-    /// Inputs exist but none is admissible — the instance suspends.
+    /// Inputs exist but none can be processed now — the instance suspends.
     Suspend,
     /// Nothing to do.
     Idle,
@@ -93,43 +93,16 @@ pub trait ScalePlugin {
     fn on_control(&mut self, _w: &mut World, _tag: u64) {}
 
     /// Input selection at `inst`. `None` — the provided answer — hands
-    /// selection to the engine's default (active-channel) discipline, with
-    /// [`ScalePlugin::admit`] as its admission filter; `Some` is the
-    /// plugin's own decision (a plugin that assembles a run with
-    /// [`World::build_run`] passes itself, so its `admit` filters it).
+    /// selection to the engine's default (active-channel) discipline,
+    /// which takes every record; `Some` is the plugin's own decision (a
+    /// plugin that assembles a run with [`World::build_run`] passes its
+    /// own record filter).
     fn select(&mut self, _w: &mut World, _inst: InstId) -> Option<Selection> {
         None
     }
 
-    /// May this data record be processed at `inst` right now? The default
-    /// filter admits everything (non-scaling operation). The world is
-    /// read-only here: [`World::build_run`] asks about the record where it
-    /// sits at the head of `ch`, before popping it, so admission can only
-    /// answer, never act. Where [`Self::admits_whole_run`] holds, debug
-    /// builds call it for the contract check alone, so it must have no
-    /// side effect on the plugin either.
-    fn admit(&mut self, _w: &World, _inst: InstId, _ch: ChannelId, _rec: &Record) -> bool {
-        true
-    }
-
-    /// Would every [`ScalePlugin::admit`] call of the quantum about to be
-    /// assembled at `inst` return `true` with no side effect? When this
-    /// returns `true`, release builds of [`World::build_run`] skip the
-    /// per-record `admit` call for the whole run. Nothing `build_run` does
-    /// between records can reach the plugin, so the answer must only hold
-    /// for the world as it is at the call.
-    ///
-    /// The default `false` keeps per-record admission, which is always
-    /// exact. Debug builds check the declaration: `build_run` still calls
-    /// `admit` on every data record of a whole run and asserts that it
-    /// accepts, on the engine's selection and on the runs plugins assemble
-    /// with [`World::build_run`] alike.
-    fn admits_whole_run(&self, _w: &World, _inst: InstId) -> bool {
-        false
-    }
-
     /// A record reached application but its state sub-group is not locally
-    /// present (it was extracted between admission and quantum completion,
+    /// present (it was extracted between selection and quantum completion,
     /// or the mechanism tolerates missing state). Return `true` if the
     /// plugin consumed the record (re-routed / buffered / fetched);
     /// returning `false` lets the engine treat it as a hard error.
@@ -156,9 +129,6 @@ impl ScalePlugin for NoScale {
         "no-scale"
     }
     fn on_scale_start(&mut self, _w: &mut World, _plan: &ScalePlan) {}
-    fn admits_whole_run(&self, _w: &World, _inst: InstId) -> bool {
-        true
-    }
 }
 
 /// One migration link (one per sending instance: the container NIC

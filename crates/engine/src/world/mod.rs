@@ -53,10 +53,11 @@
 //! order.
 //!
 //! * *Quantum assembly* (`build_run`) reads the quantum bounds, the
-//!   instance's role, its sink service and its logic once. It skips the
-//!   per-record `admit` call only when the plugin declares, through
-//!   [`ScalePlugin::admits_whole_run`], that every call would admit with no
-//!   side effect; then each record leaves the arena with one move.
+//!   instance's role, its sink service and its logic once. The caller's
+//!   record filter is a closure: the engine's default selection keeps
+//!   every record, so its filter compiles away and each record leaves the
+//!   arena with one move; Meces passes its held-unit check. `FlexScaler`
+//!   assembles its runs in its own selection scan.
 //! * *Quantum apply* (`apply_run`) reads the operator's `stateful` flag,
 //!   the semantics switch and the logic box once, and applies each data
 //!   record through `apply_data`, the one per-record apply rule (plugins

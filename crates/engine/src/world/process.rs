@@ -105,7 +105,7 @@ impl World {
             }
             let sel = match plugin.select(self, inst) {
                 Some(sel) => sel,
-                None => self.default_select(plugin, inst),
+                None => self.default_select(inst),
             };
             let now = self.now();
             match sel {
@@ -147,13 +147,12 @@ impl World {
         self.q.schedule_tagged(reg, dur, Ev::ProcDone { inst, gen });
     }
 
-    /// Engine-default input selection: active-channel discipline with the
-    /// plugin's admission filter (the generalized-OTFS behaviour from the
-    /// paper's Fig. 6 — suspend when the active channel's head is
-    /// unprocessable, even if other channels have processable records).
-    /// Channels an alignment holds are skipped.
+    /// Engine-default input selection: active-channel discipline. The
+    /// first non-empty channel an alignment does not hold becomes the
+    /// active channel, and its head is the selection: a control element,
+    /// or a run of every record up to the next one.
     // checker:hot-path
-    fn default_select(&mut self, plugin: &mut dyn ScalePlugin, inst: InstId) -> Selection {
+    fn default_select(&mut self, inst: InstId) -> Selection {
         let (n, start) = {
             let i = &self.insts[inst.0 as usize];
             (i.in_channels.len(), i.active_ch)
@@ -175,8 +174,7 @@ impl World {
                 let elem = self.chan_pop(ch).expect("non-empty");
                 return Selection::Control(ch, elem);
             }
-            // An inadmissible head record ends in an empty run: `Suspend`.
-            return self.build_run(plugin, inst, ch);
+            return self.build_run(inst, ch, |_, _| true);
         }
         Selection::Idle
     }
@@ -205,30 +203,26 @@ impl World {
         }
     }
 
-    /// Pop a run of admissible records from `ch` bounded by the quantum.
+    /// Pop the run of records at the head of `ch` that `keep` accepts,
+    /// bounded by the quantum. The caller has checked that the head record
+    /// passes `keep`, so the run is never empty.
     ///
     /// The quantum bounds and the instance's per-record price
-    /// ([`Self::service_of`]) are read once per run. When the plugin
-    /// [admits the whole run](ScalePlugin::admits_whole_run), no per-record
-    /// `admit` call is made in release builds and each record leaves the
-    /// arena with one move; debug builds still ask `admit` about every data
-    /// record and assert that it accepts, which checks the declaration on
-    /// every run of every mechanism, the runs plugins assemble themselves
-    /// included. Otherwise the plugin's `admit` reads each data record in
-    /// place at the head of the queue before it is popped. Either way the
-    /// per-record order of side effects is kept: peek, admit, pop (which
-    /// pumps the channel).
+    /// ([`Self::service_of`]) are read once per run. `keep` reads each
+    /// record in place at the head of the queue before it is popped (which
+    /// pumps the channel); the run ends at the first record it refuses or
+    /// at the first control element. The engine's default selection keeps
+    /// every record, so its filter compiles away and each record leaves
+    /// the arena with one move.
     // checker:hot-path
     pub fn build_run(
         &mut self,
-        plugin: &mut dyn ScalePlugin,
         inst: InstId,
         ch: ChannelId,
+        mut keep: impl FnMut(&World, &Record) -> bool,
     ) -> Selection {
         let (max_records, max_time) = (self.cfg.quantum_records, self.cfg.quantum_time);
         let price = self.service_of(inst);
-        let whole = plugin.admits_whole_run(self, inst);
-        let ask = !whole || cfg!(debug_assertions);
         let mut records = self.take_run_buf();
         let mut service: SimTime = 0;
         while records.len() < max_records && service < max_time {
@@ -238,30 +232,16 @@ impl World {
             let StreamElement::Record(rec) = &self.arena[r] else {
                 break;
             };
-            let cost = rec.service(price);
-            if ask && rec.kind != RecordKind::Marker {
-                let admitted = plugin.admit(self, inst, ch, rec);
-                debug_assert!(
-                    admitted || !whole,
-                    "{} admits whole runs at {inst}, but its admit refused {rec:?}",
-                    plugin.name()
-                );
-                if !admitted {
-                    break;
-                }
+            if !keep(self, rec) {
+                break;
             }
-            service += cost;
+            service += rec.service(price);
             match self.chan_pop(ch) {
                 Some(StreamElement::Record(rec)) => records.push(rec),
                 _ => unreachable!("front was a record"),
             }
         }
-        if records.is_empty() {
-            self.recycle_run_buf(records);
-            Selection::Suspend
-        } else {
-            Selection::Run { records, service }
-        }
+        Selection::Run { records, service }
     }
 
     /// The per-record service price at `inst`: the sink's service at a
@@ -344,7 +324,7 @@ impl World {
             }
             let kg = key_group_of(rec.key, max_key_groups);
             // Guard (stateful operators): the sub-group may have been
-            // extracted between admission and quantum completion (trigger
+            // extracted between selection and quantum completion (trigger
             // barriers bypass in-flight work). Hand such records to the
             // mechanism.
             if stateful {
@@ -481,12 +461,9 @@ mod tests {
         w.chans[c[0].0 as usize].queue.push_back(r);
         let key = BarrierKey::Checkpoint(1);
         assert_eq!(w.align(sink, key, c[0], 2), None);
-        assert!(matches!(
-            w.default_select(&mut NoScale, sink),
-            Selection::Idle
-        ));
+        assert!(matches!(w.default_select(sink), Selection::Idle));
         assert_eq!(w.align(sink, key, c[1], 2), Some(vec![c[0], c[1]]));
-        match w.default_select(&mut NoScale, sink) {
+        match w.default_select(sink) {
             Selection::Run { records, .. } => assert_eq!(records.len(), 1),
             _ => panic!("the freed channel's record was not selected"),
         }

@@ -538,16 +538,16 @@ fn q7_fired_window_values_keep_their_hash() {
         (
             ms(500),
             (
-                18121975167903792679,
-                189926,
-                11760264993078218346,
-                389217,
-                189926,
+                7425547893883981515,
+                179525,
+                12749326430438744392,
+                381680,
+                179525,
             ),
         ),
         (
             secs(10),
-            (6218260372869718989, 7940, 8185223629459394941, 186786, 7940),
+            (6218260372869718989, 7940, 9944157699929099507, 185291, 7940),
         ),
     ] {
         let got = tapped_q7(slide);
