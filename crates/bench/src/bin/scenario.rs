@@ -10,12 +10,14 @@
 //!                                      # thread-per-region parallel PDES run
 //! scenario --run NAME --sync-stats     # also print region/sync accounting
 //! scenario --group perf --check crates/bench/golden/perf_digests.txt
-//!                                      # the cross-build digest pin
+//!                                      # check a build against the pin store
+//! scenario --bless                     # rerun every pinned row, rewrite the store
+//! QUICK=1 scenario --bless             # re-render the six pinned figure texts
 //! scenario --figure fig15 --threads 2  # run a figure's grid and render it
 //! ```
 //!
 //! The digest lines on stdout are fully deterministic (`name digest events
-//! sink_records`), so `scenario --group perf` run twice and diffed is a
+//! sink_records sink_hash`), so `scenario --group perf` run twice and diffed is a
 //! process-level determinism smoke — CI's `digest-stability` job uses
 //! exactly that. `--regions K` (K > 1) partitions the graph for PDES and
 //! therefore needs a positive `--resume-latency`; without one the request
@@ -46,13 +48,25 @@
 //! engine's carry region-scheduler counters.
 //! `QUICK=1` compresses the grids as everywhere else.
 //!
-//! `--group PREFIX --check FILE` runs the group on its full timelines
-//! against a golden digest file (`bench::scenario::golden`), PDES rows on
-//! both engines: exit 1 names the scenario that differs with its expected
-//! and actual digest; exit 2 is a file the checker refuses (malformed,
-//! duplicate, unknown or missing row). The rows carry their own partition,
-//! so `--check` takes no other flag. A scenario with a scale plan cannot
-//! run in PDES mode and is rejected up front (`--group`: the first one).
+//! `--group PREFIX --check FILE` runs the rows of a pin-store file
+//! (`bench::scenario::golden`) whose runs' names start with `PREFIX`, on
+//! their full timelines, PDES rows on both engines: exit 1 names the row,
+//! the engine and the first column that differs, with its expected and
+//! actual value; exit 2 is a file the checker refuses (a malformed,
+//! duplicate, unknown or missing row; an unknown, repeated, missing or
+//! malformed named column). The rows carry their own partition, so
+//! `--check` takes no other flag. A scenario with a scale plan cannot run
+//! in PDES mode and is rejected up front (`--group`: the first one).
+//!
+//! `--bless`, run from the repository root, reruns every pinned row and
+//! rewrites the store's files in `crates/bench/golden/` (exit 1 when a
+//! PDES row's engines disagree, 2 when a file is refused). It prints each
+//! new row, and each moved row with its sink-hash verdict (`sink content
+//! equal` or `DIFFERS`) followed by every column it moved, dropped or
+//! added, old -> new: the record of a deliberate change. Under `QUICK=1`
+//! it re-renders the six figures instead, rewrites their pinned texts and
+//! prints the lines that changed. On an unchanged tree neither writes a
+//! byte.
 //!
 //! `--figure NAME` runs the grid of one of the paper's figures (the
 //! registry groups `fig02`, `fig10_11`, `fig12_13`, `fig14`, `fig15` and
@@ -66,7 +80,8 @@ use streamflow::{BusEvent, BusSinkKind};
 
 const USAGE: &str = "usage: scenario --list | --run NAME [--events FILE] | --group PREFIX\n\
      \x20       [--regions K --resume-latency MICROS] [--threads N] [--sync-stats]\n\
-     \x20      scenario --group PREFIX --check GOLDEN_FILE\n\
+     \x20      scenario --group PREFIX --check STORE_FILE\n\
+     \x20      scenario --bless   (from the repository root; QUICK=1: the figure texts)\n\
      \x20      scenario --figure NAME [--threads N]\n\
      (figures: fig02 fig10_11 fig12_13 fig14 fig15 ablation;\n\
      \x20QUICK=1 in the environment compresses timelines)";
@@ -125,6 +140,7 @@ struct Opts {
     figure: Option<String>,
     events: Option<String>,
     check: Option<String>,
+    bless: bool,
     regions: Option<usize>,
     threads: Option<usize>,
     resume_latency: Option<u64>,
@@ -149,6 +165,7 @@ fn parse_args(args: &[String]) -> Result<Opts, String> {
         match flag {
             "--list" => o.list = true,
             "--sync-stats" => o.sync_stats = true,
+            "--bless" => o.bless = true,
             "--run" | "--group" | "--figure" | "--events" | "--check" | "--regions"
             | "--threads" | "--resume-latency" => {
                 let v = bench::flag_value(args, i)?;
@@ -188,6 +205,9 @@ fn parse_args(args: &[String]) -> Result<Opts, String> {
             return Err("--check compares full-timeline digests; unset QUICK".into());
         }
     }
+    if o.bless && args.len() != 1 {
+        return Err("--bless takes no other flag".into());
+    }
     if let Some(name) = o.figure.as_deref().filter(|n| !figures::NAMES.contains(n)) {
         return Err(format!(
             "unknown figure {name:?}: the figures are the registry groups {} (see --list)",
@@ -212,30 +232,101 @@ fn parse_args(args: &[String]) -> Result<Opts, String> {
 /// `--group PREFIX --check FILE`: exit 0 when every row holds, 1 on a run
 /// that differs, 2 on a file that cannot be read or that the checker refuses.
 fn check_group(prefix: &str, path: &str) -> ! {
-    let group: Vec<_> = registry::all(false)
-        .into_iter()
-        .filter(|s| s.name.starts_with(prefix))
-        .collect();
     let held = std::fs::read_to_string(path)
         .map_err(|e| golden::GoldenError::Refused(format!("unreadable: {e}")))
-        .and_then(|text| golden::check(&text, &group));
-    match &held {
-        Ok(rows) => println!("scenario: all {rows} rows of {path} hold"),
-        Err(e) => eprintln!("scenario: {path}: {e}"),
+        .and_then(|text| golden::check(&text, prefix));
+    match held {
+        Ok(rows) => println!("scenario: all {} rows of {path} hold", rows.len()),
+        Err(e) => golden_exit(path, &e),
     }
-    std::process::exit(match held {
-        Ok(_) => 0,
-        Err(golden::GoldenError::Mismatch { .. }) => 1,
-        Err(golden::GoldenError::Refused(_)) => 2,
-    });
+    std::process::exit(0);
+}
+
+/// Name the file and the error, then exit 1 on a run that differs or 2
+/// on a refused file.
+fn golden_exit(path: &str, e: &golden::GoldenError) -> ! {
+    eprintln!("scenario: {path}: {e}");
+    let code = match e {
+        golden::GoldenError::Mismatch(_) => 1,
+        golden::GoldenError::Refused(_) => 2,
+    };
+    std::process::exit(code);
+}
+
+/// `--bless`: rerun the pin store's rows, or under `QUICK=1` the figures,
+/// and print the report; then rewrite every file that moved.
+fn bless() {
+    let dir = std::path::Path::new("crates/bench/golden");
+    if !dir.is_dir() {
+        fail("--bless rewrites crates/bench/golden/: run it from the repository root");
+    }
+    let read = |path: &std::path::Path| {
+        std::fs::read_to_string(path).unwrap_or_else(|e| fail(&format!("{}: {e}", path.display())))
+    };
+    let blessed: Vec<(std::path::PathBuf, String, Vec<String>)> = if quick() {
+        let exe = std::env::current_exe().unwrap_or_else(|e| fail(&format!("own path: {e}")));
+        let render = |name: &str| -> String {
+            let out = std::process::Command::new(&exe)
+                .args(["--figure", name])
+                .output();
+            match out {
+                Ok(out) if out.status.success() => String::from_utf8_lossy(&out.stdout).into(),
+                _ => fail(&format!("--figure {name} failed: {out:?}")),
+            }
+        };
+        let figure = |name: &str| {
+            let (path, new) = (dir.join(format!("figures/{name}.txt")), render(name));
+            let changed = changed_lines(&path.display().to_string(), &read(&path), &new);
+            (path, new, changed)
+        };
+        figures::NAMES.into_iter().map(figure).collect()
+    } else {
+        let store = |(file, prefix): (&str, &str)| {
+            let path = dir.join(file);
+            let (text, report) = golden::bless(&read(&path), prefix)
+                .unwrap_or_else(|e| golden_exit(&path.display().to_string(), &e));
+            (path, text, report)
+        };
+        golden::STORE.into_iter().map(store).collect()
+    };
+    for (path, text, report) in blessed {
+        report.iter().for_each(|line| println!("{line}"));
+        let moved = read(&path) != text;
+        let state = if moved { "rewritten" } else { "unchanged" };
+        println!("scenario: {} {state}", path.display());
+        if moved {
+            std::fs::write(&path, text)
+                .unwrap_or_else(|e| fail(&format!("{}: {e}", path.display())));
+        }
+    }
+}
+
+/// The one block of lines where `new` differs from `old`, from the first
+/// line that differs to the last: a `--- path (line N)` header, `-` old
+/// and `+` new. Empty when the texts are equal.
+fn changed_lines(path: &str, old: &str, new: &str) -> Vec<String> {
+    let (a, b): (Vec<&str>, Vec<&str>) = (old.lines().collect(), new.lines().collect());
+    let head = a.iter().zip(&b).take_while(|(x, y)| x == y).count();
+    let (a, b) = (&a[head..], &b[head..]);
+    let same = |(x, y): &(&&str, &&str)| x == y;
+    let tail = a.iter().rev().zip(b.iter().rev()).take_while(same).count();
+    let removed = a[..a.len() - tail].iter().map(|l| format!("-{l}"));
+    let added = b[..b.len() - tail].iter().map(|l| format!("+{l}"));
+    let lines: Vec<String> = removed.chain(added).collect();
+    if lines.is_empty() {
+        return lines;
+    }
+    std::iter::once(format!("--- {path} (line {})", head + 1))
+        .chain(lines)
+        .collect()
 }
 
 /// The deterministic digest line of one sequential run, plus the
 /// region/sync/bus accounting line under `--sync-stats`.
 fn print_report(r: &RunReport, sync_stats: bool) {
     println!(
-        "{} digest 0x{:016x} events {} sink_records {}",
-        r.scenario, r.digest, r.events, r.sink_records
+        "{} digest 0x{:016x} events {} sink_records {} sink_hash 0x{:016x}",
+        r.scenario, r.digest, r.events, r.sink_records, r.sink_hash
     );
     if sync_stats {
         println!(
@@ -284,11 +375,12 @@ fn run_one(name: &str, o: &Opts) {
             write_events(path, file, &report.bus_events);
         }
         println!(
-            "{} digest 0x{:016x} events {} sink_records {}",
+            "{} digest 0x{:016x} events {} sink_records {} sink_hash 0x{:016x}",
             spec.name,
             report.digest(),
             report.obs.processed,
-            report.obs.sink_records
+            report.obs.sink_records,
+            report.obs.sink_hash
         );
         if o.sync_stats {
             println!(
@@ -335,7 +427,9 @@ fn run_group(prefix: &str, o: &Opts) {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let o = parse_args(&args).unwrap_or_else(|e| usage_exit(&e));
-    if o.list {
+    if o.bless {
+        bless();
+    } else if o.list {
         for s in registry::all(quick()) {
             println!("{}", s.name);
         }

@@ -19,10 +19,11 @@
 //! * [`figures`] — the paper's figures, each a registry plan that renders
 //!   itself from its grid's reports (`scenario --figure NAME`).
 //! * [`RunReport`] — the typed result of one run: the deterministic
-//!   metrics digest, the latency/throughput/suspension series, Lp/Ld,
-//!   suspension, migration progress.
-//! * [`golden`] — the cross-build digest pin: a committed file of `perf/`
-//!   digests and the one function that checks a build against it.
+//!   metrics digest, the sink-content hash, the latency/throughput/
+//!   suspension series, Lp/Ld, suspension, migration progress.
+//! * [`golden`] — the pin store: one row format for every pinned run
+//!   ([`registry::Pinned`]), the one function that checks a build against
+//!   it and the one that rewrites it (`scenario --bless`).
 //!
 //! # Determinism contract
 //!
@@ -59,7 +60,7 @@ use workloads::twitch::{twitch, twitch_engine_config, TwitchParams};
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum EngineProfile {
     /// `EngineConfig::test()` with 128 key-groups — the profile of the
-    /// `perf/` group, whose digests the golden file pins.
+    /// `perf/` group, whose digests the pin store holds.
     Perf,
     /// The paper's single-machine NEXMark deployment (128 key-groups).
     Nexmark,
@@ -223,7 +224,7 @@ impl ScenarioSpec {
     }
 
     /// A scale plan in PDES mode: the engine cannot execute one
-    /// (`start_scale` asserts), so the CLI and the golden checker refuse it.
+    /// (`start_scale` asserts), so the CLI and the pin store refuse it.
     pub fn scales_under_pdes(&self) -> bool {
         self.scale.is_some() && self.pdes()
     }

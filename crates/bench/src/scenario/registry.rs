@@ -1,6 +1,8 @@
 //! The central scenario registry: **every run used anywhere in the repo
-//! has a unique name here** — the eight `perf/` scenarios, every
-//! fig02–fig15 row, and the ablation cells.
+//! has a unique name here** — the eight `perf/` scenarios, the two Q7
+//! fire pins, every fig02–fig15 row, and the ablation cells — and the
+//! catalog of [`Pinned`] runs, which adds the hand-built worlds the pin
+//! store holds rows for.
 //!
 //! Names are hierarchical (`group/detail...`) and stable; they are the
 //! identity of a run (`scenario --run NAME`). The figures ([`super::figures`]) are the
@@ -12,13 +14,20 @@
 //! timelines and grids exactly the way the pre-registry binaries did, so
 //! the same name resolves to the quick or full variant of the same row.
 
+use baselines::{otfs_fluid, MecesPlugin, StopRestartPlugin, UnboundPlugin};
 use simcore::time::{ms, secs, SimTime};
+use streamflow::graph::{EdgeKind, JobBuilder};
+use streamflow::operator::KeyedAgg;
+use streamflow::world::tests_support::{tiny_job, FixedGen};
+use streamflow::world::{Sim, World};
+use streamflow::{EngineConfig, OpId, ScalePlugin};
 use workloads::custom::CustomParams;
 use workloads::nexmark::{Q7Params, Q8Params};
 use workloads::twitch::TwitchParams;
 
+use super::golden::Outcome;
 use super::{EngineProfile, MechanismSpec, ScaleSpec, ScenarioSpec, WorkloadSpec};
-use drrs_core::MechanismConfig;
+use drrs_core::{FlexScaler, MechanismConfig, SchedStats};
 
 fn spec(
     name: String,
@@ -50,8 +59,8 @@ fn drrs() -> MechanismSpec {
 }
 
 /// The eight `perf/` scenarios. Digests of these runs on the full
-/// timelines are the cross-build behavior contract, pinned by
-/// `crates/bench/golden/perf_digests.txt` (see [`super::golden`]).
+/// timelines are the cross-build behavior contract, pinned by the pin
+/// store's `crates/bench/golden/perf_digests.txt` (see [`super::golden`]).
 pub fn perf_scenarios(quick: bool) -> Vec<ScenarioSpec> {
     let horizon = secs(if quick { 4 } else { 10 });
     let tiny = |rate, universe, par| WorkloadSpec::TinyJob {
@@ -624,10 +633,41 @@ pub fn ablation_plan(quick: bool) -> AblationPlan {
     }
 }
 
+/// The two Q7 runs whose sink content pins every value a window fires,
+/// through firing, eviction and migrated window state: NEXMark's profile
+/// on seed 1, Q7 at its default 20 k tps, DRRS scaling the window 8 → 12
+/// at 16 s, run to 32 s, at Q7's 500 ms slide and at slide = size
+/// (tumbling, one slot per window). Every fired `(key, value, end)`
+/// reaches the sink as one record, so the row's `sink_hash` covers them.
+/// No mode compresses them.
+pub fn q7_fire_pins() -> Vec<ScenarioSpec> {
+    [("slide500ms", ms(500)), ("tumbling", secs(10))]
+        .into_iter()
+        .map(|(key, slide)| {
+            spec(
+                format!("pins/q7_fire/{key}"),
+                EngineProfile::Nexmark,
+                1,
+                WorkloadSpec::Q7(Q7Params {
+                    slide,
+                    ..Default::default()
+                }),
+                drrs(),
+                Some(ScaleSpec {
+                    at: secs(16),
+                    to: 12,
+                }),
+                secs(32),
+            )
+        })
+        .collect()
+}
+
 /// Every registered scenario, across all groups. Names are globally unique
 /// (enforced by test).
 pub fn all(quick: bool) -> Vec<ScenarioSpec> {
     let mut out = perf_scenarios(quick);
+    out.extend(q7_fire_pins());
     out.extend(fig02_plan(quick).specs);
     out.extend(fig10_11_plan(quick).specs);
     out.extend(fig12_13_plan(quick).specs);
@@ -645,6 +685,306 @@ pub fn all(quick: bool) -> Vec<ScenarioSpec> {
 /// Look up one scenario by its registry name.
 pub fn find(name: &str, quick: bool) -> Option<ScenarioSpec> {
     all(quick).into_iter().find(|s| s.name == name)
+}
+
+/// A run the pin store ([`super::golden`]) holds a row for.
+#[derive(Clone, Debug)]
+pub enum Pinned {
+    /// A registry scenario, run at the partition its row names; a PDES
+    /// row runs on the sequential and the thread-per-region engine.
+    Spec(ScenarioSpec),
+    /// A world built by hand and run sequentially: one of the nine
+    /// `pins/world/` engine paths no scenario reaches, or Record
+    /// Scheduling's cost job, `pins/sched_cost/`.
+    World(&'static str),
+}
+
+/// Record Scheduling's cost job ([`sched_cost`]).
+const SCHED_COST: &str = "pins/sched_cost/drrs_4_to_6_to_3";
+
+/// [`SCHED_COST`]'s columns: the sink hash, [`SchedStats`] after the
+/// scale-out (`out_…`) and after the scale-in, the records processed
+/// under a plan and the most events the future-event list held.
+const SCHED_COLUMNS: [&str; 13] = [
+    "sink_hash",
+    "out_selects",
+    "out_scans",
+    "out_scan_positions",
+    "out_hint_resumes",
+    "out_bypass_runs",
+    "selects",
+    "scans",
+    "scan_positions",
+    "hint_resumes",
+    "bypass_runs",
+    "while_active",
+    "pending_high_water",
+];
+
+impl Pinned {
+    /// The run's registry name, which its row carries.
+    pub fn name(&self) -> &str {
+        match self {
+            Self::Spec(s) => &s.name,
+            Self::World(name) => name,
+        }
+    }
+
+    /// The named columns the run reports after its three counts, in row
+    /// order.
+    pub fn columns(&self) -> &'static [&'static str] {
+        match self {
+            Self::Spec(_) => &["sink_hash"],
+            Self::World(SCHED_COST) => &SCHED_COLUMNS,
+            Self::World(_) => &["sink_hash", "lp", "ld_bits", "churn_avg_bits", "churn_max"],
+        }
+    }
+
+    /// Why the run cannot take a partition of `regions` (> 1 is PDES
+    /// mode), if it cannot: PDES mode cannot execute a scale plan, and a
+    /// hand-built world runs sequentially only.
+    pub(crate) fn refuses(&self, regions: usize) -> Option<String> {
+        match self {
+            _ if regions == 1 => None,
+            Self::Spec(s) if s.scale.is_none() => None,
+            Self::Spec(s) => Some(format!(
+                "{} has a scale plan, which PDES mode cannot execute",
+                s.name
+            )),
+            Self::World(name) => Some(format!("{name} is built by hand: `1 0` only")),
+        }
+    }
+
+    /// Run at `regions resume_latency` (which [`Self::refuses`] accepts),
+    /// returning what each engine that ran it produced, by engine name.
+    pub(crate) fn run(
+        &self,
+        regions: usize,
+        resume_latency: SimTime,
+    ) -> Vec<(&'static str, Outcome)> {
+        let spec = match self {
+            Self::World(SCHED_COST) => return vec![("sequential", sched_cost())],
+            Self::World(name) => return vec![("sequential", world_path(name))],
+            Self::Spec(s) => s
+                .clone()
+                .with_regions(regions)
+                .with_resume_latency(resume_latency),
+        };
+        let r = spec.run();
+        let seq = Outcome::new(
+            (r.digest, r.events, r.sink_records),
+            [("sink_hash", r.sink_hash)],
+        );
+        let mut out = vec![("sequential", seq)];
+        if spec.pdes() {
+            let par = spec.run_threaded();
+            let obs = &par.obs;
+            let counts = (par.digest(), obs.processed, obs.sink_records);
+            out.push((
+                "threaded",
+                Outcome::new(counts, [("sink_hash", obs.sink_hash)]),
+            ));
+        }
+        out
+    }
+}
+
+/// Every pinned run: the `perf/` scenarios on their full timelines, the
+/// Q7 fire runs, the hand-built world paths and Record Scheduling's cost
+/// job.
+pub fn pinned() -> Vec<Pinned> {
+    let specs = perf_scenarios(false).into_iter().chain(q7_fire_pins());
+    let worlds = WORLD_PATHS.into_iter().chain([SCHED_COST]);
+    specs
+        .map(Pinned::Spec)
+        .chain(worlds.map(Pinned::World))
+        .collect()
+}
+
+/// The engine paths the `perf/` rows (NoScale, DRRS, Megaphone and Q7,
+/// always with checkpoints off) never reach, each a world built by
+/// [`world_path`]: checkpoint barriers with the `CheckpointTick` deferral
+/// during a scale (scale-out; `scale_in`'s long run checks checkpoints
+/// across scale-ins), checkpoint alignment beside the coupled scaling
+/// barriers' (Megaphone injects them at the predecessors, OTFS at the
+/// sources), the stop-restart pause/resume, Meces' fetch path (once more
+/// over two back-to-back scale-outs at sub-group fanout 4, so unit
+/// locations outlive a plan), OTFS and Unbound.
+const WORLD_PATHS: [&str; 9] = [
+    "pins/world/drrs_ckpt",
+    "pins/world/meces",
+    "pins/world/meces_two_plans",
+    "pins/world/stop_restart",
+    "pins/world/otfs",
+    "pins/world/unbound",
+    "pins/world/megaphone_ckpt",
+    "pins/world/otfs_ckpt",
+    "pins/world/megaphone_ckpt_two_sources",
+];
+
+/// Run the world path `name` of [`WORLD_PATHS`], which says what it
+/// builds: the mechanism that scales `tiny_job`'s aggregator 4 → 6 at
+/// 1.2 s; `_ckpt`, aligned checkpoints every 400 ms; `_two_plans`, a
+/// second plan to 8 at 2.4 s; `_two_sources`, [`two_source_job`] (the one
+/// row whose barrier hold delays data). Besides the counts and the sink
+/// hash it reports the last plan's Lp, Ld bits and migration churn, which
+/// the digest does not hash.
+fn world_path(name: &str) -> Outcome {
+    let plugin: Box<dyn ScalePlugin> = match name.trim_start_matches("pins/world/") {
+        "drrs_ckpt" => Box::new(FlexScaler::drrs()),
+        "meces" | "meces_two_plans" => Box::new(MecesPlugin::new()),
+        "stop_restart" => {
+            // Resume inside the horizon so `World::resume` runs too.
+            let mut p = StopRestartPlugin::new();
+            p.restart_overhead = ms(300);
+            Box::new(p)
+        }
+        "otfs" | "otfs_ckpt" => Box::new(otfs_fluid()),
+        "unbound" => Box::new(UnboundPlugin::new()),
+        _ => Box::new(FlexScaler::new(MechanismConfig::megaphone(1))),
+    };
+    let plans: &[(SimTime, usize)] = if name.ends_with("_two_plans") {
+        &[(ms(1_200), 6), (ms(2_400), 8)]
+    } else {
+        &[(ms(1_200), 6)]
+    };
+    let mut cfg = EngineConfig::test();
+    cfg.seed = 0xC0FFEE;
+    if name.contains("_ckpt") {
+        cfg.checkpoint_interval = Some(ms(400));
+    }
+    if plans.len() > 1 {
+        // Meces' hierarchical state: four units per key-group.
+        cfg.sub_group_fanout = 4;
+    }
+    let (mut w, agg) = if name.ends_with("_two_sources") {
+        two_source_job(cfg)
+    } else {
+        tiny_job(cfg, 6_000.0, 512, 4)
+    };
+    for &(at, par) in plans {
+        w.schedule_scale(at, agg, par);
+    }
+    let mut sim = Sim::new(w, plugin);
+    sim.run_until(plans[plans.len() - 1].0 + ms(1_800));
+    let w = &sim.world;
+    assert_eq!(
+        w.scale.epoch as usize,
+        plans.len(),
+        "{name}: a plan never started"
+    );
+    let m = &w.scale.metrics;
+    let (churn_avg, churn_max) = m.migration_churn();
+    Outcome::new(
+        (w.metrics_digest(), w.q.processed(), w.metrics.sink_records),
+        [
+            ("sink_hash", w.metrics.sink_hash),
+            ("lp", m.cumulative_propagation_delay()),
+            ("ld_bits", m.avg_dependency_overhead().to_bits()),
+            ("churn_avg_bits", churn_avg.to_bits()),
+            ("churn_max", churn_max.into()),
+        ],
+    )
+}
+
+/// `tiny_job` with two source instances, at 2,000 and 10,000 records/s,
+/// so each of the four aggregators has two inputs whose barriers arrive
+/// at different times.
+fn two_source_job(cfg: EngineConfig) -> (World, OpId) {
+    let mut b = JobBuilder::new(cfg);
+    let src = b.source(
+        "src",
+        2,
+        Box::new(|i| Box::new(FixedGen::new([2_000.0, 10_000.0][i], 512))),
+    );
+    let agg = b.operator(
+        "agg",
+        4,
+        Box::new(|| {
+            Box::new(KeyedAgg {
+                service: 50,
+                bytes_per_key: 1_000,
+                bytes_per_record: 0,
+                emit_every: 1,
+            })
+        }),
+    );
+    let sink = b.sink("sink", 1);
+    b.connect(src, agg, EdgeKind::Keyed);
+    b.connect(agg, sink, EdgeKind::Rebalance);
+    (b.build(), agg)
+}
+
+/// Records processed so far by the instances `op` ever had.
+fn processed_by(w: &World, op: OpId) -> u64 {
+    w.insts
+        .iter()
+        .filter(|i| i.op == op)
+        .map(|i| i.processed)
+        .sum()
+}
+
+/// The production dispatch loop (`Sim::dispatch_until`) around a concrete
+/// `FlexScaler`, so its counters stay readable. Returns how many records
+/// `op` processed while the mechanism was active, and raises
+/// `pending_high_water` to the most events the future-event list held (the
+/// just-drained run included).
+fn run_flex_until(
+    w: &mut World,
+    p: &mut FlexScaler,
+    op: OpId,
+    t: SimTime,
+    pending_high_water: &mut usize,
+) -> u64 {
+    let mut buf = Vec::new();
+    let mut while_active = 0;
+    while w.q.pop_run_at_most(t, &mut buf).is_some() {
+        *pending_high_water = (*pending_high_water).max(w.q.len() + buf.len());
+        let (active, before) = (p.active(), processed_by(w, op));
+        w.dispatch_run(p, &mut buf);
+        if active || p.active() {
+            while_active += processed_by(w, op) - before;
+        }
+    }
+    w.q.advance_clock_to(t);
+    while_active
+}
+
+/// [`SCHED_COST`]: DRRS scales a 60 k records/s `tiny_job` 4 → 6 at
+/// 2 s and 6 → 3 at 5 s. 64 MB of keyed state behind a 150 B/µs migration
+/// path keeps state in transit for a few hundred milliseconds per plan
+/// while the operator runs at 75 % utilisation, so records do wait in
+/// scheduling buffers.
+fn sched_cost() -> Outcome {
+    let mut cfg = EngineConfig::test();
+    cfg.max_key_groups = 128;
+    cfg.ser_bytes_per_us = 150.0;
+    let (mut w, agg) = tiny_job(cfg, 60_000.0, 65_536, 4);
+    let mut p = FlexScaler::drrs();
+
+    w.schedule_scale(secs(2), agg, 6);
+    let mut pending_high_water = 0;
+    let mut while_active = run_flex_until(&mut w, &mut p, agg, secs(5), &mut pending_high_water);
+    assert!(p.finished(), "scale-out did not finish");
+    let out = p.sched_stats();
+
+    w.schedule_scale(secs(5), agg, 3);
+    while_active += run_flex_until(&mut w, &mut p, agg, secs(9), &mut pending_high_water);
+    assert!(p.finished(), "scale-in did not finish");
+    let total = p.sched_stats();
+
+    assert_eq!(w.semantics.violations(), 0);
+    assert_eq!(w.ops[agg.0 as usize].instances.len(), 3);
+    let counts = |s: SchedStats| [s.selects, s.scans, s.scan_positions, s.hint_resumes];
+    let counts = |s: SchedStats| counts(s).into_iter().chain([s.bypass_runs]);
+    let values = std::iter::once(w.metrics.sink_hash)
+        .chain(counts(out))
+        .chain(counts(total))
+        .chain([while_active, pending_high_water as u64]);
+    Outcome::new(
+        (w.metrics_digest(), w.q.processed(), w.metrics.sink_records),
+        SCHED_COLUMNS.into_iter().zip(values),
+    )
 }
 
 #[cfg(test)]

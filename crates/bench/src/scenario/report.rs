@@ -27,6 +27,9 @@ pub struct RunReport {
     pub events: u64,
     /// Records delivered to sinks.
     pub sink_records: u64,
+    /// The sink-content hash (`Metrics::sink_hash`), which the digest does
+    /// not cover: equal for two runs whose sinks absorbed equal multisets.
+    pub sink_hash: u64,
     /// The deterministic metrics digest (same spec ⇒ same digest).
     pub digest: u64,
     /// Execution-order violations observed.
@@ -114,6 +117,7 @@ impl RunReport {
             horizon: spec.horizon,
             events: w.q.processed(),
             sink_records: w.metrics.sink_records,
+            sink_hash: w.metrics.sink_hash,
             digest: w.metrics_digest(),
             violations: w.semantics.violations(),
             lp_ms: as_ms(w.scale.metrics.cumulative_propagation_delay()),
@@ -216,6 +220,7 @@ mod tests {
             horizon: 170_000_000,
             events: 123_456,
             sink_records: 777,
+            sink_hash: 0x5eed,
             digest: 0xc1221c2392952504,
             violations: 0,
             lp_ms: 1.5,

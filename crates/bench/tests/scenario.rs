@@ -1,6 +1,6 @@
 //! Integration tests for the scenario subsystem: registry integrity, grid
-//! runs independent of the worker count, the golden digest pin, bus-sink
-//! neutrality, the `--events` file, the event stream both engines share,
+//! runs independent of the worker count, the pin store's checker and
+//! bless, bus-sink neutrality, the `--events` file, the event stream both engines share,
 //! and the strict CLIs.
 
 use bench::scenario::golden::{self, GoldenError};
@@ -8,8 +8,11 @@ use bench::scenario::{registry, run_all, ScenarioSpec};
 use simcore::time::secs;
 use streamflow::{BusEvent, BusEventKind, BusSinkKind};
 
-/// The committed cross-build digest pin.
+/// The pin store's `perf/` rows: the cross-build digest pin.
 const GOLDEN: &str = include_str!("../golden/perf_digests.txt");
+
+/// The pin store's hand-built and Q7 fire rows.
+const PINS: &str = include_str!("../golden/pins.txt");
 
 #[test]
 fn every_registry_scenario_config_validates() {
@@ -92,68 +95,120 @@ fn run_bin(exe: &str, args: &[&str]) -> (Option<i32>, String) {
 
 #[test]
 fn golden_digests_hold_on_full_timelines_sequential_and_threaded() {
-    // The cross-build pin, as CI's `scenario --group perf --check`: eight
+    // The cross-build pin, as `scenario --group perf --check`: eight
     // sequential rows (a perf spec added without its row is refused) plus
     // the two 100k scenarios under PDES at regions 2 and 4, run on both
-    // engines — the seq == threaded contract on full timelines.
-    let held = golden::check(GOLDEN, &registry::perf_scenarios(false));
+    // engines — the seq == threaded contract on full timelines, sink
+    // content included.
+    let held = golden::check(GOLDEN, "perf/").map(|rows| rows.len());
     assert_eq!(held, Ok(12), "a perf/ digest left the golden file");
 }
 
 #[test]
 fn golden_checker_fails_closed() {
-    let group = registry::perf_scenarios(false);
     let digest = "0xc1221c2392952504";
-    let row = format!("perf/steady_50k 1 0 {digest} 1033084 500000");
+    let hash = "sink_hash=0xaee7ac36f39f0fba";
+    let row = format!("perf/steady_50k 1 0 {digest} 1033084 500000 {hash}");
     let line = 1 + GOLDEN.lines().position(|l| l == row).expect("row");
 
-    // A flipped digest is a mismatch carrying name, expected and actual.
-    let flipped = GOLDEN.replacen(digest, "0xc1221c2392952505", 1);
-    let Err(GoldenError::Mismatch {
-        name,
-        run,
-        expected,
-        actual,
-    }) = golden::check(&flipped, &group)
-    else {
-        panic!("a flipped digest must be a Mismatch");
-    };
-    assert_eq!(name, "perf/steady_50k");
-    assert_eq!(run, "regions 1, resume latency 0, sequential engine");
-    assert_eq!(expected.digest, 0xc1221c2392952505);
-    assert_eq!(actual.digest, 0xc1221c2392952504);
-    assert_eq!((actual.events, actual.sink_records), (1_033_084, 500_000));
+    // A flipped value is a mismatch naming the row, the run, the column,
+    // the expected and the actual value: a count and a named column.
+    let run = "perf/steady_50k (regions 1, resume latency 0, sequential engine)";
+    let flips = [
+        (digest, "0xc1221c2392952505", "digest"),
+        (hash, "sink_hash=0xaee7ac36f39f0fbb", "sink_hash"),
+    ];
+    for (from, to, column) in flips {
+        let flipped = GOLDEN.replacen(&row, &row.replacen(from, to, 1), 1);
+        let (expected, actual) = (&to[to.len() - 18..], &from[from.len() - 18..]);
+        let moved = format!("{run}: {column} expected {expected}, got {actual}");
+        assert_eq!(
+            golden::check(&flipped, "perf/"),
+            Err(GoldenError::Mismatch(moved))
+        );
+    }
 
     // Everything else is refused, naming the line, before anything runs
     // (each case rewrites part or all of the steady_50k row).
-    let refused = [
-        (" 500000", "", "want 6 fields"),
+    let (counts, named) = (format!(" 1033084 500000 {hash}"), format!(" {hash}"));
+    let refused: [(&str, &str, &str); 13] = [
+        (&counts, "", "want 6 fields"),
         (digest, "0xnothex", "0x-prefixed hex"),
         (digest, "c1221c2392952504", "0x-prefixed hex"),
         ("1033084", "many", "events \"many\""),
         (" 1 0 ", " 2 0 ", "partition 2 0"),
         (&row, "perf/drrs_rescale_4_to_6 2 100 0x0 1 1", "scale plan"),
-        (&row, "perf/nonexistent 1 0 0x0 1 1", "not in the checked"),
+        (&row, "perf/nonexistent 1 0 0x0 1 1", "is not a pinned run"),
         (&row, "perf/cut_pipeline_100k 1 0 0x0 1 1", "repeats"),
+        // Named columns: unknown, repeated, missing, malformed.
+        (hash, "sink_hash=0x1 lp=3", "unknown column lp"),
+        (hash, "sink_hash=0x1 sink_hash=0x1", "repeats column"),
+        (&named, "", "missing column sink_hash"),
+        (hash, "sink_hash=12", "sink_hash \"12\": want 0x"),
+        (hash, "sink_hash", "column \"sink_hash\": want name=value"),
     ];
     for (from, to, reason) in refused {
         let text = GOLDEN.replacen(&row, &row.replacen(from, to, 1), 1);
-        let Err(GoldenError::Refused(why)) = golden::check(&text, &group) else {
+        let Err(GoldenError::Refused(why)) = golden::check(&text, "perf/") else {
             panic!("{from:?} -> {to:?} must be refused");
         };
         // A repeat is reported where the second copy sits.
         let here = reason == "repeats" || why.starts_with(&format!("line {line}: "));
         assert!(here && why.contains(reason), "{from:?} -> {to:?}: {why}");
     }
-    // So is a perf spec added to the group without its sequential row.
-    let mut grown = group.clone();
-    grown.push(ScenarioSpec {
-        name: "perf/new_scenario".into(),
-        ..group[0].clone()
-    });
-    let unpinned = "no sequential (`1 0`) row for perf/new_scenario".to_string();
-    let unrowed = golden::check(GOLDEN, &grown);
-    assert_eq!(unrowed, Err(GoldenError::Refused(unpinned)));
+    // So is a pinned run without its sequential row, and a prefix that
+    // names no pinned run.
+    let unrowed = GOLDEN.replacen(&format!("{row}\n"), "", 1);
+    let unpinned = "no sequential (`1 0`) row for perf/steady_50k".to_string();
+    assert_eq!(
+        golden::check(&unrowed, "perf/"),
+        Err(GoldenError::Refused(unpinned))
+    );
+    let nothing = "no pinned run starts with fig02/".to_string();
+    assert_eq!(
+        golden::check(GOLDEN, "fig02/"),
+        Err(GoldenError::Refused(nothing))
+    );
+}
+
+#[test]
+fn bless_rewrites_rows_and_reports_every_moved_column() {
+    // The world-path rows with one value flipped, one column that no run
+    // reports and one row missing: bless restores the committed rows (the
+    // missing one at the end) and says what it did.
+    let world: Vec<&str> = PINS
+        .lines()
+        .filter(|l| l.starts_with("pins/world/"))
+        .collect();
+    assert_eq!(world.len(), 9);
+    let flip = |l: &str| l.replacen(" lp=351 ", " lp=352 ", 1);
+    let stale = |l: &str| format!("{l} classified=7");
+    let text = format!(
+        "# header\n{}\n{}\n{}\n",
+        flip(world[0]),
+        stale(world[1]),
+        world[3..].join("\n")
+    );
+    let (blessed, report) = golden::bless(&text, "pins/world/").unwrap_or_else(|e| panic!("{e}"));
+    let mut want = vec!["# header", world[0], world[1]];
+    want.extend(&world[3..]);
+    want.push(world[2]);
+    let want = want.join("\n") + "\n";
+    assert_eq!(blessed, want);
+    let name = |l: &str| l.split(' ').next().expect("name").to_string();
+    assert_eq!(
+        report,
+        vec![
+            format!("{} 1 0: sink content equal", name(world[0])),
+            "  lp 352 -> 351".to_string(),
+            format!("{} 1 0: sink content equal", name(world[1])),
+            "  classified 7 -> (none)".to_string(),
+            format!("{} 1 0: new row", name(world[2])),
+        ]
+    );
+    // An unchanged file comes back byte for byte, with nothing to report.
+    let again = golden::bless(&blessed, "pins/world/").unwrap_or_else(|e| panic!("{e}"));
+    assert_eq!(again, (want, vec![]));
 }
 
 #[test]
@@ -318,6 +373,11 @@ fn binaries_reject_stale_or_malformed_command_lines() {
         (scenario, "--figure fig15 --check f", check_alone),
         (
             scenario,
+            "--bless --threads 2",
+            "--bless takes no other flag",
+        ),
+        (
+            scenario,
             "--run perf/steady_50k --regions 0",
             "perf/steady_50k: engine config: regions must be positive",
         ),
@@ -438,20 +498,51 @@ fn drrs_sim_reports_a_scale_only_when_a_plan_exists() {
 }
 
 #[test]
-fn scenario_check_exits_1_on_a_moved_digest_and_2_on_a_refused_file() {
+fn scenario_check_exits_1_on_a_moved_value_and_2_on_a_refused_file() {
     let scenario = env!("CARGO_BIN_EXE_scenario");
     let path = std::env::temp_dir().join(format!("drrs_check_cli_{}.txt", std::process::id()));
     let file = path.to_str().expect("utf-8 temp path");
-    let flipped = GOLDEN.replacen("0xc1221c2392952504", "0xc1221c2392952505", 1);
-    let moved = "perf/steady_50k (regions 1, resume latency 0, sequential engine): \
-                 expected digest 0xc1221c2392952505 events 1033084 sink_records 500000, \
-                 got digest 0xc1221c2392952504 events 1033084 sink_records 500000";
-    let truncated = ("perf/steady_50k 1 0\n", 2, "line 1: want 6 fields");
-    for (text, code, reason) in [(flipped.as_str(), 1, moved), truncated] {
-        std::fs::write(&path, text).expect("write golden variant");
+    let steady = "perf/steady_50k (regions 1, resume latency 0, sequential engine): ";
+    let hash = "sink_hash=0xaee7ac36f39f0fba";
+    let (bogus, twice) = (format!("{hash} bogus=1"), format!("{hash} {hash}"));
+    let cases = [
+        (
+            "0xc1221c2392952504",
+            "0xc1221c2392952505",
+            1,
+            "digest expected 0xc1221c2392952505",
+        ),
+        (
+            hash,
+            "sink_hash=0x1",
+            1,
+            "sink_hash expected 0x0000000000000001, got 0xaee7",
+        ),
+        (
+            "0xc1221c2392952504 1033084 500000",
+            "",
+            2,
+            "line 4: want 6 fields",
+        ),
+        (hash, &bogus, 2, "unknown column bogus"),
+        (hash, &twice, 2, "repeats column sink_hash"),
+        (
+            hash,
+            "sink_hash=0xg",
+            2,
+            "sink_hash \"0xg\": want 0x-prefixed hex",
+        ),
+    ];
+    for (from, to, code, reason) in cases {
+        std::fs::write(&path, GOLDEN.replacen(from, to, 1)).expect("write golden variant");
         let (got, stderr) = run_bin(scenario, &["--group", "perf", "--check", file]);
-        assert_eq!(got, Some(code), "{text:?}: {stderr}");
-        assert!(stderr.contains(reason), "{text:?}: {stderr}");
+        assert_eq!(got, Some(code), "{reason}: {stderr}");
+        let reason = if code == 1 {
+            format!("{steady}{reason}")
+        } else {
+            reason.into()
+        };
+        assert!(stderr.contains(&reason), "{reason}: {stderr}");
     }
     std::fs::remove_file(&path).expect("remove golden variant");
     let (got, stderr) = run_bin(scenario, &["--group", "perf", "--check", file]);

@@ -39,7 +39,7 @@
 //! Scheduling a held head suspends the instance and a run ends at its
 //! first record that is not `Process`.
 //!
-//! **What `classify` reads.** The record's kind and key; the per-plan
+//! **What `class_of` reads.** The record's kind and key; the per-plan
 //! tables `kg2sub`, the subscale's phase and endpoints, `pred_mask`; the
 //! instance's `StateBackend::holds_group` (changed only by extraction and
 //! installation, both driven from here); the inbox count `inbox_kg` of
@@ -59,7 +59,7 @@
 //! launch, an extraction, records entering an inbox, a subscale or the
 //! scale finishing, an alignment completing) can only turn records into
 //! `Hold` or change records that are not, so between two bumps of an
-//! instance's epoch every record `classify` held there stays held.
+//! instance's epoch every record `class_of` held there stays held.
 //!
 //! **What a hold hint certifies.** The scan remembers, per input channel,
 //! the length `len` of the queue prefix it has proven to be data records
@@ -156,8 +156,6 @@ struct HoldHint {
 pub struct SchedStats {
     /// Input selections made for instances of the scaling operator.
     pub selects: u64,
-    /// Records classified (every one by a channel scan).
-    pub classified: u64,
     /// Channel scans whose head record was held (resumed behind a hint or
     /// classified `Hold`): the intra-channel bypasses, each of which
     /// leaves a hold hint.
@@ -264,7 +262,7 @@ impl FlexScaler {
         self.pred_mask.get(inst.0 as usize) == Some(&true)
     }
 
-    /// A record `classify` held at `inst` may be held no longer: every
+    /// A record `class_of` held at `inst` may be held no longer: every
     /// hold hint of a channel into `inst` is stale.
     fn bump_epoch(&mut self, inst: InstId) {
         *slot(&mut self.epochs, inst.0 as usize, 0) += 1;
@@ -323,18 +321,15 @@ impl FlexScaler {
         }
     }
 
-    fn signal(&self, si: usize, kind: SignalKind, pred: InstId, now: SimTime) -> ScaleSignal {
+    fn signal(&self, si: usize, kind: SignalKind, pred: InstId) -> ScaleSignal {
         ScaleSignal {
-            scale_epoch: 0,
             subscale: SubscaleId(si as u32),
             kind,
             from_pred: pred,
-            injected_at: now,
         }
     }
 
     fn inject_at_preds(&mut self, w: &mut World, op: OpId, si: usize) {
-        let now = w.now();
         let (from, to) = (self.specs[si].from, self.specs[si].to);
         // Copy the cached edge list: the loop below mutates routing state.
         let edges = w.keyed_in_edges(op).to_vec();
@@ -375,18 +370,18 @@ impl FlexScaler {
                     w.pump(ch_new);
                     w.pump(ch_old);
                     // Trigger barrier: priority end-to-end.
-                    let trig = self.signal(si, SignalKind::Trigger, pred, now);
+                    let trig = self.signal(si, SignalKind::Trigger, pred);
                     w.send_priority(from, PriorityMsg::Signal(trig));
                     // Confirm barrier: skips the backlog, in-order on the
                     // wire and at the receiver.
-                    let conf = self.signal(si, SignalKind::Confirm, pred, now);
+                    let conf = self.signal(si, SignalKind::Confirm, pred);
                     w.send_uncredited(ch_old, StreamElement::Scale(conf));
                     let s = &mut self.subs[si];
                     *slot(&mut s.confirms_pending, pred.0 as usize, 0) += 1;
                     s.confirms_left += 1;
                 } else {
                     // Coupled barrier: strictly in-band (through the backlog).
-                    let sig = self.signal(si, SignalKind::Coupled, pred, now);
+                    let sig = self.signal(si, SignalKind::Coupled, pred);
                     w.send(ch_old, StreamElement::Scale(sig));
                 }
             }
@@ -396,7 +391,6 @@ impl FlexScaler {
     fn inject_at_sources(&mut self, w: &mut World, op: OpId, si: usize) {
         // Conventional source injection: barriers ride the dataflow from the
         // sources, aligned and forwarded at every intermediate operator.
-        let now = w.now();
         let to = self.specs[si].to;
         let source_insts: Vec<InstId> = w
             .insts
@@ -410,7 +404,7 @@ impl FlexScaler {
             if self.is_pred(srci) {
                 w.reroute_groups(op, srci, &self.specs[si].kgs, to);
             }
-            let sig = self.signal(si, SignalKind::Coupled, srci, now);
+            let sig = self.signal(si, SignalKind::Coupled, srci);
             for ch in w.insts[srci.0 as usize].out_channels.clone() {
                 w.send(ch, StreamElement::Scale(sig));
             }
@@ -504,13 +498,7 @@ impl FlexScaler {
     // Classification
     // ------------------------------------------------------------------
 
-    // checker:hot-path
-    fn classify(&mut self, w: &World, inst: InstId, ch_from: InstId, rec: &Record) -> Class {
-        self.stats.classified += 1;
-        self.class_of(w, inst, ch_from, rec)
-    }
-
-    /// `classify` without the counter (the debug oracle re-classifies).
+    /// How `rec`, which came from `ch_from`, is classified at `inst`.
     // checker:hot-path
     #[inline]
     fn class_of(&self, w: &World, inst: InstId, ch_from: InstId, rec: &Record) -> Class {
@@ -674,7 +662,7 @@ impl FlexScaler {
                 }
                 break;
             };
-            match self.classify(w, inst, from, r) {
+            match self.class_of(w, inst, from, r) {
                 Class::Process => {
                     let Some(StreamElement::Record(rec)) = w.chan_remove_at(ch, pos) else {
                         unreachable!("checked record")
@@ -899,10 +887,8 @@ impl ScalePlugin for FlexScaler {
                 }
             }
             SignalKind::Coupled => self.on_coupled(w, inst, ch, sig),
-            SignalKind::Trigger | SignalKind::ConfirmRerouted => {
-                // Triggers normally travel out-of-band; tolerate in-band.
-                self.on_trigger(w, inst, sig);
-            }
+            // A trigger is sent only as a priority message (`on_priority`).
+            SignalKind::Trigger => unreachable!("in-band trigger barrier"),
         }
     }
 
@@ -933,15 +919,14 @@ impl FlexScaler {
         self.started && !self.done && self.op == Some(w.insts[inst.0 as usize].op)
     }
 
-    /// A trigger barrier arrived at `inst` (out-of-band, or tolerated
-    /// in-band): the subscale's source starts migrating.
+    /// A trigger barrier arrived at `inst` as a priority message: the
+    /// subscale's source starts migrating.
     fn on_trigger(&mut self, w: &mut World, inst: InstId, sig: ScaleSignal) {
-        if sig.kind == SignalKind::Trigger {
-            let si = sig.subscale.0 as usize;
-            if si < self.subs.len() && !self.subs[si].triggered && inst == self.specs[si].from {
-                self.subs[si].triggered = true;
-                self.start_migration(w, si);
-            }
+        debug_assert_eq!(sig.kind, SignalKind::Trigger);
+        let si = sig.subscale.0 as usize;
+        if si < self.subs.len() && !self.subs[si].triggered && inst == self.specs[si].from {
+            self.subs[si].triggered = true;
+            self.start_migration(w, si);
         }
     }
 
@@ -1335,8 +1320,7 @@ mod tests {
     fn rerouted_confirm_drops_the_hint() {
         frozen().assert_drops_hint(|f| {
             let pred = f.w.chans[f.ch.0 as usize].from;
-            let sig =
-                f.p.signal(f.si, SignalKind::ConfirmRerouted, pred, f.w.now());
+            let sig = f.p.signal(f.si, SignalKind::Confirm, pred);
             f.p.on_rerouted_confirm(&mut f.w, f.to, sig);
         });
     }

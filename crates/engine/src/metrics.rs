@@ -1,17 +1,17 @@
 //! Run-level measurement: end-to-end latency (via markers), source
-//! throughput, cumulative suspension, and the paper's scaling-period
-//! detector.
+//! throughput, cumulative suspension, the sink-content hash, and the
+//! paper's scaling-period detector.
 
-use simcore::stats::{Histogram, TimeSeries};
+use simcore::stats::TimeSeries;
 use simcore::time::{as_ms, SimTime, MICROS_PER_SEC};
+
+use crate::record::Record;
 
 /// All measurements collected during a run.
 #[derive(Default)]
 pub struct Metrics {
     /// End-to-end latency samples `(sink arrival time, latency µs)`.
     pub latency: TimeSeries,
-    /// Latency distribution (all samples, whole run).
-    pub latency_hist: Histogram,
     /// Records emitted by sources, bucketed per second.
     pub source_counts: Vec<(u64, u64)>,
     /// Cumulative suspension time across scaled-operator instances,
@@ -22,18 +22,44 @@ pub struct Metrics {
     pub checkpoints: TimeSeries,
     /// Total records delivered to sinks.
     pub sink_records: u64,
+    /// The sink content as a multiset hash: the wrapping sum, over every
+    /// data record a sink absorbed, of its `(key, value, event_time)` mix
+    /// times its `count` ([`Self::hash_sunk`]). Equal sink multisets give
+    /// equal hashes in any order. Reported next to the digest, never
+    /// hashed into it.
+    pub sink_hash: u64,
 }
 
 impl Metrics {
     /// Record a marker latency sample.
     pub fn record_latency(&mut self, at: SimTime, latency: SimTime) {
         self.latency.push(at, latency as f64);
-        self.latency_hist.record(latency);
     }
 
-    /// Latency quantile over the whole run, in milliseconds.
+    /// Fold one data record a sink absorbed into [`Self::sink_hash`]: one
+    /// multiply and one xor-shift mix its fields, and `count` copies of
+    /// the record add `count` times the mix.
+    // checker:hot-path
+    #[inline]
+    pub fn hash_sunk(&mut self, rec: &Record) {
+        let fields = rec.key ^ (rec.value as u64).rotate_left(21) ^ rec.event_time.rotate_left(42);
+        let x = fields.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        let mix = x ^ (x >> 29);
+        self.sink_hash = self
+            .sink_hash
+            .wrapping_add(mix.wrapping_mul(rec.count as u64));
+    }
+
+    /// The nearest-rank `q` quantile of every latency sample of the run,
+    /// in milliseconds (`None` before the first sample).
     pub fn latency_quantile_ms(&self, q: f64) -> Option<f64> {
-        self.latency_hist.quantile(q).map(as_ms)
+        let mut samples: Vec<f64> = self.latency.points().iter().map(|&(_, v)| v).collect();
+        if samples.is_empty() {
+            return None;
+        }
+        let rank = ((q.clamp(0.0, 1.0) * samples.len() as f64).ceil() as usize).max(1);
+        let (_, v, _) = samples.select_nth_unstable_by(rank - 1, f64::total_cmp);
+        Some(*v / 1_000.0)
     }
 
     /// Count source emissions at time `at`.
@@ -123,16 +149,49 @@ mod tests {
     }
 
     #[test]
-    fn latency_quantiles_from_hist() {
+    fn latency_quantiles_are_nearest_rank_samples() {
+        // 1..=200 ms, recorded out of order.
         let mut m = Metrics::default();
-        for i in 1..=100u64 {
-            m.record_latency(secs(1), i * 1000);
+        for i in (1..=200u64).rev() {
+            m.record_latency(secs(1), i * 1_000);
         }
-        let p50 = m.latency_quantile_ms(0.5).expect("data");
-        let p99 = m.latency_quantile_ms(0.99).expect("data");
-        assert!((30.0..=80.0).contains(&p50), "p50={p50}");
-        assert!(p99 >= p50);
+        let q = |q| m.latency_quantile_ms(q).expect("data");
+        assert_eq!((q(0.5), q(0.99), q(1.0)), (100.0, 198.0, 200.0));
+        assert_eq!(q(0.0), 1.0, "rank 1 is the minimum");
+        // An exact sample, not a bucket edge: 18.207 ms stays 18.207 ms.
+        let mut one = Metrics::default();
+        one.record_latency(secs(1), 18_207);
+        assert_eq!(one.latency_quantile_ms(0.99), Some(18.207));
         assert_eq!(Metrics::default().latency_quantile_ms(0.5), None);
+    }
+
+    #[test]
+    fn sink_hash_is_a_multiset_hash() {
+        // `(key, value, event_time, count)` of each sunk record.
+        let hash = |recs: &[(u64, i64, u64, u32)]| {
+            let mut m = Metrics::default();
+            for &(key, value, t, count) in recs {
+                m.hash_sunk(&Record {
+                    count,
+                    ..Record::data(key, value, t)
+                });
+            }
+            m.sink_hash
+        };
+        let (a, b, c) = ((1, 10, 100, 1), (2, -3, 100, 1), (1, 10, 200, 3));
+        let base = hash(&[a, b, c]);
+        // Any order, and `count` copies fold like `count` records of one ...
+        assert_eq!(hash(&[c, a, b]), base);
+        assert_eq!(hash(&[(1, 10, 200, 1), b, a, (1, 10, 200, 2)]), base);
+        // ... while a multiplicity change moves it, and so does each field.
+        for moved in [
+            (1, 10, 200, 2),
+            (3, 10, 200, 3),
+            (1, 11, 200, 3),
+            (1, 10, 201, 3),
+        ] {
+            assert_ne!(hash(&[a, b, moved]), base, "{moved:?}");
+        }
     }
 
     #[test]

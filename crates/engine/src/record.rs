@@ -80,23 +80,17 @@ pub enum SignalKind {
     /// confirmation + migration trigger in one, requires alignment with
     /// input blocking.
     Coupled,
-    /// A re-routed confirm barrier arriving at the *new* instance.
-    ConfirmRerouted,
 }
 
 /// A scaling signal traveling in-band (or as a priority message).
 #[derive(Clone, Copy, Debug)]
 pub struct ScaleSignal {
-    /// Which scaling operation this belongs to (monotonic per run).
-    pub scale_epoch: u32,
     /// Which subscale / migration batch.
     pub subscale: SubscaleId,
     /// Barrier kind.
     pub kind: SignalKind,
     /// The predecessor instance that emitted it.
     pub from_pred: InstId,
-    /// Injection time at the predecessor (for propagation-delay metrics).
-    pub injected_at: SimTime,
 }
 
 /// Anything that can occupy a slot in a channel queue.

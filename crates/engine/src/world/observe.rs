@@ -23,6 +23,7 @@ impl World {
     pub fn observables(&self) -> Observables {
         Observables {
             sink_records: self.metrics.sink_records,
+            sink_hash: self.metrics.sink_hash,
             processed: self.q.processed(),
             latency: self.metrics.latency.points().to_vec(),
             source_counts: self.metrics.source_counts.clone(),
@@ -126,7 +127,7 @@ pub struct InstObservables {
 
 /// A plain-data (`Send`) snapshot of everything
 /// [`World::metrics_digest`] hashes, in the exact serialization order the
-/// digest consumes. Exists so the thread-per-region executor can collect
+/// digest consumes, plus the sink-content hash, which it does not hash. Exists so the thread-per-region executor can collect
 /// one snapshot per replica, [`merge`](Self::merge) them, and compare
 /// [`digest`](Self::digest) against the sequential engine — byte-for-byte
 /// the same hash function over byte-for-byte the same serialization.
@@ -134,6 +135,9 @@ pub struct InstObservables {
 pub struct Observables {
     /// Records absorbed by sinks.
     pub sink_records: u64,
+    /// The sink-content hash (`Metrics::sink_hash`): reported, not hashed
+    /// into [`Self::digest`].
+    pub sink_hash: u64,
     /// Events popped off the future-event list.
     pub processed: u64,
     /// Latency samples `(t, µs)` in recording order.
@@ -192,7 +196,8 @@ impl Observables {
     ///
     /// * counters (`sink_records`, `processed`, `violations`,
     ///   `bytes_transferred`) sum — each replica only ever touches its own
-    ///   region's share;
+    ///   region's share — and so does `sink_hash`, by wrapping sum, the
+    ///   way one sink folds it;
     /// * latency samples k-way merge by `(t, region)` — exactly the
     ///   sequential recording order, because region-major pop order breaks
     ///   same-instant ties by ascending region;
@@ -223,6 +228,7 @@ impl Observables {
             .collect();
         Observables {
             sink_records: replicas.iter().map(|o| o.sink_records).sum(),
+            sink_hash: replicas.iter().fold(0, |h, o| h.wrapping_add(o.sink_hash)),
             processed: replicas.iter().map(|o| o.processed).sum(),
             latency: latency.into_iter().map(|(t, _, v)| (t, v)).collect(),
             source_counts,

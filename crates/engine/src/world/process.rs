@@ -276,8 +276,9 @@ impl World {
     }
 
     /// A sink's finished quantum folds to counts: the instance's processed
-    /// count and the sunk-record count grow once per run, and each latency
-    /// marker records its latency in run order.
+    /// count and the sunk-record count grow once per run, each latency
+    /// marker records its latency in run order, and each data record
+    /// folds into the sink-content hash.
     // checker:hot-path
     fn sink_run(&mut self, inst: InstId, records: &[Record]) {
         let now = self.now();
@@ -289,6 +290,7 @@ impl World {
                     .record_latency(now, now.saturating_sub(rec.created));
             } else {
                 sunk += rec.count as u64;
+                self.metrics.hash_sunk(rec);
             }
         }
         self.insts[inst.0 as usize].processed += processed;

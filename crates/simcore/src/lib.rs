@@ -12,7 +12,7 @@
 //! * [`rng`] — a seedable deterministic random source plus a Zipf sampler
 //!   (used by workload generators; `rand_distr` is not vendored offline, so
 //!   the Zipf sampler is implemented here),
-//! * [`stats`] — time series, histograms and summary statistics used by the
+//! * [`stats`] — time series and summary statistics used by the
 //!   experiment harnesses.
 //!
 //! Everything is single-threaded and fully deterministic given a seed, which
@@ -36,5 +36,5 @@ pub use queue::FutureEventList;
 pub use region::{RegionScheduler, SyncStats};
 pub use rng::{DetRng, Zipf};
 pub use slab::{Slab, SlabRef};
-pub use stats::{Histogram, Summary, TimeSeries};
+pub use stats::{Summary, TimeSeries};
 pub use time::{SimTime, GIGA, MICROS_PER_MS, MICROS_PER_SEC};

@@ -1,5 +1,5 @@
 //! Measurement containers used by the experiment harnesses: timestamped
-//! series (latency over time, throughput per second), histograms, and
+//! series (latency over time, throughput per second) and
 //! summary statistics (mean / peak / percentiles / stddev across runs).
 
 use crate::time::{SimTime, MICROS_PER_SEC};
@@ -155,67 +155,6 @@ impl Summary {
     }
 }
 
-/// A fixed-width log-linear histogram for latency distributions.
-#[derive(Clone)]
-pub struct Histogram {
-    /// Bucket upper bounds (µs).
-    bounds: Vec<u64>,
-    counts: Vec<u64>,
-    total: u64,
-}
-
-impl Default for Histogram {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Histogram {
-    /// Buckets: 1µs..~17min in ~x1.5 steps.
-    pub fn new() -> Self {
-        let mut bounds = vec![1u64];
-        while *bounds.last().expect("seeded") < 1_000_000_000 {
-            let last = *bounds.last().expect("seeded");
-            bounds.push((last * 3 / 2).max(last + 1));
-        }
-        let n = bounds.len();
-        Self {
-            bounds,
-            counts: vec![0; n],
-            total: 0,
-        }
-    }
-
-    /// Record one observation (µs).
-    pub fn record(&mut self, v: u64) {
-        let i = self.bounds.partition_point(|&b| b < v);
-        let i = i.min(self.counts.len() - 1);
-        self.counts[i] += 1;
-        self.total += 1;
-    }
-
-    /// Total observations.
-    pub fn count(&self) -> u64 {
-        self.total
-    }
-
-    /// Approximate quantile (returns a bucket upper bound), `q` in `[0,1]`.
-    pub fn quantile(&self, q: f64) -> Option<u64> {
-        if self.total == 0 {
-            return None;
-        }
-        let target = (q.clamp(0.0, 1.0) * self.total as f64).ceil() as u64;
-        let mut acc = 0;
-        for (i, &c) in self.counts.iter().enumerate() {
-            acc += c;
-            if acc >= target.max(1) {
-                return Some(self.bounds[i]);
-            }
-        }
-        self.bounds.last().copied()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -290,25 +229,5 @@ mod tests {
         assert_eq!(s.min, 1.0);
         assert_eq!(s.max, 3.0);
         assert!((s.std - (2.0f64 / 3.0).sqrt()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn histogram_quantiles() {
-        let mut h = Histogram::new();
-        for v in 1..=1000u64 {
-            h.record(v);
-        }
-        let q50 = h.quantile(0.5).expect("data");
-        let q99 = h.quantile(0.99).expect("data");
-        assert!((400..=800).contains(&q50), "q50={q50}");
-        assert!(q99 >= 900, "q99={q99}");
-        assert!(h.quantile(0.0).is_some());
-    }
-
-    #[test]
-    fn histogram_empty() {
-        let h = Histogram::new();
-        assert_eq!(h.quantile(0.5), None);
-        assert_eq!(h.count(), 0);
     }
 }

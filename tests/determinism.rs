@@ -7,27 +7,24 @@
 //! leaked into observable behavior.
 //!
 //! The scenarios under test are **named registry specs** — the same
-//! `bench::scenario::registry` entries the golden digest file pins on
-//! full timelines — so these tests and the cross-build pin can never drift
-//! apart on what a scenario means. Horizons are shortened with the spec builders to keep
-//! the suite fast; everything else (rates, universes, parallelism, seeds,
-//! scale plans) is the registry's word.
+//! `bench::scenario::registry` entries the pin store
+//! (`crates/bench/golden/`) pins on full timelines — so these tests and
+//! the store can never drift apart on what a scenario means; the store's
+//! hand-built and Q7 fire rows are checked here, through its checker.
+//! Horizons are shortened with the spec builders to keep the suite fast;
+//! everything else (rates, universes, parallelism, seeds, scale plans) is
+//! the registry's word.
 
-use std::sync::{Arc, Mutex};
-
-use drrs_repro::baselines::{otfs_fluid, MecesPlugin, StopRestartPlugin, UnboundPlugin};
-use drrs_repro::bench::scenario::{registry, MechanismSpec, ScenarioSpec};
-use drrs_repro::drrs::{FlexScaler, MechanismConfig};
-use drrs_repro::engine::graph::{EdgeKind, JobBuilder};
-use drrs_repro::engine::ids::OpId;
-use drrs_repro::engine::operator::{KeyedAgg, OpCtx, OperatorLogic, WindowAgg, WmCtx};
-use drrs_repro::engine::record::Record;
-use drrs_repro::engine::window::Agg;
-use drrs_repro::engine::world::tests_support::{run_until_one_at_a_time, tiny_job, FixedGen};
-use drrs_repro::engine::world::{Sim, World};
+use drrs_repro::baselines::MecesPlugin;
+use drrs_repro::bench::scenario::{golden, registry, MechanismSpec, ScenarioSpec};
+use drrs_repro::drrs::FlexScaler;
+use drrs_repro::engine::world::tests_support::{run_until_one_at_a_time, tiny_job};
+use drrs_repro::engine::world::Sim;
 use drrs_repro::engine::{EngineConfig, NoScale, ScalePlugin};
-use drrs_repro::sim::time::{ms, secs, SimTime};
-use drrs_repro::workloads::nexmark::{nexmark_engine_config, BidGen};
+use drrs_repro::sim::time::secs;
+
+/// The pin store's file of hand-built and Q7 fire runs.
+const PINS: &str = include_str!("../crates/bench/golden/pins.txt");
 
 /// Fetch a named perf scenario (full variant) from the registry.
 fn perf_spec(name: &str) -> ScenarioSpec {
@@ -267,292 +264,24 @@ fn regions_without_resume_latency_report_as_the_sequential_run() {
 
 #[test]
 fn world_paths_outside_the_golden_file_keep_their_digests() {
-    // The golden file runs NoScale, DRRS, Megaphone and Q7, always with
-    // checkpoints off. These rows pin the engine paths none of those reach:
-    // checkpoint barriers with the `CheckpointTick` deferral during a scale
-    // (scale-out; `scale_in`'s long run checks checkpoints across scale-ins),
-    // checkpoint alignment beside the coupled scaling barriers' (Megaphone
-    // injects them at the predecessors, OTFS at the sources), the
-    // stop-restart pause/resume, Meces' fetch path (once more over two
-    // back-to-back scale-outs at sub-group fanout 4, so unit locations
-    // outlive a plan), OTFS and Unbound. The values are `(digest, events,
-    // sink_records)` and the last plan's `(Lp, Ld bits, (churn average
-    // bits, churn max))`, which the digest does not hash; a
-    // behaviour-preserving change must not move them.
-    type Pin = ((u64, u64, u64), (u64, u64, (u64, u32)));
-    type Row<'a> = (&'a str, bool, &'a [(SimTime, usize)], Pin);
-    let one: &[(SimTime, usize)] = &[(ms(1_200), 6)];
-    let two: &[(SimTime, usize)] = &[(ms(1_200), 6), (ms(2_400), 8)];
-    let rows: [Row; 9] = [
-        (
-            "DRRS+ckpt",
-            true,
-            one,
-            (
-                (8943720978993937719, 42134, 18000),
-                (351, 4649946624139532102, (4607182418800017408, 1)),
-            ),
-        ),
-        (
-            "Meces",
-            false,
-            one,
-            (
-                (14522126647641908098, 42101, 18000),
-                (798, 4679106759525329082, (4607182418800017408, 1)),
-            ),
-        ),
-        (
-            "Meces",
-            false,
-            two,
-            (
-                (10859862851143769027, 60086, 25200),
-                (798, 4688482312985973681, (4607182418800017408, 1)),
-            ),
-        ),
-        (
-            "Stop-Restart",
-            false,
-            one,
-            (
-                (4677760609724557460, 41537, 18000),
-                (0, 4688909324251037696, (4607182418800017408, 1)),
-            ),
-        ),
-        (
-            "OTFS",
-            false,
-            one,
-            (
-                (9558195888704112742, 42078, 18000),
-                (1200, 4651440360663667060, (4607182418800017408, 1)),
-            ),
-        ),
-        (
-            "Unbound",
-            false,
-            one,
-            (
-                (5591056667909817358, 42032, 18000),
-                (0, 4649657152714619439, (4607182418800017408, 1)),
-            ),
-        ),
-        (
-            "Megaphone+ckpt",
-            true,
-            one,
-            (
-                (10574774161353680232, 42130, 18000),
-                (3446, 4661903813091596102, (4607182418800017408, 1)),
-            ),
-        ),
-        (
-            "OTFS+ckpt",
-            true,
-            one,
-            (
-                (857367154848441048, 42148, 18000),
-                (1200, 4651440360663667060, (4607182418800017408, 1)),
-            ),
-        ),
-        (
-            "Megaphone+ckpt, two sources",
-            true,
-            one,
-            (
-                (986763007888072998, 83330, 36000),
-                (2446, 4660782811009277207, (4607182418800017408, 1)),
-            ),
-        ),
-    ];
-    for (name, ckpt, plans, want) in rows {
-        let plugin: Box<dyn ScalePlugin> = match name {
-            "DRRS+ckpt" => Box::new(FlexScaler::drrs()),
-            "Meces" => Box::new(MecesPlugin::new()),
-            "Stop-Restart" => {
-                // Resume inside the horizon so `World::resume` runs too.
-                let mut p = StopRestartPlugin::new();
-                p.restart_overhead = ms(300);
-                Box::new(p)
-            }
-            "OTFS" | "OTFS+ckpt" => Box::new(otfs_fluid()),
-            "Megaphone+ckpt" | "Megaphone+ckpt, two sources" => {
-                Box::new(FlexScaler::new(MechanismConfig::megaphone(1)))
-            }
-            _ => Box::new(UnboundPlugin::new()),
-        };
-        let mut cfg = EngineConfig::test();
-        cfg.seed = 0xC0FFEE;
-        if ckpt {
-            cfg.checkpoint_interval = Some(ms(400));
-        }
-        if plans.len() > 1 {
-            // Meces' hierarchical state: four units per key-group.
-            cfg.sub_group_fanout = 4;
-        }
-        let (mut w, agg) = if name.ends_with("two sources") {
-            two_source_job(cfg)
-        } else {
-            tiny_job(cfg, 6_000.0, 512, 4)
-        };
-        for &(at, par) in plans {
-            w.schedule_scale(at, agg, par);
-        }
-        let mut sim = Sim::new(w, plugin);
-        sim.run_until(plans[plans.len() - 1].0 + ms(1_800));
-        let w = &sim.world;
-        assert_eq!(
-            w.scale.epoch as usize,
-            plans.len(),
-            "{name}: a plan never started"
-        );
-        let m = &w.scale.metrics;
-        let (churn_avg, churn_max) = m.migration_churn();
-        let got = (
-            (w.metrics_digest(), w.q.processed(), w.metrics.sink_records),
-            (
-                m.cumulative_propagation_delay(),
-                m.avg_dependency_overhead().to_bits(),
-                (churn_avg.to_bits(), churn_max),
-            ),
-        );
-        assert_eq!(
-            got,
-            want,
-            "{name} over {} plans: the run moved",
-            plans.len()
-        );
-    }
-}
-
-/// `tiny_job` with two source instances, at 2,000 and 10,000 records/s,
-/// so each of the four aggregators has two inputs whose barriers arrive
-/// at different times.
-fn two_source_job(cfg: EngineConfig) -> (World, OpId) {
-    let mut b = JobBuilder::new(cfg);
-    let src = b.source(
-        "src",
-        2,
-        Box::new(|i| Box::new(FixedGen::new([2_000.0, 10_000.0][i], 512))),
-    );
-    let agg = b.operator(
-        "agg",
-        4,
-        Box::new(|| {
-            Box::new(KeyedAgg {
-                service: 50,
-                bytes_per_key: 1_000,
-                bytes_per_record: 0,
-                emit_every: 1,
-            })
-        }),
-    );
-    let sink = b.sink("sink", 1);
-    b.connect(src, agg, EdgeKind::Keyed);
-    b.connect(agg, sink, EdgeKind::Rebalance);
-    (b.build(), agg)
-}
-
-/// Wraps a [`WindowAgg`] and folds every `(key, value, end)` it fires, in
-/// firing order across all subtasks, into one FNV-1a hash.
-struct FireTap {
-    inner: WindowAgg,
-    sum: Arc<Mutex<(u64, u64)>>,
-}
-
-impl OperatorLogic for FireTap {
-    fn on_record(&mut self, ctx: &mut OpCtx<'_>, rec: &Record) {
-        self.inner.on_record(ctx, rec);
-    }
-    fn on_watermark(&mut self, ctx: &mut WmCtx<'_>) {
-        let before = ctx.out.len();
-        self.inner.on_watermark(ctx);
-        let mut sum = self.sum.lock().expect("tap lock");
-        let (hash, outputs) = &mut *sum;
-        for r in &ctx.out[before..] {
-            for word in [r.key, r.value as u64, r.event_time] {
-                for byte in word.to_le_bytes() {
-                    *hash = (*hash ^ byte as u64).wrapping_mul(0x100_0000_01b3);
-                }
-            }
-            *outputs += 1;
-        }
-    }
-    fn service_time(&self) -> SimTime {
-        self.inner.service_time()
-    }
-    fn watermark_cost(&self) -> SimTime {
-        self.inner.watermark_cost()
-    }
-}
-
-/// A short Q7 (`q7`'s topology and rates) with DRRS scaling the window
-/// from 8 to 12 at 16 s, run to 32 s with a [`FireTap`] on the window.
-/// Returns `(fire hash, fired outputs, digest, events, sink records)`.
-fn tapped_q7(slide: SimTime) -> (u64, u64, u64, u64, u64) {
-    let sum = Arc::new(Mutex::new((0xcbf2_9ce4_8422_2325, 0)));
-    let mut b = JobBuilder::new(nexmark_engine_config(1));
-    let src = b.source(
-        "bids",
-        2,
-        Box::new(|i| Box::new(BidGen::new(10_000.0, 4_000, 0x0B1D + i as u64, 4))),
-    );
-    let tap = sum.clone();
-    let window = b.operator(
-        "window-max",
-        8,
-        Box::new(move || {
-            Box::new(FireTap {
-                inner: WindowAgg::new(secs(10), slide, Agg::Max, 330, 4_000),
-                sum: tap.clone(),
-            })
-        }),
-    );
-    let sink = b.sink("sink", 1);
-    b.connect(src, window, EdgeKind::Keyed);
-    b.connect(window, sink, EdgeKind::Rebalance);
-    let mut w = b.build();
-    w.schedule_scale(secs(16), window, 12);
-    let mut sim = Sim::new(w, Box::new(FlexScaler::drrs()));
-    sim.run_until(secs(32));
-    let (hash, outputs) = *sum.lock().expect("tap lock");
-    let w = &sim.world;
-    (
-        hash,
-        outputs,
-        w.metrics_digest(),
-        w.q.processed(),
-        w.metrics.sink_records,
-    )
+    // The hand-built `pins/world/` runs of the pin store: checkpoint
+    // barriers during a scale, checkpoint alignment beside the coupled
+    // scaling barriers, stop-restart, Meces' fetch path (over one and two
+    // plans), OTFS and Unbound, each with the last plan's Lp, Ld bits and
+    // migration churn, which the digest does not hash.
+    let held = golden::check(PINS, "pins/world/").unwrap_or_else(|e| panic!("{e}"));
+    assert_eq!(held.len(), 9);
 }
 
 #[test]
 fn q7_fired_window_values_keep_their_hash() {
     // The metrics digest counts sink records and latencies, not the values
-    // a window fires: this pins every fired `(key, value, end)` of a Q7
-    // DRRS 8 → 12 run, through firing, eviction and migrated window state,
-    // at Q7's 500 ms slide and at slide = size (tumbling, one slot per
-    // window).
-    for (slide, want) in [
-        (
-            ms(500),
-            (
-                7425547893883981515,
-                179525,
-                12749326430438744392,
-                381680,
-                179525,
-            ),
-        ),
-        (
-            secs(10),
-            (6218260372869718989, 7940, 9944157699929099507, 185291, 7940),
-        ),
-    ] {
-        let got = tapped_q7(slide);
-        assert_eq!(got, want, "slide {slide}: fired values moved");
-    }
+    // a window fires. Every fired `(key, value, end)` of a Q7 DRRS 8 → 12
+    // run reaches the sink as one record, so the rows' `sink_hash` pins
+    // them, through firing, eviction and migrated window state, at Q7's
+    // 500 ms slide and at slide = size (tumbling, one slot per window).
+    let held = golden::check(PINS, "pins/q7_fire/").unwrap_or_else(|e| panic!("{e}"));
+    assert_eq!(held.len(), 2);
 }
 
 #[test]
