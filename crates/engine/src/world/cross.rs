@@ -204,6 +204,7 @@ impl World {
 #[cfg(test)]
 mod tests {
     use simcore::time::secs;
+    use simcore::SyncStats;
 
     use super::*;
     use crate::scaling::NoScale;
@@ -264,23 +265,48 @@ mod tests {
 
     #[test]
     fn region_sync_stats_account_conservative_progress() {
-        let mut cfg = EngineConfig::test();
-        cfg.regions = 2;
-        cfg.resume_latency = 100;
-        let (w, _) = tiny_job(cfg, 4_000.0, 128, 2);
-        let mut sim = Sim::new(w, Box::new(NoScale));
-        sim.run_until(secs(2));
-        let stats = sim.world.q.region_sync_stats();
-        assert!(stats.runs > 0, "no runs were accounted");
+        // Exact counts, so a change to the accounting cannot drift unseen.
         // The cut's lookahead (ctrl/resume latency) is far below the 10 ms
-        // source-tick gap, so some pops must have exceeded a region's
-        // pure-lookahead bound.
-        assert!(
-            stats.min_rule_grants > 0,
-            "a cut pipeline cannot advance on lookahead alone"
-        );
-        // Both regions made progress.
-        assert!(sim.world.q.region_clock(0) > 0);
-        assert!(sim.world.q.region_clock(1) > 0);
+        // source-tick gap, so most runs exceed a region's pure-lookahead
+        // bound: min-rule grants, one null message per neighbour behind.
+        let pinned = [
+            (
+                2usize,
+                SyncStats {
+                    runs: 2_814,
+                    merged_runs: 10,
+                    min_rule_grants: 2_389,
+                    null_msgs: 2_389,
+                },
+                &[8_280u64, 17_983][..],
+                &[2_000_000u64, 1_991_730][..],
+            ),
+            (
+                3,
+                SyncStats {
+                    runs: 3_766,
+                    merged_runs: 136,
+                    min_rule_grants: 3_298,
+                    null_msgs: 3_956,
+                },
+                &[8_280, 16_920, 9_123],
+                &[2_000_000, 1_991_811, 1_991_730],
+            ),
+        ];
+        for (regions, stats, events, clocks) in pinned {
+            let mut cfg = EngineConfig::test();
+            cfg.regions = regions;
+            cfg.resume_latency = 100;
+            let (w, _) = tiny_job(cfg, 4_000.0, 128, 2);
+            let mut sim = Sim::new(w, Box::new(NoScale));
+            sim.run_until(secs(2));
+            let q = &sim.world.q;
+            assert_eq!(q.region_sync_stats(), stats, "{regions} regions");
+            let per_region: Vec<u64> = (0..regions).map(|r| q.region_processed(r)).collect();
+            assert_eq!(per_region, events, "{regions} regions: events per region");
+            assert_eq!(per_region.iter().sum::<u64>(), q.processed());
+            let got: Vec<SimTime> = (0..regions).map(|r| q.region_clock(r)).collect();
+            assert_eq!(got, clocks, "{regions} regions: region clocks");
+        }
     }
 }
