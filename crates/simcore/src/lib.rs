@@ -4,8 +4,8 @@
 //!
 //! * [`SimTime`] / [`time`] — simulated time in microseconds with helpers,
 //! * [`FutureEventList`] — a monotonic future-event list with stable FIFO
-//!   ordering among same-timestamp events, stored in a binary heap keyed
-//!   `(at, seq)` (one per [`region`] under PDES),
+//!   ordering among same-timestamp events, stored in one binary heap keyed
+//!   `(at, region, seq)` (the [`region`] tag is 0 outside PDES),
 //! * [`KeyMap`] — a dense open-addressing `u64 → V` table with inline
 //!   slots, any capacity and no removal: the keyed state backend's
 //!   per-sub-group table (see [`keymap`]),
@@ -33,7 +33,7 @@ pub mod time;
 pub use hash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use keymap::KeyMap;
 pub use queue::FutureEventList;
-pub use region::{RegionScheduler, SyncStats};
+pub use region::SyncStats;
 pub use rng::{DetRng, Zipf};
 pub use slab::{Slab, SlabRef};
 pub use stats::{Summary, TimeSeries};

@@ -2,50 +2,62 @@
 //!
 //! [`FutureEventList`] is the simulator's scheduler subsystem: it owns the
 //! monotonic clock, the schedule-order sequence numbers and the past-clamp
-//! semantics, and stores pending events in a binary min-heap keyed
-//! `(at, seq)` (`MinQueue`) — or, for a PDES-partitioned world, in one such
-//! heap per region ([`crate::region`]).
+//! semantics, and stores every pending event in one binary min-heap
+//! (`MinQueue`) keyed `(at, region, seq)`. A list built with one region
+//! tags everything region 0, so its key is `(at, seq)`; a PDES-partitioned
+//! list ([`crate::region`]) pops the same heap in region-major order.
 //!
 //! The contract:
 //!
 //! 1. events pop in non-decreasing timestamp order,
 //! 2. events scheduled for the same instant pop in the order they were
-//!    scheduled (FIFO by sequence number) — that stability is essential for
-//!    determinism: two runs with the same seed must interleave identically,
+//!    scheduled (FIFO by sequence number) within a region, lowest region
+//!    first — that stability is essential for determinism: two runs with
+//!    the same seed must interleave identically,
 //! 3. scheduling in the past clamps to "now" — the clock never goes
 //!    backwards.
 //!
-//! `(at, seq)` keys are unique, so pop order is a property of the key alone.
-//! PRs 3–17 kept an adaptive calendar queue here, tuned for hundreds of
-//! pending events; burst deliveries (PR 12) left at most ~50 pending on every
-//! benchmark workload, where the heap measured no slower end to end (PR 18).
+//! `(at, region, seq)` keys are unique, so pop order is a property of the
+//! key alone. PRs 3–17 kept an adaptive calendar queue here, tuned for
+//! hundreds of pending events; burst deliveries (PR 12) left at most ~50
+//! pending on every benchmark workload, where the heap measured no slower
+//! end to end (PR 18).
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use crate::region::RegionScheduler;
+use crate::region::{RegionSync, SyncStats};
 use crate::time::SimTime;
 
-/// A timestamped event with its schedule-order sequence number. Ordered by
-/// `(at, seq)` so same-instant events keep FIFO order. [`FutureEventList`]
-/// mints these (the `seq` values must be unique per list).
+/// A timestamped event with its region and schedule-order sequence number.
+/// Ordered by `(at, region, seq)`, so same-instant events drain region by
+/// region and keep FIFO order inside each. [`FutureEventList`] mints these
+/// (the `seq` values must be unique per list and region).
 ///
-/// Equality and ordering deliberately compare the `(at, seq)` key only and
-/// **ignore the payload**: `seq` is unique per list, so the key identifies
-/// the entry, and `E` need not be `Eq`/`Ord`. Don't use `==` to compare
-/// payloads.
+/// Equality and ordering deliberately compare the `(at, region, seq)` key
+/// only and **ignore the payload**: the key identifies the entry, and `E`
+/// need not be `Eq`/`Ord`. Don't use `==` to compare payloads.
 pub struct Scheduled<E> {
     /// Absolute firing time.
     pub at: SimTime,
-    /// Schedule-order sequence number (unique per list).
+    /// Schedule-order sequence number (unique per list and region).
     pub seq: u64,
+    /// The region the event belongs to (0 on a one-region list).
+    pub region: u32,
     /// The event payload.
     pub event: E,
 }
 
+impl<E> Scheduled<E> {
+    #[inline]
+    fn key(&self) -> (SimTime, u32, u64) {
+        (self.at, self.region, self.seq)
+    }
+}
+
 impl<E> PartialEq for Scheduled<E> {
     fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
+        self.key() == other.key()
     }
 }
 impl<E> Eq for Scheduled<E> {}
@@ -56,13 +68,13 @@ impl<E> PartialOrd for Scheduled<E> {
 }
 impl<E> Ord for Scheduled<E> {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
+        self.key().cmp(&other.key())
     }
 }
 
-/// The pending set: a binary min-heap over the `(at, seq)` key. It requires
-/// only that pushes carry unique `seq` values; [`FutureEventList`] (clock,
-/// minting, past-clamp) and [`RegionScheduler`] are its two users.
+/// The pending set: a binary min-heap over the `(at, region, seq)` key. It
+/// requires only that pushes carry unique keys; [`FutureEventList`] (clock,
+/// minting, past-clamp, region accounting) is its user.
 pub(crate) struct MinQueue<E>(BinaryHeap<Reverse<Scheduled<E>>>);
 
 impl<E> MinQueue<E> {
@@ -84,7 +96,8 @@ impl<E> MinQueue<E> {
         self.0.push(Reverse(s));
     }
 
-    /// Pop the earliest event by `(at, seq)` if it is due at or before `t`.
+    /// Pop the earliest event by `(at, region, seq)` if it is due at or
+    /// before `t`.
     // checker:hot-path
     #[inline]
     pub(crate) fn pop_at_most(&mut self, t: SimTime) -> Option<Scheduled<E>> {
@@ -94,23 +107,25 @@ impl<E> MinQueue<E> {
         self.0.pop().map(|Reverse(s)| s)
     }
 
-    /// Drain the whole run of events due exactly at the earliest pending
-    /// instant (if that instant is ≤ `t`), appending their payloads to `out`
-    /// in `seq` order, and return `(instant, count)`.
+    /// Drain one region's share of the run at instant `at`: while the head
+    /// is due exactly at `at` and in the head's region, append its payload
+    /// to `out` (in `seq` order). Returns `(region, count)`, or `None` once
+    /// nothing is left at `at`. Called until `None`, it drains the whole
+    /// run region by region, lowest region first.
     // checker:hot-path
-    pub(crate) fn pop_run_at_most(
-        &mut self,
-        t: SimTime,
-        out: &mut Vec<E>,
-    ) -> Option<(SimTime, usize)> {
-        let at = self.peek_time().filter(|&at| at <= t)?;
+    pub(crate) fn pop_region_run(&mut self, at: SimTime, out: &mut Vec<E>) -> Option<(u32, usize)> {
+        let region = self.0.peek().filter(|Reverse(s)| s.at == at)?.0.region;
         let mut n = 0usize;
-        while self.peek_time() == Some(at) {
+        while self
+            .0
+            .peek()
+            .is_some_and(|Reverse(s)| s.at == at && s.region == region)
+        {
             let Reverse(s) = self.0.pop().expect("peeked");
             out.push(s.event);
             n += 1;
         }
-        Some((at, n))
+        Some((region, n))
     }
 
     /// Timestamp of the earliest pending event.
@@ -118,26 +133,25 @@ impl<E> MinQueue<E> {
     pub(crate) fn peek_time(&self) -> Option<SimTime> {
         self.0.peek().map(|Reverse(s)| s.at)
     }
+
+    /// Keep only the events of `region`.
+    pub(crate) fn retain_region(&mut self, region: u32) {
+        self.0.retain(|Reverse(s)| s.region == region);
+    }
 }
 
 /// A deterministic future-event list.
 ///
 /// `E` is the simulation's event type; the list never inspects it. The
-/// clock (`now`), the FIFO tie-break sequence and the past-clamp live here;
-/// the queue(s) underneath only ever see fully-formed `(at, seq, event)`
-/// triples and return them in `(at, seq)` order.
+/// clock (`now`), the FIFO tie-break sequence, the past-clamp and the
+/// region tag live here; the heap underneath only ever sees fully-formed
+/// [`Scheduled`] entries and returns them in `(at, region, seq)` order.
 pub struct FutureEventList<E> {
-    lists: Lists<E>,
+    heap: MinQueue<E>,
+    sync: RegionSync,
     now: SimTime,
     seq: u64,
     processed: u64,
-}
-
-/// The list's storage: one heap, or one per PDES region (see
-/// [`crate::region`]).
-enum Lists<E> {
-    Single(MinQueue<E>),
-    Regions(RegionScheduler<E>),
 }
 
 impl<E> Default for FutureEventList<E> {
@@ -160,34 +174,26 @@ impl<E> FutureEventList<E> {
         Self::with_regions(cap, 1)
     }
 
-    /// Create an empty list whose pending set is partitioned into
-    /// `regions` per-region queues popped in region-major order (PDES; see
-    /// [`crate::region`]). `regions <= 1` is the plain single-queue list —
-    /// same type, zero overhead. Events are assigned to regions via
-    /// [`schedule_tagged`](Self::schedule_tagged) /
+    /// Create an empty list whose pending events are tagged with one of
+    /// `regions` regions and popped in region-major order (PDES; see
+    /// [`crate::region`]). `regions <= 1` is the plain list: every event
+    /// is region 0 and no sync accounting is recorded. Events are assigned
+    /// to regions via [`schedule_tagged`](Self::schedule_tagged) /
     /// [`schedule_at_tagged`](Self::schedule_at_tagged); the untagged
     /// `schedule` / `schedule_at` land in region 0.
     pub fn with_regions(cap: usize, regions: usize) -> Self {
-        let lists = if regions <= 1 {
-            Lists::Single(MinQueue::with_capacity(cap))
-        } else {
-            Lists::Regions(RegionScheduler::new(cap, regions))
-        };
         Self {
-            lists,
+            heap: MinQueue::with_capacity(cap),
+            sync: RegionSync::new(regions),
             now: 0,
             seq: 0,
             processed: 0,
         }
     }
 
-    /// Number of regions the pending set is partitioned into (1 for a
-    /// plain single-queue list).
+    /// Number of regions events are tagged with (1 for a plain list).
     pub fn regions(&self) -> usize {
-        match &self.lists {
-            Lists::Single(_) => 1,
-            Lists::Regions(r) => r.regions(),
-        }
+        self.sync.regions()
     }
 
     /// Current simulated time: the timestamp of the most recently popped
@@ -223,18 +229,13 @@ impl<E> FutureEventList<E> {
     #[inline]
     pub fn note_coalesced(&mut self, region: usize, extra: u64) {
         self.processed += extra;
-        if let Lists::Regions(r) = &mut self.lists {
-            r.note_coalesced(region, extra);
-        }
+        self.sync.note_coalesced(region, extra);
     }
 
     /// Number of pending events.
     #[inline]
     pub fn len(&self) -> usize {
-        match &self.lists {
-            Lists::Single(b) => b.len(),
-            Lists::Regions(r) => r.len(),
-        }
+        self.heap.len()
     }
 
     /// Whether no events are pending.
@@ -257,8 +258,8 @@ impl<E> FutureEventList<E> {
     }
 
     /// Schedule `event` `delay` after the current time, assigning it to
-    /// `region` (ignored on a single-queue list; clamped to the last
-    /// region otherwise).
+    /// `region` (clamped to the last region, so always 0 on a one-region
+    /// list).
     #[inline]
     pub fn schedule_tagged(&mut self, region: usize, delay: SimTime, event: E) {
         self.schedule_at_tagged(region, self.now.saturating_add(delay), event);
@@ -271,10 +272,7 @@ impl<E> FutureEventList<E> {
         let at = at.max(self.now);
         let seq = self.seq;
         self.seq += 1;
-        match &mut self.lists {
-            Lists::Single(b) => b.push(Scheduled { at, seq, event }),
-            Lists::Regions(r) => r.push(region, Scheduled { at, seq, event }),
-        }
+        self.push_keyed(region, at, seq, event);
     }
 
     /// Schedule `event` at absolute time `at` in `region` under a
@@ -287,12 +285,16 @@ impl<E> FutureEventList<E> {
     /// key uniqueness and must keep `at >= now()`; the global `seq`
     /// counter is not advanced.
     // checker:hot-path
+    #[inline]
     pub fn push_keyed(&mut self, region: usize, at: SimTime, seq: u64, event: E) {
         debug_assert!(at >= self.now, "keyed push into the past");
-        match &mut self.lists {
-            Lists::Single(b) => b.push(Scheduled { at, seq, event }),
-            Lists::Regions(r) => r.push(region, Scheduled { at, seq, event }),
-        }
+        let region = self.sync.clamp(region);
+        self.heap.push(Scheduled {
+            at,
+            seq,
+            region,
+            event,
+        });
     }
 
     /// Pop the next event, advancing the clock to its timestamp.
@@ -307,21 +309,21 @@ impl<E> FutureEventList<E> {
     /// a time is the reference order that loop is tested against.
     // checker:hot-path
     pub fn pop_at_most(&mut self, t: SimTime) -> Option<(SimTime, E)> {
-        let s = match &mut self.lists {
-            Lists::Single(b) => b.pop_at_most(t)?,
-            Lists::Regions(r) => r.pop_at_most(t)?,
-        };
+        let s = self.heap.pop_at_most(t)?;
         debug_assert!(s.at >= self.now, "event queue time went backwards");
+        self.sync.advance(s.region, s.at, 1);
+        self.sync.end_run();
         self.now = s.at;
         self.processed += 1;
         Some((s.at, s.event))
     }
 
     /// Drain the entire run of events sharing the earliest pending instant
-    /// (if that instant is at or before `t`) into `buf`, in schedule (FIFO)
-    /// order, and advance the clock to that instant — once for the whole
-    /// run. Returns the run's instant, or `None` (leaving `buf` empty) if
-    /// nothing is due by `t`.
+    /// (if that instant is at or before `t`) into `buf` — region by region,
+    /// lowest first, in schedule (FIFO) order inside each — and advance
+    /// the clock to that instant, once for the whole run. Returns the
+    /// run's instant, or `None` (leaving `buf` empty) if nothing is due by
+    /// `t`.
     ///
     /// This is the batch form of [`pop_at_most`](Self::pop_at_most): the
     /// driver pays one horizon check, one clock update and one dispatch
@@ -337,14 +339,14 @@ impl<E> FutureEventList<E> {
     /// their sequence numbers are larger.
     pub fn pop_run_at_most(&mut self, t: SimTime, buf: &mut Vec<E>) -> Option<SimTime> {
         buf.clear();
-        let (at, n) = match &mut self.lists {
-            Lists::Single(b) => b.pop_run_at_most(t, buf)?,
-            Lists::Regions(r) => r.pop_run_at_most(t, buf)?,
-        };
+        let at = self.heap.peek_time().filter(|&at| at <= t)?;
         debug_assert!(at >= self.now, "event queue time went backwards");
-        debug_assert_eq!(n, buf.len());
+        while let Some((region, n)) = self.heap.pop_region_run(at, buf) {
+            self.sync.advance(region, at, n as u64);
+        }
+        self.sync.end_run();
         self.now = at;
-        self.processed += n as u64;
+        self.processed += buf.len() as u64;
         Some(at)
     }
 
@@ -372,70 +374,52 @@ impl<E> FutureEventList<E> {
     }
 
     /// Timestamp of the next pending event without popping it.
+    #[inline]
     pub fn peek_time(&self) -> Option<SimTime> {
-        match &self.lists {
-            Lists::Single(b) => b.peek_time(),
-            Lists::Regions(r) => r.peek_time(),
-        }
+        self.heap.peek_time()
     }
 
     // -----------------------------------------------------------------
-    // Region introspection (PDES accounting; see `crate::region`). All of
-    // these are trivial on a single-queue list.
+    // Region accounting (PDES; see `crate::region`). None of it is
+    // recorded on a one-region list.
     // -----------------------------------------------------------------
 
     /// Install the region lookahead matrix (row-major `k × k`;
     /// `la[from][to]` = minimum latency of any event a `from`-region
-    /// handler can schedule into `to`). No-op on a single-queue list.
+    /// handler can schedule into `to`). No-op on a one-region list.
     pub fn set_region_lookahead(&mut self, la: &[SimTime]) {
-        if let Lists::Regions(r) = &mut self.lists {
-            r.set_lookahead(la);
-        }
+        self.sync.set_lookahead(la);
     }
 
     /// The local clock of `region`: the timestamp of the last event popped
-    /// from it (0 before the first pop). A single-queue list reports the
+    /// from it (0 before the first pop). A one-region list reports the
     /// global clock.
     pub fn region_clock(&self, region: usize) -> SimTime {
-        match &self.lists {
-            Lists::Single(_) => self.now,
-            Lists::Regions(r) => r.clock(region),
-        }
+        self.sync.clock(region).unwrap_or(self.now)
     }
 
-    /// Conservative-sync accounting counters (zeroes on a single-queue
+    /// Conservative-sync accounting counters (zeroes on a one-region
     /// list).
-    pub fn region_sync_stats(&self) -> crate::region::SyncStats {
-        match &self.lists {
-            Lists::Single(_) => crate::region::SyncStats::default(),
-            Lists::Regions(r) => r.sync_stats(),
-        }
+    pub fn region_sync_stats(&self) -> SyncStats {
+        self.sync.stats()
     }
 
-    /// Events popped out of `region` so far. A single-queue list attributes
+    /// Events popped out of `region` so far. A one-region list attributes
     /// everything to region 0.
     pub fn region_processed(&self, region: usize) -> u64 {
-        match &self.lists {
-            Lists::Single(_) => {
-                if region == 0 {
-                    self.processed
-                } else {
-                    0
-                }
-            }
-            Lists::Regions(r) => r.region_pops(region),
-        }
+        self.sync
+            .pops(region)
+            .unwrap_or(if region == 0 { self.processed } else { 0 })
     }
 
-    /// Drop every region's pending events except `keep`'s (no-op on a
-    /// single-queue list). Used by the thread-per-region executor: each
-    /// replica builds the full world identically, then prunes its queue to
-    /// the one region it owns. The clock, the `seq` counter, and the
-    /// processed count are untouched.
+    /// Drop every pending event outside region `keep`. Used by the
+    /// thread-per-region executor: each replica builds the full world
+    /// identically, then prunes its queue to the one region it owns. The
+    /// clock, the `seq` counter, the processed count and the accounting
+    /// are untouched. `keep` is clamped to the last region like a tag, so
+    /// a one-region list keeps everything.
     pub fn retain_region(&mut self, keep: usize) {
-        if let Lists::Regions(r) = &mut self.lists {
-            r.retain_region(keep);
-        }
+        self.heap.retain_region(self.sync.clamp(keep));
     }
 }
 
@@ -675,6 +659,7 @@ mod tests {
         q.push(Scheduled {
             at,
             seq,
+            region: 0,
             event: seq,
         });
     }
@@ -689,136 +674,133 @@ mod tests {
 
     #[test]
     fn adversarial_differential_fuzz_with_batch_drains_and_dry_jumps() {
-        // The queue's whole contract, checked against an independent
-        // sorted-Vec reference: single pops, run drains, horizon probes of
-        // both kinds that come back dry, pushes at earlier-but-still-future
-        // instants right after a dry probe, massed same-instant runs and
-        // far-future pushes, with the population swinging widely.
-        for seed in 1u64..=8 {
-            let mut q = MinQueue::with_capacity(0);
-            let mut reference: Vec<(SimTime, u64)> = Vec::new();
-            let mut x = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
-            let mut step = || {
-                x ^= x << 13;
-                x ^= x >> 7;
-                x ^= x << 17;
-                x
-            };
-            let mut now: SimTime = 0;
-            let mut seq = 0u64;
-            let mut batch: Vec<u64> = Vec::new();
-            for _ in 0..60_000u64 {
-                match step() % 10 {
-                    0 | 1 => {
-                        // Single pop.
-                        if let Some(s) = q.pop_at_most(SimTime::MAX) {
+        // The list's whole contract, checked against an independent
+        // sorted-Vec reference of `(at, region, seq)` keys: single pops,
+        // run drains, horizon probes of both kinds that come back dry,
+        // pushes at earlier-but-still-future instants right after a dry
+        // probe, massed same-instant runs and far-future pushes, with the
+        // population swinging widely. Region tags are drawn from `0..k + 2`,
+        // so out-of-range tags exercise the clamp to the last region.
+        for k in [1usize, 3] {
+            for seed in 1u64..=8 {
+                let mut q = FutureEventList::with_regions(0, k);
+                // `seq` is the payload: the list mints it in schedule order.
+                let mut reference: Vec<(SimTime, usize, u64)> = Vec::new();
+                let mut x = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+                let mut step = || {
+                    x ^= x << 13;
+                    x ^= x >> 7;
+                    x ^= x << 17;
+                    x
+                };
+                let mut batch: Vec<u64> = Vec::new();
+                let schedule = |q: &mut FutureEventList<u64>,
+                                reference: &mut Vec<(SimTime, usize, u64)>,
+                                tag: u64,
+                                at: SimTime| {
+                    let (tag, seq) = (tag as usize % (k + 2), q.next_seq());
+                    q.schedule_at_tagged(tag, at, seq);
+                    reference.push((at, tag.min(k - 1), seq));
+                };
+                // Drain the reference's earliest run, as the list must.
+                let ref_run = |reference: &mut Vec<(SimTime, usize, u64)>, at: SimTime| {
+                    reference.sort_unstable();
+                    let n = reference.iter().take_while(|m| m.0 == at).count();
+                    reference.drain(..n).map(|m| m.2).collect::<Vec<_>>()
+                };
+                for _ in 0..60_000u64 {
+                    let now = q.now();
+                    match step() % 10 {
+                        0 | 1 => {
+                            // Single pop.
                             reference.sort_unstable();
-                            assert_eq!((s.at, s.seq), reference.remove(0), "seed {seed}");
-                            now = s.at;
+                            let want = (!reference.is_empty()).then(|| reference.remove(0));
+                            assert_eq!(q.pop(), want.map(|m| (m.0, m.2)), "k {k} seed {seed}");
                         }
-                    }
-                    2 | 3 => {
-                        // Batch drain of the earliest run, full horizon.
-                        match q.pop_run_at_most(SimTime::MAX, &mut batch) {
-                            Some((at, n)) => {
-                                reference.sort_unstable();
-                                assert_eq!(n, batch.len());
-                                assert!(n >= 1);
-                                let run: Vec<(SimTime, u64)> = reference.drain(..n).collect();
-                                assert!(
-                                    run.iter().all(|&(t, _)| t == at),
-                                    "seed {seed}: drained run crosses instants: {run:?}"
-                                );
+                        2 | 3 => {
+                            // Batch drain of the earliest run, full horizon.
+                            reference.sort_unstable();
+                            let due = reference.first().map(|m| m.0);
+                            assert_eq!(q.pop_run_at_most(SimTime::MAX, &mut batch), due);
+                            if let Some(at) = due {
                                 assert_eq!(
                                     batch,
-                                    run.iter().map(|&(_, s)| s).collect::<Vec<_>>(),
-                                    "seed {seed}: run out of FIFO order"
-                                );
-                                assert!(
-                                    reference.first().map(|&(t, _)| t) != Some(at),
-                                    "seed {seed}: drain left same-instant events behind"
-                                );
-                                now = at;
-                            }
-                            None => assert!(reference.is_empty(), "seed {seed}"),
-                        }
-                        batch.clear();
-                    }
-                    4 => {
-                        // Dry-or-not horizon probe (single).
-                        let horizon = now + step() % 3_000;
-                        reference.sort_unstable();
-                        match q.pop_at_most(horizon) {
-                            Some(s) => {
-                                assert!(s.at <= horizon);
-                                assert_eq!((s.at, s.seq), reference.remove(0));
-                                now = s.at;
-                            }
-                            None => {
-                                assert!(
-                                    reference.first().is_none_or(|&(t, _)| t > horizon),
-                                    "seed {seed}: dry probe hid a due event"
+                                    ref_run(&mut reference, at),
+                                    "k {k} seed {seed}: run out of (region, seq) order"
                                 );
                             }
+                            assert!(due.is_some() || batch.is_empty());
                         }
-                    }
-                    5 => {
-                        // Dry-or-not horizon probe (batch).
-                        let horizon = now + step() % 3_000;
-                        reference.sort_unstable();
-                        match q.pop_run_at_most(horizon, &mut batch) {
-                            Some((at, n)) => {
-                                assert!(at <= horizon);
-                                let run: Vec<(SimTime, u64)> = reference.drain(..n).collect();
-                                assert!(run.iter().all(|&(t, _)| t == at));
-                                assert_eq!(batch, run.iter().map(|&(_, s)| s).collect::<Vec<_>>());
-                                now = at;
-                            }
-                            None => {
-                                assert!(
-                                    reference.first().is_none_or(|&(t, _)| t > horizon),
-                                    "seed {seed}: dry batch probe hid a due event"
-                                );
+                        4 => {
+                            // Dry-or-not horizon probe (single).
+                            let horizon = now + step() % 3_000;
+                            reference.sort_unstable();
+                            let want = reference
+                                .first()
+                                .filter(|m| m.0 <= horizon)
+                                .map(|m| (m.0, m.2));
+                            assert_eq!(q.pop_at_most(horizon), want, "k {k} seed {seed}");
+                            if want.is_some() {
+                                reference.remove(0);
                             }
                         }
-                        batch.clear();
-                    }
-                    6 => {
-                        // Push at an earlier-but-still-future instant, below
-                        // whatever the last dry probe peeked.
-                        let at = now + 1 + step() % 64;
-                        push(&mut q, at, seq);
-                        reference.push((at, seq));
-                        seq += 1;
-                    }
-                    7 => {
-                        // Massed tie burst at one future instant.
-                        let at = now + step() % 2_000;
-                        let burst = 1 + step() % 40;
-                        for _ in 0..burst {
-                            push(&mut q, at, seq);
-                            reference.push((at, seq));
-                            seq += 1;
+                        5 => {
+                            // Dry-or-not horizon probe (batch).
+                            let horizon = now + step() % 3_000;
+                            reference.sort_unstable();
+                            let due = reference.first().map(|m| m.0).filter(|&at| at <= horizon);
+                            assert_eq!(
+                                q.pop_run_at_most(horizon, &mut batch),
+                                due,
+                                "k {k} seed {seed}: dry batch probe"
+                            );
+                            match due {
+                                Some(at) => assert_eq!(batch, ref_run(&mut reference, at)),
+                                None => assert!(batch.is_empty()),
+                            }
+                        }
+                        6 => {
+                            // Push at an earlier-but-still-future instant,
+                            // below whatever the last dry probe peeked.
+                            let at = now + 1 + step() % 64;
+                            schedule(&mut q, &mut reference, step(), at);
+                        }
+                        7 => {
+                            // Massed tie burst at one future instant, tags
+                            // mixed.
+                            let at = now + step() % 2_000;
+                            for _ in 0..1 + step() % 40 {
+                                schedule(&mut q, &mut reference, step(), at);
+                            }
+                        }
+                        _ => {
+                            // Mixed-horizon pushes (short / mid / far future).
+                            let at = now
+                                + match step() % 10 {
+                                    0..=6 => step() % 500,
+                                    7 | 8 => step() % 30_000,
+                                    _ => 600_000 + step() % 5_000_000,
+                                };
+                            schedule(&mut q, &mut reference, step(), at);
                         }
                     }
-                    _ => {
-                        // Mixed-horizon pushes (short / mid / far future).
-                        let at = now
-                            + match step() % 10 {
-                                0..=6 => step() % 500,
-                                7 | 8 => step() % 30_000,
-                                _ => 600_000 + step() % 5_000_000,
-                            };
-                        push(&mut q, at, seq);
-                        reference.push((at, seq));
-                        seq += 1;
-                    }
+                    assert_eq!(
+                        q.len(),
+                        reference.len(),
+                        "k {k} seed {seed}: length diverged"
+                    );
+                    assert_eq!(q.peek_time(), reference.iter().map(|m| m.0).min());
                 }
-                assert_eq!(q.len(), reference.len(), "seed {seed}: length diverged");
+                reference.sort_unstable();
+                let mut drained = Vec::new();
+                while let Some((at, seq)) = q.pop() {
+                    drained.push((at, seq));
+                }
+                let want: Vec<(SimTime, u64)> = reference.iter().map(|m| (m.0, m.2)).collect();
+                assert_eq!(drained, want, "k {k} seed {seed}: final drain diverged");
+                let per_region: u64 = (0..k).map(|r| q.region_processed(r)).sum();
+                assert_eq!(per_region, q.processed(), "k {k} seed {seed}");
             }
-            reference.sort_unstable();
-            let drained = drain(&mut q);
-            assert_eq!(drained, reference, "seed {seed}: final drain diverged");
         }
     }
 

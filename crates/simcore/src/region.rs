@@ -6,41 +6,40 @@
 //! A *region* is a partition class of the simulation's event producers
 //! (for the engine: a connected group of operators chosen by a min-cut
 //! over the dataflow graph; the engine partitions only when every cut edge
-//! has positive latency in both directions, i.e. in PDES mode). Each
-//! region owns its own `(at, seq)` min-heap — its private future-event
-//! list — plus a *local clock*: the timestamp of the last event dispatched
+//! has positive latency in both directions, i.e. in PDES mode). Every
+//! pending event carries its region as part of its heap key, and each
+//! region has a *local clock*: the timestamp of the last event dispatched
 //! from it. The shell state (global clock, schedule-order `seq` minting,
-//! past-clamp, processed counter) stays in the owning `FutureEventList`,
-//! shared by all regions.
+//! past-clamp, processed counter) and the one heap stay in the owning
+//! `FutureEventList`, shared by all regions.
 //!
 //! # Region-major order
 //!
-//! Every pop takes the earliest pending instant across the per-region
-//! heap tops (an O(1) read-only peek each); ties at one instant break by
-//! **ascending region index**, and inside a region by `(at, seq)`.
-//! Sequence numbers are therefore never compared across regions, which is
-//! what lets the PDES engines — one shared multi-region list (the
-//! sequential reference) or one pruned
-//! replica list per thread (`RegionScheduler::retain_region`)
-//! — mint local `seq` values independently per region yet pop each
-//! region's events in the identical order. A run drained with
-//! `pop_run_at_most` that spans several regions is the concatenation of
-//! each contributing region's same-instant run, lowest region first.
+//! The heap key is `(at, region, seq)`: every pop takes the earliest
+//! pending instant; ties at one instant break by **ascending region
+//! index**, and inside a region by `seq`. Sequence numbers are therefore
+//! never compared across regions, which is what lets the PDES engines —
+//! one shared multi-region list (the sequential reference) or one pruned
+//! replica list per thread (`FutureEventList::retain_region`) — mint
+//! local `seq` values independently per region yet pop each region's
+//! events in the identical order. A run drained with `pop_run_at_most`
+//! that spans several regions is the concatenation of each contributing
+//! region's same-instant run, lowest region first.
 //!
 //! # Accounting
 //!
 //! The scheduler pops in shared memory, so nothing here ever *blocks* on a
 //! neighbour. What a message-passing Chandy–Misra–Bryant deployment of the
-//! same region graph would have needed is kept as accounting instead:
-//! per-region clocks, the lookahead matrix (`lookahead[from][to]` = minimum
-//! latency of any event a `from`-region handler can schedule into `to`),
-//! and [`SyncStats`] — how many advances exceeded the region's
+//! same region graph would have needed is kept as accounting instead
+//! ([`RegionSync`], which records nothing on a one-region list):
+//! per-region clocks, the lookahead matrix (`lookahead[from][to]` =
+//! minimum latency of any event a `from`-region handler can schedule into
+//! `to`), and [`SyncStats`] — how many advances exceeded the region's
 //! pure-lookahead bound (`min_rule_grants`) and how many null messages
 //! those would have cost (`null_msgs`). The counters never influence
 //! dispatch order; they feed the bus `SyncEpoch` events and the run
 //! reports.
 
-use crate::queue::{MinQueue, Scheduled};
 use crate::time::SimTime;
 
 /// Conservative-synchronization accounting, maintained per pop. All
@@ -62,15 +61,14 @@ pub struct SyncStats {
     pub null_msgs: u64,
 }
 
-/// K per-region heaps popped in region-major order, with
-/// conservative-PDES clock/lookahead accounting. See the module docs;
-/// construct via
-/// [`FutureEventList::with_regions`](crate::queue::FutureEventList::with_regions).
-pub struct RegionScheduler<E> {
-    queues: Vec<MinQueue<E>>,
+/// The conservative-PDES clock/lookahead accounting of one
+/// [`FutureEventList`](crate::queue::FutureEventList). See the module
+/// docs. With one region every method is a no-op and every read is
+/// `None` or zero, so a sequential run reports zero sync stats.
+pub(crate) struct RegionSync {
     /// Per-region local clock: timestamp of the last event popped from the
     /// region (0 before the first pop). Monotone per region because pops
-    /// never go back in time.
+    /// never go back in time. Its length is the region count K.
     clocks: Vec<SimTime>,
     /// Row-major `k × k` lookahead matrix: `lookahead[from * k + to]` is
     /// the minimum latency of any event a `from`-region handler can
@@ -80,122 +78,93 @@ pub struct RegionScheduler<E> {
     /// Events popped out of each region (single pops and run drains both
     /// count per event) — the per-region load-balance view.
     pops: Vec<u64>,
+    /// Regions that contributed to the run being drained.
+    contributors: u32,
 }
 
-impl<E> RegionScheduler<E> {
-    /// `regions` queues, pre-sized for about `cap` pending events total.
-    /// Requires `regions >= 2` (a single region is just a plain list — the
-    /// `FutureEventList` constructor handles that degradation).
-    pub(crate) fn new(cap: usize, regions: usize) -> Self {
-        assert!(regions >= 2, "RegionScheduler needs at least two regions");
+impl RegionSync {
+    /// Accounting for `regions` regions (`<= 1` means one).
+    pub(crate) fn new(regions: usize) -> Self {
+        let k = regions.max(1);
         assert!(
-            regions <= 64,
+            k <= 64,
             "region count is a partition fan-out, not a thread pool"
         );
-        let per = cap / regions + 1;
         Self {
-            queues: (0..regions).map(|_| MinQueue::with_capacity(per)).collect(),
-            clocks: vec![0; regions],
-            lookahead: vec![0; regions * regions],
+            clocks: vec![0; k],
+            lookahead: vec![0; k * k],
             stats: SyncStats::default(),
-            pops: vec![0; regions],
+            pops: vec![0; k],
+            contributors: 0,
         }
     }
 
     /// Number of regions (K).
     #[inline]
-    pub fn regions(&self) -> usize {
-        self.queues.len()
+    pub(crate) fn regions(&self) -> usize {
+        self.clocks.len()
     }
 
-    /// Total pending events across all regions.
     #[inline]
-    pub fn len(&self) -> usize {
-        self.queues.iter().map(|q| q.len()).sum()
+    fn partitioned(&self) -> bool {
+        self.regions() > 1
     }
 
-    /// Whether every region's queue is empty.
+    /// `region` as a heap tag: clamped to the last region.
     #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+    pub(crate) fn clamp(&self, region: usize) -> u32 {
+        region.min(self.regions() - 1) as u32
     }
 
-    /// Install the lookahead matrix (row-major `k × k`). Pure accounting —
-    /// see the module docs.
-    pub fn set_lookahead(&mut self, la: &[SimTime]) {
-        let k = self.regions();
-        assert_eq!(la.len(), k * k, "lookahead matrix must be k x k");
-        self.lookahead.copy_from_slice(la);
+    /// Install the lookahead matrix (row-major `k × k`). Pure accounting.
+    pub(crate) fn set_lookahead(&mut self, la: &[SimTime]) {
+        if self.partitioned() {
+            let k = self.regions();
+            assert_eq!(la.len(), k * k, "lookahead matrix must be k x k");
+            self.lookahead.copy_from_slice(la);
+        }
     }
 
-    /// The local clock of `region`.
-    #[inline]
-    pub fn clock(&self, region: usize) -> SimTime {
-        self.clocks[region]
+    /// The local clock of `region` (`None` with one region).
+    pub(crate) fn clock(&self, region: usize) -> Option<SimTime> {
+        self.partitioned().then(|| self.clocks[region])
+    }
+
+    /// Events popped out of `region` so far (`None` with one region).
+    pub(crate) fn pops(&self, region: usize) -> Option<u64> {
+        self.partitioned().then(|| self.pops[region])
     }
 
     /// Accounting counters so far.
-    #[inline]
-    pub fn sync_stats(&self) -> SyncStats {
+    pub(crate) fn stats(&self) -> SyncStats {
         self.stats
     }
 
-    /// Events popped out of `region` so far (single pops and run drains
-    /// both count per event).
-    #[inline]
-    pub fn region_pops(&self, region: usize) -> u64 {
-        self.pops[region]
-    }
-
     /// Count `extra` more events as popped out of `region` (clamped like
-    /// [`push`](Self::push)); see `FutureEventList::note_coalesced`.
+    /// a tag); see `FutureEventList::note_coalesced`.
     #[inline]
     pub(crate) fn note_coalesced(&mut self, region: usize, extra: u64) {
-        let r = region.min(self.regions() - 1);
-        self.pops[r] += extra;
-    }
-
-    /// Drop every region's pending events except `keep`'s. Used by the
-    /// thread-per-region executor: each replica builds the full world,
-    /// then prunes to the one region it owns. Clocks, stats, and the
-    /// lookahead matrix are left untouched.
-    pub(crate) fn retain_region(&mut self, keep: usize) {
-        for (r, q) in self.queues.iter_mut().enumerate() {
-            if r != keep {
-                *q = MinQueue::with_capacity(0);
-            }
+        if self.partitioned() {
+            let r = self.clamp(region) as usize;
+            self.pops[r] += extra;
         }
     }
 
-    /// Insert an entry into `region` (clamped to the last region).
+    /// Region `region` contributes `n` events at `at` to the run being
+    /// drained: count them, then the conservative-sync accounting and the
+    /// clock update. The region's pure-lookahead bound is `min over r' !=
+    /// region of clock(r') + lookahead(r' → region)`; a dispatch beyond it
+    /// is a min-rule grant costing one null message per neighbor still
+    /// below `at`.
+    // checker:hot-path
     #[inline]
-    pub(crate) fn push(&mut self, region: usize, s: Scheduled<E>) {
-        let r = region.min(self.regions() - 1);
-        self.queues[r].push(s);
-    }
-
-    /// The earliest pending instant and the lowest-indexed region holding
-    /// it (the strict `<` keeps the first-seen head on a tie).
-    fn min_head(&self) -> Option<(usize, SimTime)> {
-        let mut best: Option<(usize, SimTime)> = None;
-        for (r, q) in self.queues.iter().enumerate() {
-            if let Some(at) = q.peek_time() {
-                if best.is_none_or(|(_, bat)| at < bat) {
-                    best = Some((r, at));
-                }
-            }
+    pub(crate) fn advance(&mut self, region: u32, at: SimTime, n: u64) {
+        if !self.partitioned() {
+            return;
         }
-        best
-    }
-
-    /// Conservative-sync accounting for dispatching timestamp `at` out of
-    /// `region`, then the clock update. Must run *before* the clock moves.
-    /// The region's pure-lookahead bound is `min over r' != region of
-    /// clock(r') + lookahead(r' → region)`; a dispatch beyond it is a
-    /// min-rule grant costing one null message per neighbor still below
-    /// `at`.
-    fn account_advance(&mut self, region: usize, at: SimTime) {
-        let k = self.regions();
+        let (k, region) = (self.regions(), region as usize);
+        self.pops[region] += n;
+        self.contributors += 1;
         let behind = (0..k)
             .filter(|&r| {
                 r != region && self.clocks[r].saturating_add(self.lookahead[r * k + region]) < at
@@ -209,58 +178,22 @@ impl<E> RegionScheduler<E> {
         self.clocks[region] = at;
     }
 
-    /// Pop the earliest entry (lowest region on a tie) if due at or before
-    /// `t`.
-    pub(crate) fn pop_at_most(&mut self, t: SimTime) -> Option<Scheduled<E>> {
-        let (r, at) = self.min_head()?;
-        if at > t {
-            return None;
-        }
-        let s = self.queues[r].pop_at_most(t).expect("head said due");
-        debug_assert_eq!(s.at, at);
-        self.stats.runs += 1;
-        self.pops[r] += 1;
-        self.account_advance(r, at);
-        Some(s)
-    }
-
-    /// Drain the whole earliest-instant run (if due by `t`) into `buf`:
-    /// every region holding that instant contributes its same-instant run,
-    /// in ascending region index, each internally `(at, seq)`-ordered.
-    pub(crate) fn pop_run_at_most(
-        &mut self,
-        t: SimTime,
-        buf: &mut Vec<E>,
-    ) -> Option<(SimTime, usize)> {
-        let (_, at) = self.min_head()?;
-        if at > t {
-            return None;
-        }
-        let (mut n, mut contributors) = (0usize, 0u32);
-        for r in 0..self.regions() {
-            // `at` is the global minimum, so a region is due by `at` exactly
-            // when its head is `at`.
-            if let Some((got_at, got_n)) = self.queues[r].pop_run_at_most(at, buf) {
-                debug_assert_eq!(got_at, at);
-                n += got_n;
-                contributors += 1;
-                self.pops[r] += got_n as u64;
-                self.account_advance(r, at);
-            }
+    /// Close the run whose regions [`advance`](Self::advance) counted.
+    // checker:hot-path
+    #[inline]
+    pub(crate) fn end_run(&mut self) {
+        if !self.partitioned() {
+            return;
         }
         self.stats.runs += 1;
-        self.stats.merged_runs += (contributors > 1) as u64;
-        Some((at, n))
-    }
-
-    /// Timestamp of the earliest pending entry.
-    pub(crate) fn peek_time(&self) -> Option<SimTime> {
-        self.min_head().map(|(_, at)| at)
+        self.stats.merged_runs += (self.contributors > 1) as u64;
+        self.contributors = 0;
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::SyncStats;
     use crate::queue::FutureEventList;
     use crate::time::SimTime;
 
@@ -273,10 +206,25 @@ mod tests {
 
     #[test]
     fn one_region_degrades_to_single_list() {
-        let q: FutureEventList<u32> = FutureEventList::with_regions(64, 1);
-        assert_eq!(q.regions(), 1);
         let q: FutureEventList<u32> = FutureEventList::with_regions(64, 0);
         assert_eq!(q.regions(), 1);
+        let mut q = FutureEventList::with_regions(64, 1);
+        assert_eq!(q.regions(), 1);
+        q.set_region_lookahead(&[]);
+        for i in 0..20u64 {
+            // Every tag clamps to region 0: FIFO among ties.
+            q.schedule_tagged(i as usize % 3, i % 4, i);
+        }
+        q.retain_region(2);
+        assert_eq!(q.len(), 20, "one region keeps everything");
+        let mut buf = Vec::new();
+        assert_eq!(q.pop_run_at_most(SimTime::MAX, &mut buf), Some(0));
+        assert_eq!(buf, vec![0, 4, 8, 12, 16]);
+        while q.pop().is_some() {}
+        assert_eq!(q.region_sync_stats(), SyncStats::default());
+        assert_eq!((q.region_processed(0), q.region_processed(1)), (20, 0));
+        q.advance_clock_to(99);
+        assert_eq!(q.region_clock(0), 99, "the global clock");
     }
 
     #[test]

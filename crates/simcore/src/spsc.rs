@@ -1,16 +1,17 @@
 //! Bounded single-producer single-consumer ring — the cross-region event
 //! transport.
 //!
-//! A [`RegionScheduler`](crate::region::RegionScheduler) pair that ran on
-//! two real threads would exchange cross-region `Deliver` events over one
-//! of these rings per directed cut edge: the sender enqueues the 8-byte
-//! record handle (`SlabRef`), the receiver drains at its next safe-time
-//! grant. The merged in-process scheduler does not need the ring on its
-//! hot path (see the `region` module docs for why the shared-memory merge
-//! is the CMB fixed point), but the transport is built, tested and
-//! micro-benchmarked here so the distributed deployment story is concrete
-//! rather than hypothetical — `benches` reports its throughput next to
-//! `batch_drain`.
+//! The thread-per-region PDES executor (`streamflow`'s
+//! `parallel::run_parallel`) wires one ring per directed pair of regions:
+//! after each epoch slice a worker ships the cross-region messages its
+//! replica staged (cut-channel deliveries, by value, and cut-credit
+//! returns) over the ring to the owning region, whose worker drains it
+//! at the start of the next epoch; an [`EpochBarrier`] pair brackets each
+//! epoch. The sequential PDES engine does not use the rings: it pushes
+//! cross events straight into its one multi-region
+//! [`FutureEventList`](crate::queue::FutureEventList). `drrs_bench`'s
+//! kernels time both primitives (`simcore.spsc.ring_ns_per_msg`,
+//! `simcore.spsc.barrier_ns_per_cycle`).
 //!
 //! Design: the classic Lamport ring with cached indices. One fixed
 //! power-of-two slot array; the producer owns `tail`, the consumer owns
@@ -213,8 +214,8 @@ impl<T: Send> Consumer<T> {
 /// Each PDES epoch has two synchronization points (publish clocks /
 /// exchange messages); every region thread parks on the barrier until the
 /// last arrival wakes the cohort. A generation counter makes the barrier
-/// reusable without re-arming. The `parallel_epochs` micro-bench measures
-/// exactly this wait cost at K∈{2,4}.
+/// reusable without re-arming. `drrs_bench`'s `barrier` kernel measures
+/// this wait cost.
 pub struct EpochBarrier {
     n: u32,
     state: Mutex<(u32, u64)>,

@@ -17,8 +17,11 @@ use proptest::prelude::*;
 
 /// The reference model `FutureEventList` is checked against: an unsorted
 /// `Vec` min-scanned by `(at, seq)` on every read, under the same shell
-/// rules (clock, FIFO `seq` mint, past-clamp). Obviously correct and
-/// independent of the production model, which is all it is for.
+/// rules (clock, FIFO `seq` mint, past-clamp). The list's heap key is
+/// `(at, region, seq)`; the lists checked here are untagged (every event
+/// in region 0), so `(at, seq)` is their whole order. Region-major order
+/// is checked in `simcore`'s own tests. Obviously correct and independent
+/// of the production model, which is all it is for.
 #[derive(Default)]
 struct MinScanModel {
     pending: Vec<(u64, u64, u64)>, // (at, seq, event)
