@@ -213,7 +213,7 @@ impl MecesPlugin {
     fn on_chunk(&mut self, w: &mut World, inst: InstId, unit: StateUnit) {
         let key = (unit.kg.0, unit.sub);
         self.arrived_at.insert(key, w.now());
-        w.install_unit(inst, unit, true);
+        w.install_unit(inst, unit);
         self.requested.retain(|&(_, u)| u != key);
         self.replay_orphans(w, inst);
         // Wake every scaling-operator instance: suspended peers may now

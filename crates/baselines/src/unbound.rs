@@ -44,7 +44,7 @@ impl ScalePlugin for UnboundPlugin {
         // A copy fabricated here before the chunk arrived takes the unit
         // by fold (`install_unit`).
         if let PriorityMsg::Chunk { unit, .. } = msg {
-            w.install_unit(inst, *unit, true);
+            w.install_unit(inst, *unit);
         }
     }
 

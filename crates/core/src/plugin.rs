@@ -967,7 +967,7 @@ impl FlexScaler {
     fn on_chunk(&mut self, w: &mut World, inst: InstId, unit: StateUnit, subscale: SubscaleId) {
         let si = subscale.0 as usize;
         let kg = unit.kg;
-        w.install_unit(inst, unit, true);
+        w.install_unit(inst, unit);
         self.bump_epoch(inst);
         if si < self.subs.len() {
             let fully = w.insts[inst.0 as usize].state.holds_group(kg);

@@ -124,7 +124,7 @@ impl World {
     pub fn restore_group(&mut self, from: InstId, to: InstId, kg: KeyGroup) {
         for sub in 0..self.insts[from.0 as usize].state.fanout() {
             if let Some(unit) = self.hand_off(from, to, kg, sub) {
-                self.install_unit(to, unit, true);
+                self.install_unit(to, unit);
             }
         }
     }
@@ -175,19 +175,17 @@ impl World {
     }
 
     /// The one arrival side of a unit changing hands: install a unit sent
-    /// to `inst`. `active = false` keeps the key-group
-    /// present-but-inactive (DRRS implicit alignment). When `inst` holds a
-    /// fabricated copy of the unit, the unit folds into it and the active
-    /// flag stays as it is. The install that leaves the plan no outstanding
-    /// unit completes it.
-    pub fn install_unit(&mut self, inst: InstId, unit: StateUnit, active: bool) {
+    /// to `inst`, active. When `inst` holds a fabricated copy of the unit,
+    /// the unit folds into it. The install that leaves the plan no
+    /// outstanding unit completes it.
+    pub fn install_unit(&mut self, inst: InstId, unit: StateUnit) {
         let now = self.now();
         let units = &mut self.scale.metrics.units;
         let state = &mut self.insts[inst.0 as usize].state;
         if units.install(unit.kg, unit.sub, inst, now) {
             state.fold(unit);
         } else {
-            state.install(unit, active);
+            state.install(unit, true);
         }
         if self.scale.in_progress && units.outstanding() == 0 {
             self.scale.in_progress = false;
