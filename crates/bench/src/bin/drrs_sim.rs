@@ -2,7 +2,9 @@
 //! combination and printing a full report. The tool a downstream user
 //! reaches for before wiring the library into their own harness. The flags
 //! become a `ScenarioSpec` with the semantics checker on; mechanism names
-//! are `MechanismSpec::parse`'s.
+//! are `MechanismSpec::parse`'s. Every number printed is read from the
+//! run's `RunReport`, including the sink-content hash (`sink hash`), equal
+//! to `ScenarioSpec::run().sink_hash` for the same spec.
 //!
 //! ```bash
 //! cargo run --release -p bench --bin drrs_sim -- \
@@ -10,7 +12,9 @@
 //!     --from 8 --to 12 --scale-at 60 --horizon 180 --seed 1
 //! ```
 
-use bench::scenario::{EngineProfile, MechanismSpec, ScaleSpec, ScenarioSpec, WorkloadSpec};
+use bench::scenario::{
+    EngineProfile, MechanismSpec, RunReport, ScaleSpec, ScenarioSpec, WorkloadSpec,
+};
 use simcore::time::secs;
 use workloads::custom::CustomParams;
 use workloads::nexmark::{Q7Params, Q8Params};
@@ -209,9 +213,8 @@ fn main() {
         });
     let (mut sim, op) = spec.build_sim();
     sim.run_until(spec.horizon);
+    let r = RunReport::harvest(&spec, &sim, op);
 
-    let w = &sim.world;
-    let sm = &w.scale.metrics;
     println!("== drrs-sim report ==");
     let scale = match spec.scale {
         Some(_) => format!("{} -> {} instances at {} s", a.from, a.to, a.scale_at),
@@ -224,41 +227,31 @@ fn main() {
         a.seed
     );
     println!();
-    println!("sink records            : {}", w.metrics.sink_records);
-    let (peak, avg) = w
-        .metrics
-        .latency_stats_ms(secs(a.scale_at), secs(a.horizon));
+    println!("sink records            : {}", r.sink_records);
+    println!("sink hash               : 0x{:016x}", r.sink_hash);
+    let (peak, avg) = r.latency_ms(secs(a.scale_at), r.horizon);
     println!("latency (scaling window): peak {peak:.1} ms, avg {avg:.1} ms");
     for q in [0.5, 0.9, 0.99] {
-        if let Some(v) = w.metrics.latency_quantile_ms(q) {
+        if let Some(v) = r.latency_quantile_ms(q) {
             println!("latency p{:<4}           : {v:.1} ms", (q * 100.0) as u32);
         }
     }
     if spec.scale.is_some() {
         println!(
             "migration               : {} key-groups, {:.1} MB, done at {:?} s",
-            w.scale.plan.as_ref().map(|p| p.moves.len()).unwrap_or(0),
-            sm.bytes_transferred as f64 / 1e6,
-            sm.migration_done.map(|t| t / 1_000_000)
+            r.planned_moves,
+            r.bytes_transferred as f64 / 1e6,
+            r.migration_done.map(|t| t / 1_000_000)
         );
-        println!(
-            "propagation delay  (Lp) : {:.1} ms",
-            sm.cumulative_propagation_delay() as f64 / 1e3
-        );
-        println!(
-            "dependency overhead(Ld) : {:.1} ms",
-            sm.avg_dependency_overhead() / 1e3
-        );
-        let susp: u64 = w.ops[op.0 as usize]
-            .instances
-            .iter()
-            .map(|&i| w.insts[i.0 as usize].suspension_as_of(w.now()))
-            .sum();
-        println!("suspension         (Ls) : {:.1} ms", susp as f64 / 1e3);
-        let (churn_avg, churn_max) = sm.migration_churn();
-        if churn_max > 1 {
-            println!("migration churn         : avg {churn_avg:.2}x, max {churn_max}x");
+        println!("propagation delay  (Lp) : {:.1} ms", r.lp_ms);
+        println!("dependency overhead(Ld) : {:.1} ms", r.ld_ms);
+        println!("suspension         (Ls) : {:.1} ms", r.suspension_ms);
+        if r.churn_max > 1 {
+            println!(
+                "migration churn         : avg {:.2}x, max {}x",
+                r.churn_avg, r.churn_max
+            );
         }
     }
-    println!("order violations        : {}", w.semantics.violations());
+    println!("order violations        : {}", r.violations);
 }

@@ -166,6 +166,12 @@ impl RunReport {
         (as_ms(peak as SimTime), as_ms(mean as SimTime))
     }
 
+    /// The nearest-rank `q` quantile of every latency sample, ms — the
+    /// rule of `Metrics::latency_quantile_ms`.
+    pub fn latency_quantile_ms(&self, q: f64) -> Option<f64> {
+        streamflow::metrics::quantile_ms(&self.latency, q)
+    }
+
     /// The latency series as per-second means in `(second, ms)`.
     pub fn latency_series_ms(&self) -> Vec<(u64, f64)> {
         self.latency_series()

@@ -1,12 +1,15 @@
 //! Integration tests for the scenario subsystem: registry integrity, grid
 //! runs independent of the worker count, the pin store's checker and
 //! bless, bus-sink neutrality, the `--events` file, the event stream both engines share,
-//! and the strict CLIs.
+//! the strict CLIs and `drrs_sim`'s report.
 
 use bench::scenario::golden::{self, GoldenError};
-use bench::scenario::{registry, run_all, ScenarioSpec};
+use bench::scenario::{
+    registry, run_all, EngineProfile, MechanismSpec, ScaleSpec, ScenarioSpec, WorkloadSpec,
+};
 use simcore::time::secs;
 use streamflow::{BusEvent, BusEventKind, BusSinkKind};
+use workloads::nexmark::Q7Params;
 
 /// The pin store's `perf/` rows: the cross-build digest pin.
 const GOLDEN: &str = include_str!("../golden/perf_digests.txt");
@@ -495,6 +498,53 @@ fn drrs_sim_reports_a_scale_only_when_a_plan_exists() {
         assert!(stdout.contains(header), "{args}: no {header:?} in {stdout}");
         assert_eq!(stdout.contains("migration"), migration, "{args}: {stdout}");
     }
+}
+
+#[test]
+fn drrs_sim_prints_the_sink_hash_of_the_spec_its_flags_build() {
+    // The flags below build this spec (semantics checker on, sequential
+    // engine); the report's `sink hash` and `sink records` lines are its
+    // run's.
+    let spec = ScenarioSpec {
+        name: "drrs_sim/q7/drrs".into(),
+        engine: EngineProfile::Nexmark,
+        check_semantics: true,
+        seed: 7,
+        workload: WorkloadSpec::Q7(Q7Params {
+            tps: 2_000.0,
+            parallelism: 2,
+            ..Default::default()
+        }),
+        mechanism: MechanismSpec::parse("drrs").expect("a mechanism"),
+        scale: Some(ScaleSpec { at: secs(2), to: 3 }),
+        horizon: secs(4),
+        regions: 1,
+        resume_latency: 0,
+        bus_sink: Default::default(),
+    };
+    let args = "--workload q7 --mechanism drrs --rate 2000 --from 2 --to 3 \
+                --scale-at 2 --horizon 4 --seed 7";
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_drrs_sim"))
+        .args(args.split_whitespace())
+        .env_remove("QUICK")
+        .output()
+        .expect("spawning drrs_sim");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(0), "{stdout}");
+    let line = |label: &str| {
+        stdout
+            .lines()
+            .find_map(|l| l.strip_prefix(label)?.strip_prefix(": "))
+            .unwrap_or_else(|| panic!("no {label:?} line in {stdout}"))
+            .to_string()
+    };
+    let r = spec.run();
+    assert!(r.sink_records > 0, "an empty sink hashes to 0");
+    assert_eq!(
+        line("sink hash               "),
+        format!("0x{:016x}", r.sink_hash)
+    );
+    assert_eq!(line("sink records            "), r.sink_records.to_string());
 }
 
 #[test]

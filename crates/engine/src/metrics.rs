@@ -53,13 +53,7 @@ impl Metrics {
     /// The nearest-rank `q` quantile of every latency sample of the run,
     /// in milliseconds (`None` before the first sample).
     pub fn latency_quantile_ms(&self, q: f64) -> Option<f64> {
-        let mut samples: Vec<f64> = self.latency.points().iter().map(|&(_, v)| v).collect();
-        if samples.is_empty() {
-            return None;
-        }
-        let rank = ((q.clamp(0.0, 1.0) * samples.len() as f64).ceil() as usize).max(1);
-        let (_, v, _) = samples.select_nth_unstable_by(rank - 1, f64::total_cmp);
-        Some(*v / 1_000.0)
+        quantile_ms(self.latency.points(), q)
     }
 
     /// Count source emissions at time `at`.
@@ -109,6 +103,19 @@ impl Metrics {
             .mean(scale_start.saturating_sub(pre_window), scale_start)?;
         self.latency.stabilize_time(scale_start, pre * factor, hold)
     }
+}
+
+/// The nearest-rank `q` quantile of the values of `(time, µs)` samples,
+/// in milliseconds (`None` without samples): `Metrics::latency_quantile_ms`
+/// and the run report's share this rule.
+pub fn quantile_ms(points: &[(SimTime, f64)], q: f64) -> Option<f64> {
+    let mut samples: Vec<f64> = points.iter().map(|&(_, v)| v).collect();
+    if samples.is_empty() {
+        return None;
+    }
+    let rank = ((q.clamp(0.0, 1.0) * samples.len() as f64).ceil() as usize).max(1);
+    let (_, v, _) = samples.select_nth_unstable_by(rank - 1, f64::total_cmp);
+    Some(*v / 1_000.0)
 }
 
 /// Mean of a per-second `(second, value)` series over `[lo, hi)` seconds,
