@@ -31,7 +31,7 @@
 //! The scheduler pops in shared memory, so nothing here ever *blocks* on a
 //! neighbour. What a message-passing Chandy–Misra–Bryant deployment of the
 //! same region graph would have needed is kept as accounting instead
-//! ([`RegionSync`], which records nothing on a one-region list):
+//! (`RegionSync`, which records nothing on a one-region list):
 //! per-region clocks, the lookahead matrix (`lookahead[from][to]` =
 //! minimum latency of any event a `from`-region handler can schedule into
 //! `to`), and [`SyncStats`] — how many advances exceeded the region's
