@@ -28,13 +28,15 @@
 //! line keeps the same format (events = merged processed count), so CI
 //! diffs a threaded run directly against the sequential run at the same
 //! `--regions`/`--resume-latency`. With `--group` or `--figure`,
-//! `--threads N` pins the worker pool (default: one worker per available
-//! CPU); each worker still runs one sequential sim.
+//! `--threads N` (N >= 1; 0 is refused) pins the worker pool (default:
+//! one worker per available CPU); each worker still runs one sequential
+//! sim.
 //! `--sync-stats` appends a second, equally deterministic line per run with
-//! the per-region event counts, the region-scheduler (sequential) or
-//! epoch (parallel) synchronization counters, and the number of events
-//! the bus published (`bus_published`, 0 without `--events`) — every
-//! number on it is reproducible, so two `--sync-stats` runs diff clean.
+//! the per-region event counts, the event list's `RegionSync`
+//! (sequential) or epoch (parallel) synchronization counters, and the
+//! number of events the bus published (`bus_published`, 0 without
+//! `--events`) — every number on it is reproducible, so two
+//! `--sync-stats` runs diff clean.
 //! `--events FILE` turns on the event bus's in-memory sink and, after the
 //! run, writes its log as JSONL, one event a line and every published
 //! event once: the sequential engine's log in publish order (its `at`
@@ -45,7 +47,7 @@
 //! backpressure, scale and checkpoint event and on region-0 instances'
 //! metrics ticks; the parallel executor ticks region-0 instances only, and
 //! its `sync_epoch` events carry epoch counters where the sequential
-//! engine's carry region-scheduler counters.
+//! engine's carry `RegionSync` counters.
 //! `QUICK=1` compresses the grids as everywhere else.
 //!
 //! `--group PREFIX --check FILE` runs the rows of a pin-store file
@@ -73,6 +75,8 @@
 //! `ablation`; see `bench::scenario::figures`) and prints the figure,
 //! byte-identically at every `--threads N`. The QUICK text of each figure
 //! is pinned in `crates/bench/golden/figures/NAME.txt`.
+
+use std::num::NonZeroUsize;
 
 use bench::quick;
 use bench::scenario::{figures, golden, registry, run_all, RunReport, ScenarioSpec};
@@ -176,7 +180,9 @@ fn parse_args(args: &[String]) -> Result<Opts, String> {
                     "--events" => o.events = Some(v.to_string()),
                     "--check" => o.check = Some(v.to_string()),
                     "--regions" => o.regions = Some(bench::parse_value(flag, v)?),
-                    "--threads" => o.threads = Some(bench::parse_value(flag, v)?),
+                    "--threads" => {
+                        o.threads = Some(bench::parse_value::<NonZeroUsize>(flag, v)?.get())
+                    }
                     _ => o.resume_latency = Some(bench::parse_value(flag, v)?),
                 }
                 i += 1;

@@ -57,7 +57,8 @@ pub struct RunReport {
     /// Events dispatched per scheduler region (one entry per region;
     /// `[events]` for a single-region run).
     pub region_events: Vec<u64>,
-    /// Region-scheduler dispatched runs (one pop = a run of one).
+    /// Runs the event list dispatched, from its `RegionSync` accounting
+    /// (one pop = a run of one).
     pub sync_runs: u64,
     /// Runs whose same-instant events spanned regions and were merged.
     pub merged_runs: u64,

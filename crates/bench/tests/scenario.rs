@@ -307,7 +307,7 @@ fn both_engines_log_the_same_shared_event_stream() {
     // checkpoint events, and metrics ticks of region-0 instances (the
     // threaded sampler ticks no others) — form the same sequence in the
     // sequential log and in the threaded run's merged log. `SyncEpoch`
-    // carries region-scheduler counters on one engine and epoch counters
+    // carries `RegionSync` counters on one engine and epoch counters
     // on the other, so it is left out.
     let spec = registry::find("perf/cut_pipeline_100k", true)
         .expect("registered")
@@ -358,6 +358,7 @@ fn binaries_reject_stale_or_malformed_command_lines() {
         (scenario, "--list --backend heap", "unknown flag --backend"),
         (scenario, "--run", "--run needs a value"),
         (scenario, "--group perf --threads two", "--threads"),
+        (scenario, "--group perf --threads 0", "--threads \"0\""),
         (scenario, "--group perf --regions 2", "--resume-latency"),
         (scenario, run_pdes, scale_plan),
         (scenario, group_pdes, scale_plan),

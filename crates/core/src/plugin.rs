@@ -81,6 +81,7 @@
 use std::collections::VecDeque;
 
 use simcore::SimTime;
+use streamflow::config::{QUANTUM_RECORDS, QUANTUM_TIME};
 use streamflow::events::PriorityMsg;
 use streamflow::ids::{ChannelId, InstId, KeyGroup, OpId, SubscaleId};
 use streamflow::record::{Record, RecordKind, RecordRef, ScaleSignal, SignalKind, StreamElement};
@@ -566,7 +567,7 @@ impl FlexScaler {
                 break; // state still in transit: inbox is strictly FIFO
             }
             let taken = run.as_ref().map_or(0, Vec::len);
-            if taken >= w.cfg.quantum_records || service >= w.cfg.quantum_time {
+            if taken >= QUANTUM_RECORDS || service >= QUANTUM_TIME {
                 break;
             }
             let rec = q.pop_front().expect("non-empty");
@@ -642,7 +643,6 @@ impl FlexScaler {
         } else {
             (usize::MAX, 0)
         };
-        let (max_records, max_time) = (w.cfg.quantum_records, w.cfg.quantum_time);
         let price = w.service_of(inst);
         let mut run: Option<Vec<Record>> = None;
         let mut service: SimTime = 0;
@@ -650,7 +650,8 @@ impl FlexScaler {
         loop {
             let queue = &w.chans[ch.0 as usize].queue;
             let taken = run.as_ref().map_or(0, Vec::len);
-            if pos >= window.min(queue.len()) || taken >= max_records || service >= max_time {
+            if pos >= window.min(queue.len()) || taken >= QUANTUM_RECORDS || service >= QUANTUM_TIME
+            {
                 break;
             }
             self.stats.scan_positions += 1;
@@ -1254,15 +1255,20 @@ mod tests {
     #[test]
     fn a_quantum_records_cap_ends_a_run_mid_window() {
         let mut f = frozen();
-        f.w.cfg.quantum_records = 2;
         let still = f.still_kg(0);
         f.push_rec(f.kg_a);
-        for _ in 0..3 {
+        for _ in 0..QUANTUM_RECORDS + 1 {
             f.push_rec(still);
         }
         f.push_rec(f.kg_a);
-        // The held head and two taken: the third is left for the next run.
-        assert_eq!(f.cost(|f| assert_eq!(f.scan_keys().len(), 2)), (3, 0));
+        // The record cap binds first (QUANTUM_RECORDS records cost less
+        // than QUANTUM_TIME here): the held head and QUANTUM_RECORDS
+        // taken, the last still record is left for the next run.
+        let n = QUANTUM_RECORDS as u64;
+        assert_eq!(
+            f.cost(|f| assert_eq!(f.scan_keys().len(), QUANTUM_RECORDS)),
+            (n + 1, 0)
+        );
         assert_eq!(f.queue_len(), 3);
         assert_eq!(f.hint_len(), Some(1));
         assert_eq!(f.cost(|f| assert_eq!(f.scan_keys().len(), 1)), (2, 1));

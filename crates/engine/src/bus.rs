@@ -122,7 +122,8 @@ pub enum BusEventKind {
         inst: u32,
     },
     /// Synchronization accounting. Sequential multi-region runs publish
-    /// the cumulative region-scheduler `SyncStats` at each sample;
+    /// the event list's cumulative `SyncStats` (its `RegionSync`
+    /// accounting) at each sample;
     /// the thread-per-region executor publishes per-worker cumulative
     /// counters at each epoch end (`merged` = cross messages shipped,
     /// `grants` = busy epochs).

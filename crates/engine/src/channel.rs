@@ -36,7 +36,8 @@ use crate::record::{RecordArena, RecordRef, StreamElement};
 /// starts at a token size — enough to absorb a transient burst without
 /// reallocating — and doubles only under genuine backpressure, where the
 /// resize cost is noise against the stall itself. (The hard behavioural
-/// bounds are `EngineConfig::{backlog_block, backlog_resume}`, not this.)
+/// bounds are [`crate::config::BACKLOG_BLOCK`] and
+/// [`crate::config::BACKLOG_RESUME`], not this.)
 pub const BACKLOG_INITIAL_BUFFERS: usize = 16;
 
 /// One directed channel between two instances.

@@ -1,12 +1,43 @@
-//! Engine-level configuration: the knobs that correspond to the paper's
-//! deployment settings (network, buffers, key-groups, deploy delay).
+//! Engine-level configuration: the [`EngineConfig`] fields that runs vary,
+//! and the deployment constants every run shares.
+//!
+//! The paper evaluates every mechanism on one deployment: Flink in Docker
+//! containers on one machine, Gigabit Ethernet between them and Flink's
+//! credit-based network buffers. What that deployment fixes (channel
+//! credits and backlog watermarks, migration bandwidth, the sources'
+//! watermark period, snapshot cost, sink service) and the simulator's
+//! processing quantum are constants here; latencies, serialization
+//! throughput, deploy delay, key-group counts, checkpointing, sampling,
+//! PDES regions, seed and bus sink are fields.
 
 use crate::bus::BusSinkKind;
 use simcore::time::{ms, SimTime};
 
-/// Engine configuration. Defaults model the paper's single-machine Docker
-/// deployment: sub-millisecond network, 1 Gbps migration bandwidth, Flink's
-/// credit-based buffers, and a multi-second container deploy delay.
+/// Receiver-side queue capacity per channel, in records (Flink credits).
+pub const CHANNEL_CAPACITY: usize = 256;
+/// Sender-side backlog high watermark: beyond this the sender blocks.
+pub const BACKLOG_BLOCK: usize = 512;
+/// Backlog low watermark: the sender resumes below this.
+pub const BACKLOG_RESUME: usize = 128;
+// A blocked sender must be able to resume, and a backlogged one to block.
+const _: () = assert!(BACKLOG_RESUME < BACKLOG_BLOCK);
+/// Migration link bandwidth, Gbps (paper: Gigabit Ethernet).
+pub const MIGRATION_GBPS: f64 = 1.0;
+/// Max records fused into one processing quantum (simulation efficiency;
+/// admissibility is still checked per record).
+pub const QUANTUM_RECORDS: usize = 64;
+/// Max busy time per quantum.
+pub const QUANTUM_TIME: SimTime = ms(4);
+/// Watermark emission period at sources.
+pub const WATERMARK_INTERVAL: SimTime = ms(200);
+/// Per-instance snapshot cost per MB of state, µs (synchronous part).
+pub const SNAPSHOT_US_PER_MB: SimTime = 200;
+/// Per-record service time at sinks, µs.
+pub const SINK_SERVICE: SimTime = 1;
+
+/// Engine configuration: what runs vary. Defaults model the paper's
+/// single-machine Docker deployment: sub-millisecond network and a
+/// multi-second container deploy delay.
 #[derive(Clone, Debug)]
 pub struct EngineConfig {
     /// Number of key-groups (128 single-machine, 256 cluster experiments).
@@ -19,33 +50,16 @@ pub struct EngineConfig {
     /// Latency for priority/control messages (trigger barriers, fetch
     /// requests) — these skip queues but still cross the wire.
     pub ctrl_latency: SimTime,
-    /// Receiver-side queue capacity per channel, in records (Flink credits).
-    pub channel_capacity: usize,
-    /// Sender-side backlog high watermark: beyond this the sender blocks.
-    pub backlog_block: usize,
-    /// Backlog low watermark: the sender resumes below this.
-    pub backlog_resume: usize,
-    /// Migration link bandwidth, Gbps (paper: Gigabit Ethernet).
-    pub migration_gbps: f64,
     /// State (de)serialization throughput, bytes/µs (part of the paper's Lo).
     pub ser_bytes_per_us: f64,
     /// Time for a newly deployed instance container to become operational
     /// (part of Lo: "physical resource initialization").
     pub deploy_delay: SimTime,
-    /// Max records fused into one processing quantum (simulation efficiency;
-    /// admissibility is still checked per record).
-    pub quantum_records: usize,
-    /// Max busy time per quantum.
-    pub quantum_time: SimTime,
     /// Latency-marker injection period (paper: periodically inserted markers
     /// that bypass windowing operators).
     pub marker_interval: SimTime,
-    /// Watermark emission period at sources.
-    pub watermark_interval: SimTime,
     /// Checkpoint interval; `None` disables checkpointing.
     pub checkpoint_interval: Option<SimTime>,
-    /// Per-instance snapshot cost per byte of state, µs (synchronous part).
-    pub snapshot_us_per_mb: SimTime,
     /// Metric sampling period (cumulative-suspension series etc.).
     pub sample_interval: SimTime,
     /// Track per-key execution-order semantics (costs memory; on for tests,
@@ -94,22 +108,14 @@ impl Default for EngineConfig {
             sub_group_fanout: 1,
             net_latency: ms(1),
             ctrl_latency: 300,
-            channel_capacity: 256,
-            backlog_block: 512,
-            backlog_resume: 128,
-            migration_gbps: 1.0,
             // Effective state extraction+serialization throughput. The
             // paper's measured scaling durations imply ~10-15 MB/s through
             // the Flink/JVM migration path (e.g. DRRS moves ~500 MB of
             // Twitch state in tens of seconds), far below wire speed.
             ser_bytes_per_us: 15.0,
             deploy_delay: ms(3_000),
-            quantum_records: 64,
-            quantum_time: ms(4),
             marker_interval: ms(100),
-            watermark_interval: ms(200),
             checkpoint_interval: None,
-            snapshot_us_per_mb: 200,
             sample_interval: ms(500),
             check_semantics: false,
             regions: 1,
@@ -123,16 +129,8 @@ impl Default for EngineConfig {
 /// A configuration [`EngineConfig::validate`] refuses, naming the field.
 #[derive(Clone, Debug, PartialEq)]
 pub enum ConfigError {
-    /// A count or duration the engine divides by or loops on is 0.
+    /// A count the engine divides by or loops on is 0.
     Zero(&'static str),
-    /// The backlog's low watermark is not below its high watermark, so a
-    /// blocked sender could never resume (or never block).
-    BacklogOrder {
-        /// `backlog_resume`.
-        resume: usize,
-        /// `backlog_block`.
-        block: usize,
-    },
     /// A throughput that must be finite and positive is not.
     NotPositive {
         /// The field's name.
@@ -146,10 +144,6 @@ impl std::fmt::Display for ConfigError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             Self::Zero(field) => write!(f, "engine config: {field} must be positive, got 0"),
-            Self::BacklogOrder { resume, block } => write!(
-                f,
-                "engine config: backlog_resume ({resume}) must be below backlog_block ({block})"
-            ),
             Self::NotPositive { field, value } => write!(
                 f,
                 "engine config: {field} must be finite and positive, got {value}"
@@ -161,40 +155,29 @@ impl std::fmt::Display for ConfigError {
 impl std::error::Error for ConfigError {}
 
 impl EngineConfig {
-    /// Check the fields a run cannot start without: the counts and the
-    /// quantum length are positive, the backlog watermarks are ordered,
-    /// and the migration and serialization throughputs are finite and
-    /// positive. `regions > 1` with `resume_latency = 0` is valid: it is
-    /// the sequential fallback documented on [`EngineConfig::regions`].
+    /// Check the fields a run cannot start without: the key-group,
+    /// sub-group and region counts are positive and the serialization
+    /// throughput is finite and positive. The deployment constants need
+    /// no check: `BACKLOG_RESUME < BACKLOG_BLOCK` is asserted at compile
+    /// time. `regions > 1` with `resume_latency = 0` is valid: it is the
+    /// sequential fallback documented on [`EngineConfig::regions`].
     pub fn validate(&self) -> Result<(), ConfigError> {
         let counts = [
             ("max_key_groups", self.max_key_groups as u64),
             ("sub_group_fanout", self.sub_group_fanout as u64),
-            ("channel_capacity", self.channel_capacity as u64),
-            ("quantum_records", self.quantum_records as u64),
-            ("quantum_time", self.quantum_time),
             ("regions", self.regions as u64),
         ];
         if let Some(&(field, _)) = counts.iter().find(|&&(_, v)| v == 0) {
             return Err(ConfigError::Zero(field));
         }
-        if self.backlog_resume >= self.backlog_block {
-            return Err(ConfigError::BacklogOrder {
-                resume: self.backlog_resume,
-                block: self.backlog_block,
+        let value = self.ser_bytes_per_us;
+        if !(value.is_finite() && value > 0.0) {
+            return Err(ConfigError::NotPositive {
+                field: "ser_bytes_per_us",
+                value,
             });
         }
-        let rates = [
-            ("migration_gbps", self.migration_gbps),
-            ("ser_bytes_per_us", self.ser_bytes_per_us),
-        ];
-        match rates
-            .into_iter()
-            .find(|&(_, v)| !(v.is_finite() && v > 0.0))
-        {
-            Some((field, value)) => Err(ConfigError::NotPositive { field, value }),
-            None => Ok(()),
-        }
+        Ok(())
     }
 
     /// Convenience: a small, fast configuration for unit/integration tests.
@@ -248,12 +231,9 @@ mod tests {
     #[test]
     fn validate_names_a_zero_field() {
         type Zero = fn(&mut EngineConfig);
-        let zeroed: [(&str, Zero); 6] = [
+        let zeroed: [(&str, Zero); 3] = [
             ("max_key_groups", |c| c.max_key_groups = 0),
             ("sub_group_fanout", |c| c.sub_group_fanout = 0),
-            ("channel_capacity", |c| c.channel_capacity = 0),
-            ("quantum_records", |c| c.quantum_records = 0),
-            ("quantum_time", |c| c.quantum_time = 0),
             ("regions", |c| c.regions = 0),
         ];
         for (field, zero) in zeroed {
@@ -265,42 +245,23 @@ mod tests {
     }
 
     #[test]
-    fn validate_wants_backlog_resume_below_block() {
-        for resume in [512, 600] {
-            let c = EngineConfig {
-                backlog_resume: resume,
-                backlog_block: 512,
-                ..EngineConfig::test()
-            };
-            let e = c.validate().unwrap_err();
-            assert_eq!(e, ConfigError::BacklogOrder { resume, block: 512 });
-            assert!(e.to_string().contains("backlog_resume"), "{e}");
-        }
-    }
-
-    #[test]
     fn validate_wants_finite_positive_throughputs() {
         for bad in [0.0, -1.0, f64::NAN, f64::INFINITY] {
-            let gbps = EngineConfig {
-                migration_gbps: bad,
-                ..EngineConfig::test()
-            };
-            let e = gbps.validate().unwrap_err();
-            assert!(
-                matches!(
-                    e,
-                    ConfigError::NotPositive {
-                        field: "migration_gbps",
-                        ..
-                    }
-                ),
-                "{e}"
-            );
             let ser = EngineConfig {
                 ser_bytes_per_us: bad,
                 ..EngineConfig::test()
             };
             let e = ser.validate().unwrap_err();
+            assert!(
+                matches!(
+                    e,
+                    ConfigError::NotPositive {
+                        field: "ser_bytes_per_us",
+                        ..
+                    }
+                ),
+                "{e}"
+            );
             assert!(e.to_string().contains("ser_bytes_per_us"), "{e}");
         }
     }

@@ -1,8 +1,6 @@
 //! Job graph construction: logical operators, edges, and the builder that
 //! lowers them into an executable [`World`](crate::world::World).
 
-use simcore::SimTime;
-
 use crate::config::EngineConfig;
 use crate::ids::{ChannelId, EdgeId, InstId, OpId};
 use crate::instance::SourceGen;
@@ -52,8 +50,6 @@ pub struct OperatorRt {
     pub logic_factory: Option<LogicFactory>,
     /// Source factory (Source only).
     pub source_factory: Option<SourceFactory>,
-    /// Per-record service time at sinks.
-    pub sink_service: SimTime,
     /// Does this operator have a keyed input (and therefore keyed state)?
     /// Set during lowering.
     pub stateful: bool,
@@ -278,7 +274,6 @@ impl JobBuilder {
             pred_insts: Vec::new(),
             logic_factory,
             source_factory,
-            sink_service: 1,
             stateful: false,
         });
         // Record requested parallelism by pre-sizing: world build fills ids.

@@ -4,7 +4,7 @@
 //! instances inherit their operator's region) to one of `k` scheduler
 //! regions, and derives the lookahead matrix that paces the
 //! thread-per-region executor's epochs (`crate::parallel`) and feeds the
-//! region scheduler's accounting (see `simcore::region`). The world
+//! event list's region accounting (`RegionSync`, see `simcore::region`). The world
 //! partitions only in PDES mode (`regions > 1` and `resume_latency > 0`);
 //! every other world carries the trivial [`RegionMap::single`].
 //!

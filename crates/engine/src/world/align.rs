@@ -128,7 +128,7 @@ impl World {
         let role = self.op_of(inst).role;
         // Synchronous snapshot part.
         let snapshot_bytes = self.insts[inst.0 as usize].state.total_bytes();
-        let cost = (snapshot_bytes / 1_000_000) * self.cfg.snapshot_us_per_mb;
+        let cost = (snapshot_bytes / 1_000_000) * config::SNAPSHOT_US_PER_MB;
         if cost > 0 && role == OpRole::Transform {
             self.start_busy(inst, cost);
         }

@@ -22,7 +22,7 @@ impl World {
             self.wire(ch, r, true);
         } else {
             c.backlog.push_back(r);
-            if c.backlog.len() >= self.cfg.backlog_block {
+            if c.backlog.len() >= config::BACKLOG_BLOCK {
                 let from = c.from;
                 if !self.insts[from.0 as usize].blocked_out {
                     self.insts[from.0 as usize].blocked_out = true;
@@ -95,11 +95,10 @@ impl World {
         // Hysteresis: unblock the sender when every outgoing backlog is low.
         let from = self.chans[ch.0 as usize].from;
         if self.insts[from.0 as usize].blocked_out {
-            let resume = self.cfg.backlog_resume;
             let clear = self.insts[from.0 as usize]
                 .out_channels
                 .iter()
-                .all(|&oc| self.chans[oc.0 as usize].backlogged() < resume);
+                .all(|&oc| self.chans[oc.0 as usize].backlogged() < config::BACKLOG_RESUME);
             if clear {
                 self.insts[from.0 as usize].blocked_out = false;
                 let reg = self.reg(from) as u8;

@@ -83,7 +83,7 @@ use simcore::{DetRng, FutureEventList};
 
 use crate::bus::{Bus, BusEventKind};
 use crate::channel::Channel;
-use crate::config::EngineConfig;
+use crate::config::{self, EngineConfig};
 use crate::events::{BurstStore, ControlMsg, ControlStore, Ev, PriorityMsg, WireElem};
 use crate::graph::{EdgeKind, EdgeRt, OperatorRt};
 use crate::ids::{key_group_of, ChannelId, EdgeId, InstId, KeyGroup, OpId, SubscaleId};
@@ -248,7 +248,7 @@ fn wire_channel(
         cid,
         from,
         to,
-        cfg.channel_capacity,
+        config::CHANNEL_CAPACITY,
         cfg.net_latency,
     ));
     edge.add_channel(from, to, cid);
@@ -426,7 +426,7 @@ impl World {
             .collect();
         // Pre-size the arena to the steady-state bound: live elements are
         // capped by per-channel credits plus modest backlogs.
-        let arena = RecordArena::with_capacity(chans.len() * (cfg.channel_capacity + 4) + 64);
+        let arena = RecordArena::with_capacity(chans.len() * (config::CHANNEL_CAPACITY + 4) + 64);
         let bus = Bus::new(cfg.bus_sink);
         let mut scale = ScaleContext::default();
         scale.metrics.units = UnitLedger::new(cfg.max_key_groups, cfg.sub_group_fanout);

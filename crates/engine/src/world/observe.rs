@@ -90,8 +90,8 @@ impl World {
                 };
                 self.bus.publish(now, reg, tick);
             }
-            // Sequential PDES runs surface the region scheduler's
-            // cumulative sync accounting here; the parallel executor
+            // Sequential PDES runs surface the event list's cumulative
+            // `RegionSync` accounting here; the parallel executor
             // publishes its own per-epoch `SyncEpoch` events instead.
             if self.pdes() && !outbox {
                 let s = self.q.region_sync_stats();

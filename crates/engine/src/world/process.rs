@@ -47,7 +47,7 @@ impl World {
             }
             // Watermarks ride in pending too (in-order with the data).
             while src.next_watermark <= now {
-                src.next_watermark += self.cfg.watermark_interval;
+                src.next_watermark += config::WATERMARK_INTERVAL;
                 let mut wm = Record::data(0, 0, now);
                 wm.count = u32::MAX; // sentinel: watermark carrier
                 src.pending.push_back(wm);
@@ -221,11 +221,10 @@ impl World {
         ch: ChannelId,
         mut keep: impl FnMut(&World, &Record) -> bool,
     ) -> Selection {
-        let (max_records, max_time) = (self.cfg.quantum_records, self.cfg.quantum_time);
         let price = self.service_of(inst);
         let mut records = self.take_run_buf();
         let mut service: SimTime = 0;
-        while records.len() < max_records && service < max_time {
+        while records.len() < config::QUANTUM_RECORDS && service < config::QUANTUM_TIME {
             let Some(&r) = self.chans[ch.0 as usize].queue.front() else {
                 break;
             };
@@ -244,16 +243,15 @@ impl World {
         Selection::Run { records, service }
     }
 
-    /// The per-record service price at `inst`: the sink's service at a
-    /// sink, else the operator logic's
-    /// [`service_time`](OperatorLogic::service_time). A record costs it
-    /// times its multiplicity ([`Record::service`]).
+    /// The per-record service price at `inst`:
+    /// [`SINK_SERVICE`](config::SINK_SERVICE) at a sink, else the operator
+    /// logic's [`service_time`](OperatorLogic::service_time). A record
+    /// costs it times its multiplicity ([`Record::service`]).
     // checker:hot-path
     #[inline]
     pub fn service_of(&self, inst: InstId) -> SimTime {
-        let op = self.op_of(inst);
-        if op.role == OpRole::Sink {
-            return op.sink_service;
+        if self.op_of(inst).role == OpRole::Sink {
+            return config::SINK_SERVICE;
         }
         let logic = self.insts[inst.0 as usize].logic.as_deref();
         logic.expect("transform logic").service_time()

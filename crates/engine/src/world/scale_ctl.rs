@@ -146,7 +146,7 @@ impl World {
         let bytes = unit.bytes();
         let ss = *ss;
         let dur = (bytes as f64 / self.cfg.ser_bytes_per_us).ceil() as SimTime
-            + transfer_time(bytes, self.cfg.migration_gbps)
+            + transfer_time(bytes, config::MIGRATION_GBPS)
             + 1;
         self.scale.metrics.first_migration.entry(ss).or_insert(now);
         self.scale.metrics.bytes_transferred += bytes;

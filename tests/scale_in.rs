@@ -6,6 +6,7 @@
 
 use drrs_repro::baselines::{megaphone, otfs_fluid, MecesPlugin, StopRestartPlugin};
 use drrs_repro::drrs::{FlexScaler, MechanismConfig};
+use drrs_repro::engine::config::WATERMARK_INTERVAL;
 use drrs_repro::engine::graph::{EdgeKind, JobBuilder};
 use drrs_repro::engine::instance::{Life, SourceGen};
 use drrs_repro::engine::operator::KeyedAgg;
@@ -228,7 +229,7 @@ fn a_long_run_of_plans_in_and_out_leaves_nothing_behind() {
                 .insts
                 .iter()
                 .filter_map(|i| i.source.as_ref())
-                .map(|s| s.next_watermark - w.cfg.watermark_interval)
+                .map(|s| s.next_watermark - WATERMARK_INTERVAL)
                 .min()
                 .expect("sources");
             let sink_wm = w.insts[w.ops[sink.0 as usize].instances[0].0 as usize].watermark;
